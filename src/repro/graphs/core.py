@@ -142,6 +142,7 @@ class Graph:
         "_journal_floor",
         "_batch_depth",
         "_batch_bumped",
+        "_connectivity",
         "__weakref__",
     )
 
@@ -166,6 +167,9 @@ class Graph:
         self._journal_floor = 0
         self._batch_depth = 0
         self._batch_bumped = False
+        # (version, connected) verdict memoised by
+        # repro.graphs.utils.ensure_connected; stale once the version moves.
+        self._connectivity: Optional[Tuple[int, bool]] = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -309,12 +313,13 @@ class Graph:
         return {
             slot: getattr(self, slot)
             for slot in Graph.__slots__
-            if slot not in ("_csr", "_stale_csr", "__weakref__")
+            if slot not in ("_csr", "_stale_csr", "_connectivity", "__weakref__")
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self._csr = None
         self._stale_csr = None
+        self._connectivity = None
         for slot, value in state.items():
             setattr(self, slot, value)
 

@@ -91,8 +91,22 @@ def ensure_connected(graph: Graph) -> None:
 
     The paper assumes connected input graphs; the high-level estimators call
     this before running so the error surfaces early and clearly.
+
+    The verdict is memoised per ``(graph, graph.version)``: every mutation
+    bumps the version, so a cached verdict can never outlive the structure
+    it was computed on.
     """
-    if not is_connected(graph):
+    version = graph.version
+    memo = graph._connectivity
+    if memo is not None and memo[0] == version:
+        connected = memo[1]
+    else:
+        connected = is_connected(graph)
+        # Inside an open batch_mutations() block later mutations keep this
+        # version, so a verdict taken there is never stored.
+        if not graph.in_batch:
+            graph._connectivity = (version, connected)
+    if not connected:
         raise GraphStructureError(
             "the input graph must be connected; extract the largest connected "
             "component first (repro.graphs.largest_connected_component)"

@@ -30,7 +30,7 @@ from repro.samplers.base import (
     timed,
     vertex_keyed,
 )
-from repro.shortest_paths.bfs import _gather_neighbors, bfs_spd
+from repro.shortest_paths.bfs import _expand_level, bfs_spd
 from repro.shortest_paths.bidirectional import sample_path_interior_csr
 from repro.shortest_paths.dependencies import csr_spd_builder
 from repro.shortest_paths.dijkstra import dijkstra_spd
@@ -181,6 +181,7 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         dist_t = np.full(n, np.inf)
         dist_s[s] = 0.0
         dist_t[t] = 0.0
+        slot = np.empty(n, dtype=np.int64)
         frontier_s = np.array([s], dtype=np.int64)
         frontier_t = np.array([t], dtype=np.int64)
         touched = 0
@@ -189,10 +190,10 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
             work_s = int(degrees[frontier_s].sum())
             work_t = int(degrees[frontier_t].sum())
             if work_s <= work_t:
-                frontier_s, met = self._expand_csr(csr, frontier_s, dist_s, dist_t)
+                frontier_s, met = self._expand_csr(csr, degrees, frontier_s, dist_s, dist_t, slot)
                 touched += work_s
             else:
-                frontier_t, met = self._expand_csr(csr, frontier_t, dist_t, dist_s)
+                frontier_t, met = self._expand_csr(csr, degrees, frontier_t, dist_t, dist_s, slot)
                 touched += work_t
         if not met:
             return [], touched
@@ -203,22 +204,13 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         return sample_path_interior_csr(spd, s, t, rng), touched
 
     @staticmethod
-    def _expand_csr(csr, frontier, dist, other_dist):
+    def _expand_csr(csr, degrees, frontier, dist, other_dist, slot):
         """Vectorised one-level growth; mirrors :meth:`_expand` (every touched
         neighbour — not just newly discovered ones — can signal a meeting)."""
-        level = float(dist[frontier[0]])
-        _, nbrs = _gather_neighbors(csr, frontier)
-        if nbrs.size == 0:
-            return np.empty(0, dtype=np.int64), False
-        fresh = nbrs[np.isinf(dist[nbrs])]
-        if fresh.size:
-            _, first_pos = np.unique(fresh, return_index=True)
-            next_frontier = fresh[np.sort(first_pos)]
-            dist[next_frontier] = level + 1.0
-        else:
-            next_frontier = np.empty(0, dtype=np.int64)
-        met = bool(np.isfinite(other_dist[nbrs]).any())
-        return next_frontier, met
+        nbrs, _, _, next_frontier = _expand_level(
+            csr, degrees, frontier, dist, slot, parents=False
+        )
+        return next_frontier, bool(np.isfinite(other_dist[nbrs]).any())
 
     # ------------------------------------------------------------------
     def estimate_all(

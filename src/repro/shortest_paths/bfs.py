@@ -3,7 +3,7 @@
 Building the SPD rooted at a source costs ``O(|E(G)|)`` time (Section 2.1),
 which is also the per-sample cost quoted for every sampler in the paper.
 
-Two implementations share this module:
+The module holds two implementations and one fused pass:
 
 * :func:`bfs_spd` / :func:`bfs_distances` — the reference dict-backed
   traversal over :class:`~repro.graphs.core.Graph`;
@@ -15,6 +15,24 @@ Two implementations share this module:
   the dict implementation (queue order / adjacency order), so both backends
   produce identical DAGs and — for samplers that backtrack through them —
   identical rng-driven paths.
+* :func:`bfs_source_dependencies_csr` — the fused per-source pass (wave +
+  Brandes back-propagation, no DAG object) behind
+  :func:`~repro.shortest_paths.dependencies.csr_source_dependencies`.
+
+Level expansion
+---------------
+Every CSR wave here, and the bidirectional and KADABRA searches, grows one
+level with ``_expand_level``: a degree-based gather of the frontier's
+out-edges (one ``cumsum`` and two ``repeat`` calls), then a first-touch
+dedup of the newly reached vertices.  The dedup is a mark array: with
+``pos = arange(len(children))``, the reversed scatter ``slot[children[::-1]]
+= pos[::-1]`` leaves each vertex's slot holding the position of its
+*first* occurrence (the last write wins, and in reverse the last write is
+the first occurrence), so ``children[slot[children] == pos]`` keeps
+exactly one entry per vertex in first-touch order — the dict BFS queue
+order — in ``O(len(children))``, without the sort behind ``np.unique``.
+The scratch ``slot`` array belongs to one traversal call and is never
+shared, so concurrent threads cannot interfere.
 
 Cutoff semantics
 ----------------
@@ -44,6 +62,7 @@ __all__ = [
     "bfs_distances",
     "single_pair_distance",
     "bfs_spd_csr",
+    "bfs_source_dependencies_csr",
     "bfs_distances_csr",
 ]
 
@@ -131,24 +150,107 @@ def single_pair_distance(graph: Graph, source: Vertex, target: Vertex) -> float:
 # ----------------------------------------------------------------------
 # CSR kernels
 # ----------------------------------------------------------------------
-def _gather_neighbors(csr: "CSRGraph", frontier):
-    """Return ``(parents, nbrs)`` — every out-edge of *frontier*, flattened.
+def _first_touch(values, slot):
+    """Return the distinct entries of *values* in first-occurrence order.
 
-    ``parents[k]`` is the frontier vertex whose adjacency produced
-    ``nbrs[k]``; edges appear in frontier order and, within one parent, in
-    adjacency order — the exact order the dict BFS visits them.
+    The mark-array dedup (see the module docstring): *slot* is scratch
+    indexed by value, at least ``values.max() + 1`` long, whose contents
+    on entry do not matter.
     """
-    indptr = csr.indptr
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
+    positions = np.arange(values.shape[0], dtype=np.int64)
+    slot[values[::-1]] = positions[::-1]
+    return values[slot[values] == positions]
+
+
+def _expand_level(csr: "CSRGraph", degree, frontier, dist, slot, *, parents: bool = True):
+    """Expand one BFS level from the non-empty *frontier*.
+
+    Returns ``(nbrs, children, edge_parents, next_frontier)``:
+
+    * ``nbrs`` — every out-edge target of the frontier, in frontier order
+      and, within one parent, in adjacency order (the dict BFS visit order);
+    * ``children`` — the entries of ``nbrs`` not yet assigned a distance,
+      i.e. the DAG edges into the next level;
+    * ``edge_parents`` — the frontier vertex of each ``children`` entry
+      (``None`` unless *parents*);
+    * ``next_frontier`` — the unique ``children`` in first-touch order,
+      already stamped in *dist* one level deeper than the frontier.
+
+    *degree* is ``csr.degrees()``; *slot* is an ``int64`` scratch array of
+    length ``n`` owned by the calling traversal (its contents on entry do
+    not matter).
+    """
+    counts = degree[frontier]
+    cum = counts.cumsum()
+    total = int(cum[-1])
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    cum = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-    flat = np.repeat(starts, counts) + offsets
-    return np.repeat(frontier, counts), csr.indices[flat]
+        return empty, empty, empty if parents else None, empty
+    # Flat CSR position of every out-edge: frontier order, then adjacency order.
+    starts = (csr.indptr[frontier] - (cum - counts)).repeat(counts)
+    flat = np.arange(total, dtype=np.int64) + starts
+    nbrs = csr.indices[flat]
+    fresh = np.isinf(dist[nbrs])
+    children = nbrs[fresh]
+    edge_parents = frontier.repeat(counts)[fresh] if parents else None
+    next_frontier = _first_touch(children, slot)
+    dist[next_frontier] = dist[frontier[0]] + 1.0
+    return nbrs, children, edge_parents, next_frontier
+
+
+def _bfs_wave(csr: "CSRGraph", source: int, cutoff: Optional[float], paths: bool = True):
+    """Run the level-synchronous wave; return ``(dist, sig, frontiers, level_edges)``.
+
+    ``frontiers`` lists each level's vertices in discovery order (the source
+    first); ``level_edges[L]`` holds the ``(parents, children)`` DAG edges
+    into level ``L + 1``.  With ``paths=False`` only distances are tracked
+    (``sig`` is ``None`` and ``level_edges`` empty).
+    """
+    n = csr.number_of_vertices()
+    if not 0 <= source < n:
+        raise IndexError(f"source index {source} out of range for {n} vertices")
+    degree = csr.degrees()
+    dist = np.full(n, np.inf)
+    sig = np.zeros(n) if paths else None
+    slot = np.empty(n, dtype=np.int64)
+    dist[source] = 0.0
+    if paths:
+        sig[source] = 1.0
+    frontier = np.array([source], dtype=np.int64)
+    frontiers = [frontier]
+    level_edges: List[Tuple] = []
+    reached = 1
+    # Once every vertex is reached, one more level could only find none.
+    while reached < n:
+        if cutoff is not None and dist[frontier[0]] + 1.0 > cutoff:
+            break
+        _, children, parents, frontier = _expand_level(
+            csr, degree, frontier, dist, slot, parents=paths
+        )
+        if frontier.size == 0:
+            break
+        reached += frontier.shape[0]
+        frontiers.append(frontier)
+        if paths:
+            # bincount-as-scatter-add: much faster than np.add.at for the
+            # many-small-updates pattern of a BFS level.
+            sig += np.bincount(children, weights=sig[parents], minlength=n)
+            level_edges.append((parents, children))
+    return dist, sig, frontiers, level_edges
+
+
+def _accumulate_levels(sig, level_edges, n: int):
+    """Brandes back-propagation over BFS ``level_edges``; returns ``delta``.
+
+    One vectorised pass per level, deepest first: every child of level
+    ``L + 1`` has its final delta before the level-``L`` edges run.  The
+    caller zeroes the source entry.
+    """
+    delta = np.zeros(n)
+    for parents, children in reversed(level_edges):
+        contrib = sig[parents] / sig[children] * (1.0 + delta[children])
+        delta += np.bincount(parents, weights=contrib, minlength=n)
+    return delta
 
 
 def bfs_spd_csr(
@@ -170,45 +272,24 @@ def bfs_spd_csr(
         from repro.shortest_paths.compiled import bfs_spd_compiled
 
         return bfs_spd_compiled(csr, source, cutoff=cutoff)
-    n = csr.number_of_vertices()
-    if not 0 <= source < n:
-        raise IndexError(f"source index {source} out of range for {n} vertices")
-    dist = np.full(n, np.inf)
-    sig = np.zeros(n)
-    dist[source] = 0.0
-    sig[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
-    order_parts = [frontier]
-    level_edges: List[Tuple] = []
-    level = 0.0
-    while frontier.size:
-        if cutoff is not None and level + 1.0 > cutoff:
-            break
-        parents, nbrs = _gather_neighbors(csr, frontier)
-        if nbrs.size == 0:
-            break
-        # DAG edges point to the next level: exactly the neighbours not yet
-        # assigned a distance (same-level and backward edges are finite here).
-        mask = np.isinf(dist[nbrs])
-        children = nbrs[mask]
-        if children.size == 0:
-            break
-        edge_parents = parents[mask]
-        # bincount-as-scatter-add: much faster than np.add.at for the
-        # many-small-updates pattern of a BFS level.
-        sig += np.bincount(children, weights=sig[edge_parents], minlength=n)
-        # New frontier: unique children in first-touch order, matching the
-        # dict BFS queue (np.unique alone would sort by index instead).
-        _, first_pos = np.unique(children, return_index=True)
-        frontier = children[np.sort(first_pos)]
-        dist[frontier] = level + 1.0
-        order_parts.append(frontier)
-        level_edges.append((edge_parents, children))
-        level += 1.0
-    order = np.concatenate(order_parts) if len(order_parts) > 1 else order_parts[0]
-    return CSRShortestPathDAG(
-        csr, source, dist, sig, order, level_edges=level_edges
-    )
+    dist, sig, frontiers, level_edges = _bfs_wave(csr, source, cutoff)
+    order = np.concatenate(frontiers)
+    return CSRShortestPathDAG(csr, source, dist, sig, order, level_edges=level_edges)
+
+
+def bfs_source_dependencies_csr(csr: "CSRGraph", source: int):
+    """Fused per-source unweighted pass: the dependency array of *source*.
+
+    Runs the BFS wave and the Brandes back-propagation in one call without
+    materialising a :class:`CSRShortestPathDAG` — the unweighted twin of
+    :func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`.
+    Bit-identical to ``accumulate_dependencies_csr(bfs_spd_csr(csr,
+    source))``: the wave and the per-level summations are the same code.
+    """
+    dist, sig, _, level_edges = _bfs_wave(csr, source, None)
+    delta = _accumulate_levels(sig, level_edges, dist.shape[0])
+    delta[source] = 0.0
+    return delta
 
 
 def bfs_distances_csr(csr: "CSRGraph", source: int):
@@ -220,25 +301,5 @@ def bfs_distances_csr(csr: "CSRGraph", source: int):
     callers rely on when they rebuild insertion-ordered dicts at the result
     boundary.
     """
-    n = csr.number_of_vertices()
-    if not 0 <= source < n:
-        raise IndexError(f"source index {source} out of range for {n} vertices")
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    frontier = np.array([source], dtype=np.int64)
-    order_parts = [frontier]
-    level = 0.0
-    while frontier.size:
-        _, nbrs = _gather_neighbors(csr, frontier)
-        if nbrs.size == 0:
-            break
-        fresh = nbrs[np.isinf(dist[nbrs])]
-        if fresh.size == 0:
-            break
-        _, first_pos = np.unique(fresh, return_index=True)
-        frontier = fresh[np.sort(first_pos)]
-        dist[frontier] = level + 1.0
-        order_parts.append(frontier)
-        level += 1.0
-    order = np.concatenate(order_parts) if len(order_parts) > 1 else order_parts[0]
-    return dist, order
+    dist, _, frontiers, _ = _bfs_wave(csr, source, None, paths=False)
+    return dist, np.concatenate(frontiers)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro._rng import RandomState, ensure_rng
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import np
-from repro.shortest_paths.bfs import bfs_spd
+from repro.shortest_paths.bfs import _expand_level, bfs_spd
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.csr import CSRGraph
@@ -132,6 +132,7 @@ def bidirectional_shortest_path_info_csr(
     dist_t[t] = 0.0
     sigma_s[s] = 1.0
     sigma_t[t] = 1.0
+    slot = np.empty(n, dtype=np.int64)
     frontier_s = np.array([s], dtype=np.int64)
     frontier_t = np.array([t], dtype=np.int64)
     level_s = 0.0
@@ -142,11 +143,11 @@ def bidirectional_shortest_path_info_csr(
         work_t = int(degrees[frontier_t].sum())
         if work_s <= work_t:
             frontier_s, level_s, hit = _expand_csr(
-                csr, frontier_s, dist_s, sigma_s, level_s, dist_t
+                csr, degrees, frontier_s, dist_s, sigma_s, level_s, dist_t, slot
             )
         else:
             frontier_t, level_t, hit = _expand_csr(
-                csr, frontier_t, dist_t, sigma_t, level_t, dist_s
+                csr, degrees, frontier_t, dist_t, sigma_t, level_t, dist_s, slot
             )
         if hit:
             met = True
@@ -163,27 +164,15 @@ def bidirectional_shortest_path_info_csr(
     return best, sigma
 
 
-def _expand_csr(csr, frontier, dist, sigma, level, other_dist):
+def _expand_csr(csr, degrees, frontier, dist, sigma, level, other_dist, slot):
     """Vectorised one-level expansion; mirrors :func:`_expand` exactly."""
-    from repro.shortest_paths.bfs import _gather_neighbors
-
-    parents, nbrs = _gather_neighbors(csr, frontier)
-    if nbrs.size == 0:
-        return np.empty(0, dtype=np.int64), level + 1.0, False
-    next_mask = np.isinf(dist[nbrs])
-    children = nbrs[next_mask]
-    if children.size:
-        _, first_pos = np.unique(children, return_index=True)
-        next_frontier = children[np.sort(first_pos)]
-        dist[next_frontier] = level + 1.0
-    else:
-        next_frontier = np.empty(0, dtype=np.int64)
-    # sigma flows along every edge into the new level (children only), and —
-    # matching the dict implementation — only those edges can signal that the
-    # searches met.
-    on_level = dist[nbrs] == level + 1.0
-    np.add.at(sigma, nbrs[on_level], sigma[parents[on_level]])
-    met = bool(np.isfinite(other_dist[nbrs[on_level]]).any())
+    _, children, parents, next_frontier = _expand_level(csr, degrees, frontier, dist, slot)
+    # sigma flows along every edge into the new level — the fresh edges, as
+    # no vertex of that level was known before this expansion — and,
+    # matching the dict implementation, only those edges can signal that
+    # the searches met.
+    np.add.at(sigma, children, sigma[parents])
+    met = bool(np.isfinite(other_dist[children]).any())
     return next_frontier, level + 1.0, met
 
 

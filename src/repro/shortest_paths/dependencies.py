@@ -23,7 +23,12 @@ from repro.graphs.csr import np, resolve_backend, resolve_kernel
 from repro.execution.plan import ExecutionPlan, resolve_plan
 from repro.execution.runtime import interned_payload, plan_snapshot
 from repro.execution.scheduler import merge_ordered, run_sharded, split_shards
-from repro.shortest_paths.bfs import bfs_spd, bfs_spd_csr
+from repro.shortest_paths.bfs import (
+    _accumulate_levels,
+    bfs_source_dependencies_csr,
+    bfs_spd,
+    bfs_spd_csr,
+)
 from repro.shortest_paths.dijkstra import (
     dijkstra_source_dependencies_csr,
     dijkstra_spd,
@@ -358,12 +363,10 @@ def accumulate_dependencies_csr(spd: CSRShortestPathDAG, *, kernel: str = "auto"
         return accumulate_dependencies_compiled(spd)
     n = spd.csr.number_of_vertices()
     sig = spd.sig
-    delta = np.zeros(n)
     if spd.level_edges is not None:
-        for parents, children in reversed(spd.level_edges):
-            contrib = sig[parents] / sig[children] * (1.0 + delta[children])
-            delta += np.bincount(parents, weights=contrib, minlength=n)
+        delta = _accumulate_levels(sig, spd.level_edges, n)
     else:
+        delta = np.zeros(n)
         pred_indptr = spd.pred_indptr
         pred_indices = spd.pred_indices
         for w in spd.order_indices[::-1].tolist():
@@ -377,10 +380,11 @@ def accumulate_dependencies_csr(spd: CSRShortestPathDAG, *, kernel: str = "auto"
 def csr_source_dependencies(csr: "CSRGraph", source: int, *, kernel: str = "auto"):
     """Return the dependency array of vertex index *source* (build + accumulate).
 
-    On the compiled rung the whole pass runs as one fused kernel (BFS or
-    Dijkstra wave + back-propagation without materialising the DAG), and
-    weighted snapshots on the numpy rung take the fused interpreter pass
-    (:func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`);
+    Every rung runs the whole pass as one fused call (BFS or Dijkstra wave
+    + back-propagation without materialising the DAG): the compiled kernel,
+    or on the numpy rung
+    :func:`~repro.shortest_paths.bfs.bfs_source_dependencies_csr` /
+    :func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`;
     every path is bitwise identical to build-then-accumulate.
     """
     if resolve_kernel(kernel) == "compiled":
@@ -389,7 +393,7 @@ def csr_source_dependencies(csr: "CSRGraph", source: int, *, kernel: str = "auto
         return source_dependencies_compiled(csr, source)
     if csr.weighted:
         return dijkstra_source_dependencies_csr(csr, source)
-    return accumulate_dependencies_csr(csr_spd_builder(csr)(csr, source))
+    return bfs_source_dependencies_csr(csr, source)
 
 
 def csr_dependency_on_target(csr: "CSRGraph", source: int, target: int) -> float:

@@ -82,6 +82,47 @@ class TestEnsureConnected:
         with pytest.raises(GraphStructureError):
             ensure_connected(g)
 
+    def test_verdict_is_memoised_per_version(self, monkeypatch):
+        import repro.graphs.utils as utils
+
+        calls = []
+        real = utils.is_connected
+        monkeypatch.setattr(utils, "is_connected", lambda g: calls.append(1) or real(g))
+        g = path_graph(5)
+        ensure_connected(g)
+        ensure_connected(g)
+        assert len(calls) == 1
+        g.add_edge(0, 4)
+        ensure_connected(g)
+        assert len(calls) == 2
+
+    def test_disconnecting_mutation_still_raises(self, path5):
+        ensure_connected(path5)
+        path5.remove_edge(2, 3)
+        with pytest.raises(GraphStructureError):
+            ensure_connected(path5)
+        path5.add_edge(2, 3)
+        ensure_connected(path5)
+
+    def test_disconnecting_mutation_inside_a_batch_still_raises(self, path5):
+        with path5.batch_mutations():
+            path5.add_edge(0, 4)
+            ensure_connected(path5)
+            path5.remove_edge(0, 4)
+            path5.remove_edge(2, 3)
+            with pytest.raises(GraphStructureError):
+                ensure_connected(path5)
+        with pytest.raises(GraphStructureError):
+            ensure_connected(path5)
+
+    def test_estimator_rejects_graph_disconnected_after_a_checked_call(self, path5):
+        from repro.centrality import betweenness_single
+
+        betweenness_single(path5, 2, method="mh", samples=20, seed=1)
+        path5.remove_edge(3, 4)
+        with pytest.raises(GraphStructureError):
+            betweenness_single(path5, 2, method="mh", samples=20, seed=1)
+
 
 class TestClustering:
     def test_triangle_count_in_clique(self):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import VertexNotFoundError
 from repro.graphs import Graph, cycle_graph, grid_graph, path_graph, star_graph
 from repro.shortest_paths import bfs_distances, bfs_spd, single_pair_distance
+from repro.shortest_paths.bfs import _first_touch
 
 
 class TestBfsSpd:
@@ -127,3 +131,40 @@ class TestBfsHelpers:
     def test_single_pair_missing_vertex(self, path5):
         with pytest.raises(VertexNotFoundError):
             single_pair_distance(path5, 0, 42)
+
+
+def _sorted_unique(values):
+    """Reference dedup: distinct values in first-occurrence order, via a sort."""
+    return values[np.sort(np.unique(values, return_index=True)[1])]
+
+
+class TestFirstTouch:
+    """The mark-array dedup relies on "last write wins" for repeated fancy
+    assignment indices; these properties pin that behaviour."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(st.integers(0, k - 1), max_size=400),
+                st.lists(st.integers(0, k - 1), max_size=400),
+            )
+        ),
+        st.integers(-(2**62), 2**62),
+    )
+    def test_matches_sorted_unique(self, case, fill):
+        universe, first, second = case
+        # Stale scratch contents, and one slot array reused across calls,
+        # exactly as a traversal reuses it level after level.
+        slot = np.full(universe, fill, dtype=np.int64)
+        for values in (first, second):
+            children = np.array(values, dtype=np.int64)
+            assert np.array_equal(_first_touch(children, slot), _sorted_unique(children))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3000), st.integers(0, 50000))
+    def test_matches_sorted_unique_on_large_arrays(self, seed, universe, size):
+        children = np.random.default_rng(seed).integers(0, universe, size=size)
+        slot = np.empty(universe, dtype=np.int64)
+        assert np.array_equal(_first_touch(children, slot), _sorted_unique(children))

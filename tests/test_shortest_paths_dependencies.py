@@ -2,18 +2,31 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.graphs import Graph, cycle_graph, path_graph, star_graph
+from repro.graphs import (
+    Graph,
+    barabasi_albert_graph,
+    barbell_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    path_graph,
+    star_graph,
+)
 from repro.shortest_paths import (
     accumulate_dependencies,
+    accumulate_dependencies_csr,
     accumulate_edge_dependencies,
     all_dependencies_on_target,
     bfs_spd,
+    bfs_spd_csr,
+    csr_source_dependencies,
     dependency_on_target,
     source_dependencies,
     spd_builder,
 )
+from repro.shortest_paths.bfs import bfs_source_dependencies_csr
 from repro.shortest_paths.dijkstra import dijkstra_spd
 
 
@@ -127,3 +140,96 @@ class TestTargetHelpers:
         assert deltas[1] == pytest.approx(0.5)
         assert deltas[2] == pytest.approx(0.5)
         assert deltas[4] == pytest.approx(0.0)
+
+
+# ----------------------------------------------------------------------
+# Fused unweighted CSR pass
+# ----------------------------------------------------------------------
+def _directed_graph() -> Graph:
+    """Directed graph with a cycle, a source-only vertex (6) and a sink (7)."""
+    g = Graph(directed=True)
+    g.add_edges_from(
+        [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 0), (2, 5), (5, 4), (6, 2), (3, 7)]
+    )
+    return g
+
+
+def _disconnected_graph() -> Graph:
+    """Two components plus an isolated vertex (a source whose first level is empty)."""
+    g = barbell_graph(4, 1)
+    g.add_edges_from([(20, 21), (21, 22), (22, 20), (22, 23)])
+    g.add_vertex(30)
+    return g
+
+
+FUSED_GRAPHS = {
+    "er": lambda: erdos_renyi_graph(60, 0.08, seed=3),
+    "ba": lambda: barabasi_albert_graph(150, 3, seed=5),
+    "barbell": lambda: barbell_graph(5, 2),
+    "directed": _directed_graph,
+    "disconnected": _disconnected_graph,
+}
+
+
+def _sorted_unique_dependencies(csr, source):
+    """Straightforward build-then-accumulate pass with ``np.unique`` frontier dedup.
+
+    An independent formulation of the same wave: the frontier is deduplicated
+    by sorting first-occurrence positions, the per-level DAG edges are kept,
+    then back-propagated deepest level first with the same float operations.
+    """
+    n = csr.number_of_vertices()
+    dist = np.full(n, np.inf)
+    sig = np.zeros(n)
+    dist[source] = 0.0
+    sig[source] = 1.0
+    frontier = np.array([source], dtype=np.int64)
+    levels = []
+    while frontier.size:
+        parents = np.concatenate(
+            [np.full(csr.degree_of(u), u, dtype=np.int64) for u in frontier.tolist()]
+        )
+        nbrs = np.concatenate([csr.neighbors_of(u) for u in frontier.tolist()])
+        fresh = np.isinf(dist[nbrs])
+        if not fresh.any():
+            break
+        parents, children = parents[fresh], nbrs[fresh]
+        sig += np.bincount(children, weights=sig[parents], minlength=n)
+        frontier = children[np.sort(np.unique(children, return_index=True)[1])]
+        dist[frontier] = dist[parents[0]] + 1.0
+        levels.append((parents, children))
+    delta = np.zeros(n)
+    for parents, children in reversed(levels):
+        contrib = sig[parents] / sig[children] * (1.0 + delta[children])
+        delta += np.bincount(parents, weights=contrib, minlength=n)
+    delta[source] = 0.0
+    return delta
+
+
+class TestFusedCsrPass:
+    @pytest.mark.parametrize("name", sorted(FUSED_GRAPHS))
+    def test_bitwise_equal_to_build_then_accumulate(self, name):
+        csr = FUSED_GRAPHS[name]().csr()
+        for s in range(csr.number_of_vertices()):
+            fused = csr_source_dependencies(csr, s, kernel="csr")
+            assert np.array_equal(fused, bfs_source_dependencies_csr(csr, s))
+            assert np.array_equal(
+                fused, accumulate_dependencies_csr(bfs_spd_csr(csr, s, kernel="csr"))
+            )
+            assert np.array_equal(fused, _sorted_unique_dependencies(csr, s))
+
+    def test_isolated_and_sink_sources_have_zero_dependencies(self):
+        for graph, vertex in ((_disconnected_graph(), 30), (_directed_graph(), 7)):
+            csr = graph.csr()
+            delta = csr_source_dependencies(csr, csr.index_of(vertex), kernel="csr")
+            assert delta.shape == (csr.number_of_vertices(),)
+            assert not delta.any()
+
+    @pytest.mark.parametrize("source", [-1, -5, 5, 6])
+    def test_out_of_range_source_raises(self, source):
+        # Plain numpy indexing would wrap -1 to the last vertex silently.
+        csr = path_graph(5).csr()
+        with pytest.raises(IndexError):
+            csr_source_dependencies(csr, source, kernel="csr")
+        with pytest.raises(IndexError):
+            bfs_source_dependencies_csr(csr, source)
