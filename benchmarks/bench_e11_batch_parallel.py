@@ -118,7 +118,7 @@ def _jobs_rows():
     for n_jobs in JOBS:
         start = time.perf_counter()
         betweenness_centrality(
-            graph, sources=sources, backend="csr", n_jobs=n_jobs, batch_size=16
+            graph, sources=sources, n_jobs=n_jobs, batch_size=16
         )
         rows.append(
             {
@@ -135,7 +135,7 @@ def _determinism_row():
     graph = barabasi_albert_graph(_graph_size(), 3, seed=bench_seed())
     estimates = []
     for n_jobs in JOBS:
-        sampler = UniformSourceSampler(backend="csr", n_jobs=n_jobs, batch_size=16)
+        sampler = UniformSourceSampler(n_jobs=n_jobs, batch_size=16)
         estimates.append(
             sampler.estimate(graph, graph.vertices()[1], 64, seed=bench_seed()).estimate
         )

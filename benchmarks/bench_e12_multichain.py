@@ -75,7 +75,7 @@ def _chain_rows(batch_size: int):
     total = _total_samples()
 
     start = time.perf_counter()
-    baseline = SingleSpaceMHSampler(backend="csr").estimate(
+    baseline = SingleSpaceMHSampler().estimate(
         graph, r, total, seed=bench_seed()
     )
     baseline_seconds = time.perf_counter() - start
@@ -95,7 +95,7 @@ def _chain_rows(batch_size: int):
     ]
     for k in CHAIN_COUNTS:
         sampler = MultiChainMHSampler(
-            n_chains=k, n_jobs=BENCH_JOBS, backend="csr", batch_size=batch_size
+            n_chains=k, n_jobs=BENCH_JOBS, batch_size=batch_size
         )
         start = time.perf_counter()
         estimate = sampler.estimate(graph, r, total, seed=bench_seed())
@@ -124,16 +124,16 @@ def _determinism_rows(batch_size: int):
     estimates = []
     for n_jobs in JOBS:
         sampler = MultiChainMHSampler(
-            n_chains=4, n_jobs=n_jobs, backend="csr", batch_size=batch_size
+            n_chains=4, n_jobs=n_jobs, batch_size=batch_size
         )
         estimates.append(sampler.estimate(graph, r, total, seed=bench_seed()).estimate)
     identical = all(value == estimates[0] for value in estimates)
     assert identical, f"fixed-seed pooled estimates differ across n_jobs: {estimates}"
 
-    legacy = SingleSpaceMHSampler(backend="csr").estimate(
+    legacy = SingleSpaceMHSampler().estimate(
         graph, r, total, seed=bench_seed()
     )
-    single = MultiChainMHSampler(n_chains=1, backend="csr").estimate(
+    single = MultiChainMHSampler(n_chains=1).estimate(
         graph, r, total, seed=bench_seed()
     )
     legacy_identical = single.estimate == legacy.estimate
@@ -163,7 +163,6 @@ def _adaptive_row(batch_size: int):
     sampler = MultiChainMHSampler(
         n_chains=4,
         n_jobs=BENCH_JOBS,
-        backend="csr",
         batch_size=batch_size,
         rhat_target=1.05,
     )
@@ -248,7 +247,7 @@ def test_e12_multichain(benchmark):
     chain_rows = _emit_all()
 
     graph, r = _bench_graph()
-    sampler = MultiChainMHSampler(n_chains=4, backend="csr", batch_size=16)
+    sampler = MultiChainMHSampler(n_chains=4, batch_size=16)
     benchmark.pedantic(
         lambda: sampler.estimate(graph, r, 64, seed=bench_seed()),
         rounds=3,

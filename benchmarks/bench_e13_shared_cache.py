@@ -84,7 +84,6 @@ def _run(n_jobs: int, shared_cache: bool, **kwargs):
     sampler = MultiChainMHSampler(
         n_chains=CHAINS,
         n_jobs=n_jobs,
-        backend="csr",
         batch_size=BATCH_SIZE,
         shared_cache=shared_cache,
         **kwargs,
@@ -136,14 +135,13 @@ def _determinism_rows():
     total = min(_total_samples(), 512)  # the identity check needs no scale
     graph, r = _bench_graph()
     reference = MultiChainMHSampler(
-        n_chains=CHAINS, backend="csr", batch_size=BATCH_SIZE
+        n_chains=CHAINS, batch_size=BATCH_SIZE
     ).estimate(graph, r, total, seed=bench_seed())
     rows = []
     for n_jobs in JOBS:
         shared = MultiChainMHSampler(
             n_chains=CHAINS,
             n_jobs=n_jobs,
-            backend="csr",
             batch_size=BATCH_SIZE,
             shared_cache=True,
         ).estimate(graph, r, total, seed=bench_seed())
@@ -167,12 +165,11 @@ def _overflow_row():
     total = min(_total_samples(), 512)
     graph, r = _bench_graph()
     reference = MultiChainMHSampler(
-        n_chains=CHAINS, backend="csr", batch_size=BATCH_SIZE
+        n_chains=CHAINS, batch_size=BATCH_SIZE
     ).estimate(graph, r, total, seed=bench_seed())
     sampler = MultiChainMHSampler(
         n_chains=CHAINS,
         n_jobs=2,
-        backend="csr",
         batch_size=BATCH_SIZE,
         shared_cache=True,
         shared_cache_capacity=8,
@@ -246,7 +243,7 @@ def test_e13_shared_cache(benchmark):
 
     graph, r = _bench_graph()
     sampler = MultiChainMHSampler(
-        n_chains=CHAINS, n_jobs=2, backend="csr", batch_size=BATCH_SIZE,
+        n_chains=CHAINS, n_jobs=2, batch_size=BATCH_SIZE,
         shared_cache=True,
     )
     benchmark.pedantic(

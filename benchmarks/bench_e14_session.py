@@ -119,7 +119,6 @@ def _cold_answer(graph, kind, spec):
             method="mh",
             samples=spec["samples"],
             seed=spec["seed"],
-            backend="csr",
             batch_size=BATCH_SIZE,
             n_jobs=BENCH_JOBS,
             n_chains=CHAINS,
@@ -131,7 +130,6 @@ def _cold_answer(graph, kind, spec):
         spec["vertices"],
         samples=spec["samples"],
         seed=spec["seed"],
-        backend="csr",
         batch_size=BATCH_SIZE,
         n_jobs=BENCH_JOBS,
         n_chains=CHAINS,
@@ -179,7 +177,7 @@ def _run_workloads():
         cold_answers.append(_cold_answer(graph, kind, spec))
     cold_seconds = time.perf_counter() - cold_start
 
-    plan = ExecutionPlan(backend="csr", batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
     warm_answers = []
     warm_start = time.perf_counter()
     with BetweennessSession(graph, plan, arena_capacity=ARENA_CAPACITY) as session:
@@ -267,7 +265,7 @@ def test_e14_session(benchmark):
     row = _emit_all()
 
     graph = _bench_graph()
-    plan = ExecutionPlan(backend="csr", batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
     with BetweennessSession(graph, plan, arena_capacity=ARENA_CAPACITY) as session:
         hub = graph.vertices()[0]
         session.estimate(hub, method="mh", samples=48, seed=1, n_chains=CHAINS)

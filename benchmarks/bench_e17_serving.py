@@ -124,7 +124,7 @@ def _answer_fields(op, payload):
 
 def _cold_answers(graph, queries):
     """One fresh session per query: the cold per-call twins."""
-    plan = ExecutionPlan(backend="csr", batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
     answers = []
     start = time.perf_counter()
     for op, spec in queries:
@@ -203,9 +203,8 @@ def _run_serving_benchmark():
     graph = _bench_graph()
     queries = _workload(graph)
 
-    plan = ExecutionPlan(backend="csr", batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
     config = ServingConfig(
-        backend="csr",
         kernel="csr",
         default_chains=CHAINS,
         arena_capacity=ARENA_CAPACITY,
@@ -313,9 +312,9 @@ def test_e17_serving(benchmark):
     row = _emit_all()
 
     graph = _bench_graph()
-    plan = ExecutionPlan(backend="csr", batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
     config = ServingConfig(
-        backend="csr", kernel="csr", default_chains=CHAINS,
+        kernel="csr", default_chains=CHAINS,
         arena_capacity=ARENA_CAPACITY,
     )
     app = ServingApp(plan=plan, config=config)

@@ -20,7 +20,7 @@ serving workload:
   per-query answer asserted bit-identical between the two modes.
 * **E18-identity** — a warm session driven through a mutation is compared
   against a cold run on the mutated graph across the execution grid
-  (backend x kernel rung x n_jobs); every cell must be bit-identical.
+  (kernel rung x n_jobs); every cell must be bit-identical.
 * **E18-patch** — the weight-only mutation fast path:
   :meth:`repro.graphs.csr.CSRGraph.patched` must reuse the stale
   snapshot's structure arrays (no rebuild) and match a from-scratch
@@ -133,7 +133,7 @@ def _run_mode(graph_factory, toggle, targets, samples, rounds, invalidation):
     receipts = []
     start = time.perf_counter()
     with BetweennessSession(
-        graph, backend="csr", invalidation=invalidation
+        graph, invalidation=invalidation
     ) as session:
         for round_index in range(rounds):
             for qi, target in enumerate(targets):
@@ -197,30 +197,30 @@ def _run_throughput():
 # ----------------------------------------------------------------------
 # Identity grid
 # ----------------------------------------------------------------------
-#: (backend, kernel, n_jobs) cells of the warm-vs-cold identity grid.
+#: (kernel, n_jobs) cells of the warm-vs-cold identity grid.
 #: kernel "compiled" degrades to the numpy rung without numba — results
 #: unchanged by the kernel contract, so the cell stays meaningful.
 IDENTITY_GRID = (
-    ("dict", "auto", None),
-    ("csr", "csr", None),
-    ("csr", "csr", 2),
-    ("csr", "compiled", None),
-    ("csr", "compiled", 4),
+    ("auto", None),
+    ("csr", None),
+    ("csr", 2),
+    ("compiled", None),
+    ("compiled", 4),
 )
 IDENTITY_SIZE = 240
 IDENTITY_SAMPLES = 32
 
 
-def _identity_cell(backend, kernel, n_jobs):
+def _identity_cell(kernel, n_jobs):
     graph = barabasi_albert_graph(IDENTITY_SIZE, 3, seed=bench_seed() + 7)
     u, v, _ = _toggle_edge(graph)
     target = graph.vertices()[5]
     plan = (
-        ExecutionPlan(backend=backend, batch_size=16, n_jobs=n_jobs, kernel=kernel)
+        ExecutionPlan(batch_size=16, n_jobs=n_jobs, kernel=kernel)
         if n_jobs is not None
         else None
     )
-    with BetweennessSession(graph, plan, backend=backend) as session:
+    with BetweennessSession(graph, plan) as session:
         if plan is None:
             session._sampler("mh").kernel = kernel
         session.estimate(target, method="mh", samples=IDENTITY_SAMPLES, seed=11)
@@ -237,7 +237,6 @@ def _identity_cell(backend, kernel, n_jobs):
         method="mh",
         samples=IDENTITY_SAMPLES,
         seed=11,
-        backend=backend,
         batch_size=16 if n_jobs is not None else None,
         n_jobs=n_jobs,
         kernel=kernel,
@@ -245,11 +244,10 @@ def _identity_cell(backend, kernel, n_jobs):
     identical = warm.estimate == cold.estimate
     assert identical, (
         f"warm post-mutation answer diverged from cold at "
-        f"(backend={backend}, kernel={kernel}, n_jobs={n_jobs}): "
+        f"(kernel={kernel}, n_jobs={n_jobs}): "
         f"{warm.estimate!r} != {cold.estimate!r}"
     )
     return {
-        "backend": backend,
         "kernel": kernel,
         "n_jobs": n_jobs if n_jobs is not None else 1,
         "invalidation_mode": receipt.mode,
@@ -303,7 +301,7 @@ def _run_serving():
 
     graph = _bench_graph()
     u, v, _ = _toggle_edge(graph)
-    app = ServingApp(config=ServingConfig(backend="csr"))
+    app = ServingApp(config=ServingConfig())
     try:
         app.registry.load("bench", graph)
         samples = EST_SAMPLES.get(bench_size(), EST_SAMPLES["tiny"])
@@ -354,7 +352,7 @@ THROUGHPUT_COLUMNS = [
     "delta_passes", "arena_retained_last", "oracle_retained_last",
 ]
 IDENTITY_COLUMNS = [
-    "backend", "kernel", "n_jobs", "invalidation_mode", "bit_identical",
+    "kernel", "n_jobs", "invalidation_mode", "bit_identical",
 ]
 PATCH_COLUMNS = [
     "mutation", "patched_shares_structure", "weights_bit_identical", "nnz",
@@ -413,7 +411,7 @@ def test_e18_incremental(benchmark):
     u, v, _ = _toggle_edge(graph)
     samples = EST_SAMPLES.get(bench_size(), EST_SAMPLES["tiny"])
     target = graph.vertices()[0]
-    with BetweennessSession(graph, backend="csr", invalidation="delta") as session:
+    with BetweennessSession(graph, invalidation="delta") as session:
         session.estimate(target, method="mh", samples=samples, seed=9)
 
         def mutate_and_requery():

@@ -209,7 +209,7 @@ def _grid_row():
         for threads in THREADS_GRID:
             for n_jobs in JOBS_GRID:
                 sampler = UniformSourceSampler(
-                    backend="csr", n_jobs=n_jobs, batch_size=16
+                    n_jobs=n_jobs, batch_size=16
                 )
                 sampler.kernel = kernel
                 sampler.kernel_threads = threads

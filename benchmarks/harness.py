@@ -14,22 +14,13 @@ Environment knobs
     ``small`` (minutes) or ``medium`` (pure-Python: be patient).
 ``REPRO_BENCH_SEED``
     Base seed for every stochastic component (default 2019, the venue year).
-``REPRO_BENCH_BACKEND``
-    Traversal backend the benchmarks run (and record in their tables):
-    ``auto`` (default; CSR kernels when numpy is importable), ``dict`` or
-    ``csr``.  Importing this module exports the value as ``REPRO_BACKEND``,
-    which every ``backend="auto"`` call site in the library resolves
-    through — so the knob steers what the ``bench_e*`` estimators actually
-    run, and the *resolved* backend stamped in every emitted table is the
-    truth.  That stamp is what lets BENCH_* trajectories across commits
-    attribute speedups to the backend switch rather than to dataset or
-    seed drift.
 ``REPRO_BENCH_JOBS``
     Worker processes for the sharded execution engine (default ``1``,
     sequential).  Exported as ``REPRO_JOBS`` so every estimator constructed
     inside the ``bench_e*`` modules runs under the requested parallelism;
-    the value is stamped as a ``jobs:`` line in every emitted table, next
-    to the backend, for the same trajectory-attribution reason.
+    the value is stamped as a ``jobs:`` line in every emitted table, so
+    trajectories across commits attribute speedups to the knob rather than
+    to dataset or seed drift.
 ``REPRO_BENCH_SHARED_GRAPH``
     Whether CSR snapshots ship to workers as zero-copy shared-memory
     handles (default ``0``, pickled shipping).  Exported as
@@ -87,11 +78,6 @@ def bench_seed() -> int:
     return int(os.environ.get("REPRO_BENCH_SEED", "2019"))
 
 
-def bench_backend() -> str:
-    """Return the requested traversal backend (``REPRO_BENCH_BACKEND``)."""
-    return os.environ.get("REPRO_BENCH_BACKEND", "auto")
-
-
 def bench_jobs() -> int:
     """Return the worker-process count selected through ``REPRO_BENCH_JOBS``."""
     return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
@@ -124,20 +110,9 @@ def bench_shared_graph() -> bool:
     )
 
 
-# Export the bench knob as the library-wide "auto" override so the
-# estimators constructed inside the bench_e* modules (which all default to
-# backend="auto") genuinely run the requested backend.  Validated here so a
-# typo fails at import naming the variable the user actually set.
-if bench_backend() != "auto":
-    if bench_backend() not in ("dict", "csr"):
-        raise ValueError(
-            f"REPRO_BENCH_BACKEND must be 'auto', 'dict' or 'csr', "
-            f"got {bench_backend()!r}"
-        )
-    os.environ["REPRO_BACKEND"] = bench_backend()
-
-# Same export for the parallelism knob: REPRO_JOBS engages the sharded
-# execution engine at every call site that accepts an ExecutionPlan.
+# Export the parallelism knob as the library-wide override: REPRO_JOBS
+# engages the sharded execution engine at every call site that accepts an
+# ExecutionPlan.
 if bench_jobs() != 1:
     if bench_jobs() < 1:
         raise ValueError(f"REPRO_BENCH_JOBS must be a positive integer, got {bench_jobs()!r}")
@@ -185,13 +160,6 @@ if bench_invalidation() != "delta":
     os.environ["REPRO_INVALIDATION"] = bench_invalidation()
 
 
-def resolved_bench_backend() -> str:
-    """Return the backend the benchmarks actually run (``dict`` or ``csr``)."""
-    from repro.graphs.csr import resolve_backend
-
-    return resolve_backend(bench_backend())
-
-
 def resolved_bench_kernel() -> str:
     """Return the kernel rung the benchmarks actually run (``csr`` or ``compiled``)."""
     from repro.execution.stamp import resolve_kernel_quiet
@@ -230,10 +198,9 @@ def emit_table(
 ) -> str:
     """Print the experiment table and persist it under ``benchmarks/results/``.
 
-    ``backend: <dict|csr>``, ``jobs: <n>``, ``shared_graph: <bool>``,
-    ``kernel: <csr|compiled>``, ``kernel_threads: <n>`` and
-    ``invalidation: <delta|full>`` lines are stamped under the title so
-    every stored result records which traversal backend, degree of
+    ``jobs: <n>``, ``shared_graph: <bool>``, ``kernel: <csr|compiled>``,
+    ``kernel_threads: <n>`` and ``invalidation: <delta|full>`` lines are
+    stamped under the title so every stored result records which degree of
     parallelism, snapshot-shipping mode, kernel rung, kernel-thread count
     and invalidation scoping produced it.
     """
@@ -242,7 +209,6 @@ def emit_table(
     table = format_table(rows, columns)
     stamp = format_stamp_lines(
         {
-            "backend": resolved_bench_backend(),
             "jobs": bench_jobs(),
             "shared_graph": bench_shared_graph(),
             "kernel": resolved_bench_kernel(),

@@ -18,10 +18,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # numpy powers the CSR traversal backend (repro.graphs.csr and the
-    # *_csr kernels); the library degrades to the pure-Python dict backend
-    # when it is missing, but installs declare it so the fast path is the
-    # default everywhere.
+    # numpy powers the CSR snapshot (repro.graphs.csr) and the *_csr
+    # kernels every estimator runs on; it is a hard requirement.
     install_requires=["numpy>=1.22"],
     # scipy upgrades the batched multi-source engine to sparse-matmul
     # sweeps (repro.shortest_paths.batch); without it the pure-numpy wave

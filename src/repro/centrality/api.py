@@ -33,7 +33,6 @@ from repro.execution.autotune import (
     calibrate_n_jobs,
 )
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
 from repro.graphs.utils import ensure_connected
 from repro.mcmc.bounds import epsilon_for_samples, mu_statistics, required_samples
 from repro.mcmc.joint import JointSpaceMHSampler, RelativeBetweennessEstimate
@@ -86,31 +85,22 @@ Threads = Union[int, str, None]
 
 
 def _resolve_batch_size(
-    graph: Graph, batch_size: BatchSize, backend: str, workload: Optional[int] = None
+    graph: Graph, batch_size: BatchSize, workload: Optional[int] = None
 ):
     """Resolve ``"auto"`` to a calibrated batch size at the point the graph is known.
 
-    On the dict backend there are no batch kernels to calibrate, so
-    ``"auto"`` resolves to ``None`` — the legacy sequential path — rather
-    than engaging the execution plan (and its pre-drawn proposal stream)
-    for a size-1 batch that could never be faster.  *workload* is the
-    caller's rough count of upcoming Brandes passes; the probe is scaled
-    down for small jobs so calibration never rivals the work it is meant
-    to speed up (a cruder, noisier probe is the right trade there).
+    *workload* is the caller's rough count of upcoming Brandes passes; the
+    probe is scaled down for small jobs so calibration never rivals the
+    work it is meant to speed up (a cruder, noisier probe is the right
+    trade there).
     """
     if batch_size == "auto":
-        if resolve_backend(backend) != "csr":
-            return None
         probe_sources = 32 if workload is None else max(4, min(32, workload // 16))
-        return calibrate_batch_size(
-            graph, backend=backend, probe_sources=probe_sources
-        )
+        return calibrate_batch_size(graph, probe_sources=probe_sources)
     return batch_size
 
 
-def _resolve_n_jobs(
-    graph: Graph, n_jobs: Jobs, backend: str, workload: Optional[int] = None
-):
+def _resolve_n_jobs(graph: Graph, n_jobs: Jobs, workload: Optional[int] = None):
     """Resolve ``"auto"`` to a calibrated worker count at the point the graph is known.
 
     Unlike an unset ``n_jobs``, the calibrated count **always engages** the
@@ -119,47 +109,38 @@ def _resolve_n_jobs(
     ``None`` (the legacy sequential path, whose accumulation order and rng
     consumption differ for the stochastic samplers) would let wall-clock
     noise pick between two differently-ordered computations, breaking the
-    "timing can never change an estimate" contract.  On the dict backend
-    the sharded path exists too, but there are no batch kernels to amortise
-    pool traffic against, so ``"auto"`` resolves to an engaged 1 without
-    probing.  *workload* scales the probe down for small jobs, like
-    :func:`_resolve_batch_size`.
+    "timing can never change an estimate" contract.  *workload* scales the
+    probe down for small jobs, like :func:`_resolve_batch_size`.
     """
     if n_jobs == "auto":
-        if resolve_backend(backend) != "csr":
-            return 1
         probe_sources = 64 if workload is None else max(8, min(64, workload // 8))
-        return calibrate_n_jobs(graph, backend=backend, probe_sources=probe_sources)
+        return calibrate_n_jobs(graph, probe_sources=probe_sources)
     return n_jobs
 
 
 def _resolve_kernel_threads(
     graph: Graph,
     kernel_threads: Threads,
-    backend: str,
     kernel: str,
     n_jobs,
     workload: Optional[int] = None,
 ):
     """Resolve ``"auto"`` to a calibrated thread count at the point the graph is known.
 
-    The knob only engages the compiled jit-parallel batch kernels, so on
-    the dict backend (or when the compiled rung cannot run) ``"auto"``
-    resolves to 1 without probing.  The probe composes with the caller's
-    already-resolved *n_jobs*: candidate thread counts are capped so
-    ``threads × processes`` never oversubscribes the machine.  Like the
+    The knob only engages the compiled jit-parallel batch kernels, so when
+    the compiled rung cannot run ``"auto"`` resolves to 1 without probing.
+    The probe composes with the caller's already-resolved *n_jobs*:
+    candidate thread counts are capped so ``threads × processes`` never
+    oversubscribes the machine.  Like the
     other two probes, the timed choice is result-neutral — the parallel
     kernels accumulate per-source rows in source order at any thread
     count.
     """
     if kernel_threads == "auto":
-        if resolve_backend(backend) != "csr":
-            return 1
         jobs = n_jobs if isinstance(n_jobs, int) and n_jobs >= 1 else 1
         probe_sources = 32 if workload is None else max(4, min(32, workload // 16))
         return calibrate_kernel_threads(
             graph,
-            backend=backend,
             kernel=kernel,
             probe_sources=probe_sources,
             n_jobs=jobs,
@@ -167,34 +148,33 @@ def _resolve_kernel_threads(
     return kernel_threads
 
 #: Estimator registry for :func:`betweenness_single`.  Every factory accepts
-#: the traversal ``backend`` (``"auto"`` / ``"dict"`` / ``"csr"``) plus the
-#: execution-engine knobs ``batch_size`` / ``n_jobs`` (see
+#: the execution-engine knobs ``batch_size`` / ``n_jobs`` (see
 #: :mod:`repro.execution`); calling one with no argument keeps the
-#: pre-backend behaviour (``"auto"``, sequential).
+#: sequential code path.
 SINGLE_VERTEX_METHODS = {
-    "mh": lambda backend="auto", batch_size=None, n_jobs=None: SingleSpaceMHSampler(
-        backend=backend, batch_size=batch_size, n_jobs=n_jobs
+    "mh": lambda batch_size=None, n_jobs=None: SingleSpaceMHSampler(
+        batch_size=batch_size, n_jobs=n_jobs
     ),
-    "mh-unbiased": lambda backend="auto", batch_size=None, n_jobs=None: SingleSpaceMHSampler(
-        estimator="proposal", backend=backend, batch_size=batch_size, n_jobs=n_jobs
+    "mh-unbiased": lambda batch_size=None, n_jobs=None: SingleSpaceMHSampler(
+        estimator="proposal", batch_size=batch_size, n_jobs=n_jobs
     ),
-    "mh-degree": lambda backend="auto", batch_size=None, n_jobs=None: SingleSpaceMHSampler(
-        proposal="degree", backend=backend, batch_size=batch_size, n_jobs=n_jobs
+    "mh-degree": lambda batch_size=None, n_jobs=None: SingleSpaceMHSampler(
+        proposal="degree", batch_size=batch_size, n_jobs=n_jobs
     ),
-    "mh-random-walk": lambda backend="auto", batch_size=None, n_jobs=None: SingleSpaceMHSampler(
-        proposal="random-walk", backend=backend, batch_size=batch_size, n_jobs=n_jobs
+    "mh-random-walk": lambda batch_size=None, n_jobs=None: SingleSpaceMHSampler(
+        proposal="random-walk", batch_size=batch_size, n_jobs=n_jobs
     ),
-    "uniform-source": lambda backend="auto", batch_size=None, n_jobs=None: UniformSourceSampler(
-        backend=backend, batch_size=batch_size, n_jobs=n_jobs
+    "uniform-source": lambda batch_size=None, n_jobs=None: UniformSourceSampler(
+        batch_size=batch_size, n_jobs=n_jobs
     ),
-    "distance": lambda backend="auto", batch_size=None, n_jobs=None: DistanceBasedSampler(
-        backend=backend, batch_size=batch_size, n_jobs=n_jobs
+    "distance": lambda batch_size=None, n_jobs=None: DistanceBasedSampler(
+        batch_size=batch_size, n_jobs=n_jobs
     ),
-    "rk": lambda backend="auto", batch_size=None, n_jobs=None: RiondatoKornaropoulosSampler(
-        backend=backend, batch_size=batch_size, n_jobs=n_jobs
+    "rk": lambda batch_size=None, n_jobs=None: RiondatoKornaropoulosSampler(
+        batch_size=batch_size, n_jobs=n_jobs
     ),
-    "kadabra": lambda backend="auto", batch_size=None, n_jobs=None: KadabraSampler(
-        backend=backend, batch_size=batch_size, n_jobs=n_jobs
+    "kadabra": lambda batch_size=None, n_jobs=None: KadabraSampler(
+        batch_size=batch_size, n_jobs=n_jobs
     ),
 }
 
@@ -213,7 +193,6 @@ def betweenness_single(
     samples: int = 200,
     seed: RandomState = None,
     check_connected: bool = True,
-    backend: str = "auto",
     batch_size: BatchSize = None,
     n_jobs: Jobs = None,
     n_chains: Optional[int] = None,
@@ -239,12 +218,6 @@ def betweenness_single(
         Chain length (MCMC methods) or number of samples (baselines).
     seed:
         Randomness specification.
-    backend:
-        Traversal backend: ``"auto"`` (CSR kernels whenever numpy is
-        importable — the graph snapshot is static for the duration of the
-        call), ``"dict"`` (pure-Python reference) or ``"csr"``.  Both
-        backends consume identical rng streams, so for a fixed *seed* the
-        estimate is the same up to floating-point accumulation order.
     batch_size, n_jobs:
         Execution-engine knobs (:mod:`repro.execution`): sources per
         batched CSR traversal and worker processes for the sharded source
@@ -308,7 +281,7 @@ def betweenness_single(
         )
     if check_connected:
         ensure_connected(graph)
-    batch_size = _resolve_batch_size(graph, batch_size, backend, workload=samples)
+    batch_size = _resolve_batch_size(graph, batch_size, workload=samples)
     if multichain:
         # The driver owns n_jobs (chains are the unit of parallel work); the
         # base sampler keeps batch-prefetching its own proposals.  An "auto"
@@ -316,11 +289,11 @@ def betweenness_single(
         # idle, and the probe times per-source sharding, not chain fan-out.
         chains = n_chains if n_chains is not None else DEFAULT_CHAINS
         if n_jobs == "auto":
-            n_jobs = min(_resolve_n_jobs(graph, n_jobs, backend, workload=samples), chains)
-        base = SINGLE_VERTEX_METHODS[method](backend, batch_size, None)
+            n_jobs = min(_resolve_n_jobs(graph, n_jobs, workload=samples), chains)
+        base = SINGLE_VERTEX_METHODS[method](batch_size, None)
         base.kernel = kernel
         base.kernel_threads = _resolve_kernel_threads(
-            graph, kernel_threads, backend, kernel, n_jobs, workload=samples
+            graph, kernel_threads, kernel, n_jobs, workload=samples
         )
         driver = MultiChainMHSampler(
             base,
@@ -330,11 +303,11 @@ def betweenness_single(
             shared_cache=shared_cache,
         )
         return driver.estimate(graph, r, samples, seed=seed)
-    n_jobs = _resolve_n_jobs(graph, n_jobs, backend, workload=samples)
-    estimator = SINGLE_VERTEX_METHODS[method](backend, batch_size, n_jobs)
+    n_jobs = _resolve_n_jobs(graph, n_jobs, workload=samples)
+    estimator = SINGLE_VERTEX_METHODS[method](batch_size, n_jobs)
     estimator.kernel = kernel
     estimator.kernel_threads = _resolve_kernel_threads(
-        graph, kernel_threads, backend, kernel, n_jobs, workload=samples
+        graph, kernel_threads, kernel, n_jobs, workload=samples
     )
     return estimator.estimate(graph, r, samples, seed=seed)
 
@@ -344,7 +317,6 @@ def betweenness_exact(
     vertices: Optional[Iterable[Vertex]] = None,
     *,
     normalization: str = "paper",
-    backend: str = "auto",
     batch_size: BatchSize = None,
     n_jobs: Jobs = None,
     kernel: str = "auto",
@@ -362,16 +334,15 @@ def betweenness_exact(
     result-neutral at any count).
     """
     passes = graph.number_of_vertices() if vertices is None else None
-    batch_size = _resolve_batch_size(graph, batch_size, backend, workload=passes)
-    n_jobs = _resolve_n_jobs(graph, n_jobs, backend, workload=passes)
+    batch_size = _resolve_batch_size(graph, batch_size, workload=passes)
+    n_jobs = _resolve_n_jobs(graph, n_jobs, workload=passes)
     kernel_threads = _resolve_kernel_threads(
-        graph, kernel_threads, backend, kernel, n_jobs, workload=passes
+        graph, kernel_threads, kernel, n_jobs, workload=passes
     )
     if vertices is None:
         return betweenness_centrality(
             graph,
             normalization=normalization,
-            backend=backend,
             batch_size=batch_size,
             n_jobs=n_jobs,
             kernel=kernel,
@@ -382,7 +353,6 @@ def betweenness_exact(
             graph,
             v,
             normalization=normalization,
-            backend=backend,
             batch_size=batch_size,
             n_jobs=n_jobs,
             kernel=kernel,
@@ -399,7 +369,6 @@ def relative_betweenness(
     samples: int = 1000,
     seed: RandomState = None,
     check_connected: bool = True,
-    backend: str = "auto",
     batch_size: BatchSize = None,
     n_jobs: Jobs = None,
     n_chains: Optional[int] = None,
@@ -428,16 +397,14 @@ def relative_betweenness(
         )
     if check_connected:
         ensure_connected(graph)
-    batch_size = _resolve_batch_size(graph, batch_size, backend, workload=samples)
+    batch_size = _resolve_batch_size(graph, batch_size, workload=samples)
     if n_chains is not None:
         if n_jobs == "auto":
-            n_jobs = min(
-                _resolve_n_jobs(graph, n_jobs, backend, workload=samples), n_chains
-            )
-        base = JointSpaceMHSampler(backend=backend, batch_size=batch_size)
+            n_jobs = min(_resolve_n_jobs(graph, n_jobs, workload=samples), n_chains)
+        base = JointSpaceMHSampler(batch_size=batch_size)
         base.kernel = kernel
         base.kernel_threads = _resolve_kernel_threads(
-            graph, kernel_threads, backend, kernel, n_jobs, workload=samples
+            graph, kernel_threads, kernel, n_jobs, workload=samples
         )
         driver = MultiChainJointSampler(
             base,
@@ -446,11 +413,11 @@ def relative_betweenness(
             shared_cache=shared_cache,
         )
         return driver.estimate_relative(graph, reference_set, samples, seed=seed)
-    n_jobs = _resolve_n_jobs(graph, n_jobs, backend, workload=samples)
-    sampler = JointSpaceMHSampler(backend=backend, batch_size=batch_size, n_jobs=n_jobs)
+    n_jobs = _resolve_n_jobs(graph, n_jobs, workload=samples)
+    sampler = JointSpaceMHSampler(batch_size=batch_size, n_jobs=n_jobs)
     sampler.kernel = kernel
     sampler.kernel_threads = _resolve_kernel_threads(
-        graph, kernel_threads, backend, kernel, n_jobs, workload=samples
+        graph, kernel_threads, kernel, n_jobs, workload=samples
     )
     return sampler.estimate_relative(graph, reference_set, samples, seed=seed)
 

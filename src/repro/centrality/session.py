@@ -61,7 +61,6 @@ from repro.exact.brandes import betweenness_centrality
 from repro.exact.single_vertex import betweenness_of_vertex
 from repro.execution import ExecutionContext, ExecutionPlan, resolve_plan
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
 from repro.graphs.utils import ensure_connected
 from repro.mcmc.joint import JointSpaceMHSampler, RelativeBetweennessEstimate
 from repro.mcmc.multichain import MultiChainJointSampler, MultiChainMHSampler
@@ -82,17 +81,11 @@ class BetweennessSession:
         while ``check_connected`` is on (the paper's standing assumption).
     plan:
         Optional :class:`~repro.execution.ExecutionPlan` fixing the
-        execution knobs of every query: backend, batch size, worker count,
+        execution knobs of every query: batch size, worker count, kernel,
         multiprocessing start method.  ``None`` resolves from the
         ``REPRO_*`` environment overrides like every estimator does; with
         nothing set, queries run on the legacy sequential paths (the warm
         arena and oracles still apply).
-    backend:
-        Traversal backend of every query when *plan* is ``None`` (a plan's
-        own ``backend`` field wins otherwise).  Lets a sequential session
-        force ``"dict"`` / ``"csr"`` without engaging the execution engine
-        — an engaged plan switches the MCMC samplers onto the prefetch
-        discipline, which a backend choice alone must not do.
     arena_capacity:
         Rows of the persistent dependency arena (``None`` = byte-budget
         heuristic, see :func:`repro.execution.runtime.default_arena_rows`).
@@ -112,14 +105,12 @@ class BetweennessSession:
         graph: Graph,
         plan: Optional[ExecutionPlan] = None,
         *,
-        backend: str = "auto",
         arena_capacity: Optional[int] = None,
         invalidation: Optional[str] = None,
         check_connected: bool = True,
     ) -> None:
         self.graph = graph
-        self.plan = resolve_plan(plan, backend=backend)
-        self.backend = self.plan.backend if self.plan is not None else backend
+        self.plan = resolve_plan(plan)
         self.check_connected = bool(check_connected)
         self._context = ExecutionContext(
             n_jobs=self.plan.n_jobs if self.plan is not None else None,
@@ -234,10 +225,10 @@ class BetweennessSession:
             self._context.record_passes(int(count))
 
     def _knobs(self):
-        """The (backend, batch_size, n_jobs) triple the cold API would use."""
+        """The (batch_size, n_jobs) pair the cold API would use."""
         if self.plan is None:
-            return self.backend, None, None
-        return self.plan.backend, self.plan.batch_size, self.plan.n_jobs
+            return None, None
+        return self.plan.batch_size, self.plan.n_jobs
 
     def _attach(self, sampler):
         """Point a sampler's pool work at the session's persistent context."""
@@ -257,14 +248,13 @@ class BetweennessSession:
         key = ("single", method)
         sampler = self._estimators.get(key)
         if sampler is None:
-            backend, batch_size, n_jobs = self._knobs()
-            sampler = SINGLE_VERTEX_METHODS[method](backend, batch_size, n_jobs)
+            sampler = SINGLE_VERTEX_METHODS[method](*self._knobs())
             self._attach(sampler)
             self._estimators[key] = sampler
         return sampler
 
     def _oracle(self, kind: str, sampler):
-        """Memoized warm dependency oracle (arena-attached on CSR).
+        """Memoized warm dependency oracle, attached to the session's arena.
 
         Keyed by *kind* alone — not the graph version: a mutation no longer
         retires a warm oracle wholesale.  :meth:`_sync_graph` either evicts
@@ -276,9 +266,7 @@ class BetweennessSession:
         key = kind
         oracle = self._oracles.get(key)
         if oracle is None:
-            store = None
-            if resolve_backend(sampler.backend) == "csr":
-                store = self._context.dependency_arena(self.graph)
+            store = self._context.dependency_arena(self.graph)
             oracle = sampler.build_oracle(self.graph, shared_store=store)
             self._oracles[key] = oracle
         return oracle
@@ -289,10 +277,10 @@ class BetweennessSession:
         key = ("multichain", method, n_chains, rhat_target)
         driver = self._estimators.get(key)
         if driver is None:
-            backend, batch_size, _ = self._knobs()
+            batch_size, _ = self._knobs()
             # Mirrors the cold API: the driver owns n_jobs (chains are the
             # unit of parallel work); the base keeps batch-prefetching.
-            base = SINGLE_VERTEX_METHODS[method](backend, batch_size, None)
+            base = SINGLE_VERTEX_METHODS[method](batch_size, None)
             base.kernel = self.plan.kernel if self.plan is not None else "auto"
             base.kernel_threads = (
                 self.plan.kernel_threads if self.plan is not None else None
@@ -313,10 +301,8 @@ class BetweennessSession:
         key = ("joint",)
         sampler = self._estimators.get(key)
         if sampler is None:
-            backend, batch_size, n_jobs = self._knobs()
-            sampler = JointSpaceMHSampler(
-                backend=backend, batch_size=batch_size, n_jobs=n_jobs
-            )
+            batch_size, n_jobs = self._knobs()
+            sampler = JointSpaceMHSampler(batch_size=batch_size, n_jobs=n_jobs)
             self._attach(sampler)
             self._estimators[key] = sampler
         return sampler
@@ -325,8 +311,8 @@ class BetweennessSession:
         key = ("joint-multichain", n_chains)
         driver = self._estimators.get(key)
         if driver is None:
-            backend, batch_size, _ = self._knobs()
-            joint_base = JointSpaceMHSampler(backend=backend, batch_size=batch_size)
+            batch_size, _ = self._knobs()
+            joint_base = JointSpaceMHSampler(batch_size=batch_size)
             joint_base.kernel = self.plan.kernel if self.plan is not None else "auto"
             joint_base.kernel_threads = (
                 self.plan.kernel_threads if self.plan is not None else None
@@ -452,12 +438,11 @@ class BetweennessSession:
         persistent pool against the interned CSR payload (shipped once).
         """
         self._begin()
-        backend, batch_size, n_jobs = self._knobs()
         plan = self._plan_with_runtime
         n = self.graph.number_of_vertices()
         if vertices is None:
             scores = betweenness_centrality(
-                self.graph, normalization=normalization, backend=backend, plan=plan
+                self.graph, normalization=normalization, plan=plan
             )
             # Brandes runs one pass per source.
             self._record_passes(n)
@@ -467,7 +452,6 @@ class BetweennessSession:
                 self.graph,
                 v,
                 normalization=normalization,
-                backend=backend,
                 plan=plan,
             )
             for v in vertices

@@ -52,7 +52,7 @@ from repro.centrality.session import BetweennessSession
 from repro.datasets.registry import SIZES, dataset_names, dataset_table, load_dataset
 from repro.execution import resolve_kernel_threads, resolve_plan
 from repro.execution.stamp import resolve_kernel_quiet
-from repro.graphs.csr import BACKENDS, KERNELS
+from repro.graphs.csr import KERNELS
 from repro.errors import ReproError
 from repro.graphs.core import Graph
 from repro.graphs.io import read_edge_list
@@ -243,12 +243,6 @@ def _add_graph_arguments(parser: argparse.ArgumentParser, required: bool = True)
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """The execution-engine knobs shared by every estimating sub-command."""
     parser.add_argument(
-        "--backend",
-        default="auto",
-        choices=BACKENDS,
-        help="traversal backend (default: auto = CSR kernels when numpy is available)",
-    )
-    parser.add_argument(
         "--jobs",
         type=_jobs,
         default=None,
@@ -355,7 +349,7 @@ def run(args: argparse.Namespace, out=sys.stdout) -> int:
 def _run_estimate(args: argparse.Namespace, graph: Graph, out) -> int:
     vertex = parse_vertex(args.vertex)
     kernel_threads = _resolve_kernel_threads(
-        graph, args.kernel_threads, args.backend, args.kernel, args.jobs
+        graph, args.kernel_threads, args.kernel, args.jobs
     )
     result = betweenness_single(
         graph,
@@ -363,7 +357,6 @@ def _run_estimate(args: argparse.Namespace, graph: Graph, out) -> int:
         method=args.method,
         samples=args.samples,
         seed=args.seed,
-        backend=args.backend,
         batch_size=args.batch_size,
         n_jobs=args.jobs,
         n_chains=args.chains,
@@ -385,14 +378,13 @@ def _run_estimate(args: argparse.Namespace, graph: Graph, out) -> int:
 def _run_relative(args: argparse.Namespace, graph: Graph, out) -> int:
     vertices = [parse_vertex(v) for v in args.vertices.split(",") if v.strip() != ""]
     kernel_threads = _resolve_kernel_threads(
-        graph, args.kernel_threads, args.backend, args.kernel, args.jobs
+        graph, args.kernel_threads, args.kernel, args.jobs
     )
     estimate = relative_betweenness(
         graph,
         vertices,
         samples=args.samples,
         seed=args.seed,
-        backend=args.backend,
         batch_size=args.batch_size,
         n_jobs=args.jobs,
         n_chains=args.chains,
@@ -418,14 +410,13 @@ def _run_batch(args: argparse.Namespace, graph: Graph, out) -> int:
     oracles — stays warm across the whole stream, which is the point: the
     per-query marginal cost is the estimator work alone.
     """
-    batch_size = _resolve_batch_size(graph, args.batch_size, args.backend)
-    n_jobs = _resolve_n_jobs(graph, args.jobs, args.backend)
+    batch_size = _resolve_batch_size(graph, args.batch_size)
+    n_jobs = _resolve_n_jobs(graph, args.jobs)
     kernel_threads = _resolve_kernel_threads(
-        graph, args.kernel_threads, args.backend, args.kernel, n_jobs
+        graph, args.kernel_threads, args.kernel, n_jobs
     )
     plan = resolve_plan(
         None,
-        backend=args.backend,
         batch_size=batch_size,
         n_jobs=n_jobs,
         kernel=args.kernel,
@@ -442,9 +433,7 @@ def _run_batch(args: argparse.Namespace, graph: Graph, out) -> int:
         close_lines = True
     failures = 0
     try:
-        with BetweennessSession(
-            graph, plan, backend=args.backend, arena_capacity=args.arena_capacity
-        ) as session:
+        with BetweennessSession(graph, plan, arena_capacity=args.arena_capacity) as session:
             for lineno, line in enumerate(lines, start=1):
                 line = line.strip()
                 if not line:
@@ -486,10 +475,10 @@ def _run_serve(args: argparse.Namespace, graph: Optional[Graph], out) -> int:
     from repro.serving import ServingApp, ServingConfig, create_server
 
     if graph is not None:
-        batch_size = _resolve_batch_size(graph, args.batch_size, args.backend)
-        n_jobs = _resolve_n_jobs(graph, args.jobs, args.backend)
+        batch_size = _resolve_batch_size(graph, args.batch_size)
+        n_jobs = _resolve_n_jobs(graph, args.jobs)
         kernel_threads = _resolve_kernel_threads(
-            graph, args.kernel_threads, args.backend, args.kernel, n_jobs
+            graph, args.kernel_threads, args.kernel, n_jobs
         )
     else:
         batch_size = None if args.batch_size == "auto" else args.batch_size
@@ -497,7 +486,6 @@ def _run_serve(args: argparse.Namespace, graph: Optional[Graph], out) -> int:
         kernel_threads = None if args.kernel_threads == "auto" else args.kernel_threads
     plan = resolve_plan(
         None,
-        backend=args.backend,
         batch_size=batch_size,
         n_jobs=n_jobs,
         kernel=args.kernel,
@@ -509,7 +497,6 @@ def _run_serve(args: argparse.Namespace, graph: Optional[Graph], out) -> int:
         retry_after=args.retry_after,
         default_chains=args.chains,
         max_sessions=args.max_sessions,
-        backend=args.backend,
         kernel=args.kernel,
         kernel_threads=kernel_threads,
         arena_capacity=args.arena_capacity,
@@ -548,7 +535,6 @@ def _run_exact(args: argparse.Namespace, graph: Graph, out) -> int:
     scores = betweenness_exact(
         graph,
         vertices,
-        backend=args.backend,
         batch_size=args.batch_size,
         n_jobs=args.jobs,
         kernel=args.kernel,

@@ -40,13 +40,10 @@ from repro.execution import (
     split_shards,
 )
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend
+from repro.graphs.csr import np
 from repro.shortest_paths.dependencies import (
-    accumulate_dependencies,
     csr_source_dependencies,
     dependency_sum_shard_csr,
-    dependency_sum_shard_dict,
-    spd_builder,
 )
 
 __all__ = ["betweenness_centrality", "normalization_factor", "NORMALIZATIONS"]
@@ -83,7 +80,6 @@ def betweenness_centrality(
     *,
     normalization: str = "paper",
     sources: Optional[Iterable[Vertex]] = None,
-    backend: str = "auto",
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional[ExecutionPlan] = None,
@@ -104,10 +100,6 @@ def betweenness_centrality(
         vertices.  With the default (all vertices) the result is exact; with
         a subset it is the building block of the uniform source-sampling
         baseline and of tests that check per-source contributions.
-    backend:
-        ``"auto"`` (default), ``"dict"`` or ``"csr"``.  ``"auto"`` runs on
-        the flat-array CSR kernels whenever numpy is available; the two
-        backends agree to floating-point accumulation order.
     batch_size, n_jobs, plan:
         Execution-engine knobs (see :mod:`repro.execution`): when any is
         set (or the ``REPRO_BATCH`` / ``REPRO_JOBS`` env vars are), the
@@ -136,7 +128,6 @@ def betweenness_centrality(
     )
     resolved_plan = resolve_plan(
         plan,
-        backend=backend,
         batch_size=batch_size,
         n_jobs=n_jobs,
         kernel=kernel,
@@ -144,29 +135,16 @@ def betweenness_centrality(
     )
     if resolved_plan is not None:
         return _betweenness_centrality_planned(graph, factor, sources, resolved_plan)
-    if resolve_backend(backend) == "csr":
-        csr = graph.csr()
-        totals = np.zeros(csr.number_of_vertices())
-        if sources is None:
-            source_indices = range(csr.number_of_vertices())
-        else:
-            source_indices = [csr.index_of(s) for s in sources]
-        for i in source_indices:
-            # delta[i] == 0 by construction, so plain array addition matches
-            # the dict loop's "skip v == s" rule.
-            totals += csr_source_dependencies(csr, i, kernel=kernel)
-        return csr.array_to_vertex_map(totals * factor)
-    build = spd_builder(graph)
-    scores: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-    source_list = list(sources) if sources is not None else graph.vertices()
-    for s in source_list:
-        graph.validate_vertex(s)
-        spd = build(graph, s)
-        deltas = accumulate_dependencies(spd)
-        for v, delta in deltas.items():
-            if v != s:
-                scores[v] += delta
-    return {v: score * factor for v, score in scores.items()}
+    csr = graph.csr()
+    totals = np.zeros(csr.number_of_vertices())
+    if sources is None:
+        source_indices = range(csr.number_of_vertices())
+    else:
+        source_indices = [csr.index_of(s) for s in sources]
+    for i in source_indices:
+        # delta[i] == 0 by construction, so no source is skipped.
+        totals += csr_source_dependencies(csr, i, kernel=kernel)
+    return csr.array_to_vertex_map(totals * factor)
 
 
 def _betweenness_centrality_planned(
@@ -175,51 +153,34 @@ def _betweenness_centrality_planned(
     sources: Optional[Iterable[Vertex]],
     plan: ExecutionPlan,
 ) -> Dict[Vertex, float]:
-    """Sharded/batched Brandes: the execution-engine twin of the loops above."""
-    if resolve_backend(plan.backend) == "csr":
-        csr = plan_snapshot(graph, plan)
-        if sources is None:
-            source_indices = list(range(csr.number_of_vertices()))
-        else:
-            source_indices = [csr.index_of(s) for s in sources]
-        if not source_indices:
-            return csr.array_to_vertex_map(np.zeros(csr.number_of_vertices()))
-        totals = merge_ordered(
-            run_sharded(
-                dependency_sum_shard_csr,
-                split_shards(source_indices),
-                n_jobs=plan.n_jobs,
-                plan=plan,
-                # Interning keeps one payload object per (snapshot, batch,
-                # kernel, threads) across calls, so a persistent pool ships
-                # the CSR arrays to its workers once per session, not per
-                # request.
-                shared=interned_payload(
-                    plan,
-                    (
-                        "dep-sum-csr",
-                        id(csr),
-                        plan.batch_size,
-                        plan.kernel,
-                        plan.kernel_threads,
-                    ),
-                    lambda: (csr, plan.batch_size, plan.kernel, plan.kernel_threads),
-                ),
-            )
-        )
-        return csr.array_to_vertex_map(totals * factor)
-    source_list = list(sources) if sources is not None else graph.vertices()
-    for s in source_list:
-        graph.validate_vertex(s)
-    if not source_list:
-        return {v: 0.0 for v in graph.vertices()}
-    scores = merge_ordered(
+    """Sharded/batched Brandes: the execution-engine twin of the loop above."""
+    csr = plan_snapshot(graph, plan)
+    if sources is None:
+        source_indices = list(range(csr.number_of_vertices()))
+    else:
+        source_indices = [csr.index_of(s) for s in sources]
+    if not source_indices:
+        return csr.array_to_vertex_map(np.zeros(csr.number_of_vertices()))
+    totals = merge_ordered(
         run_sharded(
-            dependency_sum_shard_dict,
-            split_shards(source_list),
+            dependency_sum_shard_csr,
+            split_shards(source_indices),
             n_jobs=plan.n_jobs,
             plan=plan,
-            shared=graph,
+            # Interning keeps one payload object per (snapshot, batch,
+            # kernel, threads) across calls, so a persistent pool ships the
+            # CSR arrays to its workers once per session, not per request.
+            shared=interned_payload(
+                plan,
+                (
+                    "dep-sum-csr",
+                    id(csr),
+                    plan.batch_size,
+                    plan.kernel,
+                    plan.kernel_threads,
+                ),
+                lambda: (csr, plan.batch_size, plan.kernel, plan.kernel_threads),
+            ),
         )
     )
-    return {v: scores.get(v, 0.0) * factor for v in graph.vertices()}
+    return csr.array_to_vertex_map(totals * factor)

@@ -15,7 +15,7 @@ implementations suitable for small-to-mid graphs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.execution import (
@@ -27,11 +27,10 @@ from repro.execution import (
     split_shards,
 )
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend
+from repro.graphs.csr import np
 from repro.shortest_paths.batch import BatchedSPD, bfs_spd_batch_csr
-from repro.shortest_paths.bfs import bfs_spd
-from repro.shortest_paths.dependencies import csr_spd_builder, iter_batches, spd_builder
-from repro.shortest_paths.spd import CSRShortestPathDAG, ShortestPathDAG
+from repro.shortest_paths.dependencies import csr_spd_builder, iter_batches
+from repro.shortest_paths.spd import CSRShortestPathDAG
 
 __all__ = [
     "group_betweenness_centrality",
@@ -49,31 +48,12 @@ def _validate_group(graph: Graph, group: Iterable[Vertex]) -> List[Vertex]:
     return members
 
 
-def _paths_through_counts(
-    spd: ShortestPathDAG, group: Set[Vertex]
-) -> Dict[Vertex, float]:
-    """Return, per target *t*, the number of shortest source→t paths avoiding *group*.
+def _csr_avoid_counts(spd: CSRShortestPathDAG, member_mask) -> "np.ndarray":
+    """Per target, the number of shortest source→target paths avoiding the group.
 
     Counting paths that avoid every group member and subtracting from the
     total is the standard inclusion trick for group betweenness: paths
     through *at least one* member = all paths − paths through none.
-    """
-    avoid: Dict[Vertex, float] = {}
-    source = spd.source
-    avoid[source] = 0.0 if source in group else 1.0
-    for t in spd.order:
-        if t == source:
-            continue
-        if t in group:
-            avoid[t] = 0.0
-            continue
-        avoid[t] = sum(avoid.get(p, 0.0) for p in spd.predecessors.get(t, []))
-    return avoid
-
-
-def _csr_avoid_counts(spd: CSRShortestPathDAG, member_mask) -> "np.ndarray":
-    """Array twin of :func:`_paths_through_counts` over a CSR-built SPD.
-
     Runs one vectorised pass per BFS level (or an ordered per-vertex sweep
     for Dijkstra-built DAGs): a vertex's avoid-count is the sum of its DAG
     parents' counts, zeroed on group members so no path through a member is
@@ -165,32 +145,11 @@ def _group_shard_csr(shared, shard):
     return total
 
 
-def _group_shard_dict(shared, shard):
-    """Dict-backend twin of :func:`_group_shard_csr` (``shared`` = (graph, members))."""
-    graph, members = shared
-    build = spd_builder(graph)
-    total = 0.0
-    for s in shard:
-        spd = build(graph, s)
-        avoiding = _paths_through_counts(spd, members)
-        for t in spd.order:
-            if t == s or t in members:
-                continue
-            sigma = spd.sigma[t]
-            if sigma <= 0.0:
-                continue
-            through = sigma - avoiding.get(t, 0.0)
-            if through > 0.0:
-                total += through / sigma
-    return total
-
-
 def group_betweenness_centrality(
     graph: Graph,
     group: Iterable[Vertex],
     *,
     normalized: bool = True,
-    backend: str = "auto",
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional[ExecutionPlan] = None,
@@ -205,48 +164,30 @@ def group_betweenness_centrality(
     """
     members = set(_validate_group(graph, group))
     n = graph.number_of_vertices()
-    resolved_plan = resolve_plan(plan, backend=backend, batch_size=batch_size, n_jobs=n_jobs)
+    resolved_plan = resolve_plan(plan, batch_size=batch_size, n_jobs=n_jobs)
     if resolved_plan is not None:
         total = _group_betweenness_planned(graph, members, resolved_plan)
         if normalized and n > 1:
             total /= n * (n - 1)
         return total
-    if resolve_backend(backend) == "csr":
-        csr = graph.csr()
-        build = csr_spd_builder(csr)
-        member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
-        for m in members:
-            member_mask[csr.index_of(m)] = True
-        total = 0.0
-        for s in range(csr.number_of_vertices()):
-            if member_mask[s]:
-                continue
-            spd = build(csr, s)
-            avoid = _csr_avoid_counts(spd, member_mask)
-            reachable = spd.order_indices
-            keep = reachable[(reachable != s) & ~member_mask[reachable]]
-            sigma = spd.sig[keep]
-            positive = sigma > 0.0
-            through = sigma[positive] - avoid[keep][positive]
-            ratio = through / sigma[positive]
-            total += float(ratio[through > 0.0].sum())
-    else:
-        build = spd_builder(graph)
-        total = 0.0
-        for s in graph.vertices():
-            if s in members:
-                continue
-            spd = build(graph, s)
-            avoiding = _paths_through_counts(spd, members)
-            for t in spd.order:
-                if t == s or t in members:
-                    continue
-                sigma = spd.sigma[t]
-                if sigma <= 0.0:
-                    continue
-                through = sigma - avoiding.get(t, 0.0)
-                if through > 0.0:
-                    total += through / sigma
+    csr = graph.csr()
+    build = csr_spd_builder(csr)
+    member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
+    for m in members:
+        member_mask[csr.index_of(m)] = True
+    total = 0.0
+    for s in range(csr.number_of_vertices()):
+        if member_mask[s]:
+            continue
+        spd = build(csr, s)
+        avoid = _csr_avoid_counts(spd, member_mask)
+        reachable = spd.order_indices
+        keep = reachable[(reachable != s) & ~member_mask[reachable]]
+        sigma = spd.sig[keep]
+        positive = sigma > 0.0
+        through = sigma[positive] - avoid[keep][positive]
+        ratio = through / sigma[positive]
+        total += float(ratio[through > 0.0].sum())
     if normalized and n > 1:
         total /= n * (n - 1)
     return total
@@ -256,35 +197,20 @@ def _group_betweenness_planned(
     graph: Graph, members: Set[Vertex], plan: ExecutionPlan
 ) -> float:
     """Sharded/batched raw group-betweenness sum (pre-normalisation)."""
-    if resolve_backend(plan.backend) == "csr":
-        csr = plan_snapshot(graph, plan)
-        member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
-        for m in members:
-            member_mask[csr.index_of(m)] = True
-        source_indices = [
-            s for s in range(csr.number_of_vertices()) if not member_mask[s]
-        ]
-        if not source_indices:
-            return 0.0
-        return merge_ordered(
-            run_sharded(
-                _group_shard_csr,
-                split_shards(source_indices),
-                n_jobs=plan.n_jobs,
-                plan=plan,
-                shared=(csr, plan.batch_size, member_mask),
-            )
-        )
-    sources = [s for s in graph.vertices() if s not in members]
-    if not sources:
+    csr = plan_snapshot(graph, plan)
+    member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
+    for m in members:
+        member_mask[csr.index_of(m)] = True
+    source_indices = [s for s in range(csr.number_of_vertices()) if not member_mask[s]]
+    if not source_indices:
         return 0.0
     return merge_ordered(
         run_sharded(
-            _group_shard_dict,
-            split_shards(sources),
+            _group_shard_csr,
+            split_shards(source_indices),
             n_jobs=plan.n_jobs,
             plan=plan,
-            shared=(graph, members),
+            shared=(csr, plan.batch_size, member_mask),
         )
     )
 
@@ -304,7 +230,6 @@ def co_betweenness_centrality(
     members = _validate_group(graph, group)
     member_set = set(members)
     n = graph.number_of_vertices()
-    build = spd_builder(graph)
     total = 0.0
     if len(members) == 1:
         # Degenerates to ordinary betweenness of the single member.
@@ -334,7 +259,6 @@ def greedy_prominent_group(
     graph: Graph,
     size: int,
     *,
-    backend: str = "auto",
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
 ) -> List[Vertex]:
@@ -358,7 +282,6 @@ def greedy_prominent_group(
             score = group_betweenness_centrality(
                 graph,
                 chosen + [candidate],
-                backend=backend,
                 batch_size=batch_size,
                 n_jobs=n_jobs,
             )

@@ -30,7 +30,6 @@ def dependency_vector(
     graph: Graph,
     r: Vertex,
     *,
-    backend: str = "auto",
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional["ExecutionPlan"] = None,
@@ -47,7 +46,6 @@ def dependency_vector(
     return all_dependencies_on_target(
         graph,
         r,
-        backend=backend,
         batch_size=batch_size,
         n_jobs=n_jobs,
         plan=plan,
@@ -61,7 +59,6 @@ def betweenness_of_vertex(
     r: Vertex,
     *,
     normalization: str = "paper",
-    backend: str = "auto",
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional["ExecutionPlan"] = None,
@@ -78,7 +75,6 @@ def betweenness_of_vertex(
     deltas = dependency_vector(
         graph,
         r,
-        backend=backend,
         batch_size=batch_size,
         n_jobs=n_jobs,
         plan=plan,
@@ -97,7 +93,6 @@ def betweenness_of_vertices(
     targets: Iterable[Vertex],
     *,
     normalization: str = "paper",
-    backend: str = "auto",
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
 ) -> Dict[Vertex, float]:
@@ -107,17 +102,14 @@ def betweenness_of_vertices(
             graph,
             r,
             normalization=normalization,
-            backend=backend,
-            batch_size=batch_size,
+                batch_size=batch_size,
             n_jobs=n_jobs,
         )
         for r in targets
     }
 
 
-def exact_betweenness_ratio(
-    graph: Graph, ri: Vertex, rj: Vertex, *, backend: str = "auto"
-) -> float:
+def exact_betweenness_ratio(graph: Graph, ri: Vertex, rj: Vertex) -> float:
     """Return the exact ratio ``BC(ri) / BC(rj)``.
 
     Raises
@@ -126,14 +118,12 @@ def exact_betweenness_ratio(
         If ``BC(rj)`` is exactly zero; callers in the benchmark harness pick
         reference vertices with positive betweenness.
     """
-    bc_i = betweenness_of_vertex(graph, ri, backend=backend)
-    bc_j = betweenness_of_vertex(graph, rj, backend=backend)
+    bc_i = betweenness_of_vertex(graph, ri)
+    bc_j = betweenness_of_vertex(graph, rj)
     return bc_i / bc_j
 
 
-def exact_relative_betweenness(
-    graph: Graph, ri: Vertex, rj: Vertex, *, backend: str = "auto"
-) -> float:
+def exact_relative_betweenness(graph: Graph, ri: Vertex, rj: Vertex) -> float:
     """Return the exact relative betweenness score ``BC_rj(ri)`` of Equation 23.
 
     .. math::
@@ -149,8 +139,8 @@ def exact_relative_betweenness(
     """
     graph.validate_vertex(ri)
     graph.validate_vertex(rj)
-    deltas_i = dependency_vector(graph, ri, backend=backend)
-    deltas_j = dependency_vector(graph, rj, backend=backend)
+    deltas_i = dependency_vector(graph, ri)
+    deltas_j = dependency_vector(graph, rj)
     n = graph.number_of_vertices()
     if n == 0:
         return 0.0
@@ -166,9 +156,7 @@ def exact_relative_betweenness(
     return total / n
 
 
-def exact_stationary_relative_betweenness(
-    graph: Graph, ri: Vertex, rj: Vertex, *, backend: str = "auto"
-) -> float:
+def exact_stationary_relative_betweenness(graph: Graph, ri: Vertex, rj: Vertex) -> float:
     """Return the expectation the joint-space chain's relative estimator converges to.
 
     .. math::
@@ -195,8 +183,8 @@ def exact_stationary_relative_betweenness(
     """
     graph.validate_vertex(ri)
     graph.validate_vertex(rj)
-    deltas_i = dependency_vector(graph, ri, backend=backend)
-    deltas_j = dependency_vector(graph, rj, backend=backend)
+    deltas_i = dependency_vector(graph, ri)
+    deltas_j = dependency_vector(graph, rj)
     denominator = sum(deltas_j.values())
     numerator = sum(
         min(deltas_i.get(v, 0.0), deltas_j.get(v, 0.0)) for v in graph.vertices()

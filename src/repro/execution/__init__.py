@@ -4,14 +4,12 @@ Every estimation layer of the library (exact Brandes, the baseline
 samplers, the Metropolis-Hastings oracles) reduces to "run many per-source
 passes and accumulate".  This package owns *how* those passes are executed:
 
-* :class:`~repro.execution.plan.ExecutionPlan` bundles the three execution
-  knobs — traversal ``backend``, batched-kernel ``batch_size`` and
-  multiprocessing ``n_jobs`` — and
-  :func:`~repro.execution.plan.resolve_plan` resolves them the same way
-  :func:`~repro.graphs.csr.resolve_backend` resolves backends (explicit
-  arguments win over the ``REPRO_JOBS`` / ``REPRO_BATCH`` environment
-  overrides; with nothing set the estimators keep their original
-  sequential code paths).
+* :class:`~repro.execution.plan.ExecutionPlan` bundles the execution
+  knobs — batched-kernel ``batch_size``, multiprocessing ``n_jobs`` and
+  the CSR kernel rung — and :func:`~repro.execution.plan.resolve_plan`
+  resolves them (explicit arguments win over the ``REPRO_JOBS`` /
+  ``REPRO_BATCH`` environment overrides; with nothing set the estimators
+  keep their original sequential code paths).
 * :mod:`~repro.execution.scheduler` splits a source list into fixed-size
   shards, derives an independently-seeded child rng stream per shard, runs
   shards inline or on a multiprocessing pool, and merges per-shard buffers

@@ -32,7 +32,6 @@ from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.graphs.core import Graph
-from repro.graphs.csr import resolve_backend
 
 __all__ = [
     "DEFAULT_BATCH_CANDIDATES",
@@ -61,7 +60,6 @@ def _csr_of(graph):
 def probe_batch_sizes(
     graph,
     *,
-    backend: str = "auto",
     candidates: Sequence[int] = DEFAULT_BATCH_CANDIDATES,
     probe_sources: int = 32,
     repeats: int = 1,
@@ -76,9 +74,7 @@ def probe_batch_sizes(
     that cannot be filled runs the exact same kernel call as the budget-
     sized one, so its timing would be pure noise and could crown a block
     size the probe never actually measured.  (If every candidate exceeds
-    the budget, the smallest is kept as the only honest option.)  On the
-    dict backend, which has no batch kernels, the probe is skipped and
-    ``[(1, 0.0)]`` returned.
+    the budget, the smallest is kept as the only honest option.)
     """
     if not candidates:
         raise ConfigurationError("candidates must be a non-empty sequence")
@@ -91,8 +87,6 @@ def probe_batch_sizes(
         raise ConfigurationError("probe_sources must be a positive integer")
     if repeats < 1:
         raise ConfigurationError("repeats must be a positive integer")
-    if resolve_backend(backend) != "csr":
-        return [(1, 0.0)]
     from repro.shortest_paths.batch import batch_source_dependencies
 
     csr = _csr_of(graph)
@@ -122,7 +116,6 @@ def probe_batch_sizes(
 def calibrate_batch_size(
     graph,
     *,
-    backend: str = "auto",
     candidates: Sequence[int] = DEFAULT_BATCH_CANDIDATES,
     probe_sources: int = 32,
     repeats: int = 1,
@@ -134,7 +127,6 @@ def calibrate_batch_size(
     """
     timings = probe_batch_sizes(
         graph,
-        backend=backend,
         candidates=candidates,
         probe_sources=probe_sources,
         repeats=repeats,
@@ -171,7 +163,6 @@ def default_jobs_candidates() -> Tuple[int, ...]:
 def probe_n_jobs(
     graph,
     *,
-    backend: str = "auto",
     candidates: Sequence[int] = (),
     probe_sources: int = 64,
     repeats: int = 1,
@@ -187,8 +178,8 @@ def probe_n_jobs(
     workloads, so it must be billed).  The scheduler's determinism contract
     makes every candidate produce the same buffer bit-for-bit; only
     wall-clock differs, so the calibrated count can never change an
-    estimate.  On the dict backend or a single-core machine the probe is
-    skipped and ``[(1, 0.0)]`` returned.
+    estimate.  On a single-core machine the probe is skipped and
+    ``[(1, 0.0)]`` returned.
     """
     if probe_sources < 1:
         raise ConfigurationError("probe_sources must be a positive integer")
@@ -205,8 +196,6 @@ def probe_n_jobs(
             raise ConfigurationError(
                 f"n_jobs candidates must be positive integers, got {candidate!r}"
             )
-    if resolve_backend(backend) != "csr":
-        return [(1, 0.0)]
     if max(candidates) == 1:
         return [(1, 0.0)]
     from repro.execution.scheduler import run_sharded, split_shards
@@ -237,7 +226,6 @@ def probe_n_jobs(
 def calibrate_n_jobs(
     graph,
     *,
-    backend: str = "auto",
     candidates: Sequence[int] = (),
     probe_sources: int = 64,
     repeats: int = 1,
@@ -255,7 +243,6 @@ def calibrate_n_jobs(
     """
     timings = probe_n_jobs(
         graph,
-        backend=backend,
         candidates=candidates,
         probe_sources=probe_sources,
         repeats=repeats,
@@ -296,7 +283,6 @@ def default_threads_candidates(n_jobs: int = 1) -> Tuple[int, ...]:
 def probe_kernel_threads(
     graph,
     *,
-    backend: str = "auto",
     kernel: str = "auto",
     candidates: Sequence[int] = (),
     probe_sources: int = 32,
@@ -308,7 +294,7 @@ def probe_kernel_threads(
 
     Kernel threads only engage inside the numba ``prange`` batch kernels,
     so the probe is skipped — ``[(1, 0.0)]`` — whenever they could not run:
-    dict backend, numpy kernel rung, or numba not importable (where the
+    numpy kernel rung or numba not importable (where the
     knob is accepted but inert).  Otherwise each candidate times the real
     compiled batched sweep; the per-source rows are computed independently
     and accumulated in source order regardless of the thread count, so the
@@ -332,8 +318,6 @@ def probe_kernel_threads(
             raise ConfigurationError(
                 f"kernel-thread candidates must be positive integers, got {candidate!r}"
             )
-    if resolve_backend(backend) != "csr":
-        return [(1, 0.0)]
     from repro.execution.stamp import resolve_kernel_quiet
     from repro.graphs.csr import compiled_kernels_available
 
@@ -372,7 +356,6 @@ def probe_kernel_threads(
 def calibrate_kernel_threads(
     graph,
     *,
-    backend: str = "auto",
     kernel: str = "auto",
     candidates: Sequence[int] = (),
     probe_sources: int = 32,
@@ -389,7 +372,6 @@ def calibrate_kernel_threads(
     """
     timings = probe_kernel_threads(
         graph,
-        backend=backend,
         kernel=kernel,
         candidates=candidates,
         probe_sources=probe_sources,
@@ -407,7 +389,6 @@ def calibrate_kernel_threads(
 def probe_shard_sizes(
     graph,
     *,
-    backend: str = "auto",
     candidates: Sequence[int] = (64, 128, 256, 512),
     n_jobs: int = 1,
     probe_sources: int = 64,
@@ -436,8 +417,6 @@ def probe_shard_sizes(
             raise ConfigurationError(
                 f"shard-size candidates must be positive integers, got {candidate!r}"
             )
-    if resolve_backend(backend) != "csr":
-        return [(min(candidates), 0.0)]
     from repro.execution.scheduler import run_sharded, split_shards
     from repro.shortest_paths.dependencies import dependency_sum_shard_csr
 

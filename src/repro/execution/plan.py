@@ -1,10 +1,7 @@
-"""The :class:`ExecutionPlan` — the library's three execution knobs in one value.
+"""The :class:`ExecutionPlan` — the library's execution knobs in one value.
 
-A plan answers three independent questions for a per-source workload:
+A plan answers independent questions for a per-source workload:
 
-* ``backend`` — which traversal kernels run each pass (``"auto"`` /
-  ``"dict"`` / ``"csr"``, resolved through
-  :func:`~repro.graphs.csr.resolve_backend` at the point of use);
 * ``kernel`` — which rung of the CSR kernels runs each pass (``"auto"`` /
   ``"csr"`` / ``"compiled"``, resolved through
   :func:`~repro.graphs.csr.resolve_kernel` at the point of use; the
@@ -20,7 +17,7 @@ A plan answers three independent questions for a per-source workload:
   private cache.  Consumed by the multi-chain drivers only; per-source
   workloads have nothing to share across processes beyond their inputs.
 
-Resolution mirrors the backend knob: explicit arguments always win, the
+Resolution: explicit arguments always win, the
 ``REPRO_JOBS`` and ``REPRO_BATCH`` environment variables fill in anything
 left unspecified (``REPRO_SHARED_CACHE`` likewise fills the
 ``shared_cache`` field — but never *engages* the engine on its own, so the
@@ -54,7 +51,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.graphs.csr import BACKENDS, KERNELS
+from repro.graphs.csr import KERNELS
 
 __all__ = [
     "ExecutionPlan",
@@ -79,26 +76,20 @@ class ExecutionPlan:
 
     Attributes
     ----------
-    backend:
-        Traversal backend name (``"auto"`` / ``"dict"`` / ``"csr"``); kept
-        unresolved so each call site resolves it exactly once, next to its
-        graph.
     batch_size:
         Sources per batched-kernel call (>= 1; 1 means per-source kernels).
-        Ignored by the dict backend, which has no batch kernels.
     n_jobs:
         Worker processes for the shard scheduler (>= 1; 1 means inline).
     shared_cache:
         Whether the multi-chain MCMC drivers share one cross-process
-        dependency-vector arena across their workers (CSR-only; ignored by
-        every other workload).  Never changes a result — only which process
+        dependency-vector arena across their workers (ignored by every
+        other workload).  Never changes a result — only which process
         pays each Brandes pass.
     shared_graph:
         Whether CSR snapshots travel to workers as zero-copy shared-memory
         handles (:class:`~repro.graphs.shared.SharedCSRGraph`) instead of
         being pickled — O(1) per-worker ship cost and memory instead of
-        O(m).  CSR-only (the dict backend has no flat arrays to share) and
-        warn-and-fallback where shared memory is unsupported.  Never changes
+        O(m).  Warn-and-fallback where shared memory is unsupported.  Never changes
         a result: the attached arrays are byte-equal to the pickled ones.
     mp_context:
         Multiprocessing start method for the scheduler's pools (``"fork"`` /
@@ -124,7 +115,7 @@ class ExecutionPlan:
         ``REPRO_KERNEL`` env override, then picks the compiled rung when
         numba imports).  The compiled twins replay the numpy rung's exact
         float summation order, so the knob never changes a result — only
-        how fast each pass runs.  Ignored by the dict backend.
+        how fast each pass runs.
     kernel_threads:
         Threads for the ``prange`` variants of the compiled batch kernels
         (>= 1; 1 keeps the sequential kernels).  Consumed only where a
@@ -137,7 +128,6 @@ class ExecutionPlan:
         enforces exactly that).
     """
 
-    backend: str = "auto"
     batch_size: int = 1
     n_jobs: int = 1
     shared_cache: bool = False
@@ -148,10 +138,6 @@ class ExecutionPlan:
     kernel_threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
         if self.kernel not in KERNELS:
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
@@ -218,7 +204,6 @@ def _validate_mp_context(value: str) -> str:
 def resolve_plan(
     plan: Optional[ExecutionPlan] = None,
     *,
-    backend: str = "auto",
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     shared_cache: Optional[bool] = None,
@@ -234,15 +219,15 @@ def resolve_plan(
     ----------
     plan:
         A ready-made :class:`ExecutionPlan`; returned as-is when provided
-        (it always wins, like an explicit backend argument).
-    backend, batch_size, n_jobs, shared_cache:
+        (it always wins over the individual knobs).
+    batch_size, n_jobs, shared_cache:
         The estimator's individual knobs.  ``None`` for ``batch_size`` /
         ``n_jobs`` / ``shared_cache`` means "not requested", in which case
         the ``REPRO_BATCH`` / ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE``
         environment variables are consulted.
     kernel:
-        CSR kernel rung, carried into the plan like ``backend``: left
-        unresolved here (``REPRO_KERNEL`` is honoured by
+        CSR kernel rung, carried into the plan unresolved
+        (``REPRO_KERNEL`` is honoured by
         :func:`~repro.graphs.csr.resolve_kernel` at each point of use) and
         — like ``shared_cache`` — never engages the engine by itself, since
         the rungs are bit-identical and the legacy sequential paths resolve
@@ -280,7 +265,6 @@ def resolve_plan(
     if batch_size is None and n_jobs is None:
         return None
     return ExecutionPlan(
-        backend=backend,
         batch_size=batch_size if batch_size is not None else 1,
         n_jobs=n_jobs if n_jobs is not None else 1,
         shared_cache=resolve_shared_cache(shared_cache),

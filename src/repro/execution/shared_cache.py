@@ -49,7 +49,7 @@ method the object is inherited as-is; under ``spawn`` it pickles down to
 Use :func:`create_shared_store` rather than the constructor when a private
 cache is an acceptable fallback: it returns ``None`` with a warning when the
 platform cannot provide shared memory (no ``/dev/shm``, sandboxed
-containers, numpy missing) instead of raising.
+containers) instead of raising.
 """
 
 from __future__ import annotations
@@ -92,11 +92,11 @@ def shared_memory_available(*, refresh: bool = False) -> bool:
     sandboxed containers routinely expose :mod:`multiprocessing.shared_memory`
     while refusing the underlying ``shm_open``.  The probe result is
     memoized at module level (pass ``refresh=True`` to force a re-probe);
-    the cheap numpy/module preconditions are re-checked on every call so a
+    the cheap module precondition is re-checked on every call so a
     monkeypatched test environment is still honoured.
     """
     global _PROBE_RESULT
-    if np is None or _shared_memory is None:
+    if _shared_memory is None:
         return False
     if _PROBE_RESULT is None or refresh:
         _PROBE_RESULT = _probe_shared_memory()
@@ -149,8 +149,7 @@ class SharedDependencyStore:
         ``n`` — the CSR vertex count of the graph the vectors belong to.
         Keys of :meth:`get` / :meth:`put` are CSR source indices in
         ``[0, n)`` and every cached vector is a dense ``float64`` array of
-        this length (the store is CSR-only by construction; the dict
-        backend's vertex-keyed dicts have no fixed-width row to share).
+        this length.
     capacity:
         Number of arena rows — the most vectors the store can ever hold.
         Sizing it at ``min(n, total proposals + chains)`` makes overflow
@@ -185,9 +184,9 @@ class SharedDependencyStore:
     def __init__(
         self, num_vertices: int, capacity: int, *, context=None, lock=None
     ) -> None:
-        if np is None or _shared_memory is None:
+        if _shared_memory is None:
             raise ConfigurationError(
-                "SharedDependencyStore requires numpy and multiprocessing.shared_memory"
+                "SharedDependencyStore requires multiprocessing.shared_memory"
             )
         if not isinstance(num_vertices, int) or num_vertices < 1:
             raise ConfigurationError(
@@ -408,16 +407,15 @@ def create_shared_store(
     """Build a :class:`SharedDependencyStore`, or ``None`` where unsupported.
 
     The graceful-fallback factory the multi-chain drivers use: on platforms
-    without working shared memory (or without numpy) it warns once and
+    without working shared memory it warns once and
     returns ``None``, and the caller runs with private per-worker caches —
     exactly the pre-shared-cache behaviour, just slower.  *context* / *lock*
     are forwarded to the constructor (see there).
     """
-    if np is None or _shared_memory is None:
+    if _shared_memory is None:
         warnings.warn(
-            "shared dependency cache unavailable (numpy or "
-            "multiprocessing.shared_memory missing); falling back to private "
-            "per-worker caches",
+            "shared dependency cache unavailable (multiprocessing.shared_memory "
+            "missing); falling back to private per-worker caches",
             RuntimeWarning,
             stacklevel=2,
         )

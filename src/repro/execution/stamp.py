@@ -29,7 +29,6 @@ __all__ = [
 #: was not engaged, ``chains`` / ``rhat`` / ``ess`` null means the
 #: multi-chain driver did not run — so every surface emits all of them.
 EXECUTION_STAMP_KEYS = (
-    "backend",
     "jobs",
     "batch_size",
     "kernel",
@@ -57,7 +56,6 @@ def execution_stamp(
     predate both knobs, so they travel separately).
     """
     return {
-        "backend": diagnostics.get("backend"),
         "jobs": diagnostics.get("n_jobs"),
         "batch_size": diagnostics.get("batch_size"),
         "kernel": kernel,

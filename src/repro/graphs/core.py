@@ -618,8 +618,7 @@ class Graph:
         The snapshot is built lazily on first call and re-used until the next
         mutating operation (``add_vertex`` / ``add_edge`` / ``remove_edge`` /
         ``remove_vertex``), which drops the cache; see
-        :mod:`repro.graphs.csr` for the immutability contract.  Requires
-        numpy; raises :class:`~repro.errors.ConfigurationError` without it.
+        :mod:`repro.graphs.csr` for the immutability contract.
         """
         if self._csr is None:
             from repro.graphs.csr import CSRGraph
@@ -646,12 +645,19 @@ class Graph:
     # Derived graphs
     # ------------------------------------------------------------------
     def copy(self) -> "Graph":
-        """Return an independent copy of the graph."""
+        """Return an independent copy of the graph.
+
+        Each adjacency dict is copied in its own iteration order, so the
+        copy's CSR snapshot — and every traversal over it — is
+        byte-identical to the original's.  Re-adding the edges in
+        :meth:`edges` order would reorder the neighbours of any vertex
+        first reached as a ``v`` endpoint.
+        """
         new = Graph(directed=self._directed, weighted=self._weighted)
-        for vertex in self._adj:
-            new.add_vertex(vertex)
-        for u, v, w in self.edges(data=True):
-            new.add_edge(u, v, w)
+        new._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
+        if self._pred is not None:
+            new._pred = {u: dict(nbrs) for u, nbrs in self._pred.items()}
+        new._num_edges = self._num_edges
         return new
 
     def subgraph(self, vertices: Iterable[Vertex]) -> "Graph":

@@ -30,20 +30,15 @@ order as ``graph.vertices()``).  The bidirectional mapper —
 :meth:`CSRGraph.index_of` and :meth:`CSRGraph.vertex_at` — is how results
 cross the boundary back to vertex-keyed dictionaries.  Keeping insertion
 order means that index-based random draws consume the *same* rng stream as
-label-based draws from ``graph.vertices()``, which is what makes the dict and
-CSR backends produce identical estimates for a fixed seed.
-
-numpy gating
-------------
-numpy is an optional dependency at import time: when it is missing this
-module still imports (``np is None``) and :func:`resolve_backend` degrades
-``"auto"`` to ``"dict"`` so the pure-Python code paths keep working.
+label-based draws from ``graph.vertices()``, which is what lets the
+dict-kernel reference loops of the test-suite reproduce every estimate for a
+fixed seed.
 
 Kernel rungs
 ------------
-On top of the backend pair sits the ``kernel`` knob, resolved by
-:func:`resolve_kernel` the same way :func:`resolve_backend` resolves
-backends: the CSR code paths run either the numpy wave kernels
+Every estimator runs on CSR snapshots.  The ``kernel`` knob, resolved by
+:func:`resolve_kernel`, picks the rung: the CSR code paths run either the
+numpy wave kernels
 (``"csr"``) or their numba-compiled twins
 (:mod:`repro.shortest_paths.compiled`, ``"compiled"``).  ``"auto"`` picks
 the compiled rung exactly when numba is importable, the ``REPRO_KERNEL``
@@ -59,28 +54,20 @@ import os
 import warnings
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, VertexNotFoundError
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly on numpy-less installs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+from repro.errors import ConfigurationError, VertexNotFoundError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.core import Graph, Vertex
 
 __all__ = [
     "CSRGraph",
-    "BACKENDS",
     "KERNELS",
-    "resolve_backend",
     "resolve_kernel",
     "compiled_kernels_available",
     "np",
 ]
-
-#: The accepted backend names for every ``backend=`` knob in the library.
-BACKENDS = ("auto", "dict", "csr")
 
 #: The accepted kernel-rung names for every ``kernel=`` knob in the library.
 KERNELS = ("auto", "csr", "compiled")
@@ -91,50 +78,17 @@ KERNELS = ("auto", "csr", "compiled")
 _COMPILED_OK: Optional[bool] = None
 
 
-def resolve_backend(backend: str) -> str:
-    """Resolve a ``backend=`` argument to a concrete ``"dict"`` or ``"csr"``.
-
-    ``"auto"`` picks ``"csr"`` whenever numpy is importable (the graph
-    snapshot taken by ``graph.csr()`` is static by construction, see the
-    module docstring) and falls back to ``"dict"`` otherwise.  Requesting
-    ``"csr"`` explicitly without numpy raises :class:`ConfigurationError`.
-
-    The ``REPRO_BACKEND`` environment variable (``"dict"`` or ``"csr"``)
-    overrides what ``"auto"`` resolves to — a process-wide switch used by
-    the benchmark harness so one env knob steers every ``backend="auto"``
-    call site without threading a parameter through each of them.
-    Explicit ``"dict"`` / ``"csr"`` arguments always win over the env var.
-    """
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "auto":
-        override = os.environ.get("REPRO_BACKEND")
-        if override:
-            if override not in ("dict", "csr"):
-                raise ConfigurationError(
-                    f"REPRO_BACKEND must be 'dict' or 'csr', got {override!r}"
-                )
-            return resolve_backend(override)
-        return "csr" if np is not None else "dict"
-    if backend == "csr" and np is None:
-        raise ConfigurationError("backend='csr' requires numpy, which is not installed")
-    return backend
-
-
 def compiled_kernels_available() -> bool:
     """Return whether the compiled kernel rung can actually run here.
 
-    True exactly when numpy is importable (the kernels operate on CSR
-    arrays) and :mod:`repro.shortest_paths.compiled` managed to import
-    numba.  The verdict is probed once per process and memoized; the
+    True exactly when :mod:`repro.shortest_paths.compiled` managed to
+    import numba.  The verdict is probed once per process and memoized; the
     probe imports the compiled module lazily, so processes that never
     touch a kernel knob never pay the numba import.
     """
     global _COMPILED_OK
     if _COMPILED_OK is None:
-        if np is None or importlib.util.find_spec("numba") is None:
+        if importlib.util.find_spec("numba") is None:
             _COMPILED_OK = False
         else:
             from repro.shortest_paths.compiled import NUMBA_AVAILABLE
@@ -146,20 +100,17 @@ def compiled_kernels_available() -> bool:
 def resolve_kernel(kernel: str = "auto") -> str:
     """Resolve a ``kernel=`` argument to a concrete ``"csr"`` or ``"compiled"``.
 
-    The traversal-kernel twin of :func:`resolve_backend`: ``"auto"`` picks
-    the numba-compiled rung (:mod:`repro.shortest_paths.compiled`)
-    whenever numba is importable and quietly degrades to the numpy wave
-    kernels otherwise.  The ``REPRO_KERNEL`` environment variable
-    (``"csr"`` or ``"compiled"``) overrides what ``"auto"`` resolves to —
-    one process-wide switch for every ``kernel="auto"`` call site, exactly
-    like ``REPRO_BACKEND`` — and explicit arguments always win over it.
+    ``"auto"`` picks the numba-compiled rung
+    (:mod:`repro.shortest_paths.compiled`) whenever numba is importable and
+    quietly degrades to the numpy wave kernels otherwise.  The
+    ``REPRO_KERNEL`` environment variable (``"csr"`` or ``"compiled"``)
+    overrides what ``"auto"`` resolves to — one process-wide switch for
+    every ``kernel="auto"`` call site — and explicit arguments always win
+    over it.
 
-    Unlike ``backend="csr"`` without numpy (an error: the dict and CSR
-    backends differ in last-ulp accumulation order, so silently swapping
-    them would change results), requesting ``"compiled"`` without numba
-    only **warns** and falls back to ``"csr"``: the two rungs are
-    bit-identical by construction, so the fallback cannot change any
-    result — only wall-clock.
+    Requesting ``"compiled"`` without numba only **warns** and falls back
+    to ``"csr"``: the two rungs are bit-identical by construction, so the
+    fallback cannot change any result — only wall-clock.
     """
     if kernel not in KERNELS:
         raise ConfigurationError(
@@ -196,8 +147,8 @@ class CSRGraph:
         ``i`` occupy ``indices[indptr[i]:indptr[i + 1]]``.
     indices:
         ``int64`` array of length ``m`` holding neighbour indices, in the
-        same order the dict adjacency iterates them (so traversals visit
-        edges in the same order on both backends).
+        same order the dict adjacency iterates them (so CSR traversals visit
+        edges in the same order as the dict-kernel reference).
     weights:
         ``float64`` array of length ``m`` with the matching edge weights
         (all ``1.0`` for unweighted graphs).
@@ -265,10 +216,6 @@ class CSRGraph:
     @classmethod
     def from_graph(cls, graph: "Graph") -> "CSRGraph":
         """Build a CSR snapshot of *graph* (vertex indices in insertion order)."""
-        if np is None:
-            raise ConfigurationError(
-                "building a CSR view requires numpy, which is not installed"
-            )
         vertices = graph.vertices()
         index = {v: i for i, v in enumerate(vertices)}
         n = len(vertices)
@@ -431,7 +378,7 @@ class CSRGraph:
         two coincide for undirected graphs, so the transpose is only
         materialised for directed ones.  Used by the sparse-matmul fast path
         of :mod:`repro.shortest_paths.batch`; callers must gate on scipy
-        being importable (it is an optional dependency, like numpy).
+        being importable (it is an optional dependency).
         """
         from scipy.sparse import csr_matrix
 

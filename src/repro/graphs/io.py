@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Union
 
-from repro.errors import ConfigurationError, GraphError, NegativeWeightError
+from repro.errors import GraphError, NegativeWeightError
 from repro.graphs.core import Graph
 from repro.graphs.csr import CSRGraph, np
 
@@ -165,11 +165,6 @@ def parse_edge_list_csr(
     resulting arrays are byte-identical to what the dict route's
     ``graph.csr()`` would build, including vertex first-appearance order.
     """
-    if np is None:
-        raise ConfigurationError(
-            "parsing straight to CSR requires numpy, which is not installed; "
-            "use parse_edge_list() for the pure-Python route"
-        )
     index: Dict[object, int] = {}
     src_parts: List = []
     dst_parts: List = []
@@ -275,7 +270,7 @@ def parse_edge_list_csr(
     row_seq = seq[first_idx]
 
     # Rows grouped by source, arcs within a row in first-insertion order —
-    # exactly the dict backend's neighbour iteration order.
+    # exactly the dict adjacency's neighbour iteration order.
     final = np.lexsort((row_seq, row_src))
     flat_indices = np.ascontiguousarray(row_dst[final])
     flat_weights = np.ascontiguousarray(row_w[final])

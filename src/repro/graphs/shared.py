@@ -94,7 +94,7 @@ def shared_graph_available(*, refresh: bool = False) -> bool:
     imports.
     """
     global _PROBE_RESULT
-    if np is None or _shared_memory is None:
+    if _shared_memory is None:
         return False
     if _PROBE_RESULT is None or refresh:
         _PROBE_RESULT = _probe_shared_memory()
@@ -202,9 +202,9 @@ class SharedCSRGraph(CSRGraph):
         shared memory; use :func:`create_shared_graph` for the
         warn-and-fallback variant.
         """
-        if np is None or _shared_memory is None:
+        if _shared_memory is None:
             raise ConfigurationError(
-                "SharedCSRGraph requires numpy and multiprocessing.shared_memory"
+                "SharedCSRGraph requires multiprocessing.shared_memory"
             )
         indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
@@ -385,10 +385,10 @@ def create_shared_graph(csr: CSRGraph, *, version: int = 0) -> Optional[SharedCS
     The warn-and-fallback twin of :meth:`SharedCSRGraph.from_csr`: callers
     degrade to shipping the plain (pickled) snapshot instead of failing.
     """
-    if np is None or _shared_memory is None:
+    if _shared_memory is None:
         warnings.warn(
-            "shared graph snapshot requested but numpy/shared_memory are "
-            "unavailable; falling back to pickled snapshot shipping",
+            "shared graph snapshot requested but multiprocessing.shared_memory "
+            "is unavailable; falling back to pickled snapshot shipping",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -69,12 +69,9 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
-from repro.errors import ConfigurationError
+import numpy as np
 
-try:  # pragma: no cover - exercised implicitly on numpy-less installs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.core import GraphDelta
@@ -106,9 +103,8 @@ def resolve_invalidation(mode: Optional[str] = None) -> str:
     """Resolve the invalidation-mode knob to ``"delta"`` or ``"full"``.
 
     Explicit arguments win; otherwise the ``REPRO_INVALIDATION``
-    environment variable decides, defaulting to ``"delta"``.  The twin of
-    :func:`repro.graphs.csr.resolve_backend` for the mutation path — the
-    two modes are result-identical by the over-approximation contract, so
+    environment variable decides, defaulting to ``"delta"``.  The two
+    modes are result-identical by the over-approximation contract, so
     the knob can only change wall-clock and eviction accounting.
     """
     if mode is None:
@@ -171,8 +167,6 @@ def affected_sources(
     its proof obligations.  Detection never under-approximates; every
     case it cannot prove falls back to ``everything``.
     """
-    if np is None:
-        return _everything("no-numpy")
     if deltas is None:
         return _everything("journal-overflow")
     deltas = tuple(deltas)

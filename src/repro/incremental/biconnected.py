@@ -16,12 +16,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, FrozenSet, Set, Tuple
 
-try:  # pragma: no cover - exercised implicitly on numpy-less installs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from repro.errors import ConfigurationError, GraphStructureError
+from repro.errors import GraphStructureError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.csr import CSRGraph
@@ -31,10 +28,6 @@ __all__ = ["articulation_points", "bridges"]
 
 def _lowlink(csr: "CSRGraph") -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", Set[int], Set[FrozenSet[int]]]:
     """One DFS computing discovery/lowlink arrays, articulation set and bridges."""
-    if np is None:
-        raise ConfigurationError(
-            "biconnected analysis requires numpy, which is not installed"
-        )
     if csr.directed:
         raise GraphStructureError("biconnected analysis requires an undirected graph")
     n = csr.number_of_vertices()

@@ -30,34 +30,21 @@ from typing import Dict, List, Optional, Tuple
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError, EdgeNotFoundError, SamplingError
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
 from repro.mcmc.single import state_contribution
 from repro.samplers.base import SingleEstimate, timed
-from repro.shortest_paths.dependencies import (
-    accumulate_edge_dependencies,
-    csr_edge_dependency,
-    csr_spd_builder,
-    spd_builder,
-)
+from repro.shortest_paths.dependencies import csr_edge_dependency, csr_spd_builder
 
 __all__ = ["EdgeDependencyOracle", "EdgeMHSampler", "exact_edge_dependency_vector"]
 
 EdgeKey = Tuple[Vertex, Vertex]
 
 
-def _edge_dependency_from_map(edge_deltas: Dict[EdgeKey, float], edge: EdgeKey) -> float:
-    """Sum the two possible DAG orientations of an undirected edge."""
-    a, b = edge
-    return edge_deltas.get((a, b), 0.0) + edge_deltas.get((b, a), 0.0)
-
-
 class EdgeDependencyOracle:
     """Evaluate (and cache) per-source dependency scores on a fixed edge.
 
-    On the CSR backend each evaluation builds an array-backed SPD and reads
-    the two possible DAG orientations of the edge straight from the
-    predecessor arrays (:func:`csr_edge_dependency`); the dict backend keeps
-    the original full edge-dependency map accumulation.
+    Each evaluation builds an array-backed SPD and reads the two possible
+    DAG orientations of the edge straight from the predecessor arrays
+    (:func:`csr_edge_dependency`).
     """
 
     def __init__(
@@ -66,22 +53,15 @@ class EdgeDependencyOracle:
         edge: EdgeKey,
         *,
         cache_size: Optional[int] = None,
-        backend: str = "auto",
     ) -> None:
         a, b = edge
         if not graph.has_edge(a, b):
             raise EdgeNotFoundError(a, b)
         self._graph = graph
         self._edge = (a, b)
-        self._backend = resolve_backend(backend)
-        if self._backend == "csr":
-            self._csr = graph.csr()
-            self._csr_build = csr_spd_builder(self._csr)
-            self._edge_indices = (self._csr.index_of(a), self._csr.index_of(b))
-            self._build = None
-        else:
-            self._csr = None
-            self._build = spd_builder(graph)
+        self._csr = graph.csr()
+        self._csr_build = csr_spd_builder(self._csr)
+        self._edge_indices = (self._csr.index_of(a), self._csr.index_of(b))
         self._cache: "OrderedDict[Vertex, float]" = OrderedDict()
         self._cache_size = cache_size
         self.evaluations = 0
@@ -92,11 +72,6 @@ class EdgeDependencyOracle:
         """The edge whose dependencies are being evaluated."""
         return self._edge
 
-    @property
-    def backend(self) -> str:
-        """The resolved traversal backend (``"dict"`` or ``"csr"``)."""
-        return self._backend
-
     def dependency(self, source: Vertex) -> float:
         """Return δ_{source·}(edge)."""
         self.lookups += 1
@@ -105,14 +80,8 @@ class EdgeDependencyOracle:
             self._cache.move_to_end(source)
             return self._cache[source]
         self.evaluations += 1
-        if self._backend == "csr":
-            spd = self._csr_build(self._csr, self._csr.index_of(source))
-            value = csr_edge_dependency(spd, *self._edge_indices)
-        else:
-            spd = self._build(self._graph, source)
-            value = _edge_dependency_from_map(
-                accumulate_edge_dependencies(spd), self._edge
-            )
+        spd = self._csr_build(self._csr, self._csr.index_of(source))
+        value = csr_edge_dependency(spd, *self._edge_indices)
         if cache_enabled:
             self._cache[source] = value
             if self._cache_size is not None and len(self._cache) > self._cache_size:
@@ -152,20 +121,16 @@ class EdgeMHSampler:
         *,
         estimator: str = "proposal",
         cache_size: Optional[int] = None,
-        backend: str = "auto",
     ) -> None:
         if estimator not in ("chain", "proposal"):
             raise ConfigurationError("estimator must be 'chain' or 'proposal'")
         self.estimator = estimator
         self.cache_size = cache_size
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def build_oracle(self, graph: Graph, edge: EdgeKey) -> EdgeDependencyOracle:
         """Return an :class:`EdgeDependencyOracle` configured like this sampler's private one."""
-        return EdgeDependencyOracle(
-            graph, edge, cache_size=self.cache_size, backend=self.backend
-        )
+        return EdgeDependencyOracle(graph, edge, cache_size=self.cache_size)
 
     def run_chain(
         self,
@@ -201,7 +166,7 @@ class EdgeMHSampler:
             candidate_delta = oracle.dependency(candidate)
             # One uniform draw per proposal, unconditionally — see
             # SingleSpaceMHSampler._accept for why a conditional draw breaks
-            # cross-backend rng-stream identity.
+            # rng-stream identity with the reference.
             u = rng.random()
             if current_delta <= 0.0:
                 accepted = True

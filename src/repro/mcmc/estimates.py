@@ -11,11 +11,11 @@ vertex, which makes
 * the joint-space sampler able to evaluate :math:`\\delta_{v\\bullet}(r_i)`
   for every ``r_i ∈ R`` from a single pass.
 
-With the CSR backend (the default whenever numpy is available) the Brandes
-pass runs on the vectorised kernels of :mod:`repro.shortest_paths` and the
-cached vector is a dense ``float64`` array indexed by CSR vertex index;
-point queries read one array element and the dict view is materialised only
-when a caller explicitly asks for a vertex-keyed vector.
+The Brandes pass runs on the vectorised CSR kernels of
+:mod:`repro.shortest_paths` and the cached vector is a dense ``float64``
+array indexed by CSR vertex index; point queries read one array element and
+the dict view is materialised only when a caller explicitly asks for a
+vertex-keyed vector.
 
 Caching is an implementation choice, not part of the algorithm; benchmark E8
 ablates it.
@@ -23,18 +23,12 @@ ablates it.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
-from repro.shortest_paths.dependencies import (
-    accumulate_dependencies,
-    csr_source_dependencies,
-    spd_builder,
-)
+from repro.shortest_paths.dependencies import csr_source_dependencies
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.execution.shared_cache import SharedDependencyStore
@@ -49,15 +43,12 @@ class DependencyOracle:
     ----------
     graph:
         The graph all evaluations refer to.  The oracle snapshots the graph
-        through :meth:`Graph.csr` when the CSR backend is active and assumes
-        the graph is not mutated while the oracle is alive.
+        through :meth:`Graph.csr` and assumes the graph is not mutated while
+        the oracle is alive (:meth:`apply_delta` re-binds it after one).
     cache_size:
         Maximum number of source vertices whose dependency vectors are kept
         (LRU eviction).  ``0`` disables caching entirely; ``None`` means
         unbounded.
-    backend:
-        ``"auto"`` (default), ``"dict"`` or ``"csr"``; see
-        :func:`repro.graphs.csr.resolve_backend`.
     batch_size:
         ``None`` (default) keeps the original per-source evaluation path
         everywhere.  An ``int >= 1`` switches the oracle to the batched
@@ -77,9 +68,7 @@ class DependencyOracle:
         kernels — a vector another worker already published is copied out
         instead of recomputed — and publishes every vector it computes
         itself, so one Brandes pass serves every chain of a multi-chain run
-        whatever process it lives in.  CSR-only: the arena's rows are dense
-        ``float64`` vectors; attaching a store to a dict-backed oracle
-        warns and falls back to the private cache alone.  Sharing is
+        whatever process it lives in.  Sharing is
         result-neutral by construction — a published row is bit-identical
         to what the reader would have computed — so only the pass counters
         (never a chain) depend on it.
@@ -90,28 +79,13 @@ class DependencyOracle:
         graph: Graph,
         *,
         cache_size: Optional[int] = None,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
         shared_store: Optional["SharedDependencyStore"] = None,
     ) -> None:
         self._graph = graph
-        self._backend = resolve_backend(backend)
-        if self._backend == "csr":
-            self._csr = graph.csr()
-            self._build = None
-        else:
-            self._csr = None
-            self._build = spd_builder(graph)
+        self._csr = graph.csr()
         if shared_store is not None:
-            if self._backend != "csr":
-                warnings.warn(
-                    "the shared dependency store requires the CSR backend; "
-                    "falling back to the private cache",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                shared_store = None
-            elif shared_store.num_vertices != self._csr.number_of_vertices():
+            if shared_store.num_vertices != self._csr.number_of_vertices():
                 raise ConfigurationError(
                     f"shared store is sized for {shared_store.num_vertices} "
                     f"vertices but the graph has {self._csr.number_of_vertices()}"
@@ -134,11 +108,6 @@ class DependencyOracle:
     def graph(self) -> Graph:
         """The graph the oracle evaluates on."""
         return self._graph
-
-    @property
-    def backend(self) -> str:
-        """The resolved backend the oracle evaluates with (``"dict"`` or ``"csr"``)."""
-        return self._backend
 
     @property
     def cache_enabled(self) -> bool:
@@ -213,7 +182,7 @@ class DependencyOracle:
             missing = pending
             if not missing:
                 return 0
-        if self._backend == "csr" and self._batch_size is not None:
+        if self._batch_size is not None:
             from repro.shortest_paths.batch import batch_source_dependencies
             from repro.shortest_paths.dependencies import iter_batches
 
@@ -225,7 +194,7 @@ class DependencyOracle:
                 for row, s in enumerate(chunk):
                     # Copy the row so the (K, n) batch matrix can be freed.
                     self._publish_and_store(s, deltas[row].copy())
-        elif self._backend == "csr":
+        else:
             # Not batch-configured: warm the cache with the same point
             # kernel `_raw_vector` uses, so a vector never depends on
             # whether it was prefetched or recomputed after eviction.
@@ -233,15 +202,12 @@ class DependencyOracle:
                 self._publish_and_store(
                     s, csr_source_dependencies(self._csr, self._csr.index_of(s))
                 )
-        else:
-            for s in missing:
-                self._store(s, accumulate_dependencies(self._build(self._graph, s)))
         self.evaluations += len(missing)
         self.prefetch_evaluations += len(missing)
         return len(missing)
 
     def _publish_and_store(self, source: Vertex, vector: object) -> None:
-        """Publish a freshly computed CSR vector to the shared store, then cache it."""
+        """Publish a freshly computed vector to the shared store, then cache it."""
         if self._shared is not None:
             self._shared.put(self._csr.index_of(source), vector)
         self._store(source, vector)
@@ -252,7 +218,7 @@ class DependencyOracle:
             self._cache.popitem(last=False)
 
     def _raw_vector(self, source: Vertex):
-        """Return the cached per-source vector (array or dict, backend-shaped).
+        """Return the per-source dependency array, from cache or a fresh pass.
 
         Lookup order: private cache (lock-free), then the cross-process
         shared store (a locked row copy, counted in :attr:`shared_hits` and
@@ -272,23 +238,17 @@ class DependencyOracle:
                     self._store(source, row)
                 return row
         self.evaluations += 1
-        if self._backend == "csr":
-            if self._batch_size is not None:
-                # Batch-configured oracle: a K=1 batch, so a recomputed
-                # vector is bit-identical to its prefetched twin (batch
-                # columns are composition-independent).
-                from repro.shortest_paths.batch import batch_source_dependencies
+        if self._batch_size is not None:
+            # Batch-configured oracle: a K=1 batch, so a recomputed vector
+            # is bit-identical to its prefetched twin (batch columns are
+            # composition-independent).
+            from repro.shortest_paths.batch import batch_source_dependencies
 
-                vector: object = batch_source_dependencies(
-                    self._csr, [self._csr.index_of(source)]
-                )[0].copy()
-            else:
-                vector = csr_source_dependencies(
-                    self._csr, self._csr.index_of(source)
-                )
+            vector: object = batch_source_dependencies(
+                self._csr, [self._csr.index_of(source)]
+            )[0].copy()
         else:
-            spd = self._build(self._graph, source)
-            vector = accumulate_dependencies(spd)
+            vector = csr_source_dependencies(self._csr, self._csr.index_of(source))
         if self._shared is not None:
             self._shared.put(self._csr.index_of(source), vector)
         if self.cache_enabled:
@@ -298,49 +258,38 @@ class DependencyOracle:
     def dependency_vector(self, source: Vertex) -> Dict[Vertex, float]:
         """Return ``{target: delta_{source.}(target)}`` for every target.
 
-        On the CSR backend this materialises a vertex-keyed dict from the
-        cached array (boundary conversion); point queries should prefer
+        This materialises a vertex-keyed dict from the cached array
+        (boundary conversion); point queries should prefer
         :meth:`dependency`, which reads a single array element.
         """
-        vector = self._raw_vector(source)
-        if self._backend == "csr":
-            return self._csr.array_to_vertex_map(vector)
-        return vector
+        return self._csr.array_to_vertex_map(self._raw_vector(source))
 
     def dependency(self, source: Vertex, target: Vertex) -> float:
         """Return :math:`\\delta_{source\\bullet}(target)`.
 
-        0 when ``source == target`` and — matching the dict backend's
-        ``.get(target, 0.0)`` contract — when *target* is not a vertex of
+        0 when ``source == target`` and when *target* is not a vertex of
         the graph at all.
         """
         if source == target:
             return 0.0
         vector = self._raw_vector(source)
-        if self._backend == "csr":
-            index = self._csr.find_index(target)
-            return 0.0 if index is None else float(vector[index])
-        return vector.get(target, 0.0)
+        index = self._csr.find_index(target)
+        return 0.0 if index is None else float(vector[index])
 
     def dependencies_for(self, source: Vertex, targets) -> Dict[Vertex, float]:
         """Return ``{t: delta_{source.}(t)}`` for the given *targets* only.
 
         One Brandes pass (or cache hit) serves every target — the joint-space
         chain reads its whole reference set this way without materialising a
-        full vertex-keyed vector.  Unknown targets read as 0.0 on both
-        backends.
+        full vertex-keyed vector.  Unknown targets read as 0.0.
         """
         vector = self._raw_vector(source)
-        if self._backend == "csr":
-            find_index = self._csr.find_index
-            result: Dict[Vertex, float] = {}
-            for t in targets:
-                index = find_index(t)
-                result[t] = (
-                    0.0 if t == source or index is None else float(vector[index])
-                )
-            return result
-        return {t: (0.0 if t == source else vector.get(t, 0.0)) for t in targets}
+        find_index = self._csr.find_index
+        result: Dict[Vertex, float] = {}
+        for t in targets:
+            index = find_index(t)
+            result[t] = 0.0 if t == source or index is None else float(vector[index])
+        return result
 
     # ------------------------------------------------------------------
     def apply_delta(self, affected_mask) -> tuple:
@@ -360,22 +309,17 @@ class DependencyOracle:
         Counters survive: they are lifetime work accounting, not graph
         state.
         """
-        if self._backend == "csr":
-            new_csr = self._graph.csr()
-            if (
-                self._shared is not None
-                and self._shared.num_vertices != new_csr.number_of_vertices()
-            ):
-                raise ConfigurationError(
-                    "apply_delta across a vertex-count change; the caller must "
-                    "rebuild the oracle instead"
-                )
-            self._csr = new_csr
-            index_of = new_csr.find_index
-        else:
-            self._build = spd_builder(self._graph)
-            order = {v: i for i, v in enumerate(self._graph.vertices())}
-            index_of = order.get
+        new_csr = self._graph.csr()
+        if (
+            self._shared is not None
+            and self._shared.num_vertices != new_csr.number_of_vertices()
+        ):
+            raise ConfigurationError(
+                "apply_delta across a vertex-count change; the caller must "
+                "rebuild the oracle instead"
+            )
+        self._csr = new_csr
+        index_of = new_csr.find_index
         evicted = 0
         for source in list(self._cache):
             index = index_of(source)

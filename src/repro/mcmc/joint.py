@@ -30,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro._rng import RandomState, ensure_rng, spawn_rng
 from repro.errors import ConfigurationError, SamplingError
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
 from repro.mcmc.estimates import DependencyOracle
 from repro.samplers.base import ExecutionPlanMixin, timed
 
@@ -190,9 +189,9 @@ class RelativeBetweennessEstimate:
     samples: int
     elapsed_seconds: float
     chain: JointChainResult
-    #: Execution stamp mirroring ``SingleEstimate.diagnostics``: the
-    #: resolved backend, plus ``n_jobs`` / ``batch_size`` only when the
-    #: execution engine was engaged.
+    #: Execution stamp mirroring ``SingleEstimate.diagnostics``:
+    #: ``n_jobs`` / ``batch_size`` only when the execution engine was
+    #: engaged.
     diagnostics: Dict[str, object] = field(default_factory=dict)
 
     def ranking(self) -> List[Vertex]:
@@ -210,7 +209,6 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         *,
         burn_in: int = 0,
         cache_size: Optional[int] = None,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
@@ -218,10 +216,6 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
             raise ConfigurationError("burn_in must be non-negative")
         self.burn_in = int(burn_in)
         self.cache_size = cache_size
-        #: Traversal backend handed to the :class:`DependencyOracle`; the
-        #: pair draws are positional (``members[i]`` / ``vertices[i]``), so
-        #: the rng stream is identical on both backends.
-        self.backend = backend
         #: Execution-engine knobs, with the same semantics as
         #: :class:`~repro.mcmc.single.SingleSpaceMHSampler`: the joint
         #: proposal ``⟨r', v'⟩`` is an independence proposal, so with
@@ -244,7 +238,6 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         return DependencyOracle(
             graph,
             cache_size=self.cache_size,
-            backend=self.backend,
             batch_size=plan.batch_size if plan is not None else None,
             shared_store=shared_store,
         )
@@ -365,8 +358,8 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         """Return δ_{source·}(r) for every r in the reference set (one Brandes pass).
 
         :meth:`DependencyOracle.dependencies_for` serves the whole reference
-        set from one pass (or cache hit); on the CSR backend each member is a
-        single array read and no full vertex-keyed dict is materialised.
+        set from one pass (or cache hit); each member is a single array read
+        and no full vertex-keyed dict is materialised.
         """
         return oracle.dependencies_for(source, members)
 
@@ -376,7 +369,7 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
 
         One uniform draw per proposal, unconditionally — see
         :meth:`repro.mcmc.single.SingleSpaceMHSampler._accept` for why a
-        conditional draw breaks cross-backend rng-stream identity.
+        conditional draw breaks rng-stream identity with the reference.
         """
         u = rng.random()
         if current_delta <= 0.0:
@@ -409,7 +402,7 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
                         ratios[(ri, rj)] = chain.ratio_estimate(ri, rj)
                     except SamplingError:
                         ratios[(ri, rj)] = float("nan")
-        diagnostics: Dict[str, object] = {"backend": resolve_backend(self.backend)}
+        diagnostics: Dict[str, object] = {}
         plan = self._plan()
         if plan is not None:
             diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)

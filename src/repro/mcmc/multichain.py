@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
-import warnings
 from dataclasses import dataclass
 from random import Random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -75,7 +74,6 @@ from repro.execution import (
     run_sharded,
 )
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
 from repro.mcmc.diagnostics import (
     MultiChainDiagnostics,
     diagnose_chains,
@@ -345,17 +343,14 @@ class _MultiChainBase:
         return resolve_shared_graph(self.shared_graph)
 
     def _graph_snapshot(self, graph: Graph):
-        """The CSR snapshot shipped explicitly in the worker payload, if any.
+        """The CSR snapshot shipped explicitly in the worker payload.
 
-        ``None`` on the dict backend (there is nothing to snapshot); the
-        plain cached arrays otherwise — :class:`~repro.graphs.core.Graph`
-        pickles without its snapshot, so the payload carries it — and a
-        zero-copy :class:`~repro.graphs.shared.SharedCSRGraph` handle when
-        the ``shared_graph`` knob is on (warn-and-fallback to the plain
-        arrays where shared memory is unsupported).
+        The plain cached arrays — :class:`~repro.graphs.core.Graph` pickles
+        without its snapshot, so the payload carries it — or a zero-copy
+        :class:`~repro.graphs.shared.SharedCSRGraph` handle when the
+        ``shared_graph`` knob is on (warn-and-fallback to the plain arrays
+        where shared memory is unsupported).
         """
-        if resolve_backend(self.base.backend) != "csr":
-            return None
         return graph_snapshot(
             graph,
             shared_graph=self._resolved_shared_graph(),
@@ -365,24 +360,15 @@ class _MultiChainBase:
     def _build_shared_store(self, graph: Graph, num_samples: int):
         """Create the run's cross-process arena, or ``None`` when not applicable.
 
-        Falls back (with a warning) rather than failing: on the dict backend
-        there is no fixed-width vector row to share, and sandboxed platforms
-        may refuse shared-memory segments — in both cases the run proceeds
-        on private per-worker caches, merely slower.  The arena is sized at
+        Falls back (with a warning) rather than failing: sandboxed platforms
+        may refuse shared-memory segments, and the run then proceeds on
+        private per-worker caches, merely slower.  The arena is sized at
         ``min(|V|, total budget + K)``: a chain consumes at most one new
         source per iteration plus its initial state, so that capacity can
         never overflow (a caller-provided ``shared_cache_capacity`` may be
         smaller; overflow is then handled by the store refusing new rows).
         """
         if not self._resolved_shared_cache():
-            return None
-        if resolve_backend(self.base.backend) != "csr":
-            warnings.warn(
-                "shared_cache requires the CSR backend; falling back to "
-                "private per-worker caches",
-                RuntimeWarning,
-                stacklevel=3,
-            )
             return None
         n = graph.number_of_vertices()
         capacity = self.shared_cache_capacity
@@ -411,8 +397,6 @@ class _MultiChainBase:
         if self.runtime is not None:
             if self.shared_cache is False:
                 return None, False
-            if resolve_backend(self.base.backend) != "csr":
-                return None, False
             return (
                 self.runtime.dependency_arena(
                     graph, capacity=self.shared_cache_capacity
@@ -440,7 +424,7 @@ class _MultiChainBase:
             id(graph),
             graph.version,
             store.name if store is not None else None,
-            id(snapshot) if snapshot is not None else None,
+            id(snapshot),
         )
         return self.runtime.cached_payload(
             key,
@@ -531,7 +515,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
     base:
         The configured :class:`~repro.mcmc.single.SingleSpaceMHSampler` every
         chain runs; alternatively pass its keyword arguments directly
-        (``proposal=...``, ``backend=...``, ``batch_size=...``, ...).  Must
+        (``proposal=...``, ``batch_size=...``, ...).  Must
         keep ``record_states=True`` — the traces feed the diagnostics and the
         adaptive continuation.
     n_chains:
@@ -746,7 +730,6 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
             "proposal": self.base.proposal,
             "estimator": self.base.estimator,
             "burn_in": diag.burn_in,
-            "backend": resolve_backend(self.base.backend),
             "n_chains": self.n_chains,
             "n_jobs": self._resolved_jobs(),
             "rhat_target": self.rhat_target,
@@ -908,7 +891,6 @@ class MultiChainJointSampler(_MultiChainBase):
         traces = [[s.dependency for s in chain.kept_states()] for chain in chains]
         acceptance_rates = [chain.acceptance_rate() for chain in chains]
         diagnostics: Dict[str, object] = {
-            "backend": resolve_backend(self.base.backend),
             "n_chains": self.n_chains,
             "n_jobs": self._resolved_jobs(),
             "rhat": split_rhat(traces),
@@ -1004,7 +986,7 @@ class MultiChainEdgeSampler(_MultiChainBase):
                     id(graph),
                     graph.version,
                     (a, b),
-                    id(snapshot) if snapshot is not None else None,
+                    id(snapshot),
                 ),
                 lambda: _ChainPayload(
                     "edge", graph, self.base, (a, b), snapshot=snapshot
@@ -1052,7 +1034,6 @@ class MultiChainEdgeSampler(_MultiChainBase):
                 "rhat": split_rhat(traces),
                 "ess": multichain_ess(traces),
                 "estimator": self.base.estimator,
-                "backend": resolve_backend(self.base.backend),
                 "n_chains": self.n_chains,
                 "n_jobs": self._resolved_jobs(),
                 "evaluations": evaluations,

@@ -60,7 +60,6 @@ from typing import Dict, List, Optional, Sequence
 from repro._rng import RandomState, ensure_rng, spawn_rng
 from repro.errors import ConfigurationError, SamplingError
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
 from repro.mcmc.estimates import DependencyOracle
 from repro.samplers.base import ExecutionPlanMixin, SingleEstimate, SingleVertexEstimator, timed
 
@@ -221,7 +220,6 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         burn_in: int = 0,
         cache_size: Optional[int] = None,
         record_states: bool = True,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
@@ -240,12 +238,6 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         self.burn_in = int(burn_in)
         self.cache_size = cache_size
         self.record_states = bool(record_states)
-        #: Traversal backend handed to the :class:`DependencyOracle`
-        #: (``"auto"`` / ``"dict"`` / ``"csr"``).  Candidate vertices are
-        #: drawn by position in ``graph.vertices()`` — the same dense index
-        #: order the CSR snapshot uses — so both backends consume an
-        #: identical rng stream and walk the same chain for a fixed seed.
-        self.backend = backend
         #: Execution-engine knobs (:mod:`repro.execution`).  A Markov chain
         #: is inherently sequential, so ``n_jobs`` is accepted for interface
         #: uniformity and unused.  ``batch_size`` engages the
@@ -329,8 +321,8 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
     def build_oracle(self, graph: Graph, *, shared_store=None) -> DependencyOracle:
         """Return a :class:`DependencyOracle` configured like this sampler's private one.
 
-        The single place the sampler's oracle knobs (``cache_size``,
-        ``backend``, the plan's ``batch_size``) turn into an oracle —
+        The single place the sampler's oracle knobs (``cache_size``, the
+        plan's ``batch_size``) turn into an oracle —
         :meth:`run_chain`, :meth:`extend_chain` and the multi-chain worker
         payload all construct through here, so a new oracle parameter can
         never silently diverge between the inline and pooled paths.
@@ -343,7 +335,6 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         return DependencyOracle(
             graph,
             cache_size=self.cache_size,
-            backend=self.backend,
             batch_size=plan.batch_size if plan is not None else None,
             shared_store=shared_store,
         )
@@ -569,9 +560,10 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         Exactly one uniform draw is consumed per proposal, *unconditionally*
         (drawing and ignoring when the ratio exceeds 1 is statistically
         identical to not drawing).  An earlier revision drew only when
-        ``ratio < 1``, which broke the backends' identical-rng-stream
-        promise: symmetric dependency scores put the true ratio at exactly
-        1, the backends' last-ulp accumulation drift landed one side at
+        ``ratio < 1``, which broke the identical-rng-stream promise between
+        two dependency evaluators (the CSR kernels and the dict-kernel
+        reference): symmetric dependency scores put the true ratio at
+        exactly 1, last-ulp accumulation drift landed one side at
         ``1 + ε`` and the other at ``1 - ε``, only one of them consumed a
         draw, and the chains diverged structurally from there.
         """
@@ -611,7 +603,6 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             "proposal": self.proposal,
             "estimator": self.estimator,
             "burn_in": self.burn_in,
-            "backend": resolve_backend(self.backend),
             "chain": chain,
         }
         plan = self._plan()

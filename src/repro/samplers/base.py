@@ -31,8 +31,8 @@ __all__ = [
 class ExecutionPlanMixin:
     """Shared resolution of the execution-engine knobs.
 
-    Estimators that accept the engine knobs store them as ``self.backend``
-    / ``self.batch_size`` / ``self.n_jobs`` in their constructors (the
+    Estimators that accept the engine knobs store them as
+    ``self.batch_size`` / ``self.n_jobs`` in their constructors (the
     per-class API surface) and call :meth:`_plan` once per estimate; a
     ``None`` plan means "no knob set" and the estimator must take its
     original sequential path.  Centralised here so a change to plan
@@ -52,7 +52,6 @@ class ExecutionPlanMixin:
     pickles to ``None``.
     """
 
-    backend: str = "auto"
     batch_size: Optional[int] = None
     n_jobs: Optional[int] = None
     mp_context: Optional[str] = None
@@ -64,7 +63,6 @@ class ExecutionPlanMixin:
     def _plan(self) -> Optional[ExecutionPlan]:
         return resolve_plan(
             None,
-            backend=self.backend,
             batch_size=self.batch_size,
             n_jobs=self.n_jobs,
             mp_context=self.mp_context,

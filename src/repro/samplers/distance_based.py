@@ -32,16 +32,13 @@ from repro.execution import (
     split_shards,
 )
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import resolve_backend
 from repro.samplers.base import ExecutionPlanMixin, SingleEstimate, SingleVertexEstimator, timed
-from repro.shortest_paths.bfs import bfs_distances, bfs_distances_csr
+from repro.shortest_paths.bfs import bfs_distances_csr
 from repro.shortest_paths.dependencies import (
     csr_dependency_on_target,
     dependency_at_target_shard_csr,
-    dependency_at_target_shard_dict,
-    dependency_on_target,
 )
-from repro.shortest_paths.dijkstra import dijkstra_distances, dijkstra_distances_csr
+from repro.shortest_paths.dijkstra import dijkstra_distances_csr
 
 __all__ = ["DistanceBasedSampler", "ImportanceSamplingEstimator"]
 
@@ -58,10 +55,6 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
         a positive dependency score on *r* has positive mass.
     name:
         Identifier used in benchmark tables.
-    backend:
-        ``"auto"`` / ``"dict"`` / ``"csr"``; selects the traversal kernels
-        for the per-sample dependency evaluation.  The mass function itself
-        decides its own backend (the built-in ones follow the sampler's).
     batch_size, n_jobs:
         Execution-engine knobs (:mod:`repro.execution`).  The source
         sequence is drawn upfront through exactly the rng calls the
@@ -75,13 +68,11 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
         mass_function: Callable[[Graph, Vertex], Dict[Vertex, float]],
         name: str = "importance-sampling",
         *,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         self._mass_function = mass_function
         self.name = name
-        self.backend = backend
         self.batch_size = batch_size
         self.n_jobs = n_jobs
 
@@ -100,13 +91,12 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
             raise ConfigurationError("num_samples must be at least 1")
         rng = ensure_rng(seed)
         n = graph.number_of_vertices()
-        backend = resolve_backend(self.backend)
         plan = self._plan()
         with timed() as clock:
             # plan_snapshot returns the plain cached snapshot when no plan
             # is engaged, so the sequential path is untouched; with the
             # shared_graph knob on, the payload below ships as a handle.
-            csr = plan_snapshot(graph, plan) if backend == "csr" else None
+            csr = plan_snapshot(graph, plan)
             masses = self._mass_function(graph, r)
             masses = {v: m for v, m in masses.items() if m > 0.0 and v != r}
             total_mass = sum(masses.values())
@@ -118,7 +108,7 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
             vertices = list(masses)
             weights = [masses[v] for v in vertices]
             probabilities = {v: w / total_mass for v, w in zip(vertices, weights)}
-            r_index = csr.index_of(r) if csr is not None else None
+            r_index = csr.index_of(r)
             total = 0.0
             if plan is not None:
                 # Draw the whole source sequence upfront — the exact rng
@@ -128,59 +118,41 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
                     rng.choices(vertices, weights=weights, k=1)[0]
                     for _ in range(num_samples)
                 ]
-                if csr is not None:
-                    values = merge_ordered(
-                        run_sharded(
-                            dependency_at_target_shard_csr,
-                            split_shards([csr.index_of(s) for s in sources]),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                (
-                                    "dep-at-target-csr",
-                                    id(csr),
-                                    plan.batch_size,
-                                    r_index,
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
-                                lambda: (
-                                    csr,
-                                    plan.batch_size,
-                                    r_index,
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
+                values = merge_ordered(
+                    run_sharded(
+                        dependency_at_target_shard_csr,
+                        split_shards([csr.index_of(s) for s in sources]),
+                        n_jobs=plan.n_jobs,
+                        plan=plan,
+                        shared=interned_payload(
+                            plan,
+                            (
+                                "dep-at-target-csr",
+                                id(csr),
+                                plan.batch_size,
+                                r_index,
+                                plan.kernel,
+                                plan.kernel_threads,
                             ),
-                        )
-                    )
-                else:
-                    values = merge_ordered(
-                        run_sharded(
-                            dependency_at_target_shard_dict,
-                            split_shards(sources),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                ("dep-at-target-dict", id(graph), graph.version, r),
-                                lambda: (graph, r),
+                            lambda: (
+                                csr,
+                                plan.batch_size,
+                                r_index,
+                                plan.kernel,
+                                plan.kernel_threads,
                             ),
-                        )
+                        ),
                     )
+                )
                 for s, delta in zip(sources, values):
                     total += delta / probabilities[s]
             else:
                 for _ in range(num_samples):
                     s = rng.choices(vertices, weights=weights, k=1)[0]
-                    if csr is not None:
-                        delta = csr_dependency_on_target(csr, csr.index_of(s), r_index)
-                    else:
-                        delta = dependency_on_target(graph, s, r)
+                    delta = csr_dependency_on_target(csr, csr.index_of(s), r_index)
                     total += delta / probabilities[s]
         estimate = total / (num_samples * n * max(n - 1, 1))
-        diagnostics: Dict[str, object] = {"support_size": len(vertices), "backend": backend}
+        diagnostics: Dict[str, object] = {"support_size": len(vertices)}
         if plan is not None:
             diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
         return SingleEstimate(
@@ -193,37 +165,21 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
         )
 
 
-def _distance_mass(graph: Graph, r: Vertex, *, backend: str = "auto") -> Dict[Vertex, float]:
+def _distance_mass(graph: Graph, r: Vertex) -> Dict[Vertex, float]:
     """Return the distance-proportional mass function ``q(s) ∝ d(r, s)``.
 
-    Both backends yield the dict in traversal discovery order — BFS level
-    order when unweighted, Dijkstra settle order when weighted (the dict
-    route's distance map is filled as vertices settle, and the CSR route
-    rebuilds from the settle-order array) — so ``rng.choices`` consumes
-    the same candidate ordering either way, keeping fixed-seed estimates
-    identical across backends.
+    The dict comes out in traversal discovery order — BFS level order when
+    unweighted, Dijkstra settle order when weighted — which is the
+    candidate ordering ``rng.choices`` consumes.
     """
+    csr = graph.csr()
+    r_index = csr.index_of(r)
     if graph.weighted:
-        if resolve_backend(backend) == "csr":
-            csr = graph.csr()
-            r_index = csr.index_of(r)
-            dist, order = dijkstra_distances_csr(csr, r_index)
-            vertex_at = csr.vertex_at
-            return {
-                vertex_at(i): float(dist[i]) for i in order.tolist() if i != r_index
-            }
-        distances = dijkstra_distances(graph, r)
-        return {v: d for v, d in distances.items() if v != r and d != float("inf")}
-    if resolve_backend(backend) == "csr":
-        csr = graph.csr()
-        r_index = csr.index_of(r)
+        dist, order = dijkstra_distances_csr(csr, r_index)
+    else:
         dist, order = bfs_distances_csr(csr, r_index)
-        vertex_at = csr.vertex_at
-        return {
-            vertex_at(i): float(dist[i]) for i in order.tolist() if i != r_index
-        }
-    distances = bfs_distances(graph, r)
-    return {v: d for v, d in distances.items() if v != r and d != float("inf")}
+    vertex_at = csr.vertex_at
+    return {vertex_at(i): float(dist[i]) for i in order.tolist() if i != r_index}
 
 
 def _uniform_mass(graph: Graph, r: Vertex) -> Dict[Vertex, float]:
@@ -243,7 +199,6 @@ class DistanceBasedSampler(ImportanceSamplingEstimator):
         self,
         *,
         uniform: bool = False,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
@@ -251,15 +206,13 @@ class DistanceBasedSampler(ImportanceSamplingEstimator):
             super().__init__(
                 _uniform_mass,
                 name="uniform-importance",
-                backend=backend,
                 batch_size=batch_size,
                 n_jobs=n_jobs,
             )
         else:
             super().__init__(
-                lambda graph, r: _distance_mass(graph, r, backend=self.backend),
+                _distance_mass,
                 name="distance-based",
-                backend=backend,
                 batch_size=batch_size,
                 n_jobs=n_jobs,
             )

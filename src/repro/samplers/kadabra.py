@@ -20,7 +20,7 @@ from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError
 from repro.execution import interned_payload, plan_snapshot, run_sharded, sample_shards
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend
+from repro.graphs.csr import np
 from repro.samplers.base import (
     AllVerticesEstimator,
     ExecutionPlanMixin,
@@ -30,10 +30,9 @@ from repro.samplers.base import (
     timed,
     vertex_keyed,
 )
-from repro.shortest_paths.bfs import _expand_level, bfs_spd
+from repro.shortest_paths.bfs import _expand_level
 from repro.shortest_paths.bidirectional import sample_path_interior_csr
 from repro.shortest_paths.dependencies import csr_spd_builder
-from repro.shortest_paths.dijkstra import dijkstra_spd
 
 __all__ = ["KadabraSampler"]
 
@@ -50,11 +49,9 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         ``num_samples`` samples are drawn.
     epsilon, delta:
         Accuracy / confidence targets for the adaptive stopping rule.
-    backend:
-        ``"auto"`` / ``"dict"`` / ``"csr"``.  The CSR backend runs the
-        balanced bidirectional growth and the path SPD on the vectorised
-        kernels, drawing pairs by dense index with the same rng stream as
-        the dict backend (identical samples for a fixed seed).
+
+    The balanced bidirectional growth and the path SPD run on the
+    vectorised CSR kernels, drawing pairs by dense index.
     """
 
     name = "kadabra"
@@ -65,7 +62,6 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         adaptive: bool = False,
         epsilon: float = 0.01,
         delta: float = 0.1,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
@@ -76,7 +72,6 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         self.adaptive = bool(adaptive)
         self.epsilon = float(epsilon)
         self.delta = float(delta)
-        self.backend = backend
         #: Execution-engine knobs, with the same semantics as the RK
         #: sampler: ``n_jobs`` shards the sample loop with per-shard child
         #: rng streams (results identical for any ``n_jobs``, but a
@@ -89,87 +84,18 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
-    def _sample_path_interior(self, graph: Graph, rng) -> Tuple[List[Vertex], int]:
+    def _sample_path_interior_csr(self, csr, rng) -> Tuple[List[int], int]:
         """Sample the interior of one uniform shortest path between a random pair.
 
-        Returns ``(interior_vertices, touched_edges)``; the edge count is the
+        Returns ``(interior_indices, touched_edges)``; the edge count is the
         work metric reported by benchmark E2 (KADABRA's selling point is a
-        smaller value here, not a different estimator).
+        smaller value here, not a different estimator).  Balanced
+        bidirectional growth finds the meeting level; the path itself is
+        drawn from the SPD rooted at *s*, whose sigma values make it uniform
+        among all shortest s-t paths.  (The full KADABRA reconstruction
+        stitches the two half-searches; the simplification here changes
+        constants, not the estimator.)
         """
-        vertices = graph.vertices()
-        n = len(vertices)
-        s = vertices[rng.randrange(n)]
-        t = vertices[rng.randrange(n)]
-        while t == s:
-            t = vertices[rng.randrange(n)]
-
-        # Balanced bidirectional growth to find the meeting level, counting
-        # touched edges as the work measure.
-        dist_s: Dict[Vertex, float] = {s: 0.0}
-        dist_t: Dict[Vertex, float] = {t: 0.0}
-        frontier_s, frontier_t = [s], [t]
-        touched = 0
-        met = False
-        while frontier_s and frontier_t and not met:
-            work_s = sum(graph.degree(v) for v in frontier_s)
-            work_t = sum(graph.degree(v) for v in frontier_t)
-            if work_s <= work_t:
-                frontier_s, hit = self._expand(graph, frontier_s, dist_s, dist_t)
-                touched += work_s
-            else:
-                frontier_t, hit = self._expand(graph, frontier_t, dist_t, dist_s)
-                touched += work_t
-            met = hit
-        if not met:
-            return [], touched
-
-        # For the path itself fall back to the SPD rooted at s: the sampled
-        # path must be uniform among all shortest s-t paths, and the SPD
-        # gives the sigma values needed for that guarantee.  (The full
-        # KADABRA reconstruction stitches the two half-searches; the
-        # simplification here changes constants, not the estimator.)
-        spd = dijkstra_spd(graph, s) if graph.weighted else bfs_spd(graph, s)
-        if not spd.is_reachable(t):
-            return [], touched
-        interior: List[Vertex] = []
-        current = t
-        while True:
-            parents = spd.parents(current)
-            if not parents:
-                break
-            weights = [spd.sigma[p] for p in parents]
-            total = sum(weights)
-            pick = rng.random() * total
-            cumulative = 0.0
-            chosen = parents[-1]
-            for parent, weight in zip(parents, weights):
-                cumulative += weight
-                if pick <= cumulative:
-                    chosen = parent
-                    break
-            if chosen == s:
-                break
-            interior.append(chosen)
-            current = chosen
-        return interior, touched
-
-    @staticmethod
-    def _expand(graph, frontier, dist, other_dist):
-        next_frontier = []
-        met = False
-        level = dist[frontier[0]]
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v not in dist:
-                    dist[v] = level + 1.0
-                    next_frontier.append(v)
-                if v in other_dist:
-                    met = True
-        return next_frontier, met
-
-    # ------------------------------------------------------------------
-    def _sample_path_interior_csr(self, csr, rng) -> Tuple[List[int], int]:
-        """Index-space twin of :meth:`_sample_path_interior` on a CSR snapshot."""
         n = csr.number_of_vertices()
         s = rng.randrange(n)
         t = rng.randrange(n)
@@ -205,8 +131,8 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
 
     @staticmethod
     def _expand_csr(csr, degrees, frontier, dist, other_dist, slot):
-        """Vectorised one-level growth; mirrors :meth:`_expand` (every touched
-        neighbour — not just newly discovered ones — can signal a meeting)."""
+        """Vectorised one-level growth (every touched neighbour — not just
+        newly discovered ones — can signal a meeting)."""
         nbrs, _, _, next_frontier = _expand_level(
             csr, degrees, frontier, dist, slot, parents=False
         )
@@ -227,50 +153,29 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
             raise ConfigurationError("the graph must have at least two vertices")
         rng = ensure_rng(seed)
         touched_total = 0
-        backend = resolve_backend(self.backend)
         plan = self._plan()
-        diagnostics: Dict[str, object] = {"backend": backend}
+        diagnostics: Dict[str, object] = {}
         if plan is not None:
             with timed() as clock:
                 shards = sample_shards(num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    results = run_sharded(
-                        _kadabra_all_shard_csr,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("kadabra-all-csr", id(self), id(csr)),
-                            lambda: (self, csr),
-                        ),
-                    )
-                    buffer = np.zeros(csr.number_of_vertices())
-                    for shard_buffer, shard_touched in results:
-                        buffer += shard_buffer
-                        touched_total += shard_touched
-                    estimates = vertex_keyed(csr, buffer / num_samples)
-                else:
-                    results = run_sharded(
-                        _kadabra_all_shard_dict,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("kadabra-all-dict", id(self), id(graph), graph.version),
-                            lambda: (self, graph),
-                        ),
-                    )
-                    counts = {v: 0.0 for v in graph.vertices()}
-                    for shard_counts, shard_touched in results:
-                        touched_total += shard_touched
-                        for v, c in shard_counts.items():
-                            counts[v] += c
-                    estimates = {v: c / num_samples for v, c in counts.items()}
+                csr = plan_snapshot(graph, plan)
+                results = run_sharded(
+                    _kadabra_all_shard_csr,
+                    shards,
+                    n_jobs=plan.n_jobs,
+                    plan=plan,
+                    shared=interned_payload(
+                        plan,
+                        ("kadabra-all-csr", id(self), id(csr)),
+                        lambda: (self, csr),
+                    ),
+                )
+                buffer = np.zeros(csr.number_of_vertices())
+                for shard_buffer, shard_touched in results:
+                    buffer += shard_buffer
+                    touched_total += shard_touched
             diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        elif backend == "csr":
+        else:
             with timed() as clock:
                 csr = graph.csr()
                 buffer = np.zeros(csr.number_of_vertices())
@@ -279,16 +184,7 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
                     touched_total += touched
                     for i in interior:
                         buffer[i] += 1.0
-            estimates = vertex_keyed(csr, buffer / num_samples)
-        else:
-            counts: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-            with timed() as clock:
-                for _ in range(num_samples):
-                    interior, touched = self._sample_path_interior(graph, rng)
-                    touched_total += touched
-                    for v in interior:
-                        counts[v] += 1.0
-            estimates = {v: c / num_samples for v, c in counts.items()}
+        estimates = vertex_keyed(csr, buffer / num_samples)
         diagnostics["touched_edges"] = touched_total
         return MapEstimate(
             estimates=estimates,
@@ -315,36 +211,22 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         hits = 0.0
         drawn = 0
         touched_total = 0
-        backend = resolve_backend(self.backend)
         plan = self._plan()
         if plan is not None and not self.adaptive:
             with timed() as clock:
                 shards = sample_shards(num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    results = run_sharded(
-                        _kadabra_hits_shard_csr,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("kadabra-hits-csr", id(self), id(csr), csr.index_of(r)),
-                            lambda: (self, csr, csr.index_of(r)),
-                        ),
-                    )
-                else:
-                    results = run_sharded(
-                        _kadabra_hits_shard_dict,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("kadabra-hits-dict", id(self), id(graph), graph.version, r),
-                            lambda: (self, graph, r),
-                        ),
-                    )
+                csr = plan_snapshot(graph, plan)
+                results = run_sharded(
+                    _kadabra_hits_shard_csr,
+                    shards,
+                    n_jobs=plan.n_jobs,
+                    plan=plan,
+                    shared=interned_payload(
+                        plan,
+                        ("kadabra-hits-csr", id(self), id(csr), csr.index_of(r)),
+                        lambda: (self, csr, csr.index_of(r)),
+                    ),
+                )
                 for shard_hits, shard_touched in results:
                     hits += shard_hits
                     touched_total += shard_touched
@@ -359,23 +241,17 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
                     "hits": hits,
                     "touched_edges": touched_total,
                     "adaptive": self.adaptive,
-                    "backend": backend,
                     "n_jobs": plan.n_jobs,
                     "batch_size": plan.batch_size,
                 },
             )
         with timed() as clock:
-            csr = graph.csr() if backend == "csr" else None
-            r_index = csr.index_of(r) if csr is not None else None
+            csr = graph.csr()
+            r_index = csr.index_of(r)
             for i in range(1, num_samples + 1):
-                if csr is not None:
-                    interior, touched = self._sample_path_interior_csr(csr, rng)
-                    hit = r_index in interior
-                else:
-                    interior, touched = self._sample_path_interior(graph, rng)
-                    hit = r in interior
+                interior, touched = self._sample_path_interior_csr(csr, rng)
                 touched_total += touched
-                if hit:
+                if r_index in interior:
                     hits += 1.0
                 drawn = i
                 if self.adaptive and i >= 30 and self._bernstein_radius(hits, i) <= self.epsilon:
@@ -390,7 +266,6 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
                 "hits": hits,
                 "touched_edges": touched_total,
                 "adaptive": self.adaptive,
-                "backend": backend,
             },
         )
 
@@ -421,19 +296,6 @@ def _kadabra_all_shard_csr(shared, shard):
     return buffer, touched_total
 
 
-def _kadabra_all_shard_dict(shared, shard):
-    sampler, graph = shared
-    count, rng = shard
-    counts: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-    touched_total = 0
-    for _ in range(count):
-        interior, touched = sampler._sample_path_interior(graph, rng)
-        touched_total += touched
-        for v in interior:
-            counts[v] += 1.0
-    return counts, touched_total
-
-
 def _kadabra_hits_shard_csr(shared, shard):
     sampler, csr, r_index = shared
     count, rng = shard
@@ -443,18 +305,5 @@ def _kadabra_hits_shard_csr(shared, shard):
         interior, touched = sampler._sample_path_interior_csr(csr, rng)
         touched_total += touched
         if r_index in interior:
-            hits += 1.0
-    return hits, touched_total
-
-
-def _kadabra_hits_shard_dict(shared, shard):
-    sampler, graph, r = shared
-    count, rng = shard
-    hits = 0.0
-    touched_total = 0
-    for _ in range(count):
-        interior, touched = sampler._sample_path_interior(graph, rng)
-        touched_total += touched
-        if r in interior:
             hits += 1.0
     return hits, touched_total

@@ -31,7 +31,7 @@ from repro.execution import (
     sample_shards,
 )
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend
+from repro.graphs.csr import np
 from repro.samplers.base import (
     AllVerticesEstimator,
     ExecutionPlanMixin,
@@ -41,10 +41,9 @@ from repro.samplers.base import (
     timed,
     vertex_keyed,
 )
-from repro.shortest_paths.bfs import bfs_distances, bfs_spd
+from repro.shortest_paths.bfs import bfs_distances
 from repro.shortest_paths.bidirectional import sample_path_interior_csr
 from repro.shortest_paths.dependencies import csr_spd_builder
-from repro.shortest_paths.dijkstra import dijkstra_spd
 
 __all__ = ["RiondatoKornaropoulosSampler", "vertex_diameter_estimate", "rk_sample_size"]
 
@@ -90,10 +89,8 @@ def rk_sample_size(
 class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstimator):
     """Uniform shortest-path sampling estimator for all vertices (or one).
 
-    With ``backend="csr"`` (the ``"auto"`` default when numpy is available)
-    pairs are drawn by dense index, the SPD is built by the vectorised CSR
-    kernels and hits are accumulated into a numpy buffer; the rng stream is
-    identical to the dict backend, so a fixed seed samples the same paths.
+    Pairs are drawn by dense index, the SPD is built by the vectorised CSR
+    kernels and hits are accumulated into a numpy buffer.
     """
 
     name = "riondato-kornaropoulos"
@@ -101,11 +98,9 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
     def __init__(
         self,
         *,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
-        self.backend = backend
         #: Execution-engine knobs.  ``n_jobs`` spreads the sample loop over
         #: worker processes: samples are cut into fixed shards, each shard
         #: drawing from its own child rng stream
@@ -120,44 +115,9 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
-    def _sample_internal_vertices(self, graph: Graph, rng) -> list:
-        """Sample one shortest path between a uniform pair and return its interior."""
-        vertices = graph.vertices()
-        n = len(vertices)
-        s = vertices[rng.randrange(n)]
-        t = vertices[rng.randrange(n)]
-        while t == s:
-            t = vertices[rng.randrange(n)]
-        spd = dijkstra_spd(graph, s) if graph.weighted else bfs_spd(graph, s)
-        if not spd.is_reachable(t):
-            return []
-        # Backtrack from t choosing predecessors proportionally to sigma,
-        # which makes every shortest s-t path equally likely.
-        interior = []
-        current = t
-        while True:
-            parents = spd.parents(current)
-            if not parents:
-                break
-            weights = [spd.sigma[p] for p in parents]
-            total = sum(weights)
-            pick = rng.random() * total
-            cumulative = 0.0
-            chosen = parents[-1]
-            for parent, weight in zip(parents, weights):
-                cumulative += weight
-                if pick <= cumulative:
-                    chosen = parent
-                    break
-            if chosen == s:
-                break
-            interior.append(chosen)
-            current = chosen
-        return interior
-
     @staticmethod
     def _sample_internal_indices(csr, rng) -> list:
-        """Index-space twin of :meth:`_sample_internal_vertices`."""
+        """Sample one shortest path between a uniform pair; return its interior indices."""
         n = csr.number_of_vertices()
         s = rng.randrange(n)
         t = rng.randrange(n)
@@ -182,51 +142,26 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         if graph.number_of_vertices() < 2:
             raise ConfigurationError("the graph must have at least two vertices")
         rng = ensure_rng(seed)
-        backend = resolve_backend(self.backend)
         plan = self._plan()
-        diagnostics: Dict[str, object] = {"backend": backend}
+        diagnostics: Dict[str, object] = {}
         if plan is not None:
             with timed() as clock:
                 shards = sample_shards(num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    buffer = merge_ordered(
-                        run_sharded(
-                            _rk_all_shard_csr, shards, n_jobs=plan.n_jobs, plan=plan, shared=csr
-                        )
+                csr = plan_snapshot(graph, plan)
+                buffer = merge_ordered(
+                    run_sharded(
+                        _rk_all_shard_csr, shards, n_jobs=plan.n_jobs, plan=plan, shared=csr
                     )
-                    estimates = vertex_keyed(csr, buffer / num_samples)
-                else:
-                    counts = merge_ordered(
-                        run_sharded(
-                            _rk_all_shard_dict,
-                            shards,
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                ("rk-all-dict", id(self), id(graph), graph.version),
-                                lambda: (self, graph),
-                            ),
-                        )
-                    )
-                    estimates = {v: counts.get(v, 0.0) / num_samples for v in graph.vertices()}
+                )
             diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        elif backend == "csr":
+        else:
             with timed() as clock:
                 csr = graph.csr()
                 buffer = np.zeros(csr.number_of_vertices())
                 for _ in range(num_samples):
                     for i in self._sample_internal_indices(csr, rng):
                         buffer[i] += 1.0
-            estimates = vertex_keyed(csr, buffer / num_samples)
-        else:
-            counts: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-            with timed() as clock:
-                for _ in range(num_samples):
-                    for v in self._sample_internal_vertices(graph, rng):
-                        counts[v] += 1.0
-            estimates = {v: c / num_samples for v, c in counts.items()}
+        estimates = vertex_keyed(csr, buffer / num_samples)
         return MapEstimate(
             estimates=estimates,
             samples=num_samples,
@@ -250,53 +185,32 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
             raise ConfigurationError("num_samples must be at least 1")
         rng = ensure_rng(seed)
         hits = 0.0
-        backend = resolve_backend(self.backend)
         plan = self._plan()
-        diagnostics: Dict[str, object] = {"backend": backend}
+        diagnostics: Dict[str, object] = {}
         if plan is not None:
             with timed() as clock:
                 shards = sample_shards(num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    hits = merge_ordered(
-                        run_sharded(
-                            _rk_hits_shard_csr,
-                            shards,
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                ("rk-hits-csr", id(csr), csr.index_of(r)),
-                                lambda: (csr, csr.index_of(r)),
-                            ),
-                        )
+                csr = plan_snapshot(graph, plan)
+                hits = merge_ordered(
+                    run_sharded(
+                        _rk_hits_shard_csr,
+                        shards,
+                        n_jobs=plan.n_jobs,
+                        plan=plan,
+                        shared=interned_payload(
+                            plan,
+                            ("rk-hits-csr", id(csr), csr.index_of(r)),
+                            lambda: (csr, csr.index_of(r)),
+                        ),
                     )
-                else:
-                    hits = merge_ordered(
-                        run_sharded(
-                            _rk_hits_shard_dict,
-                            shards,
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                ("rk-hits-dict", id(self), id(graph), graph.version, r),
-                                lambda: (self, graph, r),
-                            ),
-                        )
-                    )
+                )
             diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        elif backend == "csr":
+        else:
             with timed() as clock:
                 csr = graph.csr()
                 r_index = csr.index_of(r)
                 for _ in range(num_samples):
                     if r_index in self._sample_internal_indices(csr, rng):
-                        hits += 1.0
-        else:
-            with timed() as clock:
-                for _ in range(num_samples):
-                    if r in self._sample_internal_vertices(graph, rng):
                         hits += 1.0
         diagnostics["hits"] = hits
         return SingleEstimate(
@@ -331,31 +245,11 @@ def _rk_all_shard_csr(shared, shard):
     return buffer
 
 
-def _rk_all_shard_dict(shared, shard):
-    sampler, graph = shared
-    count, rng = shard
-    counts: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-    for _ in range(count):
-        for v in sampler._sample_internal_vertices(graph, rng):
-            counts[v] += 1.0
-    return counts
-
-
 def _rk_hits_shard_csr(shared, shard) -> float:
     csr, r_index = shared
     count, rng = shard
     hits = 0.0
     for _ in range(count):
         if r_index in RiondatoKornaropoulosSampler._sample_internal_indices(csr, rng):
-            hits += 1.0
-    return hits
-
-
-def _rk_hits_shard_dict(shared, shard) -> float:
-    sampler, graph, r = shared
-    count, rng = shard
-    hits = 0.0
-    for _ in range(count):
-        if r in sampler._sample_internal_vertices(graph, rng):
             hits += 1.0
     return hits

@@ -10,7 +10,7 @@ benchmark E1.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError
@@ -22,7 +22,7 @@ from repro.execution import (
     split_shards,
 )
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend
+from repro.graphs.csr import np
 from repro.samplers.base import (
     AllVerticesEstimator,
     ExecutionPlanMixin,
@@ -33,13 +33,9 @@ from repro.samplers.base import (
     vertex_keyed,
 )
 from repro.shortest_paths.dependencies import (
-    accumulate_dependencies,
     csr_source_dependencies,
     dependency_at_target_shard_csr,
-    dependency_at_target_shard_dict,
     dependency_sum_shard_csr,
-    dependency_sum_shard_dict,
-    spd_builder,
 )
 
 __all__ = ["UniformSourceSampler"]
@@ -51,7 +47,9 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
     For each sampled source *s*, one Brandes pass yields
     :math:`\\delta_{s\\bullet}(v)` for every *v*; the unbiased estimator of
     the paper-normalised betweenness of *v* is the sample mean of
-    :math:`\\delta_{s\\bullet}(v) / (|V| - 1)`.
+    :math:`\\delta_{s\\bullet}(v) / (|V| - 1)`.  Every dependency pass is a
+    vectorised CSR kernel accumulated into one numpy buffer; results are
+    converted back to vertex-keyed dicts only at the estimate boundary.
 
     Parameters
     ----------
@@ -59,13 +57,6 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         When ``True`` (default) sources are drawn i.i.d. uniformly; when
         ``False`` they are drawn without replacement (the Brandes–Pich
         "random k sources" variant), which caps ``num_samples`` at ``|V|``.
-    backend:
-        ``"auto"`` / ``"dict"`` / ``"csr"``.  On the CSR backend every
-        dependency pass is a vectorised kernel accumulated into one numpy
-        buffer; sources are drawn through the same rng calls as the dict
-        backend (positions in ``graph.vertices()``), so a fixed seed yields
-        the same sample set, and results are converted back to vertex-keyed
-        dicts only at the estimate boundary.
     batch_size, n_jobs:
         Execution-engine knobs (:mod:`repro.execution`).  Sources are drawn
         upfront from the caller's rng stream (the same draws the sequential
@@ -80,12 +71,10 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         self,
         *,
         with_replacement: bool = True,
-        backend: str = "auto",
         batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         self.with_replacement = bool(with_replacement)
-        self.backend = backend
         self.batch_size = batch_size
         self.n_jobs = n_jobs
 
@@ -115,92 +104,55 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         rng = ensure_rng(seed)
         n = graph.number_of_vertices()
         scale = 1.0 / (num_samples * max(n - 1, 1))
-        backend = resolve_backend(self.backend)
         plan = self._plan()
+        diagnostics = {"with_replacement": self.with_replacement}
         if plan is not None:
             with timed() as clock:
                 sources = self._sample_sources(graph, num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    buffer = merge_ordered(
-                        run_sharded(
-                            dependency_sum_shard_csr,
-                            split_shards([csr.index_of(s) for s in sources]),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                (
-                                    "dep-sum-csr",
-                                    id(csr),
-                                    plan.batch_size,
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
-                                lambda: (
-                                    csr,
-                                    plan.batch_size,
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
+                csr = plan_snapshot(graph, plan)
+                buffer = merge_ordered(
+                    run_sharded(
+                        dependency_sum_shard_csr,
+                        split_shards([csr.index_of(s) for s in sources]),
+                        n_jobs=plan.n_jobs,
+                        plan=plan,
+                        shared=interned_payload(
+                            plan,
+                            (
+                                "dep-sum-csr",
+                                id(csr),
+                                plan.batch_size,
+                                plan.kernel,
+                                plan.kernel_threads,
                             ),
-                        )
+                            lambda: (
+                                csr,
+                                plan.batch_size,
+                                plan.kernel,
+                                plan.kernel_threads,
+                            ),
+                        ),
                     )
-                    estimates = vertex_keyed(csr, buffer * scale)
-                else:
-                    totals = merge_ordered(
-                        run_sharded(
-                            dependency_sum_shard_dict,
-                            split_shards(sources),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=graph,
-                        )
-                    )
-                    estimates = {v: totals.get(v, 0.0) * scale for v in graph.vertices()}
-            return MapEstimate(
-                estimates=estimates,
-                samples=num_samples,
-                elapsed_seconds=clock.elapsed,
-                method=self.name,
-                diagnostics={
-                    "with_replacement": self.with_replacement,
-                    "backend": backend,
-                    "n_jobs": plan.n_jobs,
-                    "batch_size": plan.batch_size,
-                },
-            )
-        if backend == "csr":
+                )
+            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
+        else:
             with timed() as clock:
                 # Building (or fetching the cached) snapshot is part of the
-                # backend's cost, so it is timed like the dict traversals.
+                # estimator's cost, so it is timed with the traversals.
                 csr = graph.csr()
                 buffer = np.zeros(csr.number_of_vertices())
                 sources = self._sample_sources(graph, num_samples, rng)
                 for s in sources:
-                    # delta[s] == 0 by construction: array addition matches
-                    # the dict loop's "skip v == s" rule.
+                    # delta[s] == 0 by construction, so no source is skipped.
                     buffer += csr_source_dependencies(
                         csr, csr.index_of(s), kernel=self.kernel
                     )
-            estimates = vertex_keyed(csr, buffer * scale)
-        else:
-            build = spd_builder(graph)
-            totals: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-            with timed() as clock:
-                sources = self._sample_sources(graph, num_samples, rng)
-                for s in sources:
-                    spd = build(graph, s)
-                    for v, delta in accumulate_dependencies(spd).items():
-                        if v != s:
-                            totals[v] += delta
-            estimates = {v: total * scale for v, total in totals.items()}
         return MapEstimate(
-            estimates=estimates,
+            estimates=vertex_keyed(csr, buffer * scale),
             samples=num_samples,
             elapsed_seconds=clock.elapsed,
             method=self.name,
-            diagnostics={"with_replacement": self.with_replacement, "backend": backend},
+            diagnostics=diagnostics,
         )
 
     # ------------------------------------------------------------------
@@ -224,69 +176,42 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         rng = ensure_rng(seed)
         n = graph.number_of_vertices()
         total = 0.0
-        backend = resolve_backend(self.backend)
         plan = self._plan()
+        diagnostics = {"with_replacement": self.with_replacement}
         if plan is not None:
             with timed() as clock:
                 sources = self._sample_sources(graph, num_samples, rng)
-                if backend == "csr":
-                    csr = plan_snapshot(graph, plan)
-                    values = merge_ordered(
-                        run_sharded(
-                            dependency_at_target_shard_csr,
-                            split_shards([csr.index_of(s) for s in sources]),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                (
-                                    "dep-at-target-csr",
-                                    id(csr),
-                                    plan.batch_size,
-                                    csr.index_of(r),
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
-                                lambda: (
-                                    csr,
-                                    plan.batch_size,
-                                    csr.index_of(r),
-                                    plan.kernel,
-                                    plan.kernel_threads,
-                                ),
+                csr = plan_snapshot(graph, plan)
+                values = merge_ordered(
+                    run_sharded(
+                        dependency_at_target_shard_csr,
+                        split_shards([csr.index_of(s) for s in sources]),
+                        n_jobs=plan.n_jobs,
+                        plan=plan,
+                        shared=interned_payload(
+                            plan,
+                            (
+                                "dep-at-target-csr",
+                                id(csr),
+                                plan.batch_size,
+                                csr.index_of(r),
+                                plan.kernel,
+                                plan.kernel_threads,
                             ),
-                        )
-                    )
-                else:
-                    values = merge_ordered(
-                        run_sharded(
-                            dependency_at_target_shard_dict,
-                            split_shards(sources),
-                            n_jobs=plan.n_jobs,
-                            plan=plan,
-                            shared=interned_payload(
-                                plan,
-                                ("dep-at-target-dict", id(graph), graph.version, r),
-                                lambda: (graph, r),
+                            lambda: (
+                                csr,
+                                plan.batch_size,
+                                csr.index_of(r),
+                                plan.kernel,
+                                plan.kernel_threads,
                             ),
-                        )
+                        ),
                     )
+                )
                 for value in values:
                     total += value
-            return SingleEstimate(
-                vertex=r,
-                estimate=total / (num_samples * max(n - 1, 1)),
-                samples=num_samples,
-                elapsed_seconds=clock.elapsed,
-                method=self.name,
-                diagnostics={
-                    "with_replacement": self.with_replacement,
-                    "backend": backend,
-                    "n_jobs": plan.n_jobs,
-                    "batch_size": plan.batch_size,
-                },
-            )
-        if backend == "csr":
+            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
+        else:
             with timed() as clock:
                 csr = graph.csr()
                 r_index = csr.index_of(r)
@@ -299,22 +224,11 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
                             r_index
                         ]
                     )
-        else:
-            build = spd_builder(graph)
-            with timed() as clock:
-                sources = self._sample_sources(graph, num_samples, rng)
-                for s in sources:
-                    if s == r:
-                        continue
-                    spd = build(graph, s)
-                    deltas = accumulate_dependencies(spd)
-                    total += deltas.get(r, 0.0)
-        estimate = total / (num_samples * max(n - 1, 1))
         return SingleEstimate(
             vertex=r,
-            estimate=estimate,
+            estimate=total / (num_samples * max(n - 1, 1)),
             samples=num_samples,
             elapsed_seconds=clock.elapsed,
             method=self.name,
-            diagnostics={"with_replacement": self.with_replacement, "backend": backend},
+            diagnostics=diagnostics,
         )

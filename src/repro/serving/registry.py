@@ -63,7 +63,6 @@ class ManagedSession:
         graph: Graph,
         *,
         plan: Optional[ExecutionPlan] = None,
-        backend: str = "auto",
         arena_capacity: Optional[int] = None,
         invalidation: Optional[str] = None,
         check_connected: bool = True,
@@ -74,7 +73,6 @@ class ManagedSession:
             BetweennessSession(
                 graph,
                 plan,
-                backend=backend,
                 arena_capacity=arena_capacity,
                 invalidation=invalidation,
                 check_connected=check_connected,
@@ -168,7 +166,7 @@ class SessionRegistry:
     plan:
         Default :class:`~repro.execution.ExecutionPlan` every loaded
         session runs under (per-load overrides may replace it later).
-    backend / arena_capacity / invalidation / check_connected:
+    arena_capacity / invalidation / check_connected:
         Forwarded to each :class:`BetweennessSession`.
     max_sessions:
         Hard bound on simultaneously loaded graphs — each session owns
@@ -181,7 +179,6 @@ class SessionRegistry:
         self,
         *,
         plan: Optional[ExecutionPlan] = None,
-        backend: str = "auto",
         arena_capacity: Optional[int] = None,
         invalidation: Optional[str] = None,
         check_connected: bool = True,
@@ -192,7 +189,6 @@ class SessionRegistry:
                 f"max_sessions must be >= 1, got {max_sessions!r}"
             )
         self._plan = plan
-        self._backend = backend
         self._arena_capacity = arena_capacity
         self._invalidation = invalidation
         self._check_connected = check_connected
@@ -239,7 +235,6 @@ class SessionRegistry:
             name,
             graph,
             plan=self._plan,
-            backend=self._backend,
             arena_capacity=self._arena_capacity,
             invalidation=self._invalidation,
             check_connected=self._check_connected,

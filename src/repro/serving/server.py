@@ -34,9 +34,8 @@ identical by construction, and the ``X-Repro-Coalesced`` header (never the
 body) tells a client whether it joined an in-flight run.  Every response
 carries a ``receipt`` — graph name, the graph version the answer was
 computed against (read atomically with the query under the session lock),
-and the execution stamp (backend / jobs / batch size / kernel / kernel
-threads / chains) —
-so an answer is auditable back to what actually ran.
+and the execution stamp (jobs / batch size / kernel / kernel threads /
+chains) — so an answer is auditable back to what actually ran.
 
 Overload and deadlines
 ----------------------
@@ -62,7 +61,6 @@ from repro.errors import ConfigurationError, ReproError
 from repro.execution import ExecutionPlan, resolve_kernel_threads
 from repro.execution.stamp import EXECUTION_STAMP_KEYS, execution_stamp, resolve_kernel_quiet
 from repro.graphs.core import Graph
-from repro.graphs.csr import resolve_backend
 from repro.serving.coalesce import CoalesceTimeout, OverloadedError, RequestCoalescer
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.queries import QUERY_OPS, execute_query
@@ -92,8 +90,6 @@ class ServingConfig:
     default_chains: Optional[int] = None
     #: Bound on simultaneously loaded graphs.
     max_sessions: int = 8
-    #: Traversal backend sessions run when no plan is given.
-    backend: str = "auto"
     #: CSR kernel rung requested (resolved once, stamped in receipts).
     kernel: str = "auto"
     #: Compiled-kernel thread count (``None`` resolves from
@@ -153,7 +149,6 @@ class ServingApp:
             if registry is not None
             else SessionRegistry(
                 plan=plan,
-                backend=self.config.backend,
                 arena_capacity=self.config.arena_capacity,
                 invalidation=self.config.invalidation,
                 check_connected=self.config.check_connected,
@@ -542,15 +537,12 @@ class ServingApp:
         either way every receipt carries the full
         :data:`~repro.execution.stamp.EXECUTION_STAMP_KEYS` set.
         """
-        if all(key in payload for key in ("backend", "jobs", "kernel")):
+        if all(key in payload for key in ("jobs", "kernel")):
             stamp = {key: payload.get(key) for key in EXECUTION_STAMP_KEYS}
         else:
             plan = self.plan
             stamp = execution_stamp(
                 {
-                    "backend": resolve_backend(
-                        plan.backend if plan is not None else self.config.backend
-                    ),
                     "n_jobs": plan.n_jobs if plan is not None else None,
                     "batch_size": plan.batch_size if plan is not None else None,
                 },

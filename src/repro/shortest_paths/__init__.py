@@ -1,12 +1,13 @@
 """Shortest-path substrate: SPDs, BFS/Dijkstra builders and dependency accumulation.
 
 Every builder and accumulator ships in two flavours: the dict-backed
-reference implementation over :class:`~repro.graphs.core.Graph` and a
-``*_csr`` kernel over the flat-array :class:`~repro.graphs.csr.CSRGraph`
-snapshot (see that module for the backend contract).  The CSR kernels
-additionally come in two bit-identical rungs — the numpy implementations
-here and numba-compiled twins in :mod:`repro.shortest_paths.compiled`,
-selected by the ``kernel`` knob (:func:`~repro.graphs.csr.resolve_kernel`).
+reference implementation over :class:`~repro.graphs.core.Graph` (what the
+test-suite checks the kernels against) and a ``*_csr`` kernel over the
+flat-array :class:`~repro.graphs.csr.CSRGraph` snapshot, which is what every
+estimator runs on.  The CSR kernels additionally come in two bit-identical
+rungs — the numpy implementations here and numba-compiled twins in
+:mod:`repro.shortest_paths.compiled`, selected by the ``kernel`` knob
+(:func:`~repro.graphs.csr.resolve_kernel`).
 """
 
 from repro.shortest_paths.batch import (

@@ -41,9 +41,7 @@ on ``batch_size``.
 Weighted graphs have no BFS levels to batch; :func:`batch_source_dependencies`
 runs one fused Dijkstra pass per row (:func:`~repro.shortest_paths.dijkstra.
 dijkstra_source_dependencies_csr`, or its compiled twin on that rung) so
-callers get one entry point with the same (K, n) result shape either way,
-and :func:`dijkstra_spd_batch_csr` provides the batch-validated SPD list for
-consumers that need the DAGs themselves.
+callers get one entry point with the same (K, n) result shape either way.
 """
 
 from __future__ import annotations
@@ -51,10 +49,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 from repro.graphs.csr import np, resolve_kernel
-from repro.shortest_paths.dijkstra import (
-    dijkstra_source_dependencies_csr,
-    dijkstra_spd_csr,
-)
+from repro.shortest_paths.dijkstra import dijkstra_source_dependencies_csr
 
 try:  # pragma: no cover - exercised implicitly on scipy-less installs
     import scipy.sparse as _scipy_sparse
@@ -122,7 +117,6 @@ __all__ = [
     "BatchLevel",
     "BatchedSPD",
     "bfs_spd_batch_csr",
-    "dijkstra_spd_batch_csr",
     "accumulate_dependencies_batch_csr",
     "batch_source_dependencies",
 ]
@@ -182,6 +176,22 @@ class BatchedSPD:
         return int(self.sources.shape[0])
 
 
+def _validate_sources(csr: "CSRGraph", sources: Sequence[int]):
+    """Return *sources* as a 1-D ``int64`` array of in-range vertex indices.
+
+    The one validation every batched entry point shares: ``ValueError`` for
+    an empty or non-1-D sequence, ``IndexError`` for an index outside
+    ``[0, n)``.
+    """
+    src = np.asarray(sources, dtype=np.int64)
+    if src.ndim != 1 or src.size == 0:
+        raise ValueError("sources must be a non-empty 1-D sequence of vertex indices")
+    n = csr.number_of_vertices()
+    if src.min() < 0 or src.max() >= n:
+        raise IndexError(f"source indices out of range for {n} vertices")
+    return src
+
+
 def _spread(values, counts, cum, total):
     """``np.repeat(values, counts)`` for strictly positive *counts*.
 
@@ -215,11 +225,7 @@ def bfs_spd_batch_csr(
     on that source alone (see the module docstring).
     """
     n = csr.number_of_vertices()
-    src = np.asarray(sources, dtype=np.int64)
-    if src.ndim != 1 or src.size == 0:
-        raise ValueError("sources must be a non-empty 1-D sequence of vertex indices")
-    if src.min() < 0 or src.max() >= n:
-        raise IndexError(f"source indices out of range for {n} vertices")
+    src = _validate_sources(csr, sources)
     k = int(src.size)
     indptr, indices = csr.indptr, csr.indices
 
@@ -430,28 +436,6 @@ def _batch_dependencies_spmm(csr: "CSRGraph", src, out):
     return delta.T
 
 
-def dijkstra_spd_batch_csr(
-    csr: "CSRGraph", sources: Sequence[int], *, kernel: str = "auto"
-):
-    """Build the SPDs of all weighted *sources*; batch-validated, one pass each.
-
-    The weighted counterpart of :func:`bfs_spd_batch_csr` with the same
-    up-front validation and per-row independence guarantee.  A weighted
-    batch shares no level structure across sources (settle orders differ
-    per source), so the batch is a tuple of independent
-    :class:`~repro.shortest_paths.spd.CSRShortestPathDAG` passes — each row
-    bit-identical to :func:`~repro.shortest_paths.dijkstra.dijkstra_spd_csr`
-    run alone, on whichever rung ``kernel`` resolves to.
-    """
-    n = csr.number_of_vertices()
-    src = np.asarray(sources, dtype=np.int64)
-    if src.ndim != 1 or src.size == 0:
-        raise ValueError("sources must be a non-empty 1-D sequence of vertex indices")
-    if src.min() < 0 or src.max() >= n:
-        raise IndexError(f"source indices out of range for {n} vertices")
-    return tuple(dijkstra_spd_csr(csr, s, kernel=kernel) for s in src.tolist())
-
-
 def batch_source_dependencies(
     csr: "CSRGraph",
     sources: Sequence[int],
@@ -495,18 +479,13 @@ def batch_source_dependencies(
     construction.
 
     All paths compute each row independently of the batch composition, so
-    results never depend on ``batch_size``.
+    results never depend on ``batch_size``.  Every path rejects the same
+    bad *sources* with the same error (:func:`_validate_sources`).
     """
+    src = _validate_sources(csr, sources)
+    n = csr.number_of_vertices()
     if not csr.weighted:
         if _scipy_sparse is not None and _spmm_suitable(csr):
-            src = np.asarray(sources, dtype=np.int64)
-            if src.ndim != 1 or src.size == 0:
-                raise ValueError(
-                    "sources must be a non-empty 1-D sequence of vertex indices"
-                )
-            n = csr.number_of_vertices()
-            if src.min() < 0 or src.max() >= n:
-                raise IndexError(f"source indices out of range for {n} vertices")
             block = max(1, _SPMM_BLOCK_ELEMENTS // max(n, 1))
             if src.size <= block:
                 return _batch_dependencies_spmm(csr, src, out)
@@ -523,23 +502,15 @@ def batch_source_dependencies(
             from repro.shortest_paths.compiled import batch_dependencies_compiled
 
             return batch_dependencies_compiled(
-                csr, sources, out=out, threads=kernel_threads
+                csr, src, out=out, threads=kernel_threads
             )
-        return accumulate_dependencies_batch_csr(
-            bfs_spd_batch_csr(csr, sources), out=out
-        )
+        return accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, src), out=out)
     if resolve_kernel(kernel) == "compiled":
         from repro.shortest_paths.compiled import batch_dependencies_compiled
 
         return batch_dependencies_compiled(
-            csr, sources, out=out, threads=kernel_threads
+            csr, src, out=out, threads=kernel_threads
         )
-    src = np.asarray(sources, dtype=np.int64)
-    if src.ndim != 1 or src.size == 0:
-        raise ValueError("sources must be a non-empty 1-D sequence of vertex indices")
-    n = csr.number_of_vertices()
-    if src.min() < 0 or src.max() >= n:
-        raise IndexError(f"source indices out of range for {n} vertices")
     delta = np.empty((int(src.size), n))
     for row, source in enumerate(src.tolist()):
         delta[row] = dijkstra_source_dependencies_csr(csr, source)

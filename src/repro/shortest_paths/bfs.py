@@ -10,9 +10,9 @@ The module holds two implementations and one fused pass:
 * :func:`bfs_spd_csr` / :func:`bfs_distances_csr` — level-synchronous,
   numpy-vectorised traversals over a :class:`~repro.graphs.csr.CSRGraph`
   snapshot.  Each BFS level is expanded with one gather over the CSR arrays
-  instead of one dict lookup per edge, which is where the CSR backend's
+  instead of one dict lookup per edge, which is where the CSR kernels'
   speedup comes from.  Frontier and predecessor ordering deliberately mirror
-  the dict implementation (queue order / adjacency order), so both backends
+  the dict implementation (queue order / adjacency order), so both flavours
   produce identical DAGs and — for samplers that backtrack through them —
   identical rng-driven paths.
 * :func:`bfs_source_dependencies_csr` — the fused per-source pass (wave +
@@ -42,7 +42,7 @@ enqueued or recorded.  (An earlier revision compared ``distance >= cutoff``
 at dequeue time, which silently *included* vertices one level beyond a
 fractional cutoff — e.g. ``cutoff=1.5`` returned vertices at distance 2.
 The check is now equivalent to testing ``d_u + 1 > cutoff`` before
-discovering neighbours, on both backends.)
+discovering neighbours, in both flavours.)
 """
 
 from __future__ import annotations

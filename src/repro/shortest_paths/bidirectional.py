@@ -183,8 +183,8 @@ def sample_path_interior_csr(spd, source: int, target: int, rng) -> List[int]:
     predecessor with probability proportional to its shortest-path count —
     the same uniform-path guarantee (and, deliberately, the same per-step
     ``rng.random()`` consumption and cumulative-scan tie-breaking) as the
-    dict-backed samplers, so both backends walk identical paths for a fixed
-    seed.  Returns the interior vertex indices from *target* backwards.
+    dict-kernel reference samplers, so both walk identical paths for a
+    fixed seed.  Returns the interior vertex indices from *target* backwards.
     """
     interior: List[int] = []
     sig = spd.sig

@@ -1,8 +1,8 @@
 """Compiled (numba-jitted) twins of the CSR traversal kernels.
 
-The third and fastest rung of the backend ladder (``dict`` → ``csr`` →
-``compiled``): scalar re-implementations of the hot loops every
-estimator bottoms out in — the level-synchronous BFS wave of
+The faster of the two CSR kernel rungs (``csr`` → ``compiled``): scalar
+re-implementations of the hot loops every estimator bottoms out in — the
+level-synchronous BFS wave of
 :func:`repro.shortest_paths.bfs.bfs_spd_csr`, the flat-array-heap
 Dijkstra wave of :func:`repro.shortest_paths.dijkstra.dijkstra_spd_csr`
 and the Brandes back-propagations of
@@ -16,8 +16,7 @@ come in ``prange`` thread-parallel variants (``threads > 1`` via the
 per-source rows with private scratch, which parallelises the batch
 without touching any row's float summation order.
 
-Selection is owned by :func:`repro.graphs.csr.resolve_kernel` (the
-``kernel=`` twin of ``resolve_backend``): ``"auto"`` resolves to
+Selection is owned by :func:`repro.graphs.csr.resolve_kernel`: ``"auto"`` resolves to
 ``"compiled"`` exactly when numba is importable, the ``REPRO_KERNEL``
 environment variable overrides it process-wide, and an explicit
 ``kernel="compiled"`` without numba warns and falls back to the numpy
@@ -944,12 +943,10 @@ def batch_dependencies_compiled(
     (see :func:`_batch_delta_parallel_py`); the *out* accumulation always
     happens afterwards in source order.
     """
+    from repro.shortest_paths.batch import _validate_sources
+
     n = csr.number_of_vertices()
-    src = np.asarray(sources, dtype=np.int64)
-    if src.ndim != 1 or src.size == 0:
-        raise ValueError("sources must be a non-empty 1-D sequence of vertex indices")
-    if src.min() < 0 or src.max() >= n:
-        raise IndexError(f"source indices out of range for {n} vertices")
+    src = _validate_sources(csr, sources)
     m = int(csr.indices.shape[0])
     delta = np.empty((int(src.size), n))
     threads = engage_threads(threads)
@@ -1012,12 +1009,12 @@ def warm_up() -> bool:
     """Compile (or load from the on-disk cache) every kernel on a tiny graph.
 
     Returns ``True`` when the compiled kernels are ready, ``False`` when
-    numba (or numpy) is unavailable.  Idempotent and cheap after the first
+    numba is unavailable.  Idempotent and cheap after the first
     call; with ``NUMBA_CACHE_DIR`` shared across processes the per-process
     cost drops to a cache load.
     """
     global _WARMED
-    if not NUMBA_AVAILABLE or np is None:
+    if not NUMBA_AVAILABLE:
         return False
     if _WARMED:
         return True

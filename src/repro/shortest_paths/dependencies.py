@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_backend, resolve_kernel
+from repro.graphs.csr import np, resolve_kernel
 from repro.execution.plan import ExecutionPlan, resolve_plan
 from repro.execution.runtime import interned_payload, plan_snapshot
 from repro.execution.scheduler import merge_ordered, run_sharded, split_shards
@@ -53,9 +53,7 @@ __all__ = [
     "csr_edge_dependency",
     "iter_batches",
     "dependency_sum_shard_csr",
-    "dependency_sum_shard_dict",
     "dependency_at_target_shard_csr",
-    "dependency_at_target_shard_dict",
 ]
 
 
@@ -141,7 +139,6 @@ def all_dependencies_on_target(
     graph: Graph,
     target: Vertex,
     *,
-    backend: str = "auto",
     batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional[ExecutionPlan] = None,
@@ -153,14 +150,14 @@ def all_dependencies_on_target(
     This is the full (unnormalised) Metropolis-Hastings target distribution
     of Equation 5.  It costs one SPD per vertex (``O(|V||E|)`` total) and is
     used by the exact single-vertex algorithm, by the optimal sampler, and by
-    the analysis layer to compute :math:`\\mu(r)` exactly.  With the CSR
-    backend every pass runs on the vectorised kernels; the result is
-    converted back to a vertex-keyed dict only at this boundary.
+    the analysis layer to compute :math:`\\mu(r)` exactly.  Every pass runs
+    on the vectorised CSR kernels; the result is converted back to a
+    vertex-keyed dict only at this boundary.
 
     ``batch_size`` / ``n_jobs`` (or a ready-made *plan*) engage the
     execution engine of :mod:`repro.execution`: sources are split into
     fixed shards, each shard's passes run through the batched kernels
-    (``batch_size`` sources per traversal on the CSR backend) on up to
+    (``batch_size`` sources per traversal) on up to
     ``n_jobs`` worker processes, and the per-source values are merged in
     source order — so the result is identical for any ``n_jobs`` and
     ``batch_size``.  ``kernel`` selects the (bit-identical) CSR kernel rung
@@ -169,7 +166,6 @@ def all_dependencies_on_target(
     graph.validate_vertex(target)
     plan = resolve_plan(
         plan,
-        backend=backend,
         batch_size=batch_size,
         n_jobs=n_jobs,
         kernel=kernel,
@@ -177,23 +173,15 @@ def all_dependencies_on_target(
     )
     if plan is not None:
         return _all_dependencies_on_target_planned(graph, target, plan)
-    if resolve_backend(backend) == "csr":
-        csr = graph.csr()
-        r = csr.index_of(target)
-        result = {}
-        for i, v in enumerate(csr.vertices):
-            if i == r:
-                result[v] = 0.0
-                continue
-            delta = csr_source_dependencies(csr, i, kernel=kernel)
-            result[v] = float(delta[r])
-        return result
-    result: Dict[Vertex, float] = {}
-    for v in graph.vertices():
-        if v == target:
+    csr = graph.csr()
+    r = csr.index_of(target)
+    result = {}
+    for i, v in enumerate(csr.vertices):
+        if i == r:
             result[v] = 0.0
             continue
-        result[v] = dependency_on_target(graph, v, target)
+        delta = csr_source_dependencies(csr, i, kernel=kernel)
+        result[v] = float(delta[r])
     return result
 
 
@@ -201,58 +189,39 @@ def _all_dependencies_on_target_planned(
     graph: Graph, target: Vertex, plan: ExecutionPlan
 ) -> Dict[Vertex, float]:
     """Sharded/batched evaluation of the Equation 5 vector (see the caller)."""
-    vertices = graph.vertices()
-    if not vertices:
-        return {}
-    if resolve_backend(plan.backend) == "csr":
-        csr = plan_snapshot(graph, plan)
-        shards = split_shards(list(range(csr.number_of_vertices())))
-        target_index = csr.index_of(target)
-        values = merge_ordered(
-            run_sharded(
-                dependency_at_target_shard_csr,
-                shards,
-                n_jobs=plan.n_jobs,
-                plan=plan,
-                # One interned payload per (snapshot, batch, target, kernel,
-                # threads): a persistent pool re-ships nothing for repeated
-                # targets.
-                shared=interned_payload(
-                    plan,
-                    (
-                        "dep-at-target-csr",
-                        id(csr),
-                        plan.batch_size,
-                        target_index,
-                        plan.kernel,
-                        plan.kernel_threads,
-                    ),
-                    lambda: (
-                        csr,
-                        plan.batch_size,
-                        target_index,
-                        plan.kernel,
-                        plan.kernel_threads,
-                    ),
-                ),
-            )
-        )
-        return dict(zip(csr.vertices, values))
-    shards = split_shards(vertices)
+    csr = plan_snapshot(graph, plan)
+    shards = split_shards(list(range(csr.number_of_vertices())))
+    target_index = csr.index_of(target)
     values = merge_ordered(
         run_sharded(
-            dependency_at_target_shard_dict,
+            dependency_at_target_shard_csr,
             shards,
             n_jobs=plan.n_jobs,
             plan=plan,
+            # One interned payload per (snapshot, batch, target, kernel,
+            # threads): a persistent pool re-ships nothing for repeated
+            # targets.
             shared=interned_payload(
                 plan,
-                ("dep-at-target-dict", id(graph), graph.version, target),
-                lambda: (graph, target),
+                (
+                    "dep-at-target-csr",
+                    id(csr),
+                    plan.batch_size,
+                    target_index,
+                    plan.kernel,
+                    plan.kernel_threads,
+                ),
+                lambda: (
+                    csr,
+                    plan.batch_size,
+                    target_index,
+                    plan.kernel,
+                    plan.kernel_threads,
+                ),
             ),
         )
     )
-    return dict(zip(vertices, values))
+    return dict(zip(csr.vertices, values))
 
 
 # ----------------------------------------------------------------------
@@ -289,18 +258,6 @@ def dependency_sum_shard_csr(shared, shard):
     return out
 
 
-def dependency_sum_shard_dict(shared, shard):
-    """Dict-backend twin of :func:`dependency_sum_shard_csr` (``shared`` = graph)."""
-    graph = shared
-    build = spd_builder(graph)
-    totals: Dict[Vertex, float] = {v: 0.0 for v in graph.vertices()}
-    for s in shard:
-        for v, delta in accumulate_dependencies(build(graph, s)).items():
-            if v != s:
-                totals[v] += delta
-    return totals
-
-
 def dependency_at_target_shard_csr(shared, shard) -> List[float]:
     """Shard worker: per-source dependency on one target index.
 
@@ -308,8 +265,7 @@ def dependency_at_target_shard_csr(shared, shard) -> List[float]:
     with ``kernel`` (fourth element) and ``kernel_threads`` (fifth — see
     :func:`dependency_sum_shard_csr`); returns one float per shard source,
     in shard order.  A source equal to the target reads its own delta
-    entry, which is 0 by construction — matching the dict backend's
-    explicit skip.
+    entry, which is 0 by construction.
     """
     csr, batch_size, target_index = shared[0], shared[1], shared[2]
     kernel = shared[3] if len(shared) > 3 else "auto"
@@ -322,19 +278,6 @@ def dependency_at_target_shard_csr(shared, shard) -> List[float]:
             csr, batch, kernel=kernel, kernel_threads=kernel_threads
         )
         values.extend(float(deltas[k, target_index]) for k in range(len(batch)))
-    return values
-
-
-def dependency_at_target_shard_dict(shared, shard) -> List[float]:
-    """Dict-backend twin of :func:`dependency_at_target_shard_csr` (``shared`` = (graph, target))."""
-    graph, target = shared
-    build = spd_builder(graph)
-    values: List[float] = []
-    for s in shard:
-        if s == target:
-            values.append(0.0)
-            continue
-        values.append(accumulate_dependencies(build(graph, s)).get(target, 0.0))
     return values
 
 

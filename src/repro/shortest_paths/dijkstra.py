@@ -252,7 +252,7 @@ def dijkstra_spd_csr(
 
     Index-space mirror of :func:`dijkstra_spd`: the heap discipline, the
     tie-breaking counter and the ``_EPSILON`` comparisons are identical, so
-    both backends settle vertices in the same order and count the same
+    both flavours settle vertices in the same order and count the same
     shortest paths bit-for-bit.  The result carries no ``level_edges`` (a
     weighted DAG has no BFS levels) but ships ready-made CSR predecessor
     arrays in parent-settle order; dependency accumulation runs the ordered

@@ -136,19 +136,6 @@ class TestMultiChainThreading:
         # The probe resolves to a concrete positive block size on CSR.
         assert result.diagnostics["batch_size"] >= 1
 
-    def test_auto_batch_size_on_dict_backend_keeps_the_legacy_path(self, barbell):
-        """No batch kernels to calibrate -> 'auto' must resolve to None so
-        the dict backend walks exactly the legacy sequential chain."""
-        auto = betweenness_single(
-            barbell, 5, method="mh", samples=60, seed=2, backend="dict",
-            batch_size="auto",
-        )
-        legacy = betweenness_single(
-            barbell, 5, method="mh", samples=60, seed=2, backend="dict"
-        )
-        assert auto.estimate == legacy.estimate
-        assert "batch_size" not in auto.diagnostics  # plan never engaged
-
     def test_auto_batch_size_for_exact(self, barbell):
         auto = betweenness_exact(barbell, [5], batch_size="auto")
         plain = betweenness_exact(barbell, [5])

@@ -110,17 +110,17 @@ class TestExactCommand:
 
 
 class TestExecutionFlags:
-    """--backend / --jobs / --batch-size wiring into the ExecutionPlan."""
+    """--jobs / --batch-size wiring into the ExecutionPlan."""
 
     def test_estimate_with_execution_flags(self, barbell_file):
         code, output = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
              "uniform-source", "--samples", "40", "--seed", "1",
-             "--backend", "csr", "--jobs", "2", "--batch-size", "8"]
+             "--jobs", "2", "--batch-size", "8"]
         )
         assert code == 0
         payload = json.loads(output)
-        assert payload["backend"] == "csr"
+        assert "backend" not in payload
         assert payload["jobs"] == 2
         assert payload["batch_size"] == 8
 
@@ -160,7 +160,7 @@ class TestExecutionFlags:
                 ["exact", "--graph", barbell_file, "--jobs", "0"]
             )
 
-    def test_rejects_unknown_backend(self, barbell_file):
+    def test_backend_flag_is_gone(self, barbell_file):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["exact", "--graph", barbell_file, "--backend", "gpu"]
@@ -380,24 +380,22 @@ class TestBatchCommand:
         assert mh["chains"] == 2
         assert rk["chains"] is None  # baseline untouched by the default
 
-    def test_backend_flag_honoured_without_engaging_the_engine(
-        self, barbell_file, tmp_path
-    ):
-        """--backend dict with no --jobs/--batch-size must run (and stamp)
-        the dict backend, bit-identical to the cold sequential command."""
+    def test_sequential_batch_matches_the_cold_command(self, barbell_file, tmp_path):
+        """With no --jobs/--batch-size the warm stream runs the sequential
+        path, bit-identical to the cold sequential command."""
         code_cold, cold_out = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5",
-             "--samples", "60", "--seed", "1", "--backend", "dict"]
+             "--samples", "60", "--seed", "1"]
         )
         queries = [{"op": "estimate", "vertex": 5, "samples": 60, "seed": 1}]
         code, output = run_cli(
-            ["batch", "--graph", barbell_file, "--backend", "dict",
+            ["batch", "--graph", barbell_file,
              "--queries", self._write_queries(tmp_path, queries)]
         )
         assert code_cold == 0 and code == 0
         cold = json.loads(cold_out)
         warm = json.loads(output)
-        assert warm["backend"] == "dict"
+        assert warm["jobs"] is None and warm["batch_size"] is None
         assert warm["estimate"] == cold["estimate"]
 
     def test_missing_query_file_is_a_clean_cli_error(self, barbell_file, capsys):
@@ -425,7 +423,7 @@ class TestKernelAndAutoJobs:
         code, output = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
              "uniform-source", "--samples", "40", "--seed", "1",
-             "--backend", "csr", "--kernel", "csr"]
+             "--kernel", "csr"]
         )
         assert code == 0
         assert json.loads(output)["kernel"] == "csr"
@@ -436,7 +434,7 @@ class TestKernelAndAutoJobs:
             code, output = run_cli(
                 ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
                  "uniform-source", "--samples", "40", "--seed", "7",
-                 "--backend", "csr", "--kernel", kernel]
+                 "--kernel", kernel]
             )
             assert code == 0
             payload = json.loads(output)
@@ -463,12 +461,12 @@ class TestKernelAndAutoJobs:
         code_auto, out_auto = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
              "uniform-source", "--samples", "40", "--seed", "7",
-             "--backend", "csr", "--jobs", "auto"]
+             "--jobs", "auto"]
         )
         code_one, out_one = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
              "uniform-source", "--samples", "40", "--seed", "7",
-             "--backend", "csr", "--jobs", "1"]
+             "--jobs", "1"]
         )
         assert code_auto == code_one == 0
         auto, one = json.loads(out_auto), json.loads(out_one)

@@ -1,13 +1,14 @@
-"""Property-based equivalence suite: the CSR backend must match the dict backend.
+"""Property-based equivalence suite: the CSR kernels must match the dict reference.
 
-The CSR refactor promises that the flat-array kernels are drop-in twins of
-the dict-backed reference implementations: same distances, same path counts,
+The flat-array kernels every estimator runs on are drop-in twins of the
+dict-backed reference implementations: same distances, same path counts,
 same traversal order, same predecessor lists (and ordering, which the
 rng-driven path samplers rely on), same dependency scores, and — for every
-registered estimator — the same estimate for a fixed seed.  This module
-checks those promises on randomly generated graphs (Erdős–Rényi,
-Barabási–Albert, barbell, random weighted), plus the cache-invalidation
-contract of ``Graph.csr()``.
+registered estimator — the same estimate for a fixed seed as the
+dict-kernel reference loops of ``tests/reference.py``.  This module checks
+those promises on randomly generated graphs (Erdős–Rényi, Barabási–Albert,
+barbell, random weighted), plus the cache-invalidation contract of
+``Graph.csr()``.
 """
 
 from __future__ import annotations
@@ -15,10 +16,18 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import (
+    DictDependencyOracle,
+    reference_betweenness,
+    reference_edge_dependencies,
+    reference_estimate,
+    reference_group_betweenness,
+)
 from repro.centrality.api import SINGLE_VERTEX_METHODS, betweenness_single
 from repro.exact.brandes import betweenness_centrality
 from repro.exact.group import group_betweenness_centrality
@@ -29,7 +38,6 @@ from repro.graphs import (
     erdos_renyi_graph,
 )
 from repro.graphs.components import largest_connected_component
-from repro.graphs.csr import np
 from repro.shortest_paths import (
     accumulate_dependencies,
     accumulate_dependencies_batch_csr,
@@ -51,8 +59,6 @@ from repro.shortest_paths.compiled import (
     bfs_spd_compiled,
     source_dependencies_compiled,
 )
-
-pytestmark = pytest.mark.skipif(np is None, reason="the CSR backend requires numpy")
 
 # ----------------------------------------------------------------------
 # Graph strategies: one generator family per draw, seeded by hypothesis.
@@ -117,7 +123,7 @@ def test_spd_construction_matches_dict_backend(graph, source_seed):
 @given(graph_cases, st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_dependency_accumulation_matches_dict_backend(graph, source_seed):
-    """Brandes dependency scores agree across backends (float tolerance only)."""
+    """Brandes dependency scores match the dict kernels (float tolerance only)."""
     vertices = graph.vertices()
     source = vertices[source_seed % len(vertices)]
     csr = graph.csr()
@@ -134,7 +140,7 @@ def test_dependency_accumulation_matches_dict_backend(graph, source_seed):
 @given(graph_cases.filter(lambda g: not g.weighted), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_bfs_distances_and_bidirectional_match(graph, pair_seed):
-    """Distance-only BFS and the bidirectional pair query agree across backends."""
+    """Distance-only BFS and the bidirectional pair query match the dict kernels."""
     vertices = graph.vertices()
     s = vertices[pair_seed % len(vertices)]
     t = vertices[(3 * pair_seed + 1) % len(vertices)]
@@ -155,10 +161,10 @@ def test_bfs_distances_and_bidirectional_match(graph, pair_seed):
 
 @given(graph_cases)
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_brandes_betweenness_matches_dict_backend(graph):
-    """Exact Brandes centrality agrees across backends on every vertex."""
-    dict_scores = betweenness_centrality(graph, backend="dict")
-    csr_scores = betweenness_centrality(graph, backend="csr")
+def test_brandes_betweenness_matches_dict_reference(graph):
+    """Exact Brandes centrality agrees with the dict reference on every vertex."""
+    dict_scores = reference_betweenness(graph)
+    csr_scores = betweenness_centrality(graph)
     assert dict_scores.keys() == csr_scores.keys()
     for v in dict_scores:
         assert math.isclose(
@@ -171,27 +177,95 @@ def test_brandes_betweenness_matches_dict_backend(graph):
     st.sampled_from(sorted(SINGLE_VERTEX_METHODS)),
 )
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_every_estimator_is_backend_invariant(seed, method):
-    """For a fixed seed, every registered estimator returns the same estimate
-    on both backends (identical rng streams; float-accumulation tolerance)."""
+def test_every_estimator_matches_the_dict_reference(seed, method):
+    """For a fixed seed, every registered estimator returns the estimate of
+    its dict-kernel reference loop (identical rng streams; float-accumulation
+    tolerance)."""
     graph = barabasi_albert_graph(20, 2, seed=seed % 50)
     target = graph.vertices()[seed % graph.number_of_vertices()]
-    dict_result = betweenness_single(
-        graph, target, method=method, samples=40, seed=seed, backend="dict"
-    )
-    csr_result = betweenness_single(
-        graph, target, method=method, samples=40, seed=seed, backend="csr"
-    )
-    assert math.isclose(
-        dict_result.estimate, csr_result.estimate, rel_tol=1e-9, abs_tol=1e-12
-    )
+    reference = reference_estimate(graph, target, method, samples=40, seed=seed)
+    csr_result = betweenness_single(graph, target, method=method, samples=40, seed=seed)
+    assert math.isclose(reference, csr_result.estimate, rel_tol=1e-9, abs_tol=1e-12)
 
 
-def test_group_betweenness_matches_dict_backend(barbell):
+@pytest.mark.parametrize("normalization", ["paper", "count", "pairs"])
+@pytest.mark.parametrize("directed", [False, True])
+def test_brandes_normalizations_match_the_dict_reference(normalization, directed):
+    graph = Graph(directed=directed)
+    rng = random.Random(17)
+    for u in range(16):
+        for v in range(16):
+            if u != v and rng.random() < 0.2:
+                graph.add_edge(u, v)
+    reference = reference_betweenness(graph, normalization)
+    scores = betweenness_centrality(graph, normalization=normalization)
+    assert scores.keys() == reference.keys()
+    for v in reference:
+        assert math.isclose(scores[v], reference[v], rel_tol=1e-9, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_all_dependencies_on_target_matches_the_dict_reference(weighted):
+    from repro.shortest_paths import all_dependencies_on_target, dependency_on_target
+
+    graph = _random_weighted_graph(5) if weighted else barabasi_albert_graph(25, 2, seed=6)
+    target = graph.vertices()[2]
+    values = all_dependencies_on_target(graph, target)
+    assert list(values) == graph.vertices()
+    for v, value in values.items():
+        expected = 0.0 if v == target else dependency_on_target(graph, v, target)
+        assert math.isclose(value, expected, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [3, 19, 42])
+def test_joint_sampler_matches_the_dict_reference(seed):
+    """The unchanged joint-space sampler walks the same chain whether its
+    oracle runs the CSR kernels or the dict-kernel reference."""
+    from repro.mcmc.joint import JointSpaceMHSampler
+
+    graph = barabasi_albert_graph(24, 2, seed=seed)
+    members = graph.vertices()[:3]
+    csr_est = JointSpaceMHSampler().estimate_relative(graph, members, 120, seed=seed)
+    dict_est = JointSpaceMHSampler().estimate_relative(
+        graph, members, 120, seed=seed, oracle=DictDependencyOracle(graph)
+    )
+    assert csr_est.sample_counts == dict_est.sample_counts
+    for pair, ratio in dict_est.ratios.items():
+        if math.isnan(ratio):
+            assert math.isnan(csr_est.ratios[pair])
+        else:
+            assert math.isclose(csr_est.ratios[pair], ratio, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make_graph, edge",
+    [
+        (lambda: barbell_graph(5, 2), (5, 6)),
+        (lambda: barabasi_albert_graph(30, 2, seed=8), (0, 2)),
+        (lambda: _random_weighted_graph(11), None),
+        (lambda: Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), (1, 2)),
+    ],
+    ids=["barbell-bridge", "ba", "weighted", "diamond"],
+)
+def test_edge_dependencies_match_the_dict_reference(make_graph, edge):
+    """The CSR edge oracle reads both DAG orientations of the edge exactly
+    like a full dict edge-dependency accumulation."""
+    from repro.mcmc.edge import exact_edge_dependency_vector
+
+    graph = make_graph()
+    edge = edge if edge is not None else next(iter(graph.edges()))
+    reference = reference_edge_dependencies(graph, edge)
+    values = exact_edge_dependency_vector(graph, edge)
+    assert values.keys() == reference.keys()
+    for v in reference:
+        assert math.isclose(values[v], reference[v], rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_group_betweenness_matches_dict_reference(barbell):
     for group in ([5], [5, 6], [0, 5]):
         assert math.isclose(
-            group_betweenness_centrality(barbell, group, backend="dict"),
-            group_betweenness_centrality(barbell, group, backend="csr"),
+            reference_group_betweenness(barbell, group),
+            group_betweenness_centrality(barbell, group),
             rel_tol=1e-9,
         )
 
@@ -241,13 +315,14 @@ def test_updating_an_edge_weight_invalidates_the_view():
     assert weights[neighbors.index(fresh.index_of(1))] == 5.0
 
 
-def test_weight_mutation_invalidates_snapshot_and_backends_stay_equivalent():
+def test_weight_mutation_invalidates_snapshot_and_matches_the_reference():
     """Mutating edge weights after ``.csr()`` drops the cached snapshot, and
-    the Dijkstra-based estimators agree across backends on the new weights."""
+    the Dijkstra-based estimators agree with the dict reference on the new
+    weights."""
     graph = _random_weighted_graph(37)
     target = graph.vertices()[1]
     stale = graph.csr()
-    before = betweenness_centrality(graph, backend="csr")
+    before = betweenness_centrality(graph)
 
     # Re-weight a few existing edges (same endpoints, new weights): the
     # mutation must invalidate the cache even though the topology is intact.
@@ -261,9 +336,10 @@ def test_weight_mutation_invalidates_snapshot_and_backends_stay_equivalent():
         position = fresh.neighbors_of(i).tolist().index(fresh.index_of(v))
         assert fresh.weights_of(i)[position] == w + 2.5
 
-    # Dijkstra-backed exact scores: dict and CSR agree on the new weights...
-    dict_scores = betweenness_centrality(graph, backend="dict")
-    csr_scores = betweenness_centrality(graph, backend="csr")
+    # Dijkstra-backed exact scores: CSR and the reference agree on the new
+    # weights...
+    dict_scores = reference_betweenness(graph)
+    csr_scores = betweenness_centrality(graph)
     assert dict_scores.keys() == csr_scores.keys()
     for v in dict_scores:
         assert math.isclose(dict_scores[v], csr_scores[v], rel_tol=1e-9, abs_tol=1e-12)
@@ -276,17 +352,11 @@ def test_weight_mutation_invalidates_snapshot_and_backends_stay_equivalent():
 
     # Dijkstra-based sampling estimates stay rng-stream identical too.
     for method in ("uniform-source", "distance"):
-        dict_est = betweenness_single(
-            graph, target, method=method, samples=30, seed=7,
-            backend="dict", check_connected=False,
-        )
+        dict_est = reference_estimate(graph, target, method, samples=30, seed=7)
         csr_est = betweenness_single(
-            graph, target, method=method, samples=30, seed=7,
-            backend="csr", check_connected=False,
+            graph, target, method=method, samples=30, seed=7, check_connected=False
         )
-        assert math.isclose(
-            dict_est.estimate, csr_est.estimate, rel_tol=1e-9, abs_tol=1e-12
-        )
+        assert math.isclose(dict_est, csr_est.estimate, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_spd_compat_readers_are_lenient_for_unknown_labels():
@@ -299,29 +369,14 @@ def test_spd_compat_readers_are_lenient_for_unknown_labels():
         assert spd.parents("ghost") == []
 
 
-def test_oracle_unknown_target_reads_zero_on_both_backends():
-    """The dict backend's `.get(target, 0.0)` contract must survive on CSR."""
+def test_oracle_unknown_target_reads_zero():
+    """The dict reference's `.get(target, 0.0)` contract holds on CSR."""
     from repro.mcmc.estimates import DependencyOracle
 
     graph = barbell_graph(4, 1)
-    for backend in ("dict", "csr"):
-        oracle = DependencyOracle(graph, backend=backend)
-        assert oracle.dependency(0, "not-a-vertex") == 0.0
-        assert oracle.dependencies_for(0, ["not-a-vertex", 4]) [
-            "not-a-vertex"
-        ] == 0.0
-
-
-def test_repro_backend_env_overrides_auto(monkeypatch):
-    from repro.graphs.csr import resolve_backend
-    from repro.errors import ConfigurationError
-
-    monkeypatch.setenv("REPRO_BACKEND", "dict")
-    assert resolve_backend("auto") == "dict"
-    assert resolve_backend("csr") == "csr", "explicit backend wins over the env var"
-    monkeypatch.setenv("REPRO_BACKEND", "gpu")
-    with pytest.raises(ConfigurationError):
-        resolve_backend("auto")
+    oracle = DependencyOracle(graph)
+    assert oracle.dependency(0, "not-a-vertex") == 0.0
+    assert oracle.dependencies_for(0, ["not-a-vertex", 4])["not-a-vertex"] == 0.0
 
 
 def test_from_edges_builds_the_same_graph_as_add_edge_loops():
@@ -590,23 +645,6 @@ def test_compiled_weighted_batch_is_bitwise_identical(graph, seed, threads):
     assert np.array_equal(out_compiled, out_numpy)
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_weighted_batch_spd_rows_match_single_source(seed):
-    """dijkstra_spd_batch_csr rows are the single-source SPDs, per contract."""
-    from repro.shortest_paths.batch import dijkstra_spd_batch_csr
-
-    graph = _random_weighted_graph(seed % 100)
-    csr = graph.csr()
-    n = csr.number_of_vertices()
-    sources = list(range(min(4, n)))
-    for row, spd in zip(sources, dijkstra_spd_batch_csr(csr, sources)):
-        single = dijkstra_spd_csr(csr, row, kernel="csr")
-        assert np.array_equal(spd.dist, single.dist)
-        assert np.array_equal(spd.sig, single.sig)
-        assert np.array_equal(spd.order_indices, single.order_indices)
-
-
 def test_weighted_distances_csr_matches_spd_and_dict_backend():
     """dijkstra_distances_csr: dist bit-equals the SPD's dist field, and the
     settle-order dict rebuild equals the dict route's settle-order dict."""
@@ -633,16 +671,16 @@ def test_compiled_dispatch_is_result_neutral(monkeypatch):
 
     graph = barabasi_albert_graph(30, 2, seed=11)
     target = graph.vertices()[2]
-    reference_exact = betweenness_centrality(graph, backend="csr", kernel="csr")
+    reference_exact = betweenness_centrality(graph, kernel="csr")
     reference_single = betweenness_single(
         graph, target, method="uniform-source", samples=40, seed=5,
-        backend="csr", kernel="csr",
+        kernel="csr",
     )
     monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
-    compiled_exact = betweenness_centrality(graph, backend="csr", kernel="compiled")
+    compiled_exact = betweenness_centrality(graph, kernel="compiled")
     compiled_single = betweenness_single(
         graph, target, method="uniform-source", samples=40, seed=5,
-        backend="csr", kernel="compiled",
+        kernel="compiled",
     )
     assert compiled_exact == reference_exact
     assert compiled_single.estimate == reference_single.estimate
@@ -662,18 +700,18 @@ def test_weighted_compiled_dispatch_and_threads_are_result_neutral(monkeypatch):
 
     graph = _random_weighted_graph(41)
     target = graph.vertices()[1]
-    reference_exact = betweenness_centrality(graph, backend="csr", kernel="csr")
+    reference_exact = betweenness_centrality(graph, kernel="csr")
     reference_single = betweenness_single(
         graph, target, method="uniform-source", samples=40, seed=5,
-        backend="csr", kernel="csr", batch_size=8, check_connected=False,
+        kernel="csr", batch_size=8, check_connected=False,
     )
     monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
-    compiled_exact = betweenness_centrality(graph, backend="csr", kernel="compiled")
+    compiled_exact = betweenness_centrality(graph, kernel="compiled")
     assert compiled_exact == reference_exact
     for threads in (1, 2, 4):
         result = betweenness_single(
             graph, target, method="uniform-source", samples=40, seed=5,
-            backend="csr", kernel="compiled", batch_size=8,
+            kernel="compiled", batch_size=8,
             kernel_threads=threads, check_connected=False,
         )
         assert result.estimate == reference_single.estimate, (
@@ -728,5 +766,5 @@ def test_resolve_kernel_explicit_compiled_warns_and_falls_back(monkeypatch):
     # equals the csr run even though the rung silently degraded.
     graph = barabasi_albert_graph(18, 2, seed=3)
     with pytest.warns(RuntimeWarning):
-        degraded = betweenness_centrality(graph, backend="csr", kernel="compiled")
-    assert degraded == betweenness_centrality(graph, backend="csr", kernel="csr")
+        degraded = betweenness_centrality(graph, kernel="compiled")
+    assert degraded == betweenness_centrality(graph, kernel="csr")

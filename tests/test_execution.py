@@ -9,7 +9,7 @@ Two promises are checked here:
 2. **Engine results are execution-invariant** — for a fixed seed, every
    estimator that accepts the ``batch_size`` / ``n_jobs`` knobs returns the
    same result for any combination of ``n_jobs ∈ {1, 2, 4}`` and
-   ``batch_size ∈ {1, 8, 64}``, on both backends.
+   ``batch_size ∈ {1, 8, 64}``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,6 @@ from repro.execution import (
 )
 from repro.graphs import Graph, barabasi_albert_graph, erdos_renyi_graph
 from repro.graphs.components import largest_connected_component
-from repro.graphs.csr import np
 from repro.mcmc.estimates import DependencyOracle
 from repro.mcmc.joint import JointSpaceMHSampler
 from repro.mcmc.single import SingleSpaceMHSampler
@@ -49,8 +49,6 @@ from repro.shortest_paths import (
     bfs_spd_csr,
     csr_source_dependencies,
 )
-
-pytestmark = pytest.mark.skipif(np is None, reason="the execution engine requires numpy")
 
 #: The grid the determinism contract is stated over (ISSUE 2 acceptance).
 JOBS_GRID = (1, 2, 4)
@@ -146,6 +144,42 @@ def test_batch_rejects_empty_and_out_of_range_sources():
         bfs_spd_batch_csr(csr, [csr.number_of_vertices()])
 
 
+def _branch_graphs():
+    """One snapshot per branch of ``batch_source_dependencies``."""
+    from repro.graphs import path_graph
+    from repro.shortest_paths.batch import _spmm_suitable
+
+    spmm = barabasi_albert_graph(40, 2, seed=4).csr()
+    deep = path_graph(80).csr()
+    directed = Graph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)], directed=True).csr()
+    weighted = Graph.from_edges(
+        [(0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.0), (3, 0, 1.0)], weighted=True
+    ).csr()
+    assert _spmm_suitable(spmm)
+    assert not _spmm_suitable(deep) and not _spmm_suitable(directed)
+    return {"spmm": spmm, "deep": deep, "directed": directed, "weighted": weighted}
+
+
+@pytest.mark.parametrize("branch", ["spmm", "deep", "directed", "weighted"])
+@pytest.mark.parametrize("kernel", ["csr", "compiled"])
+def test_every_batch_branch_rejects_bad_sources_alike(branch, kernel, monkeypatch):
+    """The spmm, wave and weighted branches (on either rung) share one
+    validation: the same error type and message for the same bad input."""
+    from repro.graphs import csr as csr_module
+
+    monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
+    csr = _branch_graphs()[branch]
+    n = csr.number_of_vertices()
+    for sources, error in (([], ValueError), ([-1], IndexError), ([n], IndexError)):
+        with pytest.raises(error) as caught:
+            batch_source_dependencies(csr, sources, kernel=kernel)
+        message = str(caught.value)
+        assert message in (
+            "sources must be a non-empty 1-D sequence of vertex indices",
+            f"source indices out of range for {n} vertices",
+        ), (branch, kernel, sources, message)
+
+
 # ----------------------------------------------------------------------
 # Plan resolution and scheduler plumbing
 # ----------------------------------------------------------------------
@@ -161,7 +195,7 @@ def test_resolve_plan_env_overrides(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "3")
     monkeypatch.setenv("REPRO_BATCH", "16")
     plan = resolve_plan(None)
-    assert plan == ExecutionPlan(backend="auto", batch_size=16, n_jobs=3)
+    assert plan == ExecutionPlan(batch_size=16, n_jobs=3)
     # Explicit arguments win over the env vars.
     plan = resolve_plan(None, batch_size=4, n_jobs=1)
     assert plan.batch_size == 4 and plan.n_jobs == 1
@@ -180,8 +214,6 @@ def test_resolve_plan_rejects_bad_env(monkeypatch):
 
 
 def test_execution_plan_validates_fields():
-    with pytest.raises(ConfigurationError):
-        ExecutionPlan(backend="gpu")
     with pytest.raises(ConfigurationError):
         ExecutionPlan(batch_size=0)
     with pytest.raises(ConfigurationError):
@@ -233,10 +265,7 @@ def test_worker_payloads_survive_a_real_pool():
     prove the CSR snapshot, the Graph and sampler instances all pickle into
     worker processes and come back with identical buffers."""
     from repro.samplers.riondato_kornaropoulos import _rk_hits_shard_csr
-    from repro.shortest_paths.dependencies import (
-        dependency_sum_shard_csr,
-        dependency_sum_shard_dict,
-    )
+    from repro.shortest_paths.dependencies import dependency_sum_shard_csr
 
     graph = barabasi_albert_graph(60, 2, seed=1)
     csr = graph.csr()
@@ -249,11 +278,6 @@ def test_worker_payloads_survive_a_real_pool():
     )
     for a, b in zip(inline, pooled):
         assert np.array_equal(a, b)
-
-    label_shards = split_shards(graph.vertices(), 16)
-    inline_dict = run_sharded(dependency_sum_shard_dict, label_shards, n_jobs=1, shared=graph)
-    pooled_dict = run_sharded(dependency_sum_shard_dict, label_shards, n_jobs=2, shared=graph)
-    assert inline_dict == pooled_dict
 
     sample_shards = [(10, rng) for rng in shard_rngs(random.Random(6), 3)]
     inline_rk = run_sharded(_rk_hits_shard_csr, sample_shards, n_jobs=1, shared=(csr, 3))
@@ -280,55 +304,48 @@ def _grid(reference_fn):
     return reference
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr"])
-def test_exact_brandes_is_execution_invariant(backend):
+def test_exact_brandes_is_execution_invariant():
     graph = barabasi_albert_graph(50, 2, seed=13)
     reference = _grid(
-        lambda j, b: betweenness_centrality(graph, backend=backend, n_jobs=j, batch_size=b)
+        lambda j, b: betweenness_centrality(graph, n_jobs=j, batch_size=b)
     )
-    sequential = betweenness_centrality(graph, backend=backend)
+    sequential = betweenness_centrality(graph)
     for v, score in sequential.items():
         assert math.isclose(reference[v], score, rel_tol=1e-9, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr"])
-def test_all_dependencies_on_target_is_execution_invariant(backend):
+def test_all_dependencies_on_target_is_execution_invariant():
     graph = barabasi_albert_graph(40, 2, seed=21)
     r = graph.vertices()[3]
     reference = _grid(
-        lambda j, b: all_dependencies_on_target(graph, r, backend=backend, n_jobs=j, batch_size=b)
+        lambda j, b: all_dependencies_on_target(graph, r, n_jobs=j, batch_size=b)
     )
-    sequential = all_dependencies_on_target(graph, r, backend=backend)
+    sequential = all_dependencies_on_target(graph, r)
     for v, score in sequential.items():
         assert math.isclose(reference[v], score, rel_tol=1e-9, abs_tol=1e-12)
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr"])
-def test_group_betweenness_is_execution_invariant(backend):
+def test_group_betweenness_is_execution_invariant():
     graph = barabasi_albert_graph(40, 2, seed=8)
     group = [graph.vertices()[0], graph.vertices()[4]]
     reference = _grid(
-        lambda j, b: group_betweenness_centrality(
-            graph, group, backend=backend, n_jobs=j, batch_size=b
-        )
+        lambda j, b: group_betweenness_centrality(graph, group, n_jobs=j, batch_size=b)
     )
-    sequential = group_betweenness_centrality(graph, group, backend=backend)
+    sequential = group_betweenness_centrality(graph, group)
     assert math.isclose(reference, sequential, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr"])
 @pytest.mark.parametrize(
     "method", ["uniform-source", "distance", "rk", "kadabra", "mh", "mh-degree"]
 )
-def test_estimators_are_execution_invariant(backend, method):
-    """The ISSUE 2 acceptance property: fixed-seed estimates are identical
-    across n_jobs ∈ {1, 2, 4} and batch_size ∈ {1, 8, 64} on both backends."""
+def test_estimators_are_execution_invariant(method):
+    """The determinism contract: fixed-seed estimates are identical across
+    n_jobs ∈ {1, 2, 4} and batch_size ∈ {1, 8, 64}."""
     graph = barabasi_albert_graph(30, 2, seed=5)
     r = graph.vertices()[6]
     _grid(
         lambda j, b: betweenness_single(
-            graph, r, method=method, samples=40, seed=99,
-            backend=backend, n_jobs=j, batch_size=b,
+            graph, r, method=method, samples=40, seed=99, n_jobs=j, batch_size=b
         ).estimate
     )
 
@@ -340,31 +357,11 @@ def test_dependency_samplers_match_their_sequential_estimates(method):
     by float re-association at most."""
     graph = barabasi_albert_graph(30, 2, seed=5)
     r = graph.vertices()[6]
-    for backend in ("dict", "csr"):
-        sequential = betweenness_single(
-            graph, r, method=method, samples=40, seed=31, backend=backend
-        ).estimate
-        planned = betweenness_single(
-            graph, r, method=method, samples=40, seed=31,
-            backend=backend, n_jobs=2, batch_size=8,
-        ).estimate
-        assert math.isclose(sequential, planned, rel_tol=1e-9, abs_tol=1e-12)
-
-
-def test_path_samplers_agree_across_backends_under_the_engine():
-    """RK / KADABRA use per-shard child streams under the engine; the shard
-    discipline is backend-agnostic, so dict and CSR still sample the same
-    paths for a fixed seed."""
-    graph = barabasi_albert_graph(30, 2, seed=5)
-    r = graph.vertices()[6]
-    for method in ("rk", "kadabra"):
-        dict_est = betweenness_single(
-            graph, r, method=method, samples=80, seed=3, backend="dict", n_jobs=2
-        ).estimate
-        csr_est = betweenness_single(
-            graph, r, method=method, samples=80, seed=3, backend="csr", n_jobs=2
-        ).estimate
-        assert math.isclose(dict_est, csr_est, rel_tol=1e-9, abs_tol=1e-12)
+    sequential = betweenness_single(graph, r, method=method, samples=40, seed=31).estimate
+    planned = betweenness_single(
+        graph, r, method=method, samples=40, seed=31, n_jobs=2, batch_size=8
+    ).estimate
+    assert math.isclose(sequential, planned, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_relative_betweenness_is_batch_invariant():
@@ -387,7 +384,7 @@ def test_relative_betweenness_is_batch_invariant():
 
 def test_oracle_prefetch_caches_and_counts_evaluations():
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, backend="csr", batch_size=8)
+    oracle = DependencyOracle(graph, batch_size=8)
     sources = graph.vertices()[:10]
     assert oracle.prefetch(sources) == 10
     assert oracle.evaluations == 10
@@ -400,9 +397,9 @@ def test_oracle_prefetch_caches_and_counts_evaluations():
 
 def test_oracle_prefetch_matches_per_source_vectors():
     graph = barabasi_albert_graph(25, 2, seed=2)
-    batched = DependencyOracle(graph, backend="csr", batch_size=16)
+    batched = DependencyOracle(graph, batch_size=16)
     batched.prefetch(graph.vertices())
-    sequential = DependencyOracle(graph, backend="csr")
+    sequential = DependencyOracle(graph)
     r = graph.vertices()[5]
     for s in graph.vertices():
         # The sparse-matmul prefetch path may differ from the per-source
@@ -419,7 +416,7 @@ def test_oracle_prefetch_respects_a_bounded_cache():
     """Prefetching past a bounded cache would evict the freshly computed
     vectors and double the passes; the oracle must cap at capacity."""
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, backend="csr", cache_size=4, batch_size=16)
+    oracle = DependencyOracle(graph, cache_size=4, batch_size=16)
     sources = graph.vertices()[:12]
     assert oracle.prefetch(sources) == 4
     r = graph.vertices()[-1]
@@ -433,10 +430,10 @@ def test_oracle_recompute_after_eviction_is_bit_identical():
     whether it came from a prefetch block or a post-eviction point query
     (otherwise estimates could depend on cache timing)."""
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, backend="csr", cache_size=1, batch_size=8)
+    oracle = DependencyOracle(graph, cache_size=1, batch_size=8)
     sources = graph.vertices()[:8]
     r = graph.vertices()[-1]
-    prefetched = DependencyOracle(graph, backend="csr", batch_size=8)
+    prefetched = DependencyOracle(graph, batch_size=8)
     prefetched.prefetch(sources)
     for s in sources:
         assert oracle.dependency(s, r) == prefetched.dependency(s, r)
@@ -450,8 +447,8 @@ def test_oracle_prefetch_capacity_overflow_never_changes_vectors():
     graph = barabasi_albert_graph(25, 2, seed=2)
     vertices = graph.vertices()
     r = vertices[-1]
-    reference = DependencyOracle(graph, backend="csr", batch_size=8)
-    bounded = DependencyOracle(graph, backend="csr", cache_size=3, batch_size=8)
+    reference = DependencyOracle(graph, batch_size=8)
+    bounded = DependencyOracle(graph, cache_size=3, batch_size=8)
     # Repeated oversized prefetches (2x capacity) interleaved with point
     # queries — the access pattern K chains sharing one oracle produce.
     for start in range(0, len(vertices), 6):
@@ -471,7 +468,7 @@ def test_chains_sharing_an_overflowing_oracle_match_private_oracles():
     graph = barabasi_albert_graph(25, 2, seed=2)
     r = graph.vertices()[5]
     sampler = SingleSpaceMHSampler(batch_size=8)
-    shared = DependencyOracle(graph, backend="csr", cache_size=2, batch_size=8)
+    shared = DependencyOracle(graph, cache_size=2, batch_size=8)
     shared_first = sampler.run_chain(graph, r, 40, seed=1, oracle=shared)
     shared_second = sampler.run_chain(graph, r, 40, seed=2, oracle=shared)
     private_first = sampler.run_chain(graph, r, 40, seed=1)
@@ -482,7 +479,7 @@ def test_chains_sharing_an_overflowing_oracle_match_private_oracles():
 
 def test_oracle_prefetch_is_a_noop_when_cache_disabled():
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, backend="csr", cache_size=0, batch_size=8)
+    oracle = DependencyOracle(graph, cache_size=0, batch_size=8)
     assert oracle.prefetch(graph.vertices()) == 0
     assert oracle.evaluations == 0
 
@@ -496,7 +493,7 @@ def test_oracle_hit_rate_after_prefetch_then_hit():
     """The regression that motivated the split counter: 10 prefetched passes
     followed by one cache-hit lookup used to report a hit rate of -9.0."""
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, backend="csr", batch_size=8)
+    oracle = DependencyOracle(graph, batch_size=8)
     oracle.prefetch(graph.vertices()[:10])
     assert oracle.evaluations == 10
     assert oracle.prefetch_evaluations == 10
@@ -525,7 +522,7 @@ def test_oracle_hit_rate_stays_in_unit_interval(ops, cache_size):
     graph = barabasi_albert_graph(25, 2, seed=2)
     vertices = graph.vertices()
     oracle = DependencyOracle(
-        graph, backend="csr", cache_size=cache_size, batch_size=4
+        graph, cache_size=cache_size, batch_size=4
     )
     for op, index in ops:
         if op == "prefetch":
@@ -542,7 +539,7 @@ def test_oracle_prefetch_caps_at_free_slots_then_half_capacity():
     the MRU included — never gets flushed."""
     graph = barabasi_albert_graph(25, 2, seed=2)
     vertices = graph.vertices()
-    oracle = DependencyOracle(graph, backend="csr", cache_size=4, batch_size=8)
+    oracle = DependencyOracle(graph, cache_size=4, batch_size=8)
     r = vertices[-1]
     oracle.dependency(vertices[0], r)  # occupancy 1
     assert oracle.prefetch(vertices[1:20]) == 3, "3 free slots -> 3 passes"
@@ -568,7 +565,7 @@ def test_oracle_prefetch_never_evicts_the_live_state_vector():
     graph = barabasi_albert_graph(25, 2, seed=2)
     vertices = graph.vertices()
     r = vertices[-1]
-    oracle = DependencyOracle(graph, backend="csr", cache_size=3, batch_size=4)
+    oracle = DependencyOracle(graph, cache_size=3, batch_size=4)
     state = vertices[0]
     oracle.dependency(state, r)  # the live state's vector
     oracle.prefetch(vertices[1:10])  # an over-capacity proposal block
@@ -585,7 +582,7 @@ def test_oracle_bounded_cache_chain_estimate_and_passes():
     graph = barabasi_albert_graph(25, 2, seed=6)
     r = graph.vertices()[0]  # early BA vertex: a hub, so most proposals lose
     iterations = 120
-    sampler_kwargs = dict(batch_size=4, backend="csr")
+    sampler_kwargs = dict(batch_size=4)
     unbounded = SingleSpaceMHSampler(**sampler_kwargs).run_chain(
         graph, r, iterations, seed=17
     )
@@ -702,18 +699,11 @@ def test_calibrated_size_never_changes_the_estimate():
     r = graph.vertices()[6]
     estimates = {
         batch: betweenness_single(
-            graph, r, method="mh", samples=40, seed=99, backend="csr", batch_size=batch
+            graph, r, method="mh", samples=40, seed=99, batch_size=batch
         ).estimate
         for batch in (1, 8, 16, 32, 64)
     }
     assert len(set(estimates.values())) == 1
-
-
-def test_calibrate_falls_back_to_one_on_dict_backend():
-    from repro.execution import calibrate_batch_size
-
-    graph = barabasi_albert_graph(30, 2, seed=1)
-    assert calibrate_batch_size(graph, backend="dict") == 1
 
 
 def test_probe_validates_its_knobs():
@@ -785,7 +775,7 @@ def test_kernel_knob_never_changes_engine_results(monkeypatch):
     estimates = {
         (kernel, jobs): betweenness_single(
             graph, r, method="uniform-source", samples=40, seed=13,
-            backend="csr", batch_size=8, n_jobs=jobs, kernel=kernel,
+            batch_size=8, n_jobs=jobs, kernel=kernel,
         ).estimate
         for kernel in ("csr", "compiled")
         for jobs in JOBS_GRID
@@ -815,8 +805,6 @@ def test_probe_n_jobs_fast_paths():
     from repro.execution import probe_n_jobs
 
     graph = barabasi_albert_graph(30, 2, seed=2)
-    # dict backend: parallel sharding never applies.
-    assert probe_n_jobs(graph, backend="dict", candidates=(1, 2)) == [(1, 0.0)]
     # nothing beyond one worker to sweep: no pools spun up.
     assert probe_n_jobs(graph, candidates=(1,)) == [(1, 0.0)]
 
@@ -855,7 +843,7 @@ def test_calibrated_jobs_never_change_the_estimate():
     estimates = {
         jobs: betweenness_single(
             graph, r, method="uniform-source", samples=40, seed=99,
-            backend="csr", batch_size=8, n_jobs=jobs,
+            batch_size=8, n_jobs=jobs,
         ).estimate
         for jobs in JOBS_GRID
     }
@@ -883,8 +871,6 @@ def test_probe_kernel_threads_fast_paths():
     from repro.execution import probe_kernel_threads
 
     graph = barabasi_albert_graph(30, 2, seed=2)
-    # dict backend: the compiled batch kernels never run.
-    assert probe_kernel_threads(graph, backend="dict", candidates=(1, 2)) == [(1, 0.0)]
     # numpy rung: the prange kernels are out of reach by construction.
     assert probe_kernel_threads(graph, kernel="csr", candidates=(1, 2)) == [(1, 0.0)]
     # nothing beyond one thread to sweep: no kernels timed.
@@ -926,23 +912,22 @@ def test_kernel_threads_auto_resolves_and_changes_no_result():
     r = graph.vertices()[6]
     reference = betweenness_single(
         graph, r, method="uniform-source", samples=40, seed=99,
-        backend="csr", batch_size=8,
+        batch_size=8,
     )
     for threads in ("auto", 1, 2, 4):
         result = betweenness_single(
             graph, r, method="uniform-source", samples=40, seed=99,
-            backend="csr", batch_size=8, kernel_threads=threads,
+            batch_size=8, kernel_threads=threads,
         )
         assert result.estimate == reference.estimate, threads
 
 
-def test_kernel_threads_auto_on_dict_backend_skips_the_probe():
+def test_kernel_threads_explicit_values_skip_the_probe():
     from repro.centrality.api import _resolve_kernel_threads
 
     graph = barabasi_albert_graph(20, 2, seed=3)
-    assert _resolve_kernel_threads(graph, "auto", "dict", "auto", None) == 1
-    assert _resolve_kernel_threads(graph, 3, "csr", "auto", None) == 3
-    assert _resolve_kernel_threads(graph, None, "csr", "auto", None) is None
+    assert _resolve_kernel_threads(graph, 3, "auto", None) == 3
+    assert _resolve_kernel_threads(graph, None, "auto", None) is None
 
 
 def test_n_jobs_auto_resolves_and_engages_the_engine():
@@ -953,22 +938,21 @@ def test_n_jobs_auto_resolves_and_engages_the_engine():
     r = graph.vertices()[6]
     auto = betweenness_single(
         graph, r, method="uniform-source", samples=40, seed=99,
-        backend="csr", batch_size=8, n_jobs="auto",
+        batch_size=8, n_jobs="auto",
     )
     explicit = betweenness_single(
         graph, r, method="uniform-source", samples=40, seed=99,
-        backend="csr", batch_size=8, n_jobs=1,
+        batch_size=8, n_jobs=1,
     )
     assert auto.estimate == explicit.estimate
 
 
-def test_n_jobs_auto_on_dict_backend_skips_the_probe():
+def test_n_jobs_explicit_values_skip_the_probe():
     from repro.centrality.api import _resolve_n_jobs
 
     graph = barabasi_albert_graph(20, 2, seed=3)
-    assert _resolve_n_jobs(graph, "auto", "dict") == 1
-    assert _resolve_n_jobs(graph, 3, "csr") == 3  # explicit ints pass through
-    assert _resolve_n_jobs(graph, None, "csr") is None
+    assert _resolve_n_jobs(graph, 3) == 3  # explicit ints pass through
+    assert _resolve_n_jobs(graph, None) is None
 
 
 def test_probe_shard_sizes_is_a_diagnostic_only():

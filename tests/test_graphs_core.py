@@ -221,6 +221,37 @@ class TestDerivedGraphs:
         assert copy.weighted
         assert copy.edge_weight(0, 4) == 0.5
 
+    def test_copy_keeps_adjacency_order(self):
+        """The copy's CSR snapshot — and hence every traversal over it — is
+        byte-identical to the original's, not merely isomorphic."""
+        import numpy as np
+
+        from repro.graphs import barabasi_albert_graph
+        from repro.shortest_paths import csr_source_dependencies
+
+        graph = barabasi_albert_graph(300, 3, seed=4)
+        original, copied = graph.csr(), graph.copy().csr()
+        assert np.array_equal(copied.indptr, original.indptr)
+        assert np.array_equal(copied.indices, original.indices)
+        assert np.array_equal(copied.weights, original.weights)
+        assert copied.vertices == original.vertices
+        for source in range(original.number_of_vertices()):
+            assert np.array_equal(
+                csr_source_dependencies(copied, source),
+                csr_source_dependencies(original, source),
+            ), source
+
+    def test_directed_copy_keeps_both_adjacency_maps(self):
+        graph = Graph.from_edges([(2, 0), (0, 1), (1, 2), (3, 1)], directed=True)
+        copy = graph.copy()
+        assert copy.directed and copy.number_of_edges() == graph.number_of_edges()
+        for v in graph.vertices():
+            assert list(copy.neighbors(v)) == list(graph.neighbors(v))
+            assert list(copy.predecessors(v)) == list(graph.predecessors(v))
+        copy.add_edge(0, 3)
+        assert not graph.has_edge(0, 3)
+        assert 0 not in list(graph.predecessors(3))
+
     def test_subgraph(self, barbell):
         sub = barbell.subgraph(range(5))
         assert sub.number_of_vertices() == 5

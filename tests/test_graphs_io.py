@@ -117,7 +117,6 @@ class TestEdgeList:
         assert path.read_text(encoding="utf-8") == format_edge_list(g) == ""
 
 
-@pytest.mark.skipif(np is None, reason="CSR ingestion requires numpy")
 class TestEdgeListCSR:
     """parse_edge_list_csr must match parse_edge_list(...).csr() byte for byte."""
 

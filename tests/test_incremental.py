@@ -10,7 +10,7 @@ Covers the mutation path end to end:
 * the hypothesis property that the affected region is a **superset** of
   the truly-changed dependency rows over random mutation sequences;
 * warm-vs-cold bit-identity of session answers across the execution grid
-  (backend x kernel rung x n_jobs) and across journal overflow;
+  (kernel rung x n_jobs) and across journal overflow;
 * the runtime's delta-scoped arena eviction and the session's oracle /
   chain retention.
 """
@@ -402,11 +402,11 @@ class TestWeightedSupersetProperty:
 # ----------------------------------------------------------------------
 #: One deterministic mutate-heavy scenario replayed per grid cell.
 _GRID = (
-    ("dict", "auto", None),
-    ("csr", "csr", None),
-    ("csr", "compiled", None),
-    ("csr", "csr", 2),
-    ("csr", "compiled", 4),
+    ("auto", None),
+    ("csr", None),
+    ("compiled", None),
+    ("csr", 2),
+    ("compiled", 4),
 )
 
 
@@ -453,18 +453,16 @@ def _scripted_weight_ops(graph):
     not shared_memory_available(), reason="requires working shared memory"
 )
 class TestWarmColdGrid:
-    @pytest.mark.parametrize("backend,kernel,n_jobs", _GRID)
-    def test_session_matches_cold_across_mutations(self, backend, kernel, n_jobs):
+    @pytest.mark.parametrize("kernel,n_jobs", _GRID)
+    def test_session_matches_cold_across_mutations(self, kernel, n_jobs):
         warm_graph = _scripted_graph()
         cold_graph = _scripted_graph()
         plan = (
-            ExecutionPlan(backend=backend, batch_size=8, n_jobs=n_jobs, kernel=kernel)
+            ExecutionPlan(batch_size=8, n_jobs=n_jobs, kernel=kernel)
             if n_jobs is not None
             else None
         )
-        with BetweennessSession(
-            warm_graph, plan, backend=backend, check_connected=False
-        ) as session:
+        with BetweennessSession(warm_graph, plan, check_connected=False) as session:
             for step, (u, v) in enumerate(_scripted_ops()):
                 for graph in (warm_graph, cold_graph):
                     if graph.has_edge(u, v):
@@ -477,21 +475,17 @@ class TestWarmColdGrid:
                     5,
                     samples=24,
                     seed=40 + step,
-                    backend=backend,
                     batch_size=8 if n_jobs is not None else None,
                     n_jobs=n_jobs,
                     kernel=kernel,
                     check_connected=False,
                 )
                 assert warm.estimate == cold.estimate, (
-                    f"step {step} diverged under (backend={backend}, "
-                    f"kernel={kernel}, n_jobs={n_jobs})"
+                    f"step {step} diverged under (kernel={kernel}, n_jobs={n_jobs})"
                 )
 
-    @pytest.mark.parametrize("backend,kernel,n_jobs", _GRID)
-    def test_weighted_session_matches_cold_across_weight_mutations(
-        self, backend, kernel, n_jobs
-    ):
+    @pytest.mark.parametrize("kernel,n_jobs", _GRID)
+    def test_weighted_session_matches_cold_across_weight_mutations(self, kernel, n_jobs):
         # The weighted twin of the scenario above: weight-only mutations
         # route through the edge-tightness rule (delta mode), and the
         # warm session must stay bit-identical to a cold recompute on a
@@ -500,13 +494,11 @@ class TestWarmColdGrid:
         cold_graph = _scripted_weighted_graph()
         ops = _scripted_weight_ops(warm_graph)
         plan = (
-            ExecutionPlan(backend=backend, batch_size=8, n_jobs=n_jobs, kernel=kernel)
+            ExecutionPlan(batch_size=8, n_jobs=n_jobs, kernel=kernel)
             if n_jobs is not None
             else None
         )
-        with BetweennessSession(
-            warm_graph, plan, backend=backend, check_connected=False
-        ) as session:
+        with BetweennessSession(warm_graph, plan, check_connected=False) as session:
             for step, (u, v, weight) in enumerate(ops):
                 for graph in (warm_graph, cold_graph):
                     graph.add_edge(u, v, weight=weight)
@@ -516,15 +508,13 @@ class TestWarmColdGrid:
                     5,
                     samples=24,
                     seed=40 + step,
-                    backend=backend,
                     batch_size=8 if n_jobs is not None else None,
                     n_jobs=n_jobs,
                     kernel=kernel,
                     check_connected=False,
                 )
                 assert warm.estimate == cold.estimate, (
-                    f"step {step} diverged under (backend={backend}, "
-                    f"kernel={kernel}, n_jobs={n_jobs})"
+                    f"step {step} diverged under (kernel={kernel}, n_jobs={n_jobs})"
                 )
 
 
@@ -535,7 +525,7 @@ class TestOverflowFallback:
     def test_overflowed_session_falls_back_and_stays_correct(self):
         g = star_graph(8)
         leaves = g.vertices()[1:]
-        with BetweennessSession(g, backend="csr") as session:
+        with BetweennessSession(g) as session:
             session.estimate(g.vertices()[0], samples=24, seed=3)
             for i in range(JOURNAL_LIMIT + 8):
                 u, v = leaves[i % 4], leaves[4 + i % 4]
@@ -548,8 +538,7 @@ class TestOverflowFallback:
             assert receipt.reason == "journal-overflow"
             warm = session.estimate(g.vertices()[0], samples=24, seed=3)
         cold = betweenness_single(
-            Graph.from_edges(list(g.edges())), g.vertices()[0],
-            samples=24, seed=3, backend="csr",
+            Graph.from_edges(list(g.edges())), g.vertices()[0], samples=24, seed=3
         )
         assert warm.estimate == cold.estimate
 
@@ -689,7 +678,7 @@ class TestSessionRetention:
         g = star_graph(10)
         center = g.vertices()[0]
         leaves = g.vertices()[1:]
-        with BetweennessSession(g, backend="csr") as session:
+        with BetweennessSession(g) as session:
             session.estimate(center, samples=40, seed=2)
             warm_before = session.stats()["warm_oracles"]
             g.add_edge(leaves[0], leaves[5])
@@ -705,9 +694,7 @@ class TestSessionRetention:
         # weight-only mutation of a weighted session graph must scope the
         # invalidation (mode "delta"), not destroy everything.
         g = _scripted_weighted_graph()
-        with BetweennessSession(
-            g, backend="csr", check_connected=False
-        ) as session:
+        with BetweennessSession(g, check_connected=False) as session:
             session.estimate(5, samples=24, seed=9)
             u, v, weight = _scripted_weight_ops(g)[0]
             g.add_edge(u, v, weight=weight)
@@ -720,9 +707,7 @@ class TestSessionRetention:
     def test_full_fallback_clears_oracles(self):
         g = star_graph(10)
         leaves = g.vertices()[1:]
-        with BetweennessSession(
-            g, backend="csr", invalidation="full"
-        ) as session:
+        with BetweennessSession(g, invalidation="full") as session:
             session.estimate(g.vertices()[0], samples=40, seed=2)
             g.add_edge(leaves[0], leaves[5])
             receipt = session.refresh_warm_state()
@@ -735,7 +720,7 @@ class TestSessionRetention:
         g = star_graph(10)
         center = g.vertices()[0]
         leaves = g.vertices()[1:]
-        with BetweennessSession(g, backend="csr") as session:
+        with BetweennessSession(g) as session:
             chain = session.open_chain(center, seed=5)
             chain.advance(30)
             state = chain.result.states[-1].vertex
@@ -755,7 +740,7 @@ class TestSessionRetention:
         g = star_graph(10)
         center = g.vertices()[0]
         leaves = g.vertices()[1:]
-        with BetweennessSession(g, backend="csr") as session:
+        with BetweennessSession(g) as session:
             chain = session.open_chain(center, seed=5)
             chain.advance(30)
             state = chain.result.states[-1].vertex
@@ -778,7 +763,7 @@ class TestSessionRetention:
         warm_graph = star_graph(10)
         center = warm_graph.vertices()[0]
         leaves = warm_graph.vertices()[1:]
-        with BetweennessSession(warm_graph, backend="csr") as session:
+        with BetweennessSession(warm_graph) as session:
             session.estimate(center, samples=30, seed=1)  # warm the oracle
             with warm_graph.batch_mutations():
                 warm_graph.add_edge(leaves[0], leaves[1])
@@ -789,22 +774,18 @@ class TestSessionRetention:
         # The mid-batch answer reflects the graph as mutated so far...
         mid_graph = star_graph(10)
         mid_graph.add_edge(leaves[0], leaves[1])
-        cold_mid = betweenness_single(
-            mid_graph, center, samples=30, seed=2, backend="csr"
-        )
+        cold_mid = betweenness_single(mid_graph, center, samples=30, seed=2)
         assert mid.estimate == cold_mid.estimate
         # ...and the post-batch answer the *whole* batch, bit-identically.
         cold_graph = Graph.from_edges(list(warm_graph.edges()))
-        cold = betweenness_single(
-            cold_graph, center, samples=30, seed=3, backend="csr"
-        )
+        cold = betweenness_single(cold_graph, center, samples=30, seed=3)
         assert warm.estimate == cold.estimate
 
     def test_mutate_noop_reports_version_unchanged(self):
         from repro.centrality.session import ThreadSafeSession
 
         g = star_graph(6)
-        with BetweennessSession(g, backend="csr") as session:
+        with BetweennessSession(g) as session:
             safe = ThreadSafeSession(session)
             edge = (g.vertices()[0], g.vertices()[1])  # already present
             receipt = safe.mutate(lambda graph: graph.add_edge(*edge))

@@ -6,13 +6,12 @@ Four promises are checked here:
    samplers bit for bit (same rng stream, same states, same estimate), for
    all three chain families and with the batch-prefetch engine engaged.
 2. **Execution invariance** — the pooled fixed-seed estimate is bit-identical
-   across ``n_jobs ∈ {1, 2, 4}`` for every ``n_chains ∈ {1, 4, 8}``, on both
-   backends.
+   across ``n_jobs ∈ {1, 2, 4}`` for every ``n_chains ∈ {1, 4, 8}``.
 3. **Statistical correctness** — pooled estimates land within *analytic*
    error bounds of the exact Brandes values (Hoeffding for the unbiased
    proposal read-out, the paper's Theorem 1 ε for the chain read-out around
-   its π-weighted target), and seeded regression values are pinned for both
-   backends.
+   its π-weighted target), and seeded regression values are pinned for the
+   CSR kernels and the dict-kernel reference oracle.
 4. **Adaptive mode** — the split-R̂-driven driver stops early when the
    chains agree, falls back to the full budget when they cannot, and never
    changes what a converged run would estimate across ``n_jobs``.
@@ -23,6 +22,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from reference import DictOracleMHSampler
 
 from repro.centrality.api import betweenness_single, relative_betweenness
 from repro.errors import ConfigurationError, EdgeNotFoundError
@@ -135,28 +135,24 @@ class TestSingleChainIdentity:
 class TestExecutionInvariance:
     """Fixed-seed bit-identity across n_jobs {1,2,4} x n_chains {1,4,8}."""
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_single_vertex_grid(self, backend):
-        if backend == "csr":
-            pytest.importorskip("numpy")
+    def test_single_vertex_grid(self):
         graph = barabasi_albert_graph(30, 2, seed=5)
         r = graph.vertices()[6]
         for n_chains in CHAINS_GRID:
             estimates = [
-                MultiChainMHSampler(
-                    n_chains=n_chains, n_jobs=n_jobs, backend=backend
-                ).estimate(graph, r, 64, seed=99).estimate
+                MultiChainMHSampler(n_chains=n_chains, n_jobs=n_jobs)
+                .estimate(graph, r, 64, seed=99)
+                .estimate
                 for n_jobs in JOBS_GRID
             ]
             assert estimates[0] == estimates[1] == estimates[2], n_chains
 
     def test_grid_with_batch_prefetch(self):
-        pytest.importorskip("numpy")
         graph = barabasi_albert_graph(30, 2, seed=5)
         r = graph.vertices()[6]
         estimates = [
             MultiChainMHSampler(
-                n_chains=4, n_jobs=n_jobs, backend="csr", batch_size=8
+                n_chains=4, n_jobs=n_jobs, batch_size=8
             ).estimate(graph, r, 64, seed=17).estimate
             for n_jobs in JOBS_GRID
         ]
@@ -183,17 +179,17 @@ class TestExecutionInvariance:
             ]
             assert estimates[0] == estimates[1] == estimates[2]
 
-    def test_backends_agree_on_the_pooled_estimate(self):
-        """Both backends walk the same chains (identical rng streams), so the
-        pooled estimates differ by float accumulation order at most."""
+    @pytest.mark.parametrize("n_chains", CHAINS_GRID)
+    def test_pooled_estimate_matches_the_dict_reference(self, n_chains):
+        """The dict-kernel reference oracle walks the same chains (identical
+        rng streams), so the pooled estimates differ by float accumulation
+        order at most."""
         graph = barabasi_albert_graph(30, 2, seed=5)
         r = graph.vertices()[6]
-        dict_est = MultiChainMHSampler(n_chains=4, backend="dict").estimate(
+        dict_est = MultiChainMHSampler(DictOracleMHSampler(), n_chains=n_chains).estimate(
             graph, r, 80, seed=23
         )
-        csr_est = MultiChainMHSampler(n_chains=4, backend="csr").estimate(
-            graph, r, 80, seed=23
-        )
+        csr_est = MultiChainMHSampler(n_chains=n_chains).estimate(graph, r, 80, seed=23)
         assert dict_est.estimate == pytest.approx(csr_est.estimate, rel=1e-9)
 
     def test_api_threading_matches_direct_driver(self, barbell):
@@ -373,9 +369,8 @@ class TestAdaptiveMode:
 class TestStatisticalVerification:
     """Pooled estimates vs exact values, within analytic error bounds."""
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
     @pytest.mark.parametrize("n_chains", [1, 4])
-    def test_unbiased_readout_within_hoeffding_bound(self, barbell, backend, n_chains):
+    def test_unbiased_readout_within_hoeffding_bound(self, barbell, n_chains):
         """The 'proposal' read-out averages i.i.d. uniform dependency draws, so
         Hoeffding's inequality bounds its deviation from the exact value:
         |est - BC(r)| <= b * sqrt(ln(2/delta) / (2 N)) with probability
@@ -385,7 +380,7 @@ class TestStatisticalVerification:
         r = 5
         total = 400
         est = MultiChainMHSampler(
-            n_chains=n_chains, estimator="proposal", backend=backend
+            n_chains=n_chains, estimator="proposal"
         ).estimate(barbell, r, total, seed=2019)
         exact = betweenness_of_vertex(barbell, r)
         stats = mu_statistics(barbell, r)
@@ -396,8 +391,7 @@ class TestStatisticalVerification:
         )
         assert abs(est.estimate - exact) <= bound
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_chain_readout_within_theorem1_bound_of_its_target(self, barbell, backend):
+    def test_chain_readout_within_theorem1_bound_of_its_target(self, barbell):
         """The paper's Equation 7 read-out concentrates on the pi-weighted mean
         of the dependency scores (the reproduction finding documented in
         repro.mcmc.single); Theorem 1's epsilon at delta = 1e-3 bounds the
@@ -406,9 +400,7 @@ class TestStatisticalVerification:
 
         r = 5
         total = 600
-        est = MultiChainMHSampler(n_chains=4, backend=backend).estimate(
-            barbell, r, total, seed=2019
-        )
+        est = MultiChainMHSampler(n_chains=4).estimate(barbell, r, total, seed=2019)
         deltas = all_dependencies_on_target(barbell, r)
         n = barbell.number_of_vertices()
         pi_mean = sum(d * d for d in deltas.values()) / (
@@ -429,21 +421,19 @@ class TestStatisticalVerification:
             assert value == pytest.approx(true_ratio, rel=0.35), (ri, rj)
 
     # Seeded regression pins: the exact pooled estimates at seed 2019 on the
-    # barbell fixture, one per backend.  These fail loudly if the rng
-    # discipline, the chain mechanics or the ordered reduce ever drift.
+    # barbell fixture, for the CSR kernels and the dict-kernel reference
+    # oracle.  These fail loudly if the rng discipline, the chain mechanics
+    # or the ordered reduce ever drift.
     REGRESSION = {
         "dict": 0.5057932263814616,
         "csr": 0.5057932263814616,
     }
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_seeded_regression_values(self, barbell, backend):
-        if backend == "csr":
-            pytest.importorskip("numpy")
-        est = MultiChainMHSampler(n_chains=4, backend=backend).estimate(
-            barbell, 5, 200, seed=2019
-        )
-        assert est.estimate == pytest.approx(self.REGRESSION[backend], rel=1e-9)
+    @pytest.mark.parametrize("kernels", ["dict", "csr"])
+    def test_seeded_regression_values(self, barbell, kernels):
+        base = DictOracleMHSampler() if kernels == "dict" else SingleSpaceMHSampler()
+        est = MultiChainMHSampler(base, n_chains=4).estimate(barbell, 5, 200, seed=2019)
+        assert est.estimate == pytest.approx(self.REGRESSION[kernels], rel=1e-9)
 
 
 # ----------------------------------------------------------------------

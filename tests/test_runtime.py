@@ -272,8 +272,8 @@ class TestExecutionContext:
 
 
 @pytest.mark.skipif(
-    np is None or not shared_memory_available(),
-    reason="the persistent arena requires numpy and working shared memory",
+    not shared_memory_available(),
+    reason="the persistent arena requires working shared memory",
 )
 class TestPersistentArena:
     def test_arena_survives_across_calls_and_stamps_version(self):

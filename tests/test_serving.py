@@ -42,7 +42,6 @@ from repro.execution.stamp import (
     format_stamp_lines,
 )
 from repro.graphs import barabasi_albert_graph
-from repro.graphs.csr import np
 from repro.serving import ServingApp, ServingConfig, create_server
 from repro.serving.metrics import (
     DEFAULT_BUCKETS,
@@ -61,7 +60,6 @@ try:
 except ImportError:  # pragma: no cover - baked into the test image
     HAVE_HYPOTHESIS = False
 
-needs_numpy = pytest.mark.skipif(np is None, reason="the csr backend needs numpy")
 needs_hypothesis = pytest.mark.skipif(
     not HAVE_HYPOTHESIS, reason="property tests need hypothesis"
 )
@@ -86,7 +84,6 @@ def served_graph():
 
 
 def make_app(**config_kwargs) -> ServingApp:
-    config_kwargs.setdefault("backend", "csr")
     config_kwargs.setdefault("kernel", "csr")
     config_kwargs.setdefault("request_timeout", 30.0)
     return ServingApp(config=ServingConfig(**config_kwargs))
@@ -124,7 +121,7 @@ def stable(payload: dict) -> dict:
 
 def cold_answer(query: dict, op: str) -> dict:
     """The cold per-call API answer for one serve query (fresh session)."""
-    with BetweennessSession(served_graph(), None, backend="csr") as session:
+    with BetweennessSession(served_graph(), None) as session:
         payload = execute_query(
             session, dict(query, op=op), kernel="csr", kernel_threads=1
         )
@@ -177,7 +174,6 @@ def daemon():
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestDispatchBasics:
     def test_healthz_reports_loaded_graphs(self):
         app = make_app()
@@ -295,7 +291,6 @@ def fire_concurrently(thunks):
     return results
 
 
-@needs_numpy
 class TestConcurrencyHarness:
     N_DUPLICATES = 6
 
@@ -395,7 +390,6 @@ class TestConcurrencyHarness:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestFaultInjection:
     def _pooled_app(self):
         """An app whose sessions run a 2-worker persistent pool.
@@ -403,8 +397,8 @@ class TestFaultInjection:
         The graph must exceed one shard (256 sources) for the scheduler to
         engage the pool at all.
         """
-        plan = resolve_plan(None, backend="csr", batch_size=16, n_jobs=2, kernel="csr")
-        config = ServingConfig(backend="csr", kernel="csr", request_timeout=30.0)
+        plan = resolve_plan(None, batch_size=16, n_jobs=2, kernel="csr")
+        config = ServingConfig(kernel="csr", request_timeout=30.0)
         app = ServingApp(plan=plan, config=config)
         load_graph(app, "g", barabasi_albert_graph(600, 2, seed=SEED))
         return app
@@ -843,7 +837,6 @@ class TestMetricsProperties:
         assert_well_formed(text)
 
 
-@needs_numpy
 class TestServedMetricsProperties:
     """The same properties checked against a real daemon's /metrics."""
 
@@ -881,7 +874,6 @@ class TestServedMetricsProperties:
 # ----------------------------------------------------------------------
 
 
-@needs_numpy
 class TestStampParity:
     QUERY = {"vertex": 0, "samples": 40, "seed": 7}
 
@@ -909,8 +901,6 @@ class TestStampParity:
                 str(self.QUERY["samples"]),
                 "--seed",
                 str(self.QUERY["seed"]),
-                "--backend",
-                "csr",
                 "--kernel",
                 "csr",
             ],
@@ -934,8 +924,6 @@ class TestStampParity:
                 graph_file,
                 "--queries",
                 str(queries),
-                "--backend",
-                "csr",
                 "--kernel",
                 "csr",
             ],
@@ -969,7 +957,7 @@ class TestStampParity:
 
     def test_harness_header_lines_share_the_stamp_vocabulary(self):
         stamp = execution_stamp(
-            {"backend": "csr", "n_jobs": 2, "batch_size": 16}, kernel="csr"
+            {"n_jobs": 2, "batch_size": 16}, kernel="csr"
         )
         lines = format_stamp_lines(stamp).split("\n")
         assert lines == [f"{key}: {stamp[key]}" for key in EXECUTION_STAMP_KEYS]

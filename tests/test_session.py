@@ -23,7 +23,6 @@ from repro.errors import ConfigurationError, GraphStructureError
 from repro.execution import ExecutionPlan
 from repro.execution.shared_cache import shared_memory_available
 from repro.graphs import barabasi_albert_graph, barbell_graph
-from repro.graphs.csr import np
 
 JOBS_GRID = (1, 2, 4)
 
@@ -33,11 +32,11 @@ def graph():
     return barabasi_albert_graph(40, 2, seed=3)
 
 
-def _cold_workload(graph, *, backend="auto", batch_size=None, n_jobs=None):
+def _cold_workload(graph, *, batch_size=None, n_jobs=None):
     """The reference answers of the mixed workload, one cold call each."""
     hub = graph.vertices()[0]
     other = graph.vertices()[7]
-    kw = dict(backend=backend, batch_size=batch_size, n_jobs=n_jobs)
+    kw = dict(batch_size=batch_size, n_jobs=n_jobs)
     return [
         betweenness_single(graph, hub, method="mh", samples=60, seed=11, **kw),
         betweenness_single(graph, hub, method="mh", samples=60, seed=11, **kw),
@@ -82,8 +81,8 @@ class TestWarmColdBitIdentity:
 
     @pytest.mark.parametrize("n_jobs", JOBS_GRID)
     def test_engaged_session_matches_cold_calls_across_jobs(self, graph, n_jobs):
-        cold = _cold_workload(graph, backend="auto", batch_size=8, n_jobs=n_jobs)
-        plan = ExecutionPlan(backend="auto", batch_size=8, n_jobs=n_jobs)
+        cold = _cold_workload(graph, batch_size=8, n_jobs=n_jobs)
+        plan = ExecutionPlan(batch_size=8, n_jobs=n_jobs)
         with BetweennessSession(graph, plan) as session:
             warm = _warm_workload(session)
         _assert_workloads_identical(warm, cold)
@@ -107,21 +106,10 @@ class TestWarmColdBitIdentity:
         assert again.estimate == cold.estimate
         assert warm_rel.ratios == cold_rel.ratios
 
-    def test_dict_backend_session_matches_cold_calls(self, graph):
-        hub = graph.vertices()[0]
-        cold = betweenness_single(
-            graph, hub, method="mh", samples=50, seed=3,
-            backend="dict", batch_size=1, n_jobs=1,
-        )
-        plan = ExecutionPlan(backend="dict", batch_size=1, n_jobs=1)
-        with BetweennessSession(graph, plan) as session:
-            warm = session.estimate(hub, method="mh", samples=50, seed=3)
-        assert warm.estimate == cold.estimate
-
 
 @pytest.mark.skipif(
-    np is None or not shared_memory_available(),
-    reason="warm-cache assertions need numpy and working shared memory",
+    not shared_memory_available(),
+    reason="warm-cache assertions need working shared memory",
 )
 class TestWarmStateActuallyWarm:
     def test_repeat_query_pays_no_brandes_passes(self, graph):
@@ -169,8 +157,8 @@ class TestGraphMutation:
         assert warm_exact == betweenness_exact(graph)
 
     @pytest.mark.skipif(
-        np is None or not shared_memory_available(),
-        reason="arena assertions need numpy and working shared memory",
+        not shared_memory_available(),
+        reason="arena assertions need working shared memory",
     )
     def test_mutation_resets_the_arena(self, graph):
         hub = graph.vertices()[0]
@@ -185,21 +173,19 @@ class TestGraphMutation:
         assert after["published"] < before["published"]
 
     def test_mutation_invalidates_identity_installed_payloads(self):
-        """Dict-backend exact ships the *graph object itself* to the
-        persistent pool; after a mutation the workers must answer from a
-        fresh copy, not the stale pickled one their token still names.
-        (The graph must span several shards — a single shard runs inline
-        and would never exercise the pool.)"""
+        """Exact installs its interned snapshot payload in the persistent
+        pool once; after a mutation the workers must answer from a fresh
+        snapshot, not the stale one an installed token still names.  (The
+        graph must span several shards — a single shard runs inline and
+        would never exercise the pool.)"""
         big = barabasi_albert_graph(600, 2, seed=3)
-        plan = ExecutionPlan(backend="dict", batch_size=1, n_jobs=2)
+        plan = ExecutionPlan(batch_size=1, n_jobs=2)
         with BetweennessSession(big, plan) as session:
             before = session.exact()
             big.add_edge(big.vertices()[0], big.vertices()[-1])
             after = session.exact()
         assert before != after
-        assert after == betweenness_exact(
-            big, backend="dict", batch_size=1, n_jobs=2
-        )
+        assert after == betweenness_exact(big, batch_size=1, n_jobs=2)
 
     def test_rebinding_the_graph_attribute_invalidates(self):
         """Replacing session.graph with a different object — even one with
@@ -292,10 +278,10 @@ class TestMpContextEndToEnd:
 
         graph = barabasi_albert_graph(30, 2, seed=1)
         r = graph.vertices()[0]
-        reference = MultiChainMHSampler(n_chains=2, backend="auto").estimate(
+        reference = MultiChainMHSampler(n_chains=2).estimate(
             graph, r, 24, seed=5
         )
         spawned = MultiChainMHSampler(
-            n_chains=2, n_jobs=2, mp_context="spawn", backend="auto"
+            n_chains=2, n_jobs=2, mp_context="spawn"
         ).estimate(graph, r, 24, seed=5)
         assert spawned.estimate == reference.estimate

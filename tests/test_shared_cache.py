@@ -11,7 +11,7 @@ Three layers of promises:
    with a store attached returns vectors bit-identical to a private oracle
    on prefetch-heavy and eviction-heavy access patterns, serves another
    oracle's published vectors without re-running Brandes passes, and falls
-   back gracefully (dict backend, unsupported platforms).
+   back gracefully on unsupported platforms.
 3. **Driver determinism** — the multi-chain pooled estimates with
    ``shared_cache=True`` are bit-identical to the private-cache runs over
    the whole ``n_jobs`` × ``n_chains`` grid, survive arena-capacity
@@ -39,8 +39,8 @@ from repro.mcmc.estimates import DependencyOracle
 from repro.mcmc.multichain import MultiChainJointSampler, MultiChainMHSampler
 
 pytestmark = pytest.mark.skipif(
-    np is None or not shared_memory_available(),
-    reason="the shared dependency cache requires numpy and working shared memory",
+    not shared_memory_available(),
+    reason="the shared dependency cache requires working shared memory",
 )
 
 JOBS_GRID = (1, 2, 4)
@@ -186,8 +186,8 @@ def test_shared_store_create_warns_and_falls_back_without_support(monkeypatch):
 def test_shared_cache_prefetch_heavy_vectors_bit_identical(graph, store):
     """Prefetch-heavy run: a store-backed oracle returns the private
     oracle's vectors bit for bit (the determinism bedrock)."""
-    shared = DependencyOracle(graph, backend="csr", batch_size=8, shared_store=store)
-    private = DependencyOracle(graph, backend="csr", batch_size=8)
+    shared = DependencyOracle(graph, batch_size=8, shared_store=store)
+    private = DependencyOracle(graph, batch_size=8)
     vertices = graph.vertices()
     shared.prefetch(vertices[:20])
     private.prefetch(vertices[:20])
@@ -200,9 +200,9 @@ def test_shared_cache_eviction_heavy_vectors_bit_identical(graph, store):
     """Eviction-heavy run: a tightly bounded private cache forces constant
     store traffic and recomputation; the values never move."""
     shared = DependencyOracle(
-        graph, backend="csr", cache_size=2, batch_size=4, shared_store=store
+        graph, cache_size=2, batch_size=4, shared_store=store
     )
-    private = DependencyOracle(graph, backend="csr", batch_size=4)
+    private = DependencyOracle(graph, batch_size=4)
     vertices = graph.vertices()
     r = vertices[-1]
     for start in range(0, len(vertices), 6):
@@ -217,8 +217,8 @@ def test_shared_cache_eviction_heavy_vectors_bit_identical(graph, store):
 def test_shared_cache_second_oracle_reads_without_passes(graph, store):
     """The point of the arena: a pass paid by one oracle is a hit for every
     other oracle attached to the same store."""
-    writer = DependencyOracle(graph, backend="csr", batch_size=8, shared_store=store)
-    reader = DependencyOracle(graph, backend="csr", batch_size=8, shared_store=store)
+    writer = DependencyOracle(graph, batch_size=8, shared_store=store)
+    reader = DependencyOracle(graph, batch_size=8, shared_store=store)
     vertices = graph.vertices()
     r = vertices[-1]
     writer.prefetch(vertices[:10])
@@ -228,26 +228,16 @@ def test_shared_cache_second_oracle_reads_without_passes(graph, store):
     assert reader.shared_hits == 10
     assert reader.hit_rate() == 1.0
     # And prefetch itself is served from the store, not recomputed.
-    another = DependencyOracle(graph, backend="csr", batch_size=8, shared_store=store)
+    another = DependencyOracle(graph, batch_size=8, shared_store=store)
     assert another.prefetch(vertices[:10]) == 0
     assert another.shared_hits == 10
-
-
-def test_shared_cache_dict_backend_warns_and_uses_private_cache(graph, store):
-    with pytest.warns(RuntimeWarning, match="requires the CSR backend"):
-        oracle = DependencyOracle(graph, backend="dict", shared_store=store)
-    r = graph.vertices()[-1]
-    oracle.dependency(graph.vertices()[0], r)
-    assert oracle.shared_store is None
-    assert oracle.shared_hits == 0
-    assert store.published() == 0
 
 
 def test_shared_cache_rejects_a_store_sized_for_another_graph(graph):
     store = SharedDependencyStore(graph.number_of_vertices() + 1, 4)
     try:
         with pytest.raises(ConfigurationError, match="sized for"):
-            DependencyOracle(graph, backend="csr", shared_store=store)
+            DependencyOracle(graph, shared_store=store)
     finally:
         store.destroy()
 
@@ -263,14 +253,13 @@ def test_shared_cache_pooled_estimates_bit_identical_over_the_grid(graph):
     r = graph.vertices()[0]
     for n_chains in CHAINS_GRID:
         reference = MultiChainMHSampler(
-            n_chains=n_chains, backend="csr", batch_size=8
+            n_chains=n_chains, batch_size=8
         ).estimate(graph, r, 48, seed=11)
         assert reference.diagnostics["shared_cache"] is False
         for n_jobs in JOBS_GRID:
             shared = MultiChainMHSampler(
                 n_chains=n_chains,
                 n_jobs=n_jobs,
-                backend="csr",
                 batch_size=8,
                 shared_cache=True,
             ).estimate(graph, r, 48, seed=11)
@@ -282,11 +271,11 @@ def test_shared_cache_chain_states_match_private_runs(graph):
     """Stronger than the pooled read-out: the full per-chain trajectories
     are unchanged by cache sharing."""
     r = graph.vertices()[0]
-    private = MultiChainMHSampler(n_chains=4, backend="csr", batch_size=8).run_chains(
+    private = MultiChainMHSampler(n_chains=4, batch_size=8).run_chains(
         graph, r, 48, seed=5
     )
     shared = MultiChainMHSampler(
-        n_chains=4, n_jobs=2, backend="csr", batch_size=8, shared_cache=True
+        n_chains=4, n_jobs=2, batch_size=8, shared_cache=True
     ).run_chains(graph, r, 48, seed=5)
     for a, b in zip(private.chains, shared.chains):
         assert a.states == b.states
@@ -296,13 +285,12 @@ def test_shared_cache_arena_overflow_is_result_neutral(graph):
     """A deliberately tiny arena overflows immediately; chains must not
     notice (the store refuses rows, private caches absorb the rest)."""
     r = graph.vertices()[0]
-    reference = MultiChainMHSampler(n_chains=4, backend="csr", batch_size=8).estimate(
+    reference = MultiChainMHSampler(n_chains=4, batch_size=8).estimate(
         graph, r, 48, seed=9
     )
     tiny = MultiChainMHSampler(
         n_chains=4,
         n_jobs=2,
-        backend="csr",
         batch_size=8,
         shared_cache=True,
         shared_cache_capacity=2,
@@ -318,14 +306,14 @@ def test_shared_cache_deduplicates_passes_across_workers(graph):
     r = graph.vertices()[0]
     # n_jobs=1 shares one in-process oracle across all chains, so its
     # evaluation count *is* the number of unique sources the run touches.
-    unique = MultiChainMHSampler(n_chains=4, backend="csr", batch_size=8).estimate(
+    unique = MultiChainMHSampler(n_chains=4, batch_size=8).estimate(
         graph, r, 64, seed=2
     )
     private = MultiChainMHSampler(
-        n_chains=4, n_jobs=4, backend="csr", batch_size=8
+        n_chains=4, n_jobs=4, batch_size=8
     ).estimate(graph, r, 64, seed=2)
     shared = MultiChainMHSampler(
-        n_chains=4, n_jobs=4, backend="csr", batch_size=8, shared_cache=True
+        n_chains=4, n_jobs=4, batch_size=8, shared_cache=True
     ).estimate(graph, r, 64, seed=2)
     unique_count = unique.diagnostics["evaluations"]
     assert private.diagnostics["evaluations"] > unique_count, (
@@ -347,13 +335,13 @@ def test_shared_cache_deduplicates_passes_across_workers(graph):
 def test_shared_cache_joint_driver_identical_and_deduplicated(graph):
     refs = graph.vertices()[:3]
     reference = MultiChainJointSampler(
-        n_chains=4, backend="csr", batch_size=4
+        n_chains=4, batch_size=4
     ).estimate_relative(graph, refs, 64, seed=13)
     shared = MultiChainJointSampler(
-        n_chains=4, n_jobs=2, backend="csr", batch_size=4, shared_cache=True
+        n_chains=4, n_jobs=2, batch_size=4, shared_cache=True
     ).estimate_relative(graph, refs, 64, seed=13)
     private = MultiChainJointSampler(
-        n_chains=4, n_jobs=2, backend="csr", batch_size=4
+        n_chains=4, n_jobs=2, batch_size=4
     ).estimate_relative(graph, refs, 64, seed=13)
     key = lambda e: sorted((str(k), v) for k, v in e.ratios.items() if v == v)
     assert key(shared) == key(reference) == key(private)
@@ -373,7 +361,7 @@ def test_shared_cache_adaptive_mode_shares_across_rounds(graph):
     rounds (each round re-forks workers; the arena is what survives)."""
     r = graph.vertices()[0]
     kwargs = dict(
-        n_chains=4, backend="csr", batch_size=8, rhat_target=1.2, check_interval=8
+        n_chains=4, batch_size=8, rhat_target=1.2, check_interval=8
     )
     reference = MultiChainMHSampler(**kwargs).estimate(graph, r, 96, seed=21)
     shared = MultiChainMHSampler(**kwargs, n_jobs=2, shared_cache=True).estimate(
@@ -395,25 +383,12 @@ def test_shared_cache_driver_falls_back_when_store_unavailable(graph, monkeypatc
 
     monkeypatch.setattr(multichain, "create_shared_store", no_store)
     r = graph.vertices()[0]
-    reference = MultiChainMHSampler(n_chains=2, backend="csr").estimate(
+    reference = MultiChainMHSampler(n_chains=2).estimate(
         graph, r, 32, seed=1
     )
     with pytest.warns(RuntimeWarning, match="simulated"):
         fallback = MultiChainMHSampler(
-            n_chains=2, n_jobs=2, backend="csr", shared_cache=True
-        ).estimate(graph, r, 32, seed=1)
-    assert fallback.estimate == reference.estimate
-    assert fallback.diagnostics["shared_cache"] is False
-
-
-def test_shared_cache_dict_backend_driver_warns_and_falls_back(graph):
-    r = graph.vertices()[0]
-    reference = MultiChainMHSampler(n_chains=2, backend="dict").estimate(
-        graph, r, 32, seed=1
-    )
-    with pytest.warns(RuntimeWarning, match="requires the CSR backend"):
-        fallback = MultiChainMHSampler(
-            n_chains=2, backend="dict", shared_cache=True
+            n_chains=2, n_jobs=2, shared_cache=True
         ).estimate(graph, r, 32, seed=1)
     assert fallback.estimate == reference.estimate
     assert fallback.diagnostics["shared_cache"] is False
@@ -434,7 +409,7 @@ def test_shared_cache_driver_validates_its_knobs():
 def test_shared_cache_api_threading(graph):
     r = graph.vertices()[0]
     reference = betweenness_single(
-        graph, r, method="mh", samples=40, seed=9, n_chains=2, backend="csr"
+        graph, r, method="mh", samples=40, seed=9, n_chains=2
     )
     shared = betweenness_single(
         graph,
@@ -444,7 +419,6 @@ def test_shared_cache_api_threading(graph):
         seed=9,
         n_chains=2,
         n_jobs=2,
-        backend="csr",
         shared_cache=True,
     )
     assert shared.estimate == reference.estimate
@@ -466,10 +440,10 @@ def test_shared_cache_env_override_reaches_the_driver(graph, monkeypatch):
     monkeypatch.setenv("REPRO_SHARED_CACHE", "1")
     assert resolve_shared_cache(None) is True
     r = graph.vertices()[0]
-    est = MultiChainMHSampler(n_chains=2, backend="csr").estimate(graph, r, 32, seed=4)
+    est = MultiChainMHSampler(n_chains=2).estimate(graph, r, 32, seed=4)
     assert est.diagnostics["shared_cache"] is True
     # An explicit False wins over the env var, like every engine knob.
-    est = MultiChainMHSampler(n_chains=2, backend="csr", shared_cache=False).estimate(
+    est = MultiChainMHSampler(n_chains=2, shared_cache=False).estimate(
         graph, r, 32, seed=4
     )
     assert est.diagnostics["shared_cache"] is False
@@ -508,7 +482,7 @@ def test_runtime_arena_honours_shared_cache_capacity(graph):
     r = graph.vertices()[0]
     with ExecutionContext() as ctx:
         sampler = MultiChainMHSampler(
-            n_chains=2, backend="csr", shared_cache_capacity=7, runtime=ctx
+            n_chains=2, shared_cache_capacity=7, runtime=ctx
         )
         estimate = sampler.estimate(graph, r, 32, seed=1)
         stats = estimate.diagnostics["shared_cache_stats"]

@@ -16,8 +16,8 @@ Four layers of promises:
    segments after a session exits).
 4. **Estimator parity** — every planned estimator produces bit-identical
    results with ``shared_graph=True`` vs the pickled-shipping default, for
-   any ``n_jobs`` at a fixed seed; the dict backend and unsupported
-   platforms fall back gracefully.
+   any ``n_jobs`` at a fixed seed; unsupported platforms fall back
+   gracefully.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from repro.mcmc.multichain import MultiChainMHSampler
 from repro.samplers.uniform_source import UniformSourceSampler
 
 pytestmark = pytest.mark.skipif(
-    np is None or not shared_graph_available(),
-    reason="shared graph snapshots require numpy and working shared memory",
+    not shared_graph_available(),
+    reason="shared graph snapshots require working shared memory",
 )
 
 
@@ -301,9 +301,9 @@ def test_graph_snapshot_helper_falls_back_to_plain_csr(monkeypatch, graph):
 
 def test_plan_snapshot_reads_the_plan(graph):
     assert plan_snapshot(graph, None) is graph.csr()
-    plan = ExecutionPlan(backend="csr", n_jobs=2)
+    plan = ExecutionPlan(n_jobs=2)
     assert plan_snapshot(graph, plan) is graph.csr()
-    plan = ExecutionPlan(backend="csr", n_jobs=2, shared_graph=True)
+    plan = ExecutionPlan(n_jobs=2, shared_graph=True)
     shared = plan_snapshot(graph, plan)
     try:
         assert isinstance(shared, SharedCSRGraph)
@@ -345,12 +345,12 @@ def test_context_shared_graph_invalidated_by_mutation(graph):
 def test_session_exit_leaves_no_segment(graph):
     from repro.centrality.session import BetweennessSession
 
-    plan = ExecutionPlan(backend="csr", batch_size=4, n_jobs=2, shared_graph=True)
+    plan = ExecutionPlan(batch_size=4, n_jobs=2, shared_graph=True)
     with BetweennessSession(graph, plan) as session:
         warm = session.estimate(graph.vertices()[0], method="mh", samples=32, seed=3)
         name = session.context.stats()["shared_graph"]
     cold = MultiChainMHSampler(
-        n_chains=1, backend="csr", batch_size=4
+        n_chains=1, batch_size=4
     ).estimate(graph, graph.vertices()[0], 32, seed=3)
     assert warm.estimate == cold.estimate
     if name is not None:
@@ -363,11 +363,11 @@ def test_session_exit_leaves_no_segment(graph):
 
 
 def test_sampler_estimates_bit_identical_shared_vs_pickled(graph):
-    reference = UniformSourceSampler(backend="csr", batch_size=8).estimate_all(
+    reference = UniformSourceSampler(batch_size=8).estimate_all(
         graph, 40, seed=17
     )
     for n_jobs in (1, 2):
-        sampler = UniformSourceSampler(backend="csr", batch_size=8, n_jobs=n_jobs)
+        sampler = UniformSourceSampler(batch_size=8, n_jobs=n_jobs)
         sampler.shared_graph = True
         shared = sampler.estimate_all(graph, 40, seed=17)
         assert shared.estimates == reference.estimates, n_jobs
@@ -376,10 +376,10 @@ def test_sampler_estimates_bit_identical_shared_vs_pickled(graph):
 
 def test_single_vertex_estimates_bit_identical_shared_vs_pickled(graph):
     r = graph.vertices()[0]
-    reference = UniformSourceSampler(backend="csr", batch_size=8, n_jobs=1).estimate(
+    reference = UniformSourceSampler(batch_size=8, n_jobs=1).estimate(
         graph, r, 40, seed=23
     )
-    sampler = UniformSourceSampler(backend="csr", batch_size=8, n_jobs=2)
+    sampler = UniformSourceSampler(batch_size=8, n_jobs=2)
     sampler.shared_graph = True
     shared = sampler.estimate(graph, r, 40, seed=23)
     assert shared.estimate == reference.estimate
@@ -389,31 +389,17 @@ def test_single_vertex_estimates_bit_identical_shared_vs_pickled(graph):
 def test_multichain_pooled_estimate_bit_identical_shared_vs_pickled(graph):
     r = graph.vertices()[0]
     reference = MultiChainMHSampler(
-        n_chains=4, backend="csr", batch_size=8
+        n_chains=4, batch_size=8
     ).estimate(graph, r, 48, seed=11)
     for n_jobs in (1, 2):
         shared = MultiChainMHSampler(
             n_chains=4,
             n_jobs=n_jobs,
-            backend="csr",
             batch_size=8,
             shared_graph=True,
         ).estimate(graph, r, 48, seed=11)
         assert shared.estimate == reference.estimate, n_jobs
     discard_shared_graph(graph)
-
-
-def test_multichain_dict_backend_ships_no_snapshot(graph):
-    r = graph.vertices()[0]
-    reference = MultiChainMHSampler(n_chains=2, backend="dict").estimate(
-        graph, r, 32, seed=1
-    )
-    sampler = MultiChainMHSampler(
-        n_chains=2, n_jobs=2, backend="dict", shared_graph=True
-    )
-    assert sampler._graph_snapshot(graph) is None
-    shared = sampler.estimate(graph, r, 32, seed=1)
-    assert shared.estimate == reference.estimate
 
 
 def test_multichain_validates_the_shared_graph_knob():
@@ -430,14 +416,12 @@ def test_exact_brandes_bit_identical_shared_vs_pickled(graph):
     for n_jobs in (1, 2):
         pickled = betweenness_centrality(
             graph,
-            backend="csr",
-            plan=ExecutionPlan(backend="csr", batch_size=8, n_jobs=n_jobs),
+            plan=ExecutionPlan(batch_size=8, n_jobs=n_jobs),
         )
         shared = betweenness_centrality(
             graph,
-            backend="csr",
             plan=ExecutionPlan(
-                backend="csr", batch_size=8, n_jobs=n_jobs, shared_graph=True
+                batch_size=8, n_jobs=n_jobs, shared_graph=True
             ),
         )
         assert shared == pickled, n_jobs

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from reference import reference_estimate
 from repro.centrality.api import SINGLE_VERTEX_METHODS, betweenness_single
 from repro.exact import betweenness_centrality, betweenness_of_vertex
 from repro.graphs import Graph
@@ -108,23 +109,19 @@ class TestWeightedSamplers:
         assert estimate.ratios[(2, 6)] == pytest.approx(8.0 / 9.0, rel=0.2)
 
 
-class TestWeightedBackendIdentity:
-    """Every registered estimator must consume the same rng stream on both
-    backends for weighted graphs — the CSR Dijkstra routes (sampler SPD
-    passes, the distance-based mass function) rebuild their candidate
-    orderings in settle order, so fixed-seed estimates pin bit-for-bit."""
+class TestWeightedReferenceIdentity:
+    """Every registered estimator must consume the same rng stream as its
+    dict-kernel reference loop on weighted graphs — the CSR Dijkstra routes
+    (sampler SPD passes, the distance-based mass function) rebuild their
+    candidate orderings in settle order, so fixed-seed estimates pin
+    bit-for-bit."""
 
     @pytest.mark.parametrize("method", sorted(SINGLE_VERTEX_METHODS))
-    def test_fixed_seed_estimates_match_across_backends(self, method, weighted_random):
+    def test_fixed_seed_estimates_match_the_reference(self, method, weighted_random):
         target = weighted_random.vertices()[3]
-        dict_result = betweenness_single(
-            weighted_random, target, method=method, samples=40, seed=11,
-            backend="dict", check_connected=False,
-        )
+        reference = reference_estimate(weighted_random, target, method, samples=40, seed=11)
         csr_result = betweenness_single(
             weighted_random, target, method=method, samples=40, seed=11,
-            backend="csr", check_connected=False,
+            check_connected=False,
         )
-        assert dict_result.estimate == pytest.approx(
-            csr_result.estimate, rel=1e-9, abs=1e-12
-        )
+        assert reference == pytest.approx(csr_result.estimate, rel=1e-9, abs=1e-12)
