@@ -2,19 +2,20 @@
 
 Four measurements on the reference Barabási–Albert graph:
 
-* **K-chain speedup at equal total samples** — the baseline is one legacy
-  sequential MH chain (no engine knobs: per-source kernels, no prefetch);
+* **K-chain speedup at equal total samples** — the baseline is one MH
+  chain with the default knobs (inline, prefetching its proposals in
+  blocks of the default batch size);
   the K-chain rows run :class:`repro.mcmc.multichain.MultiChainMHSampler`
   with ``n_jobs=4`` and a probe-calibrated ``batch_size``, splitting the
   *same total budget* over K chains.  The expectation this benchmark guards
-  is **K-chain >= 2x the single legacy chain** at the best K on BA(5000, 3).
+  is **K-chain >= 2x the single chain** at the best K on BA(5000, 3).
   Each row stamps the cross-chain diagnostics (split-R̂, pooled ESS, mean
   acceptance rate) next to its wall-clock, and ``cpu_count`` is recorded so
   a reader can attribute how much of the ratio came from process
   parallelism versus the batched prefetch kernels.
 * **determinism** — the pooled fixed-seed K=4 estimate is asserted
   bit-identical across ``n_jobs`` ∈ {1, 2, 4} (the ordered-reduce promise),
-  and the K=1 driver is asserted bit-identical to the legacy sampler.
+  and the K=1 driver is asserted bit-identical to the single-chain sampler.
 * **adaptive early-stop** — the split-R̂-driven mode against a generous
   budget: iterations actually spent, the adopted burn-in and the final R̂.
 * **batch-size autotune** — the :mod:`repro.execution.autotune` probe
@@ -48,7 +49,7 @@ from repro.mcmc.single import SingleSpaceMHSampler
 GRAPH_SIZES = {"tiny": 600, "small": 5000, "medium": 5000}
 #: Total sampling budget shared by every chain configuration of a tier.
 TOTAL_SAMPLES = {"tiny": 96, "small": 4096, "medium": 8192}
-#: Chain counts compared against the single legacy chain.
+#: Chain counts compared against the single default chain.
 CHAIN_COUNTS = (1, 2, 4, 8)
 #: Worker processes of the K-chain rows and the adaptive row.
 BENCH_JOBS = 4
@@ -81,7 +82,7 @@ def _chain_rows(batch_size: int):
     baseline_seconds = time.perf_counter() - start
     rows = [
         {
-            "engine": "legacy 1-chain",
+            "engine": "default 1-chain",
             "chains": 1,
             "n_jobs": 1,
             "total_samples": total,
@@ -130,16 +131,16 @@ def _determinism_rows(batch_size: int):
     identical = all(value == estimates[0] for value in estimates)
     assert identical, f"fixed-seed pooled estimates differ across n_jobs: {estimates}"
 
-    legacy = SingleSpaceMHSampler().estimate(
+    direct = SingleSpaceMHSampler().estimate(
         graph, r, total, seed=bench_seed()
     )
     single = MultiChainMHSampler(n_chains=1).estimate(
         graph, r, total, seed=bench_seed()
     )
-    legacy_identical = single.estimate == legacy.estimate
-    assert legacy_identical, (
-        f"K=1 driver diverged from the legacy sampler: "
-        f"{single.estimate} != {legacy.estimate}"
+    single_identical = single.estimate == direct.estimate
+    assert single_identical, (
+        f"K=1 driver diverged from the single-chain sampler: "
+        f"{single.estimate} != {direct.estimate}"
     )
     return [
         {
@@ -149,9 +150,9 @@ def _determinism_rows(batch_size: int):
             "value": estimates[0],
         },
         {
-            "check": "K=1 driver vs legacy sequential sampler",
+            "check": "K=1 driver vs single-chain sampler",
             "grid": "n_chains 1",
-            "bit_identical": legacy_identical,
+            "bit_identical": single_identical,
             "value": single.estimate,
         },
     ]
@@ -220,7 +221,7 @@ def _emit_all():
     chain_rows = _chain_rows(chosen_batch)
     emit_table(
         "E12",
-        f"multi-chain MH vs one legacy chain on a BA({size}, 3) graph "
+        f"multi-chain MH vs one default chain on a BA({size}, 3) graph "
         f"(equal total samples, cpu_count={multiprocessing.cpu_count()})",
         chain_rows,
         CHAIN_COLUMNS,
@@ -262,7 +263,7 @@ def test_e12_multichain(benchmark):
     # hard gate at every size).
     if bench_size() != "tiny":
         assert best > 1.0, (
-            f"multi-chain MH is not faster than the legacy chain at all "
+            f"multi-chain MH is not faster than the default chain at all "
             f"({best:.2f}x on BA({_graph_size()}, 3))"
         )
 

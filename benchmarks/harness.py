@@ -16,7 +16,7 @@ Environment knobs
     Base seed for every stochastic component (default 2019, the venue year).
 ``REPRO_BENCH_JOBS``
     Worker processes for the sharded execution engine (default ``1``,
-    sequential).  Exported as ``REPRO_JOBS`` so every estimator constructed
+    inline).  Exported as ``REPRO_JOBS`` so every estimator constructed
     inside the ``bench_e*`` modules runs under the requested parallelism;
     the value is stamped as a ``jobs:`` line in every emitted table, so
     trajectories across commits attribute speedups to the knob rather than
@@ -24,7 +24,7 @@ Environment knobs
 ``REPRO_BENCH_SHARED_GRAPH``
     Whether CSR snapshots ship to workers as zero-copy shared-memory
     handles (default ``0``, pickled shipping).  Exported as
-    ``REPRO_SHARED_GRAPH`` so every planned estimator in the ``bench_e*``
+    ``REPRO_SHARED_GRAPH`` so every estimator in the ``bench_e*``
     modules honours it, and stamped as a ``shared_graph:`` line in every
     emitted table.
 ``REPRO_BENCH_KERNEL``
@@ -37,7 +37,7 @@ Environment knobs
 ``REPRO_BENCH_KERNEL_THREADS``
     Thread count of the compiled jit-parallel batch kernels (default ``1``,
     the sequential kernels).  Exported as ``REPRO_KERNEL_THREADS`` so every
-    plan the other knobs engage fills its ``kernel_threads`` field, and
+    plan fills its ``kernel_threads`` field from it, and
     stamped as a ``kernel_threads:`` line in every emitted table — the
     parallel kernels accumulate per-source rows in source order at any
     thread count, so the stamp attributes wall-clock only, never result
@@ -111,16 +111,15 @@ def bench_shared_graph() -> bool:
 
 
 # Export the parallelism knob as the library-wide override: REPRO_JOBS
-# engages the sharded execution engine at every call site that accepts an
-# ExecutionPlan.
+# sets n_jobs at every call site that resolves an ExecutionPlan.
 if bench_jobs() != 1:
     if bench_jobs() < 1:
         raise ValueError(f"REPRO_BENCH_JOBS must be a positive integer, got {bench_jobs()!r}")
     os.environ["REPRO_JOBS"] = str(bench_jobs())
 
 # And for the snapshot-shipping knob: REPRO_SHARED_GRAPH fills the
-# shared_graph field of every plan the other knobs engage (it never engages
-# the engine by itself — see repro.execution.plan.resolve_shared_graph).
+# shared_graph field of every resolved plan (see
+# repro.execution.plan.resolve_plan).
 if bench_shared_graph():
     os.environ["REPRO_SHARED_GRAPH"] = "1"
 
@@ -136,8 +135,7 @@ if bench_kernel() != "auto":
     os.environ["REPRO_KERNEL"] = bench_kernel()
 
 # And for the kernel-thread count: REPRO_KERNEL_THREADS fills the
-# kernel_threads field of every plan the other knobs engage (like
-# REPRO_SHARED_GRAPH, it never engages the engine by itself — see
+# kernel_threads field of every resolved plan (see
 # repro.execution.plan.resolve_kernel_threads).
 if bench_kernel_threads() != 1:
     if bench_kernel_threads() < 1:

@@ -70,12 +70,14 @@ def __getattr__(name):
 #: Chains the multi-chain driver runs when only ``rhat_target`` was given.
 DEFAULT_CHAINS = 4
 
-#: Batch-size specification: an int, ``None`` (sequential kernels) or
-#: ``"auto"`` (calibrated from a timed probe, :mod:`repro.execution.autotune`).
+#: Batch-size specification: an int, ``None`` (the ``REPRO_BATCH`` / plan
+#: default) or ``"auto"`` (calibrated from a timed probe,
+#: :mod:`repro.execution.autotune`).
 BatchSize = Union[int, str, None]
 
-#: Worker-count specification: an int, ``None`` (no parallelism requested)
-#: or ``"auto"`` (calibrated from a timed probe over real pool spin-ups).
+#: Worker-count specification: an int, ``None`` (the ``REPRO_JOBS`` default,
+#: inline) or ``"auto"`` (calibrated from a timed probe over real pool
+#: spin-ups).
 Jobs = Union[int, str, None]
 
 #: Kernel-thread specification: an int, ``None`` (the
@@ -103,14 +105,9 @@ def _resolve_batch_size(
 def _resolve_n_jobs(graph: Graph, n_jobs: Jobs, workload: Optional[int] = None):
     """Resolve ``"auto"`` to a calibrated worker count at the point the graph is known.
 
-    Unlike an unset ``n_jobs``, the calibrated count **always engages** the
-    execution engine — even when the probe picks 1 worker.  The engine's
-    sharded discipline is what makes results n_jobs-invariant; resolving to
-    ``None`` (the legacy sequential path, whose accumulation order and rng
-    consumption differ for the stochastic samplers) would let wall-clock
-    noise pick between two differently-ordered computations, breaking the
-    "timing can never change an estimate" contract.  *workload* scales the
-    probe down for small jobs, like :func:`_resolve_batch_size`.
+    The engine's sharded discipline is n_jobs-invariant, so the timed
+    choice can never change an estimate.  *workload* scales the probe down
+    for small jobs, like :func:`_resolve_batch_size`.
     """
     if n_jobs == "auto":
         probe_sources = 64 if workload is None else max(8, min(64, workload // 8))
@@ -149,8 +146,8 @@ def _resolve_kernel_threads(
 
 #: Estimator registry for :func:`betweenness_single`.  Every factory accepts
 #: the execution-engine knobs ``batch_size`` / ``n_jobs`` (see
-#: :mod:`repro.execution`); calling one with no argument keeps the
-#: sequential code path.
+#: :mod:`repro.execution`); calling one with no argument leaves both to the
+#: ``REPRO_*`` env overrides and the plan defaults.
 SINGLE_VERTEX_METHODS = {
     "mh": lambda batch_size=None, n_jobs=None: SingleSpaceMHSampler(
         batch_size=batch_size, n_jobs=n_jobs
@@ -221,8 +218,8 @@ def betweenness_single(
     batch_size, n_jobs:
         Execution-engine knobs (:mod:`repro.execution`): sources per
         batched CSR traversal and worker processes for the sharded source
-        loop.  Engaging the engine keeps results deterministic — identical
-        for any ``n_jobs`` / ``batch_size`` at a fixed seed — per the
+        loop.  Results are deterministic — identical for any ``n_jobs`` /
+        ``batch_size``, set or unset, at a fixed seed — per the
         estimator-specific notes on each sampler class.  ``batch_size``
         additionally accepts ``"auto"``: the block size is calibrated from
         a short timed probe on *graph*
@@ -230,9 +227,9 @@ def betweenness_single(
         wall-clock only, never the estimate for a given resolved size.
         ``n_jobs`` likewise accepts ``"auto"``
         (:func:`repro.execution.calibrate_n_jobs`): the worker count is
-        probed with real pool spin-ups and always engages the execution
-        engine, whose sharded discipline is n_jobs-invariant — so the
-        timing-chosen count can never change the estimate either.
+        probed with real pool spin-ups; the sharded discipline is
+        n_jobs-invariant, so the timing-chosen count can never change the
+        estimate either.
     kernel:
         CSR kernel rung (``"auto"`` / ``"csr"`` / ``"compiled"``, see
         :func:`~repro.graphs.csr.resolve_kernel`); the compiled rung is
@@ -251,8 +248,8 @@ def betweenness_single(
         ``n_jobs`` worker processes, pooled with a deterministic ordered
         reduce), and ``rhat_target`` optionally adds split-R̂-driven
         adaptive burn-in and early stopping.  ``rhat_target`` alone implies
-        ``n_chains=DEFAULT_CHAINS``.  ``n_chains=1`` reproduces the legacy
-        sequential sampler bit for bit.  Rejected for the non-MCMC
+        ``n_chains=DEFAULT_CHAINS``.  ``n_chains=1`` reproduces the
+        single-chain sampler bit for bit.  Rejected for the non-MCMC
         baselines, which have no chain to multiply.
     shared_cache:
         Share one cross-process dependency-vector arena across the
@@ -324,8 +321,8 @@ def betweenness_exact(
 ) -> Dict[Vertex, float]:
     """Return exact betweenness scores (all vertices, or just the requested ones).
 
-    ``batch_size`` / ``n_jobs`` engage the sharded execution engine for the
-    per-source Brandes passes (see :mod:`repro.execution`); ``"auto"``
+    ``batch_size`` / ``n_jobs`` configure the sharded execution engine that
+    runs the per-source Brandes passes (see :mod:`repro.execution`); ``"auto"``
     calibrates either knob from a timed probe (bit-identical results for
     any resolved value).  ``kernel`` selects the CSR kernel rung — numpy or
     the bit-identical numba-compiled twins — and ``kernel_threads`` the
@@ -380,8 +377,8 @@ def relative_betweenness(
 
     Runs the joint-space Metropolis-Hastings sampler of Section 4.3 and
     returns the Equation 22/23 estimates plus chain diagnostics.
-    ``batch_size`` engages the oracle's batch-prefetch of upcoming proposal
-    sources (see :class:`~repro.mcmc.joint.JointSpaceMHSampler`; ``"auto"``
+    ``batch_size`` sets the block of the oracle's batch-prefetch of upcoming
+    proposal sources (see :class:`~repro.mcmc.joint.JointSpaceMHSampler`; ``"auto"``
     calibrates it from a timed probe).  ``n_chains`` splits *samples* over
     that many independent joint chains run across ``n_jobs`` worker
     processes and pools the per-chain multisets

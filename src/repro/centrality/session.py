@@ -83,9 +83,8 @@ class BetweennessSession:
         Optional :class:`~repro.execution.ExecutionPlan` fixing the
         execution knobs of every query: batch size, worker count, kernel,
         multiprocessing start method.  ``None`` resolves from the
-        ``REPRO_*`` environment overrides like every estimator does; with
-        nothing set, queries run on the legacy sequential paths (the warm
-        arena and oracles still apply).
+        ``REPRO_*`` environment overrides, then the plan defaults, like
+        every estimator does.
     arena_capacity:
         Rows of the persistent dependency arena (``None`` = byte-budget
         heuristic, see :func:`repro.execution.runtime.default_arena_rows`).
@@ -113,19 +112,15 @@ class BetweennessSession:
         self.plan = resolve_plan(plan)
         self.check_connected = bool(check_connected)
         self._context = ExecutionContext(
-            n_jobs=self.plan.n_jobs if self.plan is not None else None,
-            mp_context=self.plan.mp_context if self.plan is not None else None,
+            n_jobs=self.plan.n_jobs,
+            mp_context=self.plan.mp_context,
             arena_capacity=arena_capacity,
             invalidation=invalidation,
         )
         self._estimators: Dict[object, object] = {}
         self._oracles: Dict[object, object] = {}
         self._chains: List["SessionChain"] = []
-        self._plan_with_runtime: Optional[ExecutionPlan] = (
-            dataclasses.replace(self.plan, runtime=self._context)
-            if self.plan is not None
-            else None
-        )
+        self._plan_with_runtime = dataclasses.replace(self.plan, runtime=self._context)
         self._queries = 0
         self._closed = False
         if self.check_connected:
@@ -224,32 +219,13 @@ class BetweennessSession:
         if isinstance(count, (int, float)) and not isinstance(count, bool):
             self._context.record_passes(int(count))
 
-    def _knobs(self):
-        """The (batch_size, n_jobs) pair the cold API would use."""
-        if self.plan is None:
-            return None, None
-        return self.plan.batch_size, self.plan.n_jobs
-
-    def _attach(self, sampler):
-        """Point a sampler's pool work at the session's persistent context."""
-        sampler.mp_context = self.plan.mp_context if self.plan is not None else None
-        sampler.runtime = self._context
-        sampler.shared_graph = (
-            self.plan.shared_graph if self.plan is not None else None
-        )
-        sampler.kernel = self.plan.kernel if self.plan is not None else "auto"
-        sampler.kernel_threads = (
-            self.plan.kernel_threads if self.plan is not None else None
-        )
-        return sampler
-
     def _sampler(self, method: str):
         """Memoized per-method estimator, constructed exactly like the cold API."""
         key = ("single", method)
         sampler = self._estimators.get(key)
         if sampler is None:
-            sampler = SINGLE_VERTEX_METHODS[method](*self._knobs())
-            self._attach(sampler)
+            sampler = SINGLE_VERTEX_METHODS[method]()
+            sampler.plan = self._plan_with_runtime
             self._estimators[key] = sampler
         return sampler
 
@@ -277,23 +253,16 @@ class BetweennessSession:
         key = ("multichain", method, n_chains, rhat_target)
         driver = self._estimators.get(key)
         if driver is None:
-            batch_size, _ = self._knobs()
-            # Mirrors the cold API: the driver owns n_jobs (chains are the
-            # unit of parallel work); the base keeps batch-prefetching.
-            base = SINGLE_VERTEX_METHODS[method](batch_size, None)
-            base.kernel = self.plan.kernel if self.plan is not None else "auto"
-            base.kernel_threads = (
-                self.plan.kernel_threads if self.plan is not None else None
-            )
+            # Mirrors the cold API: the driver owns the pool work (chains
+            # are the unit of parallel work); the base keeps batch-prefetching.
+            base = SINGLE_VERTEX_METHODS[method]()
+            base.plan = self.plan
             driver = MultiChainMHSampler(
                 base,
                 n_chains=n_chains if n_chains is not None else DEFAULT_CHAINS,
                 rhat_target=rhat_target,
-                n_jobs=self.plan.n_jobs if self.plan is not None else None,
-                mp_context=self.plan.mp_context if self.plan is not None else None,
-                runtime=self._context,
-                shared_graph=self.plan.shared_graph if self.plan is not None else None,
             )
+            driver.plan = self._plan_with_runtime
             self._estimators[key] = driver
         return driver
 
@@ -301,9 +270,8 @@ class BetweennessSession:
         key = ("joint",)
         sampler = self._estimators.get(key)
         if sampler is None:
-            batch_size, n_jobs = self._knobs()
-            sampler = JointSpaceMHSampler(batch_size=batch_size, n_jobs=n_jobs)
-            self._attach(sampler)
+            sampler = JointSpaceMHSampler()
+            sampler.plan = self._plan_with_runtime
             self._estimators[key] = sampler
         return sampler
 
@@ -311,20 +279,10 @@ class BetweennessSession:
         key = ("joint-multichain", n_chains)
         driver = self._estimators.get(key)
         if driver is None:
-            batch_size, _ = self._knobs()
-            joint_base = JointSpaceMHSampler(batch_size=batch_size)
-            joint_base.kernel = self.plan.kernel if self.plan is not None else "auto"
-            joint_base.kernel_threads = (
-                self.plan.kernel_threads if self.plan is not None else None
-            )
-            driver = MultiChainJointSampler(
-                joint_base,
-                n_chains=n_chains,
-                n_jobs=self.plan.n_jobs if self.plan is not None else None,
-                mp_context=self.plan.mp_context if self.plan is not None else None,
-                runtime=self._context,
-                shared_graph=self.plan.shared_graph if self.plan is not None else None,
-            )
+            base = JointSpaceMHSampler()
+            base.plan = self.plan
+            driver = MultiChainJointSampler(base, n_chains=n_chains)
+            driver.plan = self._plan_with_runtime
             self._estimators[key] = driver
         return driver
 
@@ -434,8 +392,8 @@ class BetweennessSession:
     ) -> Dict[Vertex, float]:
         """Exact Brandes scores — warm twin of :func:`betweenness_exact`.
 
-        With an engaged plan the per-source passes run on the session's
-        persistent pool against the interned CSR payload (shipped once).
+        The per-source passes run on the session's persistent pool against
+        the interned CSR payload (shipped once).
         """
         self._begin()
         plan = self._plan_with_runtime
@@ -672,9 +630,10 @@ class ThreadSafeSession:
     consistent graph version and the receipts it stamps can never interleave
     with a mutation.
 
-    Serialising queries does not serialise the *work*: an engaged plan still
-    fans each query out over the session's persistent worker pool.  The lock
-    orders queries, the pool parallelises within one.
+    Serialising queries does not serialise the *work*: a plan with
+    ``n_jobs > 1`` still fans each query out over the session's persistent
+    worker pool.  The lock orders queries, the pool parallelises within
+    one.
 
     ``mutate(fn)`` is the one write entry point: it runs ``fn(graph)`` under
     the lock and returns the graph's new version, so a registry can apply

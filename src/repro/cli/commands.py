@@ -247,14 +247,14 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         type=_jobs,
         default=None,
         help="worker processes for the sharded source loop, or 'auto' to "
-        "calibrate the count from a short timed probe (default: sequential)",
+        "calibrate the count from a short timed probe (default: REPRO_JOBS, else 1)",
     )
     parser.add_argument(
         "--batch-size",
         type=_batch_size,
         default=None,
         help="sources per batched CSR traversal, or 'auto' to calibrate the "
-        "size from a short timed probe (default: per-source kernels)",
+        "size from a short timed probe (default: REPRO_BATCH, else 16)",
     )
     parser.add_argument(
         "--kernel",
@@ -470,7 +470,7 @@ def _run_serve(args: argparse.Namespace, graph: Optional[Graph], out) -> int:
     the first request); without one the daemon starts empty and graphs
     arrive over ``PUT /graphs/<name>``.  Auto-calibrated ``--jobs`` /
     ``--batch-size`` probes run against the preloaded graph; with no graph
-    to probe they fall back to the sequential defaults.
+    to probe they fall back to the plan defaults.
     """
     from repro.serving import ServingApp, ServingConfig, create_server
 

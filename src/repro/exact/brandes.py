@@ -30,21 +30,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError
-from repro.execution import (
-    ExecutionPlan,
-    interned_payload,
-    merge_ordered,
-    plan_snapshot,
-    resolve_plan,
-    run_sharded,
-    split_shards,
-)
+from repro.execution import ExecutionPlan, plan_snapshot, resolve_plan
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np
-from repro.shortest_paths.dependencies import (
-    csr_source_dependencies,
-    dependency_sum_shard_csr,
-)
+from repro.shortest_paths.dependencies import dependency_sum
 
 __all__ = ["betweenness_centrality", "normalization_factor", "NORMALIZATIONS"]
 
@@ -101,12 +89,12 @@ def betweenness_centrality(
         a subset it is the building block of the uniform source-sampling
         baseline and of tests that check per-source contributions.
     batch_size, n_jobs, plan:
-        Execution-engine knobs (see :mod:`repro.execution`): when any is
-        set (or the ``REPRO_BATCH`` / ``REPRO_JOBS`` env vars are), the
-        outer source loop runs sharded — ``batch_size`` sources per batched
-        CSR traversal, shards spread over ``n_jobs`` processes, buffers
-        merged in deterministic shard order, so the result is bit-identical
-        for any ``n_jobs`` / ``batch_size``.
+        Execution-engine knobs (see :mod:`repro.execution`; unset knobs
+        take the ``REPRO_BATCH`` / ``REPRO_JOBS`` env vars, then the plan
+        defaults): the outer source loop runs sharded — ``batch_size``
+        sources per batched CSR traversal, shards spread over ``n_jobs``
+        processes, buffers merged in deterministic shard order, so the
+        result is bit-identical for any ``n_jobs`` / ``batch_size``.
     kernel:
         CSR kernel rung (``"auto"`` / ``"csr"`` / ``"compiled"``, see
         :func:`~repro.graphs.csr.resolve_kernel`).  The compiled rung is
@@ -126,61 +114,16 @@ def betweenness_centrality(
     factor = normalization_factor(
         graph.number_of_vertices(), normalization, directed=graph.directed
     )
-    resolved_plan = resolve_plan(
+    plan = resolve_plan(
         plan,
         batch_size=batch_size,
         n_jobs=n_jobs,
         kernel=kernel,
         kernel_threads=kernel_threads,
     )
-    if resolved_plan is not None:
-        return _betweenness_centrality_planned(graph, factor, sources, resolved_plan)
-    csr = graph.csr()
-    totals = np.zeros(csr.number_of_vertices())
+    csr = plan_snapshot(graph, plan)
     if sources is None:
         source_indices = range(csr.number_of_vertices())
     else:
         source_indices = [csr.index_of(s) for s in sources]
-    for i in source_indices:
-        # delta[i] == 0 by construction, so no source is skipped.
-        totals += csr_source_dependencies(csr, i, kernel=kernel)
-    return csr.array_to_vertex_map(totals * factor)
-
-
-def _betweenness_centrality_planned(
-    graph: Graph,
-    factor: float,
-    sources: Optional[Iterable[Vertex]],
-    plan: ExecutionPlan,
-) -> Dict[Vertex, float]:
-    """Sharded/batched Brandes: the execution-engine twin of the loop above."""
-    csr = plan_snapshot(graph, plan)
-    if sources is None:
-        source_indices = list(range(csr.number_of_vertices()))
-    else:
-        source_indices = [csr.index_of(s) for s in sources]
-    if not source_indices:
-        return csr.array_to_vertex_map(np.zeros(csr.number_of_vertices()))
-    totals = merge_ordered(
-        run_sharded(
-            dependency_sum_shard_csr,
-            split_shards(source_indices),
-            n_jobs=plan.n_jobs,
-            plan=plan,
-            # Interning keeps one payload object per (snapshot, batch,
-            # kernel, threads) across calls, so a persistent pool ships the
-            # CSR arrays to its workers once per session, not per request.
-            shared=interned_payload(
-                plan,
-                (
-                    "dep-sum-csr",
-                    id(csr),
-                    plan.batch_size,
-                    plan.kernel,
-                    plan.kernel_threads,
-                ),
-                lambda: (csr, plan.batch_size, plan.kernel, plan.kernel_threads),
-            ),
-        )
-    )
-    return csr.array_to_vertex_map(totals * factor)
+    return csr.array_to_vertex_map(dependency_sum(csr, source_indices, plan) * factor)

@@ -15,7 +15,7 @@ implementations suitable for small-to-mid graphs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.execution import (
@@ -159,60 +159,31 @@ def group_betweenness_centrality(
     The score sums, over ordered pairs (s, t) with both endpoints outside the
     group, the fraction of shortest s-t paths that touch at least one group
     member.  With ``normalized=True`` it is divided by ``|V| (|V| - 1)``.
-    ``batch_size`` / ``n_jobs`` / ``plan`` engage the sharded execution
-    engine for the outer source loop (see :mod:`repro.execution`).
+    ``batch_size`` / ``n_jobs`` / ``plan`` configure the sharded execution
+    engine that runs the outer source loop (see :mod:`repro.execution`).
     """
     members = set(_validate_group(graph, group))
     n = graph.number_of_vertices()
-    resolved_plan = resolve_plan(plan, batch_size=batch_size, n_jobs=n_jobs)
-    if resolved_plan is not None:
-        total = _group_betweenness_planned(graph, members, resolved_plan)
-        if normalized and n > 1:
-            total /= n * (n - 1)
-        return total
-    csr = graph.csr()
-    build = csr_spd_builder(csr)
-    member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
-    for m in members:
-        member_mask[csr.index_of(m)] = True
-    total = 0.0
-    for s in range(csr.number_of_vertices()):
-        if member_mask[s]:
-            continue
-        spd = build(csr, s)
-        avoid = _csr_avoid_counts(spd, member_mask)
-        reachable = spd.order_indices
-        keep = reachable[(reachable != s) & ~member_mask[reachable]]
-        sigma = spd.sig[keep]
-        positive = sigma > 0.0
-        through = sigma[positive] - avoid[keep][positive]
-        ratio = through / sigma[positive]
-        total += float(ratio[through > 0.0].sum())
-    if normalized and n > 1:
-        total /= n * (n - 1)
-    return total
-
-
-def _group_betweenness_planned(
-    graph: Graph, members: Set[Vertex], plan: ExecutionPlan
-) -> float:
-    """Sharded/batched raw group-betweenness sum (pre-normalisation)."""
+    plan = resolve_plan(plan, batch_size=batch_size, n_jobs=n_jobs)
     csr = plan_snapshot(graph, plan)
     member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
     for m in members:
         member_mask[csr.index_of(m)] = True
     source_indices = [s for s in range(csr.number_of_vertices()) if not member_mask[s]]
-    if not source_indices:
-        return 0.0
-    return merge_ordered(
-        run_sharded(
-            _group_shard_csr,
-            split_shards(source_indices),
-            n_jobs=plan.n_jobs,
-            plan=plan,
-            shared=(csr, plan.batch_size, member_mask),
+    total = 0.0
+    if source_indices:
+        total = merge_ordered(
+            run_sharded(
+                _group_shard_csr,
+                split_shards(source_indices),
+                n_jobs=plan.n_jobs,
+                plan=plan,
+                shared=(csr, plan.batch_size, member_mask),
+            )
         )
-    )
+    if normalized and n > 1:
+        total /= n * (n - 1)
+    return total
 
 
 def co_betweenness_centrality(

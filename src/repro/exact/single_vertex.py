@@ -9,7 +9,7 @@ used as ground truth throughout the test-suite and the benchmark harness.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.execution import ExecutionPlan
 from repro.graphs.core import Graph, Vertex
@@ -38,8 +38,8 @@ def dependency_vector(
 ) -> Dict[Vertex, float]:
     """Return ``{v: delta_{v.}(r)}`` — the unnormalised MH target distribution of Eq. 5.
 
-    ``batch_size`` / ``n_jobs`` / ``plan`` engage the sharded execution
-    engine for the |V| Brandes passes (see :mod:`repro.execution`);
+    ``batch_size`` / ``n_jobs`` / ``plan`` configure the sharded execution
+    engine that runs the |V| Brandes passes (see :mod:`repro.execution`);
     ``kernel`` selects the bit-identical CSR kernel rung and
     ``kernel_threads`` its jit-parallel thread count (result-neutral).
     """
@@ -69,8 +69,8 @@ def betweenness_of_vertex(
 
     Equivalent to ``betweenness_centrality(graph)[r]`` but phrased as the
     sum the sampling algorithms approximate, so the tests can compare both
-    routes.  ``batch_size`` / ``n_jobs`` / ``plan`` engage the execution
-    engine for the |V| dependency passes.
+    routes.  ``batch_size`` / ``n_jobs`` / ``plan`` configure the execution
+    engine that runs the |V| dependency passes.
     """
     deltas = dependency_vector(
         graph,
@@ -102,7 +102,7 @@ def betweenness_of_vertices(
             graph,
             r,
             normalization=normalization,
-                batch_size=batch_size,
+            batch_size=batch_size,
             n_jobs=n_jobs,
         )
         for r in targets

@@ -8,8 +8,8 @@ passes and accumulate".  This package owns *how* those passes are executed:
   knobs — batched-kernel ``batch_size``, multiprocessing ``n_jobs`` and
   the CSR kernel rung — and :func:`~repro.execution.plan.resolve_plan`
   resolves them (explicit arguments win over the ``REPRO_JOBS`` /
-  ``REPRO_BATCH`` environment overrides; with nothing set the estimators
-  keep their original sequential code paths).
+  ``REPRO_BATCH`` environment overrides; with nothing set the plan
+  defaults apply — every estimator always runs through a plan).
 * :mod:`~repro.execution.scheduler` splits a source list into fixed-size
   shards, derives an independently-seeded child rng stream per shard, runs
   shards inline or on a multiprocessing pool, and merges per-shard buffers
@@ -55,10 +55,7 @@ from repro.execution.plan import (
     DEFAULT_SHARD_SIZE,
     ExecutionPlan,
     resolve_kernel_threads,
-    resolve_mp_context,
     resolve_plan,
-    resolve_shared_cache,
-    resolve_shared_graph,
 )
 from repro.execution.runtime import (
     ExecutionContext,
@@ -90,9 +87,6 @@ __all__ = [
     "ExecutionPlan",
     "resolve_plan",
     "resolve_kernel_threads",
-    "resolve_shared_cache",
-    "resolve_shared_graph",
-    "resolve_mp_context",
     "ExecutionContext",
     "PersistentWorkerPool",
     "interned_payload",

@@ -234,12 +234,9 @@ def calibrate_n_jobs(
     """Return the candidate worker count whose probe sweep ran fastest.
 
     Ties go to the smaller count (fewer idle processes for the same speed).
-    This is what ``n_jobs="auto"`` resolves to at the API and CLI layers —
-    and the resolved count **always engages** the execution engine (it is a
-    concrete integer, never ``None``), because only the engine's sharded
-    discipline guarantees n_jobs-invariant results; auto-tuning the legacy
-    sequential path against the engine would let a timing pick between two
-    differently-ordered accumulations.
+    This is what ``n_jobs="auto"`` resolves to at the API and CLI layers;
+    the engine's sharded discipline is n_jobs-invariant, so the timed
+    choice never changes a result.
     """
     timings = probe_n_jobs(
         graph,

@@ -17,30 +17,26 @@ A plan answers independent questions for a per-source workload:
   private cache.  Consumed by the multi-chain drivers only; per-source
   workloads have nothing to share across processes beyond their inputs.
 
-Resolution: explicit arguments always win, the
-``REPRO_JOBS`` and ``REPRO_BATCH`` environment variables fill in anything
-left unspecified (``REPRO_SHARED_CACHE`` likewise fills the
-``shared_cache`` field — but never *engages* the engine on its own, so the
-flag cannot move an estimator off its legacy path; see
-:func:`resolve_shared_cache`) (one env knob steers every call site, which is how the
-benchmark harness runs a whole suite under a given parallelism setting),
-and when *neither* an argument nor an env var asks for the execution
-engine, :func:`resolve_plan` returns ``None`` and the estimators keep their
-original sequential code paths (same loops, same rng discipline, same
-accumulation order).
+Resolution: explicit arguments always win, and the ``REPRO_BATCH`` /
+``REPRO_JOBS`` / ``REPRO_SHARED_CACHE`` / ``REPRO_SHARED_GRAPH`` /
+``REPRO_MP_CONTEXT`` / ``REPRO_KERNEL_THREADS`` environment variables fill
+in anything left unspecified (one env knob steers every call site, which
+is how the benchmark harness runs a whole suite under a given parallelism
+setting).  Whatever is still unset takes the :class:`ExecutionPlan`
+defaults — ``batch_size=16``, ``n_jobs=1`` (inline) — so
+:func:`resolve_plan` always returns a plan and every estimator runs one
+execution discipline.
 
 Determinism contract
 --------------------
-Engaging the engine fixes the floating-point accumulation order once and
-for all: per-source results are accumulated sequentially in source order
-inside each fixed-size shard (shard boundaries depend only on
-:data:`DEFAULT_SHARD_SIZE`, never on ``n_jobs`` or ``batch_size``), and
-shard buffers are merged in shard order.  Together with the bit-identical
-per-row contract of the batch kernels this makes every estimate
-**bit-identical across any** ``n_jobs`` **and** ``batch_size`` for a fixed
-seed.  The engine's accumulation order may differ from the legacy
-sequential path in the last float ulp (a different association of the same
-sums), which is why the legacy path is preserved when no knob is set.
+Every estimator draws its samples and fixes its floating-point
+accumulation order independently of the knobs: per-source results are
+accumulated sequentially in source order inside each fixed-size shard
+(shard boundaries depend only on :data:`DEFAULT_SHARD_SIZE`, never on
+``n_jobs`` or ``batch_size``), and shard buffers are merged in shard
+order.  Together with the bit-identical per-row contract of the batch
+kernels this makes every estimate **bit-identical across any** ``n_jobs``
+**and** ``batch_size`` — set or unset — for a fixed seed.
 """
 
 from __future__ import annotations
@@ -56,9 +52,6 @@ from repro.graphs.csr import KERNELS
 __all__ = [
     "ExecutionPlan",
     "resolve_plan",
-    "resolve_shared_cache",
-    "resolve_shared_graph",
-    "resolve_mp_context",
     "resolve_kernel_threads",
     "DEFAULT_SHARD_SIZE",
 ]
@@ -78,6 +71,9 @@ class ExecutionPlan:
     ----------
     batch_size:
         Sources per batched-kernel call (>= 1; 1 means per-source kernels).
+        The default 16 is the serving configuration README recommends;
+        like every batch size it only sets how many passes share one
+        traversal, never a result.
     n_jobs:
         Worker processes for the shard scheduler (>= 1; 1 means inline).
     shared_cache:
@@ -128,7 +124,7 @@ class ExecutionPlan:
         enforces exactly that).
     """
 
-    batch_size: int = 1
+    batch_size: int = 16
     n_jobs: int = 1
     shared_cache: bool = False
     shared_graph: bool = False
@@ -212,40 +208,31 @@ def resolve_plan(
     runtime: Optional[object] = None,
     kernel: str = "auto",
     kernel_threads: Optional[int] = None,
-) -> Optional[ExecutionPlan]:
-    """Resolve the execution knobs of one estimator call.
+) -> ExecutionPlan:
+    """Resolve the execution knobs of one estimator call into a plan.
 
     Parameters
     ----------
     plan:
         A ready-made :class:`ExecutionPlan`; returned as-is when provided
         (it always wins over the individual knobs).
-    batch_size, n_jobs, shared_cache:
-        The estimator's individual knobs.  ``None`` for ``batch_size`` /
-        ``n_jobs`` / ``shared_cache`` means "not requested", in which case
-        the ``REPRO_BATCH`` / ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE``
-        environment variables are consulted.
+    batch_size, n_jobs, shared_cache, shared_graph, mp_context:
+        The individual knobs.  ``None`` means "not requested": the
+        ``REPRO_BATCH`` / ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE`` /
+        ``REPRO_SHARED_GRAPH`` / ``REPRO_MP_CONTEXT`` environment variables
+        are consulted, then the :class:`ExecutionPlan` defaults apply.
+    runtime:
+        Optional persistent :class:`~repro.execution.runtime.ExecutionContext`.
     kernel:
         CSR kernel rung, carried into the plan unresolved
         (``REPRO_KERNEL`` is honoured by
-        :func:`~repro.graphs.csr.resolve_kernel` at each point of use) and
-        — like ``shared_cache`` — never engages the engine by itself, since
-        the rungs are bit-identical and the legacy sequential paths resolve
-        the same knob on their own.
+        :func:`~repro.graphs.csr.resolve_kernel` at each point of use).
     kernel_threads:
         Compiled-kernel thread count; ``None`` consults
-        ``REPRO_KERNEL_THREADS`` (:func:`resolve_kernel_threads`).  Like
-        ``kernel`` it never engages the engine by itself — it is
-        result-neutral, so it only fills the field of a plan the other
-        knobs engaged.
+        ``REPRO_KERNEL_THREADS`` (:func:`resolve_kernel_threads`).
 
-    Returns
-    -------
-    ExecutionPlan or None
-        ``None`` when neither an argument nor an env var engages the
-        execution engine — the caller should then take its original
-        sequential code path, whose behaviour (including float accumulation
-        order and rng stream) is preserved exactly.
+    No knob changes a result (see the module docstring), so resolution
+    only ever decides how fast an estimate is computed.
     """
     if plan is not None:
         return plan
@@ -253,57 +240,27 @@ def resolve_plan(
         batch_size = _env_int("REPRO_BATCH")
     if n_jobs is None:
         n_jobs = _env_int("REPRO_JOBS")
-    # shared_cache / shared_graph / mp_context / runtime / kernel_threads
-    # deliberately do NOT engage the engine: an engaged plan switches
-    # estimators onto the sharded/prefetch disciplines (different rng
-    # consumption, different — though equally valid — estimates), and all
-    # five knobs are documented to never change a result.  They only fill
-    # the fields of a plan the other knobs engaged; standalone consumers
-    # (the multi-chain drivers) read them through resolve_shared_cache() /
-    # resolve_shared_graph() / resolve_mp_context() /
-    # resolve_kernel_threads().
-    if batch_size is None and n_jobs is None:
-        return None
+    # Knobs still unset after the env take the ExecutionPlan defaults.
+    sizes = {
+        name: value
+        for name, value in (("batch_size", batch_size), ("n_jobs", n_jobs))
+        if value is not None
+    }
+    if shared_cache is None:
+        shared_cache = bool(_env_flag("REPRO_SHARED_CACHE"))
+    if shared_graph is None:
+        shared_graph = bool(_env_flag("REPRO_SHARED_GRAPH"))
+    if mp_context is None:
+        mp_context = os.environ.get("REPRO_MP_CONTEXT") or None
     return ExecutionPlan(
-        batch_size=batch_size if batch_size is not None else 1,
-        n_jobs=n_jobs if n_jobs is not None else 1,
-        shared_cache=resolve_shared_cache(shared_cache),
-        shared_graph=resolve_shared_graph(shared_graph),
-        mp_context=resolve_mp_context(mp_context),
+        **sizes,
+        shared_cache=shared_cache,
+        shared_graph=shared_graph,
+        mp_context=mp_context,
         runtime=runtime,
         kernel=kernel,
         kernel_threads=resolve_kernel_threads(kernel_threads),
     )
-
-
-def resolve_shared_cache(shared_cache: Optional[bool] = None) -> bool:
-    """Resolve the ``shared_cache`` knob on its own.
-
-    Explicit ``True`` / ``False`` wins; ``None`` consults the
-    ``REPRO_SHARED_CACHE`` environment override (unset means off).  Kept
-    separate from :func:`resolve_plan` engagement so the flag can never
-    flip an estimator off its legacy sequential code path — it selects a
-    cache-sharing policy for runs that already parallelise, not an
-    execution discipline.
-    """
-    if shared_cache is not None:
-        return shared_cache
-    return bool(_env_flag("REPRO_SHARED_CACHE"))
-
-
-def resolve_shared_graph(shared_graph: Optional[bool] = None) -> bool:
-    """Resolve the ``shared_graph`` knob on its own.
-
-    Explicit ``True`` / ``False`` wins; ``None`` consults the
-    ``REPRO_SHARED_GRAPH`` environment override (unset means off).  Like
-    ``shared_cache`` this never engages the execution engine by itself: it
-    selects how CSR snapshots travel to workers that already exist, never
-    whether an estimator parallelises — so the flag can never move an
-    estimator off its legacy sequential code path.
-    """
-    if shared_graph is not None:
-        return shared_graph
-    return bool(_env_flag("REPRO_SHARED_GRAPH"))
 
 
 def resolve_kernel_threads(kernel_threads: Optional[int] = None) -> int:
@@ -311,13 +268,11 @@ def resolve_kernel_threads(kernel_threads: Optional[int] = None) -> int:
 
     An explicit positive integer wins; ``None`` consults the
     ``REPRO_KERNEL_THREADS`` environment override (unset means 1 —
-    today's sequential kernels).  Like ``shared_cache`` this never
-    engages the execution engine by itself: the knob is result-neutral
-    (threads stride independent per-source rows of the compiled batch
-    kernels), so it only selects how fast batches already running on the
-    compiled rung finish.  ``"auto"`` calibration lives at the API/CLI
-    boundary (:func:`repro.execution.autotune.calibrate_kernel_threads`),
-    not here — resolution must stay cheap and deterministic.
+    the sequential kernels).  The knob is result-neutral (threads stride
+    independent per-source rows of the compiled batch kernels).
+    ``"auto"`` calibration lives at the API/CLI boundary
+    (:func:`repro.execution.autotune.calibrate_kernel_threads`), not here —
+    resolution must stay cheap and deterministic.
     """
     if kernel_threads is None:
         resolved = _env_int("REPRO_KERNEL_THREADS")
@@ -327,22 +282,3 @@ def resolve_kernel_threads(kernel_threads: Optional[int] = None) -> int:
             f"kernel_threads must be a positive integer, got {kernel_threads!r}"
         )
     return kernel_threads
-
-
-def resolve_mp_context(mp_context: Optional[str] = None) -> Optional[str]:
-    """Resolve the multiprocessing start-method knob on its own.
-
-    An explicit name wins; ``None`` consults the ``REPRO_MP_CONTEXT``
-    environment override (unset means the interpreter default).  Like
-    ``shared_cache`` this never engages the execution engine by itself —
-    it configures *how* pools that already exist are started, which is why
-    the scheduler and :func:`~repro.execution.shared_cache.create_shared_store`
-    both accept the resolved value (spawn deployments must configure the
-    two consistently: a fork-context lock cannot enter a spawn-context
-    process).
-    """
-    if mp_context is None:
-        mp_context = os.environ.get("REPRO_MP_CONTEXT") or None
-    if mp_context is None:
-        return None
-    return _validate_mp_context(mp_context)

@@ -66,7 +66,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.execution.plan import resolve_mp_context, resolve_plan
+from repro.execution.plan import resolve_plan
 from repro.execution.shared_cache import (
     SharedDependencyStore,
     create_shared_store,
@@ -406,9 +406,9 @@ class ExecutionContext:
     ) -> None:
         from repro.incremental import resolve_invalidation
 
-        plan = resolve_plan(None, n_jobs=n_jobs)
-        self.n_jobs = plan.n_jobs if plan is not None else 1
-        self.mp_context = resolve_mp_context(mp_context)
+        plan = resolve_plan(None, n_jobs=n_jobs, mp_context=mp_context)
+        self.n_jobs = plan.n_jobs
+        self.mp_context = plan.mp_context
         #: How graph mutations are consumed: ``"delta"`` reads the change
         #: journal and retains unaffected arena rows, ``"full"`` keeps the
         #: legacy destroy-everything protocol (``None`` consults
@@ -867,16 +867,9 @@ def plan_snapshot(graph: Graph, plan):
 
     The :class:`~repro.execution.plan.ExecutionPlan` flavour of
     :func:`graph_snapshot`: reads the plan's ``shared_graph`` knob and
-    ``runtime`` field (``plan=None`` — the sequential path — always means
-    the plain cached snapshot).
+    ``runtime`` field.
     """
-    if plan is None:
-        return graph.csr()
-    return graph_snapshot(
-        graph,
-        shared_graph=getattr(plan, "shared_graph", False),
-        runtime=getattr(plan, "runtime", None),
-    )
+    return graph_snapshot(graph, shared_graph=plan.shared_graph, runtime=plan.runtime)
 
 
 def interned_payload(plan, key, factory: Callable[[], Any]):
@@ -888,7 +881,6 @@ def interned_payload(plan, key, factory: Callable[[], Any]):
     memoizes by *key* so repeated requests hand the persistent pool the
     same object and the snapshot ships to the workers once.
     """
-    runtime = getattr(plan, "runtime", None) if plan is not None else None
-    if runtime is None:
+    if plan.runtime is None:
         return factory()
-    return runtime.cached_payload(key, factory)
+    return plan.runtime.cached_payload(key, factory)

@@ -24,10 +24,10 @@ __all__ = [
     "resolve_kernel_quiet",
 ]
 
-#: The keys of every execution stamp, in emission order.  Null values are
-#: meaningful — ``jobs`` / ``batch_size`` null means the execution engine
-#: was not engaged, ``chains`` / ``rhat`` / ``ess`` null means the
-#: multi-chain driver did not run — so every surface emits all of them.
+#: The keys of every execution stamp, in emission order.  ``jobs`` /
+#: ``batch_size`` are always set (every estimate runs through a resolved
+#: plan); null ``chains`` / ``rhat`` / ``ess`` means the multi-chain driver
+#: did not run — so every surface emits all of them.
 EXECUTION_STAMP_KEYS = (
     "jobs",
     "batch_size",

@@ -105,7 +105,10 @@ def geweke_z_score(
 
     Compares the mean of the first ``first_fraction`` of the trace against
     the mean of the last ``last_fraction``; values within ±2 indicate the two
-    segments are statistically compatible.
+    segments are statistically compatible.  Each segment's variance of the
+    mean is its sample variance over its :func:`effective_sample_size` (the
+    spectral density at zero, estimated with the initial-positive-sequence
+    truncation), so an autocorrelated but stationary chain is not flagged.
     """
     if not 0.0 < first_fraction < 1.0 or not 0.0 < last_fraction < 1.0:
         raise ConfigurationError("fractions must lie strictly between 0 and 1")
@@ -116,8 +119,8 @@ def geweke_z_score(
         return 0.0
     first = trace[: max(int(n * first_fraction), 1)]
     last = trace[-max(int(n * last_fraction), 1) :]
-    var_first = _variance(first) / len(first)
-    var_last = _variance(last) / len(last)
+    var_first = _variance(first) / effective_sample_size(first)
+    var_last = _variance(last) / effective_sample_size(last)
     spread = math.sqrt(var_first + var_last)
     if spread == 0.0:
         return 0.0

@@ -27,8 +27,10 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import ConfigurationError
+from repro.execution.plan import ExecutionPlan
 from repro.graphs.core import Graph, Vertex
-from repro.shortest_paths.dependencies import csr_source_dependencies
+from repro.shortest_paths.batch import batch_source_dependencies
+from repro.shortest_paths.dependencies import iter_batches
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.execution.shared_cache import SharedDependencyStore
@@ -50,17 +52,13 @@ class DependencyOracle:
         (LRU eviction).  ``0`` disables caching entirely; ``None`` means
         unbounded.
     batch_size:
-        ``None`` (default) keeps the original per-source evaluation path
-        everywhere.  An ``int >= 1`` switches the oracle to the batched
-        kernels of :mod:`repro.shortest_paths.batch` for **both**
-        :meth:`prefetch` blocks (that many sources per traversal) and
-        point-query misses (a K=1 batch) — the batch paths compute every
-        column independently, so a vector is bit-identical whether it was
-        prefetched or recomputed after eviction, which is what keeps a
-        chain's estimate independent of the batch size.  (The batch paths
-        may differ from the ``None`` path in the last ulp when scipy's
-        sparse-matmul sweep is active, which is why ``None`` remains the
-        default: legacy callers keep their exact pre-engine values.)
+        Sources per traversal of :meth:`prefetch` blocks.  Every pass —
+        prefetch blocks and point-query misses (a K=1 batch) alike — runs
+        through :func:`~repro.shortest_paths.batch.batch_source_dependencies`,
+        which computes every row independently, so a vector is
+        bit-identical whether it was prefetched or recomputed after
+        eviction, which is what keeps a chain's estimate independent of the
+        batch size.
     shared_store:
         Optional cross-process
         :class:`~repro.execution.shared_cache.SharedDependencyStore`.  When
@@ -79,7 +77,7 @@ class DependencyOracle:
         graph: Graph,
         *,
         cache_size: Optional[int] = None,
-        batch_size: Optional[int] = None,
+        batch_size: int = ExecutionPlan.batch_size,
         shared_store: Optional["SharedDependencyStore"] = None,
     ) -> None:
         self._graph = graph
@@ -93,7 +91,7 @@ class DependencyOracle:
         self._shared = shared_store
         self._cache: "OrderedDict[Vertex, object]" = OrderedDict()
         self._cache_size = cache_size
-        self._batch_size = None if batch_size is None else max(int(batch_size), 1)
+        self._batch_size = max(int(batch_size), 1)
         self.evaluations = 0  #: number of Brandes passes actually performed
         self.lookups = 0  #: number of dependency queries answered
         #: Brandes passes performed by :meth:`prefetch` (a subset of
@@ -182,26 +180,12 @@ class DependencyOracle:
             missing = pending
             if not missing:
                 return 0
-        if self._batch_size is not None:
-            from repro.shortest_paths.batch import batch_source_dependencies
-            from repro.shortest_paths.dependencies import iter_batches
-
-            index_of = self._csr.index_of
-            for chunk in iter_batches(missing, self._batch_size):
-                deltas = batch_source_dependencies(
-                    self._csr, [index_of(s) for s in chunk]
-                )
-                for row, s in enumerate(chunk):
-                    # Copy the row so the (K, n) batch matrix can be freed.
-                    self._publish_and_store(s, deltas[row].copy())
-        else:
-            # Not batch-configured: warm the cache with the same point
-            # kernel `_raw_vector` uses, so a vector never depends on
-            # whether it was prefetched or recomputed after eviction.
-            for s in missing:
-                self._publish_and_store(
-                    s, csr_source_dependencies(self._csr, self._csr.index_of(s))
-                )
+        index_of = self._csr.index_of
+        for chunk in iter_batches(missing, self._batch_size):
+            deltas = batch_source_dependencies(self._csr, [index_of(s) for s in chunk])
+            for row, s in enumerate(chunk):
+                # Copy the row so the (K, n) batch matrix can be freed.
+                self._publish_and_store(s, deltas[row].copy())
         self.evaluations += len(missing)
         self.prefetch_evaluations += len(missing)
         return len(missing)
@@ -238,17 +222,9 @@ class DependencyOracle:
                     self._store(source, row)
                 return row
         self.evaluations += 1
-        if self._batch_size is not None:
-            # Batch-configured oracle: a K=1 batch, so a recomputed vector
-            # is bit-identical to its prefetched twin (batch columns are
-            # composition-independent).
-            from repro.shortest_paths.batch import batch_source_dependencies
-
-            vector: object = batch_source_dependencies(
-                self._csr, [self._csr.index_of(source)]
-            )[0].copy()
-        else:
-            vector = csr_source_dependencies(self._csr, self._csr.index_of(source))
+        # A K=1 batch, so a recomputed vector is bit-identical to its
+        # prefetched twin (batch rows are composition-independent).
+        vector = batch_source_dependencies(self._csr, [self._csr.index_of(source)])[0].copy()
         if self._shared is not None:
             self._shared.put(self._csr.index_of(source), vector)
         if self.cache_enabled:

@@ -189,9 +189,8 @@ class RelativeBetweennessEstimate:
     samples: int
     elapsed_seconds: float
     chain: JointChainResult
-    #: Execution stamp mirroring ``SingleEstimate.diagnostics``:
-    #: ``n_jobs`` / ``batch_size`` only when the execution engine was
-    #: engaged.
+    #: Execution stamp mirroring ``SingleEstimate.diagnostics``
+    #: (``n_jobs`` / ``batch_size``).
     diagnostics: Dict[str, object] = field(default_factory=dict)
 
     def ranking(self) -> List[Vertex]:
@@ -218,10 +217,10 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         self.cache_size = cache_size
         #: Execution-engine knobs, with the same semantics as
         #: :class:`~repro.mcmc.single.SingleSpaceMHSampler`: the joint
-        #: proposal ``⟨r', v'⟩`` is an independence proposal, so with
-        #: ``batch_size`` set the whole candidate sequence is drawn upfront
-        #: from a child rng stream and the oracle batch-prefetches the
-        #: upcoming ``v'`` dependency vectors; ``n_jobs`` is accepted and
+        #: proposal ``⟨r', v'⟩`` is an independence proposal, so the whole
+        #: candidate sequence is drawn upfront from a child rng stream and
+        #: the oracle batch-prefetches the upcoming ``v'`` dependency
+        #: vectors ``batch_size`` at a time; ``n_jobs`` is accepted and
         #: unused (the chain is sequential).
         self.batch_size = batch_size
         self.n_jobs = n_jobs
@@ -234,11 +233,10 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         :meth:`repro.mcmc.single.SingleSpaceMHSampler.build_oracle`, which
         also documents the *shared_store* hook).
         """
-        plan = self._plan()
         return DependencyOracle(
             graph,
             cache_size=self.cache_size,
-            batch_size=plan.batch_size if plan is not None else None,
+            batch_size=self._plan().batch_size,
             shared_store=shared_store,
         )
 
@@ -273,26 +271,22 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         if self.burn_in >= num_iterations + 1:
             raise ConfigurationError("burn_in must be smaller than the chain length")
         rng = ensure_rng(seed)
-        plan = self._plan()
         if oracle is None:
             oracle = self.build_oracle(graph)
         vertices = graph.vertices()
         if len(vertices) < 2:
             raise SamplingError("the graph must contain at least two vertices")
-
-        pair_proposals: Optional[List[Tuple[Vertex, Vertex]]] = None
-        if plan is not None:
-            # The joint proposal is an independence proposal: pre-draw the
-            # ⟨r', v'⟩ sequence from a child stream so the oracle can
-            # batch-prefetch the upcoming v' dependency vectors.
-            proposal_rng = spawn_rng(rng, 0)
-            pair_proposals = [
-                (
-                    members[proposal_rng.randrange(len(members))],
-                    vertices[proposal_rng.randrange(len(vertices))],
-                )
-                for _ in range(num_iterations)
-            ]
+        # The joint proposal is an independence proposal: pre-draw the
+        # ⟨r', v'⟩ sequence from a child stream so the oracle can
+        # batch-prefetch the upcoming v' dependency vectors.
+        proposal_rng = spawn_rng(rng, 0)
+        pair_proposals = [
+            (
+                members[proposal_rng.randrange(len(members))],
+                vertices[proposal_rng.randrange(len(vertices))],
+            )
+            for _ in range(num_iterations)
+        ]
 
         if initial_state is None:
             current_r = members[rng.randrange(len(members))]
@@ -314,17 +308,13 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
                 accepted=True,
             )
         ]
-        prefetch_block = plan.batch_size if plan is not None else 1
+        prefetch_block = self._plan().batch_size
         for t in range(1, num_iterations + 1):
-            if pair_proposals is not None:
-                candidate_r, candidate_v = pair_proposals[t - 1]
-                if (t - 1) % prefetch_block == 0:
-                    oracle.prefetch(
-                        [v for _, v in pair_proposals[t - 1 : t - 1 + prefetch_block]]
-                    )
-            else:
-                candidate_r = members[rng.randrange(len(members))]
-                candidate_v = vertices[rng.randrange(len(vertices))]
+            candidate_r, candidate_v = pair_proposals[t - 1]
+            if (t - 1) % prefetch_block == 0:
+                oracle.prefetch(
+                    [v for _, v in pair_proposals[t - 1 : t - 1 + prefetch_block]]
+                )
             candidate_deps = self._restricted_dependencies(oracle, candidate_v, members)
             accepted = self._accept(
                 states[-1].dependency, candidate_deps.get(candidate_r, 0.0), rng
@@ -402,10 +392,11 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
                         ratios[(ri, rj)] = chain.ratio_estimate(ri, rj)
                     except SamplingError:
                         ratios[(ri, rj)] = float("nan")
-        diagnostics: Dict[str, object] = {}
         plan = self._plan()
-        if plan is not None:
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
+        diagnostics: Dict[str, object] = {
+            "n_jobs": plan.n_jobs,
+            "batch_size": plan.batch_size,
+        }
         return RelativeBetweennessEstimate(
             reference_set=chain.reference_set,
             relative=relative,

@@ -31,7 +31,7 @@ another process — so a chain never depends on which worker ran it or on
 what shared a cache with it.  Per-chain results are merged strictly in
 chain order.  Together this makes every pooled estimate **bit-identical for
 any** ``n_jobs`` at a fixed seed, and a ``K = 1`` driver runs the parent
-stream itself (no spawn), reproducing the legacy sequential sampler's
+stream itself (no spawn), reproducing the single-chain sampler's
 estimate bit for bit.
 
 ``n_jobs`` belongs to the *driver* (how many worker processes the chains
@@ -65,12 +65,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro._rng import RandomState, ensure_rng, spawn_rng
 from repro.errors import ConfigurationError, EdgeNotFoundError, SamplingError
 from repro.execution import (
+    ExecutionPlan,
     create_shared_store,
-    graph_snapshot,
-    resolve_mp_context,
+    interned_payload,
+    plan_snapshot,
     resolve_plan,
-    resolve_shared_cache,
-    resolve_shared_graph,
     run_sharded,
 )
 from repro.graphs.core import Graph, Vertex
@@ -240,7 +239,15 @@ def _run_fixed_shard(payload: _ChainPayload, shard):
 
 
 class _MultiChainBase:
-    """Shared knob validation and scheduling for the three drivers."""
+    """Shared knob validation and scheduling for the three drivers.
+
+    Each run resolves its :class:`~repro.execution.plan.ExecutionPlan` once
+    (:meth:`_driver_plan`) and hands it to every scheduling helper.  A
+    ``plan`` attribute set on the driver — a session attaches its own plan,
+    persistent runtime included — wins over the individual knobs.
+    """
+
+    plan: Optional[ExecutionPlan] = None
 
     def __init__(
         self,
@@ -275,7 +282,7 @@ class _MultiChainBase:
                 f"got {shared_cache_capacity!r}"
             )
         if mp_context is not None:
-            resolve_mp_context(mp_context)  # validate eagerly
+            ExecutionPlan(mp_context=mp_context)  # validate eagerly
         self.n_chains = n_chains
         self.n_jobs = n_jobs
         self.shared_cache = shared_cache
@@ -302,6 +309,8 @@ class _MultiChainBase:
         #: the run used private caches) — the drivers' estimate methods stamp
         #: it into their diagnostics.
         self._shared_cache_stats: Optional[Dict[str, object]] = None
+        #: The plan of the last run (see :meth:`_driver_plan`).
+        self._run_plan: Optional[ExecutionPlan] = None
 
     @staticmethod
     def _resolve_base(base, expected_cls, base_kwargs):
@@ -318,46 +327,23 @@ class _MultiChainBase:
             )
         return base
 
-    def _resolved_jobs(self) -> int:
-        """Worker processes for the chain scheduler (``REPRO_JOBS`` honoured)."""
-        plan = resolve_plan(None, n_jobs=self.n_jobs)
-        return plan.n_jobs if plan is not None else 1
+    def _driver_plan(self) -> ExecutionPlan:
+        """Resolve this run's plan: the attached ``plan``, else the knobs.
 
-    def _resolved_mp_context(self) -> Optional[str]:
-        """Pool start method (explicit knob, else ``REPRO_MP_CONTEXT``)."""
-        return resolve_mp_context(self.mp_context)
-
-    def _resolved_shared_cache(self) -> bool:
-        """Whether this run shares one dependency arena across its workers.
-
-        The explicit ``shared_cache`` argument wins; ``None`` consults the
-        ``REPRO_SHARED_CACHE`` environment override.  Resolved standalone
-        (:func:`repro.execution.resolve_shared_cache`) rather than through
-        plan engagement: the cache knob must never switch anything onto an
-        engine code path by itself.
+        Called once per run; the result is kept as ``_run_plan`` so the
+        estimate methods stamp the ``n_jobs`` the run actually used.
         """
-        return resolve_shared_cache(self.shared_cache)
-
-    def _resolved_shared_graph(self) -> bool:
-        """Whether snapshots ship as shared-memory handles (env override honoured)."""
-        return resolve_shared_graph(self.shared_graph)
-
-    def _graph_snapshot(self, graph: Graph):
-        """The CSR snapshot shipped explicitly in the worker payload.
-
-        The plain cached arrays — :class:`~repro.graphs.core.Graph` pickles
-        without its snapshot, so the payload carries it — or a zero-copy
-        :class:`~repro.graphs.shared.SharedCSRGraph` handle when the
-        ``shared_graph`` knob is on (warn-and-fallback to the plain arrays
-        where shared memory is unsupported).
-        """
-        return graph_snapshot(
-            graph,
-            shared_graph=self._resolved_shared_graph(),
+        self._run_plan = resolve_plan(
+            self.plan,
+            n_jobs=self.n_jobs,
+            shared_cache=self.shared_cache,
+            shared_graph=self.shared_graph,
+            mp_context=self.mp_context,
             runtime=self.runtime,
         )
+        return self._run_plan
 
-    def _build_shared_store(self, graph: Graph, num_samples: int):
+    def _build_shared_store(self, graph: Graph, num_samples: int, plan: ExecutionPlan):
         """Create the run's cross-process arena, or ``None`` when not applicable.
 
         Falls back (with a warning) rather than failing: sandboxed platforms
@@ -368,13 +354,13 @@ class _MultiChainBase:
         never overflow (a caller-provided ``shared_cache_capacity`` may be
         smaller; overflow is then handled by the store refusing new rows).
         """
-        if not self._resolved_shared_cache():
+        if not plan.shared_cache:
             return None
         n = graph.number_of_vertices()
         capacity = self.shared_cache_capacity
         if capacity is None:
             capacity = max(min(n, num_samples + self.n_chains), 1)
-        mp_context = self._resolved_mp_context()
+        mp_context = plan.mp_context
         if mp_context is None:
             return create_shared_store(n, capacity)
         # A configured start method must govern the arena's lock too: a
@@ -383,7 +369,7 @@ class _MultiChainBase:
             n, capacity, context=multiprocessing.get_context(mp_context)
         )
 
-    def _acquire_store(self, graph: Graph, num_samples: int):
+    def _acquire_store(self, graph: Graph, num_samples: int, plan: ExecutionPlan):
         """Return ``(store, owned)`` — the run's dependency arena, if any.
 
         With a runtime attached the store is the context's *persistent*
@@ -394,18 +380,20 @@ class _MultiChainBase:
         per-run lifecycle applies: the knob (or ``REPRO_SHARED_CACHE``)
         must ask for the store, and the driver owns and destroys it.
         """
-        if self.runtime is not None:
+        if plan.runtime is not None:
             if self.shared_cache is False:
                 return None, False
             return (
-                self.runtime.dependency_arena(
+                plan.runtime.dependency_arena(
                     graph, capacity=self.shared_cache_capacity
                 ),
                 False,
             )
-        return self._build_shared_store(graph, num_samples), True
+        return self._build_shared_store(graph, num_samples, plan), True
 
-    def _chain_payload(self, kind: str, graph: Graph, sampler, store, snapshot):
+    def _chain_payload(
+        self, kind: str, graph: Graph, sampler, store, snapshot, plan: ExecutionPlan
+    ):
         """Build (or recall from the runtime memo) the shared worker payload.
 
         One payload per ``(kind, sampler, graph version, arena, snapshot)``
@@ -413,10 +401,6 @@ class _MultiChainBase:
         persistent pool installs it (and ships the graph snapshot) once and
         its workers keep their rebuilt oracles warm between requests.
         """
-        if self.runtime is None:
-            return _ChainPayload(
-                kind, graph, sampler, shared_store=store, snapshot=snapshot
-            )
         key = (
             "multichain",
             kind,
@@ -426,7 +410,8 @@ class _MultiChainBase:
             store.name if store is not None else None,
             id(snapshot),
         )
-        return self.runtime.cached_payload(
+        return interned_payload(
+            plan,
             key,
             lambda: _ChainPayload(
                 kind, graph, sampler, shared_store=store, snapshot=snapshot
@@ -437,23 +422,23 @@ class _MultiChainBase:
         """One stream per chain; ``K = 1`` keeps the parent stream itself.
 
         Keeping the parent for a single chain is what makes the degenerate
-        driver bit-identical to the legacy sequential sampler — it consumes
+        driver bit-identical to the single-chain sampler — it consumes
         the caller's stream exactly as a direct ``run_chain`` call would.
         """
         if self.n_chains == 1:
             return [rng]
         return [spawn_rng(rng, i) for i in range(self.n_chains)]
 
-    def _run_round(self, payload, tasks, worker, jobs, chains, rngs):
+    def _run_round(self, payload, tasks, worker, plan: ExecutionPlan, chains, rngs):
         """Run one scheduler round; merge results back strictly by chain index."""
         shards = [[task] for task in tasks]
         results = run_sharded(
             worker,
             shards,
-            n_jobs=jobs,
+            n_jobs=plan.n_jobs,
             shared=payload,
-            mp_context=self._resolved_mp_context(),
-            runtime=self.runtime,
+            mp_context=plan.mp_context,
+            runtime=plan.runtime,
         )
         chains = list(chains)
         rngs = list(rngs)
@@ -633,21 +618,25 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
         rng = ensure_rng(seed)
         rngs = self._chain_rngs(rng)
         budgets = split_budget(num_samples, self.n_chains)
-        store, owned = self._acquire_store(graph, num_samples)
+        plan = self._driver_plan()
+        store, owned = self._acquire_store(graph, num_samples, plan)
         self._shared_cache_stats = None
         try:
-            return self._run_chain_rounds(graph, r, rngs, budgets, store)
+            return self._run_chain_rounds(graph, r, rngs, budgets, store, plan)
         finally:
             if owned and store is not None:
                 store.destroy()
 
     def _run_chain_rounds(
-        self, graph: Graph, r: Vertex, rngs, budgets, store
+        self, graph: Graph, r: Vertex, rngs, budgets, store, plan: ExecutionPlan
     ) -> MultiChainResult:
         """The scheduling body of :meth:`run_chains` (store lifecycle handled there)."""
-        snapshot = self._graph_snapshot(graph)
-        payload = self._chain_payload("single", graph, self.base, store, snapshot)
-        jobs = self._resolved_jobs()
+        # A Graph pickles without its CSR snapshot, so the payload carries
+        # it: the cached arrays, or a shared-memory handle (shared_graph).
+        snapshot = plan_snapshot(graph, plan)
+        payload = self._chain_payload(
+            "single", graph, self.base, store, snapshot, plan
+        )
         chains: List[Optional[ChainResult]] = [None] * self.n_chains
         evaluations = 0
         if self.rhat_target is None:
@@ -655,7 +644,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
                 (i, rngs[i], None, budgets[i], r) for i in range(self.n_chains)
             ]
             chains, rngs, evaluations = self._run_round(
-                payload, tasks, _run_single_shard, jobs, chains, rngs
+                payload, tasks, _run_single_shard, plan, chains, rngs
             )
             rounds = 1
             converged: Optional[bool] = None
@@ -667,7 +656,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
                     "target is never reached)"
                 )
             payload = self._chain_payload(
-                "single", graph, self._segment_sampler(), store, snapshot
+                "single", graph, self._segment_sampler(), store, snapshot, plan
             )
             converged = False
             rounds = 0
@@ -679,7 +668,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
                     if remaining[i] > 0
                 ]
                 chains, rngs, used = self._run_round(
-                    payload, tasks, _run_single_shard, jobs, chains, rngs
+                    payload, tasks, _run_single_shard, plan, chains, rngs
                 )
                 evaluations += used
                 rounds += 1
@@ -731,7 +720,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
             "estimator": self.base.estimator,
             "burn_in": diag.burn_in,
             "n_chains": self.n_chains,
-            "n_jobs": self._resolved_jobs(),
+            "n_jobs": self._run_plan.n_jobs,
             "rhat_target": self.rhat_target,
             "converged": diag.converged,
             "rounds": diag.rounds,
@@ -741,9 +730,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
         }
         if self.n_chains == 1:
             diagnostics["chain"] = result.chains[0]
-        plan = self.base._plan()
-        if plan is not None:
-            diagnostics["batch_size"] = plan.batch_size
+        diagnostics["batch_size"] = self.base._plan().batch_size
         return SingleEstimate(
             vertex=r,
             estimate=value,
@@ -846,16 +833,16 @@ class MultiChainJointSampler(_MultiChainBase):
         rng = ensure_rng(seed)
         rngs = self._chain_rngs(rng)
         budgets = split_budget(num_samples, self.n_chains)
-        store, owned = self._acquire_store(graph, num_samples)
+        plan = self._driver_plan()
+        store, owned = self._acquire_store(graph, num_samples, plan)
         self._shared_cache_stats = None
         try:
             payload = self._chain_payload(
-                "joint", graph, self.base, store, self._graph_snapshot(graph)
+                "joint", graph, self.base, store, plan_snapshot(graph, plan), plan
             )
             tasks = [(i, rngs[i], budgets[i], members) for i in range(self.n_chains)]
             chains, _, evaluations = self._run_round(
-                payload, tasks, _run_fixed_shard, self._resolved_jobs(),
-                [None] * self.n_chains, rngs,
+                payload, tasks, _run_fixed_shard, plan, [None] * self.n_chains, rngs
             )
             if store is not None:
                 self._shared_cache_stats = store.stats()
@@ -892,17 +879,15 @@ class MultiChainJointSampler(_MultiChainBase):
         acceptance_rates = [chain.acceptance_rate() for chain in chains]
         diagnostics: Dict[str, object] = {
             "n_chains": self.n_chains,
-            "n_jobs": self._resolved_jobs(),
+            "n_jobs": self._run_plan.n_jobs,
             "rhat": split_rhat(traces),
             "ess": multichain_ess(traces),
             "acceptance_rates": acceptance_rates,
             "evaluations": evaluations,
             "shared_cache": self._shared_cache_stats is not None,
             "shared_cache_stats": self._shared_cache_stats,
+            "batch_size": self.base._plan().batch_size,
         }
-        plan = self.base._plan()
-        if plan is not None:
-            diagnostics["batch_size"] = plan.batch_size
         return RelativeBetweennessEstimate(
             reference_set=merged.reference_set,
             relative=relative,
@@ -974,28 +959,24 @@ class MultiChainEdgeSampler(_MultiChainBase):
         # The edge oracle is built per edge, so the target stays in the
         # payload here (one payload per edge; still memoized under a
         # runtime so repeated queries about one edge reuse it).
-        snapshot = self._graph_snapshot(graph)
-        if self.runtime is None:
-            payload = _ChainPayload("edge", graph, self.base, (a, b), snapshot=snapshot)
-        else:
-            payload = self.runtime.cached_payload(
-                (
-                    "multichain",
-                    "edge",
-                    id(self.base),
-                    id(graph),
-                    graph.version,
-                    (a, b),
-                    id(snapshot),
-                ),
-                lambda: _ChainPayload(
-                    "edge", graph, self.base, (a, b), snapshot=snapshot
-                ),
-            )
+        plan = self._driver_plan()
+        snapshot = plan_snapshot(graph, plan)
+        payload = interned_payload(
+            plan,
+            (
+                "multichain",
+                "edge",
+                id(self.base),
+                id(graph),
+                graph.version,
+                (a, b),
+                id(snapshot),
+            ),
+            lambda: _ChainPayload("edge", graph, self.base, (a, b), snapshot=snapshot),
+        )
         tasks = [(i, rngs[i], budgets[i], (a, b)) for i in range(self.n_chains)]
         chains, _, evaluations = self._run_round(
-            payload, tasks, _run_fixed_shard, self._resolved_jobs(),
-            [None] * self.n_chains, rngs,
+            payload, tasks, _run_fixed_shard, plan, [None] * self.n_chains, rngs
         )
         return list(chains), evaluations
 
@@ -1035,7 +1016,7 @@ class MultiChainEdgeSampler(_MultiChainBase):
                 "ess": multichain_ess(traces),
                 "estimator": self.base.estimator,
                 "n_chains": self.n_chains,
-                "n_jobs": self._resolved_jobs(),
+                "n_jobs": self._run_plan.n_jobs,
                 "evaluations": evaluations,
             },
         )

@@ -54,7 +54,7 @@ by benchmark E8 and discussed as natural variations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro._rng import RandomState, ensure_rng, spawn_rng
@@ -240,43 +240,31 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         self.record_states = bool(record_states)
         #: Execution-engine knobs (:mod:`repro.execution`).  A Markov chain
         #: is inherently sequential, so ``n_jobs`` is accepted for interface
-        #: uniformity and unused.  ``batch_size`` engages the
-        #: **batch-prefetch** discipline for the independence proposals
-        #: (``"uniform"`` / ``"degree"``), whose candidate sequence does not
-        #: depend on the chain state: the whole sequence is drawn upfront
-        #: from a child rng stream and the oracle batch-computes upcoming
-        #: dependency vectors ``batch_size`` sources per traversal.  The
-        #: per-vector values are bit-identical however they are batched, so
-        #: for a fixed seed the chain (and estimate) is the same for any
-        #: ``batch_size`` and ``n_jobs`` — though not the same chain the
-        #: sequential discipline walks, which is why the legacy behaviour is
-        #: kept when no knob is set.  The state-dependent ``"random-walk"``
-        #: proposal cannot know its candidates ahead of time and ignores the
-        #: engine.
+        #: uniformity and unused.  The independence proposals
+        #: (``"uniform"`` / ``"degree"``) run the **batch-prefetch**
+        #: discipline: their candidate sequence does not depend on the chain
+        #: state, so the whole sequence is drawn upfront from a child rng
+        #: stream and the oracle batch-computes upcoming dependency vectors
+        #: ``batch_size`` sources per traversal.  The per-vector values are
+        #: bit-identical however they are batched, so for a fixed seed the
+        #: chain (and estimate) is the same for any ``batch_size`` and
+        #: ``n_jobs``.  The state-dependent ``"random-walk"`` proposal
+        #: cannot know its candidates ahead of time and draws each one from
+        #: the main stream.
         self.batch_size = batch_size
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
     # Proposal machinery
     # ------------------------------------------------------------------
-    def _propose(self, graph: Graph, current: Vertex, vertices: Sequence[Vertex], rng):
-        """Return ``(candidate, log-proposal-ratio correction factor)``.
+    @staticmethod
+    def _propose_neighbor(graph: Graph, current: Vertex, rng):
+        """Return a random-walk ``(candidate, proposal correction factor)``.
 
-        For independence proposals the Metropolis-Hastings ratio needs the
-        factor ``g(current) / g(candidate)``; for the symmetric-by-
-        construction uniform proposal that factor is 1.  For the random-walk
-        proposal the factor is ``deg(current) / deg(candidate)``.
+        The candidate is a uniform neighbour of the current state; the
+        Metropolis-Hastings ratio needs the factor
+        ``deg(current) / deg(candidate)``.
         """
-        if self.proposal == "uniform":
-            candidate = vertices[rng.randrange(len(vertices))]
-            return candidate, 1.0
-        if self.proposal == "degree":
-            # Degree-proportional independence proposal.
-            candidate = self._degree_weighted_choice(graph, vertices, rng)
-            g_current = max(graph.degree(current), 1)
-            g_candidate = max(graph.degree(candidate), 1)
-            return candidate, g_current / g_candidate
-        # random-walk: propose a uniform neighbour of the current state.
         neighbors = list(graph.neighbors(current))
         if not neighbors:
             return current, 1.0
@@ -298,13 +286,17 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
 
     def _draw_proposals(
         self, graph: Graph, vertices: Sequence[Vertex], rng, count: int
-    ) -> List[Vertex]:
+    ) -> Optional[List[Vertex]]:
         """Pre-draw *count* independence-proposal candidates from a child stream.
 
         Spawning the child advances *rng* by exactly one spawn regardless of
         *count*, so the main stream (initial draw, acceptance draws) is
-        unaffected by how many proposals are drawn upfront.
+        unaffected by how many proposals are drawn upfront.  Returns
+        ``None`` for the state-dependent random-walk proposal, which draws
+        each candidate from the main stream as the chain moves.
         """
+        if self.proposal == "random-walk":
+            return None
         proposal_rng = spawn_rng(rng, 0)
         if self.proposal == "uniform":
             return [
@@ -331,11 +323,10 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         the default for every direct use of this sampler — keeps the oracle
         fully private.
         """
-        plan = self._plan()
         return DependencyOracle(
             graph,
             cache_size=self.cache_size,
-            batch_size=plan.batch_size if plan is not None else None,
+            batch_size=self._plan().batch_size,
             shared_store=shared_store,
         )
 
@@ -374,21 +365,16 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         if self.burn_in >= num_iterations + 1:
             raise ConfigurationError("burn_in must be smaller than the chain length")
         rng = ensure_rng(seed)
-        plan = self._plan()
-        prefetching = plan is not None and self.proposal in ("uniform", "degree")
         if oracle is None:
             oracle = self.build_oracle(graph)
         vertices = graph.vertices()
         if len(vertices) < 2:
             raise SamplingError("the graph must contain at least two vertices")
-
-        proposals: Optional[List[Vertex]] = None
-        if prefetching:
-            # Independence proposals don't depend on the chain state, so the
-            # whole candidate sequence can be drawn upfront from a child
-            # stream (the main stream keeps the initial draw and the
-            # acceptance draws) and handed to the oracle in blocks.
-            proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
+        # Independence proposals don't depend on the chain state, so the
+        # whole candidate sequence is drawn upfront from a child stream (the
+        # main stream keeps the initial draw and the acceptance draws) and
+        # handed to the oracle in blocks.
+        proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
 
         evaluations_before = oracle.evaluations
         if initial_state is None:
@@ -407,10 +393,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
                 proposal_dependency=current_delta,
             )
         ]
-        prefetch_block = plan.batch_size if plan is not None else 1
-        self._iterate(
-            graph, r, oracle, rng, vertices, states, num_iterations, proposals, prefetch_block
-        )
+        self._iterate(graph, r, oracle, rng, states, num_iterations, proposals)
         if not self.record_states:
             # Memory-lean mode: keep only the fields the estimate needs by
             # dropping vertex identities (they are replaced by the target).
@@ -436,11 +419,9 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         r: Vertex,
         oracle: DependencyOracle,
         rng,
-        vertices: Sequence[Vertex],
         states: List[ChainState],
         num_iterations: int,
         proposals: Optional[List[Vertex]],
-        prefetch_block: int,
     ) -> None:
         """Advance the chain *num_iterations* steps, appending to *states* in place.
 
@@ -453,6 +434,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         current = states[-1].vertex
         current_delta = states[-1].dependency
         base_iteration = states[-1].iteration
+        prefetch_block = self._plan().batch_size
         for step in range(1, num_iterations + 1):
             if proposals is not None:
                 candidate = proposals[step - 1]
@@ -465,7 +447,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
                         graph.degree(candidate), 1
                     )
             else:
-                candidate, proposal_correction = self._propose(graph, current, vertices, rng)
+                candidate, proposal_correction = self._propose_neighbor(graph, current, rng)
             candidate_delta = oracle.dependency(candidate, r)
             accepted = self._accept(current_delta, candidate_delta, proposal_correction, rng)
             if accepted:
@@ -498,8 +480,8 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         segments, and between segments only ``(rng, last state)`` matter —
         the dependency scores the oracle returns are deterministic, so the
         continuation is bit-identical whether the oracle is the original
-        instance, a rebuilt one in another process, or freshly empty.  When
-        the engine is engaged the continuation spawns a new proposal child
+        instance, a rebuilt one in another process, or freshly empty.  An
+        independence-proposal continuation spawns a new proposal child
         stream from *rng* per segment (mirroring :meth:`run_chain`), so a
         segmented chain is a valid Metropolis-Hastings chain but *not* the
         same trajectory a single unsegmented run walks.
@@ -519,22 +501,13 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
                 "the vertex identities that seed the continuation"
             )
         rng = ensure_rng(rng)
-        plan = self._plan()
-        prefetching = plan is not None and self.proposal in ("uniform", "degree")
         if oracle is None:
             oracle = self.build_oracle(graph)
         vertices = graph.vertices()
-        proposals = (
-            self._draw_proposals(graph, vertices, rng, num_iterations)
-            if prefetching
-            else None
-        )
+        proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
         states = list(chain.states)
-        prefetch_block = plan.batch_size if plan is not None else 1
         evaluations_before = oracle.evaluations
-        self._iterate(
-            graph, r, oracle, rng, vertices, states, num_iterations, proposals, prefetch_block
-        )
+        self._iterate(graph, r, oracle, rng, states, num_iterations, proposals)
         # The chain's running total plus this segment's passes only — a
         # shared oracle's counter includes other chains' work, which must
         # not be billed to this record.
@@ -606,8 +579,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             "chain": chain,
         }
         plan = self._plan()
-        if plan is not None:
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
+        diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
         return SingleEstimate(
             vertex=r,
             estimate=value,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro._rng import RandomState
 from repro.execution import ExecutionPlan, resolve_plan
@@ -33,10 +33,12 @@ class ExecutionPlanMixin:
 
     Estimators that accept the engine knobs store them as
     ``self.batch_size`` / ``self.n_jobs`` in their constructors (the
-    per-class API surface) and call :meth:`_plan` once per estimate; a
-    ``None`` plan means "no knob set" and the estimator must take its
-    original sequential path.  Centralised here so a change to plan
-    resolution (a new env knob, say) lands in every sampler at once.
+    per-class API surface) and call :meth:`_plan` once per estimate; unset
+    knobs resolve to the plan defaults, so every estimate runs through one
+    plan.  Centralised here so a change to plan resolution (a new env
+    knob, say) lands in every sampler at once.  A ready ``plan`` attribute
+    wins over the individual knobs: a session attaches its own resolved
+    plan (persistent runtime included) that way.
 
     ``mp_context``, ``runtime``, ``shared_graph``, ``kernel`` and
     ``kernel_threads`` are class-level defaults rather than constructor
@@ -45,13 +47,14 @@ class ExecutionPlanMixin:
     :class:`~repro.execution.runtime.ExecutionContext`; whether the CSR
     snapshot ships as a shared-memory handle; which bit-identical CSR
     kernel rung runs each pass, on how many threads), never what is
-    computed, so the session layer attaches them to an existing sampler
-    (``sampler.runtime = ctx``, ``sampler.kernel = "compiled"``) instead
-    of every constructor growing pass-through arguments.  Samplers that
+    computed, so callers attach them to an existing sampler
+    (``sampler.kernel = "compiled"``) instead of every constructor growing
+    pass-through arguments.  Samplers that
     ship themselves inside worker payloads stay safe: a runtime context
     pickles to ``None``.
     """
 
+    plan: Optional[ExecutionPlan] = None
     batch_size: Optional[int] = None
     n_jobs: Optional[int] = None
     mp_context: Optional[str] = None
@@ -60,9 +63,9 @@ class ExecutionPlanMixin:
     kernel: str = "auto"
     kernel_threads: Optional[int] = None
 
-    def _plan(self) -> Optional[ExecutionPlan]:
+    def _plan(self) -> ExecutionPlan:
         return resolve_plan(
-            None,
+            self.plan,
             batch_size=self.batch_size,
             n_jobs=self.n_jobs,
             mp_context=self.mp_context,

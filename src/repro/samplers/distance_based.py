@@ -24,20 +24,11 @@ from typing import Callable, Dict, Optional
 
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError, SamplingError
-from repro.execution import (
-    interned_payload,
-    merge_ordered,
-    plan_snapshot,
-    run_sharded,
-    split_shards,
-)
+from repro.execution import plan_snapshot
 from repro.graphs.core import Graph, Vertex
 from repro.samplers.base import ExecutionPlanMixin, SingleEstimate, SingleVertexEstimator, timed
 from repro.shortest_paths.bfs import bfs_distances_csr
-from repro.shortest_paths.dependencies import (
-    csr_dependency_on_target,
-    dependency_at_target_shard_csr,
-)
+from repro.shortest_paths.dependencies import dependencies_at_target
 from repro.shortest_paths.dijkstra import dijkstra_distances_csr
 
 __all__ = ["DistanceBasedSampler", "ImportanceSamplingEstimator"]
@@ -57,10 +48,10 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
         Identifier used in benchmark tables.
     batch_size, n_jobs:
         Execution-engine knobs (:mod:`repro.execution`).  The source
-        sequence is drawn upfront through exactly the rng calls the
-        sequential loop makes (the dependency passes consume no randomness),
-        then the passes run sharded and batched; for a fixed seed the
-        estimate is bit-identical for any ``n_jobs`` / ``batch_size``.
+        sequence is drawn upfront (the dependency passes consume no
+        randomness), then the passes run sharded and batched; for a fixed
+        seed the estimate is bit-identical for any ``n_jobs`` /
+        ``batch_size``.
     """
 
     def __init__(
@@ -93,9 +84,6 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
         n = graph.number_of_vertices()
         plan = self._plan()
         with timed() as clock:
-            # plan_snapshot returns the plain cached snapshot when no plan
-            # is engaged, so the sequential path is untouched; with the
-            # shared_graph knob on, the payload below ships as a handle.
             csr = plan_snapshot(graph, plan)
             masses = self._mass_function(graph, r)
             masses = {v: m for v, m in masses.items() if m > 0.0 and v != r}
@@ -108,53 +96,23 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
             vertices = list(masses)
             weights = [masses[v] for v in vertices]
             probabilities = {v: w / total_mass for v, w in zip(vertices, weights)}
-            r_index = csr.index_of(r)
+            # Draw the whole source sequence upfront (the passes consume no
+            # randomness), run the passes sharded, then weight each sample.
+            sources = [
+                rng.choices(vertices, weights=weights, k=1)[0] for _ in range(num_samples)
+            ]
+            values = dependencies_at_target(
+                csr, [csr.index_of(s) for s in sources], csr.index_of(r), plan
+            )
             total = 0.0
-            if plan is not None:
-                # Draw the whole source sequence upfront — the exact rng
-                # calls the sequential loop makes — then run the passes
-                # sharded; per-sample weighting happens at the fold below.
-                sources = [
-                    rng.choices(vertices, weights=weights, k=1)[0]
-                    for _ in range(num_samples)
-                ]
-                values = merge_ordered(
-                    run_sharded(
-                        dependency_at_target_shard_csr,
-                        split_shards([csr.index_of(s) for s in sources]),
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            (
-                                "dep-at-target-csr",
-                                id(csr),
-                                plan.batch_size,
-                                r_index,
-                                plan.kernel,
-                                plan.kernel_threads,
-                            ),
-                            lambda: (
-                                csr,
-                                plan.batch_size,
-                                r_index,
-                                plan.kernel,
-                                plan.kernel_threads,
-                            ),
-                        ),
-                    )
-                )
-                for s, delta in zip(sources, values):
-                    total += delta / probabilities[s]
-            else:
-                for _ in range(num_samples):
-                    s = rng.choices(vertices, weights=weights, k=1)[0]
-                    delta = csr_dependency_on_target(csr, csr.index_of(s), r_index)
-                    total += delta / probabilities[s]
+            for s, delta in zip(sources, values):
+                total += delta / probabilities[s]
         estimate = total / (num_samples * n * max(n - 1, 1))
-        diagnostics: Dict[str, object] = {"support_size": len(vertices)}
-        if plan is not None:
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
+        diagnostics: Dict[str, object] = {
+            "support_size": len(vertices),
+            "n_jobs": plan.n_jobs,
+            "batch_size": plan.batch_size,
+        }
         return SingleEstimate(
             vertex=r,
             estimate=estimate,

@@ -74,12 +74,11 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         self.delta = float(delta)
         #: Execution-engine knobs, with the same semantics as the RK
         #: sampler: ``n_jobs`` shards the sample loop with per-shard child
-        #: rng streams (results identical for any ``n_jobs``, but a
-        #: different stream than the sequential path); ``batch_size`` is
-        #: accepted for uniformity and unused (per-sample rng interleaving).
-        #: The adaptive stopping rule is a sequential decision over the
-        #: global sample stream, so :meth:`estimate` ignores the engine when
-        #: ``adaptive=True``.
+        #: rng streams (results identical for any ``n_jobs``); ``batch_size``
+        #: is accepted for uniformity and unused (per-sample rng
+        #: interleaving).  The adaptive stopping rule is a sequential
+        #: decision over one sample stream — part of the algorithm, not a
+        #: knob — so :meth:`estimate` runs it inline when ``adaptive=True``.
         self.batch_size = batch_size
         self.n_jobs = n_jobs
 
@@ -154,36 +153,28 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         rng = ensure_rng(seed)
         touched_total = 0
         plan = self._plan()
-        diagnostics: Dict[str, object] = {}
-        if plan is not None:
-            with timed() as clock:
-                shards = sample_shards(num_samples, rng)
-                csr = plan_snapshot(graph, plan)
-                results = run_sharded(
-                    _kadabra_all_shard_csr,
-                    shards,
-                    n_jobs=plan.n_jobs,
-                    plan=plan,
-                    shared=interned_payload(
-                        plan,
-                        ("kadabra-all-csr", id(self), id(csr)),
-                        lambda: (self, csr),
-                    ),
-                )
-                buffer = np.zeros(csr.number_of_vertices())
-                for shard_buffer, shard_touched in results:
-                    buffer += shard_buffer
-                    touched_total += shard_touched
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        else:
-            with timed() as clock:
-                csr = graph.csr()
-                buffer = np.zeros(csr.number_of_vertices())
-                for _ in range(num_samples):
-                    interior, touched = self._sample_path_interior_csr(csr, rng)
-                    touched_total += touched
-                    for i in interior:
-                        buffer[i] += 1.0
+        with timed() as clock:
+            shards = sample_shards(num_samples, rng)
+            csr = plan_snapshot(graph, plan)
+            results = run_sharded(
+                _kadabra_all_shard_csr,
+                shards,
+                n_jobs=plan.n_jobs,
+                plan=plan,
+                shared=interned_payload(
+                    plan,
+                    ("kadabra-all-csr", id(self), id(csr)),
+                    lambda: (self, csr),
+                ),
+            )
+            buffer = np.zeros(csr.number_of_vertices())
+            for shard_buffer, shard_touched in results:
+                buffer += shard_buffer
+                touched_total += shard_touched
+        diagnostics: Dict[str, object] = {
+            "n_jobs": plan.n_jobs,
+            "batch_size": plan.batch_size,
+        }
         estimates = vertex_keyed(csr, buffer / num_samples)
         diagnostics["touched_edges"] = touched_total
         return MapEstimate(
@@ -212,7 +203,7 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         drawn = 0
         touched_total = 0
         plan = self._plan()
-        if plan is not None and not self.adaptive:
+        if not self.adaptive:
             with timed() as clock:
                 shards = sample_shards(num_samples, rng)
                 csr = plan_snapshot(graph, plan)

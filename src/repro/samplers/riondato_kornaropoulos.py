@@ -104,13 +104,11 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         #: Execution-engine knobs.  ``n_jobs`` spreads the sample loop over
         #: worker processes: samples are cut into fixed shards, each shard
         #: drawing from its own child rng stream
-        #: (:func:`repro.execution.shard_rngs`), so the estimate is
-        #: identical for any ``n_jobs`` — but, unlike the dependency-pass
-        #: samplers, engaging the engine changes which paths a given seed
-        #: samples (the sequential path consumes one global stream).
-        #: ``batch_size`` is accepted for interface uniformity and has no
-        #: effect: path sampling interleaves rng draws with each traversal,
-        #: so batching SPD builds would change the sample stream.
+        #: (:func:`repro.execution.sample_shards`), so the estimate is
+        #: identical for any ``n_jobs``.  ``batch_size`` is accepted for
+        #: interface uniformity and has no effect: path sampling interleaves
+        #: rng draws with each traversal, so batching SPD builds would
+        #: change the sample stream.
         self.batch_size = batch_size
         self.n_jobs = n_jobs
 
@@ -143,24 +141,18 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
             raise ConfigurationError("the graph must have at least two vertices")
         rng = ensure_rng(seed)
         plan = self._plan()
-        diagnostics: Dict[str, object] = {}
-        if plan is not None:
-            with timed() as clock:
-                shards = sample_shards(num_samples, rng)
-                csr = plan_snapshot(graph, plan)
-                buffer = merge_ordered(
-                    run_sharded(
-                        _rk_all_shard_csr, shards, n_jobs=plan.n_jobs, plan=plan, shared=csr
-                    )
+        with timed() as clock:
+            shards = sample_shards(num_samples, rng)
+            csr = plan_snapshot(graph, plan)
+            buffer = merge_ordered(
+                run_sharded(
+                    _rk_all_shard_csr, shards, n_jobs=plan.n_jobs, plan=plan, shared=csr
                 )
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        else:
-            with timed() as clock:
-                csr = graph.csr()
-                buffer = np.zeros(csr.number_of_vertices())
-                for _ in range(num_samples):
-                    for i in self._sample_internal_indices(csr, rng):
-                        buffer[i] += 1.0
+            )
+        diagnostics: Dict[str, object] = {
+            "n_jobs": plan.n_jobs,
+            "batch_size": plan.batch_size,
+        }
         estimates = vertex_keyed(csr, buffer / num_samples)
         return MapEstimate(
             estimates=estimates,
@@ -184,35 +176,28 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         if num_samples < 1:
             raise ConfigurationError("num_samples must be at least 1")
         rng = ensure_rng(seed)
-        hits = 0.0
         plan = self._plan()
-        diagnostics: Dict[str, object] = {}
-        if plan is not None:
-            with timed() as clock:
-                shards = sample_shards(num_samples, rng)
-                csr = plan_snapshot(graph, plan)
-                hits = merge_ordered(
-                    run_sharded(
-                        _rk_hits_shard_csr,
-                        shards,
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            ("rk-hits-csr", id(csr), csr.index_of(r)),
-                            lambda: (csr, csr.index_of(r)),
-                        ),
-                    )
+        with timed() as clock:
+            shards = sample_shards(num_samples, rng)
+            csr = plan_snapshot(graph, plan)
+            hits = merge_ordered(
+                run_sharded(
+                    _rk_hits_shard_csr,
+                    shards,
+                    n_jobs=plan.n_jobs,
+                    plan=plan,
+                    shared=interned_payload(
+                        plan,
+                        ("rk-hits-csr", id(csr), csr.index_of(r)),
+                        lambda: (csr, csr.index_of(r)),
+                    ),
                 )
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        else:
-            with timed() as clock:
-                csr = graph.csr()
-                r_index = csr.index_of(r)
-                for _ in range(num_samples):
-                    if r_index in self._sample_internal_indices(csr, rng):
-                        hits += 1.0
-        diagnostics["hits"] = hits
+            )
+        diagnostics: Dict[str, object] = {
+            "n_jobs": plan.n_jobs,
+            "batch_size": plan.batch_size,
+            "hits": hits,
+        }
         return SingleEstimate(
             vertex=r,
             estimate=hits / num_samples,

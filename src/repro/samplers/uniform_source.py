@@ -14,15 +14,8 @@ from typing import Optional
 
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError
-from repro.execution import (
-    interned_payload,
-    merge_ordered,
-    plan_snapshot,
-    run_sharded,
-    split_shards,
-)
+from repro.execution import plan_snapshot
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np
 from repro.samplers.base import (
     AllVerticesEstimator,
     ExecutionPlanMixin,
@@ -32,11 +25,7 @@ from repro.samplers.base import (
     timed,
     vertex_keyed,
 )
-from repro.shortest_paths.dependencies import (
-    csr_source_dependencies,
-    dependency_at_target_shard_csr,
-    dependency_sum_shard_csr,
-)
+from repro.shortest_paths.dependencies import dependencies_at_target, dependency_sum
 
 __all__ = ["UniformSourceSampler"]
 
@@ -59,10 +48,9 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         "random k sources" variant), which caps ``num_samples`` at ``|V|``.
     batch_size, n_jobs:
         Execution-engine knobs (:mod:`repro.execution`).  Sources are drawn
-        upfront from the caller's rng stream (the same draws the sequential
-        path makes), so engaging the engine changes neither the sample set
-        nor the estimate beyond float re-association — and a fixed seed
-        gives bit-identical results for any ``n_jobs`` / ``batch_size``.
+        upfront from the caller's rng stream, then the passes run sharded
+        and batched, so a fixed seed gives bit-identical results for any
+        ``n_jobs`` / ``batch_size``.
     """
 
     name = "uniform-source"
@@ -105,48 +93,15 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         n = graph.number_of_vertices()
         scale = 1.0 / (num_samples * max(n - 1, 1))
         plan = self._plan()
-        diagnostics = {"with_replacement": self.with_replacement}
-        if plan is not None:
-            with timed() as clock:
-                sources = self._sample_sources(graph, num_samples, rng)
-                csr = plan_snapshot(graph, plan)
-                buffer = merge_ordered(
-                    run_sharded(
-                        dependency_sum_shard_csr,
-                        split_shards([csr.index_of(s) for s in sources]),
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            (
-                                "dep-sum-csr",
-                                id(csr),
-                                plan.batch_size,
-                                plan.kernel,
-                                plan.kernel_threads,
-                            ),
-                            lambda: (
-                                csr,
-                                plan.batch_size,
-                                plan.kernel,
-                                plan.kernel_threads,
-                            ),
-                        ),
-                    )
-                )
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        else:
-            with timed() as clock:
-                # Building (or fetching the cached) snapshot is part of the
-                # estimator's cost, so it is timed with the traversals.
-                csr = graph.csr()
-                buffer = np.zeros(csr.number_of_vertices())
-                sources = self._sample_sources(graph, num_samples, rng)
-                for s in sources:
-                    # delta[s] == 0 by construction, so no source is skipped.
-                    buffer += csr_source_dependencies(
-                        csr, csr.index_of(s), kernel=self.kernel
-                    )
+        with timed() as clock:
+            sources = self._sample_sources(graph, num_samples, rng)
+            csr = plan_snapshot(graph, plan)
+            buffer = dependency_sum(csr, [csr.index_of(s) for s in sources], plan)
+        diagnostics = {
+            "with_replacement": self.with_replacement,
+            "n_jobs": plan.n_jobs,
+            "batch_size": plan.batch_size,
+        }
         return MapEstimate(
             estimates=vertex_keyed(csr, buffer * scale),
             samples=num_samples,
@@ -177,53 +132,18 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         n = graph.number_of_vertices()
         total = 0.0
         plan = self._plan()
-        diagnostics = {"with_replacement": self.with_replacement}
-        if plan is not None:
-            with timed() as clock:
-                sources = self._sample_sources(graph, num_samples, rng)
-                csr = plan_snapshot(graph, plan)
-                values = merge_ordered(
-                    run_sharded(
-                        dependency_at_target_shard_csr,
-                        split_shards([csr.index_of(s) for s in sources]),
-                        n_jobs=plan.n_jobs,
-                        plan=plan,
-                        shared=interned_payload(
-                            plan,
-                            (
-                                "dep-at-target-csr",
-                                id(csr),
-                                plan.batch_size,
-                                csr.index_of(r),
-                                plan.kernel,
-                                plan.kernel_threads,
-                            ),
-                            lambda: (
-                                csr,
-                                plan.batch_size,
-                                csr.index_of(r),
-                                plan.kernel,
-                                plan.kernel_threads,
-                            ),
-                        ),
-                    )
-                )
-                for value in values:
-                    total += value
-            diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
-        else:
-            with timed() as clock:
-                csr = graph.csr()
-                r_index = csr.index_of(r)
-                sources = self._sample_sources(graph, num_samples, rng)
-                for s in sources:
-                    if s == r:
-                        continue
-                    total += float(
-                        csr_source_dependencies(csr, csr.index_of(s), kernel=self.kernel)[
-                            r_index
-                        ]
-                    )
+        with timed() as clock:
+            sources = self._sample_sources(graph, num_samples, rng)
+            csr = plan_snapshot(graph, plan)
+            for value in dependencies_at_target(
+                csr, [csr.index_of(s) for s in sources], csr.index_of(r), plan
+            ):
+                total += value
+        diagnostics = {
+            "with_replacement": self.with_replacement,
+            "n_jobs": plan.n_jobs,
+            "batch_size": plan.batch_size,
+        }
         return SingleEstimate(
             vertex=r,
             estimate=total / (num_samples * max(n - 1, 1)),

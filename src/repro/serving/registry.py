@@ -94,7 +94,10 @@ class ManagedSession:
         """Apply edge upserts/removals under the session lock.
 
         Each *add_edges* element is ``(u, v)`` or ``(u, v, weight)``; each
-        *remove_edges* element is ``(u, v)``.  The whole request is one
+        *remove_edges* element is ``(u, v)``.  The request is transactional:
+        every entry is validated first, and a bad one raises
+        :class:`~repro.errors.ReproError` with the graph untouched.  The
+        whole request is one
         :meth:`~repro.graphs.core.Graph.batch_mutations` window — one
         journal entry, at most one version bump — and the session's warm
         state is re-synced eagerly, so the returned summary carries the
@@ -105,23 +108,14 @@ class ManagedSession:
         old_version = self.graph.version
 
         def apply(graph: Graph) -> None:
+            # Validated under the session lock, before the batch opens, so
+            # a bad entry anywhere rejects the request with nothing applied.
+            added, removed = _validated_edits(graph, add_edges, remove_edges)
             with graph.batch_mutations():
-                for edge in add_edges:
-                    if len(edge) == 2:
-                        graph.add_edge(edge[0], edge[1])
-                    elif len(edge) == 3:
-                        graph.add_edge(edge[0], edge[1], weight=float(edge[2]))
-                    else:
-                        raise ReproError(
-                            f"each added edge must be (u, v) or (u, v, weight), "
-                            f"got {list(edge)!r}"
-                        )
-                for edge in remove_edges:
-                    if len(edge) != 2:
-                        raise ReproError(
-                            f"each removed edge must be (u, v), got {list(edge)!r}"
-                        )
-                    graph.remove_edge(edge[0], edge[1])
+                for u, v, weight in added:
+                    graph.add_edge(u, v, weight=weight)
+                for u, v in removed:
+                    graph.remove_edge(u, v)
 
         receipt = self.session.mutate(apply)
         return {
@@ -156,6 +150,48 @@ class ManagedSession:
 
     def close(self) -> None:
         self.session.close()
+
+
+def _validated_edits(graph: Graph, add_edges, remove_edges):
+    """Check a whole mutate request against *graph*; return ``(added, removed)``.
+
+    Rejects a malformed shape, a weight that is not a number (or not
+    positive on a weighted graph), a self-loop, and a removal of an edge
+    that is absent — counting edges the same request adds before its
+    removals, and each removal only once.
+    """
+    added = []
+    for edge in add_edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+            raise ReproError(f"each added edge must be (u, v) or (u, v, weight), got {edge!r}")
+        u, v = edge[0], edge[1]
+        if u == v:
+            raise ReproError(f"self-loop on vertex {u!r} is not allowed")
+        weight = 1.0
+        if len(edge) == 3:
+            try:
+                weight = float(edge[2])
+            except (TypeError, ValueError):
+                raise ReproError(f"edge weight must be a number, got {edge[2]!r}")
+            if graph.weighted and not weight > 0.0:
+                raise ReproError(f"edge weight must be positive, got {edge[2]!r}")
+        added.append((u, v, weight))
+
+    def key(u, v):
+        return (u, v) if graph.directed else frozenset((u, v))
+
+    added_keys = {key(u, v) for u, v, _ in added}
+    gone = set()
+    removed = []
+    for edge in remove_edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+            raise ReproError(f"each removed edge must be (u, v), got {edge!r}")
+        u, v = edge
+        if key(u, v) in gone or not (key(u, v) in added_keys or graph.has_edge(u, v)):
+            raise ReproError(f"cannot remove edge {[u, v]!r}: it is not in the graph")
+        gone.add(key(u, v))
+        removed.append((u, v))
+    return added, removed
 
 
 class SessionRegistry:

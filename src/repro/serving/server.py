@@ -55,10 +55,10 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
-from repro.execution import ExecutionPlan, resolve_kernel_threads
+from repro.execution import ExecutionPlan, resolve_kernel_threads, resolve_plan
 from repro.execution.stamp import EXECUTION_STAMP_KEYS, execution_stamp, resolve_kernel_quiet
 from repro.graphs.core import Graph
 from repro.serving.coalesce import CoalesceTimeout, OverloadedError, RequestCoalescer
@@ -143,12 +143,12 @@ class ServingApp:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config if config is not None else ServingConfig()
-        self.plan = plan
+        self.plan = resolve_plan(plan)
         self.registry = (
             registry
             if registry is not None
             else SessionRegistry(
-                plan=plan,
+                plan=self.plan,
                 arena_capacity=self.config.arena_capacity,
                 invalidation=self.config.invalidation,
                 check_connected=self.config.check_connected,
@@ -540,12 +540,8 @@ class ServingApp:
         if all(key in payload for key in ("jobs", "kernel")):
             stamp = {key: payload.get(key) for key in EXECUTION_STAMP_KEYS}
         else:
-            plan = self.plan
             stamp = execution_stamp(
-                {
-                    "n_jobs": plan.n_jobs if plan is not None else None,
-                    "batch_size": plan.batch_size if plan is not None else None,
-                },
+                {"n_jobs": self.plan.n_jobs, "batch_size": self.plan.batch_size},
                 kernel=self._kernel,
                 kernel_threads=self._kernel_threads,
             )
@@ -561,6 +557,11 @@ class ServingApp:
     def close(self) -> None:
         """Close every session (idempotent)."""
         self.registry.close()
+
+
+#: Largest request body the daemon reads, in bytes; a longer declared
+#: ``Content-Length`` is answered 413 without reading the body.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class BetweennessHTTPServer(ThreadingHTTPServer):
@@ -588,12 +589,28 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # request accounting lives in /metrics, not on stderr
 
     def _dispatch(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        response = self.server.app.dispatch(self.command, self.path, body)
+        raw = self.headers.get("Content-Length") or "0"
+        length = int(raw) if raw.strip().isdecimal() else -1
+        if length < 0:
+            response = _error_response(
+                400, "bad_request", f"invalid Content-Length header {raw!r}"
+            )
+        elif length > MAX_BODY_BYTES:
+            response = _error_response(
+                413,
+                "payload_too_large",
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+            )
+        else:
+            body = self.rfile.read(length) if length else b""
+            response = self.server.app.dispatch(self.command, self.path, body)
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body was left unread and would be parsed as the next
+            # request; "Connection: close" also ends this handler's loop.
+            self.send_header("Connection", "close")
         for key, value in response.headers:
             self.send_header(key, value)
         self.end_headers()

@@ -42,7 +42,6 @@ from repro.shortest_paths.dependencies import (
     accumulate_dependencies_csr,
     accumulate_edge_dependencies,
     all_dependencies_on_target,
-    csr_dependency_on_target,
     csr_source_dependencies,
     csr_spd_builder,
     dependency_on_target,
@@ -74,7 +73,6 @@ __all__ = [
     "dependency_on_target",
     "all_dependencies_on_target",
     "csr_source_dependencies",
-    "csr_dependency_on_target",
     "spd_builder",
     "csr_spd_builder",
     "bidirectional_shortest_path_info",

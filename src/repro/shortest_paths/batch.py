@@ -461,7 +461,10 @@ def batch_source_dependencies(
       (:func:`~repro.shortest_paths.compiled.batch_dependencies_compiled`)
       or the pure-numpy wave (:func:`bfs_spd_batch_csr` +
       :func:`accumulate_dependencies_batch_csr`).  Both rungs are
-      bit-identical to the single-source kernels per row;
+      bit-identical to the single-source kernels per row, so a single
+      source runs the fused single-source pass
+      (:func:`~repro.shortest_paths.dependencies.csr_source_dependencies`)
+      instead of a one-row wave;
     * weighted — one fused Dijkstra pass per row: the compiled batch
       kernel on that rung, otherwise
       :func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`
@@ -484,6 +487,9 @@ def batch_source_dependencies(
     """
     src = _validate_sources(csr, sources)
     n = csr.number_of_vertices()
+    # Resolved up front so a compiled request without numba warns on every
+    # branch, the spmm sweep included.
+    kernel = resolve_kernel(kernel)
     if not csr.weighted:
         if _scipy_sparse is not None and _spmm_suitable(csr):
             block = max(1, _SPMM_BLOCK_ELEMENTS // max(n, 1))
@@ -498,14 +504,23 @@ def batch_source_dependencies(
                     csr, src[begin : begin + block], out
                 )
             return delta
-        if resolve_kernel(kernel) == "compiled":
+        if src.size == 1:
+            # A single-row wave pays the batch bookkeeping for nothing; the
+            # fused single-source pass is bit-identical per row and faster.
+            from repro.shortest_paths.dependencies import csr_source_dependencies
+
+            row = csr_source_dependencies(csr, int(src[0]), kernel=kernel)
+            if out is not None:
+                out += row
+            return row[None, :]
+        if kernel == "compiled":
             from repro.shortest_paths.compiled import batch_dependencies_compiled
 
             return batch_dependencies_compiled(
                 csr, src, out=out, threads=kernel_threads
             )
         return accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, src), out=out)
-    if resolve_kernel(kernel) == "compiled":
+    if kernel == "compiled":
         from repro.shortest_paths.compiled import batch_dependencies_compiled
 
         return batch_dependencies_compiled(

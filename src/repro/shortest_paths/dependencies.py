@@ -49,9 +49,10 @@ __all__ = [
     "csr_spd_builder",
     "accumulate_dependencies_csr",
     "csr_source_dependencies",
-    "csr_dependency_on_target",
     "csr_edge_dependency",
     "iter_batches",
+    "dependency_sum",
+    "dependencies_at_target",
     "dependency_sum_shard_csr",
     "dependency_at_target_shard_csr",
 ]
@@ -154,14 +155,10 @@ def all_dependencies_on_target(
     on the vectorised CSR kernels; the result is converted back to a
     vertex-keyed dict only at this boundary.
 
-    ``batch_size`` / ``n_jobs`` (or a ready-made *plan*) engage the
-    execution engine of :mod:`repro.execution`: sources are split into
-    fixed shards, each shard's passes run through the batched kernels
-    (``batch_size`` sources per traversal) on up to
-    ``n_jobs`` worker processes, and the per-source values are merged in
-    source order — so the result is identical for any ``n_jobs`` and
-    ``batch_size``.  ``kernel`` selects the (bit-identical) CSR kernel rung
-    for the passes (:func:`~repro.graphs.csr.resolve_kernel`).
+    The passes run through the execution engine of :mod:`repro.execution`
+    (``batch_size`` / ``n_jobs`` / ``kernel`` or a ready-made *plan*, see
+    :func:`dependencies_at_target`), so the result is identical for any
+    ``n_jobs`` and ``batch_size``.
     """
     graph.validate_vertex(target)
     plan = resolve_plan(
@@ -171,57 +168,73 @@ def all_dependencies_on_target(
         kernel=kernel,
         kernel_threads=kernel_threads,
     )
-    if plan is not None:
-        return _all_dependencies_on_target_planned(graph, target, plan)
-    csr = graph.csr()
-    r = csr.index_of(target)
-    result = {}
-    for i, v in enumerate(csr.vertices):
-        if i == r:
-            result[v] = 0.0
-            continue
-        delta = csr_source_dependencies(csr, i, kernel=kernel)
-        result[v] = float(delta[r])
-    return result
-
-
-def _all_dependencies_on_target_planned(
-    graph: Graph, target: Vertex, plan: ExecutionPlan
-) -> Dict[Vertex, float]:
-    """Sharded/batched evaluation of the Equation 5 vector (see the caller)."""
     csr = plan_snapshot(graph, plan)
-    shards = split_shards(list(range(csr.number_of_vertices())))
-    target_index = csr.index_of(target)
-    values = merge_ordered(
+    values = dependencies_at_target(
+        csr, range(csr.number_of_vertices()), csr.index_of(target), plan
+    )
+    return dict(zip(csr.vertices, values))
+
+
+def dependency_sum(csr: "CSRGraph", sources: Sequence[int], plan: ExecutionPlan):
+    """Return the summed dependency vector of the source indices *sources*.
+
+    The engine recipe behind exact Brandes and the uniform-source sampler:
+    the sources are cut into fixed shards (:func:`split_shards`), each
+    shard's passes run ``plan.batch_size`` sources per batched traversal on
+    up to ``plan.n_jobs`` processes, and shard buffers merge in shard order
+    — bit-identical for any ``n_jobs`` / ``batch_size``.  The payload is
+    interned per (snapshot, batch, kernel, threads), so a persistent pool
+    ships the CSR arrays to its workers once per session, not per request.
+    """
+    if not len(sources):
+        return np.zeros(csr.number_of_vertices())
+    return merge_ordered(
         run_sharded(
-            dependency_at_target_shard_csr,
-            shards,
+            dependency_sum_shard_csr,
+            split_shards(sources),
             n_jobs=plan.n_jobs,
             plan=plan,
-            # One interned payload per (snapshot, batch, target, kernel,
-            # threads): a persistent pool re-ships nothing for repeated
-            # targets.
+            shared=interned_payload(
+                plan,
+                ("dep-sum-csr", id(csr), plan.batch_size, plan.kernel, plan.kernel_threads),
+                lambda: (csr, plan.batch_size, plan.kernel, plan.kernel_threads),
+            ),
+        )
+    )
+
+
+def dependencies_at_target(
+    csr: "CSRGraph", sources: Sequence[int], target: int, plan: ExecutionPlan
+) -> List[float]:
+    """Return ``delta_{s.}(target)`` for every source index in *sources*, in order.
+
+    The per-source twin of :func:`dependency_sum` (same shards, batching and
+    payload interning; one interned payload per target as well, so a
+    persistent pool re-ships nothing for repeated targets).  A source equal
+    to *target* reads 0.
+    """
+    if not len(sources):
+        return []
+    return merge_ordered(
+        run_sharded(
+            dependency_at_target_shard_csr,
+            split_shards(sources),
+            n_jobs=plan.n_jobs,
+            plan=plan,
             shared=interned_payload(
                 plan,
                 (
                     "dep-at-target-csr",
                     id(csr),
                     plan.batch_size,
-                    target_index,
+                    target,
                     plan.kernel,
                     plan.kernel_threads,
                 ),
-                lambda: (
-                    csr,
-                    plan.batch_size,
-                    target_index,
-                    plan.kernel,
-                    plan.kernel_threads,
-                ),
+                lambda: (csr, plan.batch_size, target, plan.kernel, plan.kernel_threads),
             ),
         )
     )
-    return dict(zip(csr.vertices, values))
 
 
 # ----------------------------------------------------------------------
@@ -337,13 +350,6 @@ def csr_source_dependencies(csr: "CSRGraph", source: int, *, kernel: str = "auto
     if csr.weighted:
         return dijkstra_source_dependencies_csr(csr, source)
     return bfs_source_dependencies_csr(csr, source)
-
-
-def csr_dependency_on_target(csr: "CSRGraph", source: int, target: int) -> float:
-    """Return :math:`\\delta_{source\\bullet}(target)` in index space."""
-    if source == target:
-        return 0.0
-    return float(csr_source_dependencies(csr, source)[target])
 
 
 def csr_edge_dependency(spd: CSRShortestPathDAG, a: int, b: int) -> float:

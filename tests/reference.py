@@ -4,10 +4,12 @@ Every estimator in the library runs on CSR snapshots.  This module keeps one
 plain, sequential loop per estimator written against the dict-backed kernels
 of :mod:`repro.shortest_paths` (``bfs_spd`` / ``dijkstra_spd`` plus the
 Brandes accumulation over vertex-keyed dicts).  The loops draw from the rng
-exactly as the library's sequential paths do — sources, pairs and proposal
+exactly as the library's estimators do — sources, pairs and proposal
 candidates are picked by position in ``graph.vertices()``, the same dense
-order the CSR snapshot uses — so for a fixed seed a reference estimate
-matches the library's up to floating-point accumulation order.
+order the CSR snapshot uses, and the path samplers (RK, KADABRA) draw
+through the same :func:`~repro.execution.sample_shards` child streams — so
+for a fixed seed a reference estimate matches the library's up to
+floating-point accumulation order.
 
 The Metropolis-Hastings family needs no loop of its own: the unchanged
 samplers accept an injected oracle, and :class:`DictDependencyOracle`
@@ -22,6 +24,7 @@ from typing import Dict, List, Set, Tuple
 from repro._rng import RandomState, ensure_rng
 from repro.centrality.api import MCMC_SINGLE_METHODS, SINGLE_VERTEX_METHODS
 from repro.exact.brandes import normalization_factor
+from repro.execution import sample_shards
 from repro.graphs.core import Graph, Vertex
 from repro.mcmc.single import SingleSpaceMHSampler
 from repro.shortest_paths import (
@@ -155,13 +158,20 @@ def _random_pair(graph: Graph, rng) -> Tuple[Vertex, Vertex]:
     return s, t
 
 
+def _sharded_streams(samples: int, rng):
+    """One child stream per sample, following the library's shard boundaries."""
+    for count, shard_rng in sample_shards(samples, rng):
+        for _ in range(count):
+            yield shard_rng
+
+
 def _rk(graph: Graph, r: Vertex, samples: int, rng) -> float:
     build = spd_builder(graph)
     hits = 0.0
-    for _ in range(samples):
-        s, t = _random_pair(graph, rng)
+    for sample_rng in _sharded_streams(samples, rng):
+        s, t = _random_pair(graph, sample_rng)
         spd = build(graph, s)
-        if spd.is_reachable(t) and r in _backtrack(spd, s, t, rng):
+        if spd.is_reachable(t) and r in _backtrack(spd, s, t, sample_rng):
             hits += 1.0
     return hits / samples
 
@@ -183,8 +193,8 @@ def _expand(graph: Graph, frontier, dist, other_dist):
 def _kadabra(graph: Graph, r: Vertex, samples: int, rng) -> float:
     build = spd_builder(graph)
     hits = 0.0
-    for _ in range(samples):
-        s, t = _random_pair(graph, rng)
+    for sample_rng in _sharded_streams(samples, rng):
+        s, t = _random_pair(graph, sample_rng)
         dist_s: Dict[Vertex, float] = {s: 0.0}
         dist_t: Dict[Vertex, float] = {t: 0.0}
         frontier_s, frontier_t = [s], [t]
@@ -199,7 +209,7 @@ def _kadabra(graph: Graph, r: Vertex, samples: int, rng) -> float:
         if not met:
             continue
         spd = build(graph, s)
-        if spd.is_reachable(t) and r in _backtrack(spd, s, t, rng):
+        if spd.is_reachable(t) and r in _backtrack(spd, s, t, sample_rng):
             hits += 1.0
     return hits / samples
 
@@ -217,8 +227,8 @@ def reference_estimate(
 ) -> float:
     """Dict-kernel twin of ``betweenness_single(graph, r, method=...)``.
 
-    Covers every method of :data:`SINGLE_VERTEX_METHODS` on the sequential
-    path (no execution-engine knob set).
+    Covers every method of :data:`SINGLE_VERTEX_METHODS`; no execution knob
+    changes a library estimate, so one reference loop serves them all.
     """
     assert set(SINGLE_VERTEX_METHODS) == set(_BASELINES) | set(MCMC_SINGLE_METHODS)
     if method in MCMC_SINGLE_METHODS:

@@ -380,9 +380,9 @@ class TestBatchCommand:
         assert mh["chains"] == 2
         assert rk["chains"] is None  # baseline untouched by the default
 
-    def test_sequential_batch_matches_the_cold_command(self, barbell_file, tmp_path):
-        """With no --jobs/--batch-size the warm stream runs the sequential
-        path, bit-identical to the cold sequential command."""
+    def test_default_batch_matches_the_cold_command(self, barbell_file, tmp_path):
+        """With no --jobs/--batch-size the warm stream runs the plan
+        defaults, bit-identical to the cold command."""
         code_cold, cold_out = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5",
              "--samples", "60", "--seed", "1"]
@@ -395,7 +395,8 @@ class TestBatchCommand:
         assert code_cold == 0 and code == 0
         cold = json.loads(cold_out)
         warm = json.loads(output)
-        assert warm["jobs"] is None and warm["batch_size"] is None
+        assert warm["jobs"] == cold["jobs"] is not None
+        assert warm["batch_size"] == cold["batch_size"] is not None
         assert warm["estimate"] == cold["estimate"]
 
     def test_missing_query_file_is_a_clean_cli_error(self, barbell_file, capsys):

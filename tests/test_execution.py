@@ -22,7 +22,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.centrality.api import betweenness_single
+from repro.centrality.api import (
+    SINGLE_VERTEX_METHODS,
+    betweenness_single,
+    relative_betweenness,
+)
 from repro.errors import ConfigurationError
 from repro.exact.brandes import betweenness_centrality
 from repro.exact.group import group_betweenness_centrality
@@ -123,6 +127,29 @@ def test_batch_weighted_fallback_matches_dijkstra_rows():
         assert np.array_equal(deltas[row], csr_source_dependencies(csr, s))
 
 
+def test_single_row_wave_requests_run_the_fused_pass():
+    """A K=1 request on the wave branch (deep or directed unweighted graphs)
+    runs the fused single-source pass; its row equals the wave's row bit for
+    bit, and ``out`` still accumulates it."""
+    from repro.graphs import grid_graph, path_graph
+    from repro.shortest_paths.batch import _scipy_sparse, _spmm_suitable
+
+    directed = Graph.from_edges(
+        [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9), (9, 2)],
+        directed=True,
+    )
+    for graph in (grid_graph(12, 12), path_graph(60), directed):
+        csr = graph.csr()
+        assert _scipy_sparse is None or not _spmm_suitable(csr)
+        for s in range(0, csr.number_of_vertices(), 5):
+            wave = accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, [s]))[0]
+            out = np.zeros(csr.number_of_vertices())
+            routed = batch_source_dependencies(csr, [s], out=out, kernel="csr")
+            assert routed.shape == (1, csr.number_of_vertices())
+            assert np.array_equal(routed[0], wave)
+            assert np.array_equal(out, wave)
+
+
 def test_batch_out_accumulates_in_source_order():
     graph = _random_unweighted(9)
     csr = graph.csr()
@@ -185,10 +212,11 @@ def test_every_batch_branch_rejects_bad_sources_alike(branch, kernel, monkeypatc
 # ----------------------------------------------------------------------
 
 
-def test_resolve_plan_returns_none_without_any_knob(monkeypatch):
+def test_resolve_plan_takes_the_defaults_without_any_knob(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert resolve_plan(None) is None
+    plan = resolve_plan(None)
+    assert (plan.batch_size, plan.n_jobs) == (16, 1)
 
 
 def test_resolve_plan_env_overrides(monkeypatch):
@@ -351,17 +379,64 @@ def test_estimators_are_execution_invariant(method):
 
 
 @pytest.mark.parametrize("method", ["uniform-source", "distance"])
-def test_dependency_samplers_match_their_sequential_estimates(method):
-    """Dependency-pass samplers draw their sources upfront through the same
-    rng calls the sequential loop makes, so the engine changes the estimate
-    by float re-association at most."""
+def test_dependency_samplers_match_their_unset_knob_estimates(method):
+    """Dependency-pass samplers draw their sources upfront, so setting the
+    knobs leaves the estimate bit-identical to the unset-knob call."""
     graph = barabasi_albert_graph(30, 2, seed=5)
     r = graph.vertices()[6]
-    sequential = betweenness_single(graph, r, method=method, samples=40, seed=31).estimate
+    unset = betweenness_single(graph, r, method=method, samples=40, seed=31).estimate
     planned = betweenness_single(
         graph, r, method=method, samples=40, seed=31, n_jobs=2, batch_size=8
     ).estimate
-    assert math.isclose(sequential, planned, rel_tol=1e-9, abs_tol=1e-12)
+    assert unset == planned
+
+
+#: The knob grid of the determinism contract, unset values included.
+KNOB_BATCH_GRID = (None, 1, 16)
+KNOB_JOBS_GRID = (None, 1, 2)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(
+    max_examples=3,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_no_execution_knob_changes_any_result(monkeypatch, seed):
+    """Every estimator returns the same fixed-seed answer whether the
+    execution knobs are unset or set to any value — one execution
+    discipline, no knob-selected code path.  300 samples cross a shard
+    boundary, so ``n_jobs=2`` really fans out."""
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.delenv("REPRO_BATCH", raising=False)
+    graph = barabasi_albert_graph(24, 2, seed=seed % 50)
+    vertices = graph.vertices()
+    r = vertices[seed % len(vertices)]
+    members = vertices[:3]
+
+    def answers(batch_size, n_jobs):
+        knobs = dict(batch_size=batch_size, n_jobs=n_jobs)
+        single = {
+            method: betweenness_single(
+                graph, r, method=method, samples=300, seed=seed, **knobs
+            ).estimate
+            for method in sorted(SINGLE_VERTEX_METHODS)
+        }
+        relative = relative_betweenness(graph, members, samples=300, seed=seed, **knobs)
+        return repr(
+            (
+                single,
+                sorted((str(k), v) for k, v in relative.ratios.items()),
+                relative.sample_counts,
+                betweenness_centrality(graph, **knobs),
+                all_dependencies_on_target(graph, r, **knobs),
+            )
+        )
+
+    reference = answers(None, None)
+    for batch_size in KNOB_BATCH_GRID:
+        for n_jobs in KNOB_JOBS_GRID:
+            assert answers(batch_size, n_jobs) == reference, (batch_size, n_jobs)
 
 
 def test_relative_betweenness_is_batch_invariant():
@@ -739,9 +814,7 @@ def test_execution_plan_validates_and_carries_the_kernel():
         ExecutionPlan(kernel="fpga")
     assert ExecutionPlan().kernel == "auto"
     assert ExecutionPlan(kernel="compiled").kernel == "compiled"
-    # Like shared_cache, the kernel never engages the engine by itself...
-    assert resolve_plan(None, kernel="compiled") is None
-    # ... but it fills the field of a plan another knob engaged.
+    assert resolve_plan(None, kernel="compiled").kernel == "compiled"
     plan = resolve_plan(None, batch_size=8, kernel="compiled")
     assert plan.kernel == "compiled" and plan.batch_size == 8
 

@@ -77,6 +77,23 @@ class TestGeweke:
         trace = [float(i) for i in range(400)]
         assert abs(geweke_z_score(trace)) > 5.0
 
+    def test_autocorrelated_stationary_traces_rarely_flagged(self):
+        # AR(1) with phi = 0.8 is stationary but strongly autocorrelated; a
+        # naive-variance z flags over half of these traces, the
+        # autocorrelation-adjusted one stays near the nominal 5%.
+        import random
+
+        flagged = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            x = rng.gauss(0, 1) / math.sqrt(1 - 0.8**2)
+            trace = []
+            for _ in range(1000):
+                x = 0.8 * x + rng.gauss(0, 1)
+                trace.append(x)
+            flagged += abs(geweke_z_score(trace)) > 2.0
+        assert flagged <= 30
+
     def test_short_trace_is_zero(self):
         assert geweke_z_score([1.0, 2.0]) == 0.0
 

@@ -264,12 +264,15 @@ class TestAdaptiveMode:
         assert est.diagnostics["burn_in"] > 0  # adopted warm-up
 
     def test_unreachable_target_runs_the_full_budget(self, barbell):
-        # Chains cannot pass a 1.000001 target within a tiny budget.
+        # Three samples per chain: after the candidate warm-up drops half of
+        # each chain, no split half holds two samples, so split-R-hat is
+        # undefined (inf) at every checkpoint whatever the seed draws.
         est = MultiChainMHSampler(
-            n_chains=4, rhat_target=1.000001, check_interval=8
-        ).estimate(barbell, 5, 32, seed=3)
+            n_chains=4, rhat_target=1.000001, check_interval=2
+        ).estimate(barbell, 5, 12, seed=3)
         assert est.diagnostics["converged"] is False
-        assert est.samples == 32
+        assert est.diagnostics["rounds"] == 2
+        assert est.samples == 12
 
     def test_adaptive_estimate_invariant_across_n_jobs(self, barbell):
         estimates = [
@@ -425,8 +428,8 @@ class TestStatisticalVerification:
     # oracle.  These fail loudly if the rng discipline, the chain mechanics
     # or the ordered reduce ever drift.
     REGRESSION = {
-        "dict": 0.5057932263814616,
-        "csr": 0.5057932263814616,
+        "dict": 0.4964349376114082,
+        "csr": 0.4964349376114082,
     }
 
     @pytest.mark.parametrize("kernels", ["dict", "csr"])

@@ -27,7 +27,6 @@ from repro.errors import ConfigurationError
 from repro.execution import (
     ExecutionContext,
     ExecutionPlan,
-    resolve_mp_context,
     resolve_plan,
     run_sharded,
     split_shards,
@@ -245,7 +244,7 @@ class TestExecutionContext:
             assert first is second
 
     def test_interned_payload_helper(self):
-        assert interned_payload(None, "k", lambda: 41) == 41
+        assert interned_payload(ExecutionPlan(), "k", lambda: 41) == 41
         plan = ExecutionPlan(n_jobs=2)  # no runtime attached
         assert interned_payload(plan, "k", lambda: 42) == 42
         with ExecutionContext() as ctx:
@@ -342,19 +341,18 @@ class TestMpContextKnob:
         assert ExecutionPlan(mp_context="spawn").mp_context == "spawn"
 
     def test_env_override(self, monkeypatch):
-        assert resolve_mp_context(None) is None
+        assert resolve_plan(None).mp_context is None
         monkeypatch.setenv("REPRO_MP_CONTEXT", "spawn")
-        assert resolve_mp_context(None) == "spawn"
-        assert resolve_mp_context("fork") == "fork"  # explicit wins
+        assert resolve_plan(None).mp_context == "spawn"
+        assert resolve_plan(None, mp_context="fork").mp_context == "fork"  # explicit wins
         monkeypatch.setenv("REPRO_MP_CONTEXT", "bogus")
         with pytest.raises(ConfigurationError, match="start method"):
-            resolve_mp_context(None)
+            resolve_plan(None)
 
-    def test_resolve_plan_fills_mp_context_without_engaging(self, monkeypatch):
+    def test_resolve_plan_fills_mp_context(self, monkeypatch):
         monkeypatch.setenv("REPRO_MP_CONTEXT", "spawn")
-        assert resolve_plan(None) is None  # never engages on its own
-        plan = resolve_plan(None, n_jobs=2)
-        assert plan.mp_context == "spawn"
+        assert resolve_plan(None).mp_context == "spawn"
+        assert resolve_plan(None, n_jobs=2).mp_context == "spawn"
 
 
 # ----------------------------------------------------------------------

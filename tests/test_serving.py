@@ -28,6 +28,7 @@ import io
 import json
 import math
 import re
+import socket
 import threading
 import time
 from types import SimpleNamespace
@@ -43,6 +44,7 @@ from repro.execution.stamp import (
 )
 from repro.graphs import barabasi_albert_graph
 from repro.serving import ServingApp, ServingConfig, create_server
+from repro.serving.server import MAX_BODY_BYTES
 from repro.serving.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -167,6 +169,45 @@ def daemon():
     yield SimpleNamespace(app=app, host=host, port=port)
     server.close()
     thread.join(timeout=10)
+
+
+def raw_exchange(host, port, head: bytes) -> bytes:
+    """Send raw request bytes; return everything the daemon answers."""
+    with socket.create_connection((host, port), timeout=30.0) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestContentLength:
+    """A bad or oversized Content-Length is answered, never crashes the handler."""
+
+    @pytest.mark.parametrize(
+        "header, status",
+        [
+            ("abc", 400),
+            ("-5", 400),
+            ("1.5", 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+        ],
+    )
+    def test_daemon_answers_and_keeps_serving(self, daemon, header, status):
+        head = (
+            f"POST /graphs/g/estimate HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {header}\r\n\r\n"
+        ).encode()
+        answer = raw_exchange(daemon.host, daemon.port, head)
+        status_line, _, rest = answer.partition(b"\r\n")
+        assert status_line.split()[1] == str(status).encode()
+        assert b"Connection: close" in rest
+        body = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert body["error"]["type"] == ("bad_request" if status == 400 else "payload_too_large")
+        code, _, payload = http_request(daemon.host, daemon.port, "GET", "/healthz")
+        assert code == 200 and json.loads(payload)["status"] == "ok"
 
 
 # ----------------------------------------------------------------------
@@ -667,6 +708,54 @@ class TestMutateReceipts:
             summary = body_of(mutated)["mutated"]
             assert summary["graph_version"] == v0 + 1
             assert summary["edges_added"] + summary["edges_removed"] >= 2
+        finally:
+            app.close()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"add_edges": [[0, 38], [0, 39], [1]]},
+            {"add_edges": [[0, 38], [0, 39], [1, 37, "heavy"]]},
+            {"add_edges": [[0, 38], [0, 39], [7, 7]]},
+            {"add_edges": [[0, 38]], "remove_edges": [[0, 38], [0, 38]]},
+            {"add_edges": [[0, 38]], "remove_edges": "absent"},
+        ],
+        ids=["shape", "weight", "self-loop", "double-removal", "absent-edge"],
+    )
+    def test_bad_entry_rejects_the_whole_mutation(self, bad):
+        """A request with one bad entry applies none of its entries."""
+        app = make_app()
+        try:
+            load_graph(app)
+            graph = app.registry.get("g").graph
+            if bad.get("remove_edges") == "absent":
+                absent = next(
+                    [0, v] for v in range(1, 40) if v != 38 and not graph.has_edge(0, v)
+                )
+                bad = dict(bad, remove_edges=[[0, 38], absent])
+            query = b'{"vertex": 0, "samples": 40, "seed": 7}'
+            before = body_of(app.dispatch("POST", "/graphs/g/estimate", query))
+            edges, version = graph.number_of_edges(), graph.version
+            response = app.dispatch("POST", "/graphs/g/mutate", json.dumps(bad).encode())
+            assert response.status == 400, response.body
+            assert (graph.number_of_edges(), graph.version) == (edges, version)
+            after = body_of(app.dispatch("POST", "/graphs/g/estimate", query))
+            assert after["estimate"] == before["estimate"]
+        finally:
+            app.close()
+
+    def test_removal_may_target_an_edge_added_earlier_in_the_request(self):
+        app = make_app()
+        try:
+            v0 = load_graph(app)
+            graph = app.registry.get("g").graph
+            v = next(v for v in range(1, 40) if not graph.has_edge(0, v))
+            edges = graph.number_of_edges()
+            body = json.dumps({"add_edges": [[0, v]], "remove_edges": [[v, 0]]})
+            response = app.dispatch("POST", "/graphs/g/mutate", body.encode())
+            assert response.status == 200, response.body
+            assert graph.number_of_edges() == edges
+            assert body_of(response)["mutated"]["graph_version"] == v0 + 1
         finally:
             app.close()
 

@@ -27,7 +27,7 @@ import pytest
 
 from repro.centrality.api import betweenness_single, relative_betweenness
 from repro.errors import ConfigurationError
-from repro.execution import resolve_plan, resolve_shared_cache
+from repro.execution import resolve_plan
 from repro.execution.shared_cache import (
     SharedDependencyStore,
     create_shared_store,
@@ -438,7 +438,7 @@ def test_shared_cache_api_requires_the_multichain_driver(graph):
 
 def test_shared_cache_env_override_reaches_the_driver(graph, monkeypatch):
     monkeypatch.setenv("REPRO_SHARED_CACHE", "1")
-    assert resolve_shared_cache(None) is True
+    assert resolve_plan(None).shared_cache is True
     r = graph.vertices()[0]
     est = MultiChainMHSampler(n_chains=2).estimate(graph, r, 32, seed=4)
     assert est.diagnostics["shared_cache"] is True
@@ -449,29 +449,26 @@ def test_shared_cache_env_override_reaches_the_driver(graph, monkeypatch):
     assert est.diagnostics["shared_cache"] is False
 
 
-def test_shared_cache_env_never_engages_the_engine(graph, monkeypatch):
+def test_shared_cache_env_never_changes_an_estimate(graph, monkeypatch):
     """The cache flag selects a sharing policy, not an execution discipline:
-    with only REPRO_SHARED_CACHE set, resolve_plan must stay None so every
-    estimator keeps its legacy sequential path (and its legacy estimate) —
-    an earlier revision let the flag engage the plan and silently moved
-    fixed-seed RK/MH results."""
+    with only REPRO_SHARED_CACHE set, resolve_plan fills the field and every
+    estimator still returns its unflagged fixed-seed estimate — an earlier
+    revision let the flag switch disciplines and silently moved fixed-seed
+    RK/MH results."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_BATCH", raising=False)
     r = graph.vertices()[0]
-    legacy = betweenness_single(graph, r, method="rk", samples=60, seed=7)
+    unflagged = betweenness_single(graph, r, method="rk", samples=60, seed=7)
     monkeypatch.setenv("REPRO_SHARED_CACHE", "1")
-    assert resolve_plan(None) is None
+    assert resolve_plan(None).shared_cache is True
     flagged = betweenness_single(graph, r, method="rk", samples=60, seed=7)
-    assert flagged.estimate == legacy.estimate
-    # When the other knobs do engage the engine, the field is filled in.
-    plan = resolve_plan(None, n_jobs=2)
-    assert plan is not None and plan.shared_cache is True
+    assert flagged.estimate == unflagged.estimate
 
 
 def test_shared_cache_env_override_rejects_garbage(monkeypatch):
     monkeypatch.setenv("REPRO_SHARED_CACHE", "maybe")
     with pytest.raises(ConfigurationError):
-        resolve_shared_cache(None)
+        resolve_plan(None)
 
 
 def test_runtime_arena_honours_shared_cache_capacity(graph):

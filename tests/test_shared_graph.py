@@ -33,7 +33,6 @@ from repro.execution import (
     graph_snapshot,
     plan_snapshot,
     resolve_plan,
-    resolve_shared_graph,
 )
 from repro.graphs import Graph, barabasi_albert_graph
 from repro.graphs.csr import np
@@ -251,25 +250,27 @@ def test_ensure_shared_graph_unavailable_warns_and_returns_none(monkeypatch, gra
 
 
 def test_resolve_shared_graph_explicit_wins_over_env(monkeypatch):
-    assert resolve_shared_graph(True) is True
-    assert resolve_shared_graph(False) is False
+    def shared_graph(value):
+        return resolve_plan(None, shared_graph=value).shared_graph
+
+    assert shared_graph(True) is True
+    assert shared_graph(False) is False
     monkeypatch.delenv("REPRO_SHARED_GRAPH", raising=False)
-    assert resolve_shared_graph(None) is False
+    assert shared_graph(None) is False
     monkeypatch.setenv("REPRO_SHARED_GRAPH", "1")
-    assert resolve_shared_graph(None) is True
-    assert resolve_shared_graph(False) is False
+    assert shared_graph(None) is True
+    assert shared_graph(False) is False
     monkeypatch.setenv("REPRO_SHARED_GRAPH", "maybe")
     with pytest.raises(ConfigurationError):
-        resolve_shared_graph(None)
+        shared_graph(None)
 
 
-def test_shared_graph_env_never_engages_the_engine(monkeypatch):
+def test_shared_graph_env_fills_the_plan(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_BATCH", raising=False)
     monkeypatch.setenv("REPRO_SHARED_GRAPH", "1")
-    assert resolve_plan(None) is None
-    plan = resolve_plan(None, n_jobs=2)
-    assert plan is not None and plan.shared_graph is True
+    assert resolve_plan(None).shared_graph is True
+    assert resolve_plan(None, n_jobs=2).shared_graph is True
 
 
 def test_plan_validates_the_shared_graph_field():
@@ -300,7 +301,7 @@ def test_graph_snapshot_helper_falls_back_to_plain_csr(monkeypatch, graph):
 
 
 def test_plan_snapshot_reads_the_plan(graph):
-    assert plan_snapshot(graph, None) is graph.csr()
+    assert plan_snapshot(graph, ExecutionPlan()) is graph.csr()
     plan = ExecutionPlan(n_jobs=2)
     assert plan_snapshot(graph, plan) is graph.csr()
     plan = ExecutionPlan(n_jobs=2, shared_graph=True)
