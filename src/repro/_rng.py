@@ -9,9 +9,9 @@ global :mod:`random` state entirely.
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from typing import List, Sequence, Union
 
-__all__ = ["RandomState", "ensure_rng", "spawn_rng"]
+__all__ = ["RandomState", "ensure_rng", "spawn_rng", "randrange_block"]
 
 #: Accepted ways to specify randomness across the public API.
 RandomState = Union[None, int, random.Random]
@@ -54,3 +54,30 @@ def spawn_rng(rng: random.Random, stream: int) -> random.Random:
     # same (seed, stream) pair always yields the same child generator.
     child_seed = rng.getrandbits(64) ^ (0x9E3779B97F4A7C15 * (stream + 1) & 0xFFFFFFFFFFFFFFFF)
     return random.Random(child_seed)
+
+
+def randrange_block(rng: random.Random, bounds: Sequence[int], count: int) -> List[List[int]]:
+    """Draw *count* rounds of ``rng.randrange(b)`` for each ``b`` in *bounds*, in one call.
+
+    Returns one list per bound.  Within a round the draws are taken in
+    *bounds* order, so the integers — and the state *rng* is left in — equal
+    those of the per-round loop
+    ``[[rng.randrange(b) for b in bounds] for _ in range(count)]``.
+    ``randrange(b)`` draws ``getrandbits(b.bit_length())`` until the value
+    falls below ``b``; inlining that rejection loop skips ``randrange``'s
+    argument checks, which cost most of its time.  *rng* must be a plain
+    :class:`random.Random` (a subclass overriding ``random`` draws its
+    integers differently).
+    """
+    if type(rng) is not random.Random:
+        raise TypeError("randrange_block needs a plain random.Random instance")
+    getrandbits = rng.getrandbits
+    draws = []
+    append = draws.append
+    for n, k in [(n, n.bit_length()) for n in bounds] * count:
+        x = getrandbits(k)
+        while x >= n:
+            x = getrandbits(k)
+        append(x)
+    width = len(bounds)
+    return [draws[i::width] for i in range(width)]

@@ -498,7 +498,7 @@ class SessionChain:
     :class:`~repro.mcmc.single.ChainResult`).  When the session's graph
     mutates, the session pushes the invalidation receipt here: the chain
     keeps its trajectory when the affected-source region excludes its
-    current state — the stored ``states[-1].dependency`` is then still the
+    current state — the stored ``dependency[-1]`` is then still the
     correct score on the mutated graph, so the continuation is a valid MH
     chain — and schedules a restart otherwise.  ``receipt
     .chains_continued`` / ``chains_restarted`` record the verdicts.
@@ -544,7 +544,7 @@ class SessionChain:
             return
         if receipt.mode == "delta":
             mask = self._session._context.last_affected_mask()
-            index = self._session.graph.csr().find_index(self._result.states[-1].vertex)
+            index = self._session.graph.csr().find_index(self._result.vertex[-1])
             unsafe = index is None or bool(mask[index])
         else:
             unsafe = True

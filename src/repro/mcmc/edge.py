@@ -165,7 +165,7 @@ class EdgeMHSampler:
             candidate = vertices[rng.randrange(len(vertices))]
             candidate_delta = oracle.dependency(candidate)
             # One uniform draw per proposal, unconditionally — see
-            # SingleSpaceMHSampler._accept for why a conditional draw breaks
+            # SingleSpaceMHSampler._advance for why a conditional draw breaks
             # rng-stream identity with the reference.
             u = rng.random()
             if current_delta <= 0.0:

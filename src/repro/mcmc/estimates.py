@@ -24,7 +24,10 @@ ablates it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.execution.plan import ExecutionPlan
@@ -255,9 +258,9 @@ class DependencyOracle:
     def dependencies_for(self, source: Vertex, targets) -> Dict[Vertex, float]:
         """Return ``{t: delta_{source.}(t)}`` for the given *targets* only.
 
-        One Brandes pass (or cache hit) serves every target — the joint-space
-        chain reads its whole reference set this way without materialising a
-        full vertex-keyed vector.  Unknown targets read as 0.0.
+        One Brandes pass (or cache hit) serves every target without
+        materialising a full vertex-keyed vector; :meth:`dependency_rows` is
+        the many-source form the chains use.  Unknown targets read as 0.0.
         """
         vector = self._raw_vector(source)
         find_index = self._csr.find_index
@@ -266,6 +269,74 @@ class DependencyOracle:
             index = find_index(t)
             result[t] = 0.0 if t == source or index is None else float(vector[index])
         return result
+
+    def dependency_rows(
+        self,
+        sources: Sequence[Vertex],
+        targets: Sequence[Vertex],
+        *,
+        prefetch_block: Optional[int] = None,
+        skip_self_lookups: bool = False,
+    ) -> np.ndarray:
+        """Return the ``(len(sources), len(targets))`` array of δ_{s·}(t).
+
+        The bulk read of the Metropolis-Hastings chains: one call gathers
+        every candidate's dependency row, and the oracle traffic is exactly
+        that of the per-candidate loop it replaces, so a bounded cache
+        evicts the same vectors and :attr:`evaluations`, :attr:`lookups`
+        and :meth:`hit_rate` read the same.  With *prefetch_block*, every
+        ``prefetch_block``-th source (the first included) is preceded by a
+        :meth:`prefetch` of the block it starts.  Then each source takes one
+        lookup, read with :meth:`dependencies_for` semantics (a target equal
+        to the source, or not in the graph, reads 0.0).
+        ``skip_self_lookups`` gives a single target :meth:`dependency`
+        semantics instead: a source equal to the target reads 0.0 without
+        a lookup.
+        """
+        if skip_self_lookups and len(targets) != 1:
+            raise ConfigurationError("skip_self_lookups needs exactly one target")
+        find_index = self._csr.find_index
+        columns = [find_index(t) for t in targets]
+        known = [j for j, c in enumerate(columns) if c is not None]
+        index = [columns[j] for j in known]
+        # Each vector is read as soon as it is looked up (holding the
+        # vectors would keep every evicted one alive): a scalar read for
+        # one column, one fancy-indexed read for several.
+        pick = itemgetter(index[0] if len(index) == 1 else np.array(index, dtype=np.intp))
+        position = {t: j for j, t in enumerate(targets)}
+        zero = np.zeros(self._csr.number_of_vertices())
+        cached = self.cache_enabled
+        cache = self._cache
+        values = []
+        append = values.append
+        self_cells = []
+        hits = 0
+        block = prefetch_block or max(len(sources), 1)
+        for begin in range(0, len(sources), block):
+            chunk = sources[begin : begin + block]
+            if prefetch_block:
+                self.prefetch(chunk)
+            for s in chunk:
+                if s in position:
+                    if skip_self_lookups:
+                        append(pick(zero))
+                        continue
+                    self_cells.append((len(values), position[s]))
+                # The cache-hit branch of _raw_vector, inlined; a miss
+                # takes the full path.
+                if cached and s in cache:
+                    cache.move_to_end(s)
+                    append(pick(cache[s]))
+                    hits += 1
+                else:
+                    append(pick(self._raw_vector(s)))
+        self.lookups += hits
+        rows = np.zeros((len(sources), len(targets)))
+        if known:
+            rows[:, known] = np.array(values, dtype=float).reshape(len(sources), len(known))
+        for k, j in self_cells:
+            rows[k, j] = 0.0
+        return rows
 
     # ------------------------------------------------------------------
     def apply_delta(self, affected_mask) -> tuple:

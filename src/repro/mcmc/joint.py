@@ -25,12 +25,15 @@ differences (Bennett 1976), which the paper cites as its inspiration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro._rng import RandomState, ensure_rng, spawn_rng
+import numpy as np
+
+from repro._rng import RandomState, ensure_rng, randrange_block, spawn_rng
 from repro.errors import ConfigurationError, SamplingError
 from repro.graphs.core import Graph, Vertex
 from repro.mcmc.estimates import DependencyOracle
+from repro.mcmc.single import _last_accepted
 from repro.samplers.base import ExecutionPlanMixin, timed
 
 __all__ = [
@@ -62,44 +65,143 @@ class JointChainState:
         return self.dependencies.get(self.r, 0.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class JointChainResult:
-    """Full record of one joint-space chain run."""
+    """Full record of one joint-space chain run, stored as columns.
+
+    Entry ``t`` of every column describes state ``t`` (initial state first);
+    :attr:`states` builds the per-state :class:`JointChainState` objects on
+    demand.
+
+    Attributes
+    ----------
+    reference_set:
+        The set R, in order.
+    iteration:
+        ``int`` array: the state's iteration in the chain that produced it
+        (``0..T``; a pooled record keeps each chain's own numbering).
+    r_index:
+        ``int`` array: the state's r-component as a position in R.
+    v:
+        The state's v-component.
+    row:
+        ``int`` array: the row of :attr:`dependencies` holding the state's
+        scores (a rejected proposal repeats its predecessor's row).
+    accepted:
+        ``bool`` array: whether this iteration's proposal was accepted
+        (``True`` for the initial state).
+    dependencies:
+        ``float64`` matrix, one row per evaluated source (the initial state
+        and every candidate), one column per member of R: δ_{v·}(r).
+    """
 
     reference_set: List[Vertex]
-    states: List[JointChainState]
+    iteration: np.ndarray
+    r_index: np.ndarray
+    v: List[Vertex]
+    row: np.ndarray
+    accepted: np.ndarray
+    dependencies: np.ndarray
     num_vertices: int
     burn_in: int = 0
     evaluations: int = 0
+    _pairwise_memo: Optional[Tuple[int, np.ndarray, List[int]]] = field(
+        default=None, init=False, repr=False
+    )
 
     # ------------------------------------------------------------------
+    @property
+    def states(self) -> List[JointChainState]:
+        """The chain states (initial state first), built on demand."""
+        return self._materialise(range(len(self.v)))
+
     def chain_length(self) -> int:
         """Return the number of iterations ``T`` (excluding the initial state)."""
-        return max(len(self.states) - 1, 0)
+        return max(len(self.v) - 1, 0)
 
     def kept_states(self) -> List[JointChainState]:
         """Return the states used for estimation (after burn-in)."""
-        return self.states[self.burn_in :]
+        return self._materialise(range(self.burn_in, len(self.v)))
+
+    def _materialise(self, positions) -> List[JointChainState]:
+        members = self.reference_set
+        iteration = self.iteration.tolist()
+        r_index = self.r_index.tolist()
+        row = self.row.tolist()
+        accepted = self.accepted.tolist()
+        return [
+            JointChainState(
+                iteration=iteration[t],
+                r=members[r_index[t]],
+                v=self.v[t],
+                dependencies=dict(zip(members, self.dependencies[row[t]].tolist())),
+                accepted=accepted[t],
+            )
+            for t in positions
+        ]
 
     def acceptance_rate(self) -> float:
         """Return the fraction of accepted proposals."""
-        proposals = self.states[1:]
-        if not proposals:
+        proposals = len(self.accepted) - 1
+        if proposals <= 0:
             return 0.0
-        return sum(1 for s in proposals if s.accepted) / len(proposals)
+        return int(np.count_nonzero(self.accepted[1:])) / proposals
 
     def samples_for(self, r: Vertex) -> List[JointChainState]:
         """Return the multiset ``M(i)`` of kept states whose r-component equals *r*."""
-        return [s for s in self.kept_states() if s.r == r]
+        if r not in self.reference_set:
+            return []
+        j = self.reference_set.index(r)
+        start = self.burn_in
+        hits = np.flatnonzero(self.r_index[start:] == j) + start
+        return self._materialise(hits.tolist())
 
     def sample_counts(self) -> Dict[Vertex, int]:
         """Return ``{r: |M(r)|}`` for every reference vertex."""
-        counts = {r: 0 for r in self.reference_set}
-        for state in self.kept_states():
-            counts[state.r] += 1
-        return counts
+        return dict(zip(self.reference_set, self._pairwise()[1]))
+
+    def dependency_trace(self) -> List[float]:
+        """Return each kept state's δ_{v·}(r) for its own r (after burn-in)."""
+        start = self.burn_in
+        return self.dependencies[self.row[start:], self.r_index[start:]].tolist()
 
     # ------------------------------------------------------------------
+    def _pairwise(self) -> Tuple[np.ndarray, List[int]]:
+        """Return ``(values, counts)``: ``values[i, j]`` estimates ``BC_{rj}(ri)``.
+
+        One pass over the kept states serves every ordered pair.  For each
+        ``j`` the rows of ``M(j)`` (in state order) give the terms
+        ``min(1, d_i / d_j)`` — 1 when ``d_j = 0 < d_i``, 0 when both are
+        0 — for every ``i`` at once.  Each column is totalled strictly in
+        state order (``np.add.accumulate`` from 0.0, the same additions as a
+        ``total += term`` loop) and divided by ``|M(j)|``; a column whose
+        ``M(j)`` is empty is NaN.  Memoized per burn-in.
+        """
+        memo = self._pairwise_memo
+        if memo is not None and memo[0] == self.burn_in:
+            return memo[1], memo[2]
+        start = self.burn_in
+        size = len(self.reference_set)
+        rows = self.dependencies[self.row[start:]]
+        owners = self.r_index[start:]
+        counts = np.bincount(owners, minlength=size).tolist()
+        values = np.full((size, size), np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(size):
+                if not counts[j]:
+                    continue
+                sample = rows[owners == j]
+                dj = sample[:, j : j + 1]
+                terms = np.where(
+                    dj > 0.0, np.minimum(1.0, sample / dj), np.where(sample > 0.0, 1.0, 0.0)
+                )
+                totals = np.add.accumulate(
+                    np.concatenate((np.zeros((1, size)), terms)), axis=0
+                )[-1]
+                values[:, j] = totals / counts[j]
+        self._pairwise_memo = (start, values, counts)
+        return values, counts
+
     def relative_betweenness(self, ri: Vertex, rj: Vertex) -> float:
         """Return the estimate of ``BC_{rj}(ri)`` (Equation 23) from the multiset ``M(j)``.
 
@@ -109,21 +211,14 @@ class JointChainResult:
             If the chain never visited a state with r-component ``rj``.
         """
         self._validate_pair(ri, rj)
-        samples = self.samples_for(rj)
-        if not samples:
+        values, counts = self._pairwise()
+        i, j = self.reference_set.index(ri), self.reference_set.index(rj)
+        if not counts[j]:
             raise SamplingError(
                 f"the chain produced no samples with reference vertex {rj!r}; "
                 "run a longer chain"
             )
-        total = 0.0
-        for state in samples:
-            di = state.dependencies.get(ri, 0.0)
-            dj = state.dependencies.get(rj, 0.0)
-            if dj > 0.0:
-                total += min(1.0, di / dj)
-            elif di > 0.0:
-                total += 1.0
-        return total / len(samples)
+        return float(values[i, j])
 
     def ratio_estimate(self, ri: Vertex, rj: Vertex) -> float:
         """Return the Equation 22 estimate of ``BC(ri) / BC(rj)``."""
@@ -137,19 +232,36 @@ class JointChainResult:
         return numerator / denominator
 
     def relative_matrix(self) -> Dict[Vertex, Dict[Vertex, float]]:
-        """Return ``{ri: {rj: BC_rj(ri)}}`` for every ordered pair of reference vertices."""
-        matrix: Dict[Vertex, Dict[Vertex, float]] = {}
-        for ri in self.reference_set:
-            matrix[ri] = {}
-            for rj in self.reference_set:
-                if ri == rj:
-                    matrix[ri][rj] = 1.0
+        """Return ``{ri: {rj: BC_rj(ri)}}`` for every ordered pair of reference vertices.
+
+        The diagonal is 1.0; a pair whose ``M(j)`` is empty reads NaN.
+        """
+        values = self._pairwise()[0].tolist()
+        members = self.reference_set
+        return {
+            ri: {rj: 1.0 if i == j else values[i][j] for j, rj in enumerate(members)}
+            for i, ri in enumerate(members)
+        }
+
+    def ratios(self) -> Dict[Tuple[Vertex, Vertex], float]:
+        """Return the Equation 22 ratio of every ordered pair ``ri != rj``.
+
+        NaN where :meth:`ratio_estimate` raises: ``M(i)`` or ``M(j)`` is
+        empty, or the denominator ``BC_{ri}(rj)`` is zero.
+        """
+        values = self._pairwise()[0].tolist()
+        members = self.reference_set
+        result: Dict[Tuple[Vertex, Vertex], float] = {}
+        for i, ri in enumerate(members):
+            for j, rj in enumerate(members):
+                if i == j:
                     continue
-                try:
-                    matrix[ri][rj] = self.relative_betweenness(ri, rj)
-                except SamplingError:
-                    matrix[ri][rj] = float("nan")
-        return matrix
+                numerator, denominator = values[i][j], values[j][i]
+                if numerator != numerator or not denominator > 0.0:
+                    result[(ri, rj)] = float("nan")
+                else:
+                    result[(ri, rj)] = numerator / denominator
+        return result
 
     def ranking(self) -> List[Vertex]:
         """Return the reference vertices ranked by estimated betweenness (descending).
@@ -277,16 +389,12 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         if len(vertices) < 2:
             raise SamplingError("the graph must contain at least two vertices")
         # The joint proposal is an independence proposal: pre-draw the
-        # ⟨r', v'⟩ sequence from a child stream so the oracle can
-        # batch-prefetch the upcoming v' dependency vectors.
+        # ⟨r', v'⟩ sequence from a child stream (one r' then one v' per
+        # step) so the whole chain reads its scores in one bulk call.
         proposal_rng = spawn_rng(rng, 0)
-        pair_proposals = [
-            (
-                members[proposal_rng.randrange(len(members))],
-                vertices[proposal_rng.randrange(len(vertices))],
-            )
-            for _ in range(num_iterations)
-        ]
+        candidate_r, candidate_v = randrange_block(
+            proposal_rng, (len(members), len(vertices)), num_iterations
+        )
 
         if initial_state is None:
             current_r = members[rng.randrange(len(members))]
@@ -298,74 +406,52 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
             graph.validate_vertex(current_v)
 
         evaluations_before = oracle.evaluations
-        current_deps = self._restricted_dependencies(oracle, current_v, members)
-        states: List[JointChainState] = [
-            JointChainState(
-                iteration=0,
-                r=current_r,
-                v=current_v,
-                dependencies=current_deps,
-                accepted=True,
+        candidates = [vertices[i] for i in candidate_v]
+        dependencies = np.concatenate(
+            (
+                oracle.dependency_rows([current_v], members),
+                oracle.dependency_rows(
+                    candidates, members, prefetch_block=self._plan().batch_size
+                ),
             )
-        ]
-        prefetch_block = self._plan().batch_size
-        for t in range(1, num_iterations + 1):
-            candidate_r, candidate_v = pair_proposals[t - 1]
-            if (t - 1) % prefetch_block == 0:
-                oracle.prefetch(
-                    [v for _, v in pair_proposals[t - 1 : t - 1 + prefetch_block]]
-                )
-            candidate_deps = self._restricted_dependencies(oracle, candidate_v, members)
-            accepted = self._accept(
-                states[-1].dependency, candidate_deps.get(candidate_r, 0.0), rng
-            )
-            if accepted:
-                current_r, current_v, current_deps = candidate_r, candidate_v, candidate_deps
-            states.append(
-                JointChainState(
-                    iteration=t,
-                    r=current_r,
-                    v=current_v,
-                    dependencies=current_deps,
-                    accepted=accepted,
-                )
-            )
+        )
+        random = rng.random
+        uniforms = [random() for _ in range(num_iterations)]
+        start_r = members.index(current_r)
+        # Equation 17 acceptance, one uniform per proposal unconditionally
+        # (see SingleSpaceMHSampler._advance for why a conditional draw
+        # breaks rng-stream identity with the reference); a current state
+        # with zero dependency always moves.
+        proposed = dependencies[np.arange(1, num_iterations + 1), candidate_r].tolist()
+        accepted = []
+        append = accepted.append
+        cur = float(dependencies[0, start_r])
+        for cand, u in zip(proposed, uniforms):
+            if cur <= 0.0:
+                ok = True
+            else:
+                ratio = cand / cur
+                ok = ratio >= 1.0 or u < ratio
+            if ok:
+                cur = cand
+            append(ok)
+        holder = _last_accepted(accepted)
+        pool = [current_v] + candidates
         # This run's own pass delta (not the oracle's lifetime total), so a
         # warm session oracle never inflates a fresh chain's bill; equal to
         # the total for a fresh oracle.
         return JointChainResult(
             reference_set=members,
-            states=states,
+            iteration=np.arange(num_iterations + 1),
+            r_index=np.array([start_r] + candidate_r, dtype=np.intp)[holder],
+            v=[pool[t] for t in holder.tolist()],
+            row=holder,
+            accepted=np.array([True] + accepted, dtype=bool),
+            dependencies=dependencies,
             num_vertices=graph.number_of_vertices(),
             burn_in=self.burn_in,
             evaluations=oracle.evaluations - evaluations_before,
         )
-
-    @staticmethod
-    def _restricted_dependencies(
-        oracle: DependencyOracle, source: Vertex, members: Sequence[Vertex]
-    ) -> Dict[Vertex, float]:
-        """Return δ_{source·}(r) for every r in the reference set (one Brandes pass).
-
-        :meth:`DependencyOracle.dependencies_for` serves the whole reference
-        set from one pass (or cache hit); each member is a single array read
-        and no full vertex-keyed dict is materialised.
-        """
-        return oracle.dependencies_for(source, members)
-
-    @staticmethod
-    def _accept(current_delta: float, candidate_delta: float, rng) -> bool:
-        """Equation 17 acceptance; zero-probability current states always move.
-
-        One uniform draw per proposal, unconditionally — see
-        :meth:`repro.mcmc.single.SingleSpaceMHSampler._accept` for why a
-        conditional draw breaks rng-stream identity with the reference.
-        """
-        u = rng.random()
-        if current_delta <= 0.0:
-            return True
-        ratio = candidate_delta / current_delta
-        return ratio >= 1.0 or u < ratio
 
     # ------------------------------------------------------------------
     def estimate_relative(
@@ -383,15 +469,7 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
                 graph, reference_set, num_samples, seed=seed, oracle=oracle
             )
             relative = chain.relative_matrix()
-            ratios: Dict[Tuple[Vertex, Vertex], float] = {}
-            for ri in chain.reference_set:
-                for rj in chain.reference_set:
-                    if ri == rj:
-                        continue
-                    try:
-                        ratios[(ri, rj)] = chain.ratio_estimate(ri, rj)
-                    except SamplingError:
-                        ratios[(ri, rj)] = float("nan")
+            ratios = chain.ratios()
         plan = self._plan()
         diagnostics: Dict[str, object] = {
             "n_jobs": plan.n_jobs,

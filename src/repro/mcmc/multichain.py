@@ -62,8 +62,10 @@ from dataclasses import dataclass
 from random import Random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro._rng import RandomState, ensure_rng, spawn_rng
-from repro.errors import ConfigurationError, EdgeNotFoundError, SamplingError
+from repro.errors import ConfigurationError, EdgeNotFoundError
 from repro.execution import (
     ExecutionPlan,
     create_shared_store,
@@ -476,8 +478,8 @@ class MultiChainResult:
         total = 0.0
         count = 0
         for chain in self.chains:
-            kept = chain.kept_states()
-            total += sum(state_contribution(s, estimator) for s in kept)
+            kept = chain.contributions(estimator)
+            total += sum(kept)
             count += len(kept)
         if count == 0:
             return 0.0
@@ -676,10 +678,8 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
                     remaining[task[0]] -= task[3]
                 # Candidate warm-up: drop the first half of every chain and
                 # measure the split-R-hat of what would remain.
-                burn = min(len(chain.states) for chain in chains) // 2
-                traces = [
-                    [s.dependency for s in chain.states[burn:]] for chain in chains
-                ]
+                burn = min(len(chain.vertex) for chain in chains) // 2
+                traces = [chain.dependency[burn:].tolist() for chain in chains]
                 if split_rhat(traces) <= self.rhat_target:
                     converged = True
                     for chain in chains:
@@ -747,7 +747,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
 
 
 def merge_joint_chains(chains: Sequence[JointChainResult]) -> JointChainResult:
-    """Concatenate the kept states of several joint chains, strictly in chain order.
+    """Concatenate the kept columns of several joint chains, strictly in chain order.
 
     The merged record is what the pooled Equation 22/23 estimates read: its
     multiset ``M(j)`` is the union of the per-chain multisets, so
@@ -767,17 +767,28 @@ def merge_joint_chains(chains: Sequence[JointChainResult]) -> JointChainResult:
     for chain in chains[1:]:
         if chain.reference_set != members:
             raise ConfigurationError("chains disagree on the reference set")
-    states = []
-    evaluations = 0
+    iteration, r_index, v, row, accepted, dependencies = [], [], [], [], [], []
+    offset = 0
     for chain in chains:
-        states.extend(chain.kept_states())
-        evaluations += chain.evaluations
+        start = chain.burn_in
+        iteration.append(chain.iteration[start:])
+        r_index.append(chain.r_index[start:])
+        v.extend(chain.v[start:])
+        row.append(chain.row[start:] + offset)
+        accepted.append(chain.accepted[start:])
+        dependencies.append(chain.dependencies)
+        offset += len(chain.dependencies)
     return JointChainResult(
         reference_set=list(members),
-        states=states,
+        iteration=np.concatenate(iteration),
+        r_index=np.concatenate(r_index),
+        v=v,
+        row=np.concatenate(row),
+        accepted=np.concatenate(accepted),
+        dependencies=np.concatenate(dependencies),
         num_vertices=chains[0].num_vertices,
         burn_in=0,
-        evaluations=evaluations,
+        evaluations=sum(chain.evaluations for chain in chains),
     )
 
 
@@ -866,16 +877,8 @@ class MultiChainJointSampler(_MultiChainBase):
             )
             merged = merge_joint_chains(chains)
             relative = merged.relative_matrix()
-            ratios: Dict[Tuple[Vertex, Vertex], float] = {}
-            for ri in merged.reference_set:
-                for rj in merged.reference_set:
-                    if ri == rj:
-                        continue
-                    try:
-                        ratios[(ri, rj)] = merged.ratio_estimate(ri, rj)
-                    except SamplingError:
-                        ratios[(ri, rj)] = float("nan")
-        traces = [[s.dependency for s in chain.kept_states()] for chain in chains]
+            ratios = merged.ratios()
+        traces = [chain.dependency_trace() for chain in chains]
         acceptance_rates = [chain.acceptance_rate() for chain in chains]
         diagnostics: Dict[str, object] = {
             "n_chains": self.n_chains,

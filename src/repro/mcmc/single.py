@@ -54,10 +54,14 @@ by benchmark E8 and discussed as natural variations:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._rng import RandomState, ensure_rng, spawn_rng
+import numpy as np
+
+from repro._rng import RandomState, ensure_rng, randrange_block, spawn_rng
 from repro.errors import ConfigurationError, SamplingError
 from repro.graphs.core import Graph, Vertex
 from repro.mcmc.estimates import DependencyOracle
@@ -82,13 +86,12 @@ ESTIMATORS = ("chain", "proposal", "accepted")
 def state_contribution(state, estimator: str) -> float:
     """Return one chain state's contribution to the given estimator read-out.
 
-    The single definition of the three read-outs (``"chain"`` /
-    ``"proposal"`` / ``"accepted"``, see the module docstring), shared by
-    :meth:`ChainResult.estimate`, the multi-chain pooled reduce and the edge
-    samplers (whose states duck-type the same fields) so the read-outs can
-    never drift apart.  Rejected proposals contribute exactly ``0.0`` to the
-    ``"accepted"`` read-out, which leaves float totals bit-identical to a
-    filtered sum.
+    The per-state form of the three read-outs (``"chain"`` /
+    ``"proposal"`` / ``"accepted"``, see the module docstring), used by the
+    edge samplers, whose states duck-type :class:`ChainState`;
+    :meth:`ChainResult.contributions` is the column form.  Rejected
+    proposals contribute exactly ``0.0`` to the ``"accepted"`` read-out,
+    which leaves float totals bit-identical to a filtered sum.
     """
     if estimator == "chain":
         return state.dependency
@@ -113,18 +116,28 @@ class ChainState:
     proposal_dependency: float = 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class ChainResult:
-    """Full record of one chain run.
+    """Full record of one chain run, stored as columns.
+
+    Entry ``t`` of every column describes state ``t`` (the initial state
+    first, ``T + 1`` entries).  :attr:`states` builds the per-state
+    :class:`ChainState` objects on demand; the read-outs use the columns.
 
     Attributes
     ----------
     target:
         The vertex *r* whose betweenness is being estimated.
-    states:
-        The ``T + 1`` chain states (initial state first).  A rejected
-        proposal produces a state equal to its predecessor with
-        ``accepted=False``.
+    vertex:
+        The state's vertex.  A rejected proposal repeats its predecessor.
+    dependency:
+        ``float64`` array of the state's dependency score δ_{v·}(r).
+    accepted:
+        ``bool`` array: whether the proposal of this iteration was
+        accepted (``True`` for the initial state).
+    proposal_dependency:
+        ``float64`` array of the proposed candidate's dependency score
+        (the initial state's own score at index 0).
     num_vertices:
         ``|V(G)|`` at run time, needed to scale Equation 7.
     burn_in:
@@ -134,34 +147,74 @@ class ChainResult:
     """
 
     target: Vertex
-    states: List[ChainState]
+    vertex: List[Vertex]
+    dependency: np.ndarray
+    accepted: np.ndarray
+    proposal_dependency: np.ndarray
     num_vertices: int
     burn_in: int = 0
     evaluations: int = 0
 
     # ------------------------------------------------------------------
+    @property
+    def states(self) -> List[ChainState]:
+        """The ``T + 1`` chain states (initial state first), built on demand."""
+        return self._materialise(0)
+
     def chain_length(self) -> int:
         """Return ``T`` (the number of iterations, excluding the initial state)."""
-        return max(len(self.states) - 1, 0)
+        return max(len(self.vertex) - 1, 0)
 
     def kept_states(self) -> List[ChainState]:
         """Return the states that participate in the estimate (after burn-in)."""
-        return self.states[self.burn_in :]
+        return self._materialise(self.burn_in)
+
+    def _materialise(self, start: int) -> List[ChainState]:
+        return [
+            ChainState(i, v, d, a, p)
+            for i, v, d, a, p in zip(
+                range(start, len(self.vertex)),
+                self.vertex[start:],
+                self.dependency[start:].tolist(),
+                self.accepted[start:].tolist(),
+                self.proposal_dependency[start:].tolist(),
+            )
+        ]
 
     def acceptance_rate(self) -> float:
         """Return the fraction of proposals that were accepted."""
-        proposals = self.states[1:]
-        if not proposals:
+        proposals = len(self.accepted) - 1
+        if proposals <= 0:
             return 0.0
-        return sum(1 for s in proposals if s.accepted) / len(proposals)
+        return int(np.count_nonzero(self.accepted[1:])) / proposals
 
     def visited_vertices(self) -> List[Vertex]:
         """Return the sequence of vertices visited (after burn-in)."""
-        return [s.vertex for s in self.kept_states()]
+        return list(self.vertex[self.burn_in :])
 
     def dependency_trace(self) -> List[float]:
         """Return the sequence of dependency scores (after burn-in)."""
-        return [s.dependency for s in self.kept_states()]
+        return self.dependency[self.burn_in :].tolist()
+
+    def contributions(self, estimator: str = "chain") -> List[float]:
+        """Return each kept state's contribution to the *estimator* read-out.
+
+        The column form of :func:`state_contribution`: ``"chain"`` reads the
+        state dependencies, ``"proposal"`` the candidate dependencies and
+        ``"accepted"`` the candidate dependencies of accepted proposals
+        (``0.0`` for rejected ones).  Python floats, so callers total them
+        with builtin ``sum`` exactly like the per-state loop did.
+        """
+        if estimator not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+        start = self.burn_in
+        if estimator == "chain":
+            return self.dependency[start:].tolist()
+        if estimator == "proposal":
+            return self.proposal_dependency[start:].tolist()
+        return np.where(
+            self.accepted[start:], self.proposal_dependency[start:], 0.0
+        ).tolist()
 
     # ------------------------------------------------------------------
     def estimate(self, estimator: str = "chain") -> float:
@@ -172,24 +225,19 @@ class ChainResult:
         the corrected unbiased variant, ``"accepted"`` the accepted-only
         alternative reading.
         """
-        if estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-        kept = self.kept_states()
+        kept = self.contributions(estimator)
         if not kept:
             return 0.0
         scale = max(self.num_vertices - 1, 1)
-        return sum(state_contribution(s, estimator) for s in kept) / (len(kept) * scale)
+        return sum(kept) / (len(kept) * scale)
 
     def running_estimates(self, estimator: str = "chain") -> List[float]:
         """Return the estimate after each kept state (used by the convergence benchmark E7)."""
-        if estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-        kept = self.kept_states()
         scale = max(self.num_vertices - 1, 1)
         estimates: List[float] = []
         total = 0.0
-        for i, state in enumerate(kept, start=1):
-            total += state_contribution(state, estimator)
+        for i, value in enumerate(self.contributions(estimator), start=1):
+            total += value
             estimates.append(total / (i * scale))
         return estimates
 
@@ -199,12 +247,25 @@ class ChainResult:
         In the long run these approach the stationary distribution of
         Equation 5; the diagnostics module compares the two.
         """
-        kept = self.kept_states()
+        kept = self.vertex[self.burn_in :]
         counts: Dict[Vertex, float] = {}
-        for state in kept:
-            counts[state.vertex] = counts.get(state.vertex, 0.0) + 1.0
+        for vertex in kept:
+            counts[vertex] = counts.get(vertex, 0.0) + 1.0
         total = float(len(kept))
         return {v: c / total for v, c in counts.items()}
+
+
+def _last_accepted(accepted: List[bool]) -> np.ndarray:
+    """Map each step of a segment to the step whose candidate it holds.
+
+    ``accepted[k]`` belongs to step ``k + 1``; step 0 is the segment's start
+    state.  Entry ``t`` of the result is the last step ``<= t`` whose
+    proposal was accepted (0 when none was), so indexing ``[start] +
+    candidates`` with it gives the state at every step.
+    """
+    steps = np.arange(len(accepted) + 1)
+    steps[1:][~np.array(accepted, dtype=bool)] = 0
+    return np.maximum.accumulate(steps)
 
 
 class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
@@ -272,40 +333,39 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         correction = graph.degree(current) / max(graph.degree(candidate), 1)
         return candidate, correction
 
-    @staticmethod
-    def _degree_weighted_choice(graph: Graph, vertices: Sequence[Vertex], rng):
-        degrees = [max(graph.degree(v), 1) for v in vertices]
-        total = sum(degrees)
-        pick = rng.random() * total
-        cumulative = 0.0
-        for vertex, degree in zip(vertices, degrees):
-            cumulative += degree
-            if pick <= cumulative:
-                return vertex
-        return vertices[-1]
-
     def _draw_proposals(
         self, graph: Graph, vertices: Sequence[Vertex], rng, count: int
-    ) -> Optional[List[Vertex]]:
+    ) -> Optional[Tuple[List[int], Optional[List[int]]]]:
         """Pre-draw *count* independence-proposal candidates from a child stream.
 
-        Spawning the child advances *rng* by exactly one spawn regardless of
-        *count*, so the main stream (initial draw, acceptance draws) is
-        unaffected by how many proposals are drawn upfront.  Returns
-        ``None`` for the state-dependent random-walk proposal, which draws
-        each candidate from the main stream as the chain moves.
+        Returns ``(indices, weights)``: the candidates' positions in
+        *vertices*, and the degree proposal's per-vertex weights
+        ``max(deg, 1)`` (``None`` for the uniform proposal).  A degree draw
+        picks the first vertex whose cumulative weight reaches
+        ``random() * total``; the integer prefix sums are built once per
+        call and searched with :func:`bisect.bisect_left`.  Spawning the
+        child advances *rng* by exactly one spawn regardless of *count*, so
+        the main stream (initial draw, acceptance draws) is unaffected by
+        how many proposals are drawn upfront.  Returns ``None`` for the
+        state-dependent random-walk proposal, which draws each candidate
+        from the main stream as the chain moves.
         """
         if self.proposal == "random-walk":
             return None
         proposal_rng = spawn_rng(rng, 0)
         if self.proposal == "uniform":
-            return [
-                vertices[proposal_rng.randrange(len(vertices))] for _ in range(count)
-            ]
-        return [
-            self._degree_weighted_choice(graph, vertices, proposal_rng)
-            for _ in range(count)
+            return randrange_block(proposal_rng, (len(vertices),), count)[0], None
+        weights = [max(graph.degree(v), 1) for v in vertices]
+        total = sum(weights)
+        # Exact integers in float, so the first index with pick <= cum[i]
+        # is the one the running float sum of the weights would stop at.
+        cumulative = [float(c) for c in accumulate(weights)]
+        random = proposal_rng.random
+        last = len(vertices) - 1
+        indices = [
+            min(bisect_left(cumulative, random() * total), last) for _ in range(count)
         ]
+        return indices, weights
 
     # ------------------------------------------------------------------
     # Chain
@@ -373,7 +433,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         # Independence proposals don't depend on the chain state, so the
         # whole candidate sequence is drawn upfront from a child stream (the
         # main stream keeps the initial draw and the acceptance draws) and
-        # handed to the oracle in blocks.
+        # read from the oracle in one bulk call.
         proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
 
         evaluations_before = oracle.evaluations
@@ -383,85 +443,139 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             graph.validate_vertex(initial_state)
             current = initial_state
         current_delta = oracle.dependency(current, r)
-
-        states: List[ChainState] = [
-            ChainState(
-                iteration=0,
-                vertex=current,
-                dependency=current_delta,
-                accepted=True,
-                proposal_dependency=current_delta,
-            )
-        ]
-        self._iterate(graph, r, oracle, rng, states, num_iterations, proposals)
+        vertex, dependency, accepted, proposed = self._advance(
+            graph, r, oracle, rng, vertices, current, current_delta, num_iterations, proposals
+        )
+        vertex = [current] + vertex
         if not self.record_states:
-            # Memory-lean mode: keep only the fields the estimate needs by
-            # dropping vertex identities (they are replaced by the target).
-            states = [
-                ChainState(s.iteration, r, s.dependency, s.accepted, s.proposal_dependency)
-                for s in states
-            ]
+            # Memory-lean mode: drop the vertex identities (they are
+            # replaced by the target); the estimate needs only the scores.
+            vertex = [r] * len(vertex)
         # Bill this run's own Brandes passes, not the oracle's lifetime
         # total: a warm oracle reused across requests (the session API, the
         # E8 ablation) would otherwise charge every past request's work to
         # the newest chain.  For a fresh oracle the delta equals the total.
         return ChainResult(
             target=r,
-            states=states,
+            vertex=vertex,
+            dependency=np.concatenate(([current_delta], dependency)),
+            accepted=np.concatenate(([True], accepted)),
+            proposal_dependency=np.concatenate(([current_delta], proposed)),
             num_vertices=graph.number_of_vertices(),
             burn_in=self.burn_in,
             evaluations=oracle.evaluations - evaluations_before,
         )
 
-    def _iterate(
+    def _advance(
         self,
         graph: Graph,
         r: Vertex,
         oracle: DependencyOracle,
         rng,
-        states: List[ChainState],
+        vertices: Sequence[Vertex],
+        current: Vertex,
+        current_delta: float,
         num_iterations: int,
-        proposals: Optional[List[Vertex]],
-    ) -> None:
-        """Advance the chain *num_iterations* steps, appending to *states* in place.
+        proposals,
+    ):
+        """Advance the chain *num_iterations* steps from ``(current, current_delta)``.
 
-        The shared engine of :meth:`run_chain` and :meth:`extend_chain`:
-        continuation starts from ``states[-1]`` and the rng draws per step are
-        exactly those of a fresh run (one acceptance draw per proposal), so a
-        chain's trajectory is a pure function of its rng stream and its last
-        state — never of which process or segment schedule produced it.
+        The shared engine of :meth:`run_chain` and :meth:`extend_chain`;
+        returns the segment's ``(vertex, dependency, accepted,
+        proposal_dependency)`` columns, start state excluded.  The rng
+        draws per step are exactly those of a fresh run (one acceptance
+        draw per proposal), so a chain's trajectory is a pure function of
+        its rng stream and its last state — never of which process or
+        segment schedule produced it.
+
+        The independence proposals run array-native: one bulk oracle read
+        of every candidate's score, the acceptance uniforms in one block
+        (the same main-stream draws, in the same order, as one per step),
+        a scalar accept scan, and the state columns filled forward from the
+        accepted steps.  The acceptance test is Equation 6 with the
+        proposal correction, ``ratio = (cand / cur) * (w_cur / w_cand)``
+        (weights 1 for the uniform proposal); a current state with zero
+        dependency has zero stationary probability, so any candidate is
+        accepted outright and the chain keeps moving until it reaches the
+        support.
+
+        Exactly one uniform is consumed per proposal, *unconditionally*
+        (drawing and ignoring when the ratio exceeds 1 is statistically
+        identical to not drawing).  An earlier revision drew only when
+        ``ratio < 1``, which broke the identical-rng-stream promise between
+        two dependency evaluators (the CSR kernels and the dict-kernel
+        reference): symmetric dependency scores put the true ratio at
+        exactly 1, last-ulp accumulation drift landed one side at
+        ``1 + ε`` and the other at ``1 - ε``, only one of them consumed a
+        draw, and the chains diverged structurally from there.
         """
-        current = states[-1].vertex
-        current_delta = states[-1].dependency
-        base_iteration = states[-1].iteration
-        prefetch_block = self._plan().batch_size
-        for step in range(1, num_iterations + 1):
-            if proposals is not None:
-                candidate = proposals[step - 1]
-                if (step - 1) % prefetch_block == 0:
-                    oracle.prefetch(proposals[step - 1 : step - 1 + prefetch_block])
-                if self.proposal == "uniform":
-                    proposal_correction = 1.0
-                else:
-                    proposal_correction = max(graph.degree(current), 1) / max(
-                        graph.degree(candidate), 1
-                    )
+        if proposals is None:
+            return self._random_walk(graph, r, oracle, rng, current, current_delta, num_iterations)
+        indices, weights = proposals
+        candidates = [vertices[i] for i in indices]
+        proposed = oracle.dependency_rows(
+            candidates, [r], prefetch_block=self._plan().batch_size, skip_self_lookups=True
+        )[:, 0]
+        random = rng.random
+        uniforms = [random() for _ in range(num_iterations)]
+        if weights is None:
+            current_weight = 1
+            candidate_weights = [1] * num_iterations
+        else:
+            current_weight = max(graph.degree(current), 1)
+            candidate_weights = [weights[i] for i in indices]
+        accepted = []
+        append = accepted.append
+        cur = current_delta
+        for cand, cand_weight, u in zip(proposed.tolist(), candidate_weights, uniforms):
+            if cur <= 0.0:
+                ok = True
             else:
-                candidate, proposal_correction = self._propose_neighbor(graph, current, rng)
+                ratio = (cand / cur) * (current_weight / cand_weight)
+                ok = ratio >= 1.0 or u < ratio
+            if ok:
+                cur = cand
+                current_weight = cand_weight
+            append(ok)
+        holder = _last_accepted(accepted)[1:]
+        pool = [current] + candidates
+        vertex = [pool[j] for j in holder.tolist()]
+        dependency = np.concatenate(([current_delta], proposed))[holder]
+        return vertex, dependency, np.array(accepted, dtype=bool), proposed
+
+    def _random_walk(self, graph, r, oracle, rng, current, current_delta, num_iterations):
+        """The per-step loop of the state-dependent random-walk proposal.
+
+        Each candidate is a neighbour of the current state, drawn from the
+        main stream right before that step's acceptance uniform, so the
+        steps cannot be block-drawn; the loop writes the same columns as
+        the array-native path.
+        """
+        vertex: List[Vertex] = []
+        dependency: List[float] = []
+        accepted: List[bool] = []
+        proposed: List[float] = []
+        for _ in range(num_iterations):
+            candidate, correction = self._propose_neighbor(graph, current, rng)
             candidate_delta = oracle.dependency(candidate, r)
-            accepted = self._accept(current_delta, candidate_delta, proposal_correction, rng)
-            if accepted:
-                current = candidate
-                current_delta = candidate_delta
-            states.append(
-                ChainState(
-                    iteration=base_iteration + step,
-                    vertex=current,
-                    dependency=current_delta,
-                    accepted=accepted,
-                    proposal_dependency=candidate_delta,
-                )
-            )
+            u = rng.random()
+            if current_delta <= 0.0:
+                ok = True
+            else:
+                ratio = (candidate_delta / current_delta) * correction
+                ok = ratio >= 1.0 or u < ratio
+            if ok:
+                current, current_delta = candidate, candidate_delta
+            vertex.append(current)
+            dependency.append(current_delta)
+            accepted.append(ok)
+            proposed.append(candidate_delta)
+        return (
+            vertex,
+            np.array(dependency, dtype=float),
+            np.array(accepted, dtype=bool),
+            np.array(proposed, dtype=float),
+        )
 
     def extend_chain(
         self,
@@ -493,7 +607,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         graph.validate_vertex(r)
         if num_iterations < 1:
             raise ConfigurationError("num_iterations must be at least 1")
-        if not chain.states:
+        if not chain.vertex:
             raise ConfigurationError("cannot extend an empty chain")
         if not self.record_states:
             raise ConfigurationError(
@@ -505,46 +619,31 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             oracle = self.build_oracle(graph)
         vertices = graph.vertices()
         proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
-        states = list(chain.states)
         evaluations_before = oracle.evaluations
-        self._iterate(graph, r, oracle, rng, states, num_iterations, proposals)
+        vertex, dependency, accepted, proposed = self._advance(
+            graph,
+            r,
+            oracle,
+            rng,
+            vertices,
+            chain.vertex[-1],
+            float(chain.dependency[-1]),
+            num_iterations,
+            proposals,
+        )
         # The chain's running total plus this segment's passes only — a
         # shared oracle's counter includes other chains' work, which must
         # not be billed to this record.
         return ChainResult(
             target=chain.target,
-            states=states,
+            vertex=chain.vertex + vertex,
+            dependency=np.concatenate((chain.dependency, dependency)),
+            accepted=np.concatenate((chain.accepted, accepted)),
+            proposal_dependency=np.concatenate((chain.proposal_dependency, proposed)),
             num_vertices=chain.num_vertices,
             burn_in=chain.burn_in,
             evaluations=chain.evaluations + (oracle.evaluations - evaluations_before),
         )
-
-    @staticmethod
-    def _accept(
-        current_delta: float, candidate_delta: float, proposal_correction: float, rng
-    ) -> bool:
-        """Apply the Metropolis-Hastings acceptance rule of Equation 6.
-
-        A current state with zero dependency has zero stationary probability;
-        any candidate with positive dependency is then accepted outright
-        (the ratio is +inf), and a zero-dependency candidate is accepted too
-        so the chain keeps moving until it reaches the support.
-
-        Exactly one uniform draw is consumed per proposal, *unconditionally*
-        (drawing and ignoring when the ratio exceeds 1 is statistically
-        identical to not drawing).  An earlier revision drew only when
-        ``ratio < 1``, which broke the identical-rng-stream promise between
-        two dependency evaluators (the CSR kernels and the dict-kernel
-        reference): symmetric dependency scores put the true ratio at
-        exactly 1, last-ulp accumulation drift landed one side at
-        ``1 + ε`` and the other at ``1 - ε``, only one of them consumed a
-        draw, and the chains diverged structurally from there.
-        """
-        u = rng.random()
-        if current_delta <= 0.0:
-            return True
-        ratio = (candidate_delta / current_delta) * proposal_correction
-        return ratio >= 1.0 or u < ratio
 
     # ------------------------------------------------------------------
     # Estimator interface

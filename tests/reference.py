@@ -11,22 +11,31 @@ through the same :func:`~repro.execution.sample_shards` child streams — so
 for a fixed seed a reference estimate matches the library's up to
 floating-point accumulation order.
 
-The Metropolis-Hastings family needs no loop of its own: the unchanged
-samplers accept an injected oracle, and :class:`DictDependencyOracle`
-answers their dependency queries through the dict kernels
-(:class:`DictOracleMHSampler` injects it wherever a driver builds oracles).
+The Metropolis-Hastings family has per-step reference loops of its own
+(:func:`reference_mh_chain`, :func:`reference_mh_extend`,
+:func:`reference_joint_chain` and the per-state read-outs): the library
+chains are array-native — bulk oracle reads, block-drawn uniforms, column
+storage — and must walk exactly the trajectories of these scalar loops,
+with every column, read-out and oracle counter bit-identical for the same
+oracle type.  Any oracle can drive them; :class:`DependencyOracle` gives
+the bit-identity pin, :class:`DictDependencyOracle` answers through the
+dict kernels (:class:`DictOracleMHSampler` injects it wherever a driver
+builds oracles).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro._rng import RandomState, ensure_rng
+import numpy as np
+
+from repro._rng import RandomState, ensure_rng, spawn_rng
 from repro.centrality.api import MCMC_SINGLE_METHODS, SINGLE_VERTEX_METHODS
 from repro.exact.brandes import normalization_factor
 from repro.execution import sample_shards
 from repro.graphs.core import Graph, Vertex
-from repro.mcmc.single import SingleSpaceMHSampler
+from repro.mcmc.joint import JointChainState
+from repro.mcmc.single import ChainState, SingleSpaceMHSampler
 from repro.shortest_paths import (
     accumulate_dependencies,
     accumulate_edge_dependencies,
@@ -40,6 +49,14 @@ from repro.shortest_paths.spd import ShortestPathDAG
 __all__ = [
     "DictDependencyOracle",
     "DictOracleMHSampler",
+    "reference_degree_choice",
+    "reference_mh_chain",
+    "reference_mh_extend",
+    "reference_mh_readout",
+    "reference_running_estimates",
+    "reference_joint_chain",
+    "reference_relative",
+    "reference_ratio",
     "reference_estimate",
     "reference_betweenness",
     "reference_edge_dependencies",
@@ -51,9 +68,9 @@ class DictDependencyOracle:
     """Uncached dependency oracle over the dict kernels.
 
     Duck-types the parts of :class:`repro.mcmc.estimates.DependencyOracle`
-    the sequential MH samplers use (``dependency``, ``dependencies_for``,
-    ``prefetch`` and the ``evaluations`` counter).  Unknown targets read as
-    0.0, like the library oracle.
+    the MH samplers use (``dependency``, ``dependencies_for``, the bulk
+    ``dependency_rows``, ``prefetch`` and the ``evaluations`` counter).
+    Unknown targets read as 0.0, like the library oracle.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -79,6 +96,16 @@ class DictDependencyOracle:
         vector = self._vector(source)
         return {t: (0.0 if t == source else vector.get(t, 0.0)) for t in targets}
 
+    def dependency_rows(
+        self, sources, targets, *, prefetch_block=None, skip_self_lookups=False
+    ) -> np.ndarray:
+        if skip_self_lookups:
+            (target,) = targets
+            rows = [[self.dependency(s, target)] for s in sources]
+        else:
+            rows = [list(self.dependencies_for(s, targets).values()) for s in sources]
+        return np.array(rows, dtype=float).reshape(len(sources), len(targets))
+
 
 class DictOracleMHSampler(SingleSpaceMHSampler):
     """The unchanged MH sampler, building :class:`DictDependencyOracle` oracles.
@@ -89,6 +116,246 @@ class DictOracleMHSampler(SingleSpaceMHSampler):
 
     def build_oracle(self, graph: Graph, *, shared_store=None) -> DictDependencyOracle:
         return DictDependencyOracle(graph)
+
+
+# ----------------------------------------------------------------------
+# Metropolis-Hastings: the per-step chain loops and per-state read-outs
+# ----------------------------------------------------------------------
+def reference_degree_choice(graph: Graph, vertices: Sequence[Vertex], rng):
+    """One degree-proposal draw, rebuilding the cumulative weights per draw."""
+    degrees = [max(graph.degree(v), 1) for v in vertices]
+    total = sum(degrees)
+    pick = rng.random() * total
+    cumulative = 0.0
+    for vertex, degree in zip(vertices, degrees):
+        cumulative += degree
+        if pick <= cumulative:
+            return vertex
+    return vertices[-1]
+
+
+def _propose_neighbor(graph: Graph, current: Vertex, rng):
+    neighbors = list(graph.neighbors(current))
+    if not neighbors:
+        return current, 1.0
+    candidate = neighbors[rng.randrange(len(neighbors))]
+    correction = graph.degree(current) / max(graph.degree(candidate), 1)
+    return candidate, correction
+
+
+def _draw_proposals(graph: Graph, vertices, proposal: str, rng, count: int):
+    if proposal == "random-walk":
+        return None
+    proposal_rng = spawn_rng(rng, 0)
+    if proposal == "uniform":
+        return [vertices[proposal_rng.randrange(len(vertices))] for _ in range(count)]
+    return [reference_degree_choice(graph, vertices, proposal_rng) for _ in range(count)]
+
+
+def _accept(current_delta: float, candidate_delta: float, proposal_correction: float, rng) -> bool:
+    u = rng.random()
+    if current_delta <= 0.0:
+        return True
+    ratio = (candidate_delta / current_delta) * proposal_correction
+    return ratio >= 1.0 or u < ratio
+
+
+def _accept_joint(current_delta: float, candidate_delta: float, rng) -> bool:
+    u = rng.random()
+    if current_delta <= 0.0:
+        return True
+    ratio = candidate_delta / current_delta
+    return ratio >= 1.0 or u < ratio
+
+
+def _iterate(graph, r, oracle, rng, states, num_iterations, proposals, proposal, block):
+    current = states[-1].vertex
+    current_delta = states[-1].dependency
+    base_iteration = states[-1].iteration
+    for step in range(1, num_iterations + 1):
+        if proposals is not None:
+            candidate = proposals[step - 1]
+            if (step - 1) % block == 0:
+                oracle.prefetch(proposals[step - 1 : step - 1 + block])
+            if proposal == "uniform":
+                proposal_correction = 1.0
+            else:
+                proposal_correction = max(graph.degree(current), 1) / max(
+                    graph.degree(candidate), 1
+                )
+        else:
+            candidate, proposal_correction = _propose_neighbor(graph, current, rng)
+        candidate_delta = oracle.dependency(candidate, r)
+        accepted = _accept(current_delta, candidate_delta, proposal_correction, rng)
+        if accepted:
+            current = candidate
+            current_delta = candidate_delta
+        states.append(
+            ChainState(
+                iteration=base_iteration + step,
+                vertex=current,
+                dependency=current_delta,
+                accepted=accepted,
+                proposal_dependency=candidate_delta,
+            )
+        )
+
+
+def reference_mh_chain(
+    graph: Graph,
+    r: Vertex,
+    num_iterations: int,
+    *,
+    oracle,
+    proposal: str = "uniform",
+    batch_size: int = 16,
+    seed: RandomState = None,
+    initial_state: Optional[Vertex] = None,
+) -> List[ChainState]:
+    """The single-space chain as a per-step loop: its ``T + 1`` states."""
+    rng = ensure_rng(seed)
+    vertices = graph.vertices()
+    proposals = _draw_proposals(graph, vertices, proposal, rng, num_iterations)
+    if initial_state is None:
+        current = vertices[rng.randrange(len(vertices))]
+    else:
+        current = initial_state
+    current_delta = oracle.dependency(current, r)
+    states = [
+        ChainState(
+            iteration=0,
+            vertex=current,
+            dependency=current_delta,
+            accepted=True,
+            proposal_dependency=current_delta,
+        )
+    ]
+    _iterate(graph, r, oracle, rng, states, num_iterations, proposals, proposal, batch_size)
+    return states
+
+
+def reference_mh_extend(
+    graph: Graph,
+    r: Vertex,
+    states: List[ChainState],
+    num_iterations: int,
+    *,
+    oracle,
+    proposal: str = "uniform",
+    batch_size: int = 16,
+    rng: RandomState = None,
+) -> List[ChainState]:
+    """Continue a per-step chain by *num_iterations* steps (a new list)."""
+    rng = ensure_rng(rng)
+    vertices = graph.vertices()
+    proposals = _draw_proposals(graph, vertices, proposal, rng, num_iterations)
+    states = list(states)
+    _iterate(graph, r, oracle, rng, states, num_iterations, proposals, proposal, batch_size)
+    return states
+
+
+def _contribution(state, estimator: str) -> float:
+    if estimator == "chain":
+        return state.dependency
+    if estimator == "proposal":
+        return state.proposal_dependency
+    return state.proposal_dependency if state.accepted else 0.0
+
+
+def reference_mh_readout(
+    states: List[ChainState], burn_in: int, num_vertices: int, estimator: str
+) -> float:
+    """Equation 7 (or its variants) summed state by state."""
+    kept = states[burn_in:]
+    if not kept:
+        return 0.0
+    scale = max(num_vertices - 1, 1)
+    return sum(_contribution(s, estimator) for s in kept) / (len(kept) * scale)
+
+
+def reference_running_estimates(
+    states: List[ChainState], burn_in: int, num_vertices: int, estimator: str
+) -> List[float]:
+    scale = max(num_vertices - 1, 1)
+    estimates: List[float] = []
+    total = 0.0
+    for i, state in enumerate(states[burn_in:], start=1):
+        total += _contribution(state, estimator)
+        estimates.append(total / (i * scale))
+    return estimates
+
+
+def reference_joint_chain(
+    graph: Graph,
+    members: List[Vertex],
+    num_iterations: int,
+    *,
+    oracle,
+    batch_size: int = 16,
+    seed: RandomState = None,
+    initial_state: Optional[Tuple[Vertex, Vertex]] = None,
+) -> List[JointChainState]:
+    """The joint-space chain as a per-step loop: its ``T + 1`` states."""
+    rng = ensure_rng(seed)
+    vertices = graph.vertices()
+    proposal_rng = spawn_rng(rng, 0)
+    pair_proposals = [
+        (
+            members[proposal_rng.randrange(len(members))],
+            vertices[proposal_rng.randrange(len(vertices))],
+        )
+        for _ in range(num_iterations)
+    ]
+    if initial_state is None:
+        current_r = members[rng.randrange(len(members))]
+        current_v = vertices[rng.randrange(len(vertices))]
+    else:
+        current_r, current_v = initial_state
+    current_deps = oracle.dependencies_for(current_v, members)
+    states = [
+        JointChainState(
+            iteration=0, r=current_r, v=current_v, dependencies=current_deps, accepted=True
+        )
+    ]
+    for t in range(1, num_iterations + 1):
+        candidate_r, candidate_v = pair_proposals[t - 1]
+        if (t - 1) % batch_size == 0:
+            oracle.prefetch([v for _, v in pair_proposals[t - 1 : t - 1 + batch_size]])
+        candidate_deps = oracle.dependencies_for(candidate_v, members)
+        accepted = _accept_joint(states[-1].dependency, candidate_deps.get(candidate_r, 0.0), rng)
+        if accepted:
+            current_r, current_v, current_deps = candidate_r, candidate_v, candidate_deps
+        states.append(
+            JointChainState(
+                iteration=t, r=current_r, v=current_v, dependencies=current_deps, accepted=accepted
+            )
+        )
+    return states
+
+
+def reference_relative(states: List[JointChainState], burn_in: int, ri: Vertex, rj: Vertex):
+    """Equation 23 summed state by state; ``None`` when ``M(j)`` is empty."""
+    samples = [s for s in states[burn_in:] if s.r == rj]
+    if not samples:
+        return None
+    total = 0.0
+    for state in samples:
+        di = state.dependencies.get(ri, 0.0)
+        dj = state.dependencies.get(rj, 0.0)
+        if dj > 0.0:
+            total += min(1.0, di / dj)
+        elif di > 0.0:
+            total += 1.0
+    return total / len(samples)
+
+
+def reference_ratio(states: List[JointChainState], burn_in: int, ri: Vertex, rj: Vertex):
+    """Equation 22; ``None`` where the library reports NaN."""
+    numerator = reference_relative(states, burn_in, ri, rj)
+    denominator = reference_relative(states, burn_in, rj, ri)
+    if numerator is None or denominator is None or denominator <= 0.0:
+        return None
+    return numerator / denominator
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +500,17 @@ def reference_estimate(
     assert set(SINGLE_VERTEX_METHODS) == set(_BASELINES) | set(MCMC_SINGLE_METHODS)
     if method in MCMC_SINGLE_METHODS:
         sampler = SINGLE_VERTEX_METHODS[method]()
-        oracle = DictDependencyOracle(graph)
-        return sampler.estimate(graph, r, samples, seed=seed, oracle=oracle).estimate
+        states = reference_mh_chain(
+            graph,
+            r,
+            samples,
+            oracle=DictDependencyOracle(graph),
+            proposal=sampler.proposal,
+            seed=seed,
+        )
+        return reference_mh_readout(
+            states, sampler.burn_in, graph.number_of_vertices(), sampler.estimator
+        )
     return _BASELINES[method](graph, r, samples, ensure_rng(seed))
 
 
