@@ -206,7 +206,7 @@ def probe_n_jobs(
     if not sources:
         return [(1, 0.0)]
     shards = split_shards(sources)
-    shared = (csr, batch_size)
+    shared = (csr, batch_size, "auto", 1)
 
     def sweep(jobs: int) -> None:
         run_sharded(dependency_sum_shard_csr, shards, n_jobs=jobs, shared=shared)
@@ -421,7 +421,7 @@ def probe_shard_sizes(
     sources = list(range(min(probe_sources, csr.number_of_vertices())))
     if not sources:
         return [(min(candidates), 0.0)]
-    shared = (csr, 1)
+    shared = (csr, 1, "auto", 1)
 
     def sweep(shard_size: int) -> None:
         shards = split_shards(sources, shard_size=shard_size)

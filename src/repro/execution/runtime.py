@@ -613,34 +613,11 @@ class ExecutionContext:
             if deltas is None:
                 receipt.reason = "journal-overflow"
             else:
-                # The pre-mutation snapshot (for the kernel-path guard
-                # below) must be captured before graph.csr() consumes it.
-                stale = graph._stale_csr
-                old_csr = (
-                    stale[0]
-                    if stale is not None and stale[1] == old_version
-                    else None
-                )
                 new_csr = graph.csr()
                 region = affected_sources(new_csr, deltas)
                 if region.everything:
                     receipt.reason = region.reason
                     region = None
-                else:
-                    # The batch kernels pick the sparse-matmul sweep per
-                    # snapshot, and the sweep's rows can differ from the
-                    # wave kernels in the last ulp.  Rows retained across
-                    # a verdict flip would therefore not be bit-identical
-                    # to a cold run on the new snapshot — so a flip (or an
-                    # unknown pre-mutation verdict) forces the full path.
-                    from repro.shortest_paths.batch import _spmm_suitable
-
-                    if old_csr is None:
-                        receipt.reason = "no-prior-snapshot"
-                        region = None
-                    elif _spmm_suitable(old_csr) != _spmm_suitable(new_csr):
-                        receipt.reason = "kernel-path-change"
-                        region = None
         if region is None:
             self._invalidate_graph_state()
             self._last_affected = None

@@ -188,10 +188,8 @@ class CSRGraph:
         self._scipy_forward = None
         self._scipy_backward = None
         # Lazily-computed verdict of repro.shortest_paths.batch on whether
-        # the sparse-matmul sweep suits this snapshot (small depth).  Cached
-        # here so the decision is a pure per-graph property — never a
-        # function of batch composition, which would break the engine's
-        # batch_size invariance.
+        # the sparse-matmul sweep suits this snapshot (small depth), cached
+        # so the depth probe runs once per snapshot.
         self._spmm_ok = None
         # Lazily-built list-of-(neighbour, weight) adjacency view for the
         # interpreter Dijkstra rung (repro.shortest_paths.dijkstra); one

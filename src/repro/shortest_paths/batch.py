@@ -34,9 +34,14 @@ values are **bit-identical** to what the single-source kernels
 produce for that source alone: within a row, edges are visited in the same
 frontier-then-adjacency order, and ``np.bincount`` accumulates equal keys in
 input order, so every floating-point sum is performed in the same order
-regardless of which other sources share the batch.  This is what lets the
-execution layer (:mod:`repro.execution`) promise results that do not depend
-on ``batch_size``.
+regardless of which other sources share the batch.  Both the wave and the
+sparse-matmul sweep compute the one Brandes arithmetic stated in
+:mod:`repro.shortest_paths.bfs` — per parent, ``(delta_c + 1) * (1 /
+sigma_c)`` summed over its children in adjacency order, then scaled once by
+``sigma_p`` — so neither scipy's presence, the depth gate, ``kernel`` nor
+``batch_size`` can move a bit.  This is what lets the execution layer
+(:mod:`repro.execution`) promise results that do not depend on any
+execution knob.
 
 Weighted graphs have no BFS levels to batch; :func:`batch_source_dependencies`
 runs one fused Dijkstra pass per row (:func:`~repro.shortest_paths.dijkstra.
@@ -68,9 +73,9 @@ _SPMM_BLOCK_ELEMENTS = 4_000_000
 #: graphs (paths, road networks) would pay ``O(diameter × m × K)`` time and
 #: ``O(diameter × n × K)`` mask memory where the wave kernel pays
 #: ``O(m × K)`` total.  :func:`_spmm_suitable` estimates the diameter once
-#: per snapshot (``2 × ecc(v0)``, a pure per-graph property — never a
-#: function of the batch, which would break ``batch_size`` invariance) and
-#: routes deep graphs to the wave kernel instead; the cap also bounds the
+#: per snapshot (``2 × ecc(v0)``, cached on the snapshot) and routes deep
+#: graphs to the wave kernel instead — a speed choice only, since both
+#: paths return the same bits; the cap also bounds the
 #: mask footprint at ``_SPMM_MAX_DEPTH × _SPMM_BLOCK_ELEMENTS`` bytes.
 _SPMM_MAX_DEPTH = 32
 
@@ -342,20 +347,19 @@ def accumulate_dependencies_batch_csr(batch: BatchedSPD, out=None):
     n = batch.csr.number_of_vertices()
     levels = batch.levels
     # deltas[L] is the compact dependency array of level L's frontier
-    # (deltas[0] belongs to the roots).
-    deltas = [np.zeros(batch.root_keys.shape[0])]
-    deltas.extend(np.zeros(record.frontier_keys.shape[0]) for record in levels)
+    # (deltas[0] belongs to the roots, the deepest level has no children).
     sigmas = [batch.root_sigma] + [record.sigma for record in levels]
+    deltas = [None] * len(levels) + [np.zeros(sigmas[-1].shape[0])]
     for depth in range(len(levels) - 1, -1, -1):
         record = levels[depth]
-        child_delta = deltas[depth + 1]
-        contrib = (
-            sigmas[depth][record.parent_cid]
-            / record.sigma[record.child_cid]
-            * (1.0 + child_delta[record.child_cid])
-        )
-        deltas[depth] += np.bincount(
-            record.parent_cid, weights=contrib, minlength=deltas[depth].shape[0]
+        coeff = (deltas[depth + 1] + 1.0) * (1.0 / record.sigma)
+        deltas[depth] = (
+            np.bincount(
+                record.parent_cid,
+                weights=coeff[record.child_cid],
+                minlength=sigmas[depth].shape[0],
+            )
+            * sigmas[depth]
         )
     delta = np.zeros(k * n)
     # Roots carry delta 0 by definition, so only the deeper levels scatter.
@@ -381,9 +385,12 @@ def _batch_dependencies_spmm(csr: "CSRGraph", src, out):
     Every batch column is computed by an identical, column-local operation
     sequence, so a source's dependency vector is bit-identical regardless
     of which other sources share the batch (the execution layer's
-    ``batch_size`` invariance).  Path counts are integer-valued and exact;
-    the delta values may differ from the single-source kernel in the last
-    ulp (different but fixed summation order).
+    ``batch_size`` invariance).  The backward product is the reference
+    form of the one Brandes arithmetic (:mod:`repro.shortest_paths.bfs`):
+    each row of the out-adjacency sums ``(1 + delta) * (1 / sigma)`` over
+    its neighbours in adjacency order — non-children contribute an exact
+    ``0.0`` — before the single ``sigma`` scale, so every column equals
+    the single-source kernel's vector bit for bit.
     """
     n = csr.number_of_vertices()
     k = int(src.size)
@@ -451,81 +458,66 @@ def batch_source_dependencies(
     The paths share the signature and the *out* contract (sequential
     per-source accumulation in source order):
 
+    * a single source — the fused per-source pass
+      (:func:`~repro.shortest_paths.dependencies.csr_source_dependencies`)
+      on the rung ``kernel`` resolves to, whatever the graph: a one-row
+      batch would pay the batch bookkeeping for nothing;
     * unweighted + scipy importable + small-diameter snapshot
       (:func:`_spmm_suitable`) — the sparse-matmul sweep of
-      :func:`_batch_dependencies_spmm` (fastest; delta values may differ
-      from the single-source kernel in the last ulp);
+      :func:`_batch_dependencies_spmm`, the fastest path where it applies;
     * unweighted otherwise (no scipy, or a deep graph where per-level
       spmm would cost ``O(diameter × m × K)``) — the batched wave, on the
       rung ``kernel`` resolves to: the numba batch kernel
       (:func:`~repro.shortest_paths.compiled.batch_dependencies_compiled`)
       or the pure-numpy wave (:func:`bfs_spd_batch_csr` +
-      :func:`accumulate_dependencies_batch_csr`).  Both rungs are
-      bit-identical to the single-source kernels per row, so a single
-      source runs the fused single-source pass
-      (:func:`~repro.shortest_paths.dependencies.csr_source_dependencies`)
-      instead of a one-row wave;
+      :func:`accumulate_dependencies_batch_csr`);
     * weighted — one fused Dijkstra pass per row: the compiled batch
       kernel on that rung, otherwise
       :func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`
       (no BFS levels to share across sources).
 
-    The spmm sweep deliberately keeps precedence over *both* wave rungs:
-    it is the fastest path where it applies, and keeping one dispatch
-    order for every ``kernel`` value guarantees the knob can never change
-    a result — ``kernel="csr"`` and ``kernel="compiled"`` take the same
-    branch everywhere except the (bit-identical) wave pair.
-
+    Every unweighted path computes the one Brandes arithmetic of
+    :mod:`repro.shortest_paths.bfs`, so the choice among them — scipy
+    present or not, ``kernel``, ``batch_size`` — never changes a bit.
     ``kernel_threads`` engages the ``prange`` variants of the compiled
     batch kernels (ignored — harmlessly — on every other path); threads
     stride independent rows, so the count is result-neutral by
-    construction.
-
-    All paths compute each row independently of the batch composition, so
-    results never depend on ``batch_size``.  Every path rejects the same
-    bad *sources* with the same error (:func:`_validate_sources`).
+    construction.  Every path rejects the same bad *sources* with the
+    same error (:func:`_validate_sources`).
     """
     src = _validate_sources(csr, sources)
     n = csr.number_of_vertices()
     # Resolved up front so a compiled request without numba warns on every
     # branch, the spmm sweep included.
     kernel = resolve_kernel(kernel)
-    if not csr.weighted:
-        if _scipy_sparse is not None and _spmm_suitable(csr):
-            block = max(1, _SPMM_BLOCK_ELEMENTS // max(n, 1))
-            if src.size <= block:
-                return _batch_dependencies_spmm(csr, src, out)
-            # Cap the dense working set: process column sub-blocks (each
-            # column is computed independently, so this is bit-identical to
-            # the one-shot call).
-            delta = np.empty((int(src.size), n))
-            for begin in range(0, int(src.size), block):
-                delta[begin : begin + block] = _batch_dependencies_spmm(
-                    csr, src[begin : begin + block], out
-                )
-            return delta
-        if src.size == 1:
-            # A single-row wave pays the batch bookkeeping for nothing; the
-            # fused single-source pass is bit-identical per row and faster.
-            from repro.shortest_paths.dependencies import csr_source_dependencies
+    if src.size == 1:
+        from repro.shortest_paths.dependencies import csr_source_dependencies
 
-            row = csr_source_dependencies(csr, int(src[0]), kernel=kernel)
-            if out is not None:
-                out += row
-            return row[None, :]
-        if kernel == "compiled":
-            from repro.shortest_paths.compiled import batch_dependencies_compiled
-
-            return batch_dependencies_compiled(
-                csr, src, out=out, threads=kernel_threads
+        row = csr_source_dependencies(csr, int(src[0]), kernel=kernel)
+        if out is not None:
+            out += row
+        return row[None, :]
+    if not csr.weighted and _scipy_sparse is not None and _spmm_suitable(csr):
+        block = max(1, _SPMM_BLOCK_ELEMENTS // max(n, 1))
+        if src.size <= block:
+            return _batch_dependencies_spmm(csr, src, out)
+        # Cap the dense working set: process column sub-blocks (each
+        # column is computed independently, so this is bit-identical to
+        # the one-shot call).
+        delta = np.empty((int(src.size), n))
+        for begin in range(0, int(src.size), block):
+            delta[begin : begin + block] = _batch_dependencies_spmm(
+                csr, src[begin : begin + block], out
             )
-        return accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, src), out=out)
+        return delta
     if kernel == "compiled":
         from repro.shortest_paths.compiled import batch_dependencies_compiled
 
         return batch_dependencies_compiled(
             csr, src, out=out, threads=kernel_threads
         )
+    if not csr.weighted:
+        return accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, src), out=out)
     delta = np.empty((int(src.size), n))
     for row, source in enumerate(src.tolist()):
         delta[row] = dijkstra_source_dependencies_csr(csr, source)

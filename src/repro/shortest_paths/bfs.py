@@ -34,6 +34,17 @@ order — in ``O(len(children))``, without the sort behind ``np.unique``.
 The scratch ``slot`` array belongs to one traversal call and is never
 shared, so concurrent threads cannot interfere.
 
+Brandes arithmetic
+------------------
+Every unweighted dependency path in the library — this module's
+back-propagation, the batched wave and the sparse-matmul sweep of
+:mod:`repro.shortest_paths.batch`, and the compiled twins of
+:mod:`repro.shortest_paths.compiled` — computes one float expression per
+DAG parent *p*: ``(delta_c + 1.0) * (1.0 / sigma_c)`` summed from ``0.0``
+over *p*'s children *c* in adjacency order, then multiplied once by
+``sigma_p``.  Any two paths therefore return the same bits for the same
+source, so which one runs is a pure speed choice.
+
 Cutoff semantics
 ----------------
 ``cutoff`` is **inclusive**: exactly the vertices with ``d(source, v) <=
@@ -244,13 +255,18 @@ def _accumulate_levels(sig, level_edges, n: int):
 
     One vectorised pass per level, deepest first: every child of level
     ``L + 1`` has its final delta before the level-``L`` edges run.  The
-    caller zeroes the source entry.
+    arithmetic is the one Brandes order of the module docstring: ``sums[p]``
+    is parent *p*'s child sum before its single ``sigma_p`` scale, so a
+    child's delta is ``sums[c] * sig[c]``.  The caller zeroes the source
+    entry.
     """
-    delta = np.zeros(n)
+    inverse = np.zeros(n)
+    np.divide(1.0, sig, out=inverse, where=sig > 0.0)
+    sums = np.zeros(n)
     for parents, children in reversed(level_edges):
-        contrib = sig[parents] / sig[children] * (1.0 + delta[children])
-        delta += np.bincount(parents, weights=contrib, minlength=n)
-    return delta
+        coeff = (sums[children] * sig[children] + 1.0) * inverse[children]
+        sums += np.bincount(parents, weights=coeff, minlength=n)
+    return sums * sig
 
 
 def bfs_spd_csr(

@@ -36,11 +36,12 @@ exact same order, so every result is **bit-identical** to the CSR rung:
   frontier-then-adjacency order produces the identical sequence of
   partial sums (``x + 0.0 == x`` bitwise for the non-negative values
   involved).
-* delta: a vertex appears as a parent in exactly one level record, so its
-  dependency starts at exactly ``0.0`` when that record is processed; the
-  scalar ``delta[p] += sig[p] / sig[c] * (1.0 + delta[c])`` over the
-  record's edges in order replays the bincount accumulation term for
-  term, with the same division-first element order.
+* delta: the one Brandes arithmetic of :mod:`repro.shortest_paths.bfs`.
+  A vertex appears as a parent in exactly one level record, as one
+  contiguous run of edges; the scalar loop sums ``(delta[c] + 1.0) *
+  (1.0 / sig[c])`` over the run from ``0.0`` and scales the sum by
+  ``sig[p]`` once — the bincount sum and the sparse-matmul row product
+  term for term.
 * weighted: the interpreter rung keys its heap ``(distance, counter,
   vertex)`` — a strict total order — so the flat-array heap here pops the
   same unique minimum at every step and replays the identical relaxation
@@ -48,13 +49,9 @@ exact same order, so every result is **bit-identical** to the CSR rung:
   computes the same coefficient-first products per settled vertex, whose
   per-parent updates touch disjoint cells.
 
-The sparse-matmul sweep of :mod:`repro.shortest_paths.batch` keeps
-precedence over these kernels in :func:`~repro.shortest_paths.batch.
-batch_source_dependencies` — it already runs at C speed and its (fixed,
-column-local) summation order differs from the wave kernels in the last
-ulp, so letting the kernel knob swap it out would make ``kernel=`` able
-to change a result.  With spmm shared by both rungs, ``kernel="csr"`` and
-``kernel="compiled"`` are bitwise identical on **every** path.
+The sparse-matmul sweep of :mod:`repro.shortest_paths.batch` computes
+the same arithmetic, so ``kernel="csr"`` and ``kernel="compiled"`` are
+bitwise identical on **every** path, whichever one a batch takes.
 
 Scratch buffers
 ---------------
@@ -224,18 +221,29 @@ _bfs_wave = _jit(_bfs_wave_py)
 def _accumulate_py(sig, delta, edge_p, edge_c, edge_start, n_levels, source):
     """Scalar twin of the level loop of ``accumulate_dependencies_csr``.
 
-    Processes the level records deepest-first; a parent's delta is exactly
-    ``0.0`` when its (single) record is reached, so the in-order scalar
-    accumulation replays the bincount sums bit for bit.
+    Processes the level records deepest-first.  A parent's edges form one
+    contiguous run of its (single) record, so the run's coefficients are
+    summed from ``0.0`` in order and the sum is scaled by ``sig[p]`` when
+    the run ends — the one Brandes arithmetic, bit for bit.
     """
     n = delta.shape[0]
     for i in range(n):
         delta[i] = 0.0
     for lev in range(n_levels - 1, -1, -1):
-        for e in range(edge_start[lev], edge_start[lev + 1]):
-            p = edge_p[e]
+        lo = edge_start[lev]
+        hi = edge_start[lev + 1]
+        if lo == hi:
+            continue
+        p = edge_p[lo]
+        total = 0.0
+        for e in range(lo, hi):
+            if edge_p[e] != p:
+                delta[p] = total * sig[p]
+                p = edge_p[e]
+                total = 0.0
             c = edge_c[e]
-            delta[p] += sig[p] / sig[c] * (1.0 + delta[c])
+            total += (delta[c] + 1.0) * (1.0 / sig[c])
+        delta[p] = total * sig[p]
     delta[source] = 0.0
 
 

@@ -249,18 +249,14 @@ def iter_batches(items: Sequence, batch_size: int):
 def dependency_sum_shard_csr(shared, shard):
     """Shard worker: sum the dependency vectors of the shard's source indices.
 
-    ``shared`` is ``(csr, batch_size)``, optionally extended with
-    ``kernel`` (third element) and ``kernel_threads`` (fourth) — the
-    positional tail threads an :class:`~repro.execution.plan.
-    ExecutionPlan`'s kernel rung and thread count into the worker process
-    (shorter payloads resolve ``"auto"`` / 1).  The sum follows the
+    ``shared`` is ``(csr, batch_size, kernel, kernel_threads)`` — an
+    :class:`~repro.execution.plan.ExecutionPlan`'s batch size, kernel rung
+    and thread count threaded into the worker process.  The sum follows the
     canonical accumulation order (one vector addition per source, in shard
     order), so the buffer is bit-identical however the sources are batched
     — and whichever kernel rung, on however many threads, runs the passes.
     """
-    csr, batch_size = shared[0], shared[1]
-    kernel = shared[2] if len(shared) > 2 else "auto"
-    kernel_threads = shared[3] if len(shared) > 3 else 1
+    csr, batch_size, kernel, kernel_threads = shared
     from repro.shortest_paths.batch import batch_source_dependencies
 
     out = np.zeros(csr.number_of_vertices())
@@ -274,15 +270,12 @@ def dependency_sum_shard_csr(shared, shard):
 def dependency_at_target_shard_csr(shared, shard) -> List[float]:
     """Shard worker: per-source dependency on one target index.
 
-    ``shared`` is ``(csr, batch_size, target_index)``, optionally extended
-    with ``kernel`` (fourth element) and ``kernel_threads`` (fifth — see
-    :func:`dependency_sum_shard_csr`); returns one float per shard source,
-    in shard order.  A source equal to the target reads its own delta
-    entry, which is 0 by construction.
+    ``shared`` is ``(csr, batch_size, target_index, kernel,
+    kernel_threads)`` (see :func:`dependency_sum_shard_csr`); returns one
+    float per shard source, in shard order.  A source equal to the target
+    reads its own delta entry, which is 0 by construction.
     """
-    csr, batch_size, target_index = shared[0], shared[1], shared[2]
-    kernel = shared[3] if len(shared) > 3 else "auto"
-    kernel_threads = shared[4] if len(shared) > 4 else 1
+    csr, batch_size, target_index, kernel, kernel_threads = shared
     from repro.shortest_paths.batch import batch_source_dependencies
 
     values: List[float] = []

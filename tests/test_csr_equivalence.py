@@ -572,6 +572,57 @@ def test_compiled_batch_is_bitwise_identical_to_the_wave_pair(graph, seed):
     assert np.array_equal(out_compiled, out_numpy)
 
 
+def _random_unweighted_graph(seed: int, directed: bool) -> Graph:
+    """Random unweighted graph, possibly disconnected, sparse or dense."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    graph = Graph(directed=directed)
+    for v in range(n):
+        graph.add_vertex(v)
+    for _ in range(rng.randint(0, 4 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            graph.add_edge(u, v)
+    return graph
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_unweighted_dependency_path_is_bit_identical(seed, directed):
+    """One Brandes arithmetic: the fused per-source pass, build-then-
+    accumulate, the numpy batched wave, the sparse-matmul sweep (called
+    directly, so graphs the router keeps off it are pinned too) and the
+    compiled rung return the same bits for every source."""
+    from repro.graphs import csr as csr_module
+    from repro.shortest_paths.batch import _batch_dependencies_spmm, _scipy_sparse
+
+    csr = _random_unweighted_graph(seed, directed).csr()
+    n = csr.number_of_vertices()
+    sources = np.arange(n, dtype=np.int64)
+    batched = [accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, sources))]
+    if _scipy_sparse is not None:
+        batched.append(_batch_dependencies_spmm(csr, sources, None))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr_module, "_COMPILED_OK", True)
+        batched.append(batch_dependencies_compiled(csr, sources))
+        compiled_rows = [
+            (
+                csr_source_dependencies(csr, s, kernel="compiled"),
+                accumulate_dependencies_compiled(bfs_spd_compiled(csr, s)),
+            )
+            for s in range(n)
+        ]
+    for s in range(n):
+        fused = csr_source_dependencies(csr, s, kernel="csr")
+        assert np.array_equal(
+            fused, accumulate_dependencies_csr(bfs_spd_csr(csr, s, kernel="csr"))
+        )
+        for row in compiled_rows[s]:
+            assert np.array_equal(fused, row)
+        for matrix in batched:
+            assert np.array_equal(fused, matrix[s])
+
+
 weighted_cases = graph_cases.filter(lambda g: g.weighted)
 
 

@@ -14,7 +14,6 @@ Two promises are checked here:
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -128,26 +127,27 @@ def test_batch_weighted_fallback_matches_dijkstra_rows():
 
 
 def test_single_row_wave_requests_run_the_fused_pass():
-    """A K=1 request on the wave branch (deep or directed unweighted graphs)
-    runs the fused single-source pass; its row equals the wave's row bit for
-    bit, and ``out`` still accumulates it."""
+    """A K=1 request runs the fused single-source pass on every branch —
+    deep, directed, spmm-suitable and weighted graphs alike; its row equals
+    the batched row bit for bit, and ``out`` still accumulates it."""
     from repro.graphs import grid_graph, path_graph
-    from repro.shortest_paths.batch import _scipy_sparse, _spmm_suitable
 
     directed = Graph.from_edges(
         [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9), (9, 2)],
         directed=True,
     )
-    for graph in (grid_graph(12, 12), path_graph(60), directed):
+    shallow = barabasi_albert_graph(40, 2, seed=3)
+    for graph in (grid_graph(12, 12), path_graph(60), directed, shallow, _random_weighted(11)):
         csr = graph.csr()
-        assert _scipy_sparse is None or not _spmm_suitable(csr)
-        for s in range(0, csr.number_of_vertices(), 5):
-            wave = accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, [s]))[0]
-            out = np.zeros(csr.number_of_vertices())
+        n = csr.number_of_vertices()
+        for s in range(0, n, 5):
+            batched = batch_source_dependencies(csr, [s, s], kernel="csr")[0]
+            out = np.zeros(n)
             routed = batch_source_dependencies(csr, [s], out=out, kernel="csr")
-            assert routed.shape == (1, csr.number_of_vertices())
-            assert np.array_equal(routed[0], wave)
-            assert np.array_equal(out, wave)
+            assert routed.shape == (1, n)
+            assert np.array_equal(routed[0], csr_source_dependencies(csr, s, kernel="csr"))
+            assert np.array_equal(routed[0], batched)
+            assert np.array_equal(out, batched)
 
 
 def test_batch_out_accumulates_in_source_order():
@@ -299,10 +299,10 @@ def test_worker_payloads_survive_a_real_pool():
     csr = graph.csr()
     shards = split_shards(list(range(60)), 16)
     inline = run_sharded(
-        dependency_sum_shard_csr, shards, n_jobs=1, shared=(csr, 4)
+        dependency_sum_shard_csr, shards, n_jobs=1, shared=(csr, 4, "auto", 1)
     )
     pooled = run_sharded(
-        dependency_sum_shard_csr, shards, n_jobs=2, shared=(csr, 4)
+        dependency_sum_shard_csr, shards, n_jobs=2, shared=(csr, 4, "auto", 1)
     )
     for a, b in zip(inline, pooled):
         assert np.array_equal(a, b)
@@ -337,9 +337,7 @@ def test_exact_brandes_is_execution_invariant():
     reference = _grid(
         lambda j, b: betweenness_centrality(graph, n_jobs=j, batch_size=b)
     )
-    sequential = betweenness_centrality(graph)
-    for v, score in sequential.items():
-        assert math.isclose(reference[v], score, rel_tol=1e-9, abs_tol=1e-12)
+    assert betweenness_centrality(graph) == reference
 
 
 def test_all_dependencies_on_target_is_execution_invariant():
@@ -348,9 +346,7 @@ def test_all_dependencies_on_target_is_execution_invariant():
     reference = _grid(
         lambda j, b: all_dependencies_on_target(graph, r, n_jobs=j, batch_size=b)
     )
-    sequential = all_dependencies_on_target(graph, r)
-    for v, score in sequential.items():
-        assert math.isclose(reference[v], score, rel_tol=1e-9, abs_tol=1e-12)
+    assert all_dependencies_on_target(graph, r) == reference
 
 
 def test_group_betweenness_is_execution_invariant():
@@ -359,8 +355,7 @@ def test_group_betweenness_is_execution_invariant():
     reference = _grid(
         lambda j, b: group_betweenness_centrality(graph, group, n_jobs=j, batch_size=b)
     )
-    sequential = group_betweenness_centrality(graph, group)
-    assert math.isclose(reference, sequential, rel_tol=1e-9)
+    assert group_betweenness_centrality(graph, group) == reference
 
 
 @pytest.mark.parametrize(
@@ -477,14 +472,7 @@ def test_oracle_prefetch_matches_per_source_vectors():
     sequential = DependencyOracle(graph)
     r = graph.vertices()[5]
     for s in graph.vertices():
-        # The sparse-matmul prefetch path may differ from the per-source
-        # kernel in the last ulp (fixed but different summation order).
-        assert math.isclose(
-            batched.dependency(s, r),
-            sequential.dependency(s, r),
-            rel_tol=1e-12,
-            abs_tol=1e-15,
-        )
+        assert batched.dependency(s, r) == sequential.dependency(s, r)
 
 
 def test_oracle_prefetch_respects_a_bounded_cache():
@@ -817,24 +805,6 @@ def test_execution_plan_validates_and_carries_the_kernel():
     assert resolve_plan(None, kernel="compiled").kernel == "compiled"
     plan = resolve_plan(None, batch_size=8, kernel="compiled")
     assert plan.kernel == "compiled" and plan.batch_size == 8
-
-
-def test_shard_worker_payloads_accept_the_kernel_element():
-    """Shard workers read the optional kernel payload element; old-style
-    payloads without it keep working (the cross-version cache contract)."""
-    from repro.shortest_paths.dependencies import (
-        dependency_at_target_shard_csr,
-        dependency_sum_shard_csr,
-    )
-
-    csr = barabasi_albert_graph(24, 2, seed=9).csr()
-    shard = list(range(8))
-    legacy = dependency_sum_shard_csr((csr, 4), shard)
-    tagged = dependency_sum_shard_csr((csr, 4, "csr"), shard)
-    assert np.array_equal(legacy, tagged)
-    legacy_t = dependency_at_target_shard_csr((csr, 4, 3), shard)
-    tagged_t = dependency_at_target_shard_csr((csr, 4, 3, "csr"), shard)
-    assert legacy_t == tagged_t
 
 
 def test_kernel_knob_never_changes_engine_results(monkeypatch):

@@ -552,7 +552,6 @@ class TestOverflowFallback:
 class TestRuntimeDeltaScoping:
     def test_delta_refresh_retains_unaffected_arena_rows(self):
         g = star_graph(8)
-        g.csr()  # the pre-mutation snapshot the kernel-path guard needs
         n = g.number_of_vertices()
         with ExecutionContext() as ctx:
             ctx.refresh(g)
@@ -574,17 +573,35 @@ class TestRuntimeDeltaScoping:
             keep = csr.find_index(g.vertices()[0])
             assert arena.get(keep) is not None
 
-    def test_no_prior_snapshot_falls_back_to_full(self):
+    def test_no_prior_snapshot_takes_the_delta_path(self):
+        # Every dependency path computes the same bits, so the region proof
+        # needs only the post-mutation snapshot: a graph whose csr() was
+        # never taken before the mutation still scopes its eviction.
         g = star_graph(6)
+        pre = star_graph(6).csr()  # an independent clone's snapshot
+        n = pre.number_of_vertices()
         with ExecutionContext() as ctx:
             ctx.refresh(g)
             arena = ctx.dependency_arena(g)
-            arena.put(0, np.zeros(g.number_of_vertices()))
-            g.add_edge(g.vertices()[1], g.vertices()[2])  # no csr() taken
+            for i in range(n):
+                arena.put(i, batch_source_dependencies(pre, [i])[0])
+            u, v = g.vertices()[1], g.vertices()[2]
+            assert g._csr is None and g._stale_csr is None
+            g.add_edge(u, v)
             receipt = ctx.refresh(g)
-            assert receipt.mode == "full"
-            assert receipt.reason == "no-prior-snapshot"
-            assert ctx.dependency_arena(g) is not arena
+            assert receipt.mode == "delta", receipt.reason
+            assert receipt.affected_sources == 2
+            assert receipt.arena_rows_evicted == 2
+            assert ctx.dependency_arena(g) is arena
+            csr = g.csr()
+            affected = {csr.index_of(u), csr.index_of(v)}
+            for i in range(n):
+                row = arena.get(i)
+                if i in affected:
+                    assert row is None
+                else:
+                    cold = batch_source_dependencies(csr, [i])[0]
+                    assert np.array_equal(row, cold)
 
     def test_full_mode_disables_delta_scoping(self):
         g = star_graph(6)
@@ -780,6 +797,50 @@ class TestSessionRetention:
         cold_graph = Graph.from_edges(list(warm_graph.edges()))
         cold = betweenness_single(cold_graph, center, samples=30, seed=3)
         assert warm.estimate == cold.estimate
+
+    def test_spmm_depth_flip_keeps_the_delta_path(self):
+        # A 25-ring with a small cloud of parallel shortest paths hung on
+        # vertex 12, opposite the edge (0, 24), sits just inside the
+        # sparse-matmul depth cap; opening the ring pushes it past the cap
+        # (and closing it brings it back).  The cloud's sources are
+        # unaffected by the toggle, so their rows are retained across it
+        # although they were computed on the other batched path.  Every
+        # path computes the same bits, so the session stays delta-scoped
+        # and answers bit-identically to a cold call.
+        from repro.shortest_paths.batch import _spmm_suitable
+
+        def ring():
+            edges = [(i, i + 1) for i in range(24)]
+            edges += [(12, a) for a in (100, 101, 102)]
+            edges += [(a, 103) for a in (100, 101, 102)]
+            edges += [(103, 104), (103, 105)]
+            g = Graph.from_edges(edges)
+            g.add_edge(0, 24)
+            return g
+
+        warm_graph, cold_graph = ring(), ring()
+        r = 100
+        with BetweennessSession(warm_graph) as session:
+            session.estimate(r, samples=200, seed=1)  # warm every source
+            for step, (mutate, suitable) in enumerate(
+                (("remove_edge", False), ("add_edge", True))
+            ):
+                before = _spmm_suitable(cold_graph.csr())
+                for graph in (warm_graph, cold_graph):
+                    getattr(graph, mutate)(0, 24)
+                assert _spmm_suitable(cold_graph.csr()) is suitable is not before
+                receipt = session.refresh_warm_state()
+                assert receipt.mode == "delta", receipt.reason
+                assert receipt.affected_sources < warm_graph.number_of_vertices()
+                assert receipt.oracle_vectors_retained > 0
+                warm = session.estimate(r, samples=200, seed=10 + step)
+                cold = betweenness_single(cold_graph, r, samples=200, seed=10 + step)
+                assert warm.estimate == cold.estimate, step
+                # Every state's dependency, not only their rounded sum.
+                assert np.array_equal(
+                    warm.diagnostics["chain"].dependency,
+                    cold.diagnostics["chain"].dependency,
+                ), step
 
     def test_mutate_noop_reports_version_unchanged(self):
         from repro.centrality.session import ThreadSafeSession

@@ -287,12 +287,21 @@ class TestPersistentArena:
         graph = barabasi_albert_graph(30, 2, seed=1)
         with ExecutionContext() as ctx:
             arena = ctx.dependency_arena(graph)
-            arena.put(0, np.zeros(30))
+            for i in range(30):
+                arena.put(i, np.full(30, float(i)))
             payload = ctx.cached_payload("p", lambda: {"stale": True})
             graph.add_edge(0, 29)
             fresh = ctx.dependency_arena(graph)
-            assert fresh is not arena
-            assert fresh.published() == 0
+            receipt = ctx.last_invalidation
+            assert receipt.mode == "delta", receipt.reason
+            # Row-level eviction: the arena survives, the affected rows go.
+            assert fresh is arena
+            assert 2 <= receipt.arena_rows_evicted < 30
+            assert fresh.published() == 30 - receipt.arena_rows_evicted
+            csr = graph.csr()
+            assert fresh.get(csr.index_of(0)) is None
+            assert fresh.get(csr.index_of(29)) is None
+            # Payloads embed whole-graph snapshots: the memo is rebuilt.
             assert ctx.cached_payload("p", lambda: {"stale": False}) is not payload
 
     def test_different_graph_object_invalidates_even_with_equal_shape(self):

@@ -176,7 +176,8 @@ def _sorted_unique_dependencies(csr, source):
 
     An independent formulation of the same wave: the frontier is deduplicated
     by sorting first-occurrence positions, the per-level DAG edges are kept,
-    then back-propagated deepest level first with the same float operations.
+    then back-propagated deepest level first with a scalar per-parent loop
+    in the library's one Brandes order.
     """
     n = csr.number_of_vertices()
     dist = np.full(n, np.inf)
@@ -200,8 +201,13 @@ def _sorted_unique_dependencies(csr, source):
         levels.append((parents, children))
     delta = np.zeros(n)
     for parents, children in reversed(levels):
-        contrib = sig[parents] / sig[children] * (1.0 + delta[children])
-        delta += np.bincount(parents, weights=contrib, minlength=n)
+        # Per parent: sum its children's (delta + 1) * (1 / sigma) in edge
+        # order from 0.0, then scale once by the parent's sigma.
+        totals = {}
+        for p, c in zip(parents.tolist(), children.tolist()):
+            totals[p] = totals.get(p, 0.0) + (float(delta[c]) + 1.0) * (1.0 / float(sig[c]))
+        for p, total in totals.items():
+            delta[p] = total * float(sig[p])
     delta[source] = 0.0
     return delta
 
