@@ -4,8 +4,10 @@ Every ``bench_e*.py`` module reproduces one experiment from DESIGN.md
 (Section 2, "Experiment index").  The modules use the ``benchmark`` fixture of
 pytest-benchmark to time one representative unit of work, and additionally
 emit the full experiment table — the rows a reader would compare against the
-paper — both to stdout and to ``benchmarks/results/<experiment>.txt`` so the
-numbers survive the run.
+paper — both to stdout and to a results file so the numbers survive the run:
+``benchmarks/results/<experiment>.txt`` for the committed ``small`` tier,
+``benchmarks/results/<tier>/<experiment>.txt`` (git-ignored) for every other
+tier, so a ``tiny`` smoke run never overwrites a committed receipt.
 
 Environment knobs
 -----------------
@@ -71,6 +73,17 @@ BENCH_DATASETS = ("collaboration", "email", "social", "road")
 def bench_size() -> str:
     """Return the dataset size tier selected through ``REPRO_BENCH_SIZE``."""
     return os.environ.get("REPRO_BENCH_SIZE", "tiny")
+
+
+def results_dir() -> Path:
+    """Return the directory the emitted tables of this size tier go to.
+
+    The ``small`` tier writes the committed receipts directly under
+    ``benchmarks/results/``; any other tier writes to its own git-ignored
+    subdirectory.
+    """
+    tier = bench_size()
+    return RESULTS_DIR if tier == "small" else RESULTS_DIR / tier
 
 
 def bench_seed() -> int:
@@ -194,7 +207,7 @@ def emit_table(
     rows: Sequence[Dict[str, object]],
     columns: Sequence[str],
 ) -> str:
-    """Print the experiment table and persist it under ``benchmarks/results/``.
+    """Print the experiment table and persist it under :func:`results_dir`.
 
     ``jobs: <n>``, ``shared_graph: <bool>``, ``kernel: <csr|compiled>``,
     ``kernel_threads: <n>`` and ``invalidation: <delta|full>`` lines are
@@ -221,6 +234,7 @@ def emit_table(
         f"{table}\n"
     )
     print("\n" + text)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{experiment.lower()}.txt").write_text(text, encoding="utf-8")
+    target = results_dir()
+    target.mkdir(parents=True, exist_ok=True)
+    (target / f"{experiment.lower()}.txt").write_text(text, encoding="utf-8")
     return text

@@ -166,6 +166,7 @@ class CSRGraph:
         "_scipy_backward",
         "_spmm_ok",
         "_dijkstra_adj",
+        "_sweep_rounds",
     )
 
     def __init__(
@@ -195,6 +196,9 @@ class CSRGraph:
         # interpreter Dijkstra rung (repro.shortest_paths.dijkstra); one
         # build per snapshot, shared by every source.
         self._dijkstra_adj = None
+        # Hop rounds the batched weighted sweep last observed on this
+        # snapshot (repro.shortest_paths.batch), the input of its depth gate.
+        self._sweep_rounds = None
 
     # ------------------------------------------------------------------
     def __getstate__(self):
@@ -294,6 +298,9 @@ class CSRGraph:
         clone._spmm_ok = self._spmm_ok
         # The pair view caches weights, which this clone just changed.
         clone._dijkstra_adj = None
+        # Same structure, so the observed hop rounds stay a fair estimate
+        # for the depth gate (a speed choice only).
+        clone._sweep_rounds = self._sweep_rounds
         return clone
 
     # ------------------------------------------------------------------

@@ -189,6 +189,8 @@ class SharedCSRGraph(CSRGraph):
         self._scipy_forward = None
         self._scipy_backward = None
         self._spmm_ok = None
+        self._dijkstra_adj = None
+        self._sweep_rounds = None
 
     # -- construction ---------------------------------------------------
     @classmethod

@@ -52,7 +52,7 @@ Weight-only windows (every record is ``weight-changed``) run the
 edge-tightness test of :func:`_weight_only_region` over per-endpoint
 Dijkstra distances — a source is flagged when the mutated edge is tight
 or improving from it under either the old or the new weight, within the
-kernel tie tolerance widened by :data:`_TIE_SAFETY`.  Weighted windows
+kernels' DAG tie band widened by :data:`_TIE_SAFETY`.  Weighted windows
 containing *structural* records (edge additions/removals) keep the full
 fallback: the tightness argument needs the mutated edge present in both
 snapshots.
@@ -209,17 +209,19 @@ def affected_sources(
     return AffectedRegion(mask=mask, endpoints=tuple(unique))
 
 
-#: Safety factor applied on top of the Dijkstra relaxation tolerance
-#: (``_EPSILON``) when testing edge tightness: a source whose distances
-#: tie the mutated edge anywhere within this widened band is flagged, so
-#: the retained sources sit strictly outside the band the traversal
-#: kernels use for their own tie comparisons — their relaxation branches
-#: provably cannot flip between the old- and new-weight snapshots.  The
-#: widened band also absorbs the last-ulp asymmetry of float path sums:
+#: Safety factor applied on top of the DAG tie band (``_EPSILON``) when
+#: testing edge tightness.  The weighted kernels relax without a band (the
+#: distances are the exact fixpoint ``min fl(d(u) + w)``) and apply the band
+#: once, to those exact distances, when drawing the DAG.  A retained source
+#: sits strictly outside the widened band under both weights, so the
+#: mutated edge neither attains nor improves its exact fixpoint (the
+#: distances are the same bits on both snapshots) and lies outside the DAG
+#: band either way (the DAG, and with it every count and sum, is the
+#: same).  The widening absorbs the last-ulp asymmetry of float path sums:
 #: the rule evaluates ``d(endpoint, s)`` (one pass per endpoint) where the
 #: kernels from source ``s`` sum the same undirected path in the opposite
 #: order, and the two sums may differ by a few ulps — orders of magnitude
-#: inside this band for any realistic path length.
+#: inside the band for any realistic path length.
 _TIE_SAFETY = 4.0
 
 
@@ -243,8 +245,8 @@ def _weight_only_region(
        \\quad (a, b) \\in \\{(u, v), (v, u)\\},\\; w \\in \\{w_{old}, w_{new}\\}
 
     with ``d`` the **post-mutation** Dijkstra distances and ``tol`` the
-    kernel relaxation tolerance widened by :data:`_TIE_SAFETY`.  Why the
-    four tests cover every change for an unflagged source:
+    kernels' DAG tie band widened by :data:`_TIE_SAFETY`.  Why the four
+    tests cover every change for an unflagged source:
 
     * tight under ``w_new``: the edge sits in the post-mutation shortest-
       path DAG of ``s`` (every post DAG membership is exactly post
@@ -263,10 +265,11 @@ def _weight_only_region(
     ``w_new``), and a strictly shorter pre path would put a first mutated-
     edge crossing ``(a, b)`` with unaffected prefix at
     ``d(s,a) + w_old \\le d(s,b)``, i.e. tight-or-improving under
-    ``w_old``.  Distances, DAG membership and tie comparisons (the safety
-    band) are therefore identical, the traversal kernels replay the same
-    float operations, and the cached row is bit-identical — the same
-    retention contract as the unweighted distance rule.
+    ``w_old``.  The exact distances are therefore the same bits, the DAG
+    rule (the band applied to those distances, inside the safety band)
+    keeps the same arcs, the kernels replay the same float operations, and
+    the cached row is bit-identical — the same retention contract as the
+    unweighted distance rule.
     """
     pairs = []
     for delta in deltas:

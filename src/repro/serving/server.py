@@ -563,6 +563,13 @@ class ServingApp:
 #: ``Content-Length`` is answered 413 without reading the body.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds a connection may sit in one socket read or write before the
+#: daemon closes it: a client that stalls mid-request (or idles on a
+#: keep-alive connection) releases its handler thread instead of holding
+#: it forever.  Computation time is not socket time, so a long query is
+#: unaffected.
+IDLE_TIMEOUT_SECONDS = 60.0
+
 
 class BetweennessHTTPServer(ThreadingHTTPServer):
     """The daemon socket: one handler thread per connection, app attached."""
@@ -587,6 +594,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request accounting lives in /metrics, not on stderr
+
+    def setup(self) -> None:
+        # Read at connection time, so the socket timeout follows the module
+        # constant (StreamRequestHandler applies ``timeout`` in setup()).
+        self.timeout = IDLE_TIMEOUT_SECONDS
+        super().setup()
 
     def _dispatch(self) -> None:
         raw = self.headers.get("Content-Length") or "0"
@@ -613,8 +626,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         for key, value in response.headers:
             self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(response.body)
+        # Head and body leave in one write: a second small send would wait
+        # under Nagle for the client's (possibly delayed) ACK of the first.
+        self._headers_buffer.append(b"\r\n")
+        head = b"".join(self._headers_buffer)
+        self._headers_buffer = []
+        self.wfile.write(head + response.body)
 
     do_GET = do_POST = do_PUT = do_DELETE = _dispatch
 

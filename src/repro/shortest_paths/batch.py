@@ -43,10 +43,14 @@ sigma_c)`` summed over its children in adjacency order, then scaled once by
 (:mod:`repro.execution`) promise results that do not depend on any
 execution knob.
 
-Weighted graphs have no BFS levels to batch; :func:`batch_source_dependencies`
-runs one fused Dijkstra pass per row (:func:`~repro.shortest_paths.dijkstra.
-dijkstra_source_dependencies_csr`, or its compiled twin on that rung) so
-callers get one entry point with the same (K, n) result shape either way.
+Weighted graphs batch the same way over the same flat keys
+(:func:`_dijkstra_sweep_batch`): a frontier Bellman–Ford for the exact
+distances, the DAG arcs in adjacency order, then path counts forward and
+dependencies back over the DAG's Kahn layers — one round per hop level
+of the whole batch.  It computes the one weighted rule of
+:mod:`repro.shortest_paths.dijkstra`, so its rows equal the per-source
+pass bit for bit, and a depth gate (hop rounds against ``K × (n + m)``)
+picks between them on speed alone.
 """
 
 from __future__ import annotations
@@ -54,7 +58,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 from repro.graphs.csr import np, resolve_kernel
-from repro.shortest_paths.dijkstra import dijkstra_source_dependencies_csr
+from repro.shortest_paths.bfs import _first_touch
+from repro.shortest_paths.dijkstra import (
+    _dag_arc_mask,
+    dijkstra_source_dependencies_csr,
+    validate_positive_weights,
+)
 
 try:  # pragma: no cover - exercised implicitly on scipy-less installs
     import scipy.sparse as _scipy_sparse
@@ -78,6 +87,15 @@ _SPMM_BLOCK_ELEMENTS = 4_000_000
 #: paths return the same bits; the cap also bounds the
 #: mask footprint at ``_SPMM_MAX_DEPTH × _SPMM_BLOCK_ELEMENTS`` bytes.
 _SPMM_MAX_DEPTH = 32
+
+#: Ceiling on ``K × m`` of the batched weighted sweep's dense arc arrays
+#: (one float64 buffer: 8 MB); larger batches run in row blocks.
+_SWEEP_BLOCK_ELEMENTS = 1_000_000
+
+#: Price of one round of the batched weighted sweep, in per-source arc
+#: visits: a block of K rows takes the sweep while its hop rounds times
+#: this stay within ``K × (n + m)`` (see :func:`_weighted_dependencies`).
+_SWEEP_ROUND_COST = 400
 
 
 def _spmm_suitable(csr: "CSRGraph") -> bool:
@@ -471,14 +489,17 @@ def batch_source_dependencies(
       (:func:`~repro.shortest_paths.compiled.batch_dependencies_compiled`)
       or the pure-numpy wave (:func:`bfs_spd_batch_csr` +
       :func:`accumulate_dependencies_batch_csr`);
-    * weighted — one fused Dijkstra pass per row: the compiled batch
-      kernel on that rung, otherwise
+    * weighted — the compiled batch kernel on that rung, otherwise the
+      batched sweep of :func:`_dijkstra_sweep_batch` where the depth gate
+      of :func:`_weighted_dependencies` says it pays, else one
       :func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`
-      (no BFS levels to share across sources).
+      pass per row.
 
     Every unweighted path computes the one Brandes arithmetic of
-    :mod:`repro.shortest_paths.bfs`, so the choice among them — scipy
-    present or not, ``kernel``, ``batch_size`` — never changes a bit.
+    :mod:`repro.shortest_paths.bfs`, every weighted path the one weighted
+    rule of :mod:`repro.shortest_paths.dijkstra`, so the choice among them
+    — scipy present or not, the depth gates, ``kernel``, ``batch_size`` —
+    never changes a bit.
     ``kernel_threads`` engages the ``prange`` variants of the compiled
     batch kernels (ignored — harmlessly — on every other path); threads
     stride independent rows, so the count is result-neutral by
@@ -518,9 +539,156 @@ def batch_source_dependencies(
         )
     if not csr.weighted:
         return accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, src), out=out)
+    return _weighted_dependencies(csr, src, out)
+
+
+def _ranges(starts, counts):
+    """Flatten the index ranges ``[starts[i], starts[i] + counts[i])``.
+
+    Returns ``(flat, item)``: every position of every range in order, and
+    the range each belongs to.
+    """
+    cum = np.cumsum(counts)
+    item = np.repeat(np.arange(counts.shape[0]), counts)
+    flat = np.repeat(starts - cum + counts, counts) + np.arange(int(cum[-1]), dtype=np.int64)
+    return flat, item
+
+
+def _batch_distances(csr: "CSRGraph", src, max_rounds: int):
+    """Exact distances of every ``(row, vertex)`` key by frontier Bellman–Ford.
+
+    Keys whose distance improved relax their out-arcs; ``np.minimum.at``
+    keeps the exact ``min fl(D[u] + w)``, the fixpoint the per-source heap
+    settles, bit for bit.  Returns ``(dist, rounds)`` with ``dist`` the
+    flat ``K * n`` array, or ``None`` once the rounds exceed *max_rounds*.
+    """
+    n = csr.number_of_vertices()
+    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+    degree = csr.degrees()
+    slot = np.empty(int(src.size) * n, dtype=np.int64)
+    dist = np.full(int(src.size) * n, np.inf)
+    frontier = np.arange(src.size, dtype=np.int64) * n + src
+    dist[frontier] = 0.0
+    rounds = 0
+    while True:
+        verts = frontier % n
+        counts = degree[verts]
+        live = counts > 0
+        if not live.all():
+            frontier, verts, counts = frontier[live], verts[live], counts[live]
+            if not counts.size:
+                break
+        flat, item = _ranges(indptr[verts], counts)
+        keys = (frontier - verts)[item] + indices[flat]
+        candidate = dist[frontier][item] + weights[flat]
+        better = candidate < dist[keys]
+        if not better.any():
+            break
+        rounds += 1
+        if rounds > max_rounds:
+            return None
+        keys = keys[better]
+        np.minimum.at(dist, keys, candidate[better])
+        frontier = _first_touch(keys, slot)
+    return dist, rounds
+
+
+def _dijkstra_sweep_batch(csr: "CSRGraph", src, max_rounds: int):
+    """Batched weighted Brandes over flat ``(row, vertex)`` keys.
+
+    Returns the ``(K, n)`` dependency matrix, or ``None`` once the
+    distance rounds exceed *max_rounds* (recorded on the snapshot for the
+    depth gate).  Three vectorised passes, each one round per hop level of
+    the whole batch:
+
+    * the exact distances (:func:`_batch_distances`);
+    * the DAG arcs (:func:`~repro.shortest_paths.dijkstra._dag_arc_mask`),
+      listed row by row in adjacency order, and path counts forward over
+      their Kahn layers (exact integers: order-free);
+    * dependencies back over the same layers: per parent, ``np.bincount``
+      sums ``(delta_c + 1) * (1 / sigma_c)`` over its children in
+      adjacency order from ``0.0`` before the one ``sigma_p`` scale — the
+      per-source sweep's arithmetic, so rows match it bit for bit.
+    """
+    found = _batch_distances(csr, src, max_rounds)
+    if found is None:
+        csr._sweep_rounds = max_rounds + 1
+        return None
+    dist, rounds = found
+    n = csr.number_of_vertices()
+    k = int(src.size)
+    indices, weights = csr.indices, csr.weights
+    degree = csr.degrees()
+    slot = np.empty(k * n, dtype=np.int64)
+    roots = np.arange(k, dtype=np.int64) * n + src
+
+    # DAG arcs of every row, row by row in CSR (parent, adjacency) order.
+    rows = dist.reshape(k, n)
+    arcs = np.flatnonzero(
+        _dag_arc_mask(np.repeat(rows, degree, axis=1), rows[:, indices], weights)
+    )
+    m = indices.shape[0]
+    row_base = (arcs // m) * n
+    arcs %= m
+    child = row_base + indices[arcs]
+    parent_count = np.bincount(row_base + np.repeat(np.arange(n), degree)[arcs], minlength=k * n)
+    parent_start = np.cumsum(parent_count) - parent_count
+    waiting = np.bincount(child, minlength=k * n)
+
+    sig = np.zeros(k * n)
+    sig[roots] = 1.0
+    layer = np.flatnonzero((waiting == 0) & np.isfinite(dist))
+    layers = []
+    while True:
+        counts = parent_count[layer]
+        live = counts > 0
+        layer, counts = layer[live], counts[live]
+        if not counts.size:
+            break
+        flat, item = _ranges(parent_start[layer], counts)
+        kids = child[flat]
+        np.add.at(sig, kids, sig[layer][item])
+        np.subtract.at(waiting, kids, 1)
+        layers.append((layer, kids, item))
+        layer = _first_touch(kids[waiting[kids] == 0], slot)
+    csr._sweep_rounds = max(rounds, len(layers))
+
+    delta = np.zeros(k * n)
+    inverse_sigma = np.zeros(k * n)
+    np.divide(1.0, sig, out=inverse_sigma, where=sig > 0.0)
+    for parents, kids, item in reversed(layers):
+        coeff = (delta[kids] + 1.0) * inverse_sigma[kids]
+        delta[parents] = np.bincount(item, weights=coeff, minlength=parents.shape[0]) * sig[parents]
+    delta[roots] = 0.0
+    return delta.reshape(k, n)
+
+
+def _weighted_dependencies(csr: "CSRGraph", src, out):
+    """Weighted rows: the batched sweep where it pays, else per-source passes.
+
+    Rows go in blocks of at most ``_SWEEP_BLOCK_ELEMENTS // m`` sources
+    (the sweep's dense ``(K, m)`` arc temporaries stay bounded).  A block
+    takes :func:`_dijkstra_sweep_batch` unless the snapshot's observed
+    hop rounds, priced at ``_SWEEP_ROUND_COST`` arc visits each, exceed
+    the ``K × (n + m)`` work of the per-source passes; the sweep's round
+    budget enforces the same bound on a first, unobserved call.  Both
+    routes return the same bits, so the gate is a speed choice only.
+    """
+    validate_positive_weights(csr)
+    n = csr.number_of_vertices()
+    m = int(csr.indices.shape[0])
+    block = max(1, _SWEEP_BLOCK_ELEMENTS // max(m, 1))
     delta = np.empty((int(src.size), n))
-    for row, source in enumerate(src.tolist()):
-        delta[row] = dijkstra_source_dependencies_csr(csr, source)
-        if out is not None:
-            out += delta[row]
+    for begin in range(0, int(src.size), block):
+        chunk = src[begin : begin + block]
+        budget = int(chunk.size) * (n + m) // _SWEEP_ROUND_COST
+        rows = None
+        if chunk.size > 1 and (csr._sweep_rounds or 0) <= budget:
+            rows = _dijkstra_sweep_batch(csr, chunk, budget)
+        if rows is None:
+            rows = [dijkstra_source_dependencies_csr(csr, s) for s in chunk.tolist()]
+        delta[begin : begin + chunk.size] = rows
+    if out is not None:
+        for row in delta:
+            out += row
     return delta

@@ -42,16 +42,19 @@ exact same order, so every result is **bit-identical** to the CSR rung:
   (1.0 / sig[c])`` over the run from ``0.0`` and scales the sum by
   ``sig[p]`` once — the bincount sum and the sparse-matmul row product
   term for term.
-* weighted: the interpreter rung keys its heap ``(distance, counter,
-  vertex)`` — a strict total order — so the flat-array heap here pops the
-  same unique minimum at every step and replays the identical relaxation
-  sequence (⇒ bit-identical ``dist``/``sig``); the weighted sweep
-  computes the same coefficient-first products per settled vertex, whose
-  per-parent updates touch disjoint cells.
+* weighted: the one weighted rule of :mod:`repro.shortest_paths.dijkstra`.
+  The flat-array heap relaxes without a tie band, so ``dist`` is the
+  exact fixpoint any correct method returns; its ``(distance, counter,
+  vertex)`` keys are a strict total order, so it settles vertices in the
+  interpreter rung's order.  The sweeps test each arc with the same DAG
+  expression (:func:`_dag_arc_py`), count paths forward in settle order
+  and sum each parent's children in adjacency order before the one
+  ``sig[p]`` scale.
 
-The sparse-matmul sweep of :mod:`repro.shortest_paths.batch` computes
-the same arithmetic, so ``kernel="csr"`` and ``kernel="compiled"`` are
-bitwise identical on **every** path, whichever one a batch takes.
+The sparse-matmul sweep and the batched weighted sweep of
+:mod:`repro.shortest_paths.batch` compute the same arithmetic, so
+``kernel="csr"`` and ``kernel="compiled"`` are bitwise identical on
+**every** path, whichever one a batch takes.
 
 Scratch buffers
 ---------------
@@ -94,10 +97,9 @@ __all__ = [
     "engage_threads",
 ]
 
-#: Tolerance for weighted path-length equality — must match
+#: Relative width of the DAG tie band — must match
 #: ``repro.shortest_paths.dijkstra._EPSILON`` (asserted by the test-suite)
-#: so the compiled heap wave takes exactly the interpreter rung's
-#: tie/improve branches.
+#: so the compiled sweeps draw exactly the interpreter rung's DAG.
 _EPS = 1e-12
 
 
@@ -328,22 +330,9 @@ _batch_delta_parallel = _jit_parallel(_batch_delta_parallel_py)
 
 
 def _dijkstra_wave_py(
-    indptr,
-    indices,
-    weights,
-    source,
-    dist,
-    tent,
-    sig,
-    order,
-    heap_key,
-    heap_cnt,
-    heap_vtx,
-    pred_head,
-    pred_parent,
-    pred_prev,
+    indptr, indices, weights, source, dist, order, heap_key, heap_cnt, heap_vtx
 ):
-    """Flat-array heap twin of the ``dijkstra_spd_csr`` wave.
+    """Flat-array heap twin of the exact heap of ``dijkstra_spd_csr``.
 
     The priority queue is a hand-rolled binary heap over three parallel
     arrays — key (tentative distance), push counter, vertex — with no
@@ -351,33 +340,21 @@ def _dijkstra_wave_py(
     ``(distance, counter, vertex)``; the counter makes the key set
     strictly totally ordered, so the unique minimum at every pop is the
     same for any correct heap and both rungs settle vertices in the
-    identical order (⇒ identical relaxation sequence ⇒ bit-identical
-    ``dist``/``sig``).
-
-    Predecessor lists are recorded as a linked event log: ``pred_head[v]``
-    points at ``v``'s most recent event, ``pred_prev`` chains towards the
-    oldest, and a strict improvement starts a fresh chain (abandoning the
-    superseded parents exactly like the interpreter's list replacement).
-    Chains therefore read parents in *reverse* insertion order;
-    :func:`_collect_preds_py` restores insertion order when the DAG is
-    materialised.  Returns ``n_order``.
+    identical order.  A vertex is pushed only on a strict improvement
+    (no tie band), so ``dist`` is the exact fixpoint ``min fl(dist[u] +
+    w)`` and doubles as the tentative distance.  Returns ``n_order``.
     """
     n = dist.shape[0]
     inf = np.inf
     for i in range(n):
         dist[i] = inf
-        tent[i] = inf
-        sig[i] = 0.0
-        pred_head[i] = -1
-    sig[source] = 1.0
-    tent[source] = 0.0
+    dist[source] = 0.0
     heap_key[0] = 0.0
     heap_cnt[0] = 0
     heap_vtx[0] = source
     size = 1
     counter = 1
     n_order = 0
-    n_events = 0
     while size > 0:
         dist_u = heap_key[0]
         u = heap_vtx[0]
@@ -411,37 +388,15 @@ def _dijkstra_wave_py(
             heap_key[pos] = key
             heap_cnt[pos] = cnt
             heap_vtx[pos] = vtx
-        if dist[u] != inf:
-            continue  # already settled via a shorter path
-        dist[u] = dist_u
+        if dist_u > dist[u]:
+            continue  # superseded by a shorter path
         order[n_order] = u
         n_order += 1
-        sigma_u = sig[u]
         for ei in range(indptr[u], indptr[u + 1]):
             v = indices[ei]
             candidate = dist_u + weights[ei]
-            if candidate > 1.0:
-                tolerance = _EPS * candidate
-            else:
-                tolerance = _EPS
-            settled = dist[v]
-            if settled != inf:
-                diff = candidate - settled
-                if -tolerance <= diff <= tolerance:
-                    sig[v] += sigma_u
-                    pred_parent[n_events] = u
-                    pred_prev[n_events] = pred_head[v]
-                    pred_head[v] = n_events
-                    n_events += 1
-                continue
-            previous = tent[v]
-            if candidate < previous - tolerance:
-                tent[v] = candidate
-                sig[v] = sigma_u
-                pred_parent[n_events] = u
-                pred_prev[n_events] = -1  # strict improvement: fresh chain
-                pred_head[v] = n_events
-                n_events += 1
+            if candidate < dist[v]:
+                dist[v] = candidate
                 # Push (sift up from the first free slot).
                 pos = size
                 size += 1
@@ -460,141 +415,110 @@ def _dijkstra_wave_py(
                 heap_cnt[pos] = counter
                 heap_vtx[pos] = v
                 counter += 1
-            else:
-                diff = candidate - previous
-                if -tolerance <= diff <= tolerance:
-                    sig[v] += sigma_u
-                    pred_parent[n_events] = u
-                    pred_prev[n_events] = pred_head[v]
-                    pred_head[v] = n_events
-                    n_events += 1
     return n_order
 
 
 _dijkstra_wave = _jit(_dijkstra_wave_py)
 
 
-def _waccumulate_py(sig, delta, order, n_order, pred_head, pred_parent, pred_prev, source):
-    """Weighted Brandes sweep over the wave's linked predecessor log.
+def _dag_arc_py(tail_dist, head_dist, weight):
+    """Scalar twin of ``dijkstra._dag_arc_mask``: is the arc a DAG arc?"""
+    if not tail_dist < head_dist:
+        return False
+    candidate = tail_dist + weight
+    return abs(candidate - head_dist) <= _EPS * max(1.0, candidate)
 
-    Walks settled vertices deepest-first (reverse settle order — the
-    weighted replacement for BFS level order) computing the interpreter
-    rung's coefficient-first products: ``coeff = (1 + delta[w]) / sig[w]``
-    once per vertex, then ``delta[p] += sig[p] * coeff`` per parent.  A
-    vertex's parents are distinct, so the per-parent updates touch
-    disjoint cells and the chain's reverse insertion order cannot change
-    any value — bit-identical to the numpy sweep's fancy-indexed
-    accumulation.
+
+_dag_arc = _jit(_dag_arc_py)
+
+
+def _wsigma_py(indptr, indices, weights, dist, sig, order, n_order):
+    """Path counts forward over the DAG in settle order (exact integers)."""
+    for i in range(sig.shape[0]):
+        sig[i] = 0.0
+    sig[order[0]] = 1.0
+    for oi in range(n_order):
+        u = order[oi]
+        for ei in range(indptr[u], indptr[u + 1]):
+            v = indices[ei]
+            if _dag_arc(dist[u], dist[v], weights[ei]):
+                sig[v] += sig[u]
+
+
+_wsigma = _jit(_wsigma_py)
+
+
+def _wdelta_py(indptr, indices, weights, dist, sig, delta, order, n_order):
+    """The weighted Brandes sweep in reverse settle order.
+
+    Per parent, ``(delta[c] + 1.0) * (1.0 / sig[c])`` summed from ``0.0``
+    over its DAG children in adjacency order, then scaled once by
+    ``sig[p]`` — the one Brandes arithmetic, bit for bit.
     """
-    n = delta.shape[0]
-    for i in range(n):
+    for i in range(delta.shape[0]):
         delta[i] = 0.0
     for oi in range(n_order - 1, -1, -1):
-        w = order[oi]
-        e = pred_head[w]
-        if e >= 0:
-            coeff = (1.0 + delta[w]) / sig[w]
-            while e >= 0:
-                p = pred_parent[e]
-                delta[p] += sig[p] * coeff
-                e = pred_prev[e]
-    delta[source] = 0.0
+        p = order[oi]
+        total = 0.0
+        parent = False
+        for ei in range(indptr[p], indptr[p + 1]):
+            c = indices[ei]
+            if _dag_arc(dist[p], dist[c], weights[ei]):
+                total += (delta[c] + 1.0) * (1.0 / sig[c])
+                parent = True
+        if parent:
+            delta[p] = total * sig[p]
+    delta[order[0]] = 0.0
 
 
-_waccumulate = _jit(_waccumulate_py)
+_wdelta = _jit(_wdelta_py)
 
 
-def _waccumulate_flat_py(sig, delta, order, n_order, pred_indptr, pred_indices, source):
-    """Weighted Brandes sweep over materialised CSR predecessor arrays.
-
-    The :func:`accumulate_dependencies_compiled` entry point for
-    Dijkstra-built DAGs — same arithmetic as :func:`_waccumulate_py`, fed
-    from ``pred_indptr``/``pred_indices`` instead of the event log.
-    """
-    n = delta.shape[0]
-    for i in range(n):
-        delta[i] = 0.0
-    for oi in range(n_order - 1, -1, -1):
-        w = order[oi]
-        lo = pred_indptr[w]
-        hi = pred_indptr[w + 1]
-        if hi > lo:
-            coeff = (1.0 + delta[w]) / sig[w]
-            for e in range(lo, hi):
-                p = pred_indices[e]
-                delta[p] += sig[p] * coeff
-    delta[source] = 0.0
-
-
-_waccumulate_flat = _jit(_waccumulate_flat_py)
-
-
-def _collect_preds_py(pred_head, pred_parent, pred_prev, pred_indptr, pred_indices):
-    """Flatten the linked predecessor log into CSR arrays, insertion-ordered.
+def _wpreds_py(indptr, indices, weights, dist, order, n_order, pred_indptr, pred_indices):
+    """The DAG's CSR predecessor arrays, each vertex's parents in settle order.
 
     Within-vertex parent order is observable — the samplers' backtracking
     walks parents with a cumulative rng scan and the group-betweenness
-    sweep float-sums over them — so each chain (reverse insertion order)
-    is written back-to-front into its segment, restoring the interpreter
-    rung's append order exactly.  Returns the total predecessor count.
+    sweep float-sums over them — so parents are filled in settle order,
+    the interpreter rung's order.  Returns the total predecessor count.
     """
-    n = pred_head.shape[0]
+    n = pred_indptr.shape[0] - 1
+    for i in range(n + 1):
+        pred_indptr[i] = 0
+    for oi in range(n_order):
+        u = order[oi]
+        for ei in range(indptr[u], indptr[u + 1]):
+            v = indices[ei]
+            if _dag_arc(dist[u], dist[v], weights[ei]):
+                pred_indptr[v + 1] += 1
+    for v in range(n):
+        pred_indptr[v + 1] += pred_indptr[v]
+    for oi in range(n_order):
+        u = order[oi]
+        for ei in range(indptr[u], indptr[u + 1]):
+            v = indices[ei]
+            if _dag_arc(dist[u], dist[v], weights[ei]):
+                pred_indices[pred_indptr[v]] = u
+                pred_indptr[v] += 1
+    # The fill advanced every offset to the next vertex's start: shift back.
+    for v in range(n, 0, -1):
+        pred_indptr[v] = pred_indptr[v - 1]
     pred_indptr[0] = 0
-    for v in range(n):
-        count = 0
-        e = pred_head[v]
-        while e >= 0:
-            count += 1
-            e = pred_prev[e]
-        pred_indptr[v + 1] = pred_indptr[v] + count
-    for v in range(n):
-        e = pred_head[v]
-        pos = pred_indptr[v + 1]
-        while e >= 0:
-            pos -= 1
-            pred_indices[pos] = pred_parent[e]
-            e = pred_prev[e]
     return pred_indptr[n]
 
 
-_collect_preds = _jit(_collect_preds_py)
+_wpreds = _jit(_wpreds_py)
 
 
 def _wsource_delta_py(
-    indptr,
-    indices,
-    weights,
-    source,
-    dist,
-    tent,
-    sig,
-    delta,
-    order,
-    heap_key,
-    heap_cnt,
-    heap_vtx,
-    pred_head,
-    pred_parent,
-    pred_prev,
+    indptr, indices, weights, source, dist, sig, delta, order, heap_key, heap_cnt, heap_vtx
 ):
-    """Fused weighted per-source pass: Dijkstra wave + accumulation."""
+    """Fused weighted per-source pass: exact heap + sweep over the DAG."""
     n_order = _dijkstra_wave(
-        indptr,
-        indices,
-        weights,
-        source,
-        dist,
-        tent,
-        sig,
-        order,
-        heap_key,
-        heap_cnt,
-        heap_vtx,
-        pred_head,
-        pred_parent,
-        pred_prev,
+        indptr, indices, weights, source, dist, order, heap_key, heap_cnt, heap_vtx
     )
-    _waccumulate(sig, delta, order, n_order, pred_head, pred_parent, pred_prev, source)
+    _wsigma(indptr, indices, weights, dist, sig, order, n_order)
+    _wdelta(indptr, indices, weights, dist, sig, delta, order, n_order)
     return n_order
 
 
@@ -602,21 +526,7 @@ _wsource_delta = _jit(_wsource_delta_py)
 
 
 def _wbatch_delta_py(
-    indptr,
-    indices,
-    weights,
-    sources,
-    delta,
-    dist,
-    tent,
-    sig,
-    order,
-    heap_key,
-    heap_cnt,
-    heap_vtx,
-    pred_head,
-    pred_parent,
-    pred_prev,
+    indptr, indices, weights, sources, delta, dist, sig, order, heap_key, heap_cnt, heap_vtx
 ):
     """Batched ``(K, n)`` weighted twin: one fused pass per row."""
     for k in range(sources.shape[0]):
@@ -626,16 +536,12 @@ def _wbatch_delta_py(
             weights,
             sources[k],
             dist,
-            tent,
             sig,
             delta[k],
             order,
             heap_key,
             heap_cnt,
             heap_vtx,
-            pred_head,
-            pred_parent,
-            pred_prev,
         )
 
 
@@ -653,15 +559,11 @@ def _wbatch_delta_parallel_py(indptr, indices, weights, sources, delta, n_thread
     m = indices.shape[0]
     for t in prange(n_threads):
         dist = np.empty(n)
-        tent = np.empty(n)
         sig = np.empty(n)
         order = np.empty(n, np.int64)
         heap_key = np.empty(m + 1)
         heap_cnt = np.empty(m + 1, np.int64)
         heap_vtx = np.empty(m + 1, np.int64)
-        pred_head = np.empty(n, np.int64)
-        pred_parent = np.empty(m, np.int64)
-        pred_prev = np.empty(m, np.int64)
         for k in range(t, K, n_threads):
             _wsource_delta(
                 indptr,
@@ -669,16 +571,12 @@ def _wbatch_delta_parallel_py(indptr, indices, weights, sources, delta, n_thread
                 weights,
                 sources[k],
                 dist,
-                tent,
                 sig,
                 delta[k],
                 order,
                 heap_key,
                 heap_cnt,
                 heap_vtx,
-                pred_head,
-                pred_parent,
-                pred_prev,
             )
 
 
@@ -717,9 +615,7 @@ def _scratch_for(n: int, m: int, kind: str = "bfs") -> dict:
         else:  # dijkstra
             arrays = {
                 "dist": np.empty(n),
-                "tent": np.empty(n),
                 "sig": np.empty(n),
-                "delta": np.empty(n),
                 "order": np.empty(n, dtype=np.int64),
                 # The heap holds at most one entry per push; pushes happen
                 # only on strict improvement — at most once per directed
@@ -727,12 +623,8 @@ def _scratch_for(n: int, m: int, kind: str = "bfs") -> dict:
                 "heap_key": np.empty(m + 1),
                 "heap_cnt": np.empty(m + 1, dtype=np.int64),
                 "heap_vtx": np.empty(m + 1, dtype=np.int64),
-                "pred_head": np.empty(n, dtype=np.int64),
-                # One predecessor event per relaxation, one relaxation per
-                # directed edge slot.
-                "pred_parent": np.empty(m, dtype=np.int64),
-                "pred_prev": np.empty(m, dtype=np.int64),
                 "pred_indptr": np.empty(n + 1, dtype=np.int64),
+                # One predecessor per DAG arc, at most one per edge slot.
                 "pred_flat": np.empty(m, dtype=np.int64),
             }
     _SCRATCH[key] = arrays  # re-insert: plain dict preserves LRU order
@@ -800,9 +692,9 @@ def bfs_spd_compiled(
 def dijkstra_spd_compiled(csr: "CSRGraph", source: int) -> "CSRShortestPathDAG":
     """Compiled twin of :func:`~repro.shortest_paths.dijkstra.dijkstra_spd_csr`.
 
-    Runs the flat-array heap wave and materialises the predecessor CSR
-    arrays in the interpreter rung's insertion order, so ``dist`` / ``sig``
-    / ``order_indices`` / ``pred_indptr`` / ``pred_indices`` are all
+    Runs the exact flat-array heap, counts paths over the DAG and lists
+    each vertex's predecessors in settle order, so ``dist`` / ``sig`` /
+    ``order_indices`` / ``pred_indptr`` / ``pred_indices`` are all
     bit-identical — downstream accumulation, rng-driven path backtracking
     and group sweeps behave exactly as on the CSR rung.
     """
@@ -812,35 +704,29 @@ def dijkstra_spd_compiled(csr: "CSRGraph", source: int) -> "CSRShortestPathDAG":
     n = _check_source(csr, source)
     validate_positive_weights(csr)
     scratch = _scratch_for(n, int(csr.indices.shape[0]), "dijkstra")
+    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+    dist, sig, order = scratch["dist"], scratch["sig"], scratch["order"]
     n_order = _dijkstra_wave(
-        csr.indptr,
-        csr.indices,
-        csr.weights,
+        indptr,
+        indices,
+        weights,
         source,
-        scratch["dist"],
-        scratch["tent"],
-        scratch["sig"],
-        scratch["order"],
+        dist,
+        order,
         scratch["heap_key"],
         scratch["heap_cnt"],
         scratch["heap_vtx"],
-        scratch["pred_head"],
-        scratch["pred_parent"],
-        scratch["pred_prev"],
     )
-    total = _collect_preds(
-        scratch["pred_head"],
-        scratch["pred_parent"],
-        scratch["pred_prev"],
-        scratch["pred_indptr"],
-        scratch["pred_flat"],
+    _wsigma(indptr, indices, weights, dist, sig, order, n_order)
+    total = _wpreds(
+        indptr, indices, weights, dist, order, n_order, scratch["pred_indptr"], scratch["pred_flat"]
     )
     return CSRShortestPathDAG(
         csr,
         source,
-        scratch["dist"].copy(),
-        scratch["sig"].copy(),
-        scratch["order"][:n_order].copy(),
+        dist.copy(),
+        sig.copy(),
+        order[:n_order].copy(),
         level_edges=None,
         pred_indptr=scratch["pred_indptr"].copy(),
         pred_indices=scratch["pred_flat"][: int(total)].copy(),
@@ -852,23 +738,24 @@ def accumulate_dependencies_compiled(spd: "CSRShortestPathDAG"):
 
     BFS-built DAGs (``level_edges`` recorded) flatten the per-level edge
     arrays once and replay the bincount accumulation bit for bit;
-    Dijkstra-built DAGs run the reverse-settle-order sweep over their CSR
-    predecessor arrays.  Prefer :func:`source_dependencies_compiled` when
+    Dijkstra-built DAGs run the reverse-settle-order sweep over the DAG
+    children of their snapshot (:func:`_wdelta_py`).  Prefer :func:`source_dependencies_compiled` when
     the DAG itself is not needed — the fused kernels skip the DAG
     materialisation entirely.
     """
     if spd.level_edges is None:
-        n = spd.csr.number_of_vertices()
-        delta = np.empty(n)
+        csr = spd.csr
+        delta = np.empty(csr.number_of_vertices())
         order = spd.order_indices
-        _waccumulate_flat(
+        _wdelta(
+            csr.indptr,
+            csr.indices,
+            csr.weights,
+            spd.dist,
             spd.sig,
             delta,
             order,
             int(order.shape[0]),
-            spd.pred_indptr,
-            spd.pred_indices,
-            spd.source_index,
         )
         return delta
     n = spd.csr.number_of_vertices()
@@ -908,16 +795,12 @@ def source_dependencies_compiled(csr: "CSRGraph", source: int):
             csr.weights,
             source,
             scratch["dist"],
-            scratch["tent"],
             scratch["sig"],
             delta,
             scratch["order"],
             scratch["heap_key"],
             scratch["heap_cnt"],
             scratch["heap_vtx"],
-            scratch["pred_head"],
-            scratch["pred_parent"],
-            scratch["pred_prev"],
         )
         return delta
     scratch = _scratch_for(n, int(csr.indices.shape[0]))
@@ -973,15 +856,11 @@ def batch_dependencies_compiled(
                 src,
                 delta,
                 scratch["dist"],
-                scratch["tent"],
                 scratch["sig"],
                 scratch["order"],
                 scratch["heap_key"],
                 scratch["heap_cnt"],
                 scratch["heap_vtx"],
-                scratch["pred_head"],
-                scratch["pred_parent"],
-                scratch["pred_prev"],
             )
     elif threads > 1:
         _batch_delta_parallel(csr.indptr, csr.indices, src, delta, threads)
@@ -1047,26 +926,18 @@ def warm_up() -> bool:
     )
     _batch_delta_parallel(indptr, indices, src, delta, 1)
     # Weighted twins: the same path with non-unit weights compiles the
-    # heap wave, the linked-log sweep, the flat sweep and the collector.
-    tent = np.empty(n)
+    # exact heap, both sweeps, the predecessor fill and the batch kernels.
     heap_key = np.empty(m + 1)
     heap_cnt = np.empty(m + 1, dtype=np.int64)
     heap_vtx = np.empty(m + 1, dtype=np.int64)
-    pred_head = np.empty(n, dtype=np.int64)
-    pred_parent = np.empty(m, dtype=np.int64)
-    pred_prev = np.empty(m, dtype=np.int64)
     pred_indptr = np.empty(n + 1, dtype=np.int64)
     pred_flat = np.empty(m, dtype=np.int64)
-    n_order = _dijkstra_wave(
-        indptr, indices, weights, 0, dist, tent, sig, order,
-        heap_key, heap_cnt, heap_vtx, pred_head, pred_parent, pred_prev,
-    )
-    _waccumulate(sig, delta[0], order, n_order, pred_head, pred_parent, pred_prev, 0)
-    _collect_preds(pred_head, pred_parent, pred_prev, pred_indptr, pred_flat)
-    _waccumulate_flat(sig, delta[0], order, n_order, pred_indptr, pred_flat, 0)
+    n_order = _dijkstra_wave(indptr, indices, weights, 0, dist, order, heap_key, heap_cnt, heap_vtx)
+    _wsigma(indptr, indices, weights, dist, sig, order, n_order)
+    _wdelta(indptr, indices, weights, dist, sig, delta[0], order, n_order)
+    _wpreds(indptr, indices, weights, dist, order, n_order, pred_indptr, pred_flat)
     _wbatch_delta(
-        indptr, indices, weights, src, delta, dist, tent, sig, order,
-        heap_key, heap_cnt, heap_vtx, pred_head, pred_parent, pred_prev,
+        indptr, indices, weights, src, delta, dist, sig, order, heap_key, heap_cnt, heap_vtx
     )
     _wbatch_delta_parallel(indptr, indices, weights, src, delta, 1)
     _WARMED = True

@@ -30,6 +30,7 @@ from repro.shortest_paths.bfs import (
     bfs_spd_csr,
 )
 from repro.shortest_paths.dijkstra import (
+    _source_sweep,
     dijkstra_source_dependencies_csr,
     dijkstra_spd,
     dijkstra_spd_csr,
@@ -298,30 +299,21 @@ def accumulate_dependencies_csr(spd: CSRShortestPathDAG, *, kernel: str = "auto"
     carry their edges grouped by level, so the Brandes recursion runs one
     vectorised pass per level (every child of level ``L + 1`` has its final
     delta before the level-``L`` edges are processed).  Dijkstra-built DAGs
-    have no levels and fall back to a per-vertex sweep in reverse settle
-    order over the CSR predecessor arrays.
+    have no levels: the sweep runs per parent in reverse settle order over
+    the DAG children (:mod:`repro.shortest_paths.dijkstra`).  Both compute
+    the one Brandes arithmetic, as does every fused and batched pass.
 
     ``kernel`` selects the rung (:func:`~repro.graphs.csr.resolve_kernel`);
-    the compiled twins replay the exact per-level edge-order summation
-    (BFS DAGs) and the reverse-settle-order coefficient products
-    (Dijkstra DAGs), so the knob never changes a result.
+    the compiled twins compute the same arithmetic, so the knob never
+    changes a result.
     """
     if resolve_kernel(kernel) == "compiled":
         from repro.shortest_paths.compiled import accumulate_dependencies_compiled
 
         return accumulate_dependencies_compiled(spd)
-    n = spd.csr.number_of_vertices()
-    sig = spd.sig
-    if spd.level_edges is not None:
-        delta = _accumulate_levels(sig, spd.level_edges, n)
-    else:
-        delta = np.zeros(n)
-        pred_indptr = spd.pred_indptr
-        pred_indices = spd.pred_indices
-        for w in spd.order_indices[::-1].tolist():
-            parents = pred_indices[pred_indptr[w] : pred_indptr[w + 1]]
-            if parents.size:
-                delta[parents] += sig[parents] * ((1.0 + delta[w]) / sig[w])
+    if spd.level_edges is None:
+        return _source_sweep(spd.csr, spd.dist, spd.order_indices.tolist())[1]
+    delta = _accumulate_levels(spd.sig, spd.level_edges, spd.csr.number_of_vertices())
     delta[spd.source_index] = 0.0
     return delta
 

@@ -8,30 +8,39 @@ counterpart of :func:`repro.shortest_paths.bfs.bfs_spd`.
 Array-native rung
 -----------------
 The CSR kernels here are the interpreter rung of the weighted kernel
-ladder (the compiled twins live in :mod:`repro.shortest_paths.compiled`).
-All per-source state is preallocated flat storage — distance, tentative
-distance, path-count and predecessor-offset arrays — refilled per source
-with no dict or ``itertools.count`` churn, and the adjacency is walked
-through a cached per-snapshot list-of-``(neighbour, weight)`` view
-(:func:`csr_adjacency_pairs`) instead of per-edge numpy scalar reads.
-The priority queue is CPython's C-accelerated ``heapq`` over
-``(distance, counter, vertex)`` entries: the counter makes the key set
-strictly totally ordered, so *any* correct binary heap — this one and the
-flat-array heap of the compiled twin — pops vertices in the identical
-order, which is what makes the rungs bit-identical (same settle order ⇒
-same relaxation sequence ⇒ same float partial sums).
+ladder (the compiled twins live in :mod:`repro.shortest_paths.compiled`;
+the batched numpy sweep in :mod:`repro.shortest_paths.batch`).  The
+adjacency is walked through a cached per-snapshot list-of-``(neighbour,
+weight)`` view (:func:`csr_adjacency_pairs`) instead of per-edge numpy
+scalar reads, and the priority queue is CPython's C-accelerated
+``heapq`` over ``(distance, counter, vertex)`` entries — the dict rung's
+keys, so both settle vertices in the same order.
 
-Tie handling mirrors the dict rung exactly: a candidate path ties an
-existing distance when ``|candidate - existing| <= _EPSILON *
-max(1.0, candidate)`` (weights are strictly positive, so candidates are
-non-negative and the ``abs`` of the reference comparison is redundant).
+One weighted rule
+-----------------
+Every weighted path — the per-source pass, the SPD builder, the batched
+sweep and the compiled twins — computes the same three things, so which
+one runs is a speed choice only:
+
+* **Distances**: the exact fixpoint ``D[v] = min_u fl(D[u] + w(u, v))``.
+  No tie band applies while relaxing; float addition is monotone, so any
+  correct shortest-path method (this heap, a Bellman–Ford, the compiled
+  heap) returns the same bits.
+* **DAG**: the arc ``(u, v)`` is a DAG arc iff ``D[u] < D[v]`` and
+  ``|D[u] + w - D[v]| <= _EPSILON * max(1, D[u] + w)``
+  (:func:`_dag_arc_mask`): the tie band is applied once, to exact
+  distances.
+* **Arithmetic**: path counts are exact integer sums; per DAG parent
+  ``p``, ``delta_p = sigma_p * sum_c (delta_c + 1) * (1 / sigma_c)``,
+  summed from ``0.0`` over its children in adjacency order — the
+  unweighted arithmetic of :mod:`repro.shortest_paths.bfs`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.errors import NegativeWeightError
 from repro.graphs.core import Graph, Vertex
@@ -51,10 +60,9 @@ __all__ = [
     "validate_positive_weights",
 ]
 
-#: Tolerance used when comparing path lengths for equality.  Weighted
-#: shortest-path counting needs an explicit tolerance because float addition
-#: is not associative; 1e-12 relative to typical weights keeps path counts
-#: exact for the weight ranges used in the benchmarks.
+#: Relative width of the DAG tie band.  Float addition is not associative,
+#: so two shortest paths of equal real length may sum to distances an ulp
+#: apart; the band admits both into the DAG (:func:`_dag_arc_mask`).
 _EPSILON = 1e-12
 
 _INF = float("inf")
@@ -171,78 +179,119 @@ def _check_source_index(csr: "CSRGraph", source: int) -> int:
     return n
 
 
-def _dijkstra_wave(
-    csr: "CSRGraph", source: int, with_dag: bool
-) -> Tuple[List[float], List[int], List[float], List[Optional[List[int]]]]:
-    """Run one Dijkstra pass; returns ``(dist, order, sig, predecessors)``.
 
-    The shared engine of the CSR kernels below.  ``dist[u]`` doubles as the
-    settled marker (``inf`` = unsettled); ``tent`` keeps the tentative
-    distances of frontier vertices, replacing the dict rung's ``seen`` map
-    (``inf`` = never seen, which makes the first-touch test a plain
-    comparison).  With ``with_dag=False`` the sigma/predecessor bookkeeping
-    is skipped and only distances and settle order are produced.
+
+def _dag_arc_mask(tail_dist, head_dist, weights):
+    """Return which arcs belong to the shortest-path DAG (the one DAG rule).
+
+    An arc ``(u, v)`` of weight ``w`` is a DAG arc iff ``D[u] < D[v]`` and
+    ``|D[u] + w - D[v]| <= _EPSILON * max(1, D[u] + w)``, with ``D`` the
+    exact distances.  The arguments are matching arrays of any shape (one
+    entry per arc, ``weights`` broadcasts); the compiled twins evaluate the
+    same expression per arc, so every path draws the identical DAG.
+    *tail_dist* and *head_dist* are overwritten (callers pass fresh
+    gathers), which holds the batched sweep to three ``(K, m)`` buffers.
+    """
+    candidate = tail_dist + weights
+    mask = tail_dist < head_dist
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(np.subtract(candidate, head_dist, out=head_dist), out=head_dist)
+        band = np.multiply(np.maximum(candidate, 1.0, out=tail_dist), _EPSILON, out=tail_dist)
+        mask &= gap <= band
+    return mask
+
+
+def _exact_heap(csr: "CSRGraph", source: int) -> Tuple[List[float], List[int]]:
+    """Run one exact Dijkstra pass; returns ``(dist, order)`` as lists.
+
+    ``dist[v]`` is the exact fixpoint ``min_u fl(dist[u] + w(u, v))``
+    (``inf`` = unreachable) and ``order`` the settle order.  No tie band
+    applies while relaxing: a vertex is pushed only on a strict
+    improvement, so ``dist`` doubles as the tentative distance and a popped
+    entry is stale exactly when its key exceeds it.  Heap entries are
+    ``(distance, counter, vertex)`` like the dict rung's, so the settle
+    order is the dict rung's whenever no two candidates fall inside the
+    band without being equal.
     """
     adjacency = csr_adjacency_pairs(csr)
-    n = csr.number_of_vertices()
-    dist: List[float] = [_INF] * n
-    tent: List[float] = [_INF] * n
+    dist: List[float] = [_INF] * csr.number_of_vertices()
+    dist[source] = 0.0
     order: List[int] = []
-    sig: List[float] = [0.0] * n
-    predecessors: List[Optional[List[int]]] = [None] * n
-    if with_dag:
-        sig[source] = 1.0
-        predecessors[source] = []
-    tent[source] = 0.0
     heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
     counter = 1
     push = heapq.heappush
     pop = heapq.heappop
     append_order = order.append
-    if with_dag:
-        while heap:
-            dist_u, _, u = pop(heap)
-            if dist[u] != _INF:
-                continue  # already settled via a shorter path
-            dist[u] = dist_u
-            append_order(u)
-            sigma_u = sig[u]
-            for v, weight in adjacency[u]:
-                candidate = dist_u + weight
-                tolerance = _EPSILON * candidate if candidate > 1.0 else _EPSILON
-                settled = dist[v]
-                if settled != _INF:
-                    if -tolerance <= candidate - settled <= tolerance:
-                        sig[v] += sigma_u
-                        predecessors[v].append(u)
-                    continue
-                previous = tent[v]
-                if candidate < previous - tolerance:
-                    tent[v] = candidate
-                    sig[v] = sigma_u
-                    predecessors[v] = [u]
-                    push(heap, (candidate, counter, v))
-                    counter += 1
-                elif -tolerance <= candidate - previous <= tolerance:
-                    sig[v] += sigma_u
-                    predecessors[v].append(u)
+    while heap:
+        dist_u, _, u = pop(heap)
+        if dist_u > dist[u]:
+            continue  # superseded by a shorter path
+        append_order(u)
+        for v, weight in adjacency[u]:
+            candidate = dist_u + weight
+            if candidate < dist[v]:
+                dist[v] = candidate
+                push(heap, (candidate, counter, v))
+                counter += 1
+    return dist, order
+
+
+def _source_sweep(csr: "CSRGraph", dist, order: List[int]):
+    """Path counts and dependencies of one source over its DAG.
+
+    *dist* is the exact distance array, *order* the settle order (source
+    first).  Returns ``(sig, delta, tails, heads)``: the path counts, the
+    dependencies and the DAG arcs, grouped by tail in adjacency order.
+    A DAG parent has a strictly smaller
+    distance, so it settles before its children: counts go forward in
+    settle order (exact integers, so order-free), dependencies back in
+    reverse settle order with the one Brandes arithmetic — per parent
+    ``p``, ``(delta_c + 1.0) * (1.0 / sigma_c)`` summed from ``0.0`` over
+    its children in adjacency order, then multiplied once by ``sigma_p``.
+    """
+    n = dist.shape[0]
+    indptr = csr.indptr
+    degree = csr.degrees()
+    mask = _dag_arc_mask(np.repeat(dist, degree), dist[csr.indices], csr.weights)
+    heads = csr.indices[mask]
+    tails = np.repeat(np.arange(n, dtype=np.int64), degree)[mask]
+    delta = [0.0] * n
+    if heads.shape[0] == len(order) - 1 and (
+        not heads.size or int(np.bincount(heads).max()) == 1
+    ):
+        # Unique shortest paths (a tree): every count is 1, so every term
+        # is an exact integer and any summation order gives the per-parent
+        # sums' bits — each child pushes its share straight up.
+        sig = np.zeros(n)
+        sig[order] = 1.0
+        up = np.empty(n, dtype=np.int64)
+        up[heads] = tails
+        parent = up.tolist()
+        for c in order[:0:-1]:
+            delta[parent[c]] += delta[c] + 1.0
     else:
-        while heap:
-            dist_u, _, u = pop(heap)
-            if dist[u] != _INF:
-                continue
-            dist[u] = dist_u
-            append_order(u)
-            for v, weight in adjacency[u]:
-                if dist[v] != _INF:
-                    continue
-                candidate = dist_u + weight
-                tolerance = _EPSILON * candidate if candidate > 1.0 else _EPSILON
-                if candidate < tent[v] - tolerance:
-                    tent[v] = candidate
-                    push(heap, (candidate, counter, v))
-                    counter += 1
-    return dist, order, sig, predecessors
+        seen = np.zeros(mask.shape[0] + 1, dtype=np.int64)
+        np.cumsum(mask, out=seen[1:])
+        ptr = seen[indptr].tolist()
+        children = heads.tolist()
+        counts = [0.0] * n
+        counts[order[0]] = 1.0
+        for u in order:
+            lo, hi = ptr[u], ptr[u + 1]
+            if lo != hi:
+                sigma_u = counts[u]
+                for c in children[lo:hi]:
+                    counts[c] += sigma_u
+        for p in reversed(order):
+            lo, hi = ptr[p], ptr[p + 1]
+            if lo != hi:
+                total = 0.0
+                for c in children[lo:hi]:
+                    total += (delta[c] + 1.0) * (1.0 / counts[c])
+                delta[p] = total * counts[p]
+        sig = np.asarray(counts)
+    delta[order[0]] = 0.0
+    return sig, np.asarray(delta), tails, heads
 
 
 def dijkstra_spd_csr(
@@ -250,18 +299,17 @@ def dijkstra_spd_csr(
 ) -> CSRShortestPathDAG:
     """Return the array-backed SPD rooted at vertex index *source* (weighted).
 
-    Index-space mirror of :func:`dijkstra_spd`: the heap discipline, the
-    tie-breaking counter and the ``_EPSILON`` comparisons are identical, so
-    both flavours settle vertices in the same order and count the same
-    shortest paths bit-for-bit.  The result carries no ``level_edges`` (a
-    weighted DAG has no BFS levels) but ships ready-made CSR predecessor
-    arrays in parent-settle order; dependency accumulation runs the ordered
-    per-vertex sweep over them.
+    Index-space mirror of :func:`dijkstra_spd`: the exact heap settles
+    vertices in the dict rung's ``(distance, counter, vertex)`` order, the
+    DAG is :func:`_dag_arc_mask` over the exact distances, and each
+    vertex's predecessors are listed in settle order — the dict rung's
+    discovery order.  The result carries no ``level_edges`` (a weighted DAG
+    has no BFS levels) but ships ready-made CSR predecessor arrays.
 
     ``kernel`` selects the rung (:func:`~repro.graphs.csr.resolve_kernel`):
     the compiled twin :func:`~repro.shortest_paths.compiled.
-    dijkstra_spd_compiled` replays the same settle order through a
-    flat-array heap, so the knob never changes a result.
+    dijkstra_spd_compiled` computes the same distances, order and DAG, so
+    the knob never changes a result.
     """
     from repro.graphs.csr import resolve_kernel
 
@@ -270,21 +318,22 @@ def dijkstra_spd_csr(
 
         return dijkstra_spd_compiled(csr, source)
     n = _check_source_index(csr, source)
-    dist, order, sig, predecessors = _dijkstra_wave(csr, source, True)
-    # Flatten the per-vertex parent lists into the CSR predecessor layout.
-    counts = np.fromiter(
-        (0 if p is None else len(p) for p in predecessors), dtype=np.int64, count=n
-    )
+    dist_list, order_list = _exact_heap(csr, source)
+    dist = np.asarray(dist_list)
+    sig, _, tails, heads = _source_sweep(csr, dist, order_list)
+    order = np.asarray(order_list, dtype=np.int64)
+    # Predecessor lists: DAG arcs grouped by child, parents in settle order.
+    rank = np.zeros(n, dtype=np.int64)
+    rank[order] = np.arange(order.shape[0])
+    pred_indices = tails[np.lexsort((rank[tails], heads))]
     pred_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=pred_indptr[1:])
-    flat = [p for parents in predecessors if parents for p in parents]
-    pred_indices = np.asarray(flat, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=pred_indptr[1:])
     return CSRShortestPathDAG(
         csr,
         source,
-        np.asarray(dist),
-        np.asarray(sig),
-        np.asarray(order, dtype=np.int64),
+        dist,
+        sig,
+        order,
         level_edges=None,
         pred_indptr=pred_indptr,
         pred_indices=pred_indices,
@@ -295,36 +344,24 @@ def dijkstra_distances_csr(csr: "CSRGraph", source: int):
     """Return ``(dist, order)`` from vertex index *source* (weighted).
 
     The weighted twin of :func:`repro.shortest_paths.bfs.bfs_distances_csr`:
-    ``dist`` is the float distance array (``inf`` = unreachable) and
-    ``order`` the settle order, without any sigma/predecessor bookkeeping.
-    ``dist`` is bit-identical to :func:`dijkstra_spd_csr`'s ``dist`` field —
-    the settle logic is the same loop with the DAG branches removed.
+    ``dist`` is the exact float distance array (``inf`` = unreachable) and
+    ``order`` the settle order — the exact heap alone, no DAG.
     """
     _check_source_index(csr, source)
-    dist, order, _, _ = _dijkstra_wave(csr, source, False)
+    dist, order = _exact_heap(csr, source)
     return np.asarray(dist), np.asarray(order, dtype=np.int64)
 
 
 def dijkstra_source_dependencies_csr(csr: "CSRGraph", source: int):
     """Fused per-source weighted pass: the dependency array of *source*.
 
-    One call runs the Dijkstra wave and the Brandes back-propagation in
-    reverse settle order (the weighted replacement for the BFS level
-    order) without materialising the DAG arrays.  Bit-identical to
-    ``accumulate_dependencies_csr(dijkstra_spd_csr(csr, source))``: the
-    wave is the same loop, and the sweep computes the same
-    coefficient-first products — ``delta[p] += sig[p] * ((1 + delta[w]) /
-    sig[w])`` touches each (distinct) parent's cell independently, so the
-    scalar loop and the numpy fancy-indexed accumulation agree bitwise.
+    The exact heap, then one sweep over the DAG: path counts forward in
+    settle order, dependencies back in reverse settle order.  No
+    :class:`CSRShortestPathDAG` is built; the result is bit-identical to
+    ``accumulate_dependencies_csr(dijkstra_spd_csr(csr, source))`` and to
+    the batched rows of :func:`repro.shortest_paths.batch.
+    batch_source_dependencies`.
     """
     _check_source_index(csr, source)
-    dist, order, sig, predecessors = _dijkstra_wave(csr, source, True)
-    delta = [0.0] * len(dist)
-    for w in reversed(order):
-        parents = predecessors[w]
-        if parents:
-            coefficient = (1.0 + delta[w]) / sig[w]
-            for p in parents:
-                delta[p] += sig[p] * coefficient
-    delta[source] = 0.0
-    return np.asarray(delta)
+    dist, order = _exact_heap(csr, source)
+    return _source_sweep(csr, np.asarray(dist), order)[1]

@@ -623,6 +623,99 @@ def test_every_unweighted_dependency_path_is_bit_identical(seed, directed):
             assert np.array_equal(fused, matrix[s])
 
 
+#: Weight palettes of the weighted identity property: dyadic weights sum
+#: exactly (true ties, path counts above 1), decimal ones make near-ties
+#: such as 0.1 + 0.2 against 0.3 that only the exact distance rule settles
+#: one way on every path.
+WEIGHT_PALETTES = {"dyadic": [0.5, 1.0, 1.5, 2.0], "decimal": [0.1, 0.2, 0.3]}
+
+
+def _random_weighted_identity_graph(seed: int, directed: bool, palette: str) -> Graph:
+    """Random weighted graph, possibly disconnected, sparse or dense."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 30)
+    graph = Graph(directed=directed, weighted=True)
+    for v in range(n):
+        graph.add_vertex(v)
+    for _ in range(rng.randint(0, 4 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            graph.add_edge(u, v, rng.choice(WEIGHT_PALETTES[palette]))
+    return graph
+
+
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.booleans(),
+    st.sampled_from(sorted(WEIGHT_PALETTES)),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_weighted_dependency_path_is_bit_identical(seed, directed, palette):
+    """One weighted rule: exact distances (the fixpoint min fl(D[u] + w),
+    equal from the heap and from Bellman-Ford), one DAG and the one Brandes
+    arithmetic, so the batched sweep (called directly and through the depth
+    gate either way), the K = 1 route, build-then-accumulate and the
+    compiled bodies (fused, via the SPD, batched at 1/2/4 threads) return
+    the same bits for every source."""
+    from repro.graphs import csr as csr_module
+    from repro.shortest_paths import batch as batch_module
+    from repro.shortest_paths.batch import (
+        _batch_distances,
+        _dijkstra_sweep_batch,
+        batch_source_dependencies,
+    )
+    from repro.shortest_paths.compiled import dijkstra_spd_compiled
+    from repro.shortest_paths.dijkstra import dijkstra_distances_csr
+
+    graph = _random_weighted_identity_graph(seed, directed, palette)
+    csr = graph.csr()
+    n = csr.number_of_vertices()
+    sources = np.arange(n, dtype=np.int64)
+    heap = np.array([dijkstra_distances_csr(csr, s)[0] for s in range(n)])
+    # The heap distances are the exact fixpoint: no arc improves them, and
+    # every reached non-source vertex attains its distance through an arc.
+    tails = np.repeat(np.arange(n), np.diff(csr.indptr))
+    attained = np.full((n, n), np.inf)
+    np.minimum.at(attained.T, csr.indices, (heap[:, tails] + csr.weights).T)
+    reached = np.isfinite(heap)
+    np.fill_diagonal(reached, False)
+    assert (heap <= attained).all()
+    assert np.array_equal(heap[reached], attained[reached])
+    bellman_ford, _ = _batch_distances(csr, sources, n + 1)
+    assert np.array_equal(bellman_ford.reshape(n, n), heap)
+
+    batched = [_dijkstra_sweep_batch(csr, sources, n + 1)]
+    two_rows = 2 * max(1, int(csr.indices.shape[0]))
+    # Both sides of the depth gate, then the sweep in blocks of two rows.
+    for round_cost, block in ((1, 10**9), (10**9, 10**9), (1, two_rows)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch_module, "_SWEEP_ROUND_COST", round_cost)
+            patch.setattr(batch_module, "_SWEEP_BLOCK_ELEMENTS", block)
+            csr._sweep_rounds = None
+            batched.append(batch_source_dependencies(csr, sources, kernel="csr"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr_module, "_COMPILED_OK", True)
+        for threads in (1, 2, 4):
+            batched.append(batch_dependencies_compiled(csr, sources, threads=threads))
+        compiled_rows = [
+            (
+                csr_source_dependencies(csr, s, kernel="compiled"),
+                accumulate_dependencies_compiled(dijkstra_spd_compiled(csr, s)),
+            )
+            for s in range(n)
+        ]
+    for s in range(n):
+        fused = csr_source_dependencies(csr, s, kernel="csr")
+        assert np.array_equal(fused, batch_source_dependencies(csr, [s], kernel="csr")[0])
+        assert np.array_equal(
+            fused, accumulate_dependencies_csr(dijkstra_spd_csr(csr, s, kernel="csr"))
+        )
+        for row in compiled_rows[s]:
+            assert np.array_equal(fused, row)
+        for matrix in batched:
+            assert np.array_equal(fused, matrix[s])
+
+
 weighted_cases = graph_cases.filter(lambda g: g.weighted)
 
 

@@ -210,6 +210,40 @@ class TestContentLength:
         assert code == 200 and json.loads(payload)["status"] == "ok"
 
 
+class TestTransport:
+    """Each response leaves in one write; a stalled client is let go."""
+
+    def test_plain_keep_alive_client_pays_no_delayed_ack_stall(self, daemon):
+        # No TCP_QUICKACK: a client that delays its ACK would wait ~40 ms
+        # per request if the daemon sent the head and the body separately.
+        conn = http.client.HTTPConnection(daemon.host, daemon.port, timeout=30.0)
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.25 * 20 * 0.040, f"20 keep-alive requests took {elapsed:.3f} s"
+
+    def test_stalled_request_is_closed_and_the_daemon_keeps_serving(self, daemon, monkeypatch):
+        from repro.serving import server as server_module
+
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_SECONDS", 0.3)
+        with socket.create_connection((daemon.host, daemon.port), timeout=10.0) as sock:
+            sock.sendall(b"GET /heal")
+            start = time.perf_counter()
+            assert sock.recv(65536) == b"", "the daemon should close a stalled request"
+            assert time.perf_counter() - start < 5.0
+        code, _, payload = http_request(daemon.host, daemon.port, "GET", "/healthz")
+        assert code == 200 and json.loads(payload)["status"] == "ok"
+
+
 # ----------------------------------------------------------------------
 # Route basics (transport-free dispatch)
 # ----------------------------------------------------------------------

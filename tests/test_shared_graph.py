@@ -194,6 +194,33 @@ def test_shared_snapshot_kernels_bit_identical(graph):
         shared.destroy()
 
 
+def test_shared_weighted_snapshot_kernels_bit_identical(graph):
+    """Weighted passes run on an attached snapshot too: the per-source pass
+    and the batched sweep read the snapshot's lazy weighted caches."""
+    from repro.shortest_paths.batch import batch_source_dependencies
+    from repro.shortest_paths.dependencies import csr_source_dependencies
+
+    weighted = Graph.from_edges(
+        [(u, v, 1.0 + (u * 7 + v) % 5 / 4.0) for u, v in graph.edges()], weighted=True
+    )
+    csr = weighted.csr()
+    shared = SharedCSRGraph.from_csr(csr, version=weighted.version)
+    try:
+        attached = pickle.loads(pickle.dumps(shared))
+        sources = list(range(0, csr.number_of_vertices(), 3))
+        assert np.array_equal(
+            batch_source_dependencies(attached, sources, kernel="csr"),
+            batch_source_dependencies(csr, sources, kernel="csr"),
+        )
+        for s in sources:
+            assert np.array_equal(
+                csr_source_dependencies(attached, s, kernel="csr"),
+                csr_source_dependencies(csr, s, kernel="csr"),
+            )
+    finally:
+        shared.destroy()
+
+
 def test_create_shared_graph_warns_and_falls_back(monkeypatch, graph):
     import repro.graphs.shared as shared_mod
 
