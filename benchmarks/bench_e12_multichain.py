@@ -1,13 +1,12 @@
 """E12 — parallel multi-chain MCMC receipt.
 
-Four measurements on the reference Barabási–Albert graph:
+Three measurements on the reference Barabási–Albert graph:
 
 * **K-chain speedup at equal total samples** — the baseline is one MH
-  chain with the default knobs (inline, prefetching its proposals in
-  blocks of the default batch size);
+  chain with the default knobs (inline, prefetching its whole proposal
+  set in the blocks the kernels choose);
   the K-chain rows run :class:`repro.mcmc.multichain.MultiChainMHSampler`
-  with ``n_jobs=4`` and a probe-calibrated ``batch_size``, splitting the
-  *same total budget* over K chains.  The expectation this benchmark guards
+  with ``n_jobs=4``, splitting the *same total budget* over K chains.  The expectation this benchmark guards
   is **K-chain >= 2x the single chain** at the best K on BA(5000, 3).
   Each row stamps the cross-chain diagnostics (split-R̂, pooled ESS, mean
   acceptance rate) next to its wall-clock, and ``cpu_count`` is recorded so
@@ -18,9 +17,6 @@ Four measurements on the reference Barabási–Albert graph:
   and the K=1 driver is asserted bit-identical to the single-chain sampler.
 * **adaptive early-stop** — the split-R̂-driven mode against a generous
   budget: iterations actually spent, the adopted burn-in and the final R̂.
-* **batch-size autotune** — the :mod:`repro.execution.autotune` probe
-  timings per candidate and the size it calibrates, which is the
-  ``batch_size`` the K-chain rows run.
 
 Run directly (``python benchmarks/bench_e12_multichain.py``) or through
 pytest with the other ``bench_e*`` modules.  ``REPRO_BENCH_SIZE=tiny`` (the
@@ -38,7 +34,6 @@ import pytest
 
 from harness import bench_seed, bench_size, emit_table
 
-from repro.execution.autotune import calibrate_batch_size, probe_batch_sizes
 from repro.graphs import barabasi_albert_graph
 from repro.graphs.csr import np
 from repro.mcmc.multichain import MultiChainMHSampler
@@ -71,7 +66,7 @@ def _bench_graph():
     return graph, graph.vertices()[0]  # an early BA vertex: hub, positive BC
 
 
-def _chain_rows(batch_size: int):
+def _chain_rows():
     graph, r = _bench_graph()
     total = _total_samples()
 
@@ -95,9 +90,7 @@ def _chain_rows(batch_size: int):
         }
     ]
     for k in CHAIN_COUNTS:
-        sampler = MultiChainMHSampler(
-            n_chains=k, n_jobs=BENCH_JOBS, batch_size=batch_size
-        )
+        sampler = MultiChainMHSampler(n_chains=k, n_jobs=BENCH_JOBS)
         start = time.perf_counter()
         estimate = sampler.estimate(graph, r, total, seed=bench_seed())
         seconds = time.perf_counter() - start
@@ -119,14 +112,12 @@ def _chain_rows(batch_size: int):
     return rows
 
 
-def _determinism_rows(batch_size: int):
+def _determinism_rows():
     graph, r = _bench_graph()
     total = min(_total_samples(), 512)  # the identity check needs no scale
     estimates = []
     for n_jobs in JOBS:
-        sampler = MultiChainMHSampler(
-            n_chains=4, n_jobs=n_jobs, batch_size=batch_size
-        )
+        sampler = MultiChainMHSampler(n_chains=4, n_jobs=n_jobs)
         estimates.append(sampler.estimate(graph, r, total, seed=bench_seed()).estimate)
     identical = all(value == estimates[0] for value in estimates)
     assert identical, f"fixed-seed pooled estimates differ across n_jobs: {estimates}"
@@ -158,13 +149,12 @@ def _determinism_rows(batch_size: int):
     ]
 
 
-def _adaptive_row(batch_size: int):
+def _adaptive_row():
     graph, r = _bench_graph()
     budget = _total_samples() * 2  # generous: let the R-hat gate stop the run
     sampler = MultiChainMHSampler(
         n_chains=4,
         n_jobs=BENCH_JOBS,
-        batch_size=batch_size,
         rhat_target=1.05,
     )
     start = time.perf_counter()
@@ -183,20 +173,6 @@ def _adaptive_row(batch_size: int):
     }
 
 
-def _autotune_rows():
-    graph, _ = _bench_graph()
-    timings = probe_batch_sizes(graph, probe_sources=min(32, _graph_size()), repeats=2)
-    chosen = calibrate_batch_size(graph, probe_sources=min(32, _graph_size()), repeats=2)
-    return chosen, [
-        {
-            "batch_size": size,
-            "probe_seconds": seconds,
-            "chosen": "<--" if size == chosen else "",
-        }
-        for size, seconds in timings
-    ]
-
-
 CHAIN_COLUMNS = [
     "engine", "chains", "n_jobs", "total_samples", "seconds", "speedup",
     "estimate", "rhat", "ess", "acceptance",
@@ -206,19 +182,11 @@ ADAPTIVE_COLUMNS = [
     "rhat_target", "budget", "samples_spent", "converged", "rounds",
     "burn_in", "rhat", "seconds",
 ]
-AUTOTUNE_COLUMNS = ["batch_size", "probe_seconds", "chosen"]
 
 
 def _emit_all():
     size = _graph_size()
-    chosen_batch, autotune_rows = _autotune_rows()
-    emit_table(
-        "E12-autotune",
-        f"batch-size probe on a BA({size}, 3) graph (calibrated: {chosen_batch})",
-        autotune_rows,
-        AUTOTUNE_COLUMNS,
-    )
-    chain_rows = _chain_rows(chosen_batch)
+    chain_rows = _chain_rows()
     emit_table(
         "E12",
         f"multi-chain MH vs one default chain on a BA({size}, 3) graph "
@@ -229,13 +197,13 @@ def _emit_all():
     emit_table(
         "E12-determinism",
         "fixed-seed bit-identity of the pooled estimate",
-        _determinism_rows(chosen_batch),
+        _determinism_rows(),
         DETERMINISM_COLUMNS,
     )
     emit_table(
         "E12-adaptive",
         f"split-R-hat early stop on a BA({size}, 3) graph",
-        [_adaptive_row(chosen_batch)],
+        [_adaptive_row()],
         ADAPTIVE_COLUMNS,
     )
     return chain_rows
@@ -248,7 +216,7 @@ def test_e12_multichain(benchmark):
     chain_rows = _emit_all()
 
     graph, r = _bench_graph()
-    sampler = MultiChainMHSampler(n_chains=4, batch_size=16)
+    sampler = MultiChainMHSampler(n_chains=4)
     benchmark.pedantic(
         lambda: sampler.estimate(graph, r, 64, seed=bench_seed()),
         rounds=3,

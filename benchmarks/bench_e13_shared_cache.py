@@ -56,9 +56,6 @@ TOTAL_SAMPLES = {"tiny": 96, "small": 4096, "medium": 8192}
 #: Chains and worker processes of the acceptance configuration.
 CHAINS = 4
 BENCH_JOBS = 4
-#: Proposal batch-prefetch block of every run (identical across rows so the
-#: cache policy is the only thing the comparison varies).
-BATCH_SIZE = 16
 #: n_jobs values of the determinism check.
 JOBS = (1, 2, 4)
 #: The acceptance bound: total passes over unique sources with the arena.
@@ -84,7 +81,6 @@ def _run(n_jobs: int, shared_cache: bool, **kwargs):
     sampler = MultiChainMHSampler(
         n_chains=CHAINS,
         n_jobs=n_jobs,
-        batch_size=BATCH_SIZE,
         shared_cache=shared_cache,
         **kwargs,
     )
@@ -134,15 +130,12 @@ def _dedup_rows():
 def _determinism_rows():
     total = min(_total_samples(), 512)  # the identity check needs no scale
     graph, r = _bench_graph()
-    reference = MultiChainMHSampler(
-        n_chains=CHAINS, batch_size=BATCH_SIZE
-    ).estimate(graph, r, total, seed=bench_seed())
+    reference = MultiChainMHSampler(n_chains=CHAINS).estimate(graph, r, total, seed=bench_seed())
     rows = []
     for n_jobs in JOBS:
         shared = MultiChainMHSampler(
             n_chains=CHAINS,
             n_jobs=n_jobs,
-            batch_size=BATCH_SIZE,
             shared_cache=True,
         ).estimate(graph, r, total, seed=bench_seed())
         identical = shared.estimate == reference.estimate
@@ -164,13 +157,10 @@ def _determinism_rows():
 def _overflow_row():
     total = min(_total_samples(), 512)
     graph, r = _bench_graph()
-    reference = MultiChainMHSampler(
-        n_chains=CHAINS, batch_size=BATCH_SIZE
-    ).estimate(graph, r, total, seed=bench_seed())
+    reference = MultiChainMHSampler(n_chains=CHAINS).estimate(graph, r, total, seed=bench_seed())
     sampler = MultiChainMHSampler(
         n_chains=CHAINS,
         n_jobs=2,
-        batch_size=BATCH_SIZE,
         shared_cache=True,
         shared_cache_capacity=8,
     )
@@ -208,7 +198,7 @@ def _emit_all():
     emit_table(
         "E13",
         f"shared dependency arena vs private worker caches on a BA({size}, 3) "
-        f"graph (K={CHAINS}, n_jobs={BENCH_JOBS}, batch={BATCH_SIZE}, "
+        f"graph (K={CHAINS}, n_jobs={BENCH_JOBS}, "
         f"cpu_count={multiprocessing.cpu_count()})",
         dedup_rows,
         DEDUP_COLUMNS,
@@ -243,7 +233,7 @@ def test_e13_shared_cache(benchmark):
 
     graph, r = _bench_graph()
     sampler = MultiChainMHSampler(
-        n_chains=CHAINS, n_jobs=2, batch_size=BATCH_SIZE,
+        n_chains=CHAINS, n_jobs=2,
         shared_cache=True,
     )
     benchmark.pedantic(

@@ -57,7 +57,6 @@ EST_SAMPLES = {"tiny": 48, "small": 96, "medium": 192}
 SET_SAMPLES = {"tiny": 48, "small": 96, "medium": 192}
 #: Execution knobs every query runs under (cold and warm identically).
 BENCH_JOBS = 2
-BATCH_SIZE = 16
 CHAINS = 2
 #: Persistent-arena rows of the warm session (ample for the workload's
 #: unique sources at every size; the cold path sizes its per-call arenas
@@ -119,7 +118,6 @@ def _cold_answer(graph, kind, spec):
             method="mh",
             samples=spec["samples"],
             seed=spec["seed"],
-            batch_size=BATCH_SIZE,
             n_jobs=BENCH_JOBS,
             n_chains=CHAINS,
             shared_cache=True,
@@ -130,7 +128,6 @@ def _cold_answer(graph, kind, spec):
         spec["vertices"],
         samples=spec["samples"],
         seed=spec["seed"],
-        batch_size=BATCH_SIZE,
         n_jobs=BENCH_JOBS,
         n_chains=CHAINS,
         shared_cache=True,
@@ -177,7 +174,7 @@ def _run_workloads():
         cold_answers.append(_cold_answer(graph, kind, spec))
     cold_seconds = time.perf_counter() - cold_start
 
-    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(n_jobs=BENCH_JOBS)
     warm_answers = []
     warm_start = time.perf_counter()
     with BetweennessSession(graph, plan, arena_capacity=ARENA_CAPACITY) as session:
@@ -242,7 +239,7 @@ def _emit_all():
         "E14",
         f"warm session vs cold per-call API on a BA({size}, 3) graph "
         f"(32-query mixed workload, K={CHAINS}, n_jobs={BENCH_JOBS}, "
-        f"batch={BATCH_SIZE}, cpu_count={multiprocessing.cpu_count()})",
+        f"cpu_count={multiprocessing.cpu_count()})",
         [throughput_row],
         THROUGHPUT_COLUMNS,
     )
@@ -265,7 +262,7 @@ def test_e14_session(benchmark):
     row = _emit_all()
 
     graph = _bench_graph()
-    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(n_jobs=BENCH_JOBS)
     with BetweennessSession(graph, plan, arena_capacity=ARENA_CAPACITY) as session:
         hub = graph.vertices()[0]
         session.estimate(hub, method="mh", samples=48, seed=1, n_chains=CHAINS)

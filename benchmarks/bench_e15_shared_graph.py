@@ -205,14 +205,12 @@ def _determinism_rows():
     graph, r = _bench_graph(min(_graph_size(), DETERMINISM_VERTICES))
     rows = []
     for n_jobs in JOBS:
-        baseline = UniformSourceSampler(batch_size=8, n_jobs=n_jobs)
+        baseline = UniformSourceSampler(n_jobs=n_jobs)
         baseline.shared_graph = False
         pickled = baseline.estimate(
             graph, r, DETERMINISM_SAMPLES, seed=bench_seed()
         ).estimate
-        shared_sampler = UniformSourceSampler(
-            batch_size=8, n_jobs=n_jobs
-        )
+        shared_sampler = UniformSourceSampler(n_jobs=n_jobs)
         shared_sampler.shared_graph = True
         shared = shared_sampler.estimate(
             graph, r, DETERMINISM_SAMPLES, seed=bench_seed()
@@ -231,7 +229,7 @@ def _determinism_rows():
             }
         )
     for n_jobs in JOBS:
-        kwargs = dict(n_chains=2, n_jobs=n_jobs, batch_size=8)
+        kwargs = dict(n_chains=2, n_jobs=n_jobs)
         pickled = MultiChainMHSampler(shared_graph=False, **kwargs).estimate(
             graph, r, DETERMINISM_SAMPLES, seed=bench_seed()
         ).estimate

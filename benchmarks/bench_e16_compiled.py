@@ -180,7 +180,7 @@ def _grid_row():
     estimates = []
     for kernel in KERNELS_GRID:
         for n_jobs in JOBS_GRID:
-            sampler = UniformSourceSampler(n_jobs=n_jobs, batch_size=16)
+            sampler = UniformSourceSampler(n_jobs=n_jobs)
             sampler.kernel = kernel
             with warnings.catch_warnings():
                 # Without numba, kernel="compiled" warns once per resolution;

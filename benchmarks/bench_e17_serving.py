@@ -56,7 +56,6 @@ EST_SAMPLES = {"tiny": 48, "small": 96, "medium": 192}
 SET_SAMPLES = {"tiny": 48, "small": 96, "medium": 192}
 #: Execution knobs the daemon's sessions and the cold twins share.
 BENCH_JOBS = 2
-BATCH_SIZE = 16
 CHAINS = 2
 ARENA_CAPACITY = 4096
 #: Identical concurrent requests in the coalesce burst (1 leader + 3 hits).
@@ -124,7 +123,7 @@ def _answer_fields(op, payload):
 
 def _cold_answers(graph, queries):
     """One fresh session per query: the cold per-call twins."""
-    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(n_jobs=BENCH_JOBS)
     answers = []
     start = time.perf_counter()
     for op, spec in queries:
@@ -203,7 +202,7 @@ def _run_serving_benchmark():
     graph = _bench_graph()
     queries = _workload(graph)
 
-    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(n_jobs=BENCH_JOBS)
     config = ServingConfig(
         kernel="csr",
         default_chains=CHAINS,
@@ -282,7 +281,7 @@ def _emit_all():
         "E17",
         f"HTTP daemon vs cold per-call API on a BA({size}, 3) graph "
         f"(32-query workload over one warm daemon, K={CHAINS}, "
-        f"n_jobs={BENCH_JOBS}, batch={BATCH_SIZE}, "
+        f"n_jobs={BENCH_JOBS}, "
         f"cpu_count={multiprocessing.cpu_count()})",
         [throughput_row],
         THROUGHPUT_COLUMNS,
@@ -312,7 +311,7 @@ def test_e17_serving(benchmark):
     row = _emit_all()
 
     graph = _bench_graph()
-    plan = ExecutionPlan(batch_size=BATCH_SIZE, n_jobs=BENCH_JOBS)
+    plan = ExecutionPlan(n_jobs=BENCH_JOBS)
     config = ServingConfig(
         kernel="csr", default_chains=CHAINS,
         arena_capacity=ARENA_CAPACITY,

@@ -216,7 +216,7 @@ def _identity_cell(kernel, n_jobs):
     u, v, _ = _toggle_edge(graph)
     target = graph.vertices()[5]
     plan = (
-        ExecutionPlan(batch_size=16, n_jobs=n_jobs, kernel=kernel)
+        ExecutionPlan(n_jobs=n_jobs, kernel=kernel)
         if n_jobs is not None
         else None
     )
@@ -237,7 +237,6 @@ def _identity_cell(kernel, n_jobs):
         method="mh",
         samples=IDENTITY_SAMPLES,
         seed=11,
-        batch_size=16 if n_jobs is not None else None,
         n_jobs=n_jobs,
         kernel=kernel,
     )

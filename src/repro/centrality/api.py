@@ -27,11 +27,7 @@ from repro.exact.single_vertex import (
     betweenness_of_vertex,
     exact_relative_betweenness,
 )
-from repro.execution.autotune import (
-    calibrate_batch_size,
-    calibrate_kernel_threads,
-    calibrate_n_jobs,
-)
+from repro.execution.autotune import calibrate_kernel_threads, calibrate_n_jobs
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.utils import ensure_connected
 from repro.mcmc.bounds import epsilon_for_samples, mu_statistics, required_samples
@@ -70,11 +66,6 @@ def __getattr__(name):
 #: Chains the multi-chain driver runs when only ``rhat_target`` was given.
 DEFAULT_CHAINS = 4
 
-#: Batch-size specification: an int, ``None`` (the ``REPRO_BATCH`` / plan
-#: default) or ``"auto"`` (calibrated from a timed probe,
-#: :mod:`repro.execution.autotune`).
-BatchSize = Union[int, str, None]
-
 #: Worker-count specification: an int, ``None`` (the ``REPRO_JOBS`` default,
 #: inline) or ``"auto"`` (calibrated from a timed probe over real pool
 #: spin-ups).
@@ -86,28 +77,12 @@ Jobs = Union[int, str, None]
 Threads = Union[int, str, None]
 
 
-def _resolve_batch_size(
-    graph: Graph, batch_size: BatchSize, workload: Optional[int] = None
-):
-    """Resolve ``"auto"`` to a calibrated batch size at the point the graph is known.
-
-    *workload* is the caller's rough count of upcoming Brandes passes; the
-    probe is scaled down for small jobs so calibration never rivals the
-    work it is meant to speed up (a cruder, noisier probe is the right
-    trade there).
-    """
-    if batch_size == "auto":
-        probe_sources = 32 if workload is None else max(4, min(32, workload // 16))
-        return calibrate_batch_size(graph, probe_sources=probe_sources)
-    return batch_size
-
-
 def _resolve_n_jobs(graph: Graph, n_jobs: Jobs, workload: Optional[int] = None):
     """Resolve ``"auto"`` to a calibrated worker count at the point the graph is known.
 
     The engine's sharded discipline is n_jobs-invariant, so the timed
     choice can never change an estimate.  *workload* scales the probe down
-    for small jobs, like :func:`_resolve_batch_size`.
+    for small jobs (a cruder, noisier probe is the right trade there).
     """
     if n_jobs == "auto":
         probe_sources = 64 if workload is None else max(8, min(64, workload // 8))
@@ -145,34 +120,22 @@ def _resolve_kernel_threads(
     return kernel_threads
 
 #: Estimator registry for :func:`betweenness_single`.  Every factory accepts
-#: the execution-engine knobs ``batch_size`` / ``n_jobs`` (see
-#: :mod:`repro.execution`); calling one with no argument leaves both to the
-#: ``REPRO_*`` env overrides and the plan defaults.
+#: the execution-engine knob ``n_jobs`` (see :mod:`repro.execution`);
+#: calling one with no argument leaves it to the ``REPRO_JOBS`` env
+#: override and the plan default.
 SINGLE_VERTEX_METHODS = {
-    "mh": lambda batch_size=None, n_jobs=None: SingleSpaceMHSampler(
-        batch_size=batch_size, n_jobs=n_jobs
+    "mh": lambda n_jobs=None: SingleSpaceMHSampler(n_jobs=n_jobs),
+    "mh-unbiased": lambda n_jobs=None: SingleSpaceMHSampler(
+        estimator="proposal", n_jobs=n_jobs
     ),
-    "mh-unbiased": lambda batch_size=None, n_jobs=None: SingleSpaceMHSampler(
-        estimator="proposal", batch_size=batch_size, n_jobs=n_jobs
+    "mh-degree": lambda n_jobs=None: SingleSpaceMHSampler(proposal="degree", n_jobs=n_jobs),
+    "mh-random-walk": lambda n_jobs=None: SingleSpaceMHSampler(
+        proposal="random-walk", n_jobs=n_jobs
     ),
-    "mh-degree": lambda batch_size=None, n_jobs=None: SingleSpaceMHSampler(
-        proposal="degree", batch_size=batch_size, n_jobs=n_jobs
-    ),
-    "mh-random-walk": lambda batch_size=None, n_jobs=None: SingleSpaceMHSampler(
-        proposal="random-walk", batch_size=batch_size, n_jobs=n_jobs
-    ),
-    "uniform-source": lambda batch_size=None, n_jobs=None: UniformSourceSampler(
-        batch_size=batch_size, n_jobs=n_jobs
-    ),
-    "distance": lambda batch_size=None, n_jobs=None: DistanceBasedSampler(
-        batch_size=batch_size, n_jobs=n_jobs
-    ),
-    "rk": lambda batch_size=None, n_jobs=None: RiondatoKornaropoulosSampler(
-        batch_size=batch_size, n_jobs=n_jobs
-    ),
-    "kadabra": lambda batch_size=None, n_jobs=None: KadabraSampler(
-        batch_size=batch_size, n_jobs=n_jobs
-    ),
+    "uniform-source": lambda n_jobs=None: UniformSourceSampler(n_jobs=n_jobs),
+    "distance": lambda n_jobs=None: DistanceBasedSampler(n_jobs=n_jobs),
+    "rk": lambda n_jobs=None: RiondatoKornaropoulosSampler(n_jobs=n_jobs),
+    "kadabra": lambda n_jobs=None: KadabraSampler(n_jobs=n_jobs),
 }
 
 #: The methods the multi-chain driver (``n_chains`` / ``rhat_target``) can
@@ -190,7 +153,6 @@ def betweenness_single(
     samples: int = 200,
     seed: RandomState = None,
     check_connected: bool = True,
-    batch_size: BatchSize = None,
     n_jobs: Jobs = None,
     n_chains: Optional[int] = None,
     rhat_target: Optional[float] = None,
@@ -215,17 +177,14 @@ def betweenness_single(
         Chain length (MCMC methods) or number of samples (baselines).
     seed:
         Randomness specification.
-    batch_size, n_jobs:
-        Execution-engine knobs (:mod:`repro.execution`): sources per
-        batched CSR traversal and worker processes for the sharded source
-        loop.  Results are deterministic — identical for any ``n_jobs`` /
-        ``batch_size``, set or unset, at a fixed seed — per the
-        estimator-specific notes on each sampler class.  ``batch_size``
-        additionally accepts ``"auto"``: the block size is calibrated from
-        a short timed probe on *graph*
-        (:func:`repro.execution.calibrate_batch_size`), which changes
-        wall-clock only, never the estimate for a given resolved size.
-        ``n_jobs`` likewise accepts ``"auto"``
+    n_jobs:
+        Execution-engine knob (:mod:`repro.execution`): worker processes
+        for the sharded source loop.  Results are deterministic — identical
+        for any ``n_jobs``, set or unset, at a fixed seed — per the
+        estimator-specific notes on each sampler class.  How many sources
+        one batched CSR traversal takes is the kernels' choice, not a knob
+        (:func:`repro.shortest_paths.batch.source_blocks`).  ``n_jobs``
+        also accepts ``"auto"``
         (:func:`repro.execution.calibrate_n_jobs`): the worker count is
         probed with real pool spin-ups; the sharded discipline is
         n_jobs-invariant, so the timing-chosen count can never change the
@@ -278,7 +237,6 @@ def betweenness_single(
         )
     if check_connected:
         ensure_connected(graph)
-    batch_size = _resolve_batch_size(graph, batch_size, workload=samples)
     if multichain:
         # The driver owns n_jobs (chains are the unit of parallel work); the
         # base sampler keeps batch-prefetching its own proposals.  An "auto"
@@ -287,7 +245,7 @@ def betweenness_single(
         chains = n_chains if n_chains is not None else DEFAULT_CHAINS
         if n_jobs == "auto":
             n_jobs = min(_resolve_n_jobs(graph, n_jobs, workload=samples), chains)
-        base = SINGLE_VERTEX_METHODS[method](batch_size, None)
+        base = SINGLE_VERTEX_METHODS[method]()
         base.kernel = kernel
         base.kernel_threads = _resolve_kernel_threads(
             graph, kernel_threads, kernel, n_jobs, workload=samples
@@ -301,7 +259,7 @@ def betweenness_single(
         )
         return driver.estimate(graph, r, samples, seed=seed)
     n_jobs = _resolve_n_jobs(graph, n_jobs, workload=samples)
-    estimator = SINGLE_VERTEX_METHODS[method](batch_size, n_jobs)
+    estimator = SINGLE_VERTEX_METHODS[method](n_jobs)
     estimator.kernel = kernel
     estimator.kernel_threads = _resolve_kernel_threads(
         graph, kernel_threads, kernel, n_jobs, workload=samples
@@ -314,24 +272,22 @@ def betweenness_exact(
     vertices: Optional[Iterable[Vertex]] = None,
     *,
     normalization: str = "paper",
-    batch_size: BatchSize = None,
     n_jobs: Jobs = None,
     kernel: str = "auto",
     kernel_threads: Threads = None,
 ) -> Dict[Vertex, float]:
     """Return exact betweenness scores (all vertices, or just the requested ones).
 
-    ``batch_size`` / ``n_jobs`` configure the sharded execution engine that
-    runs the per-source Brandes passes (see :mod:`repro.execution`); ``"auto"``
-    calibrates either knob from a timed probe (bit-identical results for
-    any resolved value).  ``kernel`` selects the CSR kernel rung — numpy or
+    ``n_jobs`` configures the sharded execution engine that runs the
+    per-source Brandes passes (see :mod:`repro.execution`); ``"auto"``
+    calibrates it from a timed probe (bit-identical results for any
+    resolved value).  ``kernel`` selects the CSR kernel rung — numpy or
     the bit-identical numba-compiled twins — and ``kernel_threads`` the
     thread count of the compiled jit-parallel batch kernels (``"auto"``
     probes counts capped so ``threads × n_jobs`` stays within the machine;
     result-neutral at any count).
     """
     passes = graph.number_of_vertices() if vertices is None else None
-    batch_size = _resolve_batch_size(graph, batch_size, workload=passes)
     n_jobs = _resolve_n_jobs(graph, n_jobs, workload=passes)
     kernel_threads = _resolve_kernel_threads(
         graph, kernel_threads, kernel, n_jobs, workload=passes
@@ -340,7 +296,6 @@ def betweenness_exact(
         return betweenness_centrality(
             graph,
             normalization=normalization,
-            batch_size=batch_size,
             n_jobs=n_jobs,
             kernel=kernel,
             kernel_threads=kernel_threads,
@@ -350,7 +305,6 @@ def betweenness_exact(
             graph,
             v,
             normalization=normalization,
-            batch_size=batch_size,
             n_jobs=n_jobs,
             kernel=kernel,
             kernel_threads=kernel_threads,
@@ -366,7 +320,6 @@ def relative_betweenness(
     samples: int = 1000,
     seed: RandomState = None,
     check_connected: bool = True,
-    batch_size: BatchSize = None,
     n_jobs: Jobs = None,
     n_chains: Optional[int] = None,
     shared_cache: Optional[bool] = None,
@@ -377,9 +330,7 @@ def relative_betweenness(
 
     Runs the joint-space Metropolis-Hastings sampler of Section 4.3 and
     returns the Equation 22/23 estimates plus chain diagnostics.
-    ``batch_size`` sets the block of the oracle's batch-prefetch of upcoming
-    proposal sources (see :class:`~repro.mcmc.joint.JointSpaceMHSampler`; ``"auto"``
-    calibrates it from a timed probe).  ``n_chains`` splits *samples* over
+    ``n_chains`` splits *samples* over
     that many independent joint chains run across ``n_jobs`` worker
     processes and pools the per-chain multisets
     (:class:`~repro.mcmc.multichain.MultiChainJointSampler`); ``n_chains=1``
@@ -394,11 +345,10 @@ def relative_betweenness(
         )
     if check_connected:
         ensure_connected(graph)
-    batch_size = _resolve_batch_size(graph, batch_size, workload=samples)
     if n_chains is not None:
         if n_jobs == "auto":
             n_jobs = min(_resolve_n_jobs(graph, n_jobs, workload=samples), n_chains)
-        base = JointSpaceMHSampler(batch_size=batch_size)
+        base = JointSpaceMHSampler()
         base.kernel = kernel
         base.kernel_threads = _resolve_kernel_threads(
             graph, kernel_threads, kernel, n_jobs, workload=samples
@@ -411,7 +361,7 @@ def relative_betweenness(
         )
         return driver.estimate_relative(graph, reference_set, samples, seed=seed)
     n_jobs = _resolve_n_jobs(graph, n_jobs, workload=samples)
-    sampler = JointSpaceMHSampler(batch_size=batch_size, n_jobs=n_jobs)
+    sampler = JointSpaceMHSampler(n_jobs=n_jobs)
     sampler.kernel = kernel
     sampler.kernel_threads = _resolve_kernel_threads(
         graph, kernel_threads, kernel, n_jobs, workload=samples

@@ -41,7 +41,6 @@ from typing import List, Optional, Sequence
 
 from repro.centrality.api import (
     SINGLE_VERTEX_METHODS,
-    _resolve_batch_size,
     _resolve_kernel_threads,
     _resolve_n_jobs,
     betweenness_exact,
@@ -250,13 +249,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         "calibrate the count from a short timed probe (default: REPRO_JOBS, else 1)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=_batch_size,
-        default=None,
-        help="sources per batched CSR traversal, or 'auto' to calibrate the "
-        "size from a short timed probe (default: REPRO_BATCH, else 16)",
-    )
-    parser.add_argument(
         "--kernel",
         default="auto",
         choices=KERNELS,
@@ -292,11 +284,6 @@ def _positive_int(raw: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
     return value
 
-
-def _batch_size(raw: str):
-    if raw == "auto":
-        return "auto"
-    return _positive_int(raw)
 
 
 def _jobs(raw: str):
@@ -357,7 +344,6 @@ def _run_estimate(args: argparse.Namespace, graph: Graph, out) -> int:
         method=args.method,
         samples=args.samples,
         seed=args.seed,
-        batch_size=args.batch_size,
         n_jobs=args.jobs,
         n_chains=args.chains,
         rhat_target=args.rhat,
@@ -385,7 +371,6 @@ def _run_relative(args: argparse.Namespace, graph: Graph, out) -> int:
         vertices,
         samples=args.samples,
         seed=args.seed,
-        batch_size=args.batch_size,
         n_jobs=args.jobs,
         n_chains=args.chains,
         shared_cache=args.shared_cache,
@@ -410,14 +395,12 @@ def _run_batch(args: argparse.Namespace, graph: Graph, out) -> int:
     oracles — stays warm across the whole stream, which is the point: the
     per-query marginal cost is the estimator work alone.
     """
-    batch_size = _resolve_batch_size(graph, args.batch_size)
     n_jobs = _resolve_n_jobs(graph, args.jobs)
     kernel_threads = _resolve_kernel_threads(
         graph, args.kernel_threads, args.kernel, n_jobs
     )
     plan = resolve_plan(
         None,
-        batch_size=batch_size,
         n_jobs=n_jobs,
         kernel=args.kernel,
         kernel_threads=kernel_threads,
@@ -469,24 +452,21 @@ def _run_serve(args: argparse.Namespace, graph: Optional[Graph], out) -> int:
     With ``--graph``/``--dataset`` the named graph is preloaded (warm before
     the first request); without one the daemon starts empty and graphs
     arrive over ``PUT /graphs/<name>``.  Auto-calibrated ``--jobs`` /
-    ``--batch-size`` probes run against the preloaded graph; with no graph
-    to probe they fall back to the plan defaults.
+    ``--kernel-threads`` probes run against the preloaded graph; with no
+    graph to probe they fall back to the plan defaults.
     """
     from repro.serving import ServingApp, ServingConfig, create_server
 
     if graph is not None:
-        batch_size = _resolve_batch_size(graph, args.batch_size)
         n_jobs = _resolve_n_jobs(graph, args.jobs)
         kernel_threads = _resolve_kernel_threads(
             graph, args.kernel_threads, args.kernel, n_jobs
         )
     else:
-        batch_size = None if args.batch_size == "auto" else args.batch_size
         n_jobs = None if args.jobs == "auto" else args.jobs
         kernel_threads = None if args.kernel_threads == "auto" else args.kernel_threads
     plan = resolve_plan(
         None,
-        batch_size=batch_size,
         n_jobs=n_jobs,
         kernel=args.kernel,
         kernel_threads=kernel_threads,
@@ -535,7 +515,6 @@ def _run_exact(args: argparse.Namespace, graph: Graph, out) -> int:
     scores = betweenness_exact(
         graph,
         vertices,
-        batch_size=args.batch_size,
         n_jobs=args.jobs,
         kernel=args.kernel,
         kernel_threads=args.kernel_threads,

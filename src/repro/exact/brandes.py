@@ -68,7 +68,6 @@ def betweenness_centrality(
     *,
     normalization: str = "paper",
     sources: Optional[Iterable[Vertex]] = None,
-    batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional[ExecutionPlan] = None,
     kernel: str = "auto",
@@ -88,13 +87,13 @@ def betweenness_centrality(
         vertices.  With the default (all vertices) the result is exact; with
         a subset it is the building block of the uniform source-sampling
         baseline and of tests that check per-source contributions.
-    batch_size, n_jobs, plan:
-        Execution-engine knobs (see :mod:`repro.execution`; unset knobs
-        take the ``REPRO_BATCH`` / ``REPRO_JOBS`` env vars, then the plan
-        defaults): the outer source loop runs sharded — ``batch_size``
-        sources per batched CSR traversal, shards spread over ``n_jobs``
+    n_jobs, plan:
+        Execution-engine knobs (see :mod:`repro.execution`; an unset
+        ``n_jobs`` takes the ``REPRO_JOBS`` env var, then the plan
+        default): the outer source loop runs sharded — each shard one call
+        into the batched CSR kernels, shards spread over ``n_jobs``
         processes, buffers merged in deterministic shard order, so the
-        result is bit-identical for any ``n_jobs`` / ``batch_size``.
+        result is bit-identical for any ``n_jobs``.
     kernel:
         CSR kernel rung (``"auto"`` / ``"csr"`` / ``"compiled"``, see
         :func:`~repro.graphs.csr.resolve_kernel`).  The compiled rung is
@@ -116,7 +115,6 @@ def betweenness_centrality(
     )
     plan = resolve_plan(
         plan,
-        batch_size=batch_size,
         n_jobs=n_jobs,
         kernel=kernel,
         kernel_threads=kernel_threads,

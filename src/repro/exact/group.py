@@ -28,8 +28,8 @@ from repro.execution import (
 )
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import np
-from repro.shortest_paths.batch import BatchedSPD, bfs_spd_batch_csr
-from repro.shortest_paths.dependencies import csr_spd_builder, iter_batches
+from repro.shortest_paths.batch import BatchedSPD, bfs_spd_batch_csr, source_blocks
+from repro.shortest_paths.dependencies import csr_spd_builder
 from repro.shortest_paths.spd import CSRShortestPathDAG
 
 __all__ = [
@@ -111,15 +111,17 @@ def _csr_avoid_counts_batch(batch: BatchedSPD, member_mask):
 def _group_shard_csr(shared, shard):
     """Shard worker: summed group-betweenness contributions of the shard's sources.
 
-    ``shared`` is ``(csr, batch_size, member_mask)``; unweighted snapshots
-    run ``batch_size`` sources per batched BFS + avoid pass, weighted ones
-    fall back to the per-source kernels.  Per-source contributions are
-    summed sequentially in shard order.
+    ``shared`` is ``(csr, member_mask)``; unweighted snapshots run the
+    blocks :func:`~repro.shortest_paths.batch.source_blocks` chooses
+    through one batched BFS + avoid pass each, weighted ones fall back to
+    the per-source kernels.  Per-source contributions are summed
+    sequentially in shard order.
     """
-    csr, batch_size, member_mask = shared
+    csr, member_mask = shared
     total = 0.0
     if not csr.weighted:
-        for batch in iter_batches(shard, batch_size):
+        for begin, end in source_blocks(csr, len(shard)):
+            batch = shard[begin:end]
             spds = bfs_spd_batch_csr(csr, batch)
             avoid = _csr_avoid_counts_batch(spds, member_mask)
             for row, s in enumerate(batch):
@@ -150,7 +152,6 @@ def group_betweenness_centrality(
     group: Iterable[Vertex],
     *,
     normalized: bool = True,
-    batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional[ExecutionPlan] = None,
 ) -> float:
@@ -159,12 +160,12 @@ def group_betweenness_centrality(
     The score sums, over ordered pairs (s, t) with both endpoints outside the
     group, the fraction of shortest s-t paths that touch at least one group
     member.  With ``normalized=True`` it is divided by ``|V| (|V| - 1)``.
-    ``batch_size`` / ``n_jobs`` / ``plan`` configure the sharded execution
+    ``n_jobs`` / ``plan`` configure the sharded execution
     engine that runs the outer source loop (see :mod:`repro.execution`).
     """
     members = set(_validate_group(graph, group))
     n = graph.number_of_vertices()
-    plan = resolve_plan(plan, batch_size=batch_size, n_jobs=n_jobs)
+    plan = resolve_plan(plan, n_jobs=n_jobs)
     csr = plan_snapshot(graph, plan)
     member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
     for m in members:
@@ -178,7 +179,7 @@ def group_betweenness_centrality(
                 split_shards(source_indices),
                 n_jobs=plan.n_jobs,
                 plan=plan,
-                shared=(csr, plan.batch_size, member_mask),
+                shared=(csr, member_mask),
             )
         )
     if normalized and n > 1:
@@ -230,7 +231,6 @@ def greedy_prominent_group(
     graph: Graph,
     size: int,
     *,
-    batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
 ) -> List[Vertex]:
     """Return a vertex set of the given *size* chosen greedily by marginal group betweenness.
@@ -253,7 +253,6 @@ def greedy_prominent_group(
             score = group_betweenness_centrality(
                 graph,
                 chosen + [candidate],
-                batch_size=batch_size,
                 n_jobs=n_jobs,
             )
             if score > best_score:

@@ -30,7 +30,6 @@ def dependency_vector(
     graph: Graph,
     r: Vertex,
     *,
-    batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional["ExecutionPlan"] = None,
     kernel: str = "auto",
@@ -38,7 +37,7 @@ def dependency_vector(
 ) -> Dict[Vertex, float]:
     """Return ``{v: delta_{v.}(r)}`` — the unnormalised MH target distribution of Eq. 5.
 
-    ``batch_size`` / ``n_jobs`` / ``plan`` configure the sharded execution
+    ``n_jobs`` / ``plan`` configure the sharded execution
     engine that runs the |V| Brandes passes (see :mod:`repro.execution`);
     ``kernel`` selects the bit-identical CSR kernel rung and
     ``kernel_threads`` its jit-parallel thread count (result-neutral).
@@ -46,7 +45,6 @@ def dependency_vector(
     return all_dependencies_on_target(
         graph,
         r,
-        batch_size=batch_size,
         n_jobs=n_jobs,
         plan=plan,
         kernel=kernel,
@@ -59,7 +57,6 @@ def betweenness_of_vertex(
     r: Vertex,
     *,
     normalization: str = "paper",
-    batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional["ExecutionPlan"] = None,
     kernel: str = "auto",
@@ -69,13 +66,12 @@ def betweenness_of_vertex(
 
     Equivalent to ``betweenness_centrality(graph)[r]`` but phrased as the
     sum the sampling algorithms approximate, so the tests can compare both
-    routes.  ``batch_size`` / ``n_jobs`` / ``plan`` configure the execution
+    routes.  ``n_jobs`` / ``plan`` configure the execution
     engine that runs the |V| dependency passes.
     """
     deltas = dependency_vector(
         graph,
         r,
-        batch_size=batch_size,
         n_jobs=n_jobs,
         plan=plan,
         kernel=kernel,
@@ -93,7 +89,6 @@ def betweenness_of_vertices(
     targets: Iterable[Vertex],
     *,
     normalization: str = "paper",
-    batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
 ) -> Dict[Vertex, float]:
     """Return the exact betweenness of each vertex in *targets*."""
@@ -102,7 +97,6 @@ def betweenness_of_vertices(
             graph,
             r,
             normalization=normalization,
-            batch_size=batch_size,
             n_jobs=n_jobs,
         )
         for r in targets

@@ -5,20 +5,21 @@ samplers, the Metropolis-Hastings oracles) reduces to "run many per-source
 passes and accumulate".  This package owns *how* those passes are executed:
 
 * :class:`~repro.execution.plan.ExecutionPlan` bundles the execution
-  knobs — batched-kernel ``batch_size``, multiprocessing ``n_jobs`` and
-  the CSR kernel rung — and :func:`~repro.execution.plan.resolve_plan`
-  resolves them (explicit arguments win over the ``REPRO_JOBS`` /
-  ``REPRO_BATCH`` environment overrides; with nothing set the plan
-  defaults apply — every estimator always runs through a plan).
+  knobs — multiprocessing ``n_jobs`` and the CSR kernel rung — and
+  :func:`~repro.execution.plan.resolve_plan` resolves them (explicit
+  arguments win over the ``REPRO_JOBS`` environment override; with nothing
+  set the plan defaults apply — every estimator always runs through a
+  plan).  Block widths are not a knob: callers hand the batched kernels
+  whole sets and the kernels choose
+  (:func:`repro.shortest_paths.batch.source_blocks`).
 * :mod:`~repro.execution.scheduler` splits a source list into fixed-size
   shards, derives an independently-seeded child rng stream per shard, runs
   shards inline or on a multiprocessing pool, and merges per-shard buffers
   in deterministic shard order — so results are identical for any
   ``n_jobs`` given a fixed seed.
-* :mod:`~repro.execution.autotune` calibrates ``batch_size``, ``n_jobs``
-  and ``kernel_threads`` from short timed probes (what the respective
-  ``"auto"`` values resolve to); safe because the batch kernels are
-  bit-identical per source row at any block size, the shard scheduler is
+* :mod:`~repro.execution.autotune` calibrates ``n_jobs`` and
+  ``kernel_threads`` from short timed probes (what the respective
+  ``"auto"`` values resolve to); safe because the shard scheduler is
   n_jobs-invariant and the jit-parallel kernels accumulate rows in source
   order at any thread count — timing can never change an estimate.  The
   threads probe composes with ``n_jobs``: candidates are capped so
@@ -40,13 +41,10 @@ passes and accumulate".  This package owns *how* those passes are executed:
 """
 
 from repro.execution.autotune import (
-    DEFAULT_BATCH_CANDIDATES,
-    calibrate_batch_size,
     calibrate_kernel_threads,
     calibrate_n_jobs,
     default_jobs_candidates,
     default_threads_candidates,
-    probe_batch_sizes,
     probe_kernel_threads,
     probe_n_jobs,
     probe_shard_sizes,
@@ -93,9 +91,6 @@ __all__ = [
     "graph_snapshot",
     "plan_snapshot",
     "DEFAULT_SHARD_SIZE",
-    "DEFAULT_BATCH_CANDIDATES",
-    "calibrate_batch_size",
-    "probe_batch_sizes",
     "default_jobs_candidates",
     "calibrate_n_jobs",
     "probe_n_jobs",

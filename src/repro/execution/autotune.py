@@ -1,21 +1,20 @@
-"""Adaptive execution tuning: timed probes for batch size and worker count.
+"""Adaptive execution tuning: timed probes for worker and thread counts.
 
-The best ``batch_size`` for :func:`repro.shortest_paths.batch.
-batch_source_dependencies` depends on the graph (frontier width, whether the
-scipy sparse-matmul sweep engages) and on the machine — the fixed 8/64
-defaults the benchmarks used historically leave real speedup on the table.
-The same goes for ``n_jobs``: pool spin-up and per-shard pickling make extra
-workers a net loss on small workloads, and the break-even point is a machine
-property no constant can capture.  This module replaces both guesses with
-short timed probes: run a handful of real sweeps at each candidate setting
-and keep the fastest.
+Pool spin-up and per-shard pickling make extra workers a net loss on small
+workloads, and the break-even point of ``n_jobs`` is a machine property no
+constant can capture; the same goes for the compiled kernels' thread
+count.  This module replaces both guesses with short timed probes: run a
+handful of real sweeps at each candidate setting and keep the fastest.
+How many sources one kernel call traverses is not probed here: the batched
+kernels choose their block widths from the snapshot
+(:func:`repro.shortest_paths.batch.source_blocks`).
 
 Timing is inherently nondeterministic, but the choice it produces cannot
 leak into results: the batch kernels are bit-identical per source row for
 *any* batch composition, and the shard scheduler merges per-shard buffers
 in shard order with shard boundaries fixed by
 :data:`~repro.execution.plan.DEFAULT_SHARD_SIZE` (the execution engine's
-determinism contract) — so a calibrated batch size or worker count changes
+determinism contract) — so a calibrated worker or thread count changes
 wall-clock only, never an estimate.  :func:`probe_shard_sizes` exists for
 the remaining dimension, but *only* as a diagnostic: the shard size is part
 of the determinism contract itself (it fixes both the reduction association
@@ -34,9 +33,6 @@ from repro.errors import ConfigurationError
 from repro.graphs.core import Graph
 
 __all__ = [
-    "DEFAULT_BATCH_CANDIDATES",
-    "probe_batch_sizes",
-    "calibrate_batch_size",
     "default_jobs_candidates",
     "probe_n_jobs",
     "calibrate_n_jobs",
@@ -46,96 +42,11 @@ __all__ = [
     "probe_shard_sizes",
 ]
 
-#: Candidate block sizes the probe sweeps (1 = the per-source kernels).
-DEFAULT_BATCH_CANDIDATES = (1, 8, 16, 32, 64)
-
-
 def _csr_of(graph):
     """Accept either a mutable :class:`Graph` or a ready CSR snapshot."""
     if isinstance(graph, Graph):
         return graph.csr()
     return graph
-
-
-def probe_batch_sizes(
-    graph,
-    *,
-    candidates: Sequence[int] = DEFAULT_BATCH_CANDIDATES,
-    probe_sources: int = 32,
-    repeats: int = 1,
-) -> List[Tuple[int, float]]:
-    """Time one batched dependency sweep per candidate; return ``[(size, seconds)]``.
-
-    The probe runs ``probe_sources`` real Brandes passes per candidate (the
-    best of *repeats* timings is kept) after one untimed warm-up sweep, so
-    first-touch costs — the CSR snapshot, the cached scipy adjacency — are
-    not billed to whichever candidate happens to run first.  Candidates
-    larger than the source budget are dropped rather than timed: a batch
-    that cannot be filled runs the exact same kernel call as the budget-
-    sized one, so its timing would be pure noise and could crown a block
-    size the probe never actually measured.  (If every candidate exceeds
-    the budget, the smallest is kept as the only honest option.)
-    """
-    if not candidates:
-        raise ConfigurationError("candidates must be a non-empty sequence")
-    for candidate in candidates:
-        if not isinstance(candidate, int) or isinstance(candidate, bool) or candidate < 1:
-            raise ConfigurationError(
-                f"batch-size candidates must be positive integers, got {candidate!r}"
-            )
-    if probe_sources < 1:
-        raise ConfigurationError("probe_sources must be a positive integer")
-    if repeats < 1:
-        raise ConfigurationError("repeats must be a positive integer")
-    from repro.shortest_paths.batch import batch_source_dependencies
-
-    csr = _csr_of(graph)
-    sources = list(range(min(probe_sources, csr.number_of_vertices())))
-    if not sources:
-        return [(1, 0.0)]
-    eligible = [c for c in candidates if c <= len(sources)]
-    if not eligible:
-        eligible = [min(candidates)]
-
-    def sweep(batch: int) -> None:
-        for begin in range(0, len(sources), batch):
-            batch_source_dependencies(csr, sources[begin : begin + batch])
-
-    sweep(eligible[0])  # warm-up, untimed
-    timings: List[Tuple[int, float]] = []
-    for batch in eligible:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            sweep(batch)
-            best = min(best, time.perf_counter() - start)
-        timings.append((batch, best))
-    return timings
-
-
-def calibrate_batch_size(
-    graph,
-    *,
-    candidates: Sequence[int] = DEFAULT_BATCH_CANDIDATES,
-    probe_sources: int = 32,
-    repeats: int = 1,
-) -> int:
-    """Return the candidate batch size whose probe sweep ran fastest.
-
-    Ties go to the smaller size (less peak memory for the same speed).  This
-    is what ``batch_size="auto"`` resolves to at the API and CLI layers.
-    """
-    timings = probe_batch_sizes(
-        graph,
-        candidates=candidates,
-        probe_sources=probe_sources,
-        repeats=repeats,
-    )
-    best_size, best_seconds = timings[0]
-    for size, seconds in timings[1:]:
-        if seconds < best_seconds or (seconds == best_seconds and size < best_size):
-            best_size, best_seconds = size, seconds
-    return best_size
 
 
 def default_jobs_candidates() -> Tuple[int, ...]:
@@ -166,7 +77,6 @@ def probe_n_jobs(
     candidates: Sequence[int] = (),
     probe_sources: int = 64,
     repeats: int = 1,
-    batch_size: int = 1,
 ) -> List[Tuple[int, float]]:
     """Time one sharded dependency sweep per worker count; return ``[(n_jobs, seconds)]``.
 
@@ -185,10 +95,6 @@ def probe_n_jobs(
         raise ConfigurationError("probe_sources must be a positive integer")
     if repeats < 1:
         raise ConfigurationError("repeats must be a positive integer")
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
-        raise ConfigurationError(
-            f"batch_size must be a positive integer, got {batch_size!r}"
-        )
     if not candidates:
         candidates = default_jobs_candidates()
     for candidate in candidates:
@@ -206,7 +112,7 @@ def probe_n_jobs(
     if not sources:
         return [(1, 0.0)]
     shards = split_shards(sources)
-    shared = (csr, batch_size, "auto", 1)
+    shared = (csr, "auto", 1)
 
     def sweep(jobs: int) -> None:
         run_sharded(dependency_sum_shard_csr, shards, n_jobs=jobs, shared=shared)
@@ -229,7 +135,6 @@ def calibrate_n_jobs(
     candidates: Sequence[int] = (),
     probe_sources: int = 64,
     repeats: int = 1,
-    batch_size: int = 1,
 ) -> int:
     """Return the candidate worker count whose probe sweep ran fastest.
 
@@ -243,7 +148,6 @@ def calibrate_n_jobs(
         candidates=candidates,
         probe_sources=probe_sources,
         repeats=repeats,
-        batch_size=batch_size,
     )
     best_jobs, best_seconds = timings[0]
     for jobs, seconds in timings[1:]:
@@ -284,7 +188,6 @@ def probe_kernel_threads(
     candidates: Sequence[int] = (),
     probe_sources: int = 32,
     repeats: int = 1,
-    batch_size: int = 32,
     n_jobs: int = 1,
 ) -> List[Tuple[int, float]]:
     """Time one batched dependency sweep per thread count; return ``[(threads, seconds)]``.
@@ -296,7 +199,7 @@ def probe_kernel_threads(
     compiled batched sweep; the per-source rows are computed independently
     and accumulated in source order regardless of the thread count, so the
     timed choice can never change an estimate — the same contract as the
-    batch-size and n_jobs probes.  *n_jobs* is the worker-process count the
+    n_jobs probe.  *n_jobs* is the worker-process count the
     caller intends to combine the threads with: the default candidate list
     is capped so ``threads × n_jobs`` never exceeds the CPU count.
     """
@@ -304,10 +207,6 @@ def probe_kernel_threads(
         raise ConfigurationError("probe_sources must be a positive integer")
     if repeats < 1:
         raise ConfigurationError("repeats must be a positive integer")
-    if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
-        raise ConfigurationError(
-            f"batch_size must be a positive integer, got {batch_size!r}"
-        )
     if not candidates:
         candidates = default_threads_candidates(n_jobs)
     for candidate in candidates:
@@ -330,13 +229,7 @@ def probe_kernel_threads(
         return [(1, 0.0)]
 
     def sweep(threads: int) -> None:
-        for begin in range(0, len(sources), batch_size):
-            batch_source_dependencies(
-                csr,
-                sources[begin : begin + batch_size],
-                kernel="compiled",
-                kernel_threads=threads,
-            )
+        batch_source_dependencies(csr, sources, kernel="compiled", kernel_threads=threads)
 
     sweep(candidates[0])  # warm-up, untimed (jit compilation + snapshot touch)
     timings: List[Tuple[int, float]] = []
@@ -357,7 +250,6 @@ def calibrate_kernel_threads(
     candidates: Sequence[int] = (),
     probe_sources: int = 32,
     repeats: int = 1,
-    batch_size: int = 32,
     n_jobs: int = 1,
 ) -> int:
     """Return the candidate thread count whose probe sweep ran fastest.
@@ -373,7 +265,6 @@ def calibrate_kernel_threads(
         candidates=candidates,
         probe_sources=probe_sources,
         repeats=repeats,
-        batch_size=batch_size,
         n_jobs=n_jobs,
     )
     best_threads, best_seconds = timings[0]
@@ -393,7 +284,7 @@ def probe_shard_sizes(
 ) -> List[Tuple[int, float]]:
     """Time a sharded sweep per shard size — **diagnostic only, never a knob**.
 
-    Unlike batch size and worker count, the shard size is *part of* the
+    Unlike the worker count, the shard size is *part of* the
     determinism contract (:data:`~repro.execution.plan.DEFAULT_SHARD_SIZE`):
     it fixes where per-shard buffers begin and end, hence the association
     order of the final merge and the per-shard rng streams of the stochastic
@@ -421,7 +312,7 @@ def probe_shard_sizes(
     sources = list(range(min(probe_sources, csr.number_of_vertices())))
     if not sources:
         return [(min(candidates), 0.0)]
-    shared = (csr, 1, "auto", 1)
+    shared = (csr, "auto", 1)
 
     def sweep(shard_size: int) -> None:
         shards = split_shards(sources, shard_size=shard_size)

@@ -7,8 +7,6 @@ A plan answers independent questions for a per-source workload:
   :func:`~repro.graphs.csr.resolve_kernel` at the point of use; the
   compiled rung is bit-identical to the numpy rung, so this knob never
   changes a result);
-* ``batch_size`` — how many sources each call into the batched CSR kernels
-  (:mod:`repro.shortest_paths.batch`) traverses at once;
 * ``n_jobs`` — how many worker processes the shard scheduler spreads the
   source shards over;
 * ``shared_cache`` — whether parallel multi-chain MCMC runs publish their
@@ -17,15 +15,20 @@ A plan answers independent questions for a per-source workload:
   private cache.  Consumed by the multi-chain drivers only; per-source
   workloads have nothing to share across processes beyond their inputs.
 
-Resolution: explicit arguments always win, and the ``REPRO_BATCH`` /
-``REPRO_JOBS`` / ``REPRO_SHARED_CACHE`` / ``REPRO_SHARED_GRAPH`` /
-``REPRO_MP_CONTEXT`` / ``REPRO_KERNEL_THREADS`` environment variables fill
-in anything left unspecified (one env knob steers every call site, which
-is how the benchmark harness runs a whole suite under a given parallelism
-setting).  Whatever is still unset takes the :class:`ExecutionPlan`
-defaults — ``batch_size=16``, ``n_jobs=1`` (inline) — so
-:func:`resolve_plan` always returns a plan and every estimator runs one
-execution discipline.
+How many sources one kernel call traverses is not a knob: callers hand
+the batched kernels whole sets and :mod:`repro.shortest_paths.batch`
+picks the block widths from the snapshot.  ``ExecutionPlan(batch_size=…)``
+still constructs, for callers written against the retired knob, and the
+value is ignored.
+
+Resolution: explicit arguments always win, and the ``REPRO_JOBS`` /
+``REPRO_SHARED_CACHE`` / ``REPRO_SHARED_GRAPH`` / ``REPRO_MP_CONTEXT`` /
+``REPRO_KERNEL_THREADS`` environment variables fill in anything left
+unspecified (one env knob steers every call site, which is how the
+benchmark harness runs a whole suite under a given parallelism setting).
+Whatever is still unset takes the :class:`ExecutionPlan` defaults —
+``n_jobs=1`` (inline) — so :func:`resolve_plan` always returns a plan and
+every estimator runs one execution discipline.
 
 Determinism contract
 --------------------
@@ -33,10 +36,10 @@ Every estimator draws its samples and fixes its floating-point
 accumulation order independently of the knobs: per-source results are
 accumulated sequentially in source order inside each fixed-size shard
 (shard boundaries depend only on :data:`DEFAULT_SHARD_SIZE`, never on
-``n_jobs`` or ``batch_size``), and shard buffers are merged in shard
-order.  Together with the bit-identical per-row contract of the batch
-kernels this makes every estimate **bit-identical across any** ``n_jobs``
-**and** ``batch_size`` — set or unset — for a fixed seed.
+``n_jobs``), and shard buffers are merged in shard order.  Together with
+the bit-identical per-row contract of the batch kernels (whatever block
+widths they choose) this makes every estimate **bit-identical across
+any** ``n_jobs`` — set or unset — for a fixed seed.
 """
 
 from __future__ import annotations
@@ -58,8 +61,7 @@ __all__ = [
 
 #: Number of sources per shard.  A constant (not a knob) on purpose: shard
 #: boundaries are part of the determinism contract, so they must not vary
-#: with ``n_jobs`` or ``batch_size``.  256 divides evenly by every power-of-
-#: two batch size up to 256 and keeps per-shard pickling traffic small.
+#: with ``n_jobs``.  256 keeps per-shard pickling traffic small.
 DEFAULT_SHARD_SIZE = 256
 
 
@@ -70,10 +72,9 @@ class ExecutionPlan:
     Attributes
     ----------
     batch_size:
-        Sources per batched-kernel call (>= 1; 1 means per-source kernels).
-        The default 16 is the serving configuration README recommends;
-        like every batch size it only sets how many passes share one
-        traversal, never a result.
+        Retired and ignored: the batched kernels choose their own block
+        widths.  Still accepted so plans written against the old knob keep
+        constructing.
     n_jobs:
         Worker processes for the shard scheduler (>= 1; 1 means inline).
     shared_cache:
@@ -124,7 +125,7 @@ class ExecutionPlan:
         enforces exactly that).
     """
 
-    batch_size: int = 16
+    batch_size: Optional[int] = None
     n_jobs: int = 1
     shared_cache: bool = False
     shared_graph: bool = False
@@ -137,10 +138,6 @@ class ExecutionPlan:
         if self.kernel not in KERNELS:
             raise ConfigurationError(
                 f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
-            )
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be a positive integer, got {self.batch_size!r}"
             )
         if not isinstance(self.n_jobs, int) or self.n_jobs < 1:
             raise ConfigurationError(
@@ -200,7 +197,6 @@ def _validate_mp_context(value: str) -> str:
 def resolve_plan(
     plan: Optional[ExecutionPlan] = None,
     *,
-    batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     shared_cache: Optional[bool] = None,
     shared_graph: Optional[bool] = None,
@@ -216,9 +212,9 @@ def resolve_plan(
     plan:
         A ready-made :class:`ExecutionPlan`; returned as-is when provided
         (it always wins over the individual knobs).
-    batch_size, n_jobs, shared_cache, shared_graph, mp_context:
+    n_jobs, shared_cache, shared_graph, mp_context:
         The individual knobs.  ``None`` means "not requested": the
-        ``REPRO_BATCH`` / ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE`` /
+        ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE`` /
         ``REPRO_SHARED_GRAPH`` / ``REPRO_MP_CONTEXT`` environment variables
         are consulted, then the :class:`ExecutionPlan` defaults apply.
     runtime:
@@ -236,16 +232,9 @@ def resolve_plan(
     """
     if plan is not None:
         return plan
-    if batch_size is None:
-        batch_size = _env_int("REPRO_BATCH")
     if n_jobs is None:
-        n_jobs = _env_int("REPRO_JOBS")
-    # Knobs still unset after the env take the ExecutionPlan defaults.
-    sizes = {
-        name: value
-        for name, value in (("batch_size", batch_size), ("n_jobs", n_jobs))
-        if value is not None
-    }
+        # Still unset after the env: the ExecutionPlan default.
+        n_jobs = _env_int("REPRO_JOBS") or ExecutionPlan.n_jobs
     if shared_cache is None:
         shared_cache = bool(_env_flag("REPRO_SHARED_CACHE"))
     if shared_graph is None:
@@ -253,7 +242,7 @@ def resolve_plan(
     if mp_context is None:
         mp_context = os.environ.get("REPRO_MP_CONTEXT") or None
     return ExecutionPlan(
-        **sizes,
+        n_jobs=n_jobs,
         shared_cache=shared_cache,
         shared_graph=shared_graph,
         mp_context=mp_context,

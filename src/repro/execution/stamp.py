@@ -19,15 +19,21 @@ from typing import Mapping, Optional
 
 __all__ = [
     "EXECUTION_STAMP_KEYS",
+    "KERNEL_CHOSEN",
     "execution_stamp",
     "format_stamp_lines",
     "resolve_kernel_quiet",
 ]
 
-#: The keys of every execution stamp, in emission order.  ``jobs`` /
-#: ``batch_size`` are always set (every estimate runs through a resolved
-#: plan); null ``chains`` / ``rhat`` / ``ess`` means the multi-chain driver
-#: did not run — so every surface emits all of them.
+#: The stamp's ``batch_size``: block widths are the kernels' choice.
+KERNEL_CHOSEN = "kernel-chosen"
+
+#: The keys of every execution stamp, in emission order.  ``jobs`` is
+#: always set (every estimate runs through a resolved plan) and
+#: ``batch_size`` always reads :data:`KERNEL_CHOSEN` (the batched kernels
+#: pick their own block widths; the key stays so receipts keep one
+#: shape); null ``chains`` / ``rhat`` / ``ess`` means the multi-chain
+#: driver did not run — so every surface emits all of them.
 EXECUTION_STAMP_KEYS = (
     "jobs",
     "batch_size",
@@ -57,7 +63,7 @@ def execution_stamp(
     """
     return {
         "jobs": diagnostics.get("n_jobs"),
-        "batch_size": diagnostics.get("batch_size"),
+        "batch_size": KERNEL_CHOSEN,
         "kernel": kernel,
         "kernel_threads": kernel_threads,
         "chains": diagnostics.get("n_chains"),

@@ -17,6 +17,15 @@ array indexed by CSR vertex index; point queries read one array element and
 the dict view is materialised only when a caller explicitly asks for a
 vertex-keyed vector.
 
+With an independence proposal a chain draws every candidate before its
+first step (Equations 6 and 17), so the oracle knows the chain's whole
+miss set up front: :meth:`DependencyOracle.dependency_rows` hands it,
+start state included, to the batched kernels in one call, and the kernels
+choose the block widths (:func:`repro.shortest_paths.batch.source_blocks`)
+and stream the rows block by block into the cache.  A bounded cache takes
+the set in runs it can hold whole; with a shared store attached the set
+goes one kernel block at a time, each after re-reading the store.
+
 Caching is an implementation choice, not part of the algorithm; benchmark E8
 ablates it.
 """
@@ -30,10 +39,8 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.execution.plan import ExecutionPlan
 from repro.graphs.core import Graph, Vertex
-from repro.shortest_paths.batch import batch_source_dependencies
-from repro.shortest_paths.dependencies import iter_batches
+from repro.shortest_paths.batch import batch_source_dependencies, source_blocks
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.execution.shared_cache import SharedDependencyStore
@@ -54,14 +61,6 @@ class DependencyOracle:
         Maximum number of source vertices whose dependency vectors are kept
         (LRU eviction).  ``0`` disables caching entirely; ``None`` means
         unbounded.
-    batch_size:
-        Sources per traversal of :meth:`prefetch` blocks.  Every pass —
-        prefetch blocks and point-query misses (a K=1 batch) alike — runs
-        through :func:`~repro.shortest_paths.batch.batch_source_dependencies`,
-        which computes every row independently, so a vector is
-        bit-identical whether it was prefetched or recomputed after
-        eviction, which is what keeps a chain's estimate independent of the
-        batch size.
     shared_store:
         Optional cross-process
         :class:`~repro.execution.shared_cache.SharedDependencyStore`.  When
@@ -80,7 +79,6 @@ class DependencyOracle:
         graph: Graph,
         *,
         cache_size: Optional[int] = None,
-        batch_size: int = ExecutionPlan.batch_size,
         shared_store: Optional["SharedDependencyStore"] = None,
     ) -> None:
         self._graph = graph
@@ -94,7 +92,6 @@ class DependencyOracle:
         self._shared = shared_store
         self._cache: "OrderedDict[Vertex, object]" = OrderedDict()
         self._cache_size = cache_size
-        self._batch_size = max(int(batch_size), 1)
         self.evaluations = 0  #: number of Brandes passes actually performed
         self.lookups = 0  #: number of dependency queries answered
         #: Brandes passes performed by :meth:`prefetch` (a subset of
@@ -140,27 +137,34 @@ class DependencyOracle:
     def prefetch(self, sources) -> int:
         """Batch-compute and cache the dependency vectors of *sources*.
 
-        The entry point of the Metropolis-Hastings batch-prefetch path:
-        samplers with an independence proposal know their upcoming proposal
-        sources ahead of time and hand them over in blocks, so the Brandes
-        passes run ``batch_size`` sources per batched traversal instead of
-        one pass per acceptance test.  Already-cached (and duplicate)
-        sources are skipped; a disabled cache makes this a no-op because
-        there is nowhere to keep the vectors.  A bounded cache fills its
-        **free slots** first and beyond them claims at most **half the
-        capacity**, so a prefetch evicts nothing but the LRU half: the MRU
-        entry provably survives every block (``max(free, C // 2) <= C - 1``
-        whenever anything is cached), and with it the recently-touched
-        vectors — in particular the one of the state the chain currently
-        sits on, which an earlier revision flushed by capping at raw
-        capacity, re-paying a Brandes pass on every later revisit.  The
-        half-capacity floor is what keeps the *batched* kernels running on a
-        full cache (a free-slots-only cap would degenerate to solitary
-        point-query passes for the rest of the chain).  With a shared store
-        attached, sources already published by another worker are copied in
-        instead of computed, and every freshly computed vector is
-        published.  Returns the number of passes performed (each counted in
-        both :attr:`evaluations` and :attr:`prefetch_evaluations`).
+        The entry point of the Metropolis-Hastings prefetch path: samplers
+        with an independence proposal know a whole chain's proposal
+        sources before its first step, and :meth:`dependency_rows` hands
+        them over here in one call.  Every pass — prefetched sets and
+        point-query misses (a one-row set) alike — runs through
+        :func:`~repro.shortest_paths.batch.batch_source_dependencies`,
+        which chooses its own block widths and computes every row
+        independently, so a vector is bit-identical whether it was
+        prefetched or recomputed after eviction.  The kernels stream the
+        set block by block: each block's rows are copied into the cache
+        and the block freed, so no set-sized matrix is ever built.  With a
+        shared store attached the set goes to the kernels one block
+        (:func:`~repro.shortest_paths.batch.source_blocks`) at a time, each
+        after re-reading the store, so rows other workers publish while
+        the set runs are copied in instead of recomputed.
+        Already-cached (and duplicate) sources are skipped; a disabled
+        cache makes this a no-op because there is nowhere to keep the
+        vectors.  A bounded cache fills its **free slots** first and
+        beyond them claims at most **half the capacity**, so a prefetch
+        evicts nothing but the LRU half: the MRU entry provably survives
+        every call (``max(free, C // 2) <= C - 1`` whenever anything is
+        cached), and with it the recently-touched vectors — in particular
+        the one of the state the chain currently sits on.  The
+        half-capacity floor is what keeps the *batched* kernels running on
+        a full cache.  Every freshly computed vector is published to the
+        shared store, if one is attached.  Returns the
+        number of passes performed (each counted in both
+        :attr:`evaluations` and :attr:`prefetch_evaluations`).
         """
         if not self.cache_enabled:
             return 0
@@ -171,27 +175,43 @@ class DependencyOracle:
             missing = missing[:allowance]
         if not missing:
             return 0
-        if self._shared is not None:
-            pending = []
-            for s in missing:
-                row = self._shared.get(self._csr.index_of(s))
-                if row is not None:
-                    self.shared_hits += 1
-                    self._store(s, row)
-                else:
-                    pending.append(s)
-            missing = pending
-            if not missing:
-                return 0
         index_of = self._csr.index_of
-        for chunk in iter_batches(missing, self._batch_size):
-            deltas = batch_source_dependencies(self._csr, [index_of(s) for s in chunk])
-            for row, s in enumerate(chunk):
-                # Copy the row so the (K, n) batch matrix can be freed.
-                self._publish_and_store(s, deltas[row].copy())
-        self.evaluations += len(missing)
-        self.prefetch_evaluations += len(missing)
-        return len(missing)
+        # With a shared store attached, each kernel block re-reads it first:
+        # a row another worker published while this set ran is copied in,
+        # not recomputed.
+        blocks = [(0, len(missing))]
+        if self._shared is not None:
+            blocks = source_blocks(self._csr, len(missing))
+        computed = 0
+        for begin, end in blocks:
+            pending = self._copy_shared(missing[begin:end])
+            if not pending:
+                continue
+
+            def store(offset, rows):
+                for s, row in zip(pending[offset : offset + len(rows)], rows):
+                    # Copy the row so the block matrix can be freed.
+                    self._publish_and_store(s, row.copy())
+
+            batch_source_dependencies(self._csr, [index_of(s) for s in pending], sink=store)
+            computed += len(pending)
+        self.evaluations += computed
+        self.prefetch_evaluations += computed
+        return computed
+
+    def _copy_shared(self, sources) -> list:
+        """Cache the *sources* the shared store holds; return the rest."""
+        if self._shared is None:
+            return sources
+        pending = []
+        for s in sources:
+            row = self._shared.get(self._csr.index_of(s))
+            if row is not None:
+                self.shared_hits += 1
+                self._store(s, row)
+            else:
+                pending.append(s)
+        return pending
 
     def _publish_and_store(self, source: Vertex, vector: object) -> None:
         """Publish a freshly computed vector to the shared store, then cache it."""
@@ -225,9 +245,9 @@ class DependencyOracle:
                     self._store(source, row)
                 return row
         self.evaluations += 1
-        # A K=1 batch, so a recomputed vector is bit-identical to its
+        # A one-row set, so a recomputed vector is bit-identical to its
         # prefetched twin (batch rows are composition-independent).
-        vector = batch_source_dependencies(self._csr, [self._csr.index_of(source)])[0].copy()
+        vector = batch_source_dependencies(self._csr, [self._csr.index_of(source)])[0]
         if self._shared is not None:
             self._shared.put(self._csr.index_of(source), vector)
         if self.cache_enabled:
@@ -275,23 +295,24 @@ class DependencyOracle:
         sources: Sequence[Vertex],
         targets: Sequence[Vertex],
         *,
-        prefetch_block: Optional[int] = None,
+        prefetch: bool = False,
         skip_self_lookups: bool = False,
     ) -> np.ndarray:
         """Return the ``(len(sources), len(targets))`` array of δ_{s·}(t).
 
         The bulk read of the Metropolis-Hastings chains: one call gathers
-        every candidate's dependency row, and the oracle traffic is exactly
-        that of the per-candidate loop it replaces, so a bounded cache
-        evicts the same vectors and :attr:`evaluations`, :attr:`lookups`
-        and :meth:`hit_rate` read the same.  With *prefetch_block*, every
-        ``prefetch_block``-th source (the first included) is preceded by a
-        :meth:`prefetch` of the block it starts.  Then each source takes one
-        lookup, read with :meth:`dependencies_for` semantics (a target equal
+        every candidate's dependency row, each source taking one lookup in
+        order, read with :meth:`dependencies_for` semantics (a target equal
         to the source, or not in the graph, reads 0.0).
         ``skip_self_lookups`` gives a single target :meth:`dependency`
         semantics instead: a source equal to the target reads 0.0 without
-        a lookup.
+        a lookup (and is never prefetched).
+
+        With *prefetch*, the rows are computed ahead of the lookups by
+        :meth:`prefetch`: with an unbounded cache the whole deduplicated
+        set in one call.  A bounded cache takes the sources in runs it can
+        hold whole (:meth:`_prefetch_run`), so a prefetched row is never
+        evicted before its run reads it.
         """
         if skip_self_lookups and len(targets) != 1:
             raise ConfigurationError("skip_self_lookups needs exactly one target")
@@ -304,6 +325,7 @@ class DependencyOracle:
         # one column, one fancy-indexed read for several.
         pick = itemgetter(index[0] if len(index) == 1 else np.array(index, dtype=np.intp))
         position = {t: j for j, t in enumerate(targets)}
+        skip = targets[0] if skip_self_lookups else None
         zero = np.zeros(self._csr.number_of_vertices())
         cached = self.cache_enabled
         cache = self._cache
@@ -311,12 +333,12 @@ class DependencyOracle:
         append = values.append
         self_cells = []
         hits = 0
-        block = prefetch_block or max(len(sources), 1)
-        for begin in range(0, len(sources), block):
-            chunk = sources[begin : begin + block]
-            if prefetch_block:
-                self.prefetch(chunk)
-            for s in chunk:
+        begin = 0
+        while begin < len(sources):
+            end = len(sources)
+            if prefetch and cached:
+                end = self._prefetch_run(sources, begin, skip)
+            for s in sources[begin:end]:
                 if s in position:
                     if skip_self_lookups:
                         append(pick(zero))
@@ -330,6 +352,7 @@ class DependencyOracle:
                     hits += 1
                 else:
                     append(pick(self._raw_vector(s)))
+            begin = end
         self.lookups += hits
         rows = np.zeros((len(sources), len(targets)))
         if known:
@@ -337,6 +360,40 @@ class DependencyOracle:
         for k, j in self_cells:
             rows[k, j] = 0.0
         return rows
+
+    def _prefetch_run(self, sources: Sequence[Vertex], begin: int, skip) -> int:
+        """Prefetch the run of *sources* from *begin* and return where it ends.
+
+        Unbounded, the run is every remaining source.  A bounded cache
+        ends the run before its distinct sources would outnumber the
+        capacity, or its misses the prefetch allowance (free slots, else
+        half the capacity, at least one); the run's cached sources are
+        touched first, so storing its misses evicts only vectors the run
+        does not read.  *skip* (a target read as 0.0) is never fetched.
+        """
+        if self._cache_size is None:
+            self.prefetch([s for s in sources[begin:] if s != skip])
+            return len(sources)
+        cache = self._cache
+        capacity = self._cache_size
+        free = capacity - len(cache)
+        allowance = max(free, capacity // 2 if cache else 0, 1)
+        run: Dict[Vertex, None] = {}
+        misses = 0
+        end = begin
+        for s in sources[begin:]:
+            if s != skip and s not in run:
+                miss = s not in cache
+                if len(run) == capacity or misses + miss > allowance:
+                    break
+                run[s] = None
+                misses += miss
+            end += 1
+        for s in run:
+            if s in cache:
+                cache.move_to_end(s)
+        self.prefetch(list(run))
+        return end
 
     # ------------------------------------------------------------------
     def apply_delta(self, affected_mask) -> tuple:

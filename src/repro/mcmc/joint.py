@@ -302,7 +302,7 @@ class RelativeBetweennessEstimate:
     elapsed_seconds: float
     chain: JointChainResult
     #: Execution stamp mirroring ``SingleEstimate.diagnostics``
-    #: (``n_jobs`` / ``batch_size``).
+    #: (``n_jobs``).
     diagnostics: Dict[str, object] = field(default_factory=dict)
 
     def ranking(self) -> List[Vertex]:
@@ -320,21 +320,19 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         *,
         burn_in: int = 0,
         cache_size: Optional[int] = None,
-        batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         if burn_in < 0:
             raise ConfigurationError("burn_in must be non-negative")
         self.burn_in = int(burn_in)
         self.cache_size = cache_size
-        #: Execution-engine knobs, with the same semantics as
+        #: Execution-engine knob, with the same semantics as
         #: :class:`~repro.mcmc.single.SingleSpaceMHSampler`: the joint
         #: proposal ``⟨r', v'⟩`` is an independence proposal, so the whole
         #: candidate sequence is drawn upfront from a child rng stream and
-        #: the oracle batch-prefetches the upcoming ``v'`` dependency
-        #: vectors ``batch_size`` at a time; ``n_jobs`` is accepted and
-        #: unused (the chain is sequential).
-        self.batch_size = batch_size
+        #: the oracle batch-prefetches every ``v'`` dependency vector of the
+        #: chain, start state included; ``n_jobs`` is accepted and unused
+        #: (the chain is sequential).
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
@@ -348,7 +346,6 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         return DependencyOracle(
             graph,
             cache_size=self.cache_size,
-            batch_size=self._plan().batch_size,
             shared_store=shared_store,
         )
 
@@ -407,14 +404,9 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
 
         evaluations_before = oracle.evaluations
         candidates = [vertices[i] for i in candidate_v]
-        dependencies = np.concatenate(
-            (
-                oracle.dependency_rows([current_v], members),
-                oracle.dependency_rows(
-                    candidates, members, prefetch_block=self._plan().batch_size
-                ),
-            )
-        )
+        # The start state is the lead row of the one bulk read, so it joins
+        # the candidates' prefetch.
+        dependencies = oracle.dependency_rows([current_v] + candidates, members, prefetch=True)
         random = rng.random
         uniforms = [random() for _ in range(num_iterations)]
         start_r = members.index(current_r)
@@ -470,11 +462,7 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
             )
             relative = chain.relative_matrix()
             ratios = chain.ratios()
-        plan = self._plan()
-        diagnostics: Dict[str, object] = {
-            "n_jobs": plan.n_jobs,
-            "batch_size": plan.batch_size,
-        }
+        diagnostics: Dict[str, object] = {"n_jobs": self._plan().n_jobs}
         return RelativeBetweennessEstimate(
             reference_set=chain.reference_set,
             relative=relative,

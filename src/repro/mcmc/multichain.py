@@ -36,10 +36,9 @@ estimate bit for bit.
 
 ``n_jobs`` belongs to the *driver* (how many worker processes the chains
 are spread over); the base sampler's own ``n_jobs`` stays unset so a
-chain's trajectory cannot vary with the degree of parallelism.  The base
-sampler's ``batch_size`` is honoured — each chain batch-prefetches its own
-independence proposals — and is typically the dominant speedup on few-core
-machines.
+chain's trajectory cannot vary with the degree of parallelism.  Each
+chain batch-prefetches its own independence proposals, which is typically
+the dominant speedup on few-core machines.
 
 The remaining duplication on few-core machines is the *private* per-worker
 oracle caches: chains propose sources from the same distribution, so with
@@ -502,7 +501,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
     base:
         The configured :class:`~repro.mcmc.single.SingleSpaceMHSampler` every
         chain runs; alternatively pass its keyword arguments directly
-        (``proposal=...``, ``batch_size=...``, ...).  Must
+        (``proposal=...``, ``cache_size=...``, ...).  Must
         keep ``record_states=True`` — the traces feed the diagnostics and the
         adaptive continuation.
     n_chains:
@@ -730,7 +729,6 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
         }
         if self.n_chains == 1:
             diagnostics["chain"] = result.chains[0]
-        diagnostics["batch_size"] = self.base._plan().batch_size
         return SingleEstimate(
             vertex=r,
             estimate=value,
@@ -889,7 +887,6 @@ class MultiChainJointSampler(_MultiChainBase):
             "evaluations": evaluations,
             "shared_cache": self._shared_cache_stats is not None,
             "shared_cache_stats": self._shared_cache_stats,
-            "batch_size": self.base._plan().batch_size,
         }
         return RelativeBetweennessEstimate(
             reference_set=merged.reference_set,

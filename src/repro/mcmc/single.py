@@ -281,7 +281,6 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         burn_in: int = 0,
         cache_size: Optional[int] = None,
         record_states: bool = True,
-        batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         if proposal not in PROPOSALS:
@@ -299,20 +298,19 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         self.burn_in = int(burn_in)
         self.cache_size = cache_size
         self.record_states = bool(record_states)
-        #: Execution-engine knobs (:mod:`repro.execution`).  A Markov chain
+        #: Execution-engine knob (:mod:`repro.execution`).  A Markov chain
         #: is inherently sequential, so ``n_jobs`` is accepted for interface
         #: uniformity and unused.  The independence proposals
         #: (``"uniform"`` / ``"degree"``) run the **batch-prefetch**
         #: discipline: their candidate sequence does not depend on the chain
         #: state, so the whole sequence is drawn upfront from a child rng
-        #: stream and the oracle batch-computes upcoming dependency vectors
-        #: ``batch_size`` sources per traversal.  The per-vector values are
-        #: bit-identical however they are batched, so for a fixed seed the
-        #: chain (and estimate) is the same for any ``batch_size`` and
+        #: stream and the oracle batch-computes the chain's dependency
+        #: vectors, start state included, in blocks the kernels choose.  The
+        #: per-vector values are bit-identical however they are batched, so
+        #: for a fixed seed the chain (and estimate) is the same for any
         #: ``n_jobs``.  The state-dependent ``"random-walk"`` proposal
         #: cannot know its candidates ahead of time and draws each one from
         #: the main stream.
-        self.batch_size = batch_size
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
@@ -373,8 +371,8 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
     def build_oracle(self, graph: Graph, *, shared_store=None) -> DependencyOracle:
         """Return a :class:`DependencyOracle` configured like this sampler's private one.
 
-        The single place the sampler's oracle knobs (``cache_size``, the
-        plan's ``batch_size``) turn into an oracle —
+        The single place the sampler's oracle knob (``cache_size``) turns
+        into an oracle —
         :meth:`run_chain`, :meth:`extend_chain` and the multi-chain worker
         payload all construct through here, so a new oracle parameter can
         never silently diverge between the inline and pooled paths.
@@ -386,7 +384,6 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         return DependencyOracle(
             graph,
             cache_size=self.cache_size,
-            batch_size=self._plan().batch_size,
             shared_store=shared_store,
         )
 
@@ -442,9 +439,8 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         else:
             graph.validate_vertex(initial_state)
             current = initial_state
-        current_delta = oracle.dependency(current, r)
-        vertex, dependency, accepted, proposed = self._advance(
-            graph, r, oracle, rng, vertices, current, current_delta, num_iterations, proposals
+        current_delta, vertex, dependency, accepted, proposed = self._advance(
+            graph, r, oracle, rng, vertices, current, None, num_iterations, proposals
         )
         vertex = [current] + vertex
         if not self.record_states:
@@ -474,15 +470,18 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         rng,
         vertices: Sequence[Vertex],
         current: Vertex,
-        current_delta: float,
+        current_delta: Optional[float],
         num_iterations: int,
         proposals,
     ):
         """Advance the chain *num_iterations* steps from ``(current, current_delta)``.
 
         The shared engine of :meth:`run_chain` and :meth:`extend_chain`;
-        returns the segment's ``(vertex, dependency, accepted,
-        proposal_dependency)`` columns, start state excluded.  The rng
+        returns ``current_delta`` and the segment's ``(vertex, dependency,
+        accepted, proposal_dependency)`` columns, start state excluded.  A
+        ``None`` *current_delta* (a fresh chain) is read from the oracle
+        first — for the independence proposals as the lead row of the one
+        bulk read, so the start state joins the candidates' prefetch.  The rng
         draws per step are exactly those of a fresh run (one acceptance
         draw per proposal), so a chain's trajectory is a pure function of
         its rng stream and its last state — never of which process or
@@ -510,12 +509,20 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         draw, and the chains diverged structurally from there.
         """
         if proposals is None:
-            return self._random_walk(graph, r, oracle, rng, current, current_delta, num_iterations)
+            if current_delta is None:
+                current_delta = oracle.dependency(current, r)
+            return (current_delta,) + self._random_walk(
+                graph, r, oracle, rng, current, current_delta, num_iterations
+            )
         indices, weights = proposals
         candidates = [vertices[i] for i in indices]
+        lead = [current] if current_delta is None else []
         proposed = oracle.dependency_rows(
-            candidates, [r], prefetch_block=self._plan().batch_size, skip_self_lookups=True
+            lead + candidates, [r], prefetch=True, skip_self_lookups=True
         )[:, 0]
+        if lead:
+            current_delta = float(proposed[0])
+            proposed = proposed[1:]
         random = rng.random
         uniforms = [random() for _ in range(num_iterations)]
         if weights is None:
@@ -541,7 +548,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         pool = [current] + candidates
         vertex = [pool[j] for j in holder.tolist()]
         dependency = np.concatenate(([current_delta], proposed))[holder]
-        return vertex, dependency, np.array(accepted, dtype=bool), proposed
+        return current_delta, vertex, dependency, np.array(accepted, dtype=bool), proposed
 
     def _random_walk(self, graph, r, oracle, rng, current, current_delta, num_iterations):
         """The per-step loop of the state-dependent random-walk proposal.
@@ -620,7 +627,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         vertices = graph.vertices()
         proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
         evaluations_before = oracle.evaluations
-        vertex, dependency, accepted, proposed = self._advance(
+        _, vertex, dependency, accepted, proposed = self._advance(
             graph,
             r,
             oracle,
@@ -677,8 +684,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             "burn_in": self.burn_in,
             "chain": chain,
         }
-        plan = self._plan()
-        diagnostics.update(n_jobs=plan.n_jobs, batch_size=plan.batch_size)
+        diagnostics["n_jobs"] = self._plan().n_jobs
         return SingleEstimate(
             vertex=r,
             estimate=value,

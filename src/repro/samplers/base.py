@@ -31,8 +31,8 @@ __all__ = [
 class ExecutionPlanMixin:
     """Shared resolution of the execution-engine knobs.
 
-    Estimators that accept the engine knobs store them as
-    ``self.batch_size`` / ``self.n_jobs`` in their constructors (the
+    Estimators that accept the engine knob store it as ``self.n_jobs`` in
+    their constructors (the
     per-class API surface) and call :meth:`_plan` once per estimate; unset
     knobs resolve to the plan defaults, so every estimate runs through one
     plan.  Centralised here so a change to plan resolution (a new env
@@ -55,7 +55,6 @@ class ExecutionPlanMixin:
     """
 
     plan: Optional[ExecutionPlan] = None
-    batch_size: Optional[int] = None
     n_jobs: Optional[int] = None
     mp_context: Optional[str] = None
     runtime: Optional[object] = None
@@ -66,7 +65,6 @@ class ExecutionPlanMixin:
     def _plan(self) -> ExecutionPlan:
         return resolve_plan(
             self.plan,
-            batch_size=self.batch_size,
             n_jobs=self.n_jobs,
             mp_context=self.mp_context,
             runtime=self.runtime,

@@ -46,12 +46,11 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
         a positive dependency score on *r* has positive mass.
     name:
         Identifier used in benchmark tables.
-    batch_size, n_jobs:
-        Execution-engine knobs (:mod:`repro.execution`).  The source
+    n_jobs:
+        Execution-engine knob (:mod:`repro.execution`).  The source
         sequence is drawn upfront (the dependency passes consume no
         randomness), then the passes run sharded and batched; for a fixed
-        seed the estimate is bit-identical for any ``n_jobs`` /
-        ``batch_size``.
+        seed the estimate is bit-identical for any ``n_jobs``.
     """
 
     def __init__(
@@ -59,12 +58,10 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
         mass_function: Callable[[Graph, Vertex], Dict[Vertex, float]],
         name: str = "importance-sampling",
         *,
-        batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         self._mass_function = mass_function
         self.name = name
-        self.batch_size = batch_size
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
@@ -111,7 +108,6 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
         diagnostics: Dict[str, object] = {
             "support_size": len(vertices),
             "n_jobs": plan.n_jobs,
-            "batch_size": plan.batch_size,
         }
         return SingleEstimate(
             vertex=r,
@@ -157,20 +153,17 @@ class DistanceBasedSampler(ImportanceSamplingEstimator):
         self,
         *,
         uniform: bool = False,
-        batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         if uniform:
             super().__init__(
                 _uniform_mass,
                 name="uniform-importance",
-                batch_size=batch_size,
                 n_jobs=n_jobs,
             )
         else:
             super().__init__(
                 _distance_mass,
                 name="distance-based",
-                batch_size=batch_size,
                 n_jobs=n_jobs,
             )

@@ -62,7 +62,6 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         adaptive: bool = False,
         epsilon: float = 0.01,
         delta: float = 0.1,
-        batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         if epsilon <= 0.0:
@@ -72,14 +71,11 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         self.adaptive = bool(adaptive)
         self.epsilon = float(epsilon)
         self.delta = float(delta)
-        #: Execution-engine knobs, with the same semantics as the RK
+        #: Execution-engine knob, with the same semantics as the RK
         #: sampler: ``n_jobs`` shards the sample loop with per-shard child
-        #: rng streams (results identical for any ``n_jobs``); ``batch_size``
-        #: is accepted for uniformity and unused (per-sample rng
-        #: interleaving).  The adaptive stopping rule is a sequential
+        #: rng streams (results identical for any ``n_jobs``).  The adaptive stopping rule is a sequential
         #: decision over one sample stream — part of the algorithm, not a
         #: knob — so :meth:`estimate` runs it inline when ``adaptive=True``.
-        self.batch_size = batch_size
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
@@ -173,7 +169,6 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
                 touched_total += shard_touched
         diagnostics: Dict[str, object] = {
             "n_jobs": plan.n_jobs,
-            "batch_size": plan.batch_size,
         }
         estimates = vertex_keyed(csr, buffer / num_samples)
         diagnostics["touched_edges"] = touched_total
@@ -233,7 +228,6 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
                     "touched_edges": touched_total,
                     "adaptive": self.adaptive,
                     "n_jobs": plan.n_jobs,
-                    "batch_size": plan.batch_size,
                 },
             )
         with timed() as clock:

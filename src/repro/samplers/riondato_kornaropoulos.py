@@ -98,18 +98,14 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
     def __init__(
         self,
         *,
-        batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
-        #: Execution-engine knobs.  ``n_jobs`` spreads the sample loop over
+        #: Execution-engine knob.  ``n_jobs`` spreads the sample loop over
         #: worker processes: samples are cut into fixed shards, each shard
         #: drawing from its own child rng stream
         #: (:func:`repro.execution.sample_shards`), so the estimate is
-        #: identical for any ``n_jobs``.  ``batch_size`` is accepted for
-        #: interface uniformity and has no effect: path sampling interleaves
-        #: rng draws with each traversal, so batching SPD builds would
-        #: change the sample stream.
-        self.batch_size = batch_size
+        #: identical for any ``n_jobs``.  Path sampling interleaves rng
+        #: draws with each traversal, so its SPD builds are not batched.
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
@@ -151,7 +147,6 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
             )
         diagnostics: Dict[str, object] = {
             "n_jobs": plan.n_jobs,
-            "batch_size": plan.batch_size,
         }
         estimates = vertex_keyed(csr, buffer / num_samples)
         return MapEstimate(
@@ -195,7 +190,6 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
             )
         diagnostics: Dict[str, object] = {
             "n_jobs": plan.n_jobs,
-            "batch_size": plan.batch_size,
             "hits": hits,
         }
         return SingleEstimate(

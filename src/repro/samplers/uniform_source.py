@@ -46,11 +46,11 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         When ``True`` (default) sources are drawn i.i.d. uniformly; when
         ``False`` they are drawn without replacement (the Brandes–Pich
         "random k sources" variant), which caps ``num_samples`` at ``|V|``.
-    batch_size, n_jobs:
-        Execution-engine knobs (:mod:`repro.execution`).  Sources are drawn
+    n_jobs:
+        Execution-engine knob (:mod:`repro.execution`).  Sources are drawn
         upfront from the caller's rng stream, then the passes run sharded
         and batched, so a fixed seed gives bit-identical results for any
-        ``n_jobs`` / ``batch_size``.
+        ``n_jobs``.
     """
 
     name = "uniform-source"
@@ -59,11 +59,9 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         self,
         *,
         with_replacement: bool = True,
-        batch_size: Optional[int] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         self.with_replacement = bool(with_replacement)
-        self.batch_size = batch_size
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
@@ -100,7 +98,6 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         diagnostics = {
             "with_replacement": self.with_replacement,
             "n_jobs": plan.n_jobs,
-            "batch_size": plan.batch_size,
         }
         return MapEstimate(
             estimates=vertex_keyed(csr, buffer * scale),
@@ -142,7 +139,6 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         diagnostics = {
             "with_replacement": self.with_replacement,
             "n_jobs": plan.n_jobs,
-            "batch_size": plan.batch_size,
         }
         return SingleEstimate(
             vertex=r,

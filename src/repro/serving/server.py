@@ -541,7 +541,7 @@ class ServingApp:
             stamp = {key: payload.get(key) for key in EXECUTION_STAMP_KEYS}
         else:
             stamp = execution_stamp(
-                {"n_jobs": self.plan.n_jobs, "batch_size": self.plan.batch_size},
+                {"n_jobs": self.plan.n_jobs},
                 kernel=self._kernel,
                 kernel_threads=self._kernel_threads,
             )

@@ -39,9 +39,23 @@ sparse-matmul sweep compute the one Brandes arithmetic stated in
 :mod:`repro.shortest_paths.bfs` — per parent, ``(delta_c + 1) * (1 /
 sigma_c)`` summed over its children in adjacency order, then scaled once by
 ``sigma_p`` — so neither scipy's presence, the depth gate, ``kernel`` nor
-``batch_size`` can move a bit.  This is what lets the execution layer
+the block widths can move a bit.  This is what lets the execution layer
 (:mod:`repro.execution`) promise results that do not depend on any
-execution knob.
+execution knob, and what lets this module, not its callers, choose how
+many sources share a traversal.
+
+Block widths: callers hand over whole sets
+------------------------------------------
+Every caller — a Metropolis-Hastings chain's whole miss set, an engine
+shard — hands :func:`batch_source_dependencies` all of its sources in one
+call, and :func:`source_blocks` cuts them into the fewest even blocks of
+the width the snapshot calls for: :data:`_UNWEIGHTED_WIDTH` columns on
+unweighted graphs (wider spmm blocks measured slower), and on weighted
+graphs the widest block whose sweep working set fits
+:data:`_SWEEP_BLOCK_BYTES`.  Even splits leave no tail remainder for the
+depth gate to send to solitary per-source passes.  With a *sink* the
+blocks stream: each block's rows are handed over and freed before the
+next block runs, so a set never costs more than one block of rows.
 
 Weighted graphs batch the same way over the same flat keys
 (:func:`_dijkstra_sweep_batch`): a frontier Bellman–Ford for the exact
@@ -71,10 +85,10 @@ except ImportError:  # pragma: no cover
     _scipy_sparse = None
 
 #: Ceiling on ``n × columns`` of one dense buffer in the sparse-matmul
-#: sweep (float64: 32 MB).  Larger batches are processed in column
-#: sub-blocks — bit-identical by column independence — so engaging the
-#: scipy path never costs more than a handful of such buffers per worker,
-#: regardless of graph size or requested ``batch_size``.
+#: sweep (float64: 32 MB).  Unweighted blocks narrow below
+#: :data:`_UNWEIGHTED_WIDTH` columns where it binds — bit-identical by
+#: column independence — so engaging the scipy path never costs more than
+#: a handful of such buffers per worker, regardless of graph size.
 _SPMM_BLOCK_ELEMENTS = 4_000_000
 
 #: Depth ceiling for the sparse-matmul sweep.  Each BFS level costs one
@@ -88,13 +102,36 @@ _SPMM_BLOCK_ELEMENTS = 4_000_000
 #: mask footprint at ``_SPMM_MAX_DEPTH × _SPMM_BLOCK_ELEMENTS`` bytes.
 _SPMM_MAX_DEPTH = 32
 
-#: Ceiling on ``K × m`` of the batched weighted sweep's dense arc arrays
-#: (one float64 buffer: 8 MB); larger batches run in row blocks.
-_SWEEP_BLOCK_ELEMENTS = 1_000_000
+#: Columns per unweighted block, the spmm sweep and the batched wave alike.
+#: Wider spmm blocks measured slower per row (0.17 ms at K = 64 and 128
+#: against 0.11 at 16 on BA(800, 3)).
+_UNWEIGHTED_WIDTH = 16
+
+#: Working-set budget of one batched weighted sweep, in bytes: a block is
+#: the widest whose rows fit it at the per-row cost below.  Per-row sweep
+#: cost falls with the width (0.87 ms at K = 16, 0.58 at 90 on a weighted
+#: 30×30 grid) while peak memory grows with it; 63 rows on that grid peak
+#: at about 3 MB of numpy buffers.
+_SWEEP_BLOCK_BYTES = 4_500_000
+
+#: Per-row cost the width is sized by: bytes per vertex (distances, path
+#: counts, dependencies, inverse counts, waiting counts, dedup slots, the
+#: layer lists) and per arc (the DAG arc keys).  Measured ``tracemalloc``
+#: peaks per row stay under this model on weighted grids, paths, BA and ER
+#: graphs (48 KB against 71 KB on the 30×30 grid);
+#: ``tests/test_csr_equivalence.py`` pins a block of the chosen width on
+#: that grid inside :data:`_SWEEP_BLOCK_BYTES`.
+_SWEEP_VERTEX_BYTES = 48
+_SWEEP_ARC_BYTES = 8
+
+#: Elements of one chunk of the sweep's arc-sized temporaries — the
+#: Bellman–Ford relaxations of a round and the dense ``(rows, m)`` DAG mask
+#: — which are built chunk by chunk so they do not grow with the width.
+_SWEEP_BLOCK_ELEMENTS = 32_768
 
 #: Price of one round of the batched weighted sweep, in per-source arc
 #: visits: a block of K rows takes the sweep while its hop rounds times
-#: this stay within ``K × (n + m)`` (see :func:`_weighted_dependencies`).
+#: this stay within ``K × (n + m)`` (see :func:`_block_dependencies`).
 _SWEEP_ROUND_COST = 400
 
 
@@ -142,6 +179,7 @@ __all__ = [
     "bfs_spd_batch_csr",
     "accumulate_dependencies_batch_csr",
     "batch_source_dependencies",
+    "source_blocks",
 ]
 
 
@@ -215,20 +253,6 @@ def _validate_sources(csr: "CSRGraph", sources: Sequence[int]):
     return src
 
 
-def _spread(values, counts, cum, total):
-    """``np.repeat(values, counts)`` for strictly positive *counts*.
-
-    Built from one scatter + one cumsum instead of numpy's generic repeat,
-    which is markedly slower for the many-small-counts pattern of a BFS
-    frontier.  ``cum`` must be ``np.cumsum(counts)`` and *total* its last
-    element.
-    """
-    steps = np.zeros(total, dtype=np.int64)
-    steps[0] = values[0]
-    steps[cum[:-1]] = np.diff(values)
-    return np.cumsum(steps)
-
-
 def bfs_spd_batch_csr(
     csr: "CSRGraph", sources: Sequence[int], *, cutoff: Optional[float] = None
 ) -> BatchedSPD:
@@ -273,8 +297,7 @@ def bfs_spd_batch_csr(
         counts = indptr[frontier_verts + 1] - indptr[frontier_verts]
         nonzero = counts > 0
         if not nonzero.all():
-            # _spread needs strictly positive counts; edge-less frontier
-            # entries contribute nothing anyway.
+            # Edge-less frontier entries contribute nothing.
             active_keys = frontier_keys[nonzero]
             active_verts = frontier_verts[nonzero]
             active_cid = np.flatnonzero(nonzero)
@@ -291,11 +314,11 @@ def bfs_spd_batch_csr(
         starts = indptr[active_verts]
         # Flat CSR positions of every out-edge of the frontier, in frontier
         # order then adjacency order (the dict BFS visit order).
-        flat = edge_index + _spread(starts - cum + counts, counts, cum, total)
+        flat = edge_index + np.repeat(starts - cum + counts, counts)
         nbrs = indices[flat]
         # Row base (row * n) per edge -> child keys without materialising
         # per-edge row ids.
-        child_keys = _spread(active_keys - active_verts, counts, cum, total) + nbrs
+        child_keys = np.repeat(active_keys - active_verts, counts) + nbrs
         # Parent position (within this frontier) per edge.
         steps = np.zeros(total, dtype=np.int64)
         steps[cum[:-1]] = 1
@@ -402,8 +425,8 @@ def _batch_dependencies_spmm(csr: "CSRGraph", src, out):
 
     Every batch column is computed by an identical, column-local operation
     sequence, so a source's dependency vector is bit-identical regardless
-    of which other sources share the batch (the execution layer's
-    ``batch_size`` invariance).  The backward product is the reference
+    of which other sources share the batch (the invariance that lets the
+    kernels choose the block widths).  The backward product is the reference
     form of the one Brandes arithmetic (:mod:`repro.shortest_paths.bfs`):
     each row of the out-adjacency sums ``(1 + delta) * (1 / sigma)`` over
     its neighbours in adjacency order — non-children contribute an exact
@@ -467,14 +490,17 @@ def batch_source_dependencies(
     out=None,
     kernel: str = "auto",
     kernel_threads: int = 1,
+    sink=None,
 ):
     """Return the ``(K, n)`` dependency matrix of *sources* (build + accumulate).
 
     The batched twin of
     :func:`~repro.shortest_paths.dependencies.csr_source_dependencies`, and
-    the entry point every execution-engine shard worker funnels through.
-    The paths share the signature and the *out* contract (sequential
-    per-source accumulation in source order):
+    the entry point every dependency pass of the library funnels through:
+    callers hand over whole sets (a chain's miss set, an engine shard) and
+    this layer cuts them into blocks whose width it chooses from the
+    snapshot (:func:`source_blocks`).
+    Each block takes one path:
 
     * a single source — the fused per-source pass
       (:func:`~repro.shortest_paths.dependencies.csr_source_dependencies`)
@@ -491,15 +517,18 @@ def batch_source_dependencies(
       :func:`accumulate_dependencies_batch_csr`);
     * weighted — the compiled batch kernel on that rung, otherwise the
       batched sweep of :func:`_dijkstra_sweep_batch` where the depth gate
-      of :func:`_weighted_dependencies` says it pays, else one
+      says it pays, else one
       :func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`
       pass per row.
 
     Every unweighted path computes the one Brandes arithmetic of
     :mod:`repro.shortest_paths.bfs`, every weighted path the one weighted
     rule of :mod:`repro.shortest_paths.dijkstra`, so the choice among them
-    — scipy present or not, the depth gates, ``kernel``, ``batch_size`` —
-    never changes a bit.
+    — scipy present or not, the block widths, the depth gates, ``kernel``
+    — never changes a bit.  *out* accumulates the rows in source order.
+    With a *sink*, each block's rows go to ``sink(begin, rows)`` as soon as
+    they exist and the call returns the validated source indices instead
+    of a matrix, so a large set never holds more than one block of rows.
     ``kernel_threads`` engages the ``prange`` variants of the compiled
     batch kernels (ignored — harmlessly — on every other path); threads
     stride independent rows, so the count is result-neutral by
@@ -507,39 +536,110 @@ def batch_source_dependencies(
     same error (:func:`_validate_sources`).
     """
     src = _validate_sources(csr, sources)
-    n = csr.number_of_vertices()
     # Resolved up front so a compiled request without numba warns on every
     # branch, the spmm sweep included.
     kernel = resolve_kernel(kernel)
+    if csr.weighted:
+        validate_positive_weights(csr)
+    if sink is None:
+        delta = np.empty((int(src.size), csr.number_of_vertices()))
+
+        def sink(begin, rows):
+            delta[begin : begin + len(rows)] = rows
+
+    else:
+        delta = src
+    for begin, end in source_blocks(csr, int(src.size)):
+        rows = _block_dependencies(csr, src[begin:end], kernel, kernel_threads)
+        if out is not None:
+            for row in rows:
+                out += row
+        sink(begin, rows)
+        del rows  # freed before the next block runs
+    return delta
+
+
+def source_blocks(csr: "CSRGraph", count: int):
+    """Yield the ``(begin, end)`` blocks the kernels run *count* sources of *csr* in.
+
+    The widths are the kernel layer's choice (:func:`_block_width`), split
+    evenly (:func:`_even_blocks`); they never change a row, only how many
+    rows share one traversal.
+    """
+    return _even_blocks(count, _block_width(csr))
+
+
+def _block_width(csr: "CSRGraph") -> int:
+    """Rows per kernel call on *csr*: the kernel layer's choice, never the caller's.
+
+    Unweighted blocks keep :data:`_UNWEIGHTED_WIDTH` columns (capped so an
+    spmm block's dense buffers stay within :data:`_SPMM_BLOCK_ELEMENTS`).
+    A weighted block is the widest whose sweep working set fits
+    :data:`_SWEEP_BLOCK_BYTES` at :data:`_SWEEP_VERTEX_BYTES` per vertex
+    and :data:`_SWEEP_ARC_BYTES` per arc of each row.
+    """
+    n = csr.number_of_vertices()
+    if not csr.weighted:
+        return max(1, min(_UNWEIGHTED_WIDTH, _SPMM_BLOCK_ELEMENTS // max(n, 1)))
+    row_bytes = _SWEEP_VERTEX_BYTES * n + _SWEEP_ARC_BYTES * int(csr.indices.shape[0])
+    return max(1, _SWEEP_BLOCK_BYTES // max(row_bytes, 1))
+
+
+def _even_blocks(count: int, width: int):
+    """Yield ``(begin, end)`` of the fewest blocks of at most *width* rows.
+
+    The sizes differ by at most one (the larger first), so a set just past
+    a multiple of *width* never leaves a tail remainder: 40 rows at width
+    34 run as 20 + 20, not 34 + 6.
+    """
+    if count <= 0:
+        return
+    blocks = -(-count // width)
+    size, extra = divmod(count, blocks)
+    begin = 0
+    for block in range(blocks):
+        end = begin + size + (block < extra)
+        yield begin, end
+        begin = end
+
+
+def _block_dependencies(csr: "CSRGraph", src, kernel: str, kernel_threads: int):
+    """The ``(K, n)`` rows of one block, on the path its shape picks."""
     if src.size == 1:
         from repro.shortest_paths.dependencies import csr_source_dependencies
 
-        row = csr_source_dependencies(csr, int(src[0]), kernel=kernel)
-        if out is not None:
-            out += row
-        return row[None, :]
+        return csr_source_dependencies(csr, int(src[0]), kernel=kernel)[None, :]
     if not csr.weighted and _scipy_sparse is not None and _spmm_suitable(csr):
-        block = max(1, _SPMM_BLOCK_ELEMENTS // max(n, 1))
-        if src.size <= block:
-            return _batch_dependencies_spmm(csr, src, out)
-        # Cap the dense working set: process column sub-blocks (each
-        # column is computed independently, so this is bit-identical to
-        # the one-shot call).
-        delta = np.empty((int(src.size), n))
-        for begin in range(0, int(src.size), block):
-            delta[begin : begin + block] = _batch_dependencies_spmm(
-                csr, src[begin : begin + block], out
-            )
-        return delta
+        return _batch_dependencies_spmm(csr, src, None)
     if kernel == "compiled":
         from repro.shortest_paths.compiled import batch_dependencies_compiled
 
-        return batch_dependencies_compiled(
-            csr, src, out=out, threads=kernel_threads
-        )
+        return batch_dependencies_compiled(csr, src, threads=kernel_threads)
     if not csr.weighted:
-        return accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, src), out=out)
-    return _weighted_dependencies(csr, src, out)
+        return accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, src))
+    # The depth gate: the sweep costs one round per hop level of the whole
+    # block, priced at _SWEEP_ROUND_COST arc visits each, against the
+    # K × (n + m) work of the per-source passes; the observed rounds decide
+    # once known, and the sweep's round budget enforces the same bound on a
+    # first, unobserved call.  Both routes return the same bits.
+    n = csr.number_of_vertices()
+    budget = int(src.size) * (n + int(csr.indices.shape[0])) // _SWEEP_ROUND_COST
+    rows = None
+    if (csr._sweep_rounds or 0) <= budget:
+        rows = _dijkstra_sweep_batch(csr, src, budget)
+    if rows is None:
+        rows = np.array([dijkstra_source_dependencies_csr(csr, s) for s in src.tolist()])
+    return rows
+
+
+def _count_dtype(bound: int):
+    """``int32`` for stored counts and positions below 2**31, else ``int64``.
+
+    Only for arrays that are stored, never for index arrays: a gather or
+    ``ufunc.at`` converts a non-``intp`` index array on every use, which
+    costs more time than the narrower array saves memory.
+    """
+    return np.int32 if bound < 2**31 else np.int64
 
 
 def _ranges(starts, counts):
@@ -559,38 +659,89 @@ def _batch_distances(csr: "CSRGraph", src, max_rounds: int):
 
     Keys whose distance improved relax their out-arcs; ``np.minimum.at``
     keeps the exact ``min fl(D[u] + w)``, the fixpoint the per-source heap
-    settles, bit for bit.  Returns ``(dist, rounds)`` with ``dist`` the
-    flat ``K * n`` array, or ``None`` once the rounds exceed *max_rounds*.
+    settles, bit for bit.  A round relaxes its arcs in chunks of about
+    :data:`_SWEEP_BLOCK_ELEMENTS` (:func:`_arc_chunks`), lowering the
+    distances chunk by chunk, so its temporaries do not grow with the block
+    width; a later chunk may start from a distance an earlier one lowered,
+    which reaches the same fixpoint, at most as many rounds later.  Returns
+    ``(dist, rounds)`` with ``dist`` the flat ``K * n`` array, or ``None``
+    once the rounds exceed *max_rounds*.
     """
     n = csr.number_of_vertices()
+    k = int(src.size)
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights
     degree = csr.degrees()
-    slot = np.empty(int(src.size) * n, dtype=np.int64)
-    dist = np.full(int(src.size) * n, np.inf)
-    frontier = np.arange(src.size, dtype=np.int64) * n + src
+    slot = np.empty(k * n, dtype=_count_dtype(k * max(n, int(indices.shape[0]))))
+    dist = np.full(k * n, np.inf)
+    frontier = np.arange(k, dtype=np.int64) * n + src
     dist[frontier] = 0.0
     rounds = 0
     while True:
         verts = frontier % n
         counts = degree[verts]
-        live = counts > 0
-        if not live.all():
-            frontier, verts, counts = frontier[live], verts[live], counts[live]
-            if not counts.size:
-                break
-        flat, item = _ranges(indptr[verts], counts)
-        keys = (frontier - verts)[item] + indices[flat]
-        candidate = dist[frontier][item] + weights[flat]
-        better = candidate < dist[keys]
-        if not better.any():
+        found = []
+        for begin, end in _arc_chunks(counts):
+            if not counts[begin:end].any():
+                continue
+            flat, item = _ranges(indptr[verts[begin:end]], counts[begin:end])
+            candidate = dist[frontier[begin:end]][item] + weights[flat]
+            keys = (frontier[begin:end] - verts[begin:end])[item] + indices[flat]
+            del flat, item
+            better = candidate < dist[keys]
+            keys = keys[better]
+            np.minimum.at(dist, keys, candidate[better])
+            del candidate, better
+            found.append(_first_touch(keys, slot))
+        if len(found) > 1:
+            found = [_first_touch(np.concatenate(found), slot)]
+        if not found or not found[0].size:
             break
+        frontier = found[0]
         rounds += 1
         if rounds > max_rounds:
             return None
-        keys = keys[better]
-        np.minimum.at(dist, keys, candidate[better])
-        frontier = _first_touch(keys, slot)
     return dist, rounds
+
+
+def _arc_chunks(counts):
+    """Yield ``(begin, end)`` runs of frontier entries by out-arc count.
+
+    Each run holds at most :data:`_SWEEP_BLOCK_ELEMENTS` arcs, or one entry
+    when a single entry has more.
+    """
+    ends = np.cumsum(counts)
+    if not ends.size or ends[-1] <= _SWEEP_BLOCK_ELEMENTS:
+        yield 0, counts.shape[0]
+        return
+    begin = 0
+    while begin < counts.shape[0]:
+        base = int(ends[begin - 1]) if begin else 0
+        end = int(np.searchsorted(ends, base + _SWEEP_BLOCK_ELEMENTS, side="right"))
+        end = max(begin + 1, end)
+        yield begin, end
+        begin = end
+
+
+def _dag_arcs(csr: "CSRGraph", rows):
+    """Parent and child keys of every DAG arc of every row of *rows*.
+
+    Returned as two lists of chunks, listed row by row in CSR (parent,
+    adjacency) order, so the parent keys come out sorted.  The ``(rows,
+    m)`` mask temporaries are built :data:`_SWEEP_BLOCK_ELEMENTS` elements
+    at a time, so they do not grow with the block width.
+    """
+    k, n = rows.shape
+    indices, weights = csr.indices, csr.weights
+    tails = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())
+    step = max(1, _SWEEP_BLOCK_ELEMENTS // max(int(indices.shape[0]), 1))
+    parents, children = [], []
+    for begin in range(0, k, step):
+        chunk = rows[begin : begin + step]
+        row, arc = np.nonzero(_dag_arc_mask(chunk[:, tails], chunk[:, indices], weights))
+        base = (row + begin) * n
+        parents.append(base + tails[arc])
+        children.append(base + indices[arc])
+    return parents, children
 
 
 def _dijkstra_sweep_batch(csr: "CSRGraph", src, max_rounds: int):
@@ -602,13 +753,20 @@ def _dijkstra_sweep_batch(csr: "CSRGraph", src, max_rounds: int):
     the whole batch:
 
     * the exact distances (:func:`_batch_distances`);
-    * the DAG arcs (:func:`~repro.shortest_paths.dijkstra._dag_arc_mask`),
-      listed row by row in adjacency order, and path counts forward over
-      their Kahn layers (exact integers: order-free);
+    * the DAG arcs (:func:`_dag_arcs`, the rule of
+      :func:`~repro.shortest_paths.dijkstra._dag_arc_mask`), listed row by
+      row in adjacency order, and path counts forward over their Kahn
+      layers (exact integers: order-free);
     * dependencies back over the same layers: per parent, ``np.bincount``
       sums ``(delta_c + 1) * (1 / sigma_c)`` over its children in
       adjacency order from ``0.0`` before the one ``sigma_p`` scale — the
       per-source sweep's arithmetic, so rows match it bit for bit.
+
+    The working set per row is what :func:`_block_width` budgets: each
+    buffer is freed once used, the arc-sized temporaries are chunked, a
+    parent's arcs are one ``bounds`` range into the parent-sorted arc list,
+    the arc-sized child index is rebuilt per layer rather than kept, and
+    stored counts and positions are ``int32`` while they fit.
     """
     found = _batch_distances(csr, src, max_rounds)
     if found is None:
@@ -617,78 +775,51 @@ def _dijkstra_sweep_batch(csr: "CSRGraph", src, max_rounds: int):
     dist, rounds = found
     n = csr.number_of_vertices()
     k = int(src.size)
-    indices, weights = csr.indices, csr.weights
-    degree = csr.degrees()
-    slot = np.empty(k * n, dtype=np.int64)
+    count = _count_dtype(k * max(n, int(csr.indices.shape[0])))
+    reached = np.isfinite(dist)
+    parent, child = _dag_arcs(csr, dist.reshape(k, n))
+    del dist
+    parent, child = np.concatenate(parent), np.concatenate(child)
+    waiting = np.bincount(child, minlength=k * n).astype(count)
+    layer = np.flatnonzero(reached & (waiting == 0))
+    del reached
+    # bounds[key] .. bounds[key + 1]: the key's arcs in the parent-sorted
+    # arc list.
+    bounds = np.zeros(k * n + 1, dtype=count)
+    np.cumsum(np.bincount(parent, minlength=k * n), out=bounds[1:], dtype=count)
+    del parent
+
     roots = np.arange(k, dtype=np.int64) * n + src
-
-    # DAG arcs of every row, row by row in CSR (parent, adjacency) order.
-    rows = dist.reshape(k, n)
-    arcs = np.flatnonzero(
-        _dag_arc_mask(np.repeat(rows, degree, axis=1), rows[:, indices], weights)
-    )
-    m = indices.shape[0]
-    row_base = (arcs // m) * n
-    arcs %= m
-    child = row_base + indices[arcs]
-    parent_count = np.bincount(row_base + np.repeat(np.arange(n), degree)[arcs], minlength=k * n)
-    parent_start = np.cumsum(parent_count) - parent_count
-    waiting = np.bincount(child, minlength=k * n)
-
     sig = np.zeros(k * n)
     sig[roots] = 1.0
-    layer = np.flatnonzero((waiting == 0) & np.isfinite(dist))
+    slot = np.empty(k * n, dtype=count)
     layers = []
     while True:
-        counts = parent_count[layer]
+        start = bounds[layer]
+        counts = bounds[layer + 1] - start
         live = counts > 0
-        layer, counts = layer[live], counts[live]
+        layer, start, counts = layer[live], start[live], counts[live]
         if not counts.size:
             break
-        flat, item = _ranges(parent_start[layer], counts)
+        flat, item = _ranges(start, counts)
         kids = child[flat]
+        del flat
         np.add.at(sig, kids, sig[layer][item])
-        np.subtract.at(waiting, kids, 1)
-        layers.append((layer, kids, item))
+        # A same-dtype operand keeps ufunc.at on its fast path.
+        np.subtract.at(waiting, kids, count(1))
+        # The arc-sized item index is rebuilt from the counts on the way
+        # back rather than kept.
+        layers.append((layer, kids, counts))
         layer = _first_touch(kids[waiting[kids] == 0], slot)
+    del bounds, child, waiting, slot
     csr._sweep_rounds = max(rounds, len(layers))
 
     delta = np.zeros(k * n)
     inverse_sigma = np.zeros(k * n)
     np.divide(1.0, sig, out=inverse_sigma, where=sig > 0.0)
-    for parents, kids, item in reversed(layers):
+    for parents, kids, counts in reversed(layers):
+        item = np.repeat(np.arange(parents.shape[0]), counts)
         coeff = (delta[kids] + 1.0) * inverse_sigma[kids]
         delta[parents] = np.bincount(item, weights=coeff, minlength=parents.shape[0]) * sig[parents]
     delta[roots] = 0.0
     return delta.reshape(k, n)
-
-
-def _weighted_dependencies(csr: "CSRGraph", src, out):
-    """Weighted rows: the batched sweep where it pays, else per-source passes.
-
-    Rows go in blocks of at most ``_SWEEP_BLOCK_ELEMENTS // m`` sources
-    (the sweep's dense ``(K, m)`` arc temporaries stay bounded).  A block
-    takes :func:`_dijkstra_sweep_batch` unless the snapshot's observed
-    hop rounds, priced at ``_SWEEP_ROUND_COST`` arc visits each, exceed
-    the ``K × (n + m)`` work of the per-source passes; the sweep's round
-    budget enforces the same bound on a first, unobserved call.  Both
-    routes return the same bits, so the gate is a speed choice only.
-    """
-    validate_positive_weights(csr)
-    n = csr.number_of_vertices()
-    m = int(csr.indices.shape[0])
-    block = max(1, _SWEEP_BLOCK_ELEMENTS // max(m, 1))
-    delta = np.empty((int(src.size), n))
-    for begin in range(0, int(src.size), block):
-        chunk = src[begin : begin + block]
-        budget = int(chunk.size) * (n + m) // _SWEEP_ROUND_COST
-        rows = None
-        if chunk.size > 1 and (csr._sweep_rounds or 0) <= budget:
-            rows = _dijkstra_sweep_batch(csr, chunk, budget)
-        if rows is None:
-            rows = [dijkstra_source_dependencies_csr(csr, s) for s in chunk.tolist()]
-        delta[begin : begin + chunk.size] = rows
-    if out is not None:
-        for row in delta:
-            out += row
-    return delta

@@ -51,7 +51,6 @@ __all__ = [
     "accumulate_dependencies_csr",
     "csr_source_dependencies",
     "csr_edge_dependency",
-    "iter_batches",
     "dependency_sum",
     "dependencies_at_target",
     "dependency_sum_shard_csr",
@@ -141,7 +140,6 @@ def all_dependencies_on_target(
     graph: Graph,
     target: Vertex,
     *,
-    batch_size: Optional[int] = None,
     n_jobs: Optional[int] = None,
     plan: Optional[ExecutionPlan] = None,
     kernel: str = "auto",
@@ -157,14 +155,13 @@ def all_dependencies_on_target(
     vertex-keyed dict only at this boundary.
 
     The passes run through the execution engine of :mod:`repro.execution`
-    (``batch_size`` / ``n_jobs`` / ``kernel`` or a ready-made *plan*, see
+    (``n_jobs`` / ``kernel`` or a ready-made *plan*, see
     :func:`dependencies_at_target`), so the result is identical for any
-    ``n_jobs`` and ``batch_size``.
+    ``n_jobs``.
     """
     graph.validate_vertex(target)
     plan = resolve_plan(
         plan,
-        batch_size=batch_size,
         n_jobs=n_jobs,
         kernel=kernel,
         kernel_threads=kernel_threads,
@@ -181,11 +178,11 @@ def dependency_sum(csr: "CSRGraph", sources: Sequence[int], plan: ExecutionPlan)
 
     The engine recipe behind exact Brandes and the uniform-source sampler:
     the sources are cut into fixed shards (:func:`split_shards`), each
-    shard's passes run ``plan.batch_size`` sources per batched traversal on
-    up to ``plan.n_jobs`` processes, and shard buffers merge in shard order
-    — bit-identical for any ``n_jobs`` / ``batch_size``.  The payload is
-    interned per (snapshot, batch, kernel, threads), so a persistent pool
-    ships the CSR arrays to its workers once per session, not per request.
+    shard goes whole to the batched kernels (which choose their own block
+    widths) on up to ``plan.n_jobs`` processes, and shard buffers merge in
+    shard order — bit-identical for any ``n_jobs``.  The payload is
+    interned per (snapshot, kernel, threads), so a persistent pool ships
+    the CSR arrays to its workers once per session, not per request.
     """
     if not len(sources):
         return np.zeros(csr.number_of_vertices())
@@ -197,8 +194,8 @@ def dependency_sum(csr: "CSRGraph", sources: Sequence[int], plan: ExecutionPlan)
             plan=plan,
             shared=interned_payload(
                 plan,
-                ("dep-sum-csr", id(csr), plan.batch_size, plan.kernel, plan.kernel_threads),
-                lambda: (csr, plan.batch_size, plan.kernel, plan.kernel_threads),
+                ("dep-sum-csr", id(csr), plan.kernel, plan.kernel_threads),
+                lambda: (csr, plan.kernel, plan.kernel_threads),
             ),
         )
     )
@@ -209,8 +206,8 @@ def dependencies_at_target(
 ) -> List[float]:
     """Return ``delta_{s.}(target)`` for every source index in *sources*, in order.
 
-    The per-source twin of :func:`dependency_sum` (same shards, batching and
-    payload interning; one interned payload per target as well, so a
+    The per-source twin of :func:`dependency_sum` (same shards and payload
+    interning; one interned payload per target as well, so a
     persistent pool re-ships nothing for repeated targets).  A source equal
     to *target* reads 0.
     """
@@ -224,15 +221,8 @@ def dependencies_at_target(
             plan=plan,
             shared=interned_payload(
                 plan,
-                (
-                    "dep-at-target-csr",
-                    id(csr),
-                    plan.batch_size,
-                    target,
-                    plan.kernel,
-                    plan.kernel_threads,
-                ),
-                lambda: (csr, plan.batch_size, target, plan.kernel, plan.kernel_threads),
+                ("dep-at-target-csr", id(csr), target, plan.kernel, plan.kernel_threads),
+                lambda: (csr, target, plan.kernel, plan.kernel_threads),
             ),
         )
     )
@@ -241,50 +231,51 @@ def dependencies_at_target(
 # ----------------------------------------------------------------------
 # Shard workers (module-level so the multiprocessing pool can pickle them)
 # ----------------------------------------------------------------------
-def iter_batches(items: Sequence, batch_size: int):
-    """Yield contiguous slices of *items* of at most *batch_size* elements."""
-    for start in range(0, len(items), batch_size):
-        yield items[start : start + batch_size]
-
-
 def dependency_sum_shard_csr(shared, shard):
     """Shard worker: sum the dependency vectors of the shard's source indices.
 
-    ``shared`` is ``(csr, batch_size, kernel, kernel_threads)`` — an
-    :class:`~repro.execution.plan.ExecutionPlan`'s batch size, kernel rung
-    and thread count threaded into the worker process.  The sum follows the
-    canonical accumulation order (one vector addition per source, in shard
-    order), so the buffer is bit-identical however the sources are batched
-    — and whichever kernel rung, on however many threads, runs the passes.
+    ``shared`` is ``(csr, kernel, kernel_threads)`` — an
+    :class:`~repro.execution.plan.ExecutionPlan`'s kernel rung and thread
+    count threaded into the worker process.  The whole shard goes to the
+    batched kernels in one call, streamed block by block, and the sum
+    follows the canonical accumulation order (one vector addition per
+    source, in shard order), so the buffer is bit-identical however the
+    kernels block the sources — and whichever kernel rung, on however many
+    threads, runs the passes.
     """
-    csr, batch_size, kernel, kernel_threads = shared
+    csr, kernel, kernel_threads = shared
     from repro.shortest_paths.batch import batch_source_dependencies
 
     out = np.zeros(csr.number_of_vertices())
-    for batch in iter_batches(shard, batch_size):
-        batch_source_dependencies(
-            csr, batch, out=out, kernel=kernel, kernel_threads=kernel_threads
-        )
+    batch_source_dependencies(
+        csr, shard, out=out, kernel=kernel, kernel_threads=kernel_threads, sink=_discard
+    )
     return out
+
+
+def _discard(begin, rows) -> None:
+    """A block sink that keeps nothing (the rows already went into ``out``)."""
 
 
 def dependency_at_target_shard_csr(shared, shard) -> List[float]:
     """Shard worker: per-source dependency on one target index.
 
-    ``shared`` is ``(csr, batch_size, target_index, kernel,
-    kernel_threads)`` (see :func:`dependency_sum_shard_csr`); returns one
-    float per shard source, in shard order.  A source equal to the target
-    reads its own delta entry, which is 0 by construction.
+    ``shared`` is ``(csr, target_index, kernel, kernel_threads)`` (see
+    :func:`dependency_sum_shard_csr`); returns one float per shard source,
+    in shard order.  A source equal to the target reads its own delta
+    entry, which is 0 by construction.
     """
-    csr, batch_size, target_index, kernel, kernel_threads = shared
+    csr, target_index, kernel, kernel_threads = shared
     from repro.shortest_paths.batch import batch_source_dependencies
 
     values: List[float] = []
-    for batch in iter_batches(shard, batch_size):
-        deltas = batch_source_dependencies(
-            csr, batch, kernel=kernel, kernel_threads=kernel_threads
-        )
-        values.extend(float(deltas[k, target_index]) for k in range(len(batch)))
+    batch_source_dependencies(
+        csr,
+        shard,
+        kernel=kernel,
+        kernel_threads=kernel_threads,
+        sink=lambda begin, rows: values.extend(rows[:, target_index].tolist()),
+    )
     return values
 
 

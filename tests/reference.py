@@ -97,7 +97,7 @@ class DictDependencyOracle:
         return {t: (0.0 if t == source else vector.get(t, 0.0)) for t in targets}
 
     def dependency_rows(
-        self, sources, targets, *, prefetch_block=None, skip_self_lookups=False
+        self, sources, targets, *, prefetch=False, skip_self_lookups=False
     ) -> np.ndarray:
         if skip_self_lookups:
             (target,) = targets
@@ -208,7 +208,7 @@ def reference_mh_chain(
     *,
     oracle,
     proposal: str = "uniform",
-    batch_size: int = 16,
+    prefetch_block: int = 16,
     seed: RandomState = None,
     initial_state: Optional[Vertex] = None,
 ) -> List[ChainState]:
@@ -230,7 +230,7 @@ def reference_mh_chain(
             proposal_dependency=current_delta,
         )
     ]
-    _iterate(graph, r, oracle, rng, states, num_iterations, proposals, proposal, batch_size)
+    _iterate(graph, r, oracle, rng, states, num_iterations, proposals, proposal, prefetch_block)
     return states
 
 
@@ -242,7 +242,7 @@ def reference_mh_extend(
     *,
     oracle,
     proposal: str = "uniform",
-    batch_size: int = 16,
+    prefetch_block: int = 16,
     rng: RandomState = None,
 ) -> List[ChainState]:
     """Continue a per-step chain by *num_iterations* steps (a new list)."""
@@ -250,7 +250,7 @@ def reference_mh_extend(
     vertices = graph.vertices()
     proposals = _draw_proposals(graph, vertices, proposal, rng, num_iterations)
     states = list(states)
-    _iterate(graph, r, oracle, rng, states, num_iterations, proposals, proposal, batch_size)
+    _iterate(graph, r, oracle, rng, states, num_iterations, proposals, proposal, prefetch_block)
     return states
 
 
@@ -291,7 +291,7 @@ def reference_joint_chain(
     num_iterations: int,
     *,
     oracle,
-    batch_size: int = 16,
+    prefetch_block: int = 16,
     seed: RandomState = None,
     initial_state: Optional[Tuple[Vertex, Vertex]] = None,
 ) -> List[JointChainState]:
@@ -319,8 +319,8 @@ def reference_joint_chain(
     ]
     for t in range(1, num_iterations + 1):
         candidate_r, candidate_v = pair_proposals[t - 1]
-        if (t - 1) % batch_size == 0:
-            oracle.prefetch([v for _, v in pair_proposals[t - 1 : t - 1 + batch_size]])
+        if (t - 1) % prefetch_block == 0:
+            oracle.prefetch([v for _, v in pair_proposals[t - 1 : t - 1 + prefetch_block]])
         candidate_deps = oracle.dependencies_for(candidate_v, members)
         accepted = _accept_joint(states[-1].dependency, candidate_deps.get(candidate_r, 0.0), rng)
         if accepted:

@@ -87,7 +87,7 @@ class TestRelativeAndRanking:
 
 
 class TestMultiChainThreading:
-    """n_chains / rhat_target / batch_size='auto' threading through the API."""
+    """n_chains / rhat_target threading through the API."""
 
     def test_n_chains_engages_the_multichain_driver(self, barbell):
         result = betweenness_single(barbell, 5, method="mh", samples=80, seed=2, n_chains=4)
@@ -128,18 +128,13 @@ class TestMultiChainThreading:
         legacy = relative_betweenness(barbell, [5, 6, 4], samples=200, seed=3)
         assert single.ratios == legacy.ratios
 
-    def test_auto_batch_size_resolves_before_estimation(self, barbell):
-        pytest.importorskip("numpy")
-        result = betweenness_single(
-            barbell, 5, method="mh", samples=60, seed=2, batch_size="auto"
-        )
-        # The probe resolves to a concrete positive block size on CSR.
-        assert result.diagnostics["batch_size"] >= 1
-
-    def test_auto_batch_size_for_exact(self, barbell):
-        auto = betweenness_exact(barbell, [5], batch_size="auto")
-        plain = betweenness_exact(barbell, [5])
-        assert auto[5] == pytest.approx(plain[5], rel=1e-9)
+    def test_batch_size_is_no_longer_an_api_knob(self, barbell):
+        """Block widths are the kernels' choice: the retired keyword is
+        rejected rather than silently accepted."""
+        with pytest.raises(TypeError):
+            betweenness_single(barbell, 5, method="mh", samples=60, seed=2, batch_size=8)
+        with pytest.raises(TypeError):
+            betweenness_exact(barbell, [5], batch_size=8)
 
 
 class TestSuggestedChainLength:

@@ -110,19 +110,20 @@ class TestExactCommand:
 
 
 class TestExecutionFlags:
-    """--jobs / --batch-size wiring into the ExecutionPlan."""
+    """--jobs wiring into the ExecutionPlan."""
 
     def test_estimate_with_execution_flags(self, barbell_file):
         code, output = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
              "uniform-source", "--samples", "40", "--seed", "1",
-             "--jobs", "2", "--batch-size", "8"]
+             "--jobs", "2"]
         )
         assert code == 0
         payload = json.loads(output)
         assert "backend" not in payload
         assert payload["jobs"] == 2
-        assert payload["batch_size"] == 8
+        # Block widths are the kernels' choice; the stamp says so.
+        assert payload["batch_size"] == "kernel-chosen"
 
     def test_estimate_jobs_do_not_change_the_estimate(self, barbell_file):
         estimates = []
@@ -138,7 +139,7 @@ class TestExecutionFlags:
     def test_exact_with_execution_flags_matches_sequential(self, barbell_file):
         code_seq, out_seq = run_cli(["exact", "--graph", barbell_file])
         code_par, out_par = run_cli(
-            ["exact", "--graph", barbell_file, "--jobs", "2", "--batch-size", "4"]
+            ["exact", "--graph", barbell_file, "--jobs", "2"]
         )
         assert code_seq == code_par == 0
         seq, par = json.loads(out_seq), json.loads(out_par)
@@ -149,7 +150,7 @@ class TestExecutionFlags:
     def test_relative_accepts_execution_flags(self, barbell_file):
         code, output = run_cli(
             ["relative", "--graph", barbell_file, "--vertices", "5,6",
-             "--samples", "100", "--seed", "3", "--batch-size", "16"]
+             "--samples", "100", "--seed", "3", "--jobs", "2"]
         )
         assert code == 0
         assert "5/6" in json.loads(output)["ratios"]
@@ -168,7 +169,7 @@ class TestExecutionFlags:
 
 
 class TestMultiChainFlags:
-    """--chains / --rhat / --batch-size auto wiring into the multi-chain driver."""
+    """--chains / --rhat wiring into the multi-chain driver."""
 
     def test_estimate_with_chains(self, barbell_file):
         code, output = run_cli(
@@ -266,25 +267,17 @@ class TestMultiChainFlags:
         assert payload["rhat"] is not None
         assert "5/6" in payload["ratios"]
 
-    def test_batch_size_auto(self, barbell_file):
-        code, output = run_cli(
-            ["estimate", "--graph", barbell_file, "--vertex", "5",
-             "--samples", "40", "--seed", "1", "--batch-size", "auto"]
-        )
-        assert code == 0
-        assert json.loads(output)["batch_size"] >= 1
-
     def test_rejects_bad_rhat(self, barbell_file):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["estimate", "--graph", barbell_file, "--vertex", "5", "--rhat", "0.9"]
             )
 
-    def test_rejects_bad_batch_size_string(self, barbell_file):
+    def test_rejects_the_retired_batch_size_flag(self, barbell_file):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["estimate", "--graph", barbell_file, "--vertex", "5",
-                 "--batch-size", "fast"]
+                 "--batch-size", "16"]
             )
 
 
@@ -381,7 +374,7 @@ class TestBatchCommand:
         assert rk["chains"] is None  # baseline untouched by the default
 
     def test_default_batch_matches_the_cold_command(self, barbell_file, tmp_path):
-        """With no --jobs/--batch-size the warm stream runs the plan
+        """With no --jobs the warm stream runs the plan
         defaults, bit-identical to the cold command."""
         code_cold, cold_out = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5",

@@ -36,6 +36,7 @@ from repro.graphs import (
     barabasi_albert_graph,
     barbell_graph,
     erdos_renyi_graph,
+    grid_graph,
 )
 from repro.graphs.components import largest_connected_component
 from repro.shortest_paths import (
@@ -789,6 +790,85 @@ def test_compiled_weighted_batch_is_bitwise_identical(graph, seed, threads):
     assert np.array_equal(out_compiled, out_numpy)
 
 
+def _weighted_grid_csr(side: int = 30):
+    """A weighted grid with uniform(1, 3) weights — the shape of the
+    benchmark's weighted-traffic graph."""
+    rng = random.Random(2019)
+    edges = [(u, v, rng.uniform(1.0, 3.0)) for u, v in grid_graph(side, side).edges()]
+    return Graph.from_edges(edges, weighted=True).csr()
+
+
+def _gate_minimum(csr) -> int:
+    """The fewest rows for which the depth gate takes the batched sweep."""
+    from repro.shortest_paths import batch as batch_module
+
+    n = csr.number_of_vertices()
+    per_row = n + int(csr.indices.shape[0])
+    k = 1
+    while k * per_row // batch_module._SWEEP_ROUND_COST < csr._sweep_rounds:
+        k += 1
+    return k
+
+
+def test_weighted_sweep_block_fits_its_byte_budget():
+    """One sweep block at the width the kernels choose on a weighted 30×30
+    grid peaks (tracemalloc, numpy buffers included) within the byte budget
+    the width was chosen from."""
+    import tracemalloc
+
+    from repro.shortest_paths import batch as batch_module
+
+    csr = _weighted_grid_csr()
+    width = batch_module._block_width(csr)
+    assert width >= 32, "the budget should afford wide blocks on this grid"
+    sources = np.array(random.Random(7).sample(range(csr.number_of_vertices()), width))
+    batch_module._dijkstra_sweep_batch(csr, sources[:2], 10**9)  # snapshot caches
+    tracemalloc.start()
+    try:
+        rows = batch_module._dijkstra_sweep_batch(csr, sources, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows is not None and rows.shape == (width, csr.number_of_vertices())
+    assert peak <= batch_module._SWEEP_BLOCK_BYTES, peak
+
+
+def test_even_blocks_never_fall_under_the_depth_gate_minimum():
+    """On the weighted grid, any set of at least two gate-minimums splits
+    into blocks that all take the batched sweep — no remainder is left for
+    solitary per-source heaps."""
+    from repro.shortest_paths import batch as batch_module
+
+    csr = _weighted_grid_csr()
+    sources = np.array(random.Random(3).sample(range(csr.number_of_vertices()), 16))
+    batch_module._dijkstra_sweep_batch(csr, sources, 10**9)  # observe the rounds
+    gate = _gate_minimum(csr)
+    width = batch_module._block_width(csr)
+    assert 2 * gate <= width
+    for count in range(2 * gate, 4 * width + 2):
+        blocks = list(batch_module.source_blocks(csr, count))
+        sizes = [end - begin for begin, end in blocks]
+        assert [begin for begin, _ in blocks] == [0] + list(np.cumsum(sizes)[:-1])
+        assert sum(sizes) == count and max(sizes) <= width
+        assert min(sizes) >= gate, (count, sizes)
+
+
+@given(st.integers(1, 400), st.integers(1, 50), st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_even_blocks_split_without_a_tail_remainder(count, width, gate):
+    """The fewest blocks of at most *width* rows, sizes within one of each
+    other; with ``width >= 2 * gate`` no block of a set of at least two
+    gates falls under *gate*."""
+    from repro.shortest_paths.batch import _even_blocks
+
+    sizes = [end - begin for begin, end in _even_blocks(count, width)]
+    assert sum(sizes) == count and max(sizes) <= width
+    assert len(sizes) == -(-count // width)
+    assert max(sizes) - min(sizes) <= 1
+    if width >= 2 * gate and count >= 2 * gate:
+        assert min(sizes) >= gate
+
+
 def test_weighted_distances_csr_matches_spd_and_dict_backend():
     """dijkstra_distances_csr: dist bit-equals the SPD's dist field, and the
     settle-order dict rebuild equals the dict route's settle-order dict."""
@@ -847,7 +927,7 @@ def test_weighted_compiled_dispatch_and_threads_are_result_neutral(monkeypatch):
     reference_exact = betweenness_centrality(graph, kernel="csr")
     reference_single = betweenness_single(
         graph, target, method="uniform-source", samples=40, seed=5,
-        kernel="csr", batch_size=8, check_connected=False,
+        kernel="csr", check_connected=False,
     )
     monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
     compiled_exact = betweenness_centrality(graph, kernel="compiled")
@@ -855,8 +935,7 @@ def test_weighted_compiled_dispatch_and_threads_are_result_neutral(monkeypatch):
     for threads in (1, 2, 4):
         result = betweenness_single(
             graph, target, method="uniform-source", samples=40, seed=5,
-            kernel="compiled", batch_size=8,
-            kernel_threads=threads, check_connected=False,
+            kernel="compiled", kernel_threads=threads, check_connected=False,
         )
         assert result.estimate == reference_single.estimate, (
             f"kernel_threads={threads} drifted from the numpy rung"

@@ -7,9 +7,9 @@ Two promises are checked here:
    single-source CSR kernels produce for that source alone, bit for bit,
    regardless of which other sources share the batch.
 2. **Engine results are execution-invariant** — for a fixed seed, every
-   estimator that accepts the ``batch_size`` / ``n_jobs`` knobs returns the
-   same result for any combination of ``n_jobs ∈ {1, 2, 4}`` and
-   ``batch_size ∈ {1, 8, 64}``.
+   estimator that accepts the ``n_jobs`` knob returns the same result for
+   any combination of ``n_jobs ∈ {1, 2, 4}`` and a kernel block width of
+   1, 8 or 64 (the width the kernels choose, patched).
 """
 
 from __future__ import annotations
@@ -52,10 +52,17 @@ from repro.shortest_paths import (
     bfs_spd_csr,
     csr_source_dependencies,
 )
+from repro.shortest_paths import batch as batch_module
 
-#: The grid the determinism contract is stated over (ISSUE 2 acceptance).
+#: The grid the determinism contract is stated over: worker counts, and
+#: block widths patched over the one the kernels choose.
 JOBS_GRID = (1, 2, 4)
-BATCH_GRID = (1, 8, 64)
+WIDTH_GRID = (1, 8, 64)
+
+
+def _patched_width(patch, width: int) -> None:
+    """Make the batched kernels run blocks of *width* rows."""
+    patch.setattr(batch_module, "_block_width", lambda csr: width)
 
 
 def _random_unweighted(seed: int) -> Graph:
@@ -214,22 +221,34 @@ def test_every_batch_branch_rejects_bad_sources_alike(branch, kernel, monkeypatc
 
 def test_resolve_plan_takes_the_defaults_without_any_knob(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     plan = resolve_plan(None)
-    assert (plan.batch_size, plan.n_jobs) == (16, 1)
+    assert plan.n_jobs == 1 and plan.batch_size is None
 
 
 def test_resolve_plan_env_overrides(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "3")
-    monkeypatch.setenv("REPRO_BATCH", "16")
     plan = resolve_plan(None)
-    assert plan == ExecutionPlan(batch_size=16, n_jobs=3)
+    assert plan == ExecutionPlan(n_jobs=3)
     # Explicit arguments win over the env vars.
-    plan = resolve_plan(None, batch_size=4, n_jobs=1)
-    assert plan.batch_size == 4 and plan.n_jobs == 1
+    plan = resolve_plan(None, n_jobs=1)
+    assert plan.n_jobs == 1
     # A ready-made plan wins over everything.
-    ready = ExecutionPlan(batch_size=2, n_jobs=2)
-    assert resolve_plan(ready, batch_size=64, n_jobs=8) is ready
+    ready = ExecutionPlan(n_jobs=2)
+    assert resolve_plan(ready, n_jobs=8) is ready
+
+
+def test_retired_batch_size_still_constructs_and_steers_nothing():
+    """``ExecutionPlan(batch_size=…)`` parses (callers written against the
+    retired knob keep working) and the estimate ignores it."""
+    graph = barabasi_albert_graph(30, 2, seed=5)
+    r = graph.vertices()[6]
+    plan = ExecutionPlan(batch_size=16, n_jobs=1)
+    assert plan.batch_size == 16
+    sampler = SingleSpaceMHSampler()
+    sampler.plan = plan
+    assert sampler.estimate(graph, r, 40, seed=3).estimate == (
+        SingleSpaceMHSampler().estimate(graph, r, 40, seed=3).estimate
+    )
 
 
 def test_resolve_plan_rejects_bad_env(monkeypatch):
@@ -243,7 +262,7 @@ def test_resolve_plan_rejects_bad_env(monkeypatch):
 
 def test_execution_plan_validates_fields():
     with pytest.raises(ConfigurationError):
-        ExecutionPlan(batch_size=0)
+        ExecutionPlan(n_jobs=0)
     with pytest.raises(ConfigurationError):
         ExecutionPlan(n_jobs=-1)
 
@@ -299,10 +318,10 @@ def test_worker_payloads_survive_a_real_pool():
     csr = graph.csr()
     shards = split_shards(list(range(60)), 16)
     inline = run_sharded(
-        dependency_sum_shard_csr, shards, n_jobs=1, shared=(csr, 4, "auto", 1)
+        dependency_sum_shard_csr, shards, n_jobs=1, shared=(csr, "auto", 1)
     )
     pooled = run_sharded(
-        dependency_sum_shard_csr, shards, n_jobs=2, shared=(csr, 4, "auto", 1)
+        dependency_sum_shard_csr, shards, n_jobs=2, shared=(csr, "auto", 1)
     )
     for a, b in zip(inline, pooled):
         assert np.array_equal(a, b)
@@ -319,42 +338,42 @@ def test_worker_payloads_survive_a_real_pool():
 
 
 # ----------------------------------------------------------------------
-# Determinism: fixed-seed results identical across n_jobs and batch_size
+# Determinism: fixed-seed results identical across n_jobs and block widths
 # ----------------------------------------------------------------------
 
 
 def _grid(reference_fn):
-    """Assert ``reference_fn(n_jobs, batch_size)`` is constant over the grid."""
-    reference = reference_fn(1, 1)
-    for n_jobs in JOBS_GRID:
-        for batch_size in BATCH_GRID:
-            assert reference_fn(n_jobs, batch_size) == reference, (n_jobs, batch_size)
+    """Assert ``reference_fn(n_jobs)`` is constant over jobs × block width.
+
+    The width patch reaches forked workers; spawned ones run the width the
+    kernels choose, which the default-width call already covers.
+    """
+    reference = reference_fn(1)
+    for width in WIDTH_GRID:
+        with pytest.MonkeyPatch.context() as patch:
+            _patched_width(patch, width)
+            for n_jobs in JOBS_GRID:
+                assert reference_fn(n_jobs) == reference, (n_jobs, width)
     return reference
 
 
 def test_exact_brandes_is_execution_invariant():
     graph = barabasi_albert_graph(50, 2, seed=13)
-    reference = _grid(
-        lambda j, b: betweenness_centrality(graph, n_jobs=j, batch_size=b)
-    )
+    reference = _grid(lambda j: betweenness_centrality(graph, n_jobs=j))
     assert betweenness_centrality(graph) == reference
 
 
 def test_all_dependencies_on_target_is_execution_invariant():
     graph = barabasi_albert_graph(40, 2, seed=21)
     r = graph.vertices()[3]
-    reference = _grid(
-        lambda j, b: all_dependencies_on_target(graph, r, n_jobs=j, batch_size=b)
-    )
+    reference = _grid(lambda j: all_dependencies_on_target(graph, r, n_jobs=j))
     assert all_dependencies_on_target(graph, r) == reference
 
 
 def test_group_betweenness_is_execution_invariant():
     graph = barabasi_albert_graph(40, 2, seed=8)
     group = [graph.vertices()[0], graph.vertices()[4]]
-    reference = _grid(
-        lambda j, b: group_betweenness_centrality(graph, group, n_jobs=j, batch_size=b)
-    )
+    reference = _grid(lambda j: group_betweenness_centrality(graph, group, n_jobs=j))
     assert group_betweenness_centrality(graph, group) == reference
 
 
@@ -363,12 +382,12 @@ def test_group_betweenness_is_execution_invariant():
 )
 def test_estimators_are_execution_invariant(method):
     """The determinism contract: fixed-seed estimates are identical across
-    n_jobs ∈ {1, 2, 4} and batch_size ∈ {1, 8, 64}."""
+    n_jobs ∈ {1, 2, 4} and block widths {1, 8, 64}."""
     graph = barabasi_albert_graph(30, 2, seed=5)
     r = graph.vertices()[6]
     _grid(
-        lambda j, b: betweenness_single(
-            graph, r, method=method, samples=40, seed=99, n_jobs=j, batch_size=b
+        lambda j: betweenness_single(
+            graph, r, method=method, samples=40, seed=99, n_jobs=j
         ).estimate
     )
 
@@ -381,13 +400,12 @@ def test_dependency_samplers_match_their_unset_knob_estimates(method):
     r = graph.vertices()[6]
     unset = betweenness_single(graph, r, method=method, samples=40, seed=31).estimate
     planned = betweenness_single(
-        graph, r, method=method, samples=40, seed=31, n_jobs=2, batch_size=8
+        graph, r, method=method, samples=40, seed=31, n_jobs=2
     ).estimate
     assert unset == planned
 
 
 #: The knob grid of the determinism contract, unset values included.
-KNOB_BATCH_GRID = (None, 1, 16)
 KNOB_JOBS_GRID = (None, 1, 2)
 
 
@@ -403,14 +421,13 @@ def test_no_execution_knob_changes_any_result(monkeypatch, seed):
     discipline, no knob-selected code path.  300 samples cross a shard
     boundary, so ``n_jobs=2`` really fans out."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     graph = barabasi_albert_graph(24, 2, seed=seed % 50)
     vertices = graph.vertices()
     r = vertices[seed % len(vertices)]
     members = vertices[:3]
 
-    def answers(batch_size, n_jobs):
-        knobs = dict(batch_size=batch_size, n_jobs=n_jobs)
+    def answers(n_jobs):
+        knobs = dict(n_jobs=n_jobs)
         single = {
             method: betweenness_single(
                 graph, r, method=method, samples=300, seed=seed, **knobs
@@ -428,19 +445,19 @@ def test_no_execution_knob_changes_any_result(monkeypatch, seed):
             )
         )
 
-    reference = answers(None, None)
-    for batch_size in KNOB_BATCH_GRID:
-        for n_jobs in KNOB_JOBS_GRID:
-            assert answers(batch_size, n_jobs) == reference, (batch_size, n_jobs)
+    reference = answers(None)
+    for n_jobs in KNOB_JOBS_GRID:
+        assert answers(n_jobs) == reference, n_jobs
 
 
-def test_relative_betweenness_is_batch_invariant():
+def test_relative_betweenness_is_block_width_invariant():
     graph = barabasi_albert_graph(30, 2, seed=17)
     refs = graph.vertices()[:3]
     results = []
-    for batch_size in BATCH_GRID:
-        sampler = JointSpaceMHSampler(batch_size=batch_size)
-        estimate = sampler.estimate_relative(graph, refs, 150, seed=29)
+    for width in WIDTH_GRID:
+        with pytest.MonkeyPatch.context() as patch:
+            _patched_width(patch, width)
+            estimate = JointSpaceMHSampler().estimate_relative(graph, refs, 150, seed=29)
         results.append(
             sorted((str(k), v) for k, v in estimate.ratios.items() if v == v)
         )
@@ -454,7 +471,7 @@ def test_relative_betweenness_is_batch_invariant():
 
 def test_oracle_prefetch_caches_and_counts_evaluations():
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, batch_size=8)
+    oracle = DependencyOracle(graph)
     sources = graph.vertices()[:10]
     assert oracle.prefetch(sources) == 10
     assert oracle.evaluations == 10
@@ -467,7 +484,7 @@ def test_oracle_prefetch_caches_and_counts_evaluations():
 
 def test_oracle_prefetch_matches_per_source_vectors():
     graph = barabasi_albert_graph(25, 2, seed=2)
-    batched = DependencyOracle(graph, batch_size=16)
+    batched = DependencyOracle(graph)
     batched.prefetch(graph.vertices())
     sequential = DependencyOracle(graph)
     r = graph.vertices()[5]
@@ -479,7 +496,7 @@ def test_oracle_prefetch_respects_a_bounded_cache():
     """Prefetching past a bounded cache would evict the freshly computed
     vectors and double the passes; the oracle must cap at capacity."""
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, cache_size=4, batch_size=16)
+    oracle = DependencyOracle(graph, cache_size=4)
     sources = graph.vertices()[:12]
     assert oracle.prefetch(sources) == 4
     r = graph.vertices()[-1]
@@ -493,10 +510,10 @@ def test_oracle_recompute_after_eviction_is_bit_identical():
     whether it came from a prefetch block or a post-eviction point query
     (otherwise estimates could depend on cache timing)."""
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, cache_size=1, batch_size=8)
+    oracle = DependencyOracle(graph, cache_size=1)
     sources = graph.vertices()[:8]
     r = graph.vertices()[-1]
-    prefetched = DependencyOracle(graph, batch_size=8)
+    prefetched = DependencyOracle(graph)
     prefetched.prefetch(sources)
     for s in sources:
         assert oracle.dependency(s, r) == prefetched.dependency(s, r)
@@ -510,8 +527,8 @@ def test_oracle_prefetch_capacity_overflow_never_changes_vectors():
     graph = barabasi_albert_graph(25, 2, seed=2)
     vertices = graph.vertices()
     r = vertices[-1]
-    reference = DependencyOracle(graph, batch_size=8)
-    bounded = DependencyOracle(graph, cache_size=3, batch_size=8)
+    reference = DependencyOracle(graph)
+    bounded = DependencyOracle(graph, cache_size=3)
     # Repeated oversized prefetches (2x capacity) interleaved with point
     # queries — the access pattern K chains sharing one oracle produce.
     for start in range(0, len(vertices), 6):
@@ -530,8 +547,8 @@ def test_chains_sharing_an_overflowing_oracle_match_private_oracles():
     unbounded oracles."""
     graph = barabasi_albert_graph(25, 2, seed=2)
     r = graph.vertices()[5]
-    sampler = SingleSpaceMHSampler(batch_size=8)
-    shared = DependencyOracle(graph, cache_size=2, batch_size=8)
+    sampler = SingleSpaceMHSampler()
+    shared = DependencyOracle(graph, cache_size=2)
     shared_first = sampler.run_chain(graph, r, 40, seed=1, oracle=shared)
     shared_second = sampler.run_chain(graph, r, 40, seed=2, oracle=shared)
     private_first = sampler.run_chain(graph, r, 40, seed=1)
@@ -542,7 +559,7 @@ def test_chains_sharing_an_overflowing_oracle_match_private_oracles():
 
 def test_oracle_prefetch_is_a_noop_when_cache_disabled():
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, cache_size=0, batch_size=8)
+    oracle = DependencyOracle(graph, cache_size=0)
     assert oracle.prefetch(graph.vertices()) == 0
     assert oracle.evaluations == 0
 
@@ -556,7 +573,7 @@ def test_oracle_hit_rate_after_prefetch_then_hit():
     """The regression that motivated the split counter: 10 prefetched passes
     followed by one cache-hit lookup used to report a hit rate of -9.0."""
     graph = barabasi_albert_graph(25, 2, seed=2)
-    oracle = DependencyOracle(graph, batch_size=8)
+    oracle = DependencyOracle(graph)
     oracle.prefetch(graph.vertices()[:10])
     assert oracle.evaluations == 10
     assert oracle.prefetch_evaluations == 10
@@ -585,7 +602,7 @@ def test_oracle_hit_rate_stays_in_unit_interval(ops, cache_size):
     graph = barabasi_albert_graph(25, 2, seed=2)
     vertices = graph.vertices()
     oracle = DependencyOracle(
-        graph, cache_size=cache_size, batch_size=4
+        graph, cache_size=cache_size
     )
     for op, index in ops:
         if op == "prefetch":
@@ -602,7 +619,7 @@ def test_oracle_prefetch_caps_at_free_slots_then_half_capacity():
     the MRU included — never gets flushed."""
     graph = barabasi_albert_graph(25, 2, seed=2)
     vertices = graph.vertices()
-    oracle = DependencyOracle(graph, cache_size=4, batch_size=8)
+    oracle = DependencyOracle(graph, cache_size=4)
     r = vertices[-1]
     oracle.dependency(vertices[0], r)  # occupancy 1
     assert oracle.prefetch(vertices[1:20]) == 3, "3 free slots -> 3 passes"
@@ -628,7 +645,7 @@ def test_oracle_prefetch_never_evicts_the_live_state_vector():
     graph = barabasi_albert_graph(25, 2, seed=2)
     vertices = graph.vertices()
     r = vertices[-1]
-    oracle = DependencyOracle(graph, cache_size=3, batch_size=4)
+    oracle = DependencyOracle(graph, cache_size=3)
     state = vertices[0]
     oracle.dependency(state, r)  # the live state's vector
     oracle.prefetch(vertices[1:10])  # an over-capacity proposal block
@@ -645,13 +662,8 @@ def test_oracle_bounded_cache_chain_estimate_and_passes():
     graph = barabasi_albert_graph(25, 2, seed=6)
     r = graph.vertices()[0]  # early BA vertex: a hub, so most proposals lose
     iterations = 120
-    sampler_kwargs = dict(batch_size=4)
-    unbounded = SingleSpaceMHSampler(**sampler_kwargs).run_chain(
-        graph, r, iterations, seed=17
-    )
-    bounded = SingleSpaceMHSampler(cache_size=4, **sampler_kwargs).run_chain(
-        graph, r, iterations, seed=17
-    )
+    unbounded = SingleSpaceMHSampler().run_chain(graph, r, iterations, seed=17)
+    bounded = SingleSpaceMHSampler(cache_size=4).run_chain(graph, r, iterations, seed=17)
     assert bounded.states == unbounded.states, "cache bound must be result-neutral"
     assert (
         sum(1 for s in bounded.states[1:] if not s.accepted) > iterations / 3
@@ -713,83 +725,34 @@ def test_sample_shards_cost_is_per_shard_not_per_sample():
 
 
 # ----------------------------------------------------------------------
-# Adaptive batch-size selection
+# Kernel-chosen block widths
 # ----------------------------------------------------------------------
 
 
-def test_calibrate_batch_size_returns_a_candidate():
-    from repro.execution import DEFAULT_BATCH_CANDIDATES, calibrate_batch_size
-
-    graph = barabasi_albert_graph(60, 2, seed=1)
-    chosen = calibrate_batch_size(graph, probe_sources=16)
-    assert chosen in DEFAULT_BATCH_CANDIDATES
-
-
-def test_probe_covers_every_measurable_candidate():
-    from repro.execution import probe_batch_sizes
-
-    graph = barabasi_albert_graph(40, 2, seed=1)
-    timings = probe_batch_sizes(graph, candidates=(1, 4, 16), probe_sources=16)
-    assert [size for size, _ in timings] == [1, 4, 16]
-    assert all(seconds >= 0.0 for _, seconds in timings)
-
-
-def test_probe_drops_candidates_it_cannot_fill():
-    """A batch larger than the source budget runs the identical kernel call
-    as the budget-sized one — timing it would crown a size on pure noise."""
-    from repro.execution import calibrate_batch_size, probe_batch_sizes
-
-    graph = barabasi_albert_graph(40, 2, seed=1)
-    timings = probe_batch_sizes(graph, candidates=(1, 4, 16, 64), probe_sources=8)
-    assert [size for size, _ in timings] == [1, 4]
-    # Every candidate over budget: the smallest is the only honest option.
-    fallback = probe_batch_sizes(graph, candidates=(16, 64), probe_sources=8)
-    assert [size for size, _ in fallback] == [16]
-    assert calibrate_batch_size(graph, candidates=(16, 64), probe_sources=8) == 16
-
-
-def test_calibrate_accepts_a_csr_snapshot():
-    from repro.execution import calibrate_batch_size
-
-    csr = barabasi_albert_graph(40, 2, seed=1).csr()
-    assert calibrate_batch_size(csr, candidates=(1, 8), probe_sources=8) in (1, 8)
-
-
-def test_calibrated_size_never_changes_the_estimate():
-    """The point of 'auto': whatever size the noisy probe picks, the engine's
-    per-row bit-identity makes the estimate independent of it."""
+def test_block_width_never_changes_the_estimate():
+    """Whatever width the kernels run, the engine's per-row bit-identity
+    makes the estimate independent of it."""
     graph = barabasi_albert_graph(30, 2, seed=5)
     r = graph.vertices()[6]
-    estimates = {
-        batch: betweenness_single(
-            graph, r, method="mh", samples=40, seed=99, batch_size=batch
-        ).estimate
-        for batch in (1, 8, 16, 32, 64)
-    }
-    assert len(set(estimates.values())) == 1
+    estimates = set()
+    for width in (1, 8, 16, 32, 64):
+        with pytest.MonkeyPatch.context() as patch:
+            _patched_width(patch, width)
+            estimates.add(
+                betweenness_single(graph, r, method="mh", samples=40, seed=99).estimate
+            )
+    assert len(estimates) == 1
 
 
-def test_probe_validates_its_knobs():
-    from repro.execution import probe_batch_sizes
-
-    graph = barabasi_albert_graph(20, 2, seed=1)
-    with pytest.raises(ConfigurationError):
-        probe_batch_sizes(graph, candidates=())
-    with pytest.raises(ConfigurationError):
-        probe_batch_sizes(graph, candidates=(0,))
-    with pytest.raises(ConfigurationError):
-        probe_batch_sizes(graph, probe_sources=0)
-    with pytest.raises(ConfigurationError):
-        probe_batch_sizes(graph, repeats=0)
-
-
-def test_mh_prefetch_reduces_passes_without_changing_the_chain():
+def test_mh_prefetch_passes_do_not_depend_on_the_block_width():
     graph = barabasi_albert_graph(30, 2, seed=4)
     r = graph.vertices()[5]
-    one = SingleSpaceMHSampler(batch_size=1).estimate(graph, r, 60, seed=11)
-    big = SingleSpaceMHSampler(batch_size=16).estimate(graph, r, 60, seed=11)
-    assert one.estimate == big.estimate
-    assert big.diagnostics["evaluations"] == one.diagnostics["evaluations"]
+    with pytest.MonkeyPatch.context() as patch:
+        _patched_width(patch, 1)
+        one = SingleSpaceMHSampler().estimate(graph, r, 60, seed=11)
+    wide = SingleSpaceMHSampler().estimate(graph, r, 60, seed=11)
+    assert one.estimate == wide.estimate
+    assert wide.diagnostics["evaluations"] == one.diagnostics["evaluations"]
 
 
 # ----------------------------------------------------------------------
@@ -803,8 +766,8 @@ def test_execution_plan_validates_and_carries_the_kernel():
     assert ExecutionPlan().kernel == "auto"
     assert ExecutionPlan(kernel="compiled").kernel == "compiled"
     assert resolve_plan(None, kernel="compiled").kernel == "compiled"
-    plan = resolve_plan(None, batch_size=8, kernel="compiled")
-    assert plan.kernel == "compiled" and plan.batch_size == 8
+    plan = resolve_plan(None, n_jobs=2, kernel="compiled")
+    assert plan.kernel == "compiled" and plan.n_jobs == 2
 
 
 def test_kernel_knob_never_changes_engine_results(monkeypatch):
@@ -818,7 +781,7 @@ def test_kernel_knob_never_changes_engine_results(monkeypatch):
     estimates = {
         (kernel, jobs): betweenness_single(
             graph, r, method="uniform-source", samples=40, seed=13,
-            batch_size=8, n_jobs=jobs, kernel=kernel,
+            n_jobs=jobs, kernel=kernel,
         ).estimate
         for kernel in ("csr", "compiled")
         for jobs in JOBS_GRID
@@ -862,8 +825,6 @@ def test_probe_n_jobs_validates_its_knobs():
         probe_n_jobs(graph, probe_sources=0)
     with pytest.raises(ConfigurationError):
         probe_n_jobs(graph, repeats=0)
-    with pytest.raises(ConfigurationError):
-        probe_n_jobs(graph, batch_size=0)
 
 
 def test_calibrate_n_jobs_returns_a_candidate_and_breaks_ties_down(monkeypatch):
@@ -879,14 +840,14 @@ def test_calibrate_n_jobs_returns_a_candidate_and_breaks_ties_down(monkeypatch):
 
 
 def test_calibrated_jobs_never_change_the_estimate():
-    """The n_jobs twin of the batch-size contract: whatever count the noisy
+    """The n_jobs twin of the block-width contract: whatever count the noisy
     probe picks, the sharded engine's merge order is n_jobs-invariant."""
     graph = barabasi_albert_graph(30, 2, seed=5)
     r = graph.vertices()[6]
     estimates = {
         jobs: betweenness_single(
             graph, r, method="uniform-source", samples=40, seed=99,
-            batch_size=8, n_jobs=jobs,
+            n_jobs=jobs,
         ).estimate
         for jobs in JOBS_GRID
     }
@@ -931,8 +892,6 @@ def test_probe_kernel_threads_validates_its_knobs():
     with pytest.raises(ConfigurationError):
         probe_kernel_threads(graph, repeats=0)
     with pytest.raises(ConfigurationError):
-        probe_kernel_threads(graph, batch_size=0)
-    with pytest.raises(ConfigurationError):
         probe_kernel_threads(graph, n_jobs=0)
 
 
@@ -955,12 +914,11 @@ def test_kernel_threads_auto_resolves_and_changes_no_result():
     r = graph.vertices()[6]
     reference = betweenness_single(
         graph, r, method="uniform-source", samples=40, seed=99,
-        batch_size=8,
     )
     for threads in ("auto", 1, 2, 4):
         result = betweenness_single(
             graph, r, method="uniform-source", samples=40, seed=99,
-            batch_size=8, kernel_threads=threads,
+            kernel_threads=threads,
         )
         assert result.estimate == reference.estimate, threads
 
@@ -981,11 +939,11 @@ def test_n_jobs_auto_resolves_and_engages_the_engine():
     r = graph.vertices()[6]
     auto = betweenness_single(
         graph, r, method="uniform-source", samples=40, seed=99,
-        batch_size=8, n_jobs="auto",
+        n_jobs="auto",
     )
     explicit = betweenness_single(
         graph, r, method="uniform-source", samples=40, seed=99,
-        batch_size=8, n_jobs=1,
+        n_jobs=1,
     )
     assert auto.estimate == explicit.estimate
 
@@ -1013,3 +971,60 @@ def test_probe_shard_sizes_is_a_diagnostic_only():
         probe_shard_sizes(graph, candidates=())
     with pytest.raises(ConfigurationError):
         probe_shard_sizes(graph, candidates=(0,))
+
+
+# ----------------------------------------------------------------------
+# Whole-set prefetch: streamed blocks, one call per chain, bounded runs
+# ----------------------------------------------------------------------
+
+
+def test_batch_source_dependencies_streams_blocks_to_a_sink(monkeypatch):
+    """With a sink, each block's rows arrive as they are computed, in the
+    blocks ``source_blocks`` chose, and no whole-set matrix is returned."""
+    graph = _random_weighted(5)
+    csr = graph.csr()
+    n = csr.number_of_vertices()
+    sources = [s % n for s in range(23)]
+    monkeypatch.setattr(batch_module, "_block_width", lambda csr: 5)
+    received = []
+    returned = batch_source_dependencies(
+        csr, sources, sink=lambda begin, rows: received.append((begin, rows.copy()))
+    )
+    assert list(returned) == sources
+    assert [(begin, len(rows)) for begin, rows in received] == [
+        (begin, end - begin) for begin, end in batch_module.source_blocks(csr, len(sources))
+    ]
+    assert [len(rows) for _, rows in received] == [5, 5, 5, 4, 4]
+    whole = batch_source_dependencies(csr, sources)
+    assert np.array_equal(np.concatenate([rows for _, rows in received]), whole)
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_a_chain_prefetches_its_whole_miss_set_in_one_call(joint):
+    """Unbounded cache: one prefetch per chain covers every candidate and
+    the start state, so no lookup is left to a solitary point pass."""
+    graph = barabasi_albert_graph(40, 2, seed=9)
+    vertices = graph.vertices()
+    oracle = DependencyOracle(graph)
+    calls = []
+    original = oracle.prefetch
+    oracle.prefetch = lambda sources: calls.append(list(sources)) or original(sources)
+    if joint:
+        JointSpaceMHSampler().run_chain(graph, vertices[:3], 90, seed=4, oracle=oracle)
+    else:
+        SingleSpaceMHSampler().run_chain(graph, vertices[3], 90, seed=4, oracle=oracle)
+    assert len(calls) == 1
+    assert oracle.evaluations == oracle.prefetch_evaluations > 0
+
+
+@pytest.mark.parametrize("cache_size", [2, 3, 5])
+def test_bounded_prefetch_runs_are_read_before_eviction(cache_size):
+    """A bounded cache prefetches in runs it can hold whole: every lookup
+    of a run hits, so every pass of the chain is a prefetched one."""
+    graph = barabasi_albert_graph(40, 2, seed=9)
+    oracle = DependencyOracle(graph, cache_size=cache_size)
+    SingleSpaceMHSampler(cache_size=cache_size).run_chain(
+        graph, graph.vertices()[3], 120, seed=6, oracle=oracle
+    )
+    assert oracle.evaluations == oracle.prefetch_evaluations > 0
+    assert len(oracle._cache) <= cache_size

@@ -458,7 +458,7 @@ class TestWarmColdGrid:
         warm_graph = _scripted_graph()
         cold_graph = _scripted_graph()
         plan = (
-            ExecutionPlan(batch_size=8, n_jobs=n_jobs, kernel=kernel)
+            ExecutionPlan(n_jobs=n_jobs, kernel=kernel)
             if n_jobs is not None
             else None
         )
@@ -475,7 +475,6 @@ class TestWarmColdGrid:
                     5,
                     samples=24,
                     seed=40 + step,
-                    batch_size=8 if n_jobs is not None else None,
                     n_jobs=n_jobs,
                     kernel=kernel,
                     check_connected=False,
@@ -494,7 +493,7 @@ class TestWarmColdGrid:
         cold_graph = _scripted_weighted_graph()
         ops = _scripted_weight_ops(warm_graph)
         plan = (
-            ExecutionPlan(batch_size=8, n_jobs=n_jobs, kernel=kernel)
+            ExecutionPlan(n_jobs=n_jobs, kernel=kernel)
             if n_jobs is not None
             else None
         )
@@ -508,7 +507,6 @@ class TestWarmColdGrid:
                     5,
                     samples=24,
                     seed=40 + step,
-                    batch_size=8 if n_jobs is not None else None,
                     n_jobs=n_jobs,
                     kernel=kernel,
                     check_connected=False,

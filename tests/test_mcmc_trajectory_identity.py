@@ -4,9 +4,12 @@ The library chains draw their inputs in blocks, read the oracle in bulk,
 store columns and total the read-outs over arrays.  Each test here runs the
 library chain and the per-step reference loop of :mod:`reference` on twin
 :class:`DependencyOracle` instances and requires every column, read-out,
-relative score, ratio and oracle counter to be equal to the last bit
-(``float.hex``), over random connected graphs and every knob that changes
-the chain's oracle traffic or rng use.
+relative score and ratio to be equal to the last bit (``float.hex``), over
+random connected graphs and every knob that changes the chain's oracle
+traffic or rng use.  The reference loops prefetch 16 proposals at a time,
+the oracle traffic of a fixed prefetch block; the library chains prefetch
+their whole miss set (start state included) and let the kernels choose the
+block widths, so they look up exactly as often and never pay more passes.
 """
 
 from __future__ import annotations
@@ -27,23 +30,28 @@ from reference import (
     reference_relative,
     reference_running_estimates,
 )
+import numpy as np
+import pytest
+
 from repro._rng import randrange_block, spawn_rng
 from repro.graphs import Graph
 from repro.mcmc import DependencyOracle, JointSpaceMHSampler, SingleSpaceMHSampler
 from repro.mcmc.multichain import merge_joint_chains
 from repro.mcmc.single import ESTIMATORS
+from repro.shortest_paths import batch as batch_module
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
-def _connected_graph(seed: int) -> Graph:
+def _connected_graph(seed: int, weighted=None) -> Graph:
     """A random spanning tree plus extra edges, shuffled labels, maybe weighted."""
     rng = random.Random(seed)
     n = rng.randint(3, 22)
     labels = rng.sample(range(1000), n)
-    weighted = rng.random() < 0.25
+    draw = rng.random() < 0.25
+    weighted = draw if weighted is None else weighted
     graph = Graph()
     for i in range(1, n):
         u, v = labels[i], labels[rng.randrange(i)]
@@ -66,13 +74,17 @@ def _state_rows(states):
     ]
 
 
-def _counters(oracle: DependencyOracle):
-    return (
-        oracle.evaluations,
-        oracle.lookups,
-        oracle.prefetch_evaluations,
-        _hex(oracle.hit_rate()),
-    )
+def _assert_no_more_traffic(oracle: DependencyOracle, twin: DependencyOracle, cache_size):
+    """The library's oracle traffic against the per-16 reference loop's.
+
+    Lookups are the same reads in the same order.  Passes never exceed the
+    fixed-block prefetch's; without a cache neither side prefetches, so
+    they are equal.
+    """
+    assert oracle.lookups == twin.lookups
+    assert oracle.evaluations <= twin.evaluations
+    if cache_size == 0:
+        assert oracle.evaluations == twin.evaluations
 
 
 @SETTINGS
@@ -81,14 +93,13 @@ def _counters(oracle: DependencyOracle):
     seed=st.integers(0, 10_000),
     proposal=st.sampled_from(["uniform", "degree", "random-walk"]),
     cache_size=st.sampled_from([None, 0, 3]),
-    batch_size=st.sampled_from([1, 4, 16]),
     length=st.integers(1, 60),
     burn_in=st.integers(0, 6),
     fixed_start=st.booleans(),
     segments=st.lists(st.integers(1, 25), max_size=2),
 )
 def test_single_space_chain_is_bit_identical_to_the_per_step_loop(
-    graph_seed, seed, proposal, cache_size, batch_size, length, burn_in, fixed_start, segments
+    graph_seed, seed, proposal, cache_size, length, burn_in, fixed_start, segments
 ):
     graph = _connected_graph(graph_seed)
     vertices = graph.vertices()
@@ -96,12 +107,10 @@ def test_single_space_chain_is_bit_identical_to_the_per_step_loop(
     burn_in = min(burn_in, length)
     start = vertices[(seed // 7) % len(vertices)] if fixed_start else None
 
-    sampler = SingleSpaceMHSampler(
-        proposal=proposal, burn_in=burn_in, cache_size=cache_size, batch_size=batch_size
-    )
+    sampler = SingleSpaceMHSampler(proposal=proposal, burn_in=burn_in, cache_size=cache_size)
     oracle = sampler.build_oracle(graph)
-    twin = DependencyOracle(graph, cache_size=cache_size, batch_size=batch_size)
-    knobs = dict(proposal=proposal, batch_size=batch_size)
+    twin = DependencyOracle(graph, cache_size=cache_size)
+    knobs = dict(proposal=proposal)
 
     chain = sampler.run_chain(graph, r, length, seed=seed, oracle=oracle, initial_state=start)
     states = reference_mh_chain(
@@ -130,8 +139,8 @@ def test_single_space_chain_is_bit_identical_to_the_per_step_loop(
     assert _hex(chain.acceptance_rate()) == _hex(
         sum(1 for s in proposals if s.accepted) / len(proposals)
     )
-    assert _counters(oracle) == _counters(twin)
-    assert chain.evaluations == twin.evaluations
+    _assert_no_more_traffic(oracle, twin, cache_size)
+    assert chain.evaluations == oracle.evaluations
 
 
 @SETTINGS
@@ -140,13 +149,12 @@ def test_single_space_chain_is_bit_identical_to_the_per_step_loop(
     seed=st.integers(0, 10_000),
     size=st.integers(2, 5),
     cache_size=st.sampled_from([None, 0, 3]),
-    batch_size=st.sampled_from([1, 4, 16]),
     length=st.integers(1, 80),
     burn_in=st.integers(0, 6),
     fixed_start=st.booleans(),
 )
 def test_joint_space_chain_is_bit_identical_to_the_per_step_loop(
-    graph_seed, seed, size, cache_size, batch_size, length, burn_in, fixed_start
+    graph_seed, seed, size, cache_size, length, burn_in, fixed_start
 ):
     graph = _connected_graph(graph_seed)
     vertices = graph.vertices()
@@ -154,14 +162,14 @@ def test_joint_space_chain_is_bit_identical_to_the_per_step_loop(
     burn_in = min(burn_in, length)
     start = (members[-1], vertices[seed % len(vertices)]) if fixed_start else None
 
-    sampler = JointSpaceMHSampler(burn_in=burn_in, cache_size=cache_size, batch_size=batch_size)
+    sampler = JointSpaceMHSampler(burn_in=burn_in, cache_size=cache_size)
     oracle = sampler.build_oracle(graph)
-    twin = DependencyOracle(graph, cache_size=cache_size, batch_size=batch_size)
+    twin = DependencyOracle(graph, cache_size=cache_size)
     chain = sampler.run_chain(
         graph, members, length, seed=seed, oracle=oracle, initial_state=start
     )
     states = reference_joint_chain(
-        graph, members, length, oracle=twin, batch_size=batch_size, seed=seed, initial_state=start
+        graph, members, length, oracle=twin, seed=seed, initial_state=start
     )
 
     def rows(joint_states):
@@ -183,8 +191,8 @@ def test_joint_space_chain_is_bit_identical_to_the_per_step_loop(
         sum(1 for s in proposals if s.accepted) / len(proposals)
     )
     _assert_read_outs_match(chain, states, burn_in, members)
-    assert _counters(oracle) == _counters(twin)
-    assert chain.evaluations == twin.evaluations
+    _assert_no_more_traffic(oracle, twin, cache_size)
+    assert chain.evaluations == oracle.evaluations
 
     # Pooling concatenates the kept columns: the merged read-outs are the
     # per-state loop over the concatenated kept states.
@@ -251,3 +259,71 @@ def test_randrange_block_draws_the_randrange_sequence(seed, bounds, count):
     rounds = [[loop_rng.randrange(b) for b in bounds] for _ in range(count)]
     assert columns == [[draws[k] for draws in rounds] for k in range(len(bounds))]
     assert block_rng.getstate() == loop_rng.getstate()
+
+
+#: Block widths the kernels are patched to run (``None``: their own choice).
+WIDTHS = (1, 16, None)
+
+
+def _with_width(width, run):
+    with pytest.MonkeyPatch.context() as patch:
+        if width is not None:
+            patch.setattr(batch_module, "_block_width", lambda csr: width)
+        return run()
+
+
+@SETTINGS
+@given(
+    graph_seed=st.integers(0, 10_000),
+    seed=st.integers(0, 10_000),
+    joint=st.booleans(),
+    weighted=st.booleans(),
+    cache_size=st.sampled_from([None, 2, 5]),
+    length=st.integers(1, 70),
+)
+def test_kernel_block_width_changes_no_chain_and_no_pass_count(
+    graph_seed, seed, joint, weighted, cache_size, length
+):
+    """Whole-chain prefetch at block widths 1, 16 and the kernels' own:
+    every chain column, oracle row and estimate is ``array_equal``, and the
+    oracle never looks up or computes more than the per-16 prefetch of the
+    reference loop on a twin oracle."""
+    graph = _connected_graph(graph_seed, weighted=weighted)
+    vertices = graph.vertices()
+    members = random.Random(seed).sample(vertices, min(3, len(vertices)))
+    r = members[0]
+
+    def run():
+        if joint:
+            sampler = JointSpaceMHSampler(cache_size=cache_size)
+            oracle = sampler.build_oracle(graph)
+            chain = sampler.run_chain(graph, members, length, seed=seed, oracle=oracle)
+            columns = [chain.dependencies, chain.row, chain.accepted, chain.r_index]
+            estimates = np.array([[chain.relative_matrix()[a][b] for b in members] for a in members])
+        else:
+            sampler = SingleSpaceMHSampler(cache_size=cache_size)
+            oracle = sampler.build_oracle(graph)
+            chain = sampler.run_chain(graph, r, length, seed=seed, oracle=oracle)
+            columns = [chain.dependency, chain.accepted, chain.proposal_dependency]
+            columns.append(np.array([vertices.index(v) for v in chain.vertex]))
+            estimates = np.array([chain.estimate(e) for e in ESTIMATORS])
+        traffic = (oracle.evaluations, oracle.lookups)
+        rows = oracle.dependency_rows(vertices, vertices)
+        return columns, estimates, rows, traffic
+
+    runs = [_with_width(width, run) for width in WIDTHS]
+    columns, estimates, rows, traffic = runs[0]
+    for other_columns, other_estimates, other_rows, other_traffic in runs[1:]:
+        for a, b in zip(columns, other_columns):
+            assert np.array_equal(a, b)
+        assert np.array_equal(estimates, other_estimates, equal_nan=True)
+        assert np.array_equal(rows, other_rows)
+        assert other_traffic == traffic
+
+    twin = DependencyOracle(graph, cache_size=cache_size)
+    if joint:
+        reference_joint_chain(graph, members, length, oracle=twin, seed=seed)
+    else:
+        reference_mh_chain(graph, r, length, oracle=twin, seed=seed)
+    assert traffic[0] <= twin.evaluations
+    assert traffic[1] <= twin.lookups

@@ -102,8 +102,8 @@ class TestSingleChainIdentity:
         assert pooled.chains[0].states == legacy.states
 
     def test_identity_survives_the_batch_engine(self, barbell):
-        legacy = SingleSpaceMHSampler(batch_size=8).estimate(barbell, 5, 60, seed=21)
-        pooled = MultiChainMHSampler(n_chains=1, batch_size=8).estimate(
+        legacy = SingleSpaceMHSampler().estimate(barbell, 5, 60, seed=21)
+        pooled = MultiChainMHSampler(n_chains=1).estimate(
             barbell, 5, 60, seed=21
         )
         assert pooled.estimate == legacy.estimate
@@ -152,7 +152,7 @@ class TestExecutionInvariance:
         r = graph.vertices()[6]
         estimates = [
             MultiChainMHSampler(
-                n_chains=4, n_jobs=n_jobs, batch_size=8
+                n_chains=4, n_jobs=n_jobs
             ).estimate(graph, r, 64, seed=17).estimate
             for n_jobs in JOBS_GRID
         ]

@@ -472,7 +472,7 @@ class TestFaultInjection:
         The graph must exceed one shard (256 sources) for the scheduler to
         engage the pool at all.
         """
-        plan = resolve_plan(None, batch_size=16, n_jobs=2, kernel="csr")
+        plan = resolve_plan(None, n_jobs=2, kernel="csr")
         config = ServingConfig(kernel="csr", request_timeout=30.0)
         app = ServingApp(plan=plan, config=config)
         load_graph(app, "g", barabasi_albert_graph(600, 2, seed=SEED))
@@ -1080,7 +1080,7 @@ class TestStampParity:
 
     def test_harness_header_lines_share_the_stamp_vocabulary(self):
         stamp = execution_stamp(
-            {"n_jobs": 2, "batch_size": 16}, kernel="csr"
+            {"n_jobs": 2}, kernel="csr"
         )
         lines = format_stamp_lines(stamp).split("\n")
         assert lines == [f"{key}: {stamp[key]}" for key in EXECUTION_STAMP_KEYS]

@@ -32,11 +32,11 @@ def graph():
     return barabasi_albert_graph(40, 2, seed=3)
 
 
-def _cold_workload(graph, *, batch_size=None, n_jobs=None):
+def _cold_workload(graph, *, n_jobs=None):
     """The reference answers of the mixed workload, one cold call each."""
     hub = graph.vertices()[0]
     other = graph.vertices()[7]
-    kw = dict(batch_size=batch_size, n_jobs=n_jobs)
+    kw = dict(n_jobs=n_jobs)
     return [
         betweenness_single(graph, hub, method="mh", samples=60, seed=11, **kw),
         betweenness_single(graph, hub, method="mh", samples=60, seed=11, **kw),
@@ -81,8 +81,8 @@ class TestWarmColdBitIdentity:
 
     @pytest.mark.parametrize("n_jobs", JOBS_GRID)
     def test_engaged_session_matches_cold_calls_across_jobs(self, graph, n_jobs):
-        cold = _cold_workload(graph, batch_size=8, n_jobs=n_jobs)
-        plan = ExecutionPlan(batch_size=8, n_jobs=n_jobs)
+        cold = _cold_workload(graph, n_jobs=n_jobs)
+        plan = ExecutionPlan(n_jobs=n_jobs)
         with BetweennessSession(graph, plan) as session:
             warm = _warm_workload(session)
         _assert_workloads_identical(warm, cold)
@@ -92,11 +92,11 @@ class TestWarmColdBitIdentity:
         hub = graph.vertices()[0]
         cold = betweenness_single(
             graph, hub, method="mh", samples=64, seed=4,
-            batch_size=1, n_jobs=n_jobs, n_chains=2,
+            n_jobs=n_jobs, n_chains=2,
         )
         cold_rel = relative_betweenness(
             graph, [hub, 3, 7], samples=80, seed=6,
-            batch_size=1, n_jobs=n_jobs, n_chains=2,
+            n_jobs=n_jobs, n_chains=2,
         )
         with BetweennessSession(graph, ExecutionPlan(n_jobs=n_jobs)) as session:
             warm = session.estimate(hub, method="mh", samples=64, seed=4, n_chains=2)
@@ -179,13 +179,13 @@ class TestGraphMutation:
         graph must span several shards — a single shard runs inline and
         would never exercise the pool.)"""
         big = barabasi_albert_graph(600, 2, seed=3)
-        plan = ExecutionPlan(batch_size=1, n_jobs=2)
+        plan = ExecutionPlan(n_jobs=2)
         with BetweennessSession(big, plan) as session:
             before = session.exact()
             big.add_edge(big.vertices()[0], big.vertices()[-1])
             after = session.exact()
         assert before != after
-        assert after == betweenness_exact(big, batch_size=1, n_jobs=2)
+        assert after == betweenness_exact(big, n_jobs=2)
 
     def test_rebinding_the_graph_attribute_invalidates(self):
         """Replacing session.graph with a different object — even one with

@@ -186,8 +186,8 @@ def test_shared_store_create_warns_and_falls_back_without_support(monkeypatch):
 def test_shared_cache_prefetch_heavy_vectors_bit_identical(graph, store):
     """Prefetch-heavy run: a store-backed oracle returns the private
     oracle's vectors bit for bit (the determinism bedrock)."""
-    shared = DependencyOracle(graph, batch_size=8, shared_store=store)
-    private = DependencyOracle(graph, batch_size=8)
+    shared = DependencyOracle(graph, shared_store=store)
+    private = DependencyOracle(graph)
     vertices = graph.vertices()
     shared.prefetch(vertices[:20])
     private.prefetch(vertices[:20])
@@ -200,9 +200,9 @@ def test_shared_cache_eviction_heavy_vectors_bit_identical(graph, store):
     """Eviction-heavy run: a tightly bounded private cache forces constant
     store traffic and recomputation; the values never move."""
     shared = DependencyOracle(
-        graph, cache_size=2, batch_size=4, shared_store=store
+        graph, cache_size=2, shared_store=store
     )
-    private = DependencyOracle(graph, batch_size=4)
+    private = DependencyOracle(graph)
     vertices = graph.vertices()
     r = vertices[-1]
     for start in range(0, len(vertices), 6):
@@ -217,8 +217,8 @@ def test_shared_cache_eviction_heavy_vectors_bit_identical(graph, store):
 def test_shared_cache_second_oracle_reads_without_passes(graph, store):
     """The point of the arena: a pass paid by one oracle is a hit for every
     other oracle attached to the same store."""
-    writer = DependencyOracle(graph, batch_size=8, shared_store=store)
-    reader = DependencyOracle(graph, batch_size=8, shared_store=store)
+    writer = DependencyOracle(graph, shared_store=store)
+    reader = DependencyOracle(graph, shared_store=store)
     vertices = graph.vertices()
     r = vertices[-1]
     writer.prefetch(vertices[:10])
@@ -228,7 +228,7 @@ def test_shared_cache_second_oracle_reads_without_passes(graph, store):
     assert reader.shared_hits == 10
     assert reader.hit_rate() == 1.0
     # And prefetch itself is served from the store, not recomputed.
-    another = DependencyOracle(graph, batch_size=8, shared_store=store)
+    another = DependencyOracle(graph, shared_store=store)
     assert another.prefetch(vertices[:10]) == 0
     assert another.shared_hits == 10
 
@@ -253,14 +253,13 @@ def test_shared_cache_pooled_estimates_bit_identical_over_the_grid(graph):
     r = graph.vertices()[0]
     for n_chains in CHAINS_GRID:
         reference = MultiChainMHSampler(
-            n_chains=n_chains, batch_size=8
+            n_chains=n_chains
         ).estimate(graph, r, 48, seed=11)
         assert reference.diagnostics["shared_cache"] is False
         for n_jobs in JOBS_GRID:
             shared = MultiChainMHSampler(
                 n_chains=n_chains,
                 n_jobs=n_jobs,
-                batch_size=8,
                 shared_cache=True,
             ).estimate(graph, r, 48, seed=11)
             assert shared.estimate == reference.estimate, (n_jobs, n_chains)
@@ -271,11 +270,11 @@ def test_shared_cache_chain_states_match_private_runs(graph):
     """Stronger than the pooled read-out: the full per-chain trajectories
     are unchanged by cache sharing."""
     r = graph.vertices()[0]
-    private = MultiChainMHSampler(n_chains=4, batch_size=8).run_chains(
+    private = MultiChainMHSampler(n_chains=4).run_chains(
         graph, r, 48, seed=5
     )
     shared = MultiChainMHSampler(
-        n_chains=4, n_jobs=2, batch_size=8, shared_cache=True
+        n_chains=4, n_jobs=2, shared_cache=True
     ).run_chains(graph, r, 48, seed=5)
     for a, b in zip(private.chains, shared.chains):
         assert a.states == b.states
@@ -285,13 +284,12 @@ def test_shared_cache_arena_overflow_is_result_neutral(graph):
     """A deliberately tiny arena overflows immediately; chains must not
     notice (the store refuses rows, private caches absorb the rest)."""
     r = graph.vertices()[0]
-    reference = MultiChainMHSampler(n_chains=4, batch_size=8).estimate(
+    reference = MultiChainMHSampler(n_chains=4).estimate(
         graph, r, 48, seed=9
     )
     tiny = MultiChainMHSampler(
         n_chains=4,
         n_jobs=2,
-        batch_size=8,
         shared_cache=True,
         shared_cache_capacity=2,
     ).estimate(graph, r, 48, seed=9)
@@ -306,14 +304,14 @@ def test_shared_cache_deduplicates_passes_across_workers(graph):
     r = graph.vertices()[0]
     # n_jobs=1 shares one in-process oracle across all chains, so its
     # evaluation count *is* the number of unique sources the run touches.
-    unique = MultiChainMHSampler(n_chains=4, batch_size=8).estimate(
+    unique = MultiChainMHSampler(n_chains=4).estimate(
         graph, r, 64, seed=2
     )
     private = MultiChainMHSampler(
-        n_chains=4, n_jobs=4, batch_size=8
+        n_chains=4, n_jobs=4
     ).estimate(graph, r, 64, seed=2)
     shared = MultiChainMHSampler(
-        n_chains=4, n_jobs=4, batch_size=8, shared_cache=True
+        n_chains=4, n_jobs=4, shared_cache=True
     ).estimate(graph, r, 64, seed=2)
     unique_count = unique.diagnostics["evaluations"]
     assert private.diagnostics["evaluations"] > unique_count, (
@@ -335,13 +333,13 @@ def test_shared_cache_deduplicates_passes_across_workers(graph):
 def test_shared_cache_joint_driver_identical_and_deduplicated(graph):
     refs = graph.vertices()[:3]
     reference = MultiChainJointSampler(
-        n_chains=4, batch_size=4
+        n_chains=4
     ).estimate_relative(graph, refs, 64, seed=13)
     shared = MultiChainJointSampler(
-        n_chains=4, n_jobs=2, batch_size=4, shared_cache=True
+        n_chains=4, n_jobs=2, shared_cache=True
     ).estimate_relative(graph, refs, 64, seed=13)
     private = MultiChainJointSampler(
-        n_chains=4, n_jobs=2, batch_size=4
+        n_chains=4, n_jobs=2
     ).estimate_relative(graph, refs, 64, seed=13)
     key = lambda e: sorted((str(k), v) for k, v in e.ratios.items() if v == v)
     assert key(shared) == key(reference) == key(private)
@@ -361,7 +359,7 @@ def test_shared_cache_adaptive_mode_shares_across_rounds(graph):
     rounds (each round re-forks workers; the arena is what survives)."""
     r = graph.vertices()[0]
     kwargs = dict(
-        n_chains=4, batch_size=8, rhat_target=1.2, check_interval=8
+        n_chains=4, rhat_target=1.2, check_interval=8
     )
     reference = MultiChainMHSampler(**kwargs).estimate(graph, r, 96, seed=21)
     shared = MultiChainMHSampler(**kwargs, n_jobs=2, shared_cache=True).estimate(
@@ -456,7 +454,6 @@ def test_shared_cache_env_never_changes_an_estimate(graph, monkeypatch):
     revision let the flag switch disciplines and silently moved fixed-seed
     RK/MH results."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     r = graph.vertices()[0]
     unflagged = betweenness_single(graph, r, method="rk", samples=60, seed=7)
     monkeypatch.setenv("REPRO_SHARED_CACHE", "1")

@@ -294,7 +294,6 @@ def test_resolve_shared_graph_explicit_wins_over_env(monkeypatch):
 
 def test_shared_graph_env_fills_the_plan(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     monkeypatch.setenv("REPRO_SHARED_GRAPH", "1")
     assert resolve_plan(None).shared_graph is True
     assert resolve_plan(None, n_jobs=2).shared_graph is True
@@ -373,12 +372,12 @@ def test_context_shared_graph_invalidated_by_mutation(graph):
 def test_session_exit_leaves_no_segment(graph):
     from repro.centrality.session import BetweennessSession
 
-    plan = ExecutionPlan(batch_size=4, n_jobs=2, shared_graph=True)
+    plan = ExecutionPlan(n_jobs=2, shared_graph=True)
     with BetweennessSession(graph, plan) as session:
         warm = session.estimate(graph.vertices()[0], method="mh", samples=32, seed=3)
         name = session.context.stats()["shared_graph"]
     cold = MultiChainMHSampler(
-        n_chains=1, batch_size=4
+        n_chains=1
     ).estimate(graph, graph.vertices()[0], 32, seed=3)
     assert warm.estimate == cold.estimate
     if name is not None:
@@ -391,11 +390,11 @@ def test_session_exit_leaves_no_segment(graph):
 
 
 def test_sampler_estimates_bit_identical_shared_vs_pickled(graph):
-    reference = UniformSourceSampler(batch_size=8).estimate_all(
+    reference = UniformSourceSampler().estimate_all(
         graph, 40, seed=17
     )
     for n_jobs in (1, 2):
-        sampler = UniformSourceSampler(batch_size=8, n_jobs=n_jobs)
+        sampler = UniformSourceSampler(n_jobs=n_jobs)
         sampler.shared_graph = True
         shared = sampler.estimate_all(graph, 40, seed=17)
         assert shared.estimates == reference.estimates, n_jobs
@@ -404,10 +403,10 @@ def test_sampler_estimates_bit_identical_shared_vs_pickled(graph):
 
 def test_single_vertex_estimates_bit_identical_shared_vs_pickled(graph):
     r = graph.vertices()[0]
-    reference = UniformSourceSampler(batch_size=8, n_jobs=1).estimate(
+    reference = UniformSourceSampler(n_jobs=1).estimate(
         graph, r, 40, seed=23
     )
-    sampler = UniformSourceSampler(batch_size=8, n_jobs=2)
+    sampler = UniformSourceSampler(n_jobs=2)
     sampler.shared_graph = True
     shared = sampler.estimate(graph, r, 40, seed=23)
     assert shared.estimate == reference.estimate
@@ -417,13 +416,12 @@ def test_single_vertex_estimates_bit_identical_shared_vs_pickled(graph):
 def test_multichain_pooled_estimate_bit_identical_shared_vs_pickled(graph):
     r = graph.vertices()[0]
     reference = MultiChainMHSampler(
-        n_chains=4, batch_size=8
+        n_chains=4
     ).estimate(graph, r, 48, seed=11)
     for n_jobs in (1, 2):
         shared = MultiChainMHSampler(
             n_chains=4,
             n_jobs=n_jobs,
-            batch_size=8,
             shared_graph=True,
         ).estimate(graph, r, 48, seed=11)
         assert shared.estimate == reference.estimate, n_jobs
@@ -444,12 +442,12 @@ def test_exact_brandes_bit_identical_shared_vs_pickled(graph):
     for n_jobs in (1, 2):
         pickled = betweenness_centrality(
             graph,
-            plan=ExecutionPlan(batch_size=8, n_jobs=n_jobs),
+            plan=ExecutionPlan(n_jobs=n_jobs),
         )
         shared = betweenness_centrality(
             graph,
             plan=ExecutionPlan(
-                batch_size=8, n_jobs=n_jobs, shared_graph=True
+                n_jobs=n_jobs, shared_graph=True
             ),
         )
         assert shared == pickled == reference, n_jobs
