@@ -129,7 +129,7 @@ def _cold_answers(graph, queries):
     for op, spec in queries:
         with BetweennessSession(graph, plan, arena_capacity=ARENA_CAPACITY) as session:
             payload = execute_query(
-                session, dict(spec, op=op), default_chains=CHAINS, kernel="csr"
+                session, dict(spec, op=op), default_chains=CHAINS
             )
         answers.append(_answer_fields(op, json.loads(json.dumps(payload))))
     return answers, time.perf_counter() - start
@@ -204,7 +204,6 @@ def _run_serving_benchmark():
 
     plan = ExecutionPlan(n_jobs=BENCH_JOBS)
     config = ServingConfig(
-        kernel="csr",
         default_chains=CHAINS,
         arena_capacity=ARENA_CAPACITY,
         request_timeout=600.0,
@@ -312,10 +311,7 @@ def test_e17_serving(benchmark):
 
     graph = _bench_graph()
     plan = ExecutionPlan(n_jobs=BENCH_JOBS)
-    config = ServingConfig(
-        kernel="csr", default_chains=CHAINS,
-        arena_capacity=ARENA_CAPACITY,
-    )
+    config = ServingConfig(default_chains=CHAINS, arena_capacity=ARENA_CAPACITY)
     app = ServingApp(plan=plan, config=config)
     server = create_server("127.0.0.1", 0, app=app)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

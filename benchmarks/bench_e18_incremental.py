@@ -19,8 +19,8 @@ serving workload:
   ``full_seconds / delta_seconds >= 2`` at the receipt size, with every
   per-query answer asserted bit-identical between the two modes.
 * **E18-identity** — a warm session driven through a mutation is compared
-  against a cold run on the mutated graph across the execution grid
-  (kernel rung x n_jobs); every cell must be bit-identical.
+  against a cold run on the mutated graph across the worker counts
+  (``n_jobs``); every cell must be bit-identical.
 * **E18-patch** — the weight-only mutation fast path:
   :meth:`repro.graphs.csr.CSRGraph.patched` must reuse the stale
   snapshot's structure arrays (no rebuild) and match a from-scratch
@@ -197,32 +197,18 @@ def _run_throughput():
 # ----------------------------------------------------------------------
 # Identity grid
 # ----------------------------------------------------------------------
-#: (kernel, n_jobs) cells of the warm-vs-cold identity grid.
-#: kernel "compiled" degrades to the numpy rung without numba — results
-#: unchanged by the kernel contract, so the cell stays meaningful.
-IDENTITY_GRID = (
-    ("auto", None),
-    ("csr", None),
-    ("csr", 2),
-    ("compiled", None),
-    ("compiled", 4),
-)
+#: n_jobs cells of the warm-vs-cold identity grid (``None``: no plan).
+IDENTITY_GRID = (None, 2, 4)
 IDENTITY_SIZE = 240
 IDENTITY_SAMPLES = 32
 
 
-def _identity_cell(kernel, n_jobs):
+def _identity_cell(n_jobs):
     graph = barabasi_albert_graph(IDENTITY_SIZE, 3, seed=bench_seed() + 7)
     u, v, _ = _toggle_edge(graph)
     target = graph.vertices()[5]
-    plan = (
-        ExecutionPlan(n_jobs=n_jobs, kernel=kernel)
-        if n_jobs is not None
-        else None
-    )
+    plan = ExecutionPlan(n_jobs=n_jobs) if n_jobs is not None else None
     with BetweennessSession(graph, plan) as session:
-        if plan is None:
-            session._sampler("mh").kernel = kernel
         session.estimate(target, method="mh", samples=IDENTITY_SAMPLES, seed=11)
         graph.add_edge(u, v)
         receipt = session.refresh_warm_state()
@@ -238,16 +224,14 @@ def _identity_cell(kernel, n_jobs):
         samples=IDENTITY_SAMPLES,
         seed=11,
         n_jobs=n_jobs,
-        kernel=kernel,
     )
     identical = warm.estimate == cold.estimate
     assert identical, (
         f"warm post-mutation answer diverged from cold at "
-        f"(kernel={kernel}, n_jobs={n_jobs}): "
+        f"n_jobs={n_jobs}: "
         f"{warm.estimate!r} != {cold.estimate!r}"
     )
     return {
-        "kernel": kernel,
         "n_jobs": n_jobs if n_jobs is not None else 1,
         "invalidation_mode": receipt.mode,
         "bit_identical": identical,
@@ -255,7 +239,7 @@ def _identity_cell(kernel, n_jobs):
 
 
 def _run_identity_grid():
-    return [_identity_cell(*cell) for cell in IDENTITY_GRID]
+    return [_identity_cell(n_jobs) for n_jobs in IDENTITY_GRID]
 
 
 # ----------------------------------------------------------------------
@@ -350,9 +334,7 @@ THROUGHPUT_COLUMNS = [
     "speedup", "affected_fraction", "delta_mutations", "full_passes",
     "delta_passes", "arena_retained_last", "oracle_retained_last",
 ]
-IDENTITY_COLUMNS = [
-    "kernel", "n_jobs", "invalidation_mode", "bit_identical",
-]
+IDENTITY_COLUMNS = ["n_jobs", "invalidation_mode", "bit_identical"]
 PATCH_COLUMNS = [
     "mutation", "patched_shares_structure", "weights_bit_identical", "nnz",
 ]

@@ -29,21 +29,6 @@ Environment knobs
     ``REPRO_SHARED_GRAPH`` so every estimator in the ``bench_e*``
     modules honours it, and stamped as a ``shared_graph:`` line in every
     emitted table.
-``REPRO_BENCH_KERNEL``
-    CSR kernel rung the benchmarks run: ``auto`` (default; the compiled
-    numba twins when numba is importable), ``csr`` (numpy) or
-    ``compiled``.  Exported as ``REPRO_KERNEL`` so every ``kernel="auto"``
-    call site resolves it, and the *resolved* rung is stamped as a
-    ``kernel:`` line in every emitted table — the rungs are bit-identical,
-    so the stamp attributes wall-clock only, never result drift.
-``REPRO_BENCH_KERNEL_THREADS``
-    Thread count of the compiled jit-parallel batch kernels (default ``1``,
-    the sequential kernels).  Exported as ``REPRO_KERNEL_THREADS`` so every
-    plan fills its ``kernel_threads`` field from it, and
-    stamped as a ``kernel_threads:`` line in every emitted table — the
-    parallel kernels accumulate per-source rows in source order at any
-    thread count, so the stamp attributes wall-clock only, never result
-    drift.
 ``REPRO_BENCH_INVALIDATION``
     Mutation invalidation scoping the benchmarks run under: ``delta``
     (default; journal-proved affected-region retention) or ``full``
@@ -96,16 +81,6 @@ def bench_jobs() -> int:
     return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
-def bench_kernel() -> str:
-    """Return the requested CSR kernel rung (``REPRO_BENCH_KERNEL``)."""
-    return os.environ.get("REPRO_BENCH_KERNEL", "auto")
-
-
-def bench_kernel_threads() -> int:
-    """Return the compiled-kernel thread count (``REPRO_BENCH_KERNEL_THREADS``)."""
-    return int(os.environ.get("REPRO_BENCH_KERNEL_THREADS", "1"))
-
-
 def bench_invalidation() -> str:
     """Return the requested invalidation mode (``REPRO_BENCH_INVALIDATION``)."""
     return os.environ.get("REPRO_BENCH_INVALIDATION", "delta")
@@ -136,28 +111,6 @@ if bench_jobs() != 1:
 if bench_shared_graph():
     os.environ["REPRO_SHARED_GRAPH"] = "1"
 
-# And for the kernel rung: REPRO_KERNEL steers every kernel="auto" call
-# site through repro.graphs.csr.resolve_kernel (requesting "compiled"
-# without numba warn-and-falls-back to the numpy rung, results unchanged).
-if bench_kernel() != "auto":
-    if bench_kernel() not in ("csr", "compiled"):
-        raise ValueError(
-            f"REPRO_BENCH_KERNEL must be 'auto', 'csr' or 'compiled', "
-            f"got {bench_kernel()!r}"
-        )
-    os.environ["REPRO_KERNEL"] = bench_kernel()
-
-# And for the kernel-thread count: REPRO_KERNEL_THREADS fills the
-# kernel_threads field of every resolved plan (see
-# repro.execution.plan.resolve_kernel_threads).
-if bench_kernel_threads() != 1:
-    if bench_kernel_threads() < 1:
-        raise ValueError(
-            f"REPRO_BENCH_KERNEL_THREADS must be a positive integer, "
-            f"got {bench_kernel_threads()!r}"
-        )
-    os.environ["REPRO_KERNEL_THREADS"] = str(bench_kernel_threads())
-
 # And for the invalidation mode: REPRO_INVALIDATION steers how every
 # session scopes mutation invalidation (repro.incremental
 # .resolve_invalidation); both modes answer identically, only warm-start
@@ -169,15 +122,6 @@ if bench_invalidation() != "delta":
             f"got {bench_invalidation()!r}"
         )
     os.environ["REPRO_INVALIDATION"] = bench_invalidation()
-
-
-def resolved_bench_kernel() -> str:
-    """Return the kernel rung the benchmarks actually run (``csr`` or ``compiled``)."""
-    from repro.execution.stamp import resolve_kernel_quiet
-
-    # Quiet: the fallback warning is already the bench's explicit receipt
-    # (the kernel: stamp); no need to repeat it once per emitted table.
-    return resolve_kernel_quiet(bench_kernel())
 
 
 def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> str:
@@ -209,21 +153,21 @@ def emit_table(
 ) -> str:
     """Print the experiment table and persist it under :func:`results_dir`.
 
-    ``jobs: <n>``, ``shared_graph: <bool>``, ``kernel: <csr|compiled>``,
-    ``kernel_threads: <n>`` and ``invalidation: <delta|full>`` lines are
+    The execution stamp (:func:`repro.execution.stamp.execution_stamp`:
+    ``jobs``, ``batch_size``, ``kernel``, ``kernel_threads``) plus
+    ``shared_graph: <bool>`` and ``invalidation: <delta|full>`` lines are
     stamped under the title so every stored result records which degree of
-    parallelism, snapshot-shipping mode, kernel rung, kernel-thread count
-    and invalidation scoping produced it.
+    parallelism, snapshot-shipping mode and invalidation scoping produced
+    it.
     """
-    from repro.execution.stamp import format_stamp_lines
+    from repro.execution.stamp import execution_stamp, format_stamp_lines
 
     table = format_table(rows, columns)
+    execution = execution_stamp({"n_jobs": bench_jobs()})
     stamp = format_stamp_lines(
         {
-            "jobs": bench_jobs(),
+            **{key: value for key, value in execution.items() if value is not None},
             "shared_graph": bench_shared_graph(),
-            "kernel": resolved_bench_kernel(),
-            "kernel_threads": bench_kernel_threads(),
             "invalidation": bench_invalidation(),
         }
     )

@@ -23,12 +23,8 @@ setup(
     install_requires=["numpy>=1.22"],
     # scipy upgrades the batched multi-source engine to sparse-matmul
     # sweeps (repro.shortest_paths.batch); without it the pure-numpy wave
-    # kernels serve the same API.  numba unlocks the compiled kernel rung
-    # (repro.shortest_paths.compiled) — jitted twins of the BFS wave and
-    # dependency accumulation that are bit-identical to the numpy rung;
-    # without it kernel="auto" resolves to the numpy kernels.
+    # kernels serve the same API.
     extras_require={
         "fast": ["scipy>=1.8"],
-        "compiled": ["numba"],
     },
 )

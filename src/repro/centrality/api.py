@@ -27,7 +27,7 @@ from repro.exact.single_vertex import (
     betweenness_of_vertex,
     exact_relative_betweenness,
 )
-from repro.execution.autotune import calibrate_kernel_threads, calibrate_n_jobs
+from repro.execution.autotune import calibrate_n_jobs
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.utils import ensure_connected
 from repro.mcmc.bounds import epsilon_for_samples, mu_statistics, required_samples
@@ -71,11 +71,6 @@ DEFAULT_CHAINS = 4
 #: spin-ups).
 Jobs = Union[int, str, None]
 
-#: Kernel-thread specification: an int, ``None`` (the
-#: ``REPRO_KERNEL_THREADS`` default, 1) or ``"auto"`` (calibrated from a
-#: timed probe over the compiled jit-parallel batch kernels).
-Threads = Union[int, str, None]
-
 
 def _resolve_n_jobs(graph: Graph, n_jobs: Jobs, workload: Optional[int] = None):
     """Resolve ``"auto"`` to a calibrated worker count at the point the graph is known.
@@ -89,35 +84,6 @@ def _resolve_n_jobs(graph: Graph, n_jobs: Jobs, workload: Optional[int] = None):
         return calibrate_n_jobs(graph, probe_sources=probe_sources)
     return n_jobs
 
-
-def _resolve_kernel_threads(
-    graph: Graph,
-    kernel_threads: Threads,
-    kernel: str,
-    n_jobs,
-    workload: Optional[int] = None,
-):
-    """Resolve ``"auto"`` to a calibrated thread count at the point the graph is known.
-
-    The knob only engages the compiled jit-parallel batch kernels, so when
-    the compiled rung cannot run ``"auto"`` resolves to 1 without probing.
-    The probe composes with the caller's already-resolved *n_jobs*:
-    candidate thread counts are capped so ``threads × processes`` never
-    oversubscribes the machine.  Like the
-    other two probes, the timed choice is result-neutral — the parallel
-    kernels accumulate per-source rows in source order at any thread
-    count.
-    """
-    if kernel_threads == "auto":
-        jobs = n_jobs if isinstance(n_jobs, int) and n_jobs >= 1 else 1
-        probe_sources = 32 if workload is None else max(4, min(32, workload // 16))
-        return calibrate_kernel_threads(
-            graph,
-            kernel=kernel,
-            probe_sources=probe_sources,
-            n_jobs=jobs,
-        )
-    return kernel_threads
 
 #: Estimator registry for :func:`betweenness_single`.  Every factory accepts
 #: the execution-engine knob ``n_jobs`` (see :mod:`repro.execution`);
@@ -157,8 +123,6 @@ def betweenness_single(
     n_chains: Optional[int] = None,
     rhat_target: Optional[float] = None,
     shared_cache: Optional[bool] = None,
-    kernel: str = "auto",
-    kernel_threads: Threads = None,
 ) -> SingleEstimate:
     """Estimate the betweenness of one vertex with the chosen *method*.
 
@@ -189,16 +153,6 @@ def betweenness_single(
         probed with real pool spin-ups; the sharded discipline is
         n_jobs-invariant, so the timing-chosen count can never change the
         estimate either.
-    kernel:
-        CSR kernel rung (``"auto"`` / ``"csr"`` / ``"compiled"``, see
-        :func:`~repro.graphs.csr.resolve_kernel`); the compiled rung is
-        bit-identical to the numpy rung, so this only changes speed.
-    kernel_threads:
-        Thread count of the compiled jit-parallel batch kernels (``None``
-        consults ``REPRO_KERNEL_THREADS``, default 1; ``"auto"`` calibrates
-        from a timed probe capped so ``threads × n_jobs`` stays within the
-        machine).  Result-neutral at any count — per-source rows are
-        computed independently and accumulated in source order.
     n_chains, rhat_target:
         Engage the multi-chain MCMC driver
         (:class:`repro.mcmc.multichain.MultiChainMHSampler`) for the MH
@@ -246,10 +200,6 @@ def betweenness_single(
         if n_jobs == "auto":
             n_jobs = min(_resolve_n_jobs(graph, n_jobs, workload=samples), chains)
         base = SINGLE_VERTEX_METHODS[method]()
-        base.kernel = kernel
-        base.kernel_threads = _resolve_kernel_threads(
-            graph, kernel_threads, kernel, n_jobs, workload=samples
-        )
         driver = MultiChainMHSampler(
             base,
             n_chains=chains,
@@ -260,10 +210,6 @@ def betweenness_single(
         return driver.estimate(graph, r, samples, seed=seed)
     n_jobs = _resolve_n_jobs(graph, n_jobs, workload=samples)
     estimator = SINGLE_VERTEX_METHODS[method](n_jobs)
-    estimator.kernel = kernel
-    estimator.kernel_threads = _resolve_kernel_threads(
-        graph, kernel_threads, kernel, n_jobs, workload=samples
-    )
     return estimator.estimate(graph, r, samples, seed=seed)
 
 
@@ -273,42 +219,20 @@ def betweenness_exact(
     *,
     normalization: str = "paper",
     n_jobs: Jobs = None,
-    kernel: str = "auto",
-    kernel_threads: Threads = None,
 ) -> Dict[Vertex, float]:
     """Return exact betweenness scores (all vertices, or just the requested ones).
 
     ``n_jobs`` configures the sharded execution engine that runs the
     per-source Brandes passes (see :mod:`repro.execution`); ``"auto"``
     calibrates it from a timed probe (bit-identical results for any
-    resolved value).  ``kernel`` selects the CSR kernel rung — numpy or
-    the bit-identical numba-compiled twins — and ``kernel_threads`` the
-    thread count of the compiled jit-parallel batch kernels (``"auto"``
-    probes counts capped so ``threads × n_jobs`` stays within the machine;
-    result-neutral at any count).
+    resolved value).
     """
     passes = graph.number_of_vertices() if vertices is None else None
     n_jobs = _resolve_n_jobs(graph, n_jobs, workload=passes)
-    kernel_threads = _resolve_kernel_threads(
-        graph, kernel_threads, kernel, n_jobs, workload=passes
-    )
     if vertices is None:
-        return betweenness_centrality(
-            graph,
-            normalization=normalization,
-            n_jobs=n_jobs,
-            kernel=kernel,
-            kernel_threads=kernel_threads,
-        )
+        return betweenness_centrality(graph, normalization=normalization, n_jobs=n_jobs)
     return {
-        v: betweenness_of_vertex(
-            graph,
-            v,
-            normalization=normalization,
-            n_jobs=n_jobs,
-            kernel=kernel,
-            kernel_threads=kernel_threads,
-        )
+        v: betweenness_of_vertex(graph, v, normalization=normalization, n_jobs=n_jobs)
         for v in vertices
     }
 
@@ -323,8 +247,6 @@ def relative_betweenness(
     n_jobs: Jobs = None,
     n_chains: Optional[int] = None,
     shared_cache: Optional[bool] = None,
-    kernel: str = "auto",
-    kernel_threads: Threads = None,
 ) -> RelativeBetweennessEstimate:
     """Estimate all pairwise relative betweenness scores of *reference_set*.
 
@@ -348,13 +270,8 @@ def relative_betweenness(
     if n_chains is not None:
         if n_jobs == "auto":
             n_jobs = min(_resolve_n_jobs(graph, n_jobs, workload=samples), n_chains)
-        base = JointSpaceMHSampler()
-        base.kernel = kernel
-        base.kernel_threads = _resolve_kernel_threads(
-            graph, kernel_threads, kernel, n_jobs, workload=samples
-        )
         driver = MultiChainJointSampler(
-            base,
+            JointSpaceMHSampler(),
             n_chains=n_chains,
             n_jobs=n_jobs,
             shared_cache=shared_cache,
@@ -362,10 +279,6 @@ def relative_betweenness(
         return driver.estimate_relative(graph, reference_set, samples, seed=seed)
     n_jobs = _resolve_n_jobs(graph, n_jobs, workload=samples)
     sampler = JointSpaceMHSampler(n_jobs=n_jobs)
-    sampler.kernel = kernel
-    sampler.kernel_threads = _resolve_kernel_threads(
-        graph, kernel_threads, kernel, n_jobs, workload=samples
-    )
     return sampler.estimate_relative(graph, reference_set, samples, seed=seed)
 
 

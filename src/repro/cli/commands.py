@@ -41,7 +41,6 @@ from typing import List, Optional, Sequence
 
 from repro.centrality.api import (
     SINGLE_VERTEX_METHODS,
-    _resolve_kernel_threads,
     _resolve_n_jobs,
     betweenness_exact,
     betweenness_single,
@@ -49,9 +48,7 @@ from repro.centrality.api import (
 )
 from repro.centrality.session import BetweennessSession
 from repro.datasets.registry import SIZES, dataset_names, dataset_table, load_dataset
-from repro.execution import resolve_kernel_threads, resolve_plan
-from repro.execution.stamp import resolve_kernel_quiet
-from repro.graphs.csr import KERNELS
+from repro.execution import resolve_plan
 from repro.errors import ReproError
 from repro.graphs.core import Graph
 from repro.graphs.io import read_edge_list
@@ -248,22 +245,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes for the sharded source loop, or 'auto' to "
         "calibrate the count from a short timed probe (default: REPRO_JOBS, else 1)",
     )
-    parser.add_argument(
-        "--kernel",
-        default="auto",
-        choices=KERNELS,
-        help="CSR kernel rung: 'csr' (numpy) or 'compiled' (numba-jitted, "
-        "bit-identical results; default: auto = compiled when numba imports)",
-    )
-    parser.add_argument(
-        "--kernel-threads",
-        type=_jobs,
-        default=None,
-        help="threads for the compiled jit-parallel batch kernels, or 'auto' "
-        "to calibrate from a short timed probe capped so threads x jobs "
-        "stays within the machine (default: REPRO_KERNEL_THREADS, else 1; "
-        "result-neutral at any count)",
-    )
 
 
 def _add_shared_cache_argument(parser: argparse.ArgumentParser) -> None:
@@ -335,9 +316,6 @@ def run(args: argparse.Namespace, out=sys.stdout) -> int:
 
 def _run_estimate(args: argparse.Namespace, graph: Graph, out) -> int:
     vertex = parse_vertex(args.vertex)
-    kernel_threads = _resolve_kernel_threads(
-        graph, args.kernel_threads, args.kernel, args.jobs
-    )
     result = betweenness_single(
         graph,
         vertex,
@@ -348,24 +326,13 @@ def _run_estimate(args: argparse.Namespace, graph: Graph, out) -> int:
         n_chains=args.chains,
         rhat_target=args.rhat,
         shared_cache=args.shared_cache,
-        kernel=args.kernel,
-        kernel_threads=kernel_threads,
     )
-    payload = estimate_payload(
-        vertex,
-        result,
-        kernel=resolve_kernel_quiet(args.kernel),
-        kernel_threads=resolve_kernel_threads(kernel_threads),
-    )
-    print(json.dumps(payload, indent=2), file=out)
+    print(json.dumps(estimate_payload(vertex, result), indent=2), file=out)
     return 0
 
 
 def _run_relative(args: argparse.Namespace, graph: Graph, out) -> int:
     vertices = [parse_vertex(v) for v in args.vertices.split(",") if v.strip() != ""]
-    kernel_threads = _resolve_kernel_threads(
-        graph, args.kernel_threads, args.kernel, args.jobs
-    )
     estimate = relative_betweenness(
         graph,
         vertices,
@@ -374,15 +341,8 @@ def _run_relative(args: argparse.Namespace, graph: Graph, out) -> int:
         n_jobs=args.jobs,
         n_chains=args.chains,
         shared_cache=args.shared_cache,
-        kernel=args.kernel,
-        kernel_threads=kernel_threads,
     )
-    payload = relative_payload(
-        estimate,
-        kernel=resolve_kernel_quiet(args.kernel),
-        kernel_threads=resolve_kernel_threads(kernel_threads),
-    )
-    print(json.dumps(payload, indent=2), file=out)
+    print(json.dumps(relative_payload(estimate), indent=2), file=out)
     return 0
 
 
@@ -395,16 +355,7 @@ def _run_batch(args: argparse.Namespace, graph: Graph, out) -> int:
     oracles — stays warm across the whole stream, which is the point: the
     per-query marginal cost is the estimator work alone.
     """
-    n_jobs = _resolve_n_jobs(graph, args.jobs)
-    kernel_threads = _resolve_kernel_threads(
-        graph, args.kernel_threads, args.kernel, n_jobs
-    )
-    plan = resolve_plan(
-        None,
-        n_jobs=n_jobs,
-        kernel=args.kernel,
-        kernel_threads=kernel_threads,
-    )
+    plan = resolve_plan(None, n_jobs=_resolve_n_jobs(graph, args.jobs))
     if args.queries == "-":
         lines = sys.stdin
         close_lines = False
@@ -430,11 +381,7 @@ def _run_batch(args: argparse.Namespace, graph: Graph, out) -> int:
                         record["id"] = query["id"]
                     record["op"] = query.get("op", "estimate")
                     record.update(
-                        execute_query(
-                            session, query, default_chains=args.chains,
-                            kernel=resolve_kernel_quiet(args.kernel),
-                            kernel_threads=resolve_kernel_threads(kernel_threads),
-                        )
+                        execute_query(session, query, default_chains=args.chains)
                     )
                 except (ReproError, ValueError, KeyError, TypeError) as exc:
                     failures += 1
@@ -451,34 +398,23 @@ def _run_serve(args: argparse.Namespace, graph: Optional[Graph], out) -> int:
 
     With ``--graph``/``--dataset`` the named graph is preloaded (warm before
     the first request); without one the daemon starts empty and graphs
-    arrive over ``PUT /graphs/<name>``.  Auto-calibrated ``--jobs`` /
-    ``--kernel-threads`` probes run against the preloaded graph; with no
-    graph to probe they fall back to the plan defaults.
+    arrive over ``PUT /graphs/<name>``.  An auto-calibrated ``--jobs``
+    probe runs against the preloaded graph; with no graph to probe it falls
+    back to the plan default.
     """
     from repro.serving import ServingApp, ServingConfig, create_server
 
     if graph is not None:
         n_jobs = _resolve_n_jobs(graph, args.jobs)
-        kernel_threads = _resolve_kernel_threads(
-            graph, args.kernel_threads, args.kernel, n_jobs
-        )
     else:
         n_jobs = None if args.jobs == "auto" else args.jobs
-        kernel_threads = None if args.kernel_threads == "auto" else args.kernel_threads
-    plan = resolve_plan(
-        None,
-        n_jobs=n_jobs,
-        kernel=args.kernel,
-        kernel_threads=kernel_threads,
-    )
+    plan = resolve_plan(None, n_jobs=n_jobs)
     config = ServingConfig(
         max_inflight=args.max_inflight,
         request_timeout=args.timeout,
         retry_after=args.retry_after,
         default_chains=args.chains,
         max_sessions=args.max_sessions,
-        kernel=args.kernel,
-        kernel_threads=kernel_threads,
         arena_capacity=args.arena_capacity,
         invalidation=args.invalidation,
     )
@@ -512,13 +448,7 @@ def _run_exact(args: argparse.Namespace, graph: Graph, out) -> int:
     vertices: Optional[List[object]] = None
     if args.vertices:
         vertices = [parse_vertex(v) for v in args.vertices.split(",") if v.strip() != ""]
-    scores = betweenness_exact(
-        graph,
-        vertices,
-        n_jobs=args.jobs,
-        kernel=args.kernel,
-        kernel_threads=args.kernel_threads,
-    )
+    scores = betweenness_exact(graph, vertices, n_jobs=args.jobs)
     items = sorted(scores.items(), key=lambda kv: kv[1], reverse=True)
     if args.top is not None:
         items = items[: args.top]

@@ -70,8 +70,6 @@ def betweenness_centrality(
     sources: Optional[Iterable[Vertex]] = None,
     n_jobs: Optional[int] = None,
     plan: Optional[ExecutionPlan] = None,
-    kernel: str = "auto",
-    kernel_threads: Optional[int] = None,
 ) -> Dict[Vertex, float]:
     """Return the exact betweenness centrality of every vertex.
 
@@ -94,15 +92,6 @@ def betweenness_centrality(
         into the batched CSR kernels, shards spread over ``n_jobs``
         processes, buffers merged in deterministic shard order, so the
         result is bit-identical for any ``n_jobs``.
-    kernel:
-        CSR kernel rung (``"auto"`` / ``"csr"`` / ``"compiled"``, see
-        :func:`~repro.graphs.csr.resolve_kernel`).  The compiled rung is
-        bit-identical to the numpy rung, so this knob never changes the
-        returned scores — only how fast each Brandes pass runs.
-    kernel_threads:
-        Thread count of the compiled jit-parallel batch kernels (see
-        :func:`~repro.execution.resolve_kernel_threads`); rows accumulate
-        in source order at any thread count, so this too is result-neutral.
 
     Returns
     -------
@@ -113,12 +102,7 @@ def betweenness_centrality(
     factor = normalization_factor(
         graph.number_of_vertices(), normalization, directed=graph.directed
     )
-    plan = resolve_plan(
-        plan,
-        n_jobs=n_jobs,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
-    )
+    plan = resolve_plan(plan, n_jobs=n_jobs)
     csr = plan_snapshot(graph, plan)
     if sources is None:
         source_indices = range(csr.number_of_vertices())

@@ -32,24 +32,13 @@ def dependency_vector(
     *,
     n_jobs: Optional[int] = None,
     plan: Optional["ExecutionPlan"] = None,
-    kernel: str = "auto",
-    kernel_threads: Optional[int] = None,
 ) -> Dict[Vertex, float]:
     """Return ``{v: delta_{v.}(r)}`` — the unnormalised MH target distribution of Eq. 5.
 
     ``n_jobs`` / ``plan`` configure the sharded execution
-    engine that runs the |V| Brandes passes (see :mod:`repro.execution`);
-    ``kernel`` selects the bit-identical CSR kernel rung and
-    ``kernel_threads`` its jit-parallel thread count (result-neutral).
+    engine that runs the |V| Brandes passes (see :mod:`repro.execution`).
     """
-    return all_dependencies_on_target(
-        graph,
-        r,
-        n_jobs=n_jobs,
-        plan=plan,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
-    )
+    return all_dependencies_on_target(graph, r, n_jobs=n_jobs, plan=plan)
 
 
 def betweenness_of_vertex(
@@ -59,8 +48,6 @@ def betweenness_of_vertex(
     normalization: str = "paper",
     n_jobs: Optional[int] = None,
     plan: Optional["ExecutionPlan"] = None,
-    kernel: str = "auto",
-    kernel_threads: Optional[int] = None,
 ) -> float:
     """Return the exact betweenness score of vertex *r*.
 
@@ -69,14 +56,7 @@ def betweenness_of_vertex(
     routes.  ``n_jobs`` / ``plan`` configure the execution
     engine that runs the |V| dependency passes.
     """
-    deltas = dependency_vector(
-        graph,
-        r,
-        n_jobs=n_jobs,
-        plan=plan,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
-    )
+    deltas = dependency_vector(graph, r, n_jobs=n_jobs, plan=plan)
     raw = sum(deltas.values())
     factor = normalization_factor(
         graph.number_of_vertices(), normalization, directed=graph.directed

@@ -5,7 +5,8 @@ samplers, the Metropolis-Hastings oracles) reduces to "run many per-source
 passes and accumulate".  This package owns *how* those passes are executed:
 
 * :class:`~repro.execution.plan.ExecutionPlan` bundles the execution
-  knobs — multiprocessing ``n_jobs`` and the CSR kernel rung — and
+  knobs — multiprocessing ``n_jobs``, the shared arena and graph, the
+  start method and the persistent runtime — and
   :func:`~repro.execution.plan.resolve_plan` resolves them (explicit
   arguments win over the ``REPRO_JOBS`` environment override; with nothing
   set the plan defaults apply — every estimator always runs through a
@@ -17,15 +18,11 @@ passes and accumulate".  This package owns *how* those passes are executed:
   shards inline or on a multiprocessing pool, and merges per-shard buffers
   in deterministic shard order — so results are identical for any
   ``n_jobs`` given a fixed seed.
-* :mod:`~repro.execution.autotune` calibrates ``n_jobs`` and
-  ``kernel_threads`` from short timed probes (what the respective
-  ``"auto"`` values resolve to); safe because the shard scheduler is
-  n_jobs-invariant and the jit-parallel kernels accumulate rows in source
-  order at any thread count — timing can never change an estimate.  The
-  threads probe composes with ``n_jobs``: candidates are capped so
-  ``threads × processes`` never oversubscribes the machine.  A shard-size
-  probe ships as a diagnostic only (the shard size is part of the
-  determinism contract, never a knob).
+* :mod:`~repro.execution.autotune` calibrates ``n_jobs`` from a short
+  timed probe (what ``n_jobs="auto"`` resolves to); safe because the
+  shard scheduler is n_jobs-invariant — timing can never change an
+  estimate.  A shard-size probe ships as a diagnostic only (the shard size
+  is part of the determinism contract, never a knob).
 * :mod:`~repro.execution.shared_cache` provides the cross-process
   :class:`~repro.execution.shared_cache.SharedDependencyStore` — a
   shared-memory arena of per-source dependency vectors the multi-chain MCMC
@@ -41,20 +38,12 @@ passes and accumulate".  This package owns *how* those passes are executed:
 """
 
 from repro.execution.autotune import (
-    calibrate_kernel_threads,
     calibrate_n_jobs,
     default_jobs_candidates,
-    default_threads_candidates,
-    probe_kernel_threads,
     probe_n_jobs,
     probe_shard_sizes,
 )
-from repro.execution.plan import (
-    DEFAULT_SHARD_SIZE,
-    ExecutionPlan,
-    resolve_kernel_threads,
-    resolve_plan,
-)
+from repro.execution.plan import DEFAULT_SHARD_SIZE, ExecutionPlan, resolve_plan
 from repro.execution.runtime import (
     ExecutionContext,
     PersistentWorkerPool,
@@ -79,6 +68,7 @@ from repro.execution.stamp import (
     execution_stamp,
     format_stamp_lines,
     resolve_kernel_quiet,
+    resolve_kernel_threads,
 )
 
 __all__ = [
@@ -94,9 +84,6 @@ __all__ = [
     "default_jobs_candidates",
     "calibrate_n_jobs",
     "probe_n_jobs",
-    "default_threads_candidates",
-    "calibrate_kernel_threads",
-    "probe_kernel_threads",
     "probe_shard_sizes",
     "split_shards",
     "shard_rngs",

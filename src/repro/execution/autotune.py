@@ -1,10 +1,10 @@
-"""Adaptive execution tuning: timed probes for worker and thread counts.
+"""Adaptive execution tuning: a timed probe for the worker count.
 
 Pool spin-up and per-shard pickling make extra workers a net loss on small
 workloads, and the break-even point of ``n_jobs`` is a machine property no
-constant can capture; the same goes for the compiled kernels' thread
-count.  This module replaces both guesses with short timed probes: run a
-handful of real sweeps at each candidate setting and keep the fastest.
+constant can capture.  This module replaces the guess with a short timed
+probe: run a handful of real sweeps at each candidate setting and keep the
+fastest.
 How many sources one kernel call traverses is not probed here: the batched
 kernels choose their block widths from the snapshot
 (:func:`repro.shortest_paths.batch.source_blocks`).
@@ -14,7 +14,7 @@ leak into results: the batch kernels are bit-identical per source row for
 *any* batch composition, and the shard scheduler merges per-shard buffers
 in shard order with shard boundaries fixed by
 :data:`~repro.execution.plan.DEFAULT_SHARD_SIZE` (the execution engine's
-determinism contract) — so a calibrated worker or thread count changes
+determinism contract) — so a calibrated worker count changes
 wall-clock only, never an estimate.  :func:`probe_shard_sizes` exists for
 the remaining dimension, but *only* as a diagnostic: the shard size is part
 of the determinism contract itself (it fixes both the reduction association
@@ -36,9 +36,6 @@ __all__ = [
     "default_jobs_candidates",
     "probe_n_jobs",
     "calibrate_n_jobs",
-    "default_threads_candidates",
-    "probe_kernel_threads",
-    "calibrate_kernel_threads",
     "probe_shard_sizes",
 ]
 
@@ -112,10 +109,9 @@ def probe_n_jobs(
     if not sources:
         return [(1, 0.0)]
     shards = split_shards(sources)
-    shared = (csr, "auto", 1)
 
     def sweep(jobs: int) -> None:
-        run_sharded(dependency_sum_shard_csr, shards, n_jobs=jobs, shared=shared)
+        run_sharded(dependency_sum_shard_csr, shards, n_jobs=jobs, shared=csr)
 
     sweep(1)  # warm-up, untimed (snapshot + cached adjacency first touch)
     timings: List[Tuple[int, float]] = []
@@ -156,124 +152,6 @@ def calibrate_n_jobs(
     return best_jobs
 
 
-def default_threads_candidates(n_jobs: int = 1) -> Tuple[int, ...]:
-    """Return the kernel-thread counts the threads probe sweeps on this machine.
-
-    Powers of two from 1 up to ``cpu_count // n_jobs`` — the thread budget
-    composes with worker processes (each of the ``n_jobs`` workers runs its
-    own prange team), so candidates are capped where ``threads × n_jobs``
-    would oversubscribe the machine.  Always contains at least ``(1,)``.
-    """
-    if not isinstance(n_jobs, int) or isinstance(n_jobs, bool) or n_jobs < 1:
-        raise ConfigurationError(
-            f"n_jobs must be a positive integer, got {n_jobs!r}"
-        )
-    try:
-        cores = multiprocessing.cpu_count()
-    except NotImplementedError:  # pragma: no cover - exotic platforms
-        cores = 1
-    budget = max(1, cores // n_jobs)
-    candidates = []
-    threads = 1
-    while threads <= budget:
-        candidates.append(threads)
-        threads *= 2
-    return tuple(candidates)
-
-
-def probe_kernel_threads(
-    graph,
-    *,
-    kernel: str = "auto",
-    candidates: Sequence[int] = (),
-    probe_sources: int = 32,
-    repeats: int = 1,
-    n_jobs: int = 1,
-) -> List[Tuple[int, float]]:
-    """Time one batched dependency sweep per thread count; return ``[(threads, seconds)]``.
-
-    Kernel threads only engage inside the numba ``prange`` batch kernels,
-    so the probe is skipped — ``[(1, 0.0)]`` — whenever they could not run:
-    numpy kernel rung or numba not importable (where the
-    knob is accepted but inert).  Otherwise each candidate times the real
-    compiled batched sweep; the per-source rows are computed independently
-    and accumulated in source order regardless of the thread count, so the
-    timed choice can never change an estimate — the same contract as the
-    n_jobs probe.  *n_jobs* is the worker-process count the
-    caller intends to combine the threads with: the default candidate list
-    is capped so ``threads × n_jobs`` never exceeds the CPU count.
-    """
-    if probe_sources < 1:
-        raise ConfigurationError("probe_sources must be a positive integer")
-    if repeats < 1:
-        raise ConfigurationError("repeats must be a positive integer")
-    if not candidates:
-        candidates = default_threads_candidates(n_jobs)
-    for candidate in candidates:
-        if not isinstance(candidate, int) or isinstance(candidate, bool) or candidate < 1:
-            raise ConfigurationError(
-                f"kernel-thread candidates must be positive integers, got {candidate!r}"
-            )
-    from repro.execution.stamp import resolve_kernel_quiet
-    from repro.graphs.csr import compiled_kernels_available
-
-    if resolve_kernel_quiet(kernel) != "compiled" or not compiled_kernels_available():
-        return [(1, 0.0)]
-    if max(candidates) == 1:
-        return [(1, 0.0)]
-    from repro.shortest_paths.batch import batch_source_dependencies
-
-    csr = _csr_of(graph)
-    sources = list(range(min(probe_sources, csr.number_of_vertices())))
-    if not sources:
-        return [(1, 0.0)]
-
-    def sweep(threads: int) -> None:
-        batch_source_dependencies(csr, sources, kernel="compiled", kernel_threads=threads)
-
-    sweep(candidates[0])  # warm-up, untimed (jit compilation + snapshot touch)
-    timings: List[Tuple[int, float]] = []
-    for threads in candidates:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            sweep(threads)
-            best = min(best, time.perf_counter() - start)
-        timings.append((threads, best))
-    return timings
-
-
-def calibrate_kernel_threads(
-    graph,
-    *,
-    kernel: str = "auto",
-    candidates: Sequence[int] = (),
-    probe_sources: int = 32,
-    repeats: int = 1,
-    n_jobs: int = 1,
-) -> int:
-    """Return the candidate thread count whose probe sweep ran fastest.
-
-    Ties go to the smaller count (fewer idle threads for the same speed).
-    This is what ``kernel_threads="auto"`` resolves to at the API and CLI
-    layers; without numba (or on the numpy rung) it resolves to 1 without
-    probing, since the knob could not engage anything.
-    """
-    timings = probe_kernel_threads(
-        graph,
-        kernel=kernel,
-        candidates=candidates,
-        probe_sources=probe_sources,
-        repeats=repeats,
-        n_jobs=n_jobs,
-    )
-    best_threads, best_seconds = timings[0]
-    for threads, seconds in timings[1:]:
-        if seconds < best_seconds or (seconds == best_seconds and threads < best_threads):
-            best_threads, best_seconds = threads, seconds
-    return best_threads
-
-
 def probe_shard_sizes(
     graph,
     *,
@@ -312,11 +190,10 @@ def probe_shard_sizes(
     sources = list(range(min(probe_sources, csr.number_of_vertices())))
     if not sources:
         return [(min(candidates), 0.0)]
-    shared = (csr, "auto", 1)
 
     def sweep(shard_size: int) -> None:
         shards = split_shards(sources, shard_size=shard_size)
-        run_sharded(dependency_sum_shard_csr, shards, n_jobs=n_jobs, shared=shared)
+        run_sharded(dependency_sum_shard_csr, shards, n_jobs=n_jobs, shared=csr)
 
     sweep(candidates[0])  # warm-up, untimed
     timings: List[Tuple[int, float]] = []

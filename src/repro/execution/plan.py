@@ -2,11 +2,6 @@
 
 A plan answers independent questions for a per-source workload:
 
-* ``kernel`` — which rung of the CSR kernels runs each pass (``"auto"`` /
-  ``"csr"`` / ``"compiled"``, resolved through
-  :func:`~repro.graphs.csr.resolve_kernel` at the point of use; the
-  compiled rung is bit-identical to the numpy rung, so this knob never
-  changes a result);
 * ``n_jobs`` — how many worker processes the shard scheduler spreads the
   source shards over;
 * ``shared_cache`` — whether parallel multi-chain MCMC runs publish their
@@ -22,8 +17,8 @@ still constructs, for callers written against the retired knob, and the
 value is ignored.
 
 Resolution: explicit arguments always win, and the ``REPRO_JOBS`` /
-``REPRO_SHARED_CACHE`` / ``REPRO_SHARED_GRAPH`` / ``REPRO_MP_CONTEXT`` /
-``REPRO_KERNEL_THREADS`` environment variables fill in anything left
+``REPRO_SHARED_CACHE`` / ``REPRO_SHARED_GRAPH`` / ``REPRO_MP_CONTEXT``
+environment variables fill in anything left
 unspecified (one env knob steers every call site, which is how the
 benchmark harness runs a whole suite under a given parallelism setting).
 Whatever is still unset takes the :class:`ExecutionPlan` defaults —
@@ -50,12 +45,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.graphs.csr import KERNELS
 
 __all__ = [
     "ExecutionPlan",
     "resolve_plan",
-    "resolve_kernel_threads",
     "DEFAULT_SHARD_SIZE",
 ]
 
@@ -105,24 +98,6 @@ class ExecutionPlan:
         deliberately pickles to ``None`` so a plan or sampler captured
         inside a worker payload can never smuggle pool handles across
         process boundaries.
-    kernel:
-        CSR kernel rung (``"auto"`` / ``"csr"`` / ``"compiled"``); kept
-        unresolved so each call site resolves it exactly once
-        (:func:`~repro.graphs.csr.resolve_kernel` — ``"auto"`` honours the
-        ``REPRO_KERNEL`` env override, then picks the compiled rung when
-        numba imports).  The compiled twins replay the numpy rung's exact
-        float summation order, so the knob never changes a result — only
-        how fast each pass runs.
-    kernel_threads:
-        Threads for the ``prange`` variants of the compiled batch kernels
-        (>= 1; 1 keeps the sequential kernels).  Consumed only where a
-        compiled batched wave actually runs — every other path ignores it
-        — and result-neutral by construction: threads stride independent
-        per-source rows, so no row's float summation order can change.
-        Composes with ``n_jobs``: each worker process runs its kernels on
-        this many threads, so keep ``n_jobs × kernel_threads`` within the
-        machine (``"auto"`` calibration in :mod:`repro.execution.autotune`
-        enforces exactly that).
     """
 
     batch_size: Optional[int] = None
@@ -131,21 +106,11 @@ class ExecutionPlan:
     shared_graph: bool = False
     mp_context: Optional[str] = None
     runtime: Optional[object] = None
-    kernel: str = "auto"
-    kernel_threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
-            )
         if not isinstance(self.n_jobs, int) or self.n_jobs < 1:
             raise ConfigurationError(
                 f"n_jobs must be a positive integer, got {self.n_jobs!r}"
-            )
-        if not isinstance(self.kernel_threads, int) or self.kernel_threads < 1:
-            raise ConfigurationError(
-                f"kernel_threads must be a positive integer, got {self.kernel_threads!r}"
             )
         if not isinstance(self.shared_cache, bool):
             raise ConfigurationError(
@@ -202,8 +167,6 @@ def resolve_plan(
     shared_graph: Optional[bool] = None,
     mp_context: Optional[str] = None,
     runtime: Optional[object] = None,
-    kernel: str = "auto",
-    kernel_threads: Optional[int] = None,
 ) -> ExecutionPlan:
     """Resolve the execution knobs of one estimator call into a plan.
 
@@ -219,13 +182,6 @@ def resolve_plan(
         are consulted, then the :class:`ExecutionPlan` defaults apply.
     runtime:
         Optional persistent :class:`~repro.execution.runtime.ExecutionContext`.
-    kernel:
-        CSR kernel rung, carried into the plan unresolved
-        (``REPRO_KERNEL`` is honoured by
-        :func:`~repro.graphs.csr.resolve_kernel` at each point of use).
-    kernel_threads:
-        Compiled-kernel thread count; ``None`` consults
-        ``REPRO_KERNEL_THREADS`` (:func:`resolve_kernel_threads`).
 
     No knob changes a result (see the module docstring), so resolution
     only ever decides how fast an estimate is computed.
@@ -247,27 +203,5 @@ def resolve_plan(
         shared_graph=shared_graph,
         mp_context=mp_context,
         runtime=runtime,
-        kernel=kernel,
-        kernel_threads=resolve_kernel_threads(kernel_threads),
     )
 
-
-def resolve_kernel_threads(kernel_threads: Optional[int] = None) -> int:
-    """Resolve the compiled-kernel thread-count knob on its own.
-
-    An explicit positive integer wins; ``None`` consults the
-    ``REPRO_KERNEL_THREADS`` environment override (unset means 1 —
-    the sequential kernels).  The knob is result-neutral (threads stride
-    independent per-source rows of the compiled batch kernels).
-    ``"auto"`` calibration lives at the API/CLI boundary
-    (:func:`repro.execution.autotune.calibrate_kernel_threads`), not here —
-    resolution must stay cheap and deterministic.
-    """
-    if kernel_threads is None:
-        resolved = _env_int("REPRO_KERNEL_THREADS")
-        return 1 if resolved is None else resolved
-    if not isinstance(kernel_threads, int) or kernel_threads < 1:
-        raise ConfigurationError(
-            f"kernel_threads must be a positive integer, got {kernel_threads!r}"
-        )
-    return kernel_threads

@@ -137,12 +137,6 @@ def _init_persistent_worker(barrier, lock) -> None:
     _WORKER_BARRIER = barrier
     _WORKER_LOCK = lock
     _WORKER_PAYLOADS.clear()
-    # Persistent pools amortise JIT compilation across the whole session:
-    # warm the compiled kernel rung once at worker start (no-op without
-    # numba or when the numpy rung is resolved).
-    from repro.shortest_paths.compiled import maybe_warm_up
-
-    maybe_warm_up()
 
 
 class _PayloadPickler(pickle.Pickler):

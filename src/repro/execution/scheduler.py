@@ -97,12 +97,6 @@ def sample_shards(num_samples: int, rng: Random):
 def _init_worker(shared: Any) -> None:
     global _WORKER_SHARED
     _WORKER_SHARED = shared
-    # Pay numba JIT compilation once per pool, not once per shard.  With
-    # cache=True and a warm NUMBA_CACHE_DIR this is a disk load; without
-    # numba (or with the numpy rung resolved) it is a no-op.
-    from repro.shortest_paths.compiled import maybe_warm_up
-
-    maybe_warm_up()
 
 
 def _call_worker(args):

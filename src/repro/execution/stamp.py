@@ -7,10 +7,9 @@ HTTP daemon's per-response receipts (``repro-bc serve``,
 (``benchmarks/harness.py``).  They used to each assemble their own copy of
 the key list, which is exactly how provenance drifts: a knob added to one
 surface but not the others silently disappears from the receipts readers
-compare.  This module is the single assembly point — the key set, the
-diagnostics-to-stamp mapping and the quiet kernel resolution live here and
-nowhere else (``tests/test_serving.py`` pins the three surfaces against
-each other).
+compare.  This module is the single assembly point — the key set and the
+diagnostics-to-stamp mapping live here and nowhere else
+(``tests/test_serving.py`` pins the three surfaces against each other).
 """
 
 from __future__ import annotations
@@ -23,17 +22,24 @@ __all__ = [
     "execution_stamp",
     "format_stamp_lines",
     "resolve_kernel_quiet",
+    "resolve_kernel_threads",
 ]
 
 #: The stamp's ``batch_size``: block widths are the kernels' choice.
 KERNEL_CHOSEN = "kernel-chosen"
 
+#: The stamp's ``kernel`` and ``kernel_threads``: the numpy CSR kernels are
+#: the one rung, on one thread.
+KERNEL_RUNG = "csr"
+KERNEL_THREADS = 1
+
 #: The keys of every execution stamp, in emission order.  ``jobs`` is
-#: always set (every estimate runs through a resolved plan) and
+#: always set (every estimate runs through a resolved plan);
 #: ``batch_size`` always reads :data:`KERNEL_CHOSEN` (the batched kernels
-#: pick their own block widths; the key stays so receipts keep one
-#: shape); null ``chains`` / ``rhat`` / ``ess`` means the multi-chain
-#: driver did not run — so every surface emits all of them.
+#: pick their own block widths) and ``kernel`` / ``kernel_threads`` read
+#: :data:`KERNEL_RUNG` / :data:`KERNEL_THREADS` — the keys stay so
+#: receipts keep one shape; null ``chains`` / ``rhat`` / ``ess`` means the
+#: multi-chain driver did not run — so every surface emits all of them.
 EXECUTION_STAMP_KEYS = (
     "jobs",
     "batch_size",
@@ -57,15 +63,15 @@ def execution_stamp(
     (``SingleEstimate.diagnostics`` / ``RelativeBetweennessEstimate
     .diagnostics``); the stamp renames its internal keys (``n_jobs`` →
     ``jobs``, ``n_chains`` → ``chains``) to the stable receipt vocabulary.
-    *kernel* is the resolved CSR kernel rung the caller ran and
-    *kernel_threads* the per-kernel thread count (estimator diagnostics
-    predate both knobs, so they travel separately).
+    *kernel* and *kernel_threads* are accepted and ignored: the stamp
+    always reads the one rung.  They stay only because ``perfbench/``
+    passes them, until a benchmark-side change drops them.
     """
     return {
         "jobs": diagnostics.get("n_jobs"),
         "batch_size": KERNEL_CHOSEN,
-        "kernel": kernel,
-        "kernel_threads": kernel_threads,
+        "kernel": KERNEL_RUNG,
+        "kernel_threads": KERNEL_THREADS,
         "chains": diagnostics.get("n_chains"),
         "rhat": diagnostics.get("rhat"),
         "ess": diagnostics.get("ess"),
@@ -83,17 +89,19 @@ def format_stamp_lines(stamp: Mapping[str, object]) -> str:
     return "\n".join(f"{key}: {value}" for key, value in stamp.items())
 
 
-def resolve_kernel_quiet(kernel: str) -> str:
-    """Resolve a kernel request to the rung that actually runs, silently.
+def resolve_kernel_quiet(kernel: object = None) -> str:
+    """Return the one kernel rung, :data:`KERNEL_RUNG`, whatever is asked.
 
-    For stamps only: when ``compiled`` degrades to ``csr`` without numba,
-    the run itself already warned once — the stamp just records what ran,
-    so the fallback warning is suppressed here.
+    Stays only because ``perfbench/`` imports it, until a benchmark-side
+    change drops it.
     """
-    import warnings
+    return KERNEL_RUNG
 
-    from repro.graphs.csr import resolve_kernel
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return resolve_kernel(kernel)
+def resolve_kernel_threads(kernel_threads: object = None) -> int:
+    """Return the one kernel thread count, :data:`KERNEL_THREADS`, whatever is asked.
+
+    Stays only because ``perfbench/`` imports it, until a benchmark-side
+    change drops it.
+    """
+    return KERNEL_THREADS

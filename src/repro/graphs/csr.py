@@ -34,107 +34,27 @@ label-based draws from ``graph.vertices()``, which is what lets the
 dict-kernel reference loops of the test-suite reproduce every estimate for a
 fixed seed.
 
-Kernel rungs
-------------
-Every estimator runs on CSR snapshots.  The ``kernel`` knob, resolved by
-:func:`resolve_kernel`, picks the rung: the CSR code paths run either the
-numpy wave kernels
-(``"csr"``) or their numba-compiled twins
-(:mod:`repro.shortest_paths.compiled`, ``"compiled"``).  ``"auto"`` picks
-the compiled rung exactly when numba is importable, the ``REPRO_KERNEL``
-environment variable overrides it process-wide, and requesting
-``"compiled"`` without numba warns and falls back to ``"csr"`` — the two
-rungs are bit-identical, so the knob can never change a result.
+Kernels
+-------
+Every estimator runs on CSR snapshots, through the numpy kernels of
+:mod:`repro.shortest_paths` — the one kernel rung; there is no kernel knob.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import warnings
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, VertexNotFoundError
+from repro.errors import VertexNotFoundError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.core import Graph, Vertex
 
 __all__ = [
     "CSRGraph",
-    "KERNELS",
-    "resolve_kernel",
-    "compiled_kernels_available",
     "np",
 ]
-
-#: The accepted kernel-rung names for every ``kernel=`` knob in the library.
-KERNELS = ("auto", "csr", "compiled")
-
-#: Memoized verdict of :func:`compiled_kernels_available` (``None`` =
-#: not probed yet).  Module-level so the test-suite can monkeypatch the
-#: availability either way regardless of what the host actually has.
-_COMPILED_OK: Optional[bool] = None
-
-
-def compiled_kernels_available() -> bool:
-    """Return whether the compiled kernel rung can actually run here.
-
-    True exactly when :mod:`repro.shortest_paths.compiled` managed to
-    import numba.  The verdict is probed once per process and memoized; the
-    probe imports the compiled module lazily, so processes that never
-    touch a kernel knob never pay the numba import.
-    """
-    global _COMPILED_OK
-    if _COMPILED_OK is None:
-        if importlib.util.find_spec("numba") is None:
-            _COMPILED_OK = False
-        else:
-            from repro.shortest_paths.compiled import NUMBA_AVAILABLE
-
-            _COMPILED_OK = bool(NUMBA_AVAILABLE)
-    return _COMPILED_OK
-
-
-def resolve_kernel(kernel: str = "auto") -> str:
-    """Resolve a ``kernel=`` argument to a concrete ``"csr"`` or ``"compiled"``.
-
-    ``"auto"`` picks the numba-compiled rung
-    (:mod:`repro.shortest_paths.compiled`) whenever numba is importable and
-    quietly degrades to the numpy wave kernels otherwise.  The
-    ``REPRO_KERNEL`` environment variable (``"csr"`` or ``"compiled"``)
-    overrides what ``"auto"`` resolves to — one process-wide switch for
-    every ``kernel="auto"`` call site — and explicit arguments always win
-    over it.
-
-    Requesting ``"compiled"`` without numba only **warns** and falls back
-    to ``"csr"``: the two rungs are bit-identical by construction, so the
-    fallback cannot change any result — only wall-clock.
-    """
-    if kernel not in KERNELS:
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    if kernel == "auto":
-        override = os.environ.get("REPRO_KERNEL")
-        if override:
-            if override not in ("csr", "compiled"):
-                raise ConfigurationError(
-                    f"REPRO_KERNEL must be 'csr' or 'compiled', got {override!r}"
-                )
-            return resolve_kernel(override)
-        return "compiled" if compiled_kernels_available() else "csr"
-    if kernel == "compiled" and not compiled_kernels_available():
-        warnings.warn(
-            "kernel='compiled' requested but numba is not importable; "
-            "falling back to the numpy CSR kernels (results are unchanged, "
-            "install the 'compiled' extra for the speedup)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "csr"
-    return kernel
 
 
 class CSRGraph:

@@ -40,15 +40,13 @@ class ExecutionPlanMixin:
     wins over the individual knobs: a session attaches its own resolved
     plan (persistent runtime included) that way.
 
-    ``mp_context``, ``runtime``, ``shared_graph``, ``kernel`` and
-    ``kernel_threads`` are class-level defaults rather than constructor
-    parameters: they configure *how* pools run (start method; per-call
-    ephemeral vs a session's persistent
+    ``mp_context``, ``runtime`` and ``shared_graph`` are class-level
+    defaults rather than constructor parameters: they configure *how* pools
+    run (start method; per-call ephemeral vs a session's persistent
     :class:`~repro.execution.runtime.ExecutionContext`; whether the CSR
-    snapshot ships as a shared-memory handle; which bit-identical CSR
-    kernel rung runs each pass, on how many threads), never what is
-    computed, so callers attach them to an existing sampler
-    (``sampler.kernel = "compiled"``) instead of every constructor growing
+    snapshot ships as a shared-memory handle), never what is computed, so
+    callers attach them to an existing sampler
+    (``sampler.mp_context = "spawn"``) instead of every constructor growing
     pass-through arguments.  Samplers that
     ship themselves inside worker payloads stay safe: a runtime context
     pickles to ``None``.
@@ -59,8 +57,6 @@ class ExecutionPlanMixin:
     mp_context: Optional[str] = None
     runtime: Optional[object] = None
     shared_graph: Optional[bool] = None
-    kernel: str = "auto"
-    kernel_threads: Optional[int] = None
 
     def _plan(self) -> ExecutionPlan:
         return resolve_plan(
@@ -69,8 +65,6 @@ class ExecutionPlanMixin:
             mp_context=self.mp_context,
             runtime=self.runtime,
             shared_graph=self.shared_graph,
-            kernel=self.kernel,
-            kernel_threads=self.kernel_threads,
         )
 
 

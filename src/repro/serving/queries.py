@@ -41,9 +41,7 @@ def parse_vertex(label: str) -> object:
         return label
 
 
-def estimate_payload(
-    vertex, result, kernel: Optional[str] = None, kernel_threads: Optional[int] = None
-) -> dict:
+def estimate_payload(vertex, result) -> dict:
     """JSON payload of one single-vertex estimate (all serving surfaces)."""
     return {
         "vertex": str(vertex),
@@ -52,18 +50,16 @@ def estimate_payload(
         "samples": result.samples,
         "elapsed_seconds": result.elapsed_seconds,
         "acceptance_rate": result.diagnostics.get("acceptance_rate"),
-        **execution_stamp(result.diagnostics, kernel, kernel_threads),
+        **execution_stamp(result.diagnostics),
         # Multi-chain extras: null unless the chains/rhat driver ran.
         "converged": result.diagnostics.get("converged"),
     }
 
 
-def relative_payload(
-    estimate, kernel: Optional[str] = None, kernel_threads: Optional[int] = None
-) -> dict:
+def relative_payload(estimate) -> dict:
     """JSON payload of one relative-betweenness estimate (all serving surfaces)."""
     return {
-        **execution_stamp(estimate.diagnostics, kernel, kernel_threads),
+        **execution_stamp(estimate.diagnostics),
         "reference_set": [str(v) for v in estimate.reference_set],
         "sample_counts": {str(v): c for v, c in estimate.sample_counts.items()},
         "acceptance_rate": estimate.acceptance_rate,
@@ -80,17 +76,13 @@ def execute_query(
     session,
     query: dict,
     default_chains: Optional[int] = None,
-    kernel: Optional[str] = None,
-    kernel_threads: Optional[int] = None,
 ) -> dict:
     """Execute one parsed query dictionary against a warm session.
 
     *session* is a :class:`~repro.centrality.session.BetweennessSession`
     or its :class:`~repro.centrality.session.ThreadSafeSession` wrapper —
     both expose the same query surface.  *default_chains* applies to MCMC
-    queries that do not set ``"chains"`` themselves; *kernel* /
-    *kernel_threads* are the resolved kernel rung and thread count stamped
-    into the payload.
+    queries that do not set ``"chains"`` themselves.
     """
     op = query.get("op", "estimate")
     seed = query.get("seed")
@@ -108,16 +100,14 @@ def execute_query(
             n_chains=chains,
             rhat_target=query.get("rhat"),
         )
-        return estimate_payload(
-            vertex, result, kernel=kernel, kernel_threads=kernel_threads
-        )
+        return estimate_payload(vertex, result)
     chains = query.get("chains", default_chains)
     if op == "relative":
         vertices = [parse_vertex(str(v)) for v in query["vertices"]]
         estimate = session.relative(
             vertices, samples=int(query.get("samples", 1000)), seed=seed, n_chains=chains
         )
-        return relative_payload(estimate, kernel=kernel, kernel_threads=kernel_threads)
+        return relative_payload(estimate)
     if op == "ranking":
         vertices = query.get("vertices")
         members = (

@@ -34,8 +34,8 @@ identical by construction, and the ``X-Repro-Coalesced`` header (never the
 body) tells a client whether it joined an in-flight run.  Every response
 carries a ``receipt`` — graph name, the graph version the answer was
 computed against (read atomically with the query under the session lock),
-and the execution stamp (jobs / batch size / kernel / kernel threads /
-chains) — so an answer is auditable back to what actually ran.
+and the execution stamp (jobs / batch size / chains) — so an answer is
+auditable back to what actually ran.
 
 Overload and deadlines
 ----------------------
@@ -58,8 +58,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
-from repro.execution import ExecutionPlan, resolve_kernel_threads, resolve_plan
-from repro.execution.stamp import EXECUTION_STAMP_KEYS, execution_stamp, resolve_kernel_quiet
+from repro.execution import ExecutionPlan, resolve_plan
+from repro.execution.stamp import EXECUTION_STAMP_KEYS, execution_stamp
 from repro.graphs.core import Graph
 from repro.serving.coalesce import CoalesceTimeout, OverloadedError, RequestCoalescer
 from repro.serving.metrics import MetricsRegistry
@@ -90,11 +90,6 @@ class ServingConfig:
     default_chains: Optional[int] = None
     #: Bound on simultaneously loaded graphs.
     max_sessions: int = 8
-    #: CSR kernel rung requested (resolved once, stamped in receipts).
-    kernel: str = "auto"
-    #: Compiled-kernel thread count (``None`` resolves from
-    #: ``REPRO_KERNEL_THREADS``; result-neutral, stamped in receipts).
-    kernel_threads: Optional[int] = None
     #: Rows of each session's persistent dependency arena.
     arena_capacity: Optional[int] = None
     #: Mutation invalidation scoping: ``None`` resolves from
@@ -159,8 +154,6 @@ class ServingApp:
             self.config.max_inflight, self.config.retry_after
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._kernel = resolve_kernel_quiet(self.config.kernel)
-        self._kernel_threads = resolve_kernel_threads(self.config.kernel_threads)
         self.started_at = time.time()
         #: Fault-injection / test hook: called (with the coalesce key) at
         #: the start of every computation, on the computation thread.  The
@@ -498,8 +491,6 @@ class ServingApp:
                     entry.session,
                     dict(query, op=op),
                     default_chains=self.config.default_chains,
-                    kernel=self._kernel,
-                    kernel_threads=self._kernel_threads,
                 )
                 version = entry.version
             stats = entry.stats()
@@ -540,11 +531,7 @@ class ServingApp:
         if all(key in payload for key in ("jobs", "kernel")):
             stamp = {key: payload.get(key) for key in EXECUTION_STAMP_KEYS}
         else:
-            stamp = execution_stamp(
-                {"n_jobs": self.plan.n_jobs},
-                kernel=self._kernel,
-                kernel_threads=self._kernel_threads,
-            )
+            stamp = execution_stamp({"n_jobs": self.plan.n_jobs})
         return {
             "graph": name,
             "graph_version": version,

@@ -4,10 +4,7 @@ Every builder and accumulator ships in two flavours: the dict-backed
 reference implementation over :class:`~repro.graphs.core.Graph` (what the
 test-suite checks the kernels against) and a ``*_csr`` kernel over the
 flat-array :class:`~repro.graphs.csr.CSRGraph` snapshot, which is what every
-estimator runs on.  The CSR kernels additionally come in two bit-identical
-rungs — the numpy implementations here and numba-compiled twins in
-:mod:`repro.shortest_paths.compiled`, selected by the ``kernel`` knob
-(:func:`~repro.graphs.csr.resolve_kernel`).
+estimator runs on.  The numpy CSR kernels are the one kernel rung.
 """
 
 from repro.shortest_paths.batch import (
@@ -22,14 +19,6 @@ from repro.shortest_paths.bfs import (
     bfs_spd,
     bfs_spd_csr,
     single_pair_distance,
-)
-from repro.shortest_paths.compiled import (
-    NUMBA_AVAILABLE,
-    accumulate_dependencies_compiled,
-    batch_dependencies_compiled,
-    bfs_spd_compiled,
-    source_dependencies_compiled,
-    warm_up,
 )
 from repro.shortest_paths.bidirectional import (
     all_shortest_paths,
@@ -79,10 +68,4 @@ __all__ = [
     "bidirectional_shortest_path_info_csr",
     "sample_shortest_path",
     "all_shortest_paths",
-    "NUMBA_AVAILABLE",
-    "bfs_spd_compiled",
-    "accumulate_dependencies_compiled",
-    "source_dependencies_compiled",
-    "batch_dependencies_compiled",
-    "warm_up",
 ]

@@ -38,8 +38,8 @@ regardless of which other sources share the batch.  Both the wave and the
 sparse-matmul sweep compute the one Brandes arithmetic stated in
 :mod:`repro.shortest_paths.bfs` — per parent, ``(delta_c + 1) * (1 /
 sigma_c)`` summed over its children in adjacency order, then scaled once by
-``sigma_p`` — so neither scipy's presence, the depth gate, ``kernel`` nor
-the block widths can move a bit.  This is what lets the execution layer
+``sigma_p`` — so neither scipy's presence, the depth gate nor the block
+widths can move a bit.  This is what lets the execution layer
 (:mod:`repro.execution`) promise results that do not depend on any
 execution knob, and what lets this module, not its callers, choose how
 many sources share a traversal.
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
-from repro.graphs.csr import np, resolve_kernel
+from repro.graphs.csr import np
 from repro.shortest_paths.bfs import _first_touch
 from repro.shortest_paths.dijkstra import (
     _dag_arc_mask,
@@ -488,8 +488,6 @@ def batch_source_dependencies(
     csr: "CSRGraph",
     sources: Sequence[int],
     out=None,
-    kernel: str = "auto",
-    kernel_threads: int = 1,
     sink=None,
 ):
     """Return the ``(K, n)`` dependency matrix of *sources* (build + accumulate).
@@ -503,20 +501,17 @@ def batch_source_dependencies(
     Each block takes one path:
 
     * a single source — the fused per-source pass
-      (:func:`~repro.shortest_paths.dependencies.csr_source_dependencies`)
-      on the rung ``kernel`` resolves to, whatever the graph: a one-row
-      batch would pay the batch bookkeeping for nothing;
+      (:func:`~repro.shortest_paths.dependencies.csr_source_dependencies`),
+      whatever the graph: a one-row batch would pay the batch bookkeeping
+      for nothing;
     * unweighted + scipy importable + small-diameter snapshot
       (:func:`_spmm_suitable`) — the sparse-matmul sweep of
       :func:`_batch_dependencies_spmm`, the fastest path where it applies;
     * unweighted otherwise (no scipy, or a deep graph where per-level
-      spmm would cost ``O(diameter × m × K)``) — the batched wave, on the
-      rung ``kernel`` resolves to: the numba batch kernel
-      (:func:`~repro.shortest_paths.compiled.batch_dependencies_compiled`)
-      or the pure-numpy wave (:func:`bfs_spd_batch_csr` +
-      :func:`accumulate_dependencies_batch_csr`);
-    * weighted — the compiled batch kernel on that rung, otherwise the
-      batched sweep of :func:`_dijkstra_sweep_batch` where the depth gate
+      spmm would cost ``O(diameter × m × K)``) — the batched numpy wave
+      (:func:`bfs_spd_batch_csr` + :func:`accumulate_dependencies_batch_csr`);
+    * weighted — the batched sweep of :func:`_dijkstra_sweep_batch` where
+      the depth gate
       says it pays, else one
       :func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`
       pass per row.
@@ -524,21 +519,15 @@ def batch_source_dependencies(
     Every unweighted path computes the one Brandes arithmetic of
     :mod:`repro.shortest_paths.bfs`, every weighted path the one weighted
     rule of :mod:`repro.shortest_paths.dijkstra`, so the choice among them
-    — scipy present or not, the block widths, the depth gates, ``kernel``
-    — never changes a bit.  *out* accumulates the rows in source order.
+    — scipy present or not, the block widths, the depth gates — never
+    changes a bit.  *out* accumulates the rows in source order.
     With a *sink*, each block's rows go to ``sink(begin, rows)`` as soon as
     they exist and the call returns the validated source indices instead
     of a matrix, so a large set never holds more than one block of rows.
-    ``kernel_threads`` engages the ``prange`` variants of the compiled
-    batch kernels (ignored — harmlessly — on every other path); threads
-    stride independent rows, so the count is result-neutral by
-    construction.  Every path rejects the same bad *sources* with the
-    same error (:func:`_validate_sources`).
+    Every path rejects the same bad *sources* with the same error
+    (:func:`_validate_sources`).
     """
     src = _validate_sources(csr, sources)
-    # Resolved up front so a compiled request without numba warns on every
-    # branch, the spmm sweep included.
-    kernel = resolve_kernel(kernel)
     if csr.weighted:
         validate_positive_weights(csr)
     if sink is None:
@@ -550,7 +539,7 @@ def batch_source_dependencies(
     else:
         delta = src
     for begin, end in source_blocks(csr, int(src.size)):
-        rows = _block_dependencies(csr, src[begin:end], kernel, kernel_threads)
+        rows = _block_dependencies(csr, src[begin:end])
         if out is not None:
             for row in rows:
                 out += row
@@ -603,18 +592,14 @@ def _even_blocks(count: int, width: int):
         begin = end
 
 
-def _block_dependencies(csr: "CSRGraph", src, kernel: str, kernel_threads: int):
+def _block_dependencies(csr: "CSRGraph", src):
     """The ``(K, n)`` rows of one block, on the path its shape picks."""
     if src.size == 1:
         from repro.shortest_paths.dependencies import csr_source_dependencies
 
-        return csr_source_dependencies(csr, int(src[0]), kernel=kernel)[None, :]
+        return csr_source_dependencies(csr, int(src[0]))[None, :]
     if not csr.weighted and _scipy_sparse is not None and _spmm_suitable(csr):
         return _batch_dependencies_spmm(csr, src, None)
-    if kernel == "compiled":
-        from repro.shortest_paths.compiled import batch_dependencies_compiled
-
-        return batch_dependencies_compiled(csr, src, threads=kernel_threads)
     if not csr.weighted:
         return accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, src))
     # The depth gate: the sweep costs one round per hop level of the whole

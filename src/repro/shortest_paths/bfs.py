@@ -37,9 +37,8 @@ shared, so concurrent threads cannot interfere.
 Brandes arithmetic
 ------------------
 Every unweighted dependency path in the library — this module's
-back-propagation, the batched wave and the sparse-matmul sweep of
-:mod:`repro.shortest_paths.batch`, and the compiled twins of
-:mod:`repro.shortest_paths.compiled` — computes one float expression per
+back-propagation, and the batched wave and the sparse-matmul sweep of
+:mod:`repro.shortest_paths.batch` — computes one float expression per
 DAG parent *p*: ``(delta_c + 1.0) * (1.0 / sigma_c)`` summed from ``0.0``
 over *p*'s children *c* in adjacency order, then multiplied once by
 ``sigma_p``.  Any two paths therefore return the same bits for the same
@@ -62,7 +61,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_kernel
+from repro.graphs.csr import np
 from repro.shortest_paths.spd import CSRShortestPathDAG, ShortestPathDAG
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -270,7 +269,7 @@ def _accumulate_levels(sig, level_edges, n: int):
 
 
 def bfs_spd_csr(
-    csr: "CSRGraph", source: int, *, cutoff: Optional[float] = None, kernel: str = "auto"
+    csr: "CSRGraph", source: int, *, cutoff: Optional[float] = None
 ) -> CSRShortestPathDAG:
     """Return the array-backed SPD rooted at vertex index *source*.
 
@@ -278,16 +277,7 @@ def bfs_spd_csr(
     level with numpy primitives.  Distances, path counts, traversal order and
     predecessor ordering are identical to :func:`bfs_spd` on the same graph
     (``cutoff`` is inclusive, as documented in the module docstring).
-
-    ``kernel`` selects the rung that runs the wave
-    (:func:`~repro.graphs.csr.resolve_kernel`): ``"compiled"`` routes to
-    the numba twin in :mod:`repro.shortest_paths.compiled`, which returns
-    a bit-identical DAG — the knob never changes a result.
     """
-    if resolve_kernel(kernel) == "compiled":
-        from repro.shortest_paths.compiled import bfs_spd_compiled
-
-        return bfs_spd_compiled(csr, source, cutoff=cutoff)
     dist, sig, frontiers, level_edges = _bfs_wave(csr, source, cutoff)
     order = np.concatenate(frontiers)
     return CSRShortestPathDAG(csr, source, dist, sig, order, level_edges=level_edges)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.graphs.core import Graph, Vertex
-from repro.graphs.csr import np, resolve_kernel
+from repro.graphs.csr import np
 from repro.execution.plan import ExecutionPlan, resolve_plan
 from repro.execution.runtime import interned_payload, plan_snapshot
 from repro.execution.scheduler import merge_ordered, run_sharded, split_shards
@@ -142,8 +142,6 @@ def all_dependencies_on_target(
     *,
     n_jobs: Optional[int] = None,
     plan: Optional[ExecutionPlan] = None,
-    kernel: str = "auto",
-    kernel_threads: Optional[int] = None,
 ) -> Dict[Vertex, float]:
     """Return ``{v: delta_{v.}(target)}`` for every vertex *v* of *graph*.
 
@@ -155,17 +153,12 @@ def all_dependencies_on_target(
     vertex-keyed dict only at this boundary.
 
     The passes run through the execution engine of :mod:`repro.execution`
-    (``n_jobs`` / ``kernel`` or a ready-made *plan*, see
+    (``n_jobs`` or a ready-made *plan*, see
     :func:`dependencies_at_target`), so the result is identical for any
     ``n_jobs``.
     """
     graph.validate_vertex(target)
-    plan = resolve_plan(
-        plan,
-        n_jobs=n_jobs,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
-    )
+    plan = resolve_plan(plan, n_jobs=n_jobs)
     csr = plan_snapshot(graph, plan)
     values = dependencies_at_target(
         csr, range(csr.number_of_vertices()), csr.index_of(target), plan
@@ -181,7 +174,7 @@ def dependency_sum(csr: "CSRGraph", sources: Sequence[int], plan: ExecutionPlan)
     shard goes whole to the batched kernels (which choose their own block
     widths) on up to ``plan.n_jobs`` processes, and shard buffers merge in
     shard order — bit-identical for any ``n_jobs``.  The payload is
-    interned per (snapshot, kernel, threads), so a persistent pool ships
+    interned per snapshot, so a persistent pool ships
     the CSR arrays to its workers once per session, not per request.
     """
     if not len(sources):
@@ -194,8 +187,8 @@ def dependency_sum(csr: "CSRGraph", sources: Sequence[int], plan: ExecutionPlan)
             plan=plan,
             shared=interned_payload(
                 plan,
-                ("dep-sum-csr", id(csr), plan.kernel, plan.kernel_threads),
-                lambda: (csr, plan.kernel, plan.kernel_threads),
+                ("dep-sum-csr", id(csr)),
+                lambda: csr,
             ),
         )
     )
@@ -221,8 +214,8 @@ def dependencies_at_target(
             plan=plan,
             shared=interned_payload(
                 plan,
-                ("dep-at-target-csr", id(csr), target, plan.kernel, plan.kernel_threads),
-                lambda: (csr, target, plan.kernel, plan.kernel_threads),
+                ("dep-at-target-csr", id(csr), target),
+                lambda: (csr, target),
             ),
         )
     )
@@ -234,22 +227,17 @@ def dependencies_at_target(
 def dependency_sum_shard_csr(shared, shard):
     """Shard worker: sum the dependency vectors of the shard's source indices.
 
-    ``shared`` is ``(csr, kernel, kernel_threads)`` — an
-    :class:`~repro.execution.plan.ExecutionPlan`'s kernel rung and thread
-    count threaded into the worker process.  The whole shard goes to the
-    batched kernels in one call, streamed block by block, and the sum
-    follows the canonical accumulation order (one vector addition per
-    source, in shard order), so the buffer is bit-identical however the
-    kernels block the sources — and whichever kernel rung, on however many
-    threads, runs the passes.
+    ``shared`` is the CSR snapshot.  The whole shard goes to the batched
+    kernels in one call, streamed block by block, and the sum follows the
+    canonical accumulation order (one vector addition per source, in shard
+    order), so the buffer is bit-identical however the kernels block the
+    sources.
     """
-    csr, kernel, kernel_threads = shared
+    csr = shared
     from repro.shortest_paths.batch import batch_source_dependencies
 
     out = np.zeros(csr.number_of_vertices())
-    batch_source_dependencies(
-        csr, shard, out=out, kernel=kernel, kernel_threads=kernel_threads, sink=_discard
-    )
+    batch_source_dependencies(csr, shard, out=out, sink=_discard)
     return out
 
 
@@ -260,20 +248,17 @@ def _discard(begin, rows) -> None:
 def dependency_at_target_shard_csr(shared, shard) -> List[float]:
     """Shard worker: per-source dependency on one target index.
 
-    ``shared`` is ``(csr, target_index, kernel, kernel_threads)`` (see
-    :func:`dependency_sum_shard_csr`); returns one float per shard source,
-    in shard order.  A source equal to the target reads its own delta
-    entry, which is 0 by construction.
+    ``shared`` is ``(csr, target_index)``; returns one float per shard
+    source, in shard order.  A source equal to the target reads its own
+    delta entry, which is 0 by construction.
     """
-    csr, target_index, kernel, kernel_threads = shared
+    csr, target_index = shared
     from repro.shortest_paths.batch import batch_source_dependencies
 
     values: List[float] = []
     batch_source_dependencies(
         csr,
         shard,
-        kernel=kernel,
-        kernel_threads=kernel_threads,
         sink=lambda begin, rows: values.extend(rows[:, target_index].tolist()),
     )
     return values
@@ -282,7 +267,7 @@ def dependency_at_target_shard_csr(shared, shard) -> List[float]:
 # ----------------------------------------------------------------------
 # CSR kernels
 # ----------------------------------------------------------------------
-def accumulate_dependencies_csr(spd: CSRShortestPathDAG, *, kernel: str = "auto"):
+def accumulate_dependencies_csr(spd: CSRShortestPathDAG):
     """Return the dependency array ``delta`` for the source of *spd*.
 
     ``delta[i]`` is :math:`\\delta_{s\\bullet}(v_i)` with ``delta[source] =
@@ -293,15 +278,7 @@ def accumulate_dependencies_csr(spd: CSRShortestPathDAG, *, kernel: str = "auto"
     have no levels: the sweep runs per parent in reverse settle order over
     the DAG children (:mod:`repro.shortest_paths.dijkstra`).  Both compute
     the one Brandes arithmetic, as does every fused and batched pass.
-
-    ``kernel`` selects the rung (:func:`~repro.graphs.csr.resolve_kernel`);
-    the compiled twins compute the same arithmetic, so the knob never
-    changes a result.
     """
-    if resolve_kernel(kernel) == "compiled":
-        from repro.shortest_paths.compiled import accumulate_dependencies_compiled
-
-        return accumulate_dependencies_compiled(spd)
     if spd.level_edges is None:
         return _source_sweep(spd.csr, spd.dist, spd.order_indices.tolist())[1]
     delta = _accumulate_levels(spd.sig, spd.level_edges, spd.csr.number_of_vertices())
@@ -309,20 +286,15 @@ def accumulate_dependencies_csr(spd: CSRShortestPathDAG, *, kernel: str = "auto"
     return delta
 
 
-def csr_source_dependencies(csr: "CSRGraph", source: int, *, kernel: str = "auto"):
+def csr_source_dependencies(csr: "CSRGraph", source: int):
     """Return the dependency array of vertex index *source* (build + accumulate).
 
-    Every rung runs the whole pass as one fused call (BFS or Dijkstra wave
-    + back-propagation without materialising the DAG): the compiled kernel,
-    or on the numpy rung
+    The whole pass runs as one fused call (BFS or Dijkstra wave +
+    back-propagation without materialising the DAG):
     :func:`~repro.shortest_paths.bfs.bfs_source_dependencies_csr` /
-    :func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`;
-    every path is bitwise identical to build-then-accumulate.
+    :func:`~repro.shortest_paths.dijkstra.dijkstra_source_dependencies_csr`,
+    bitwise identical to build-then-accumulate.
     """
-    if resolve_kernel(kernel) == "compiled":
-        from repro.shortest_paths.compiled import source_dependencies_compiled
-
-        return source_dependencies_compiled(csr, source)
     if csr.weighted:
         return dijkstra_source_dependencies_csr(csr, source)
     return bfs_source_dependencies_csr(csr, source)

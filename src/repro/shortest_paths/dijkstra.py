@@ -7,9 +7,8 @@ counterpart of :func:`repro.shortest_paths.bfs.bfs_spd`.
 
 Array-native rung
 -----------------
-The CSR kernels here are the interpreter rung of the weighted kernel
-ladder (the compiled twins live in :mod:`repro.shortest_paths.compiled`;
-the batched numpy sweep in :mod:`repro.shortest_paths.batch`).  The
+The CSR kernels here are the per-source weighted passes (the batched
+numpy sweep lives in :mod:`repro.shortest_paths.batch`).  The
 adjacency is walked through a cached per-snapshot list-of-``(neighbour,
 weight)`` view (:func:`csr_adjacency_pairs`) instead of per-edge numpy
 scalar reads, and the priority queue is CPython's C-accelerated
@@ -18,14 +17,14 @@ keys, so both settle vertices in the same order.
 
 One weighted rule
 -----------------
-Every weighted path — the per-source pass, the SPD builder, the batched
-sweep and the compiled twins — computes the same three things, so which
+Every weighted path — the per-source pass, the SPD builder and the
+batched sweep — computes the same three things, so which
 one runs is a speed choice only:
 
 * **Distances**: the exact fixpoint ``D[v] = min_u fl(D[u] + w(u, v))``.
   No tie band applies while relaxing; float addition is monotone, so any
-  correct shortest-path method (this heap, a Bellman–Ford, the compiled
-  heap) returns the same bits.
+  correct shortest-path method (this heap or a Bellman–Ford) returns the
+  same bits.
 * **DAG**: the arc ``(u, v)`` is a DAG arc iff ``D[u] < D[v]`` and
   ``|D[u] + w - D[v]| <= _EPSILON * max(1, D[u] + w)``
   (:func:`_dag_arc_mask`): the tie band is applied once, to exact
@@ -187,8 +186,8 @@ def _dag_arc_mask(tail_dist, head_dist, weights):
     An arc ``(u, v)`` of weight ``w`` is a DAG arc iff ``D[u] < D[v]`` and
     ``|D[u] + w - D[v]| <= _EPSILON * max(1, D[u] + w)``, with ``D`` the
     exact distances.  The arguments are matching arrays of any shape (one
-    entry per arc, ``weights`` broadcasts); the compiled twins evaluate the
-    same expression per arc, so every path draws the identical DAG.
+    entry per arc, ``weights`` broadcasts); every path evaluates this
+    expression, so every path draws the identical DAG.
     *tail_dist* and *head_dist* are overwritten (callers pass fresh
     gathers), which holds the batched sweep to three ``(K, m)`` buffers.
     """
@@ -294,9 +293,7 @@ def _source_sweep(csr: "CSRGraph", dist, order: List[int]):
     return sig, np.asarray(delta), tails, heads
 
 
-def dijkstra_spd_csr(
-    csr: "CSRGraph", source: int, *, kernel: str = "auto"
-) -> CSRShortestPathDAG:
+def dijkstra_spd_csr(csr: "CSRGraph", source: int) -> CSRShortestPathDAG:
     """Return the array-backed SPD rooted at vertex index *source* (weighted).
 
     Index-space mirror of :func:`dijkstra_spd`: the exact heap settles
@@ -305,18 +302,7 @@ def dijkstra_spd_csr(
     vertex's predecessors are listed in settle order — the dict rung's
     discovery order.  The result carries no ``level_edges`` (a weighted DAG
     has no BFS levels) but ships ready-made CSR predecessor arrays.
-
-    ``kernel`` selects the rung (:func:`~repro.graphs.csr.resolve_kernel`):
-    the compiled twin :func:`~repro.shortest_paths.compiled.
-    dijkstra_spd_compiled` computes the same distances, order and DAG, so
-    the knob never changes a result.
     """
-    from repro.graphs.csr import resolve_kernel
-
-    if resolve_kernel(kernel) == "compiled":
-        from repro.shortest_paths.compiled import dijkstra_spd_compiled
-
-        return dijkstra_spd_compiled(csr, source)
     n = _check_source_index(csr, source)
     dist_list, order_list = _exact_heap(csr, source)
     dist = np.asarray(dist_list)

@@ -411,45 +411,25 @@ class TestBatchCommand:
 
 
 class TestKernelAndAutoJobs:
-    """--kernel wiring and n_jobs='auto' calibration at the CLI."""
+    """The one kernel rung in the stamp and n_jobs='auto' calibration at the CLI."""
 
     def test_estimate_stamps_the_resolved_kernel(self, barbell_file):
         code, output = run_cli(
             ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
-             "uniform-source", "--samples", "40", "--seed", "1",
-             "--kernel", "csr"]
+             "uniform-source", "--samples", "40", "--seed", "1"]
         )
         assert code == 0
-        assert json.loads(output)["kernel"] == "csr"
-
-    def test_kernel_never_changes_the_estimate(self, barbell_file):
-        estimates = {}
-        for kernel in ("auto", "csr", "compiled"):
-            code, output = run_cli(
-                ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
-                 "uniform-source", "--samples", "40", "--seed", "7",
-                 "--kernel", kernel]
-            )
-            assert code == 0
-            payload = json.loads(output)
-            estimates[kernel] = payload["estimate"]
-            # Whatever was requested, the stamp records a concrete rung.
-            assert payload["kernel"] in ("csr", "compiled")
-        assert len(set(estimates.values())) == 1
+        payload = json.loads(output)
+        assert payload["kernel"] == "csr" and payload["kernel_threads"] == 1
 
     def test_rejects_unknown_kernel(self, barbell_file):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["exact", "--graph", barbell_file, "--kernel", "fpga"]
-            )
-
-    def test_exact_accepts_the_kernel_flag(self, barbell_file):
-        code_csr, out_csr = run_cli(
-            ["exact", "--graph", barbell_file, "--kernel", "csr"]
-        )
-        code_auto, out_auto = run_cli(["exact", "--graph", barbell_file])
-        assert code_csr == code_auto == 0
-        assert json.loads(out_csr) == json.loads(out_auto)
+        """The kernel flags are gone: every sub-command rejects them."""
+        for command in (["exact"], ["estimate", "--vertex", "5"], ["batch", "--queries", "-"]):
+            for flag in (["--kernel", "csr"], ["--kernel-threads", "1"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(
+                        command + ["--graph", barbell_file] + flag
+                    )
 
     def test_jobs_auto_calibrates_without_changing_the_estimate(self, barbell_file):
         code_auto, out_auto = run_cli(
@@ -473,7 +453,7 @@ class TestKernelAndAutoJobs:
         path.write_text('{"op": "estimate", "vertex": 5, "samples": 40, "seed": 7}\n')
         code, output = run_cli(
             ["batch", "--graph", barbell_file, "--queries", str(path),
-             "--jobs", "auto", "--kernel", "csr"]
+             "--jobs", "auto"]
         )
         assert code == 0
         payload = json.loads(output.splitlines()[0])

@@ -54,12 +54,6 @@ from repro.shortest_paths import (
     dijkstra_spd,
     dijkstra_spd_csr,
 )
-from repro.shortest_paths.compiled import (
-    accumulate_dependencies_compiled,
-    batch_dependencies_compiled,
-    bfs_spd_compiled,
-    source_dependencies_compiled,
-)
 
 # ----------------------------------------------------------------------
 # Graph strategies: one generator family per draw, seeded by hypothesis.
@@ -493,86 +487,6 @@ def test_scipy_adjacency_undirected_backward_is_forward():
     assert csr.scipy_adjacency(transpose=True) is csr.scipy_adjacency()
 
 
-# ----------------------------------------------------------------------
-# Compiled kernel rung: bit-identity with the numpy kernels
-# ----------------------------------------------------------------------
-#
-# The compiled twins in repro.shortest_paths.compiled are plain-Python
-# bodies wrapped by @njit only when numba imports, so this suite exercises
-# the exact code the jit compiles even on hosts without numba — the
-# bit-identity promise it checks is the one that makes the kernel knob
-# result-neutral everywhere.
-
-unweighted_cases = graph_cases.filter(lambda g: not g.weighted)
-
-
-@given(unweighted_cases, st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_compiled_bfs_spd_is_bitwise_identical_to_numpy(graph, source_seed):
-    """The compiled BFS wave reproduces dist/sig/order and the level-grouped
-    DAG edges of the numpy kernel exactly (array_equal, not isclose)."""
-    csr = graph.csr()
-    source = source_seed % csr.number_of_vertices()
-    numpy_spd = bfs_spd_csr(csr, source, kernel="csr")
-    compiled_spd = bfs_spd_compiled(csr, source)
-    assert np.array_equal(compiled_spd.dist, numpy_spd.dist)
-    assert np.array_equal(compiled_spd.sig, numpy_spd.sig)
-    assert np.array_equal(compiled_spd.order_indices, numpy_spd.order_indices)
-    assert len(compiled_spd.level_edges) == len(numpy_spd.level_edges)
-    for (cp, cc), (rp, rc) in zip(compiled_spd.level_edges, numpy_spd.level_edges):
-        assert np.array_equal(cp, rp)
-        assert np.array_equal(cc, rc)
-
-
-@given(
-    unweighted_cases,
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=4),
-)
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_compiled_cutoff_truncation_matches_numpy(graph, source_seed, cutoff):
-    """The inclusive distance cutoff truncates both rungs identically."""
-    csr = graph.csr()
-    source = source_seed % csr.number_of_vertices()
-    numpy_spd = bfs_spd_csr(csr, source, cutoff=float(cutoff), kernel="csr")
-    compiled_spd = bfs_spd_compiled(csr, source, cutoff=float(cutoff))
-    assert np.array_equal(compiled_spd.dist, numpy_spd.dist)
-    assert np.array_equal(compiled_spd.sig, numpy_spd.sig)
-    assert np.array_equal(compiled_spd.order_indices, numpy_spd.order_indices)
-
-
-@given(unweighted_cases, st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_compiled_dependency_accumulation_is_bitwise_identical(graph, source_seed):
-    """Both the accumulate-from-SPD and fused single-pass entry points
-    reproduce the numpy delta vector bit for bit."""
-    csr = graph.csr()
-    source = source_seed % csr.number_of_vertices()
-    reference = accumulate_dependencies_csr(bfs_spd_csr(csr, source, kernel="csr"))
-    via_spd = accumulate_dependencies_compiled(bfs_spd_compiled(csr, source))
-    fused = source_dependencies_compiled(csr, source)
-    assert np.array_equal(via_spd, reference)
-    assert np.array_equal(fused, reference)
-
-
-@given(unweighted_cases, st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_compiled_batch_is_bitwise_identical_to_the_wave_pair(graph, seed):
-    """The batched compiled kernel equals the numpy (K, n) wave kernels,
-    including the out-accumulation path."""
-    csr = graph.csr()
-    n = csr.number_of_vertices()
-    rng = random.Random(seed)
-    sources = [rng.randrange(n) for _ in range(min(6, n))]
-    reference = accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, sources))
-    assert np.array_equal(batch_dependencies_compiled(csr, sources), reference)
-    out_numpy = np.ones(n)
-    accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, sources), out=out_numpy)
-    out_compiled = np.ones(n)
-    batch_dependencies_compiled(csr, sources, out=out_compiled)
-    assert np.array_equal(out_compiled, out_numpy)
-
-
 def _random_unweighted_graph(seed: int, directed: bool) -> Graph:
     """Random unweighted graph, possibly disconnected, sparse or dense."""
     rng = random.Random(seed)
@@ -593,8 +507,8 @@ def test_every_unweighted_dependency_path_is_bit_identical(seed, directed):
     """One Brandes arithmetic: the fused per-source pass, build-then-
     accumulate, the numpy batched wave, the sparse-matmul sweep (called
     directly, so graphs the router keeps off it are pinned too) and the
-    compiled rung return the same bits for every source."""
-    from repro.graphs import csr as csr_module
+    routed call streamed in blocks of one and two rows return the same bits
+    for every source."""
     from repro.shortest_paths.batch import _batch_dependencies_spmm, _scipy_sparse
 
     csr = _random_unweighted_graph(seed, directed).csr()
@@ -603,25 +517,40 @@ def test_every_unweighted_dependency_path_is_bit_identical(seed, directed):
     batched = [accumulate_dependencies_batch_csr(bfs_spd_batch_csr(csr, sources))]
     if _scipy_sparse is not None:
         batched.append(_batch_dependencies_spmm(csr, sources, None))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(csr_module, "_COMPILED_OK", True)
-        batched.append(batch_dependencies_compiled(csr, sources))
-        compiled_rows = [
-            (
-                csr_source_dependencies(csr, s, kernel="compiled"),
-                accumulate_dependencies_compiled(bfs_spd_compiled(csr, s)),
-            )
-            for s in range(n)
-        ]
+    fused = np.array([csr_source_dependencies(csr, s) for s in range(n)])
+    batched.extend(_streamed_in_narrow_blocks(csr, sources, fused))
     for s in range(n):
-        fused = csr_source_dependencies(csr, s, kernel="csr")
-        assert np.array_equal(
-            fused, accumulate_dependencies_csr(bfs_spd_csr(csr, s, kernel="csr"))
-        )
-        for row in compiled_rows[s]:
-            assert np.array_equal(fused, row)
+        assert np.array_equal(fused[s], accumulate_dependencies_csr(bfs_spd_csr(csr, s)))
         for matrix in batched:
-            assert np.array_equal(fused, matrix[s])
+            assert np.array_equal(fused[s], matrix[s])
+
+
+def _streamed_in_narrow_blocks(csr, sources, fused):
+    """Run ``batch_source_dependencies`` with its block width forced to 1 and
+    to 2 rows, collecting the streamed blocks through a *sink*; return one
+    matrix per width.  Several blocks per call pin the sink offsets and the
+    running *out* sum across blocks, and an odd count at width 2 leaves a
+    one-row block that takes the K = 1 route inside the call."""
+    from repro.shortest_paths import batch as batch_module
+
+    n = csr.number_of_vertices()
+    expected_sum = np.zeros(n)
+    for row in fused:
+        expected_sum += row
+    matrices = []
+    for width in (1, 2):
+        rows = np.full((len(sources), n), np.nan)
+
+        def sink(begin, block):
+            rows[begin : begin + len(block)] = block
+
+        out = np.zeros(n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch_module, "_block_width", lambda csr: width)
+            batch_module.batch_source_dependencies(csr, sources, out=out, sink=sink)
+        assert np.array_equal(out, expected_sum)
+        matrices.append(rows)
+    return matrices
 
 
 #: Weight palettes of the weighted identity property: dyadic weights sum
@@ -654,18 +583,16 @@ def _random_weighted_identity_graph(seed: int, directed: bool, palette: str) -> 
 def test_every_weighted_dependency_path_is_bit_identical(seed, directed, palette):
     """One weighted rule: exact distances (the fixpoint min fl(D[u] + w),
     equal from the heap and from Bellman-Ford), one DAG and the one Brandes
-    arithmetic, so the batched sweep (called directly and through the depth
-    gate either way), the K = 1 route, build-then-accumulate and the
-    compiled bodies (fused, via the SPD, batched at 1/2/4 threads) return
-    the same bits for every source."""
-    from repro.graphs import csr as csr_module
+    arithmetic, so the batched sweep (called directly, through the depth
+    gate either way and with its DAG mask cut into 2-row chunks), the
+    routed call streamed in blocks of one and two rows, the K = 1 route and
+    build-then-accumulate return the same bits for every source."""
     from repro.shortest_paths import batch as batch_module
     from repro.shortest_paths.batch import (
         _batch_distances,
         _dijkstra_sweep_batch,
         batch_source_dependencies,
     )
-    from repro.shortest_paths.compiled import dijkstra_spd_compiled
     from repro.shortest_paths.dijkstra import dijkstra_distances_csr
 
     graph = _random_weighted_identity_graph(seed, directed, palette)
@@ -687,107 +614,24 @@ def test_every_weighted_dependency_path_is_bit_identical(seed, directed, palette
 
     batched = [_dijkstra_sweep_batch(csr, sources, n + 1)]
     two_rows = 2 * max(1, int(csr.indices.shape[0]))
-    # Both sides of the depth gate, then the sweep in blocks of two rows.
-    for round_cost, block in ((1, 10**9), (10**9, 10**9), (1, two_rows)):
+    # Both sides of the depth gate, then the sweep's DAG-mask and arc
+    # chunks at two rows (the block itself stays whole).
+    for round_cost, chunk in ((1, 10**9), (10**9, 10**9), (1, two_rows)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(batch_module, "_SWEEP_ROUND_COST", round_cost)
-            patch.setattr(batch_module, "_SWEEP_BLOCK_ELEMENTS", block)
+            patch.setattr(batch_module, "_SWEEP_BLOCK_ELEMENTS", chunk)
             csr._sweep_rounds = None
-            batched.append(batch_source_dependencies(csr, sources, kernel="csr"))
+            batched.append(batch_source_dependencies(csr, sources))
+    fused = np.array([csr_source_dependencies(csr, s) for s in range(n)])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(csr_module, "_COMPILED_OK", True)
-        for threads in (1, 2, 4):
-            batched.append(batch_dependencies_compiled(csr, sources, threads=threads))
-        compiled_rows = [
-            (
-                csr_source_dependencies(csr, s, kernel="compiled"),
-                accumulate_dependencies_compiled(dijkstra_spd_compiled(csr, s)),
-            )
-            for s in range(n)
-        ]
+        patch.setattr(batch_module, "_SWEEP_ROUND_COST", 1)
+        csr._sweep_rounds = None
+        batched.extend(_streamed_in_narrow_blocks(csr, sources, fused))
     for s in range(n):
-        fused = csr_source_dependencies(csr, s, kernel="csr")
-        assert np.array_equal(fused, batch_source_dependencies(csr, [s], kernel="csr")[0])
-        assert np.array_equal(
-            fused, accumulate_dependencies_csr(dijkstra_spd_csr(csr, s, kernel="csr"))
-        )
-        for row in compiled_rows[s]:
-            assert np.array_equal(fused, row)
+        assert np.array_equal(fused[s], batch_source_dependencies(csr, [s])[0])
+        assert np.array_equal(fused[s], accumulate_dependencies_csr(dijkstra_spd_csr(csr, s)))
         for matrix in batched:
-            assert np.array_equal(fused, matrix[s])
-
-
-weighted_cases = graph_cases.filter(lambda g: g.weighted)
-
-
-def test_compiled_tolerance_matches_the_interpreter_rung():
-    """The heap bit-identity promise needs both rungs to draw the relaxation
-    tie band at exactly the same width."""
-    from repro.shortest_paths import compiled, dijkstra
-
-    assert compiled._EPS == dijkstra._EPSILON
-
-
-@given(weighted_cases, st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_compiled_dijkstra_spd_is_bitwise_identical_to_numpy(graph, source_seed):
-    """The compiled heap wave reproduces dist/sig/settle-order and the CSR
-    predecessor arrays of the numpy rung exactly (array_equal, not isclose)."""
-    from repro.shortest_paths.compiled import dijkstra_spd_compiled
-
-    csr = graph.csr()
-    source = source_seed % csr.number_of_vertices()
-    numpy_spd = dijkstra_spd_csr(csr, source, kernel="csr")
-    compiled_spd = dijkstra_spd_compiled(csr, source)
-    assert np.array_equal(compiled_spd.dist, numpy_spd.dist)
-    assert np.array_equal(compiled_spd.sig, numpy_spd.sig)
-    assert np.array_equal(compiled_spd.order_indices, numpy_spd.order_indices)
-    assert np.array_equal(compiled_spd.pred_indptr, numpy_spd.pred_indptr)
-    assert np.array_equal(compiled_spd.pred_indices, numpy_spd.pred_indices)
-
-
-@given(weighted_cases, st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_compiled_weighted_dependencies_are_bitwise_identical(graph, source_seed):
-    """Fused weighted kernel, accumulate-from-SPD and the interpreter's fused
-    pass all produce the same delta vector bit for bit."""
-    from repro.shortest_paths.compiled import dijkstra_spd_compiled
-    from repro.shortest_paths.dijkstra import dijkstra_source_dependencies_csr
-
-    csr = graph.csr()
-    source = source_seed % csr.number_of_vertices()
-    reference = dijkstra_source_dependencies_csr(csr, source)
-    via_sweep = accumulate_dependencies_csr(dijkstra_spd_csr(csr, source, kernel="csr"))
-    via_spd = accumulate_dependencies_compiled(dijkstra_spd_compiled(csr, source))
-    fused = source_dependencies_compiled(csr, source)
-    assert np.array_equal(via_sweep, reference)
-    assert np.array_equal(via_spd, reference)
-    assert np.array_equal(fused, reference)
-
-
-@given(
-    weighted_cases,
-    st.integers(min_value=0, max_value=10_000),
-    st.sampled_from([1, 2, 4]),
-)
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_compiled_weighted_batch_is_bitwise_identical(graph, seed, threads):
-    """The weighted compiled batch — at every thread count — equals the numpy
-    per-row route, including the out-accumulation contract."""
-    from repro.shortest_paths.batch import batch_source_dependencies
-
-    csr = graph.csr()
-    n = csr.number_of_vertices()
-    rng = random.Random(seed)
-    sources = [rng.randrange(n) for _ in range(min(6, n))]
-    reference = batch_source_dependencies(csr, sources, kernel="csr")
-    compiled_matrix = batch_dependencies_compiled(csr, sources, threads=threads)
-    assert np.array_equal(compiled_matrix, reference)
-    out_numpy = np.ones(n)
-    batch_source_dependencies(csr, sources, out=out_numpy, kernel="csr")
-    out_compiled = np.ones(n)
-    batch_dependencies_compiled(csr, sources, out=out_compiled, threads=threads)
-    assert np.array_equal(out_compiled, out_numpy)
+            assert np.array_equal(fused[s], matrix[s])
 
 
 def _weighted_grid_csr(side: int = 30):
@@ -882,112 +726,7 @@ def test_weighted_distances_csr_matches_spd_and_dict_backend():
     for source in graph.vertices()[:4]:
         i = csr.index_of(source)
         dist, order = dijkstra_distances_csr(csr, i)
-        assert np.array_equal(dist, dijkstra_spd_csr(csr, i, kernel="csr").dist)
+        assert np.array_equal(dist, dijkstra_spd_csr(csr, i).dist)
         rebuilt = {csr.vertex_at(j): float(dist[j]) for j in order.tolist()}
         assert rebuilt == dijkstra_distances(graph, source)
         assert list(rebuilt) == list(dijkstra_distances(graph, source))
-
-
-def test_compiled_dispatch_is_result_neutral(monkeypatch):
-    """With availability forced on, kernel='compiled' drives the whole stack
-    through the compiled bodies and every public result stays bitwise equal."""
-    from repro.graphs import csr as csr_module
-
-    graph = barabasi_albert_graph(30, 2, seed=11)
-    target = graph.vertices()[2]
-    reference_exact = betweenness_centrality(graph, kernel="csr")
-    reference_single = betweenness_single(
-        graph, target, method="uniform-source", samples=40, seed=5,
-        kernel="csr",
-    )
-    monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
-    compiled_exact = betweenness_centrality(graph, kernel="compiled")
-    compiled_single = betweenness_single(
-        graph, target, method="uniform-source", samples=40, seed=5,
-        kernel="compiled",
-    )
-    assert compiled_exact == reference_exact
-    assert compiled_single.estimate == reference_single.estimate
-    # Per-source entry point too, through the kernel= dispatch itself.
-    csr = graph.csr()
-    assert np.array_equal(
-        csr_source_dependencies(csr, 0, kernel="compiled"),
-        csr_source_dependencies(csr, 0, kernel="csr"),
-    )
-
-
-def test_weighted_compiled_dispatch_and_threads_are_result_neutral(monkeypatch):
-    """With availability forced on, kernel='compiled' on a *weighted* graph
-    routes the whole stack through the fused Dijkstra bodies, and the
-    kernel_threads knob changes no result at any count."""
-    from repro.graphs import csr as csr_module
-
-    graph = _random_weighted_graph(41)
-    target = graph.vertices()[1]
-    reference_exact = betweenness_centrality(graph, kernel="csr")
-    reference_single = betweenness_single(
-        graph, target, method="uniform-source", samples=40, seed=5,
-        kernel="csr", check_connected=False,
-    )
-    monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
-    compiled_exact = betweenness_centrality(graph, kernel="compiled")
-    assert compiled_exact == reference_exact
-    for threads in (1, 2, 4):
-        result = betweenness_single(
-            graph, target, method="uniform-source", samples=40, seed=5,
-            kernel="compiled", kernel_threads=threads, check_connected=False,
-        )
-        assert result.estimate == reference_single.estimate, (
-            f"kernel_threads={threads} drifted from the numpy rung"
-        )
-
-
-# ----------------------------------------------------------------------
-# resolve_kernel: env override, explicit wins, warn-and-fallback
-# ----------------------------------------------------------------------
-
-
-def test_resolve_kernel_env_override(monkeypatch):
-    from repro.errors import ConfigurationError
-    from repro.graphs import csr as csr_module
-    from repro.graphs.csr import resolve_kernel
-
-    monkeypatch.setenv("REPRO_KERNEL", "csr")
-    assert resolve_kernel("auto") == "csr"
-    monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
-    assert resolve_kernel("auto") == "csr", "env override beats availability"
-    monkeypatch.setenv("REPRO_KERNEL", "compiled")
-    assert resolve_kernel("auto") == "compiled"
-    assert resolve_kernel("csr") == "csr", "explicit kernel wins over the env var"
-    monkeypatch.setenv("REPRO_KERNEL", "fpga")
-    with pytest.raises(ConfigurationError):
-        resolve_kernel("auto")
-    with pytest.raises(ConfigurationError):
-        resolve_kernel("jit")  # unknown kernel name, env var notwithstanding
-
-
-def test_resolve_kernel_auto_follows_availability(monkeypatch):
-    from repro.graphs import csr as csr_module
-    from repro.graphs.csr import resolve_kernel
-
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
-    assert resolve_kernel("auto") == "compiled"
-    assert resolve_kernel("compiled") == "compiled"
-    monkeypatch.setattr(csr_module, "_COMPILED_OK", False)
-    assert resolve_kernel("auto") == "csr"
-
-
-def test_resolve_kernel_explicit_compiled_warns_and_falls_back(monkeypatch):
-    from repro.graphs import csr as csr_module
-    from repro.graphs.csr import resolve_kernel
-
-    monkeypatch.setattr(csr_module, "_COMPILED_OK", False)
-    with pytest.warns(RuntimeWarning, match="falling back to the numpy CSR kernels"):
-        assert resolve_kernel("compiled") == "csr"
-    # ... and the fallback changes no result: a compiled-requested exact run
-    # equals the csr run even though the rung silently degraded.
-    graph = barabasi_albert_graph(18, 2, seed=3)
-    with pytest.warns(RuntimeWarning):
-        degraded = betweenness_centrality(graph, kernel="compiled")
-    assert degraded == betweenness_centrality(graph, kernel="csr")

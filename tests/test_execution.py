@@ -148,11 +148,11 @@ def test_single_row_wave_requests_run_the_fused_pass():
         csr = graph.csr()
         n = csr.number_of_vertices()
         for s in range(0, n, 5):
-            batched = batch_source_dependencies(csr, [s, s], kernel="csr")[0]
+            batched = batch_source_dependencies(csr, [s, s])[0]
             out = np.zeros(n)
-            routed = batch_source_dependencies(csr, [s], out=out, kernel="csr")
+            routed = batch_source_dependencies(csr, [s], out=out)
             assert routed.shape == (1, n)
-            assert np.array_equal(routed[0], csr_source_dependencies(csr, s, kernel="csr"))
+            assert np.array_equal(routed[0], csr_source_dependencies(csr, s))
             assert np.array_equal(routed[0], batched)
             assert np.array_equal(out, batched)
 
@@ -195,23 +195,19 @@ def _branch_graphs():
 
 
 @pytest.mark.parametrize("branch", ["spmm", "deep", "directed", "weighted"])
-@pytest.mark.parametrize("kernel", ["csr", "compiled"])
-def test_every_batch_branch_rejects_bad_sources_alike(branch, kernel, monkeypatch):
-    """The spmm, wave and weighted branches (on either rung) share one
-    validation: the same error type and message for the same bad input."""
-    from repro.graphs import csr as csr_module
-
-    monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
+def test_every_batch_branch_rejects_bad_sources_alike(branch):
+    """The spmm, wave and weighted branches share one validation: the same
+    error type and message for the same bad input."""
     csr = _branch_graphs()[branch]
     n = csr.number_of_vertices()
     for sources, error in (([], ValueError), ([-1], IndexError), ([n], IndexError)):
         with pytest.raises(error) as caught:
-            batch_source_dependencies(csr, sources, kernel=kernel)
+            batch_source_dependencies(csr, sources)
         message = str(caught.value)
         assert message in (
             "sources must be a non-empty 1-D sequence of vertex indices",
             f"source indices out of range for {n} vertices",
-        ), (branch, kernel, sources, message)
+        ), (branch, sources, message)
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +263,38 @@ def test_execution_plan_validates_fields():
         ExecutionPlan(n_jobs=-1)
 
 
+def test_the_numpy_kernels_are_the_only_rung(monkeypatch):
+    """No kernel knob is left: no plan field, no keyword on the public
+    entry points, no environment override, no compiled module."""
+    import dataclasses
+    import importlib
+    import inspect
+
+    from repro.exact.single_vertex import betweenness_of_vertex, dependency_vector
+    from repro.serving import ServingConfig
+    from repro.serving.queries import execute_query
+    from repro.shortest_paths import dijkstra_spd_csr
+
+    assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
+        "batch_size", "n_jobs", "shared_cache", "shared_graph", "mp_context", "runtime",
+    ]
+    assert not {"kernel", "kernel_threads"} & {
+        f.name for f in dataclasses.fields(ServingConfig)
+    }
+    for fn in (
+        betweenness_single, relative_betweenness, betweenness_centrality,
+        betweenness_of_vertex, dependency_vector, all_dependencies_on_target,
+        batch_source_dependencies, csr_source_dependencies, bfs_spd_csr,
+        dijkstra_spd_csr, accumulate_dependencies_csr, execute_query, resolve_plan,
+    ):
+        assert not {"kernel", "kernel_threads"} & set(inspect.signature(fn).parameters), fn
+    monkeypatch.setenv("REPRO_KERNEL", "fpga")
+    monkeypatch.setenv("REPRO_KERNEL_THREADS", "many")
+    assert resolve_plan(None) == ExecutionPlan()
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.shortest_paths.compiled")
+
+
 def test_split_shards_boundaries_are_fixed():
     items = list(range(600))
     shards = split_shards(items)
@@ -317,12 +345,8 @@ def test_worker_payloads_survive_a_real_pool():
     graph = barabasi_albert_graph(60, 2, seed=1)
     csr = graph.csr()
     shards = split_shards(list(range(60)), 16)
-    inline = run_sharded(
-        dependency_sum_shard_csr, shards, n_jobs=1, shared=(csr, "auto", 1)
-    )
-    pooled = run_sharded(
-        dependency_sum_shard_csr, shards, n_jobs=2, shared=(csr, "auto", 1)
-    )
+    inline = run_sharded(dependency_sum_shard_csr, shards, n_jobs=1, shared=csr)
+    pooled = run_sharded(dependency_sum_shard_csr, shards, n_jobs=2, shared=csr)
     for a, b in zip(inline, pooled):
         assert np.array_equal(a, b)
 
@@ -756,37 +780,8 @@ def test_mh_prefetch_passes_do_not_depend_on_the_block_width():
 
 
 # ----------------------------------------------------------------------
-# Kernel knob threading + worker-count autotuning (ISSUE 7)
+# Worker-count autotuning
 # ----------------------------------------------------------------------
-
-
-def test_execution_plan_validates_and_carries_the_kernel():
-    with pytest.raises(ConfigurationError):
-        ExecutionPlan(kernel="fpga")
-    assert ExecutionPlan().kernel == "auto"
-    assert ExecutionPlan(kernel="compiled").kernel == "compiled"
-    assert resolve_plan(None, kernel="compiled").kernel == "compiled"
-    plan = resolve_plan(None, n_jobs=2, kernel="compiled")
-    assert plan.kernel == "compiled" and plan.n_jobs == 2
-
-
-def test_kernel_knob_never_changes_engine_results(monkeypatch):
-    """kernel ∈ {csr, compiled} × n_jobs grid: identical estimates (the
-    compiled rung is driven through its pure-Python bodies here)."""
-    from repro.graphs import csr as csr_module
-
-    monkeypatch.setattr(csr_module, "_COMPILED_OK", True)
-    graph = _random_unweighted(21)
-    r = graph.vertices()[3]
-    estimates = {
-        (kernel, jobs): betweenness_single(
-            graph, r, method="uniform-source", samples=40, seed=13,
-            n_jobs=jobs, kernel=kernel,
-        ).estimate
-        for kernel in ("csr", "compiled")
-        for jobs in JOBS_GRID
-    }
-    assert len(set(estimates.values())) == 1
 
 
 def test_default_jobs_candidates_shape():
@@ -852,83 +847,6 @@ def test_calibrated_jobs_never_change_the_estimate():
         for jobs in JOBS_GRID
     }
     assert len(set(estimates.values())) == 1
-
-
-def test_default_threads_candidates_shape():
-    import multiprocessing
-
-    from repro.execution import default_threads_candidates
-
-    candidates = default_threads_candidates()
-    assert candidates[0] == 1
-    assert all(a < b for a, b in zip(candidates, candidates[1:]))
-    assert all(isinstance(c, int) and c >= 1 for c in candidates)
-    # The thread budget composes with worker processes: claiming every
-    # core for processes leaves exactly one thread per worker.
-    cores = multiprocessing.cpu_count()
-    assert default_threads_candidates(n_jobs=cores) == (1,)
-    with pytest.raises(ConfigurationError):
-        default_threads_candidates(n_jobs=0)
-
-
-def test_probe_kernel_threads_fast_paths():
-    from repro.execution import probe_kernel_threads
-
-    graph = barabasi_albert_graph(30, 2, seed=2)
-    # numpy rung: the prange kernels are out of reach by construction.
-    assert probe_kernel_threads(graph, kernel="csr", candidates=(1, 2)) == [(1, 0.0)]
-    # nothing beyond one thread to sweep: no kernels timed.
-    assert probe_kernel_threads(graph, candidates=(1,)) == [(1, 0.0)]
-
-
-def test_probe_kernel_threads_validates_its_knobs():
-    from repro.execution import probe_kernel_threads
-
-    graph = barabasi_albert_graph(20, 2, seed=1)
-    with pytest.raises(ConfigurationError):
-        probe_kernel_threads(graph, candidates=(0,))
-    with pytest.raises(ConfigurationError):
-        probe_kernel_threads(graph, probe_sources=0)
-    with pytest.raises(ConfigurationError):
-        probe_kernel_threads(graph, repeats=0)
-    with pytest.raises(ConfigurationError):
-        probe_kernel_threads(graph, n_jobs=0)
-
-
-def test_calibrate_kernel_threads_returns_a_candidate_and_breaks_ties_down(monkeypatch):
-    from repro.execution import autotune, calibrate_kernel_threads
-
-    graph = barabasi_albert_graph(30, 2, seed=2)
-    assert calibrate_kernel_threads(graph, candidates=(1, 2), probe_sources=8) in (1, 2)
-    # Deterministic tie: the smaller thread count must win.
-    monkeypatch.setattr(
-        autotune, "probe_kernel_threads", lambda *a, **k: [(4, 1.0), (2, 1.0), (1, 2.0)]
-    )
-    assert calibrate_kernel_threads(graph) == 2
-
-
-def test_kernel_threads_auto_resolves_and_changes_no_result():
-    """kernel_threads='auto' at the API resolves to a concrete count and the
-    estimate equals every explicit count — the knob is result-neutral."""
-    graph = barabasi_albert_graph(30, 2, seed=5)
-    r = graph.vertices()[6]
-    reference = betweenness_single(
-        graph, r, method="uniform-source", samples=40, seed=99,
-    )
-    for threads in ("auto", 1, 2, 4):
-        result = betweenness_single(
-            graph, r, method="uniform-source", samples=40, seed=99,
-            kernel_threads=threads,
-        )
-        assert result.estimate == reference.estimate, threads
-
-
-def test_kernel_threads_explicit_values_skip_the_probe():
-    from repro.centrality.api import _resolve_kernel_threads
-
-    graph = barabasi_albert_graph(20, 2, seed=3)
-    assert _resolve_kernel_threads(graph, 3, "auto", None) == 3
-    assert _resolve_kernel_threads(graph, None, "auto", None) is None
 
 
 def test_n_jobs_auto_resolves_and_engages_the_engine():

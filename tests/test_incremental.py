@@ -10,7 +10,7 @@ Covers the mutation path end to end:
 * the hypothesis property that the affected region is a **superset** of
   the truly-changed dependency rows over random mutation sequences;
 * warm-vs-cold bit-identity of session answers across the execution grid
-  (kernel rung x n_jobs) and across journal overflow;
+  (n_jobs) and across journal overflow;
 * the runtime's delta-scoped arena eviction and the session's oracle /
   chain retention.
 """
@@ -400,14 +400,8 @@ class TestWeightedSupersetProperty:
 # ----------------------------------------------------------------------
 # Warm-vs-cold bit-identity across the execution grid
 # ----------------------------------------------------------------------
-#: One deterministic mutate-heavy scenario replayed per grid cell.
-_GRID = (
-    ("auto", None),
-    ("csr", None),
-    ("compiled", None),
-    ("csr", 2),
-    ("compiled", 4),
-)
+#: One deterministic mutate-heavy scenario replayed per worker count.
+_GRID = (None, 2, 4)
 
 
 def _scripted_graph():
@@ -453,15 +447,11 @@ def _scripted_weight_ops(graph):
     not shared_memory_available(), reason="requires working shared memory"
 )
 class TestWarmColdGrid:
-    @pytest.mark.parametrize("kernel,n_jobs", _GRID)
-    def test_session_matches_cold_across_mutations(self, kernel, n_jobs):
+    @pytest.mark.parametrize("n_jobs", _GRID)
+    def test_session_matches_cold_across_mutations(self, n_jobs):
         warm_graph = _scripted_graph()
         cold_graph = _scripted_graph()
-        plan = (
-            ExecutionPlan(n_jobs=n_jobs, kernel=kernel)
-            if n_jobs is not None
-            else None
-        )
+        plan = ExecutionPlan(n_jobs=n_jobs) if n_jobs is not None else None
         with BetweennessSession(warm_graph, plan, check_connected=False) as session:
             for step, (u, v) in enumerate(_scripted_ops()):
                 for graph in (warm_graph, cold_graph):
@@ -476,15 +466,14 @@ class TestWarmColdGrid:
                     samples=24,
                     seed=40 + step,
                     n_jobs=n_jobs,
-                    kernel=kernel,
                     check_connected=False,
                 )
                 assert warm.estimate == cold.estimate, (
-                    f"step {step} diverged under (kernel={kernel}, n_jobs={n_jobs})"
+                    f"step {step} diverged under n_jobs={n_jobs}"
                 )
 
-    @pytest.mark.parametrize("kernel,n_jobs", _GRID)
-    def test_weighted_session_matches_cold_across_weight_mutations(self, kernel, n_jobs):
+    @pytest.mark.parametrize("n_jobs", _GRID)
+    def test_weighted_session_matches_cold_across_weight_mutations(self, n_jobs):
         # The weighted twin of the scenario above: weight-only mutations
         # route through the edge-tightness rule (delta mode), and the
         # warm session must stay bit-identical to a cold recompute on a
@@ -492,11 +481,7 @@ class TestWarmColdGrid:
         warm_graph = _scripted_weighted_graph()
         cold_graph = _scripted_weighted_graph()
         ops = _scripted_weight_ops(warm_graph)
-        plan = (
-            ExecutionPlan(n_jobs=n_jobs, kernel=kernel)
-            if n_jobs is not None
-            else None
-        )
+        plan = ExecutionPlan(n_jobs=n_jobs) if n_jobs is not None else None
         with BetweennessSession(warm_graph, plan, check_connected=False) as session:
             for step, (u, v, weight) in enumerate(ops):
                 for graph in (warm_graph, cold_graph):
@@ -508,11 +493,10 @@ class TestWarmColdGrid:
                     samples=24,
                     seed=40 + step,
                     n_jobs=n_jobs,
-                    kernel=kernel,
                     check_connected=False,
                 )
                 assert warm.estimate == cold.estimate, (
-                    f"step {step} diverged under (kernel={kernel}, n_jobs={n_jobs})"
+                    f"step {step} diverged under n_jobs={n_jobs}"
                 )
 
 

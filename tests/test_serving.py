@@ -86,7 +86,6 @@ def served_graph():
 
 
 def make_app(**config_kwargs) -> ServingApp:
-    config_kwargs.setdefault("kernel", "csr")
     config_kwargs.setdefault("request_timeout", 30.0)
     return ServingApp(config=ServingConfig(**config_kwargs))
 
@@ -124,9 +123,7 @@ def stable(payload: dict) -> dict:
 def cold_answer(query: dict, op: str) -> dict:
     """The cold per-call API answer for one serve query (fresh session)."""
     with BetweennessSession(served_graph(), None) as session:
-        payload = execute_query(
-            session, dict(query, op=op), kernel="csr", kernel_threads=1
-        )
+        payload = execute_query(session, dict(query, op=op))
     return stable(payload)
 
 
@@ -472,8 +469,8 @@ class TestFaultInjection:
         The graph must exceed one shard (256 sources) for the scheduler to
         engage the pool at all.
         """
-        plan = resolve_plan(None, n_jobs=2, kernel="csr")
-        config = ServingConfig(kernel="csr", request_timeout=30.0)
+        plan = resolve_plan(None, n_jobs=2)
+        config = ServingConfig(request_timeout=30.0)
         app = ServingApp(plan=plan, config=config)
         load_graph(app, "g", barabasi_albert_graph(600, 2, seed=SEED))
         return app
@@ -1024,8 +1021,6 @@ class TestStampParity:
                 str(self.QUERY["samples"]),
                 "--seed",
                 str(self.QUERY["seed"]),
-                "--kernel",
-                "csr",
             ],
             out=out,
         )
@@ -1047,8 +1042,6 @@ class TestStampParity:
                 graph_file,
                 "--queries",
                 str(queries),
-                "--kernel",
-                "csr",
             ],
             out=out,
         )
@@ -1079,9 +1072,7 @@ class TestStampParity:
         assert cli["estimate"] == batch["estimate"] == served["estimate"]
 
     def test_harness_header_lines_share_the_stamp_vocabulary(self):
-        stamp = execution_stamp(
-            {"n_jobs": 2}, kernel="csr"
-        )
+        stamp = execution_stamp({"n_jobs": 2})
         lines = format_stamp_lines(stamp).split("\n")
         assert lines == [f"{key}: {stamp[key]}" for key in EXECUTION_STAMP_KEYS]
 

@@ -209,13 +209,13 @@ def test_shared_weighted_snapshot_kernels_bit_identical(graph):
         attached = pickle.loads(pickle.dumps(shared))
         sources = list(range(0, csr.number_of_vertices(), 3))
         assert np.array_equal(
-            batch_source_dependencies(attached, sources, kernel="csr"),
-            batch_source_dependencies(csr, sources, kernel="csr"),
+            batch_source_dependencies(attached, sources),
+            batch_source_dependencies(csr, sources),
         )
         for s in sources:
             assert np.array_equal(
-                csr_source_dependencies(attached, s, kernel="csr"),
-                csr_source_dependencies(csr, s, kernel="csr"),
+                csr_source_dependencies(attached, s),
+                csr_source_dependencies(csr, s),
             )
     finally:
         shared.destroy()

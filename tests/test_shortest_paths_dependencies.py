@@ -217,17 +217,17 @@ class TestFusedCsrPass:
     def test_bitwise_equal_to_build_then_accumulate(self, name):
         csr = FUSED_GRAPHS[name]().csr()
         for s in range(csr.number_of_vertices()):
-            fused = csr_source_dependencies(csr, s, kernel="csr")
+            fused = csr_source_dependencies(csr, s)
             assert np.array_equal(fused, bfs_source_dependencies_csr(csr, s))
             assert np.array_equal(
-                fused, accumulate_dependencies_csr(bfs_spd_csr(csr, s, kernel="csr"))
+                fused, accumulate_dependencies_csr(bfs_spd_csr(csr, s))
             )
             assert np.array_equal(fused, _sorted_unique_dependencies(csr, s))
 
     def test_isolated_and_sink_sources_have_zero_dependencies(self):
         for graph, vertex in ((_disconnected_graph(), 30), (_directed_graph(), 7)):
             csr = graph.csr()
-            delta = csr_source_dependencies(csr, csr.index_of(vertex), kernel="csr")
+            delta = csr_source_dependencies(csr, csr.index_of(vertex))
             assert delta.shape == (csr.number_of_vertices(),)
             assert not delta.any()
 
@@ -236,6 +236,6 @@ class TestFusedCsrPass:
         # Plain numpy indexing would wrap -1 to the last vertex silently.
         csr = path_graph(5).csr()
         with pytest.raises(IndexError):
-            csr_source_dependencies(csr, source, kernel="csr")
+            csr_source_dependencies(csr, source)
         with pytest.raises(IndexError):
             bfs_source_dependencies_csr(csr, source)
