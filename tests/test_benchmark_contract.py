@@ -8,8 +8,11 @@ them breaks the benchmark, so these checks fail the test-suite first.
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from repro.execution import (
     EXECUTION_STAMP_KEYS,
@@ -21,6 +24,20 @@ from repro.execution.stamp import resolve_kernel_quiet
 from repro.graphs import barabasi_albert_graph
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+#: The shortest-path and oracle entry points the tracer wraps, as
+#: ``(module, attribute)``.
+PATCH_TARGETS = (
+    ("repro.shortest_paths.dependencies", "csr_source_dependencies"),
+    ("repro.shortest_paths.dependencies", "accumulate_dependencies_csr"),
+    ("repro.shortest_paths.batch", "batch_source_dependencies"),
+    ("repro.shortest_paths.dijkstra", "dijkstra_source_dependencies_csr"),
+    ("repro.shortest_paths.bfs", "bfs_spd_csr"),
+    ("repro.shortest_paths.dijkstra", "dijkstra_spd_csr"),
+    ("repro.shortest_paths.bfs", "bfs_distances_csr"),
+    ("repro.shortest_paths.bidirectional", "bidirectional_shortest_path_info_csr"),
+    ("repro.mcmc.estimates", "DependencyOracle.prefetch"),
+)
 
 
 def _tracing_module():
@@ -64,3 +81,42 @@ def test_every_tracer_patch_target_resolves_and_stays_on_the_call_path():
         tracer.uninstall()
     names = {span.name for span in tracer.spans}
     assert {"query", "single_chain", "prefetch", "batch_pass"} <= names
+
+
+@pytest.mark.parametrize(
+    "module,attr", PATCH_TARGETS, ids=[attr for _, attr in PATCH_TARGETS]
+)
+def test_tracer_wraps_and_restores_each_patch_target(module, attr):
+    owner = importlib.import_module(module)
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    original = vars(owner)[name]
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert vars(owner)[name] is not original
+    finally:
+        tracer.uninstall()
+    assert vars(owner)[name] is original
+
+
+@pytest.mark.parametrize("method,spans", [
+    ("mh", {"single_chain", "prefetch", "batch_pass"}),
+    ("mh-random-walk", {"single_chain", "point_pass"}),
+    ("rk", {"baseline", "bfs_spd"}),
+    ("distance", {"baseline", "bfs_distances", "batch_pass"}),
+])
+def test_each_estimator_reaches_its_traced_passes(method, spans):
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        from repro.centrality import betweenness_single
+
+        graph = barabasi_albert_graph(40, 2, seed=1)
+        betweenness_single(graph, graph.vertices()[3], method=method, samples=20, seed=1)
+    finally:
+        tracer.uninstall()
+    assert spans <= {span.name for span in tracer.spans}

@@ -422,14 +422,62 @@ class TestKernelAndAutoJobs:
         payload = json.loads(output)
         assert payload["kernel"] == "csr" and payload["kernel_threads"] == 1
 
-    def test_rejects_unknown_kernel(self, barbell_file):
+    @pytest.mark.parametrize("query", [
+        {"op": "estimate", "vertex": 5, "samples": 40, "seed": 7},
+        {"op": "relative", "vertices": [1, 5], "samples": 40, "seed": 3},
+    ], ids=["estimate", "relative"])
+    def test_batch_stamps_the_one_rung(self, barbell_file, tmp_path, query):
+        path = tmp_path / "queries.jsonl"
+        path.write_text(json.dumps(query) + "\n")
+        code, output = run_cli(["batch", "--graph", barbell_file, "--queries", str(path)])
+        assert code == 0
+        payload = json.loads(output.splitlines()[0])
+        assert payload["kernel"] == "csr" and payload["kernel_threads"] == 1
+
+    def test_relative_stamps_the_one_rung(self, barbell_file):
+        code, output = run_cli(
+            ["relative", "--graph", barbell_file, "--vertices", "1,5",
+             "--samples", "40", "--seed", "3"]
+        )
+        assert code == 0
+        payload = json.loads(output)
+        assert payload["kernel"] == "csr" and payload["kernel_threads"] == 1
+
+    @pytest.mark.parametrize("variable,value", [
+        ("REPRO_KERNEL", "compiled"),
+        ("REPRO_KERNEL", "fpga"),
+        ("REPRO_KERNEL_THREADS", "4"),
+        ("REPRO_KERNEL_THREADS", "many"),
+    ])
+    def test_kernel_never_changes_the_estimate(self, barbell_file, monkeypatch, variable, value):
+        """The retired kernel variables are not read: whatever they hold,
+        the estimate and the stamp stay those of the one rung."""
+        args = ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
+                "uniform-source", "--samples", "40", "--seed", "7"]
+        code, reference = run_cli(args)
+        monkeypatch.setenv(variable, value)
+        code_set, output = run_cli(args)
+        assert code == code_set == 0
+        payload, expected = json.loads(output), json.loads(reference)
+        del payload["elapsed_seconds"], expected["elapsed_seconds"]
+        assert payload == expected
+
+    @pytest.mark.parametrize("command", [
+        ["exact"],
+        ["estimate", "--vertex", "5"],
+        ["relative", "--vertices", "1,5"],
+        ["batch", "--queries", "-"],
+        ["serve"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("flag", [["--kernel", "csr"], ["--kernel-threads", "1"]],
+                             ids=["kernel", "kernel-threads"])
+    def test_rejects_unknown_kernel(self, barbell_file, command, flag):
         """The kernel flags are gone: every sub-command rejects them."""
-        for command in (["exact"], ["estimate", "--vertex", "5"], ["batch", "--queries", "-"]):
-            for flag in (["--kernel", "csr"], ["--kernel-threads", "1"]):
-                with pytest.raises(SystemExit):
-                    build_parser().parse_args(
-                        command + ["--graph", barbell_file] + flag
-                    )
+        # The same arguments without the flag parse, so the flag is the
+        # reason for the rejection.
+        build_parser().parse_args(command + ["--graph", barbell_file])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--graph", barbell_file] + flag)
 
     def test_jobs_auto_calibrates_without_changing_the_estimate(self, barbell_file):
         code_auto, out_auto = run_cli(

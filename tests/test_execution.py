@@ -263,17 +263,30 @@ def test_execution_plan_validates_fields():
         ExecutionPlan(n_jobs=-1)
 
 
-def test_the_numpy_kernels_are_the_only_rung(monkeypatch):
-    """No kernel knob is left: no plan field, no keyword on the public
-    entry points, no environment override, no compiled module."""
-    import dataclasses
-    import importlib
-    import inspect
+#: Every public entry point that took ``kernel`` / ``kernel_threads``
+#: while the compiled rung existed, as ``(module, name)``.
+_RETIRED_KERNEL_KNOB_OWNERS = (
+    ("repro.centrality.api", "betweenness_single"),
+    ("repro.centrality.api", "relative_betweenness"),
+    ("repro.exact.brandes", "betweenness_centrality"),
+    ("repro.exact.single_vertex", "betweenness_of_vertex"),
+    ("repro.exact.single_vertex", "dependency_vector"),
+    ("repro.shortest_paths", "all_dependencies_on_target"),
+    ("repro.shortest_paths", "batch_source_dependencies"),
+    ("repro.shortest_paths", "csr_source_dependencies"),
+    ("repro.shortest_paths", "bfs_spd_csr"),
+    ("repro.shortest_paths", "dijkstra_spd_csr"),
+    ("repro.shortest_paths", "accumulate_dependencies_csr"),
+    ("repro.serving.queries", "execute_query"),
+    ("repro.execution", "resolve_plan"),
+)
 
-    from repro.exact.single_vertex import betweenness_of_vertex, dependency_vector
+
+def test_the_numpy_kernels_are_the_only_rung():
+    """No kernel knob is left on the plan or the serving config."""
+    import dataclasses
+
     from repro.serving import ServingConfig
-    from repro.serving.queries import execute_query
-    from repro.shortest_paths import dijkstra_spd_csr
 
     assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
         "batch_size", "n_jobs", "shared_cache", "shared_graph", "mp_context", "runtime",
@@ -281,16 +294,43 @@ def test_the_numpy_kernels_are_the_only_rung(monkeypatch):
     assert not {"kernel", "kernel_threads"} & {
         f.name for f in dataclasses.fields(ServingConfig)
     }
-    for fn in (
-        betweenness_single, relative_betweenness, betweenness_centrality,
-        betweenness_of_vertex, dependency_vector, all_dependencies_on_target,
-        batch_source_dependencies, csr_source_dependencies, bfs_spd_csr,
-        dijkstra_spd_csr, accumulate_dependencies_csr, execute_query, resolve_plan,
-    ):
-        assert not {"kernel", "kernel_threads"} & set(inspect.signature(fn).parameters), fn
-    monkeypatch.setenv("REPRO_KERNEL", "fpga")
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "many")
+
+
+@pytest.mark.parametrize(
+    "module,name", _RETIRED_KERNEL_KNOB_OWNERS, ids=[name for _, name in _RETIRED_KERNEL_KNOB_OWNERS]
+)
+def test_no_entry_point_takes_a_kernel_knob(module, name):
+    import importlib
+    import inspect
+
+    fn = getattr(importlib.import_module(module), name)
+    assert not {"kernel", "kernel_threads"} & set(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("variable,value", [
+    ("REPRO_KERNEL", "compiled"),
+    ("REPRO_KERNEL", "fpga"),
+    ("REPRO_KERNEL_THREADS", "4"),
+    ("REPRO_KERNEL_THREADS", "many"),
+])
+def test_retired_kernel_variables_are_not_read(monkeypatch, variable, value):
+    """Whatever the retired variables hold, plans and estimates are those
+    of an unset environment."""
+    graph = _random_unweighted(21)
+    r = graph.vertices()[3]
+    reference = betweenness_single(
+        graph, r, method="uniform-source", samples=40, seed=13, n_jobs=2
+    ).estimate
+    monkeypatch.setenv(variable, value)
     assert resolve_plan(None) == ExecutionPlan()
+    assert betweenness_single(
+        graph, r, method="uniform-source", samples=40, seed=13, n_jobs=2
+    ).estimate == reference
+
+
+def test_the_compiled_kernel_module_is_gone():
+    import importlib
+
     with pytest.raises(ImportError):
         importlib.import_module("repro.shortest_paths.compiled")
 
