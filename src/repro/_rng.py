@@ -4,6 +4,16 @@ Every sampler, generator and benchmark in the library accepts either a seed,
 an existing :class:`random.Random` instance, or ``None``.  Funnelling the
 conversion through :func:`ensure_rng` keeps runs reproducible and avoids the
 global :mod:`random` state entirely.
+
+The block draws (:func:`randrange_block`, :func:`randbelow_block`,
+:func:`random_block`) return what the scalar loops over
+``randrange`` / ``random`` would, and leave the generator in the same state.
+They rest on how CPython's Mersenne Twister serves those calls: each
+consumes 32-bit words, ``getrandbits(k)`` for ``k <= 32`` is one word
+shifted right by ``32 - k``, ``random()`` is the word pair ``(a, b)`` read as
+``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, and ``getrandbits(32 * m)`` returns
+``m`` words, the first one least significant.  So one wide ``getrandbits``
+call yields a whole block of words for numpy to shift, reject and combine.
 """
 
 from __future__ import annotations
@@ -11,7 +21,16 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Union
 
-__all__ = ["RandomState", "ensure_rng", "spawn_rng", "randrange_block"]
+import numpy as np
+
+__all__ = [
+    "RandomState",
+    "ensure_rng",
+    "spawn_rng",
+    "randrange_block",
+    "randbelow_block",
+    "random_block",
+]
 
 #: Accepted ways to specify randomness across the public API.
 RandomState = Union[None, int, random.Random]
@@ -56,6 +75,70 @@ def spawn_rng(rng: random.Random, stream: int) -> random.Random:
     return random.Random(child_seed)
 
 
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The next *count* 32-bit Mersenne Twister words of *rng*, in draw order."""
+    if not count:
+        return np.zeros(0, dtype=np.uint32)
+    bits = rng.getrandbits(32 * count)
+    return np.frombuffer(bits.to_bytes(4 * count, "little"), dtype="<u4")
+
+
+def _plain(rng: random.Random, name: str) -> None:
+    # A subclass overriding ``random`` or ``getrandbits`` draws differently.
+    if type(rng) is not random.Random:
+        raise TypeError(f"{name} needs a plain random.Random instance")
+
+
+def random_block(rng: random.Random, count: int) -> np.ndarray:
+    """Return ``[rng.random() for _ in range(count)]`` as a ``float64`` array.
+
+    One ``getrandbits(64 * count)`` call supplies the ``2 * count`` words,
+    so the values and the state *rng* is left in equal the scalar loop's.
+    """
+    _plain(rng, "random_block")
+    words = _words(rng, 2 * count)
+    high = (words[0::2] >> np.uint32(5)).astype(np.float64)
+    return (high * 67108864.0 + (words[1::2] >> np.uint32(6))) * (1.0 / 9007199254740992.0)
+
+
+def randbelow_block(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """Return ``[rng.randrange(n) for _ in range(count)]`` as an ``intp`` array.
+
+    ``randrange(n)`` draws ``getrandbits(n.bit_length())`` until the value
+    falls below *n*.  Up to 32 bits that is one word per try, so the tries
+    come from wide ``getrandbits`` calls and the rejection is one mask.  The
+    generator then returns to its saved state and skips exactly the words
+    the accepted draws used, one ``getrandbits(32 * used)`` call.  Wider
+    bounds take the scalar loop.
+    """
+    _plain(rng, "randbelow_block")
+    if n < 1:
+        raise ValueError(f"empty range for randbelow_block: {n}")
+    k = n.bit_length()
+    if k > 32:
+        return np.array(randrange_block(rng, (n,), count)[0], dtype=np.intp)
+    state = rng.getstate()
+    shift = np.uint32(32 - k)
+    chunks = []
+    used = 0
+    need = count
+    while need:
+        # Enough tries for the missing draws at the acceptance rate n / 2**k.
+        tries = (need << k) // n + 16
+        values = _words(rng, tries) >> shift
+        hits = np.flatnonzero(values < n)
+        if len(hits) >= need:
+            hits = hits[:need]
+            tries = int(hits[-1]) + 1
+        chunks.append(values[hits])
+        used += tries
+        need -= len(hits)
+    rng.setstate(state)
+    if used:
+        rng.getrandbits(32 * used)
+    return np.concatenate(chunks).astype(np.intp) if chunks else np.zeros(0, dtype=np.intp)
+
+
 def randrange_block(rng: random.Random, bounds: Sequence[int], count: int) -> List[List[int]]:
     """Draw *count* rounds of ``rng.randrange(b)`` for each ``b`` in *bounds*, in one call.
 
@@ -63,14 +146,13 @@ def randrange_block(rng: random.Random, bounds: Sequence[int], count: int) -> Li
     *bounds* order, so the integers — and the state *rng* is left in — equal
     those of the per-round loop
     ``[[rng.randrange(b) for b in bounds] for _ in range(count)]``.
-    ``randrange(b)`` draws ``getrandbits(b.bit_length())`` until the value
-    falls below ``b``; inlining that rejection loop skips ``randrange``'s
-    argument checks, which cost most of its time.  *rng* must be a plain
-    :class:`random.Random` (a subclass overriding ``random`` draws its
-    integers differently).
+    A single bound of at most 32 bits takes :func:`randbelow_block`.
+    Otherwise the rounds interleave, so the rejection loop runs inline,
+    which skips ``randrange``'s argument checks, most of its time.
     """
-    if type(rng) is not random.Random:
-        raise TypeError("randrange_block needs a plain random.Random instance")
+    _plain(rng, "randrange_block")
+    if len(bounds) == 1 and bounds[0].bit_length() <= 32:
+        return [randbelow_block(rng, bounds[0], count).tolist()]
     getrandbits = rng.getrandbits
     draws = []
     append = draws.append

@@ -175,9 +175,7 @@ class BetweennessSession:
             # Full invalidation destroyed the arena: cached oracles hold
             # handles into the dead shared store and must be rebuilt.
             for oracle in self._oracles.values():
-                receipt.oracle_vectors_evicted += len(
-                    getattr(oracle, "_cache", ()) or ()
-                )
+                receipt.oracle_vectors_evicted += oracle.cached_count()
             self._oracles.clear()
         for chain in self._chains:
             chain._note_invalidation(receipt)

@@ -23,12 +23,14 @@ passes and accumulate".  This package owns *how* those passes are executed:
   shard scheduler is n_jobs-invariant — timing can never change an
   estimate.  A shard-size probe ships as a diagnostic only (the shard size
   is part of the determinism contract, never a knob).
-* :mod:`~repro.execution.shared_cache` provides the cross-process
-  :class:`~repro.execution.shared_cache.SharedDependencyStore` — a
-  shared-memory arena of per-source dependency vectors the multi-chain MCMC
-  drivers publish into so a Brandes pass paid by one worker process is a
-  cache hit for every other (the ``shared_cache`` plan knob /
-  ``REPRO_SHARED_CACHE`` override).
+* :mod:`~repro.execution.shared_cache` provides the row store of
+  per-source dependency vectors,
+  :class:`~repro.execution.shared_cache.DependencyStore`: the MCMC oracle's
+  private cache, and on a shared-memory backing the cross-process
+  :class:`~repro.execution.shared_cache.SharedDependencyStore` arena the
+  multi-chain MCMC drivers publish into so a Brandes pass paid by one
+  worker process is a cache hit for every other (the ``shared_cache`` plan
+  knob / ``REPRO_SHARED_CACHE`` override).
 * :mod:`~repro.execution.runtime` provides the *persistent* execution
   path: :class:`~repro.execution.runtime.ExecutionContext` owns a reusable
   worker pool (payloads installed once, referenced by token afterwards), a
@@ -59,6 +61,7 @@ from repro.execution.scheduler import (
     split_shards,
 )
 from repro.execution.shared_cache import (
+    DependencyStore,
     SharedDependencyStore,
     create_shared_store,
     shared_memory_available,
@@ -90,6 +93,7 @@ __all__ = [
     "sample_shards",
     "run_sharded",
     "merge_ordered",
+    "DependencyStore",
     "SharedDependencyStore",
     "create_shared_store",
     "shared_memory_available",

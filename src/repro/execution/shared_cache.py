@@ -1,60 +1,58 @@
-"""Cross-process shared dependency-vector cache for multi-chain MCMC runs.
+"""One row store of per-source dependency vectors, private or cross-process.
 
-The multi-chain drivers of :mod:`repro.mcmc.multichain` spread K chains over
-worker processes, and every worker keeps a *private*
-:class:`~repro.mcmc.estimates.DependencyOracle` cache.  On few-core machines
-that duplication is the dominant residual cost: the chains propose sources
-from the same distribution, so each worker ends up re-running Brandes passes
-another worker already paid for (up to K copies of every popular source).
+Each Metropolis-Hastings step reads one cached dependency score δ_{v•}(r)
+(Equations 6 and 17 of the paper).  :class:`DependencyStore` keeps the
+vectors as rows of one matrix, so a chain's whole read is one slot gather
+plus one fancy index.  Its layout:
 
-:class:`SharedDependencyStore` removes the duplication.  It is a
-fixed-capacity, cross-process, *fill-once* cache of per-source dependency
-vectors, backed by one :mod:`multiprocessing.shared_memory` segment:
+* a ``(capacity, n)`` ``float64`` **row matrix**, one CSR source per
+  claimed row;
+* a **slot table** of length ``n`` mapping a source's CSR index to its row
+  (``-1`` = not stored), and its inverse, the **owner** of each row;
+* two counters: rows claimed so far and rows tombstoned.
 
-* a pre-sized ``(capacity, n)`` ``float64`` **arena** holding the cached
-  vectors, one CSR source per claimed row;
-* a **claim table** — an ``int64`` array of length ``n`` mapping a source's
-  CSR index to its arena row (``-1`` = not cached) plus a next-free-row
-  counter;
-* a process-shared :class:`multiprocessing.Lock` guarding both.
+Rows are claimed in order.  Eviction by a mutation
+(:meth:`~DependencyStore.invalidate_sources`) tombstones rows with one mask
+operation; their space stays spent until :meth:`~DependencyStore.compact`
+moves the live rows down, in order.
 
-A vector computed by *any* worker is published once (:meth:`put`) and read
-by every chain (:meth:`get`), whatever process it runs in.  Rows are
-write-once: when the arena fills, :meth:`put` refuses and the caller simply
-keeps the vector in its private per-process cache — the store degrades to
-"whatever fits", it never churns.  Delta-scoped invalidation tombstones
-rows (:meth:`invalidate_sources`), whose spent capacity :meth:`compact`
-reclaims once eviction has consumed enough of the arena.
+Two backings share that layout:
 
-Determinism
------------
-Sharing the cache can never change a chain.  The dependency kernels are
-bit-identical per source (the PR 2 batch-composition contract), so the row a
-worker reads from the arena equals — bit for bit — the vector it would have
-computed itself; only the *number* of Brandes passes (a work counter, not a
-result) depends on who computed what first.  Races are benign for the same
-reason: two workers that miss the same source concurrently both compute the
-identical vector and the second :meth:`put` is a no-op.
+* **private** — the :class:`~repro.mcmc.estimates.DependencyOracle` cache.
+  The matrix is reserved, not touched, so an unbounded cache (``n`` rows, at
+  most :func:`row_budget`) costs no ``n × n`` memory up front and never
+  copies to grow.  Below ``n`` rows the store evicts its least recently
+  used row: every read stamps its rows with a rising tick (the last read of
+  a row wins), and the victim is the row with the smallest tick.
+* **shared** (:class:`SharedDependencyStore`) — the cross-process arena of
+  the multi-chain drivers and warm sessions, in one
+  :mod:`multiprocessing.shared_memory` segment behind a process-shared
+  lock.  A vector any worker computes is published once (:meth:`put`) and
+  read by every chain (:meth:`get`).  Rows are write-once between
+  compactions: a full arena refuses new rows and the caller keeps the
+  vector privately, so the store degrades to "whatever fits" and never
+  churns.
 
-Process plumbing
-----------------
-The store must travel to pool workers through the **initializer** path of
-:func:`repro.execution.scheduler.run_sharded` (the ``shared`` payload): the
-process-shared lock can be inherited or pickled only while a worker process
-is being set up, not through a task queue.  Under the default ``fork`` start
-method the object is inherited as-is; under ``spawn`` it pickles down to
-``(segment name, shape, lock)`` and re-attaches lazily in the worker
-(:meth:`__getstate__` / :meth:`__setstate__`).
+Caching can never change a chain: the kernels are bit-identical per
+source, so a stored row equals the vector its reader would have computed,
+and only the pass counters depend on who computed what first.  Two workers
+racing on one source compute the same vector; the second :meth:`put` is a
+no-op.
 
-Use :func:`create_shared_store` rather than the constructor when a private
-cache is an acceptable fallback: it returns ``None`` with a warning when the
-platform cannot provide shared memory (no ``/dev/shm``, sandboxed
-containers) instead of raising.
+A shared store travels to pool workers through the **initializer** path of
+:func:`repro.execution.scheduler.run_sharded`, because a process-shared lock
+crosses only at worker setup: under ``fork`` it is inherited, under
+``spawn`` it pickles to ``(segment name, shape, lock)`` and re-attaches.
+:func:`create_shared_store` returns ``None`` with a warning where the
+platform has no working shared memory, so callers fall back to private
+caches.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
 import warnings
 from typing import Optional
 
@@ -67,15 +65,21 @@ except ImportError:  # pragma: no cover
     _shared_memory = None  # type: ignore[assignment]
 
 __all__ = [
+    "DependencyStore",
     "SharedDependencyStore",
     "create_shared_store",
+    "row_budget",
     "shared_memory_available",
 ]
 
-#: int64 header slots preceding the claim table: the next-free-row counter
-#: and the tombstoned-row counter (rows evicted by delta-scoped
-#: invalidation; their arena space is spent but they no longer serve reads).
+#: int64 header slots preceding the slot table: the claimed-row and the
+#: tombstoned-row counters.
 _HEADER_SLOTS = 2
+
+#: Working-set budget of one :meth:`DependencyStore.compact` gather: the
+#: live rows move in one gather up to this size, so compacting a large
+#: arena never holds a second copy of it.
+_COMPACT_BYTES = 1 << 22
 
 #: Memoized result of the :func:`shared_memory_available` allocation probe.
 #: The probe allocates, closes and unlinks a real shm segment — three
@@ -140,100 +144,90 @@ def _attach(name: str):
             resource_tracker.register = original_register
 
 
-class SharedDependencyStore:
-    """Fixed-capacity cross-process cache of per-source dependency vectors.
+def row_budget(num_vertices: int) -> int:
+    """Return how many rows of *num_vertices* floats fit in half the physical memory.
 
-    Parameters
-    ----------
-    num_vertices:
-        ``n`` — the CSR vertex count of the graph the vectors belong to.
-        Keys of :meth:`get` / :meth:`put` are CSR source indices in
-        ``[0, n)`` and every cached vector is a dense ``float64`` array of
-        this length.
-    capacity:
-        Number of arena rows — the most vectors the store can ever hold.
-        Sizing it at ``min(n, total proposals + chains)`` makes overflow
-        impossible for a known budget; a smaller arena stays correct and
-        simply stops absorbing new vectors once full.
+    The most rows a private store reserves: an unbounded cache holding more
+    would exhaust the machine long before it filled, so past this budget it
+    evicts its least recently used rows instead.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # pragma: no cover - no sysconf
+        memory = 1 << 33
+    return max(1, memory // 2 // (8 * num_vertices))
 
-    context:
-        Optional :mod:`multiprocessing` context the guarding lock is created
-        in.  It must match the start method of the processes the store is
-        shipped to (Python refuses to move a fork-context lock into a
-        spawn-context process); the default — the interpreter's default
-        context — is what :func:`repro.execution.scheduler.run_sharded`
-        pools use, so drivers never need to pass it.  Callers that
-        configure the pool start method through
-        :attr:`repro.execution.plan.ExecutionPlan.mp_context` pass the same
-        resolved context here.
-    lock:
-        Optional pre-existing process-shared lock to guard the arena with
-        instead of creating a fresh one.  The persistent runtime
-        (:mod:`repro.execution.runtime`) owns exactly one lock per
-        :class:`~repro.execution.runtime.ExecutionContext` and shares it
-        between its worker pool and its arena, so store handles can travel
-        to long-lived workers by segment name with the lock substituted on
-        arrival rather than pickled (a process-shared lock may only cross
-        at worker setup).
 
-    The creating process owns the segment: it must call :meth:`destroy`
-    (or :meth:`close` + :meth:`unlink`) when the run is over.  Workers that
-    attach through pickling only ever :meth:`close`.
+class DependencyStore:
+    """Rows of per-source dependency vectors behind a slot table.
+
+    *num_vertices* is ``n``: keys are CSR source indices in ``[0, n)`` and
+    every row is a dense ``float64`` vector of that length.  *capacity* is
+    the most rows held at once.  *shared* puts the store in a shared-memory
+    segment; *context* is the :mod:`multiprocessing` context its lock is
+    created in (it must match the start method of the processes the store
+    is shipped to), and *lock* an existing process-shared lock to use
+    instead — the persistent runtime shares one lock between its pool and
+    its arena, so arena handles can travel by segment name.
+
+    :attr:`slots` and :attr:`rows` are the arrays themselves: readers of a
+    private store index them directly, readers of a shared one call
+    :meth:`get`, which takes the lock.  The process that creates a shared
+    segment owns it and must :meth:`destroy` it; attached workers only
+    :meth:`close`.
     """
 
     def __init__(
-        self, num_vertices: int, capacity: int, *, context=None, lock=None
+        self, num_vertices: int, capacity: int, *, shared: bool = False, context=None, lock=None
     ) -> None:
-        if _shared_memory is None:
+        if shared and _shared_memory is None:
             raise ConfigurationError(
                 "SharedDependencyStore requires multiprocessing.shared_memory"
             )
-        if not isinstance(num_vertices, int) or num_vertices < 1:
-            raise ConfigurationError(
-                f"num_vertices must be a positive integer, got {num_vertices!r}"
-            )
-        if not isinstance(capacity, int) or capacity < 1:
-            raise ConfigurationError(
-                f"capacity must be a positive integer, got {capacity!r}"
-            )
+        for name, value in (("num_vertices", num_vertices), ("capacity", capacity)):
+            if not isinstance(value, int) or value < 1:
+                raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
         self.num_vertices = num_vertices
         self.capacity = capacity
-        if lock is not None:
-            self._lock = lock
-        else:
-            self._lock = (context if context is not None else multiprocessing).Lock()
         self._owner = True
-        self._shm = _shared_memory.SharedMemory(create=True, size=self._nbytes())
-        self._map_views()
-        self._meta[0] = 0
-        self._meta[1] = 0
-        self._slots[:] = -1
+        self._shm = None
+        self._lock = contextlib.nullcontext()
+        size = 8 * (_HEADER_SLOTS + num_vertices + capacity * (num_vertices + 1))
+        if shared:
+            if lock is None:
+                lock = (context if context is not None else multiprocessing).Lock()
+            self._lock = lock
+            self._shm = _shared_memory.SharedMemory(create=True, size=size)
+            self._map(self._shm.buf)
+        else:
+            # Reserved, not touched: a row's pages are written when it is
+            # claimed.  Heap memory, not a mapping of its own: when the store
+            # dies its pages go back to the allocator for the kernels'
+            # buffers (a fresh mapping per store made those buffers fault in
+            # anew, about 3 µs a page on a 2-vCPU VM).
+            self._map(np.empty(size, dtype=np.uint8))
+        self._meta[:] = 0
+        self.slots[:] = -1
+        self.owner[:] = -1
+        # Least-recently-used ticks, for a private store below n rows.
+        self._lru = not shared and capacity < num_vertices
+        self._ticks = np.zeros(capacity, dtype=np.int64) if self._lru else None
+        self._tick = 0
 
-    # ------------------------------------------------------------------
-    # Layout
-    # ------------------------------------------------------------------
-    def _nbytes(self) -> int:
-        header = 8 * (_HEADER_SLOTS + self.num_vertices)
-        return header + 8 * self.capacity * self.num_vertices
+    def _map(self, buffer) -> None:
+        n, capacity = self.num_vertices, self.capacity
+        self._meta = np.ndarray((_HEADER_SLOTS,), dtype=np.int64, buffer=buffer)
+        self.slots = np.ndarray((n,), dtype=np.int64, buffer=buffer, offset=8 * _HEADER_SLOTS)
+        offset = 8 * (_HEADER_SLOTS + n)
+        self.owner = np.ndarray((capacity,), dtype=np.int64, buffer=buffer, offset=offset)
+        offset += 8 * capacity
+        self.rows = np.ndarray((capacity, n), dtype=np.float64, buffer=buffer, offset=offset)
 
-    def _map_views(self) -> None:
-        buf = self._shm.buf
-        self._meta = np.ndarray((_HEADER_SLOTS,), dtype=np.int64, buffer=buf)
-        self._slots = np.ndarray(
-            (self.num_vertices,), dtype=np.int64, buffer=buf, offset=8 * _HEADER_SLOTS
-        )
-        self._arena = np.ndarray(
-            (self.capacity, self.num_vertices),
-            dtype=np.float64,
-            buffer=buf,
-            offset=8 * (_HEADER_SLOTS + self.num_vertices),
-        )
-
-    # ------------------------------------------------------------------
-    # Pickling: workers re-attach by segment name (spawn); under fork the
-    # object is inherited without passing through here.
-    # ------------------------------------------------------------------
+    # Pickling: a shared store re-attaches by segment name (spawn); under
+    # fork it is inherited without passing through here.
     def __getstate__(self):
+        if self._shm is None:
+            raise TypeError("a private DependencyStore does not leave its process")
         return {
             "num_vertices": self.num_vertices,
             "capacity": self.capacity,
@@ -246,11 +240,10 @@ class SharedDependencyStore:
         self.capacity = state["capacity"]
         self._lock = state["lock"]
         self._owner = False
+        self._lru = False
         self._shm = _attach(state["name"])
-        self._map_views()
+        self._map(self._shm.buf)
 
-    # ------------------------------------------------------------------
-    # Cache protocol
     # ------------------------------------------------------------------
     @property
     def name(self) -> str:
@@ -258,104 +251,137 @@ class SharedDependencyStore:
         return self._shm.name
 
     def get(self, index: int):
-        """Return a private copy of the cached vector of CSR source *index*.
+        """Return a copy of the stored vector of CSR source *index*, or ``None``.
 
-        ``None`` on a miss.  The copy decouples the caller from the
-        segment's lifetime — the returned array stays valid after the run's
-        owner unlinks the arena.
+        The copy stays valid after the segment's owner unlinks it.
         """
         with self._lock:
-            slot = int(self._slots[index])
-            if slot < 0:
-                return None
-            return self._arena[slot].copy()
+            slot = int(self.slots[index])
+            return None if slot < 0 else self.rows[slot].copy()
 
     def contains(self, index: int) -> bool:
-        """Return whether source *index* is published (no row copy)."""
+        """Return whether source *index* is stored (no row copy)."""
         with self._lock:
-            return bool(self._slots[index] >= 0)
+            return bool(self.slots[index] >= 0)
 
     def put(self, index: int, vector) -> bool:
-        """Publish *vector* as the dependency row of CSR source *index*.
+        """Store *vector* as the row of CSR source *index*; return whether it is held.
 
-        Returns whether the vector is available in the store after the call:
-        ``True`` when this call claimed a row **or** another worker already
-        published the source (the race loser's vector is bit-identical, so
-        dropping it loses nothing); ``False`` when the arena is full — the
-        caller keeps the vector in its private cache and the run proceeds on
-        the private path for this source.
-
-        The row copy happens under the lock: it is a ~``8n``-byte memcpy,
-        negligible next to the Brandes pass that produced the vector, and it
-        keeps the protocol two-state (absent / published) with no
-        half-written rows for readers to worry about.
+        ``True`` when this call stored it **or** the source was already
+        stored (a racing worker's vector is bit-identical); ``False`` when a
+        shared arena is full, and the caller keeps the vector privately.
         """
+        return self.put_rows([index], np.asarray(vector)[None, :]) == 1
+
+    def put_rows(self, indices, rows) -> int:
+        """Store ``rows[i]`` as the row of CSR source ``indices[i]``; return how many are held.
+
+        *indices* are distinct; stored sources keep their row.  The copy
+        runs under the lock, so readers never see a half-written row.  A
+        full private store evicts its least recently used rows; a full
+        shared arena takes the rows that fit, in order.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
         with self._lock:
-            if self._slots[index] >= 0:
-                return True
-            slot = int(self._meta[0])
-            if slot >= self.capacity:
-                return False
-            self._arena[slot, :] = vector
-            self._slots[index] = slot
-            self._meta[0] = slot + 1
-            return True
+            new = np.flatnonzero(self.slots[indices] < 0)
+            slots = self._claim(len(new))
+            held = len(indices) - len(new) + len(slots)
+            new = new[: len(slots)]
+            self.rows[slots] = rows if len(new) == len(rows) else rows[new]
+            self.slots[indices[new]] = slots
+            self.owner[slots] = indices[new]
+            self.touch(slots)
+            return held
+
+    def _claim(self, count: int) -> np.ndarray:
+        """Claim *count* rows: free ones first, then least recently used ones."""
+        claimed = int(self._meta[0])
+        if claimed + count > self.capacity and self._lru and self._meta[1]:
+            self._compact()
+            claimed = int(self._meta[0])
+        fresh = np.arange(claimed, min(claimed + count, self.capacity))
+        self._meta[0] = claimed + len(fresh)
+        if len(fresh) == count or not self._lru:
+            return fresh
+        # Every row below ``claimed`` is live: tombstones were compacted away.
+        victims = np.argsort(self._ticks[:claimed], kind="stable")[: count - len(fresh)]
+        self.slots[self.owner[victims]] = -1
+        return np.concatenate((fresh, victims))
+
+    def touch(self, slots) -> None:
+        """Mark *slots* read, in order (the last read of a row counts)."""
+        if self._lru and len(slots):
+            ticks = np.arange(self._tick + 1, self._tick + 1 + len(slots))
+            np.maximum.at(self._ticks, slots, ticks)
+            self._tick += len(slots)
 
     def invalidate_sources(self, indices) -> int:
-        """Tombstone the rows of the given CSR source *indices*; return evicted count.
+        """Tombstone the rows of the CSR source *indices*; return how many were stored.
 
-        The delta-scoped eviction primitive: a mutation's affected-source
-        region maps to claim-table entries reset to ``-1`` under the lock,
-        so every process sees the rows disappear atomically — eviction
-        stays a broadcast, exactly like publication, with no per-reader
-        coherence protocol.  The arena space of a tombstoned row stays
-        spent (a re-publish of the source claims a fresh row) until
-        :meth:`compact` reclaims it; without compaction, sustained
-        eviction would monotonically exhaust the arena even while
-        :meth:`published` stays small.
+        The delta-scoped eviction primitive, one mask operation under the
+        lock, so every process sees the rows go at once.  A tombstoned row's
+        space stays spent (re-publishing the source claims a fresh row)
+        until :meth:`compact` reclaims it.
         """
+        affected = np.zeros(self.num_vertices, dtype=bool)
+        affected[np.fromiter(indices, dtype=np.intp)] = True
         with self._lock:
-            evicted = 0
-            for index in indices:
-                if self._slots[index] >= 0:
-                    self._slots[index] = -1
-                    evicted += 1
-            self._meta[1] += evicted
-            return evicted
+            victims = np.flatnonzero(affected & (self.slots >= 0))
+            self.owner[self.slots[victims]] = -1
+            self.slots[victims] = -1
+            self._meta[1] += len(victims)
+            return len(victims)
 
     def compact(self) -> int:
-        """Reclaim the arena space of tombstoned rows; return rows reclaimed.
+        """Reclaim the space of tombstoned rows; return rows reclaimed.
 
-        Live rows are moved down over the tombstoned gaps (ascending row
-        order, so no live row is overwritten before it has moved) and the
-        claim table is rewritten to the new positions — all under the
-        process-shared lock, so the relocation is one atomic broadcast:
-        every reader copies rows under the same lock and can never observe
-        a half-moved arena.  Rows therefore stay write-once *between*
-        compactions; a compaction is a new epoch that every attached
-        process enters together.  Without this, a long-running delta-mode
-        session would grind the write-once arena down to permanently
-        "full" (tombstones spend capacity that eviction never returns).
+        The live rows move down over the gaps, in order, and the slot table
+        follows — all under the lock, so a shared arena's readers never see
+        a half-moved matrix and every process enters the new epoch together.
+        Without it, sustained delta eviction would leave a long-running
+        arena permanently "full" of tombstones.
         """
         with self._lock:
-            tombstoned = int(self._meta[1])
-            if tombstoned == 0:
-                return 0
-            live = np.flatnonzero(self._slots >= 0)
-            order = np.argsort(self._slots[live], kind="stable")
-            dest = 0
-            for source in live[order]:
-                row = int(self._slots[source])
-                if row != dest:
-                    self._arena[dest, :] = self._arena[row]
-                    self._slots[source] = dest
-                dest += 1
-            self._meta[0] = dest
-            self._meta[1] = 0
-            return tombstoned
+            return self._compact()
+
+    def _compact(self) -> int:
+        tombstoned = int(self._meta[1])
+        if tombstoned == 0:
+            return 0
+        claimed = int(self._meta[0])
+        live = np.flatnonzero(self.owner[:claimed] >= 0)
+        kept = len(live)
+        # Rows already in place stay; the rest move in gathers of bounded
+        # size, in ascending order: live[d] >= d, so no gather reads a row
+        # an earlier one overwrote.
+        moved = np.flatnonzero(live != np.arange(kept))
+        step = max(1, _COMPACT_BYTES // (8 * self.num_vertices))
+        for begin in range(int(moved[0]) if len(moved) else kept, kept, step):
+            block = live[begin : begin + step]
+            self.rows[begin : begin + len(block)] = self.rows[block]
+        self.owner[:kept] = self.owner[live]
+        self.owner[kept:claimed] = -1
+        if self._lru:
+            self._ticks[:kept] = self._ticks[live]
+        self.slots[self.owner[:kept]] = np.arange(kept)
+        self._meta[:] = (kept, 0)
+        return tombstoned
+
+    def clear(self) -> None:
+        """Drop every row."""
+        with self._lock:
+            self.slots[:] = -1
+            self.owner[:] = -1
+            self._meta[:] = 0
+
+    def sources(self) -> np.ndarray:
+        """Return the CSR indices of the stored sources, in row order."""
+        with self._lock:
+            owners = self.owner[: int(self._meta[0])]
+            return owners[owners >= 0].copy()
 
     def published(self) -> int:
-        """Return the number of vectors currently published (live rows)."""
+        """Return the number of vectors currently stored (live rows)."""
         with self._lock:
             return int(self._meta[0]) - int(self._meta[1])
 
@@ -367,8 +393,7 @@ class SharedDependencyStore:
     def stats(self) -> dict:
         """Return ``{capacity, published, tombstoned, full}`` for diagnostics stamps."""
         with self._lock:
-            claimed = int(self._meta[0])
-            tombstoned = int(self._meta[1])
+            claimed, tombstoned = (int(x) for x in self._meta)
         return {
             "capacity": self.capacity,
             "published": claimed - tombstoned,
@@ -377,16 +402,15 @@ class SharedDependencyStore:
         }
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Drop this process's mapping (the numpy views die with it)."""
-        self._meta = self._slots = self._arena = None
-        self._shm.close()
+        self._meta = self.slots = self.owner = self.rows = None
+        if self._shm is not None:
+            self._shm.close()
 
     def unlink(self) -> None:
         """Remove the segment from the system (owner only; call after close)."""
-        if self._owner:
+        if self._owner and self._shm is not None:
             try:
                 self._shm.unlink()
             except (OSError, FileNotFoundError):  # pragma: no cover - already gone
@@ -399,6 +423,18 @@ class SharedDependencyStore:
         except BufferError:  # pragma: no cover - exported views still alive
             pass
         self.unlink()
+
+
+class SharedDependencyStore(DependencyStore):
+    """The cross-process arena: a :class:`DependencyStore` in shared memory.
+
+    Sizing *capacity* at ``min(n, total proposals + chains)`` makes overflow
+    impossible for a known budget; a smaller arena stays correct and stops
+    absorbing new vectors once full.
+    """
+
+    def __init__(self, num_vertices: int, capacity: int, *, context=None, lock=None) -> None:
+        super().__init__(num_vertices, capacity, shared=True, context=context, lock=lock)
 
 
 def create_shared_store(

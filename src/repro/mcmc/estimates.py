@@ -11,20 +11,18 @@ vertex, which makes
 * the joint-space sampler able to evaluate :math:`\\delta_{v\\bullet}(r_i)`
   for every ``r_i ∈ R`` from a single pass.
 
-The Brandes pass runs on the vectorised CSR kernels of
-:mod:`repro.shortest_paths` and the cached vector is a dense ``float64``
-array indexed by CSR vertex index; point queries read one array element and
-the dict view is materialised only when a caller explicitly asks for a
-vertex-keyed vector.
-
-With an independence proposal a chain draws every candidate before its
-first step (Equations 6 and 17), so the oracle knows the chain's whole
-miss set up front: :meth:`DependencyOracle.dependency_rows` hands it,
-start state included, to the batched kernels in one call, and the kernels
-choose the block widths (:func:`repro.shortest_paths.batch.source_blocks`)
-and stream the rows block by block into the cache.  A bounded cache takes
-the set in runs it can hold whole; with a shared store attached the set
-goes one kernel block at a time, each after re-reading the store.
+The passes run on the CSR kernels of :mod:`repro.shortest_paths`, and the
+cache is one row store (:class:`~repro.execution.shared_cache.DependencyStore`):
+a matrix of vectors behind a slot table indexed by CSR vertex index.  A
+chain reads its scores in bulk (:meth:`DependencyOracle.dependency_rows`),
+by CSR index (the samplers draw positions in ``graph.vertices()``, which is
+CSR order): one slot gather plus one fancy index.  An independence chain
+draws every candidate up front (Equations 6 and 17), so its whole miss set,
+start state included, goes to the batched kernels in one call; they choose
+the block widths (:func:`repro.shortest_paths.batch.source_blocks`) and
+stream the rows straight into the store.  A bounded cache takes the set in
+runs it can hold whole; with a shared store attached the set goes one
+kernel block at a time, each after re-reading the store.
 
 Caching is an implementation choice, not part of the algorithm; benchmark E8
 ablates it.
@@ -32,13 +30,12 @@ ablates it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.execution.shared_cache import DependencyStore, row_budget
 from repro.graphs.core import Graph, Vertex
 from repro.shortest_paths.batch import batch_source_dependencies, source_blocks
 
@@ -60,7 +57,7 @@ class DependencyOracle:
     cache_size:
         Maximum number of source vertices whose dependency vectors are kept
         (LRU eviction).  ``0`` disables caching entirely; ``None`` means
-        unbounded.
+        unbounded (up to :func:`~repro.execution.shared_cache.row_budget`).
     shared_store:
         Optional cross-process
         :class:`~repro.execution.shared_cache.SharedDependencyStore`.  When
@@ -90,8 +87,8 @@ class DependencyOracle:
                     f"vertices but the graph has {self._csr.number_of_vertices()}"
                 )
         self._shared = shared_store
-        self._cache: "OrderedDict[Vertex, object]" = OrderedDict()
         self._cache_size = cache_size
+        self._rows = self._new_store()
         self.evaluations = 0  #: number of Brandes passes actually performed
         self.lookups = 0  #: number of dependency queries answered
         #: Brandes passes performed by :meth:`prefetch` (a subset of
@@ -100,6 +97,13 @@ class DependencyOracle:
         self.prefetch_evaluations = 0
         #: Vectors served from the cross-process shared store (0 without one).
         self.shared_hits = 0
+
+    def _new_store(self) -> Optional[DependencyStore]:
+        n = self._csr.number_of_vertices()
+        if not self.cache_enabled or n == 0:
+            return None
+        capacity = n if self._cache_size is None else min(self._cache_size, n)
+        return DependencyStore(n, min(capacity, row_budget(n)))
 
     # ------------------------------------------------------------------
     @property
@@ -117,16 +121,23 @@ class DependencyOracle:
         """The attached cross-process store, or ``None``."""
         return self._shared
 
+    def cached_count(self) -> int:
+        """Return the number of dependency vectors in the private cache."""
+        return 0 if self._rows is None else self._rows.published()
+
+    def cached_sources(self) -> list:
+        """Return the source vertices whose vectors the private cache holds."""
+        if self._rows is None:
+            return []
+        vertices = self._csr.vertices
+        return [vertices[i] for i in self._rows.sources().tolist()]
+
     def hit_rate(self) -> float:
         """Return the fraction of lookups answered without a Brandes pass.
 
-        Only *lookup-serving* passes count as misses:
-        :attr:`prefetch_evaluations` are passes run speculatively before any
-        query existed, so subtracting them keeps the rate honest (an earlier
-        revision divided the raw :attr:`evaluations` — which include
-        prefetched passes — by :attr:`lookups` and returned negative rates
-        after a prefetch-then-hit sequence).  Clamped to ``[0, 1]`` so no
-        counter interleaving can push it outside the unit interval.
+        Only *lookup-serving* passes count as misses: the
+        :attr:`prefetch_evaluations` ran before any query existed.  Clamped
+        to ``[0, 1]`` whatever the counter interleaving.
         """
         if self.lookups == 0:
             return 0.0
@@ -137,131 +148,106 @@ class DependencyOracle:
     def prefetch(self, sources) -> int:
         """Batch-compute and cache the dependency vectors of *sources*.
 
-        The entry point of the Metropolis-Hastings prefetch path: samplers
-        with an independence proposal know a whole chain's proposal
-        sources before its first step, and :meth:`dependency_rows` hands
-        them over here in one call.  Every pass — prefetched sets and
-        point-query misses (a one-row set) alike — runs through
-        :func:`~repro.shortest_paths.batch.batch_source_dependencies`,
-        which chooses its own block widths and computes every row
-        independently, so a vector is bit-identical whether it was
-        prefetched or recomputed after eviction.  The kernels stream the
-        set block by block: each block's rows are copied into the cache
-        and the block freed, so no set-sized matrix is ever built.  With a
-        shared store attached the set goes to the kernels one block
-        (:func:`~repro.shortest_paths.batch.source_blocks`) at a time, each
-        after re-reading the store, so rows other workers publish while
-        the set runs are copied in instead of recomputed.
-        Already-cached (and duplicate) sources are skipped; a disabled
-        cache makes this a no-op because there is nowhere to keep the
-        vectors.  A bounded cache fills its **free slots** first and
-        beyond them claims at most **half the capacity**, so a prefetch
-        evicts nothing but the LRU half: the MRU entry provably survives
-        every call (``max(free, C // 2) <= C - 1`` whenever anything is
-        cached), and with it the recently-touched vectors — in particular
-        the one of the state the chain currently sits on.  The
-        half-capacity floor is what keeps the *batched* kernels running on
-        a full cache.  Every freshly computed vector is published to the
-        shared store, if one is attached.  Returns the
-        number of passes performed (each counted in both
-        :attr:`evaluations` and :attr:`prefetch_evaluations`).
+        :meth:`dependency_rows` hands a chain's uncached sources over here
+        in one call.  Every pass, prefetched or a point-query miss (a
+        one-row set), runs through
+        :func:`~repro.shortest_paths.batch.batch_source_dependencies`, so a
+        vector is bit-identical however it was computed.  The kernels
+        stream the set block by block straight into the store, so no
+        set-sized matrix is built; with a shared store attached each
+        kernel block (:func:`~repro.shortest_paths.batch.source_blocks`)
+        first re-reads it, and every computed vector is published to it.
+        Cached and duplicate sources are skipped; a disabled cache makes
+        this a no-op.  A bounded cache fills its **free slots** first and
+        beyond them claims at most **half the capacity**, so the most
+        recently used vector (the chain's current state among them)
+        survives every call (``max(free, C // 2) <= C - 1`` when anything
+        is cached) while the batched kernels keep running on a full cache.
+        Returns the number of passes (counted in both :attr:`evaluations`
+        and :attr:`prefetch_evaluations`).
         """
-        if not self.cache_enabled:
-            return 0
-        missing = [s for s in dict.fromkeys(sources) if s not in self._cache]
-        if self._cache_size is not None:
-            free = self._cache_size - len(self._cache)
-            allowance = max(free, 0 if not self._cache else self._cache_size // 2)
-            missing = missing[:allowance]
-        if not missing:
+        store = self._rows
+        if store is None:
             return 0
         index_of = self._csr.index_of
-        # With a shared store attached, each kernel block re-reads it first:
-        # a row another worker published while this set ran is copied in,
-        # not recomputed.
+        wanted = np.fromiter(dict.fromkeys(index_of(s) for s in sources), dtype=np.intp)
+        missing = wanted[store.slots[wanted] < 0]
+        if self._cache_size is not None:
+            cached = store.published()
+            free = self._cache_size - cached
+            missing = missing[: max(free, 0 if not cached else self._cache_size // 2)]
+        if not len(missing):
+            return 0
         blocks = [(0, len(missing))]
         if self._shared is not None:
             blocks = source_blocks(self._csr, len(missing))
         computed = 0
         for begin, end in blocks:
             pending = self._copy_shared(missing[begin:end])
-            if not pending:
+            if not len(pending):
                 continue
 
-            def store(offset, rows):
-                for s, row in zip(pending[offset : offset + len(rows)], rows):
-                    # Copy the row so the block matrix can be freed.
-                    self._publish_and_store(s, row.copy())
+            def keep(at, rows):
+                self._keep(pending[at : at + len(rows)], rows)
 
-            batch_source_dependencies(self._csr, [index_of(s) for s in pending], sink=store)
+            batch_source_dependencies(self._csr, pending, sink=keep)
             computed += len(pending)
         self.evaluations += computed
         self.prefetch_evaluations += computed
         return computed
 
-    def _copy_shared(self, sources) -> list:
-        """Cache the *sources* the shared store holds; return the rest."""
+    def _copy_shared(self, indices: np.ndarray) -> np.ndarray:
+        """Cache the sources the shared store holds; return the rest."""
         if self._shared is None:
-            return sources
+            return indices
         pending = []
-        for s in sources:
-            row = self._shared.get(self._csr.index_of(s))
+        for index in indices.tolist():
+            row = self._shared.get(index)
             if row is not None:
                 self.shared_hits += 1
-                self._store(s, row)
+                self._rows.put(index, row)
             else:
-                pending.append(s)
-        return pending
+                pending.append(index)
+        return np.array(pending, dtype=np.intp)
 
-    def _publish_and_store(self, source: Vertex, vector: object) -> None:
-        """Publish a freshly computed vector to the shared store, then cache it."""
+    def _keep(self, indices, rows) -> None:
+        """Publish freshly computed rows to the shared store and cache them."""
         if self._shared is not None:
-            self._shared.put(self._csr.index_of(source), vector)
-        self._store(source, vector)
+            self._shared.put_rows(indices, rows)
+        if self._rows is not None:
+            self._rows.put_rows(indices, rows)
 
-    def _store(self, source: Vertex, vector: object) -> None:
-        self._cache[source] = vector
-        if self._cache_size is not None and len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
+    def _vector(self, index: int):
+        """Return the dependency array of CSR source *index*: one lookup.
 
-    def _raw_vector(self, source: Vertex):
-        """Return the per-source dependency array, from cache or a fresh pass.
-
-        Lookup order: private cache (lock-free), then the cross-process
-        shared store (a locked row copy, counted in :attr:`shared_hits` and
-        re-cached privately so revisits stay lock-free), then the kernels —
-        and a vector the kernels produce is published to the shared store so
-        no other worker pays the same pass again.
+        Private cache first (lock-free), then the shared store (a locked
+        copy, counted in :attr:`shared_hits` and cached privately), then a
+        kernel pass, whose vector is published to the shared store.
         """
         self.lookups += 1
-        if self.cache_enabled and source in self._cache:
-            self._cache.move_to_end(source)
-            return self._cache[source]
+        store = self._rows
+        if store is not None:
+            slot = store.slots[index]
+            if slot >= 0:
+                store.touch([slot])
+                return store.rows[slot]
         if self._shared is not None:
-            row = self._shared.get(self._csr.index_of(source))
+            row = self._shared.get(index)
             if row is not None:
                 self.shared_hits += 1
-                if self.cache_enabled:
-                    self._store(source, row)
+                if store is not None:
+                    store.put(index, row)
                 return row
         self.evaluations += 1
         # A one-row set, so a recomputed vector is bit-identical to its
         # prefetched twin (batch rows are composition-independent).
-        vector = batch_source_dependencies(self._csr, [self._csr.index_of(source)])[0]
-        if self._shared is not None:
-            self._shared.put(self._csr.index_of(source), vector)
-        if self.cache_enabled:
-            self._store(source, vector)
-        return vector
+        rows = batch_source_dependencies(self._csr, [index])
+        self._keep([index], rows)
+        return rows[0]
 
     def dependency_vector(self, source: Vertex) -> Dict[Vertex, float]:
-        """Return ``{target: delta_{source.}(target)}`` for every target.
-
-        This materialises a vertex-keyed dict from the cached array
-        (boundary conversion); point queries should prefer
-        :meth:`dependency`, which reads a single array element.
-        """
-        return self._csr.array_to_vertex_map(self._raw_vector(source))
+        """Return ``{target: delta_{source.}(target)}`` for every target (a boundary view)."""
+        return self._csr.array_to_vertex_map(self._vector(self._csr.index_of(source)))
 
     def dependency(self, source: Vertex, target: Vertex) -> float:
         """Return :math:`\\delta_{source\\bullet}(target)`.
@@ -271,18 +257,13 @@ class DependencyOracle:
         """
         if source == target:
             return 0.0
-        vector = self._raw_vector(source)
+        vector = self._vector(self._csr.index_of(source))
         index = self._csr.find_index(target)
         return 0.0 if index is None else float(vector[index])
 
     def dependencies_for(self, source: Vertex, targets) -> Dict[Vertex, float]:
-        """Return ``{t: delta_{source.}(t)}`` for the given *targets* only.
-
-        One Brandes pass (or cache hit) serves every target without
-        materialising a full vertex-keyed vector; :meth:`dependency_rows` is
-        the many-source form the chains use.  Unknown targets read as 0.0.
-        """
-        vector = self._raw_vector(source)
+        """Return ``{t: delta_{source.}(t)}`` for *targets* (unknown ones read 0.0)."""
+        vector = self._vector(self._csr.index_of(source))
         find_index = self._csr.find_index
         result: Dict[Vertex, float] = {}
         for t in targets:
@@ -292,126 +273,136 @@ class DependencyOracle:
 
     def dependency_rows(
         self,
-        sources: Sequence[Vertex],
+        sources: Sequence,
         targets: Sequence[Vertex],
         *,
         prefetch: bool = False,
         skip_self_lookups: bool = False,
+        indexed: bool = False,
     ) -> np.ndarray:
         """Return the ``(len(sources), len(targets))`` array of δ_{s·}(t).
 
-        The bulk read of the Metropolis-Hastings chains: one call gathers
-        every candidate's dependency row, each source taking one lookup in
-        order, read with :meth:`dependencies_for` semantics (a target equal
-        to the source, or not in the graph, reads 0.0).
-        ``skip_self_lookups`` gives a single target :meth:`dependency`
-        semantics instead: a source equal to the target reads 0.0 without
-        a lookup (and is never prefetched).
+        The chains' bulk read: each source takes one lookup, in order, with
+        :meth:`dependencies_for` semantics (a target equal to the source, or
+        not in the graph, reads 0.0).  ``skip_self_lookups`` gives a single
+        target :meth:`dependency` semantics: a source equal to it reads 0.0
+        without a lookup.  With *indexed*, *sources* are CSR indices
+        (positions in ``graph.vertices()``), not labels.
 
-        With *prefetch*, the rows are computed ahead of the lookups by
-        :meth:`prefetch`: with an unbounded cache the whole deduplicated
-        set in one call.  A bounded cache takes the sources in runs it can
-        hold whole (:meth:`_prefetch_run`), so a prefetched row is never
-        evicted before its run reads it.
+        Cached rows are read in runs of hits, one slot gather and one fancy
+        index each; a miss takes the full lookup.  With *prefetch* the
+        misses are computed first by :meth:`prefetch`: unbounded, the whole
+        deduplicated miss set in one call; bounded, in runs the cache holds
+        whole (:meth:`_prefetch_run`), so no prefetched row is evicted
+        before its run reads it.
         """
         if skip_self_lookups and len(targets) != 1:
             raise ConfigurationError("skip_self_lookups needs exactly one target")
-        find_index = self._csr.find_index
-        columns = [find_index(t) for t in targets]
+        csr = self._csr
+        columns = [csr.find_index(t) for t in targets]
         known = [j for j, c in enumerate(columns) if c is not None]
-        index = [columns[j] for j in known]
-        # Each vector is read as soon as it is looked up (holding the
-        # vectors would keep every evicted one alive): a scalar read for
-        # one column, one fancy-indexed read for several.
-        pick = itemgetter(index[0] if len(index) == 1 else np.array(index, dtype=np.intp))
-        position = {t: j for j, t in enumerate(targets)}
-        skip = targets[0] if skip_self_lookups else None
-        zero = np.zeros(self._csr.number_of_vertices())
-        cached = self.cache_enabled
-        cache = self._cache
-        values = []
-        append = values.append
-        self_cells = []
-        hits = 0
-        begin = 0
-        while begin < len(sources):
-            end = len(sources)
-            if prefetch and cached:
-                end = self._prefetch_run(sources, begin, skip)
-            for s in sources[begin:end]:
-                if s in position:
-                    if skip_self_lookups:
-                        append(pick(zero))
-                        continue
-                    self_cells.append((len(values), position[s]))
-                # The cache-hit branch of _raw_vector, inlined; a miss
-                # takes the full path.
-                if cached and s in cache:
-                    cache.move_to_end(s)
-                    append(pick(cache[s]))
-                    hits += 1
-                else:
-                    append(pick(self._raw_vector(s)))
-            begin = end
-        self.lookups += hits
-        rows = np.zeros((len(sources), len(targets)))
-        if known:
-            rows[:, known] = np.array(values, dtype=float).reshape(len(sources), len(known))
-        for k, j in self_cells:
-            rows[k, j] = 0.0
+        cols = np.array([columns[j] for j in known], dtype=np.intp)
+        if indexed:
+            index = np.asarray(sources, dtype=np.intp)
+        else:
+            skip = targets[0] if skip_self_lookups else None
+            index = np.array(
+                [-1 if s == skip else csr.index_of(s) for s in sources], dtype=np.intp
+            )
+        looked = index >= 0
+        if skip_self_lookups and len(cols):
+            looked &= index != cols[0]
+        src = index[looked]
+        values = self._lookup(src, cols, prefetch)
+        # A target equal to its source reads 0.0.
+        values[src[:, None] == cols] = 0.0
+        if len(src) == len(index) and len(cols) == len(targets):
+            return values
+        rows = np.zeros((len(index), len(targets)))
+        rows[np.ix_(np.flatnonzero(looked), known)] = values
         return rows
 
-    def _prefetch_run(self, sources: Sequence[Vertex], begin: int, skip) -> int:
-        """Prefetch the run of *sources* from *begin* and return where it ends.
+    def _lookup(self, src: np.ndarray, cols: np.ndarray, prefetch: bool) -> np.ndarray:
+        """Look up every source of *src* in order; return their *cols* entries."""
+        values = np.empty((len(src), len(cols)))
+        begin = 0
+        while begin < len(src):
+            end = len(src)
+            if prefetch and self._rows is not None:
+                end = self._prefetch_run(src, begin)
+            while begin < end:
+                begin = self._read_hits(src, begin, end, cols, values)
+                if begin < end:
+                    values[begin] = self._vector(int(src[begin]))[cols]
+                    begin += 1
+        return values
 
-        Unbounded, the run is every remaining source.  A bounded cache
-        ends the run before its distinct sources would outnumber the
-        capacity, or its misses the prefetch allowance (free slots, else
-        half the capacity, at least one); the run's cached sources are
-        touched first, so storing its misses evicts only vectors the run
-        does not read.  *skip* (a target read as 0.0) is never fetched.
+    def _read_hits(self, src, begin: int, end: int, cols, values) -> int:
+        """Read ``src[begin:end]`` up to its first miss; return where the reads stopped."""
+        store = self._rows
+        if store is None:
+            return begin
+        slots = store.slots[src[begin:end]]
+        misses = np.flatnonzero(slots < 0)
+        if len(misses):
+            slots = slots[: misses[0]]
+        stop = begin + len(slots)
+        values[begin:stop] = store.rows[slots[:, None], cols]
+        store.touch(slots)
+        self.lookups += len(slots)
+        return stop
+
+    def _prefetch_run(self, src: np.ndarray, begin: int) -> int:
+        """Prefetch the run of *src* from *begin* and return where it ends.
+
+        Unbounded, the run is every remaining source.  Bounded, it ends
+        before its distinct sources outnumber the capacity or its misses the
+        allowance (free slots, else half the capacity, at least one), and
+        its cached sources are touched first, so storing its misses evicts
+        only vectors it does not read.
         """
+        store = self._rows
+        slots = store.slots
+        vertices = self._csr.vertices
         if self._cache_size is None:
-            self.prefetch([s for s in sources[begin:] if s != skip])
-            return len(sources)
-        cache = self._cache
+            rest = src[begin:]
+            missing = rest[slots[rest] < 0]
+            if len(missing):
+                self.prefetch([vertices[i] for i in missing.tolist()])
+            return len(src)
         capacity = self._cache_size
-        free = capacity - len(cache)
-        allowance = max(free, capacity // 2 if cache else 0, 1)
-        run: Dict[Vertex, None] = {}
+        cached = store.published()
+        allowance = max(capacity - cached, capacity // 2 if cached else 0, 1)
+        run: Dict[int, None] = {}
         misses = 0
         end = begin
-        for s in sources[begin:]:
-            if s != skip and s not in run:
-                miss = s not in cache
+        for s in src[begin:].tolist():
+            if s not in run:
+                miss = int(slots[s] < 0)
                 if len(run) == capacity or misses + miss > allowance:
                     break
                 run[s] = None
                 misses += miss
             end += 1
-        for s in run:
-            if s in cache:
-                cache.move_to_end(s)
-        self.prefetch(list(run))
+        run_index = np.fromiter(run, dtype=np.intp, count=len(run))
+        run_slots = slots[run_index]
+        store.touch(run_slots[run_slots >= 0])
+        self.prefetch([vertices[i] for i in run])
         return end
 
     # ------------------------------------------------------------------
     def apply_delta(self, affected_mask) -> tuple:
         """Re-bind to the mutated graph, evicting only affected cached vectors.
 
-        The delta-scoped alternative to discarding the oracle on mutation:
-        *affected_mask* is the boolean per-CSR-index mask (over the
-        post-mutation snapshot) that
-        :meth:`repro.execution.runtime.ExecutionContext.refresh` computed
-        for the same journal window.  Cached vectors of unaffected sources
-        are bit-identical on the mutated graph — the over-approximation
-        contract of :mod:`repro.incremental` — so retaining them can never
-        change a result; affected ones are dropped and re-snapshotting the
-        CSR view re-binds future evaluations to the new structure.  The
-        caller guarantees the vertex set is unchanged (vertex ops force the
-        full path upstream).  Returns ``(evicted, retained)`` counts.
-        Counters survive: they are lifetime work accounting, not graph
-        state.
+        *affected_mask* is the per-CSR-index mask that
+        :meth:`repro.execution.runtime.ExecutionContext.refresh` proved for
+        the same journal window.  Unaffected vectors are bit-identical on
+        the mutated graph (the over-approximation contract of
+        :mod:`repro.incremental`), so keeping them never changes a result;
+        affected ones are tombstoned and the store compacted at once.  The
+        caller guarantees the vertex set is unchanged (vertex ops take the
+        full path upstream); should it change anyway, every vector is
+        dropped.  Returns ``(evicted, retained)``; counters survive.
         """
         new_csr = self._graph.csr()
         if (
@@ -422,24 +413,27 @@ class DependencyOracle:
                 "apply_delta across a vertex-count change; the caller must "
                 "rebuild the oracle instead"
             )
+        old_vertices = self._csr.vertices
         self._csr = new_csr
-        index_of = new_csr.find_index
-        evicted = 0
-        for source in list(self._cache):
-            index = index_of(source)
-            if index is None or bool(affected_mask[index]):
-                del self._cache[source]
-                evicted += 1
-        return evicted, len(self._cache)
+        store = self._rows
+        if store is None:
+            return 0, 0
+        if tuple(new_csr.vertices) != tuple(old_vertices):
+            evicted = store.published()
+            self._rows = self._new_store()
+            return evicted, 0
+        evicted = store.invalidate_sources(np.flatnonzero(affected_mask))
+        store.compact()
+        return evicted, store.published()
 
     def clear(self) -> None:
         """Drop every *private* cached vector and reset the counters.
 
-        The cross-process shared store is deliberately left untouched: its
-        rows belong to the whole run (other workers may be reading them),
-        and its lifecycle is owned by the driver that created it.
+        The shared store is left alone: its rows belong to the whole run,
+        and the driver that created it owns its lifecycle.
         """
-        self._cache.clear()
+        if self._rows is not None:
+            self._rows.clear()
         self.evaluations = 0
         self.lookups = 0
         self.prefetch_evaluations = 0

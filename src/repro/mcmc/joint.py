@@ -29,11 +29,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro._rng import RandomState, ensure_rng, randrange_block, spawn_rng
+from repro._rng import RandomState, ensure_rng, random_block, randrange_block, spawn_rng
 from repro.errors import ConfigurationError, SamplingError
 from repro.graphs.core import Graph, Vertex
 from repro.mcmc.estimates import DependencyOracle
-from repro.mcmc.single import _last_accepted
+from repro.mcmc.single import _accept_scan
 from repro.samplers.base import ExecutionPlanMixin, timed
 
 __all__ = [
@@ -326,13 +326,9 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
             raise ConfigurationError("burn_in must be non-negative")
         self.burn_in = int(burn_in)
         self.cache_size = cache_size
-        #: Execution-engine knob, with the same semantics as
+        #: Accepted and unused, as for
         #: :class:`~repro.mcmc.single.SingleSpaceMHSampler`: the joint
-        #: proposal ``⟨r', v'⟩`` is an independence proposal, so the whole
-        #: candidate sequence is drawn upfront from a child rng stream and
-        #: the oracle batch-prefetches every ``v'`` dependency vector of the
-        #: chain, start state included; ``n_jobs`` is accepted and unused
-        #: (the chain is sequential).
+        #: proposal ``⟨r', v'⟩`` is an independence proposal, drawn up front.
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
@@ -403,42 +399,29 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
             graph.validate_vertex(current_v)
 
         evaluations_before = oracle.evaluations
-        candidates = [vertices[i] for i in candidate_v]
         # The start state is the lead row of the one bulk read, so it joins
         # the candidates' prefetch.
-        dependencies = oracle.dependency_rows([current_v] + candidates, members, prefetch=True)
-        random = rng.random
-        uniforms = [random() for _ in range(num_iterations)]
+        pool = np.array([graph.csr().index_of(current_v)] + candidate_v, dtype=np.intp)
+        dependencies = oracle.dependency_rows(pool, members, prefetch=True, indexed=True)
+        uniforms = random_block(rng, num_iterations).tolist()
         start_r = members.index(current_r)
         # Equation 17 acceptance, one uniform per proposal unconditionally
         # (see SingleSpaceMHSampler._advance for why a conditional draw
         # breaks rng-stream identity with the reference); a current state
         # with zero dependency always moves.
+        candidate_r = np.array(candidate_r, dtype=np.intp)
         proposed = dependencies[np.arange(1, num_iterations + 1), candidate_r].tolist()
-        accepted = []
-        append = accepted.append
-        cur = float(dependencies[0, start_r])
-        for cand, u in zip(proposed, uniforms):
-            if cur <= 0.0:
-                ok = True
-            else:
-                ratio = cand / cur
-                ok = ratio >= 1.0 or u < ratio
-            if ok:
-                cur = cand
-            append(ok)
-        holder = _last_accepted(accepted)
-        pool = [current_v] + candidates
+        accepted, holder = _accept_scan(float(dependencies[0, start_r]), proposed, uniforms)
         # This run's own pass delta (not the oracle's lifetime total), so a
         # warm session oracle never inflates a fresh chain's bill; equal to
         # the total for a fresh oracle.
         return JointChainResult(
             reference_set=members,
             iteration=np.arange(num_iterations + 1),
-            r_index=np.array([start_r] + candidate_r, dtype=np.intp)[holder],
-            v=[pool[t] for t in holder.tolist()],
+            r_index=np.concatenate(([start_r], candidate_r))[holder],
+            v=list(map(vertices.__getitem__, pool[holder].tolist())),
             row=holder,
-            accepted=np.array([True] + accepted, dtype=bool),
+            accepted=accepted,
             dependencies=dependencies,
             num_vertices=graph.number_of_vertices(),
             burn_in=self.burn_in,

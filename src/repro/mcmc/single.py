@@ -54,14 +54,12 @@ by benchmark E8 and discussed as natural variations:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._rng import RandomState, ensure_rng, randrange_block, spawn_rng
+from repro._rng import RandomState, ensure_rng, randbelow_block, random_block, spawn_rng
 from repro.errors import ConfigurationError, SamplingError
 from repro.graphs.core import Graph, Vertex
 from repro.mcmc.estimates import DependencyOracle
@@ -255,17 +253,38 @@ class ChainResult:
         return {v: c / total for v, c in counts.items()}
 
 
-def _last_accepted(accepted: List[bool]) -> np.ndarray:
-    """Map each step of a segment to the step whose candidate it holds.
+def _accept_scan(cur, proposed, uniforms, current_weight=1, weights=None):
+    """Run a segment's acceptance scan; return its ``(accepted, holder)`` columns.
 
-    ``accepted[k]`` belongs to step ``k + 1``; step 0 is the segment's start
-    state.  Entry ``t`` of the result is the last step ``<= t`` whose
-    proposal was accepted (0 when none was), so indexing ``[start] +
-    candidates`` with it gives the state at every step.
+    Step ``t`` (from 1) proposes ``proposed[t - 1]`` with uniform
+    ``uniforms[t - 1]``; step 0 is the start state, of score *cur*.  The
+    test is Equation 6 (or 17) with the proposal correction: accept iff
+    ``u < (cand / cur) * (w_cur / w_cand)`` (``u < 1``, so a ratio of at
+    least 1 always accepts).  Without *weights* the ratio is ``cand / cur``,
+    the same float (``x * 1.0 == x``).  A current state with zero dependency
+    has zero stationary probability, so any candidate is accepted.
+    ``accepted[0]`` is ``True``; ``holder[t]`` is the last accepted step
+    ``<= t``, so indexing ``[start] + candidates`` with it gives every state.
     """
-    steps = np.arange(len(accepted) + 1)
-    steps[1:][~np.array(accepted, dtype=bool)] = 0
-    return np.maximum.accumulate(steps)
+    hits = []
+    append = hits.append
+    steps = range(1, len(proposed) + 1)
+    if weights is None:
+        for t, cand, u in zip(steps, proposed, uniforms):
+            if cur <= 0.0 or u < cand / cur:
+                cur = cand
+                append(t)
+    else:
+        for t, cand, weight, u in zip(steps, proposed, weights, uniforms):
+            if cur <= 0.0 or u < (cand / cur) * (current_weight / weight):
+                cur = cand
+                current_weight = weight
+                append(t)
+    accepted = np.zeros(len(proposed) + 1, dtype=bool)
+    accepted[hits] = accepted[0] = True
+    holder = np.zeros(len(proposed) + 1, dtype=np.intp)
+    holder[hits] = hits
+    return accepted, np.maximum.accumulate(holder)
 
 
 class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
@@ -298,19 +317,13 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         self.burn_in = int(burn_in)
         self.cache_size = cache_size
         self.record_states = bool(record_states)
-        #: Execution-engine knob (:mod:`repro.execution`).  A Markov chain
-        #: is inherently sequential, so ``n_jobs`` is accepted for interface
-        #: uniformity and unused.  The independence proposals
-        #: (``"uniform"`` / ``"degree"``) run the **batch-prefetch**
-        #: discipline: their candidate sequence does not depend on the chain
-        #: state, so the whole sequence is drawn upfront from a child rng
-        #: stream and the oracle batch-computes the chain's dependency
-        #: vectors, start state included, in blocks the kernels choose.  The
-        #: per-vector values are bit-identical however they are batched, so
-        #: for a fixed seed the chain (and estimate) is the same for any
-        #: ``n_jobs``.  The state-dependent ``"random-walk"`` proposal
-        #: cannot know its candidates ahead of time and draws each one from
-        #: the main stream.
+        #: Execution-engine knob (:mod:`repro.execution`), accepted for
+        #: interface uniformity and unused: a chain is sequential.  The
+        #: independence proposals draw their whole candidate sequence up
+        #: front from a child stream and the oracle batch-computes its
+        #: vectors, bit-identical however batched, so no ``n_jobs`` changes
+        #: a chain.  The random-walk proposal draws each candidate from the
+        #: main stream as the chain moves.
         self.n_jobs = n_jobs
 
     # ------------------------------------------------------------------
@@ -333,37 +346,30 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
 
     def _draw_proposals(
         self, graph: Graph, vertices: Sequence[Vertex], rng, count: int
-    ) -> Optional[Tuple[List[int], Optional[List[int]]]]:
+    ) -> Optional[Tuple[np.ndarray, Optional[List[int]]]]:
         """Pre-draw *count* independence-proposal candidates from a child stream.
 
         Returns ``(indices, weights)``: the candidates' positions in
-        *vertices*, and the degree proposal's per-vertex weights
+        *vertices* (an ``intp`` array) and the degree proposal's weights
         ``max(deg, 1)`` (``None`` for the uniform proposal).  A degree draw
         picks the first vertex whose cumulative weight reaches
-        ``random() * total``; the integer prefix sums are built once per
-        call and searched with :func:`bisect.bisect_left`.  Spawning the
-        child advances *rng* by exactly one spawn regardless of *count*, so
-        the main stream (initial draw, acceptance draws) is unaffected by
-        how many proposals are drawn upfront.  Returns ``None`` for the
-        state-dependent random-walk proposal, which draws each candidate
-        from the main stream as the chain moves.
+        ``random() * total``, all at once by :func:`numpy.searchsorted`.
+        The child spawn advances *rng* the same whatever *count* is.
+        Returns ``None`` for the random-walk proposal, whose candidates
+        depend on the chain state.
         """
         if self.proposal == "random-walk":
             return None
         proposal_rng = spawn_rng(rng, 0)
         if self.proposal == "uniform":
-            return randrange_block(proposal_rng, (len(vertices),), count)[0], None
+            return randbelow_block(proposal_rng, len(vertices), count), None
         weights = [max(graph.degree(v), 1) for v in vertices]
-        total = sum(weights)
         # Exact integers in float, so the first index with pick <= cum[i]
         # is the one the running float sum of the weights would stop at.
-        cumulative = [float(c) for c in accumulate(weights)]
-        random = proposal_rng.random
-        last = len(vertices) - 1
-        indices = [
-            min(bisect_left(cumulative, random() * total), last) for _ in range(count)
-        ]
-        return indices, weights
+        cumulative = np.cumsum(weights).astype(np.float64)
+        picks = random_block(proposal_rng, count) * sum(weights)
+        indices = np.searchsorted(cumulative, picks, side="left")
+        return np.minimum(indices, len(vertices) - 1), weights
 
     # ------------------------------------------------------------------
     # Chain
@@ -488,15 +494,11 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         segment schedule produced it.
 
         The independence proposals run array-native: one bulk oracle read
-        of every candidate's score, the acceptance uniforms in one block
-        (the same main-stream draws, in the same order, as one per step),
-        a scalar accept scan, and the state columns filled forward from the
-        accepted steps.  The acceptance test is Equation 6 with the
-        proposal correction, ``ratio = (cand / cur) * (w_cur / w_cand)``
-        (weights 1 for the uniform proposal); a current state with zero
-        dependency has zero stationary probability, so any candidate is
-        accepted outright and the chain keeps moving until it reaches the
-        support.
+        of every candidate's score by CSR index, the acceptance uniforms in
+        one block (:func:`~repro._rng.random_block`: the same main-stream
+        draws, in the same order, as one per step), the accept scan of
+        :func:`_accept_scan`, and the state columns filled forward from
+        the accepted steps.
 
         Exactly one uniform is consumed per proposal, *unconditionally*
         (drawing and ignoring when the ratio exceeds 1 is statistically
@@ -515,40 +517,23 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
                 graph, r, oracle, rng, current, current_delta, num_iterations
             )
         indices, weights = proposals
-        candidates = [vertices[i] for i in indices]
-        lead = [current] if current_delta is None else []
+        pool = np.concatenate(([graph.csr().index_of(current)], indices))
+        lead = current_delta is None
         proposed = oracle.dependency_rows(
-            lead + candidates, [r], prefetch=True, skip_self_lookups=True
+            pool if lead else indices, [r], prefetch=True, skip_self_lookups=True, indexed=True
         )[:, 0]
         if lead:
             current_delta = float(proposed[0])
             proposed = proposed[1:]
-        random = rng.random
-        uniforms = [random() for _ in range(num_iterations)]
-        if weights is None:
-            current_weight = 1
-            candidate_weights = [1] * num_iterations
-        else:
-            current_weight = max(graph.degree(current), 1)
-            candidate_weights = [weights[i] for i in indices]
-        accepted = []
-        append = accepted.append
-        cur = current_delta
-        for cand, cand_weight, u in zip(proposed.tolist(), candidate_weights, uniforms):
-            if cur <= 0.0:
-                ok = True
-            else:
-                ratio = (cand / cur) * (current_weight / cand_weight)
-                ok = ratio >= 1.0 or u < ratio
-            if ok:
-                cur = cand
-                current_weight = cand_weight
-            append(ok)
-        holder = _last_accepted(accepted)[1:]
-        pool = [current] + candidates
-        vertex = [pool[j] for j in holder.tolist()]
+        uniforms = random_block(rng, num_iterations).tolist()
+        correction = ()
+        if weights is not None:
+            correction = (max(graph.degree(current), 1), [weights[i] for i in indices.tolist()])
+        accepted, holder = _accept_scan(current_delta, proposed.tolist(), uniforms, *correction)
+        holder = holder[1:]
+        vertex = list(map(vertices.__getitem__, pool[holder].tolist()))
         dependency = np.concatenate(([current_delta], proposed))[holder]
-        return current_delta, vertex, dependency, np.array(accepted, dtype=bool), proposed
+        return current_delta, vertex, dependency, accepted[1:], proposed
 
     def _random_walk(self, graph, r, oracle, rng, current, current_delta, num_iterations):
         """The per-step loop of the state-dependent random-walk proposal.

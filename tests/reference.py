@@ -21,10 +21,15 @@ oracle type.  Any oracle can drive them; :class:`DependencyOracle` gives
 the bit-identity pin, :class:`DictDependencyOracle` answers through the
 dict kernels (:class:`DictOracleMHSampler` injects it wherever a driver
 builds oracles).
+
+:class:`LRUOracleModel` is the cache the oracle kept as an ``OrderedDict``
+of per-source arrays, reduced to its keys and counters: the row store must
+evict the same victims and count the same lookups and passes.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -49,6 +54,7 @@ from repro.shortest_paths.spd import ShortestPathDAG
 __all__ = [
     "DictDependencyOracle",
     "DictOracleMHSampler",
+    "LRUOracleModel",
     "reference_degree_choice",
     "reference_mh_chain",
     "reference_mh_extend",
@@ -97,8 +103,11 @@ class DictDependencyOracle:
         return {t: (0.0 if t == source else vector.get(t, 0.0)) for t in targets}
 
     def dependency_rows(
-        self, sources, targets, *, prefetch=False, skip_self_lookups=False
+        self, sources, targets, *, prefetch=False, skip_self_lookups=False, indexed=False
     ) -> np.ndarray:
+        if indexed:
+            vertices = self._graph.vertices()
+            sources = [vertices[i] for i in sources]
         if skip_self_lookups:
             (target,) = targets
             rows = [[self.dependency(s, target)] for s in sources]
@@ -116,6 +125,106 @@ class DictOracleMHSampler(SingleSpaceMHSampler):
 
     def build_oracle(self, graph: Graph, *, shared_store=None) -> DictDependencyOracle:
         return DictDependencyOracle(graph)
+
+
+class LRUOracleModel:
+    """The oracle's ``OrderedDict`` LRU cache, keys and counters only.
+
+    Mirrors :class:`repro.mcmc.estimates.DependencyOracle` without a shared
+    store: the same lookups in the same order (``move_to_end`` on a hit, a
+    pass and a store on a miss, the least recently used key evicted past
+    ``cache_size``), the same prefetch allowance (free slots, else half
+    the capacity) and the same bounded prefetch runs.  ``cache`` lists the
+    cached sources, least recently used first.
+    """
+
+    def __init__(self, graph: Graph, cache_size: Optional[int]) -> None:
+        self.graph = graph
+        self.cache_size = cache_size
+        self.cache: "OrderedDict[Vertex, None]" = OrderedDict()
+        self.lookups = self.evaluations = self.prefetch_evaluations = 0
+
+    @property
+    def enabled(self) -> bool:
+        return self.cache_size is None or self.cache_size > 0
+
+    def _store(self, source: Vertex) -> None:
+        self.cache[source] = None
+        if self.cache_size is not None and len(self.cache) > self.cache_size:
+            self.cache.popitem(last=False)
+
+    def _lookup(self, source: Vertex) -> None:
+        self.lookups += 1
+        if self.enabled and source in self.cache:
+            self.cache.move_to_end(source)
+            return
+        self.evaluations += 1
+        if self.enabled:
+            self._store(source)
+
+    def prefetch(self, sources) -> int:
+        if not self.enabled:
+            return 0
+        missing = [s for s in dict.fromkeys(sources) if s not in self.cache]
+        if self.cache_size is not None:
+            free = self.cache_size - len(self.cache)
+            missing = missing[: max(free, 0 if not self.cache else self.cache_size // 2)]
+        for source in missing:
+            self._store(source)
+        self.evaluations += len(missing)
+        self.prefetch_evaluations += len(missing)
+        return len(missing)
+
+    def dependency(self, source: Vertex, target: Vertex) -> None:
+        if source != target:
+            self._lookup(source)
+
+    def dependency_rows(self, sources, targets, *, prefetch=False, skip_self_lookups=False):
+        skip = targets[0] if skip_self_lookups else None
+        begin = 0
+        while begin < len(sources):
+            end = len(sources)
+            if prefetch and self.enabled:
+                end = self._prefetch_run(sources, begin, skip)
+            for source in sources[begin:end]:
+                if not (skip_self_lookups and source == skip):
+                    self._lookup(source)
+            begin = end
+
+    def _prefetch_run(self, sources, begin: int, skip) -> int:
+        if self.cache_size is None:
+            self.prefetch([s for s in sources[begin:] if s != skip])
+            return len(sources)
+        capacity = self.cache_size
+        free = capacity - len(self.cache)
+        allowance = max(free, capacity // 2 if self.cache else 0, 1)
+        run: Dict[Vertex, None] = {}
+        misses = 0
+        end = begin
+        for source in sources[begin:]:
+            if source != skip and source not in run:
+                miss = source not in self.cache
+                if len(run) == capacity or misses + miss > allowance:
+                    break
+                run[source] = None
+                misses += miss
+            end += 1
+        for source in run:
+            if source in self.cache:
+                self.cache.move_to_end(source)
+        self.prefetch(list(run))
+        return end
+
+    def apply_delta(self, affected_mask) -> Tuple[int, int]:
+        index = {v: i for i, v in enumerate(self.graph.vertices())}
+        evicted = [s for s in self.cache if affected_mask[index[s]]]
+        for source in evicted:
+            del self.cache[source]
+        return len(evicted), len(self.cache)
+
+    def clear(self) -> None:
+        self.cache.clear()
+        self.lookups = self.evaluations = self.prefetch_evaluations = 0
 
 
 # ----------------------------------------------------------------------

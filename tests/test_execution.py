@@ -985,4 +985,4 @@ def test_bounded_prefetch_runs_are_read_before_eviction(cache_size):
         graph, graph.vertices()[3], 120, seed=6, oracle=oracle
     )
     assert oracle.evaluations == oracle.prefetch_evaluations > 0
-    assert len(oracle._cache) <= cache_size
+    assert oracle.cached_count() <= cache_size

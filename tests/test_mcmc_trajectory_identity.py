@@ -246,14 +246,28 @@ def test_degree_proposals_match_the_per_draw_choice(graph_seed, seed):
     assert weights == [max(graph.degree(v), 1) for v in vertices]
 
 
+#: Bounds at the 32-bit word edges: the block path takes one word per try
+#: up to 2**32 - 1 bits' worth; 2**32 and above take the scalar loop.
+WORD_EDGE_BOUNDS = (
+    [1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1]
+    + [2**k for k in (3, 11, 16, 30)]
+    + [2**k + 1 for k in (3, 11, 16, 30)]
+)
+
+
 @given(
     seed=st.integers(0, 10_000),
-    bounds=st.lists(st.integers(1, 5000), min_size=1, max_size=3),
+    bounds=st.lists(
+        st.one_of(st.integers(1, 5000), st.sampled_from(WORD_EDGE_BOUNDS)),
+        min_size=1,
+        max_size=3,
+    ),
     count=st.integers(0, 300),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_randrange_block_draws_the_randrange_sequence(seed, bounds, count):
-    """Same integers, and the generator is left in the same state."""
+    """Same integers, and the generator is left in the same state, for one
+    bound (the block path) or several (the interleaved loop)."""
     block_rng, loop_rng = random.Random(seed), random.Random(seed)
     columns = randrange_block(block_rng, bounds, count)
     rounds = [[loop_rng.randrange(b) for b in bounds] for _ in range(count)]

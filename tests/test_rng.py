@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro._rng import ensure_rng, spawn_rng
+from repro._rng import ensure_rng, randbelow_block, random_block, spawn_rng
+from repro.graphs import barabasi_albert_graph
+from repro.mcmc import SingleSpaceMHSampler
+from repro.mcmc import single as single_module
 
 
 class TestEnsureRng:
@@ -60,3 +67,66 @@ class TestSpawnRng:
     def test_negative_stream_rejected(self):
         with pytest.raises(ValueError):
             spawn_rng(ensure_rng(1), -1)
+
+
+class TestBlockDraws:
+    """The block draws are the scalar loops: same values, same end state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 400))
+    def test_random_block_draws_the_random_sequence(self, seed, count):
+        block_rng, loop_rng = random.Random(seed), random.Random(seed)
+        block = random_block(block_rng, count)
+        assert block.tolist() == [loop_rng.random() for _ in range(count)]
+        assert block_rng.getstate() == loop_rng.getstate()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(
+            st.integers(1, 2**33),
+            st.sampled_from([1, 2, 5, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]),
+        ),
+        count=st.integers(0, 300),
+    )
+    def test_randbelow_block_draws_the_randrange_sequence(self, seed, n, count):
+        block_rng, loop_rng = random.Random(seed), random.Random(seed)
+        block = randbelow_block(block_rng, n, count)
+        assert block.tolist() == [loop_rng.randrange(n) for _ in range(count)]
+        assert block_rng.getstate() == loop_rng.getstate()
+
+    def test_block_draws_need_a_plain_random(self):
+        class Custom(random.Random):
+            pass
+
+        with pytest.raises(TypeError):
+            random_block(Custom(1), 3)
+        with pytest.raises(TypeError):
+            randbelow_block(Custom(1), 3, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph_seed=st.integers(0, 1000),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 300),
+    )
+    def test_searchsorted_degree_draw_is_the_bisect_loop(self, graph_seed, seed, count):
+        """The degree proposal's block draw against the per-draw bisection
+        over the integer prefix sums it replaced."""
+        graph = barabasi_albert_graph(30, 2, seed=graph_seed)
+        vertices = graph.vertices()
+        block_child, loop_child = random.Random(seed), random.Random(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            # Hand the sampler a child stream this test can inspect.
+            patch.setattr(single_module, "spawn_rng", lambda rng, stream: block_child)
+            indices, weights = SingleSpaceMHSampler(proposal="degree")._draw_proposals(
+                graph, vertices, random.Random(0), count
+            )
+        cumulative = [float(c) for c in accumulate(weights)]
+        total = sum(weights)
+        expected = [
+            min(bisect_left(cumulative, loop_child.random() * total), len(vertices) - 1)
+            for _ in range(count)
+        ]
+        assert indices.tolist() == expected
+        assert block_child.getstate() == loop_child.getstate()
