@@ -14,6 +14,9 @@ shifted right by ``32 - k``, ``random()`` is the word pair ``(a, b)`` read as
 ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, and ``getrandbits(32 * m)`` returns
 ``m`` words, the first one least significant.  So one wide ``getrandbits``
 call yields a whole block of words for numpy to shift, reject and combine.
+A generator that is not a plain :class:`random.Random` (a subclass may
+draw differently, :class:`random.SystemRandom` has no state) takes the
+scalar loops themselves.
 """
 
 from __future__ import annotations
@@ -83,10 +86,9 @@ def _words(rng: random.Random, count: int) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(4 * count, "little"), dtype="<u4")
 
 
-def _plain(rng: random.Random, name: str) -> None:
-    # A subclass overriding ``random`` or ``getrandbits`` draws differently.
-    if type(rng) is not random.Random:
-        raise TypeError(f"{name} needs a plain random.Random instance")
+def _plain(rng: random.Random) -> bool:
+    # A subclass may override ``random`` or ``getrandbits``: draw its way.
+    return type(rng) is random.Random
 
 
 def random_block(rng: random.Random, count: int) -> np.ndarray:
@@ -95,7 +97,8 @@ def random_block(rng: random.Random, count: int) -> np.ndarray:
     One ``getrandbits(64 * count)`` call supplies the ``2 * count`` words,
     so the values and the state *rng* is left in equal the scalar loop's.
     """
-    _plain(rng, "random_block")
+    if not _plain(rng):
+        return np.array([rng.random() for _ in range(count)], dtype=np.float64)
     words = _words(rng, 2 * count)
     high = (words[0::2] >> np.uint32(5)).astype(np.float64)
     return (high * 67108864.0 + (words[1::2] >> np.uint32(6))) * (1.0 / 9007199254740992.0)
@@ -111,11 +114,10 @@ def randbelow_block(rng: random.Random, n: int, count: int) -> np.ndarray:
     the accepted draws used, one ``getrandbits(32 * used)`` call.  Wider
     bounds take the scalar loop.
     """
-    _plain(rng, "randbelow_block")
     if n < 1:
         raise ValueError(f"empty range for randbelow_block: {n}")
     k = n.bit_length()
-    if k > 32:
+    if k > 32 or not _plain(rng):
         return np.array(randrange_block(rng, (n,), count)[0], dtype=np.intp)
     state = rng.getstate()
     shift = np.uint32(32 - k)
@@ -150,16 +152,18 @@ def randrange_block(rng: random.Random, bounds: Sequence[int], count: int) -> Li
     Otherwise the rounds interleave, so the rejection loop runs inline,
     which skips ``randrange``'s argument checks, most of its time.
     """
-    _plain(rng, "randrange_block")
-    if len(bounds) == 1 and bounds[0].bit_length() <= 32:
+    if not _plain(rng):
+        draws = [rng.randrange(n) for n in list(bounds) * count]
+    elif len(bounds) == 1 and bounds[0].bit_length() <= 32:
         return [randbelow_block(rng, bounds[0], count).tolist()]
-    getrandbits = rng.getrandbits
-    draws = []
-    append = draws.append
-    for n, k in [(n, n.bit_length()) for n in bounds] * count:
-        x = getrandbits(k)
-        while x >= n:
+    else:
+        getrandbits = rng.getrandbits
+        draws = []
+        append = draws.append
+        for n, k in [(n, n.bit_length()) for n in bounds] * count:
             x = getrandbits(k)
-        append(x)
+            while x >= n:
+                x = getrandbits(k)
+            append(x)
     width = len(bounds)
     return [draws[i::width] for i in range(width)]

@@ -15,12 +15,13 @@ The passes run on the CSR kernels of :mod:`repro.shortest_paths`, and the
 cache is one row store (:class:`~repro.execution.shared_cache.DependencyStore`):
 a matrix of vectors behind a slot table indexed by CSR vertex index.  A
 chain reads its scores in bulk (:meth:`DependencyOracle.dependency_rows`),
-by CSR index (the samplers draw positions in ``graph.vertices()``, which is
-CSR order): one slot gather plus one fancy index.  An independence chain
-draws every candidate up front (Equations 6 and 17), so its whole miss set,
-start state included, goes to the batched kernels in one call; they choose
-the block widths (:func:`repro.shortest_paths.batch.source_blocks`) and
-stream the rows straight into the store.  A bounded cache takes the set in
+by CSR index (:meth:`DependencyOracle.source_indices` maps the positions
+the samplers draw in ``graph.vertices()``): one slot gather plus one fancy
+index.  An independence chain draws every candidate up front (Equations 6
+and 17), so its whole miss set, start state included, goes to the batched
+kernels in one call; they choose the block widths
+(:func:`repro.shortest_paths.batch.source_blocks`) and stream the rows
+straight into the store.  A bounded cache takes the set in
 runs it can hold whole; with a shared store attached the set goes one
 kernel block at a time, each after re-reading the store.
 
@@ -57,7 +58,9 @@ class DependencyOracle:
     cache_size:
         Maximum number of source vertices whose dependency vectors are kept
         (LRU eviction).  ``0`` disables caching entirely; ``None`` means
-        unbounded (up to :func:`~repro.execution.shared_cache.row_budget`).
+        unbounded.  Past :func:`~repro.execution.shared_cache.row_budget`
+        rows, or where reserving them fails (then halved until it works),
+        the store's capacity is the bound.
     shared_store:
         Optional cross-process
         :class:`~repro.execution.shared_cache.SharedDependencyStore`.  When
@@ -102,8 +105,14 @@ class DependencyOracle:
         n = self._csr.number_of_vertices()
         if not self.cache_enabled or n == 0:
             return None
-        capacity = n if self._cache_size is None else min(self._cache_size, n)
-        return DependencyStore(n, min(capacity, row_budget(n)))
+        capacity = min(self._cache_size or n, n, row_budget(n))
+        while True:
+            try:
+                return DependencyStore(n, capacity)
+            except MemoryError:
+                if capacity == 1:
+                    raise
+                capacity //= 2
 
     # ------------------------------------------------------------------
     @property
@@ -127,10 +136,8 @@ class DependencyOracle:
 
     def cached_sources(self) -> list:
         """Return the source vertices whose vectors the private cache holds."""
-        if self._rows is None:
-            return []
         vertices = self._csr.vertices
-        return [vertices[i] for i in self._rows.sources().tolist()]
+        return [] if self._rows is None else [vertices[i] for i in self._rows.sources().tolist()]
 
     def hit_rate(self) -> float:
         """Return the fraction of lookups answered without a Brandes pass.
@@ -148,21 +155,17 @@ class DependencyOracle:
     def prefetch(self, sources) -> int:
         """Batch-compute and cache the dependency vectors of *sources*.
 
-        :meth:`dependency_rows` hands a chain's uncached sources over here
-        in one call.  Every pass, prefetched or a point-query miss (a
-        one-row set), runs through
+        :meth:`dependency_rows` hands a chain's uncached sources over here.
+        Every pass, prefetched or a one-row point-query miss, runs through
         :func:`~repro.shortest_paths.batch.batch_source_dependencies`, so a
-        vector is bit-identical however it was computed.  The kernels
-        stream the set block by block straight into the store, so no
-        set-sized matrix is built; with a shared store attached each
-        kernel block (:func:`~repro.shortest_paths.batch.source_blocks`)
+        vector is bit-identical however it was computed; the kernels stream
+        their blocks straight into the store.  With a shared store attached
+        each kernel block (:func:`~repro.shortest_paths.batch.source_blocks`)
         first re-reads it, and every computed vector is published to it.
         Cached and duplicate sources are skipped; a disabled cache makes
-        this a no-op.  A bounded cache fills its **free slots** first and
-        beyond them claims at most **half the capacity**, so the most
-        recently used vector (the chain's current state among them)
-        survives every call (``max(free, C // 2) <= C - 1`` when anything
-        is cached) while the batched kernels keep running on a full cache.
+        this a no-op.  A bounded cache of capacity ``C`` fills its free
+        slots, else claims at most ``C // 2``, so the most recently used
+        vector (the chain's current state among them) survives every call.
         Returns the number of passes (counted in both :attr:`evaluations`
         and :attr:`prefetch_evaluations`).
         """
@@ -172,15 +175,12 @@ class DependencyOracle:
         index_of = self._csr.index_of
         wanted = np.fromiter(dict.fromkeys(index_of(s) for s in sources), dtype=np.intp)
         missing = wanted[store.slots[wanted] < 0]
-        if self._cache_size is not None:
+        if store.capacity < store.num_vertices:
             cached = store.published()
-            free = self._cache_size - cached
-            missing = missing[: max(free, 0 if not cached else self._cache_size // 2)]
+            missing = missing[: max(store.capacity - cached, store.capacity // 2 if cached else 0)]
         if not len(missing):
             return 0
-        blocks = [(0, len(missing))]
-        if self._shared is not None:
-            blocks = source_blocks(self._csr, len(missing))
+        blocks = source_blocks(self._csr, len(missing)) if self._shared else [(0, len(missing))]
         computed = 0
         for begin, end in blocks:
             pending = self._copy_shared(missing[begin:end])
@@ -263,31 +263,39 @@ class DependencyOracle:
 
     def dependencies_for(self, source: Vertex, targets) -> Dict[Vertex, float]:
         """Return ``{t: delta_{source.}(t)}`` for *targets* (unknown ones read 0.0)."""
-        vector = self._vector(self._csr.index_of(source))
-        find_index = self._csr.find_index
-        result: Dict[Vertex, float] = {}
-        for t in targets:
-            index = find_index(t)
-            result[t] = 0.0 if t == source or index is None else float(vector[index])
-        return result
+        targets = list(targets)
+        row = self.dependency_rows([self._csr.index_of(source)], targets)[0]
+        return dict(zip(targets, row.tolist()))
+
+    def source_indices(self, graph: Graph, positions: np.ndarray) -> np.ndarray:
+        """Map *positions* in ``graph.vertices()`` to CSR indices of this oracle's snapshot.
+
+        The positions themselves when the oracle snapshots *graph* as it is
+        now; a stale oracle, or one built on another graph, resolves each
+        vertex by label.
+        """
+        csr = self._csr
+        if csr is graph.csr() or csr.vertices == graph.csr().vertices:
+            return positions
+        vertices = graph.vertices()
+        return np.array([csr.index_of(vertices[i]) for i in positions.tolist()], dtype=np.intp)
 
     def dependency_rows(
         self,
-        sources: Sequence,
+        sources: Sequence[int],
         targets: Sequence[Vertex],
         *,
         prefetch: bool = False,
         skip_self_lookups: bool = False,
-        indexed: bool = False,
     ) -> np.ndarray:
         """Return the ``(len(sources), len(targets))`` array of δ_{s·}(t).
 
-        The chains' bulk read: each source takes one lookup, in order, with
-        :meth:`dependencies_for` semantics (a target equal to the source, or
-        not in the graph, reads 0.0).  ``skip_self_lookups`` gives a single
-        target :meth:`dependency` semantics: a source equal to it reads 0.0
-        without a lookup.  With *indexed*, *sources* are CSR indices
-        (positions in ``graph.vertices()``), not labels.
+        The chains' bulk read.  *sources* are CSR indices of the oracle's
+        snapshot (:meth:`source_indices`); each takes one lookup, in order,
+        with :meth:`dependencies_for` semantics (a target equal to the
+        source, or not in the graph, reads 0.0).  ``skip_self_lookups``
+        gives a single target :meth:`dependency` semantics: a source equal
+        to it reads 0.0 without a lookup.
 
         Cached rows are read in runs of hits, one slot gather and one fancy
         index each; a miss takes the full lookup.  With *prefetch* the
@@ -298,20 +306,12 @@ class DependencyOracle:
         """
         if skip_self_lookups and len(targets) != 1:
             raise ConfigurationError("skip_self_lookups needs exactly one target")
-        csr = self._csr
-        columns = [csr.find_index(t) for t in targets]
+        columns = [self._csr.find_index(t) for t in targets]
         known = [j for j, c in enumerate(columns) if c is not None]
         cols = np.array([columns[j] for j in known], dtype=np.intp)
-        if indexed:
-            index = np.asarray(sources, dtype=np.intp)
-        else:
-            skip = targets[0] if skip_self_lookups else None
-            index = np.array(
-                [-1 if s == skip else csr.index_of(s) for s in sources], dtype=np.intp
-            )
-        looked = index >= 0
-        if skip_self_lookups and len(cols):
-            looked &= index != cols[0]
+        index = np.asarray(sources, dtype=np.intp)
+        # Every source is looked up (no index is -1) but the skipped target.
+        looked = index != (cols[0] if skip_self_lookups and len(cols) else -1)
         src = index[looked]
         values = self._lookup(src, cols, prefetch)
         # A target equal to its source reads 0.0.
@@ -364,13 +364,13 @@ class DependencyOracle:
         store = self._rows
         slots = store.slots
         vertices = self._csr.vertices
-        if self._cache_size is None:
+        capacity = store.capacity
+        if capacity == store.num_vertices:
             rest = src[begin:]
             missing = rest[slots[rest] < 0]
             if len(missing):
                 self.prefetch([vertices[i] for i in missing.tolist()])
             return len(src)
-        capacity = self._cache_size
         cached = store.published()
         allowance = max(capacity - cached, capacity // 2 if cached else 0, 1)
         run: Dict[int, None] = {}
@@ -405,10 +405,7 @@ class DependencyOracle:
         dropped.  Returns ``(evicted, retained)``; counters survive.
         """
         new_csr = self._graph.csr()
-        if (
-            self._shared is not None
-            and self._shared.num_vertices != new_csr.number_of_vertices()
-        ):
+        if self._shared is not None and self._shared.num_vertices != new_csr.number_of_vertices():
             raise ConfigurationError(
                 "apply_delta across a vertex-count change; the caller must "
                 "rebuild the oracle instead"
@@ -434,7 +431,4 @@ class DependencyOracle:
         """
         if self._rows is not None:
             self._rows.clear()
-        self.evaluations = 0
-        self.lookups = 0
-        self.prefetch_evaluations = 0
-        self.shared_hits = 0
+        self.evaluations = self.lookups = self.prefetch_evaluations = self.shared_hits = 0

@@ -402,7 +402,8 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
         # The start state is the lead row of the one bulk read, so it joins
         # the candidates' prefetch.
         pool = np.array([graph.csr().index_of(current_v)] + candidate_v, dtype=np.intp)
-        dependencies = oracle.dependency_rows(pool, members, prefetch=True, indexed=True)
+        sources = oracle.source_indices(graph, pool)
+        dependencies = oracle.dependency_rows(sources, members, prefetch=True)
         uniforms = random_block(rng, num_iterations).tolist()
         start_r = members.index(current_r)
         # Equation 17 acceptance, one uniform per proposal unconditionally

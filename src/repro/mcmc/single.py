@@ -519,9 +519,8 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         indices, weights = proposals
         pool = np.concatenate(([graph.csr().index_of(current)], indices))
         lead = current_delta is None
-        proposed = oracle.dependency_rows(
-            pool if lead else indices, [r], prefetch=True, skip_self_lookups=True, indexed=True
-        )[:, 0]
+        sources = oracle.source_indices(graph, pool if lead else indices)
+        proposed = oracle.dependency_rows(sources, [r], prefetch=True, skip_self_lookups=True)[:, 0]
         if lead:
             current_delta = float(proposed[0])
             proposed = proposed[1:]

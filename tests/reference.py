@@ -75,7 +75,8 @@ class DictDependencyOracle:
 
     Duck-types the parts of :class:`repro.mcmc.estimates.DependencyOracle`
     the MH samplers use (``dependency``, ``dependencies_for``, the bulk
-    ``dependency_rows``, ``prefetch`` and the ``evaluations`` counter).
+    ``dependency_rows`` by position in its graph's vertex list and
+    ``source_indices``, ``prefetch`` and the ``evaluations`` counter).
     Unknown targets read as 0.0, like the library oracle.
     """
 
@@ -102,12 +103,14 @@ class DictDependencyOracle:
         vector = self._vector(source)
         return {t: (0.0 if t == source else vector.get(t, 0.0)) for t in targets}
 
-    def dependency_rows(
-        self, sources, targets, *, prefetch=False, skip_self_lookups=False, indexed=False
-    ) -> np.ndarray:
-        if indexed:
-            vertices = self._graph.vertices()
-            sources = [vertices[i] for i in sources]
+    def source_indices(self, graph: Graph, positions) -> List[int]:
+        own = {v: i for i, v in enumerate(self._graph.vertices())}
+        vertices = graph.vertices()
+        return [own[vertices[i]] for i in positions]
+
+    def dependency_rows(self, sources, targets, *, prefetch=False, skip_self_lookups=False):
+        vertices = self._graph.vertices()
+        sources = [vertices[i] for i in sources]
         if skip_self_lookups:
             (target,) = targets
             rows = [[self.dependency(s, target)] for s in sources]

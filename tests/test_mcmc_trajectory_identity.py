@@ -322,7 +322,7 @@ def test_kernel_block_width_changes_no_chain_and_no_pass_count(
             columns.append(np.array([vertices.index(v) for v in chain.vertex]))
             estimates = np.array([chain.estimate(e) for e in ESTIMATORS])
         traffic = (oracle.evaluations, oracle.lookups)
-        rows = oracle.dependency_rows(vertices, vertices)
+        rows = oracle.dependency_rows(np.arange(len(vertices)), vertices)
         return columns, estimates, rows, traffic
 
     runs = [_with_width(width, run) for width in WIDTHS]

@@ -6,13 +6,14 @@ import random
 from bisect import bisect_left
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._rng import ensure_rng, randbelow_block, random_block, spawn_rng
+from repro._rng import ensure_rng, randbelow_block, random_block, randrange_block, spawn_rng
 from repro.graphs import barabasi_albert_graph
-from repro.mcmc import SingleSpaceMHSampler
+from repro.mcmc import JointSpaceMHSampler, SingleSpaceMHSampler
 from repro.mcmc import single as single_module
 
 
@@ -95,14 +96,47 @@ class TestBlockDraws:
         assert block.tolist() == [loop_rng.randrange(n) for _ in range(count)]
         assert block_rng.getstate() == loop_rng.getstate()
 
-    def test_block_draws_need_a_plain_random(self):
-        class Custom(random.Random):
+    def test_block_draws_call_the_methods_of_a_random_subclass(self):
+        """A subclass may draw its own way, so the block draws run its scalar loops."""
+
+        class Halved(random.Random):
+            # Overriding ``random`` alone also moves ``randrange`` onto it.
+            def random(self):
+                return super().random() / 2
+
+        block_rng, loop_rng = Halved(1), Halved(1)
+        assert random_block(block_rng, 5).tolist() == [loop_rng.random() for _ in range(5)]
+        assert randbelow_block(block_rng, 7, 5).tolist() == [
+            loop_rng.randrange(7) for _ in range(5)
+        ]
+        rounds = [[loop_rng.randrange(b) for b in (3, 9)] for _ in range(4)]
+        assert randrange_block(block_rng, (3, 9), 4) == [list(c) for c in zip(*rounds)]
+        assert block_rng.getstate() == loop_rng.getstate()
+        system = random.SystemRandom()
+        assert all(0 <= x < 1 for x in random_block(system, 8))
+        assert all(0 <= x < 7 for x in randbelow_block(system, 7, 8))
+
+    def test_samplers_accept_any_random_instance(self):
+        """A plain subclass draws like ``random.Random``; ``SystemRandom`` just runs."""
+
+        class Plain(random.Random):
             pass
 
-        with pytest.raises(TypeError):
-            random_block(Custom(1), 3)
-        with pytest.raises(TypeError):
-            randbelow_block(Custom(1), 3, 3)
+        graph = barabasi_albert_graph(30, 2, seed=3)
+        single, joint = SingleSpaceMHSampler(), JointSpaceMHSampler()
+        members = [0, 4, 7]
+        for proposal in ("uniform", "degree"):
+            sampler = SingleSpaceMHSampler(proposal=proposal)
+            a = sampler.run_chain(graph, 4, 200, seed=Plain(5))
+            b = sampler.run_chain(graph, 4, 200, seed=random.Random(5))
+            assert np.array_equal(a.dependency, b.dependency)
+            assert np.array_equal(a.accepted, b.accepted)
+        a = joint.run_chain(graph, members, 200, seed=Plain(5))
+        b = joint.run_chain(graph, members, 200, seed=random.Random(5))
+        assert np.array_equal(a.dependencies, b.dependencies)
+        assert np.array_equal(a.row, b.row)
+        single.run_chain(graph, 4, 50, seed=random.SystemRandom())
+        joint.run_chain(graph, members, 50, seed=random.SystemRandom())
 
     @settings(max_examples=40, deadline=None)
     @given(

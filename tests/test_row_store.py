@@ -30,6 +30,8 @@ from repro.execution.shared_cache import (
     shared_memory_available,
 )
 from repro.graphs import Graph, barabasi_albert_graph
+from repro.mcmc import JointSpaceMHSampler, SingleSpaceMHSampler
+from repro.mcmc import estimates as estimates_module
 from repro.mcmc.estimates import DependencyOracle
 
 BACKINGS = [
@@ -135,20 +137,14 @@ def test_row_store_oracle_evicts_the_lru_model_victims(capacity, ops):
             _, picks, targets, prefetch = op
             sources = [vertices[i] for i in picks]
             members = [vertices[i] for i in targets]
-            rows = oracle.dependency_rows(sources, members, prefetch=prefetch)
+            rows = oracle.dependency_rows(picks, members, prefetch=prefetch)
             model.dependency_rows(sources, members, prefetch=prefetch)
-            assert np.array_equal(rows, fresh.dependency_rows(sources, members))
+            assert np.array_equal(rows, fresh.dependency_rows(picks, members))
         elif kind == "self-rows":
             _, picks, target, prefetch = op
             sources = [vertices[i] for i in picks]
             members = [vertices[target]]
-            oracle.dependency_rows(
-                np.array(picks, dtype=np.intp),
-                members,
-                prefetch=prefetch,
-                skip_self_lookups=True,
-                indexed=True,
-            )
+            oracle.dependency_rows(picks, members, prefetch=prefetch, skip_self_lookups=True)
             model.dependency_rows(sources, members, prefetch=prefetch, skip_self_lookups=True)
         elif kind == "prefetch":
             sources = [vertices[i] for i in op[1]]
@@ -169,3 +165,74 @@ def test_row_store_oracle_evicts_the_lru_model_victims(capacity, ops):
             model.evaluations,
             model.prefetch_evaluations,
         )
+
+
+def _reordered(graph: Graph) -> Graph:
+    """*graph* with its vertices inserted in reverse order: another CSR order."""
+    copy = Graph()
+    for v in reversed(graph.vertices()):
+        copy.add_vertex(v)
+    for u, v in graph.edges():
+        copy.add_edge(u, v)
+    return copy
+
+
+@pytest.mark.parametrize("case", ["other-graph", "stale"])
+def test_row_store_oracle_of_another_vertex_order_reads_by_label(case):
+    """A caller's oracle whose CSR order is not the graph's still reads each vertex's row."""
+    graph = barabasi_albert_graph(30, 2, seed=4)
+    members = [3, 5, 8]
+    if case == "other-graph":
+        snapshot = _reordered(graph)
+    else:
+        snapshot = graph.copy()
+    oracle, twin = DependencyOracle(snapshot), DependencyOracle(snapshot)
+    if case == "stale":
+        # Same graph object, a vertex gone since the oracle's snapshot.
+        oracle, twin = DependencyOracle(graph), DependencyOracle(snapshot)
+        graph.remove_vertex(1)
+    chain = SingleSpaceMHSampler(record_states=True).run_chain(
+        graph, members[0], 150, seed=2, oracle=oracle
+    )
+    assert chain.dependency.tolist() == [twin.dependency(v, members[0]) for v in chain.vertex]
+    joint = JointSpaceMHSampler().run_chain(graph, members, 150, seed=2, oracle=oracle)
+    expected = [twin.dependency(v, members[r]) for v, r in zip(joint.v, joint.r_index.tolist())]
+    assert joint.dependencies[joint.row, joint.r_index].tolist() == expected
+
+
+def _chain_and_passes(oracle: DependencyOracle):
+    graph = oracle.graph
+    chain = SingleSpaceMHSampler().run_chain(graph, 3, 300, seed=6, oracle=oracle)
+    joint = JointSpaceMHSampler().run_chain(graph, [3, 5, 8], 300, seed=6, oracle=oracle)
+    columns = (chain.dependency, chain.accepted, joint.dependencies, joint.row)
+    return columns, (oracle.lookups, oracle.evaluations, oracle.prefetch_evaluations)
+
+
+def test_row_store_unbounded_cache_past_the_budget_is_bounded_at_it(monkeypatch):
+    """Past :func:`row_budget` an unbounded cache is the bounded cache of that size:
+    same chains, same passes, no prefetched row evicted before its read."""
+    graph = barabasi_albert_graph(30, 2, seed=4)
+    unbounded, _ = _chain_and_passes(DependencyOracle(graph))
+    bounded = _chain_and_passes(DependencyOracle(graph, cache_size=5))
+    monkeypatch.setattr(estimates_module, "row_budget", lambda n: 5)
+    budgeted = _chain_and_passes(DependencyOracle(graph))
+    assert budgeted[1] == bounded[1]
+    for a, b, c in zip(budgeted[0], bounded[0], unbounded):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_row_store_failed_reservation_halves_the_capacity(monkeypatch):
+    """A row matrix the allocator refuses is halved until it is reserved (30 -> 15 -> 7 -> 3)."""
+    graph = barabasi_albert_graph(30, 2, seed=4)
+
+    def store(num_vertices, capacity):
+        if capacity > 3:
+            raise MemoryError
+        return DependencyStore(num_vertices, capacity)
+
+    bounded = _chain_and_passes(DependencyOracle(graph, cache_size=3))
+    monkeypatch.setattr(estimates_module, "DependencyStore", store)
+    halved = _chain_and_passes(DependencyOracle(graph))
+    assert halved[1] == bounded[1]
+    for a, b in zip(halved[0], bounded[0]):
+        assert np.array_equal(a, b)
