@@ -6,7 +6,9 @@ to every worker, a fresh dependency arena, a fresh oracle.  A
 :class:`BetweennessSession` amortises all of it behind the exact same
 estimators: one :class:`~repro.execution.runtime.ExecutionContext` owns a
 persistent worker pool, interned worker payloads and a cross-request
-dependency arena, so query 1 warms what queries 2..N reuse.
+dependency arena, so query 1 warms what queries 2..N reuse.  The session's
+warm oracles read the arena's rows in place: each warm row is held once,
+and an oracle keeps a private row only when a full arena refuses it.
 
 Example
 -------
@@ -160,22 +162,24 @@ class BetweennessSession:
         the same receipt over the state the session owns — warm oracle
         vectors and open :class:`SessionChain` continuations — using the
         identical affected-source mask, so every layer retains or evicts
-        the same region.
+        the same region.  An oracle's vectors are the ones it can serve:
+        the arena rows it reads in place plus its private overflow.
         """
         if self.graph is self._stamped_graph and self.graph.version == self._version:
             return None
         receipt = self._context.refresh(self.graph)
-        if receipt.mode == "delta":
-            mask = self._context.last_affected_mask()
-            for oracle in self._oracles.values():
-                evicted, retained = oracle.apply_delta(mask)
-                receipt.oracle_vectors_evicted += evicted
-                receipt.oracle_vectors_retained += retained
-        else:
+        delta = receipt.mode == "delta"
+        mask = self._context.last_affected_mask() if delta else None
+        for oracle in self._oracles.values():
+            evicted, retained = oracle.apply_delta(mask) if delta else (oracle.cached_count(), 0)
+            if oracle.shared_store is not None:
+                evicted += receipt.arena_rows_evicted
+                retained += receipt.arena_rows_retained
+            receipt.oracle_vectors_evicted += evicted
+            receipt.oracle_vectors_retained += retained
+        if not delta:
             # Full invalidation destroyed the arena: cached oracles hold
             # handles into the dead shared store and must be rebuilt.
-            for oracle in self._oracles.values():
-                receipt.oracle_vectors_evicted += oracle.cached_count()
             self._oracles.clear()
         for chain in self._chains:
             chain._note_invalidation(receipt)
@@ -228,7 +232,7 @@ class BetweennessSession:
         return sampler
 
     def _oracle(self, kind: str, sampler):
-        """Memoized warm dependency oracle, attached to the session's arena.
+        """Memoized warm dependency oracle, reading the session's arena in place.
 
         Keyed by *kind* alone — not the graph version: a mutation no longer
         retires a warm oracle wholesale.  :meth:`_sync_graph` either evicts
@@ -453,7 +457,9 @@ class BetweennessSession:
         queries (the context's :meth:`~repro.execution.runtime
         .ExecutionContext.record_passes` counter — monotone, surviving
         graph mutation), which is what the serving layer's Prometheus
-        exporter scrapes.
+        exporter scrapes.  ``oracle_private_rows`` counts the rows the warm
+        oracles hold outside the arena (those a full arena refused): each
+        warm row is held once, so it stays 0 while the arena has room.
         """
         context = self._context.stats()
         return {
@@ -461,6 +467,7 @@ class BetweennessSession:
             "graph_version": self.graph.version,
             "brandes_passes": context.get("brandes_passes", 0),
             "warm_oracles": len(self._oracles),
+            "oracle_private_rows": sum(o.cached_count() for o in self._oracles.values()),
             "warm_estimators": len(self._estimators),
             "open_chains": len(self._chains),
             "context": context,

@@ -57,9 +57,11 @@ inside a worker.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import multiprocessing
 import pickle
+import platform
 import threading
 import warnings
 from collections import OrderedDict
@@ -88,6 +90,7 @@ __all__ = [
     "plan_snapshot",
     "DEFAULT_ARENA_BYTES",
     "default_arena_rows",
+    "keep_kernel_pages",
 ]
 
 #: Upper bound on payloads kept installed per pool (and memoized per
@@ -123,6 +126,49 @@ def default_arena_rows(num_vertices: int, budget: int = DEFAULT_ARENA_BYTES) -> 
     return max(1, min(num_vertices, budget // (8 * num_vertices)))
 
 
+#: glibc ``mallopt`` parameter numbers and the values set for them: the
+#: largest mmap threshold glibc's own dynamic adjustment reaches on 64-bit
+#: builds (``DEFAULT_MMAP_THRESHOLD_MAX``) and the trim threshold it pairs
+#: with it (twice as much).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_MMAP_THRESHOLD = 32 << 20
+_HEAP_TRIM_THRESHOLD = 64 << 20
+_HEAP_KEPT: Optional[bool] = None
+
+
+def keep_kernel_pages() -> bool:
+    """Keep the kernels' freed temporaries on this process's heap (glibc only).
+
+    A batched kernel block allocates dense ``(n, k)`` arrays, one or two
+    per BFS level, and frees them when the block ends.  Past glibc's default
+    128 KB mmap threshold each one is a fresh mapping, and freed heap past
+    the trim threshold goes back to the system, so a long-lived process
+    faults every page in again on every pass: about 4000 minor faults per
+    mutate-then-query op on BA(2000, 3), and 10-20 % of its throughput on
+    a 2-vCPU VM.  glibc raises both thresholds by itself once the process
+    frees one large mapped block, such as a one-shot call's private row
+    store; a warm session, whose oracles read the shared arena in place,
+    frees none.  Setting the values that adjustment reaches at most keeps
+    the warm path off that accident.  Applied once per process; returns
+    whether it took (``False`` off glibc).
+    """
+    global _HEAP_KEPT
+    if _HEAP_KEPT is None:
+        _HEAP_KEPT = False
+        if platform.libc_ver()[0] == "glibc":
+            try:
+                mallopt = ctypes.CDLL(None).mallopt
+            except (OSError, AttributeError):  # pragma: no cover - unusual builds
+                return False
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            _HEAP_KEPT = bool(
+                mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
+            )
+    return _HEAP_KEPT
+
+
 # ----------------------------------------------------------------------
 # Worker-side state (one copy per persistent worker process)
 # ----------------------------------------------------------------------
@@ -137,6 +183,7 @@ def _init_persistent_worker(barrier, lock) -> None:
     _WORKER_BARRIER = barrier
     _WORKER_LOCK = lock
     _WORKER_PAYLOADS.clear()
+    keep_kernel_pages()
 
 
 class _PayloadPickler(pickle.Pickler):
@@ -374,6 +421,10 @@ class ExecutionContext:
       invalidates the arena *and* the payload memo on the next call, so
       stale vectors or snapshots can never serve a request.
 
+    Opening one also calls :func:`keep_kernel_pages` (once per process,
+    and in each persistent worker), so the passes a long-lived session
+    pays reuse the kernels' heap pages instead of faulting in fresh ones.
+
     The context never changes results (see the module docstring); it only
     changes where and how often setup and Brandes passes are paid.  Use it
     as a context manager, or call :meth:`close` — worker processes and the
@@ -416,6 +467,7 @@ class ExecutionContext:
             raise ConfigurationError(
                 f"arena_capacity must be a positive integer or None, got {arena_capacity!r}"
             )
+        keep_kernel_pages()
         self._mp = multiprocessing.get_context(self.mp_context)
         self._arena_capacity = arena_capacity
         self._lock = None
@@ -550,8 +602,9 @@ class ExecutionContext:
           shared-graph segment is rebuilt lazily.
         * ``full`` — a different graph object, journal overflow, a fallback
           case of :func:`~repro.incremental.affected_sources`, or
-          ``invalidation="full"``: the legacy path, destroying the arena and
-          every interned payload (``receipt.reason`` says why).
+          ``invalidation="full"``: the legacy path, destroying the arena
+          (its rows count as ``arena_rows_evicted``) and every interned
+          payload (``receipt.reason`` says why).
 
         The worker pool survives in every mode: its processes hold no graph
         state beyond the payloads, which the memo clearing guarantees are
@@ -570,14 +623,14 @@ class ExecutionContext:
                 mode="noop", version_from=graph.version, version_to=graph.version
             )
         elif old_graph is not graph:
-            self._invalidate_graph_state()
-            self._last_affected = None
             receipt = InvalidationReceipt(
                 mode="full",
                 reason="graph-replaced",
                 version_from=old_version if old_version is not None else -1,
                 version_to=graph.version,
+                arena_rows_evicted=self._invalidate_graph_state(),
             )
+            self._last_affected = None
         else:
             receipt = self._consume_delta(graph, old_version)
         self._stamped_graph = graph
@@ -613,7 +666,7 @@ class ExecutionContext:
                     receipt.reason = region.reason
                     region = None
         if region is None:
-            self._invalidate_graph_state()
+            receipt.arena_rows_evicted = self._invalidate_graph_state()
             self._last_affected = None
             return receipt
         receipt.mode = "delta"
@@ -670,8 +723,11 @@ class ExecutionContext:
         """
         return self._last_affected
 
-    def _invalidate_graph_state(self) -> None:
+    def _invalidate_graph_state(self) -> int:
+        """Destroy every piece of graph-bound state; return the arena rows dropped."""
+        dropped = 0
         if self._arena is not None:
+            dropped = self._arena.published()
             self._arena.destroy()
         self._arena = None
         self._arena_attempted = False
@@ -685,6 +741,7 @@ class ExecutionContext:
             # passed straight through run_sharded) would otherwise keep
             # their token and the workers their stale pickled copy.
             self._pool.invalidate_payloads()
+        return dropped
 
     def dependency_arena(
         self, graph: Graph, *, capacity: Optional[int] = None

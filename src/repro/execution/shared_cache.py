@@ -18,9 +18,12 @@ moves the live rows down, in order.
 
 Two backings share that layout:
 
-* **private** — the :class:`~repro.mcmc.estimates.DependencyOracle` cache.
-  The matrix is reserved, not touched, so an unbounded cache (``n`` rows,
-  at most :func:`row_budget`, halved while the reservation fails) costs no
+* **private** — the :class:`~repro.mcmc.estimates.DependencyOracle` cache
+  of an oracle without an arena, and the overflow of one with an arena:
+  only rows a full arena refuses land there, so an arena-attached oracle
+  reserves no private store until the first refusal.  The matrix is
+  reserved, not touched, so an unbounded cache (``n`` rows, at most
+  :func:`row_budget`, halved while the reservation fails) costs no
   ``n × n`` memory up front and never copies to grow.  Below ``n`` rows the
   store evicts its least recently used row: every read stamps its rows with
   a rising tick (the last read of a row wins), and the victim is the row
@@ -29,10 +32,12 @@ Two backings share that layout:
   the multi-chain drivers and warm sessions, in one
   :mod:`multiprocessing.shared_memory` segment behind a process-shared
   lock.  A vector any worker computes is published once (:meth:`put`) and
-  read by every chain (:meth:`get`).  Rows are write-once between
-  compactions: a full arena refuses new rows and the caller keeps the
-  vector privately, so the store degrades to "whatever fits" and never
-  churns.
+  read in place by every chain's oracle, which gathers a run of rows
+  from :attr:`~DependencyStore.slots` and :attr:`~DependencyStore.rows`
+  under :attr:`~DependencyStore.lock` (:meth:`get` copies one row out).
+  Rows are write-once between compactions: a full arena refuses new rows
+  and the caller keeps the vector privately, so the store degrades to
+  "whatever fits" and never churns.
 
 Caching can never change a chain: the kernels are bit-identical per
 source, so a stored row equals the vector its reader would have computed,
@@ -177,9 +182,9 @@ class DependencyStore:
     instead — the persistent runtime shares one lock between its pool and
     its arena, so arena handles can travel by segment name.
 
-    :attr:`slots` and :attr:`rows` are the arrays themselves: readers of a
-    private store index them directly, readers of a shared one call
-    :meth:`get`, which takes the lock.  The process that creates a shared
+    :attr:`slots` and :attr:`rows` are the arrays themselves: readers index
+    them directly, holding :attr:`lock` around a shared store's reads, or
+    call :meth:`get`, which takes it.  The process that creates a shared
     segment owns it and must :meth:`destroy` it; attached workers only
     :meth:`close`.
     """
@@ -256,6 +261,11 @@ class DependencyStore:
     def name(self) -> str:
         """The shared-memory segment name (attach key)."""
         return self._shm.name
+
+    @property
+    def lock(self):
+        """The lock every write holds: process-shared, or a null context for a private store."""
+        return self._lock
 
     def get(self, index: int):
         """Return a copy of the stored vector of CSR source *index*, or ``None``.

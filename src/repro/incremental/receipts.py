@@ -38,6 +38,8 @@ class InvalidationReceipt:
     #: runtime compacts once eviction has spent over half the capacity).
     arena_rows_compacted: int = 0
     payload_entries_evicted: int = 0
+    #: Per warm oracle, summed: the vectors it can no longer / can still
+    #: serve, i.e. the arena rows it reads in place plus its private rows.
     oracle_vectors_evicted: int = 0
     oracle_vectors_retained: int = 0
     chains_continued: int = 0

@@ -12,7 +12,7 @@ vertex, which makes
   for every ``r_i ∈ R`` from a single pass.
 
 The passes run on the CSR kernels of :mod:`repro.shortest_paths`, and the
-cache is one row store (:class:`~repro.execution.shared_cache.DependencyStore`):
+cache is a row store (:class:`~repro.execution.shared_cache.DependencyStore`):
 a matrix of vectors behind a slot table indexed by CSR vertex index.  A
 chain reads its scores in bulk (:meth:`DependencyOracle.dependency_rows`),
 by CSR index (:meth:`DependencyOracle.source_indices` maps the positions
@@ -22,8 +22,15 @@ and 17), so its whole miss set, start state included, goes to the batched
 kernels in one call; they choose the block widths
 (:func:`repro.shortest_paths.batch.source_blocks`) and stream the rows
 straight into the store.  A bounded cache takes the set in
-runs it can hold whole; with a shared store attached the set goes one
-kernel block at a time, each after re-reading the store.
+runs it can hold whole.
+
+With a cross-process arena attached (a warm session's, or a multi-chain
+run's with ``shared_cache=True``) the arena *is* the cache: the oracle
+reads its rows in place, under the arena's lock, and publishes every row
+it computes there, so each warm row is held once however many oracles
+read it.  Only rows a full arena refuses go to a private store, reserved
+on the first refusal.  The miss set then goes one kernel block at a time,
+each after re-reading the arena.
 
 Caching is an implementation choice, not part of the algorithm; benchmark E8
 ablates it.
@@ -56,22 +63,24 @@ class DependencyOracle:
         through :meth:`Graph.csr` and assumes the graph is not mutated while
         the oracle is alive (:meth:`apply_delta` re-binds it after one).
     cache_size:
-        Maximum number of source vertices whose dependency vectors are kept
-        (LRU eviction).  ``0`` disables caching entirely; ``None`` means
-        unbounded.  Past :func:`~repro.execution.shared_cache.row_budget`
-        rows, or where reserving them fails (then halved until it works),
-        the store's capacity is the bound.
+        Maximum number of source vertices whose dependency vectors the
+        private store keeps (LRU eviction).  ``0`` disables caching
+        entirely; ``None`` means unbounded.  Past
+        :func:`~repro.execution.shared_cache.row_budget` rows, or where
+        reserving them fails (then halved until it works), the store's
+        capacity is the bound.  The store is reserved on first use.
     shared_store:
         Optional cross-process
         :class:`~repro.execution.shared_cache.SharedDependencyStore`.  When
-        attached, the oracle consults it between the private cache and the
-        kernels — a vector another worker already published is copied out
-        instead of recomputed — and publishes every vector it computes
-        itself, so one Brandes pass serves every chain of a multi-chain run
-        whatever process it lives in.  Sharing is
-        result-neutral by construction — a published row is bit-identical
-        to what the reader would have computed — so only the pass counters
-        (never a chain) depend on it.
+        attached, the oracle reads its rows in place — a run of hits is one
+        slot gather plus one fancy index under the arena's lock, and no row
+        is copied out to be kept — and publishes every vector it computes
+        there, so one Brandes pass serves every chain of a multi-chain run
+        or query of a warm session, whatever process it lives in.  Only
+        rows the arena refuses (it is full) go to the private store.
+        Sharing is result-neutral by construction — a published row is
+        bit-identical to what the reader would have computed — so only the
+        pass counters (never a chain) depend on it.
     """
 
     def __init__(
@@ -91,24 +100,29 @@ class DependencyOracle:
                 )
         self._shared = shared_store
         self._cache_size = cache_size
-        self._rows = self._new_store()
+        #: The private store (see :meth:`_private`): the cache without an
+        #: arena, the overflow of a full one with it.
+        self._rows: Optional[DependencyStore] = None
         self.evaluations = 0  #: number of Brandes passes actually performed
         self.lookups = 0  #: number of dependency queries answered
         #: Brandes passes performed by :meth:`prefetch` (a subset of
         #: :attr:`evaluations`) — prefetched passes answer no lookup at the
         #: time they run, so :meth:`hit_rate` must not bill them as misses.
         self.prefetch_evaluations = 0
-        #: Vectors served from the cross-process shared store (0 without one).
+        #: Sources served from the cross-process shared store, prefetch
+        #: skips included (0 without one).
         self.shared_hits = 0
 
-    def _new_store(self) -> Optional[DependencyStore]:
+    def _private(self) -> Optional[DependencyStore]:
+        """Return the private store, reserving it on first use (``None`` with caching off)."""
         n = self._csr.number_of_vertices()
-        if not self.cache_enabled or n == 0:
-            return None
+        if self._rows is not None or not self.cache_enabled or n == 0:
+            return self._rows
         capacity = min(self._cache_size or n, n, row_budget(n))
         while True:
             try:
-                return DependencyStore(n, capacity)
+                self._rows = DependencyStore(n, capacity)
+                return self._rows
             except MemoryError:
                 if capacity == 1:
                     raise
@@ -131,11 +145,15 @@ class DependencyOracle:
         return self._shared
 
     def cached_count(self) -> int:
-        """Return the number of dependency vectors in the private cache."""
+        """Return the number of dependency vectors in the private store.
+
+        With an arena attached these are only the rows the arena refused;
+        the rows it holds are read in place and counted there.
+        """
         return 0 if self._rows is None else self._rows.published()
 
     def cached_sources(self) -> list:
-        """Return the source vertices whose vectors the private cache holds."""
+        """Return the source vertices whose vectors the private store holds."""
         vertices = self._csr.vertices
         return [] if self._rows is None else [vertices[i] for i in self._rows.sources().tolist()]
 
@@ -161,29 +179,36 @@ class DependencyOracle:
         vector is bit-identical however it was computed; the kernels stream
         their blocks straight into the store.  With a shared store attached
         each kernel block (:func:`~repro.shortest_paths.batch.source_blocks`)
-        first re-reads it, and every computed vector is published to it.
+        first re-reads it, skipping (and counting in :attr:`shared_hits`)
+        the sources it holds, and every computed vector is published to it.
         Cached and duplicate sources are skipped; a disabled cache makes
-        this a no-op.  A bounded cache of capacity ``C`` fills its free
-        slots, else claims at most ``C // 2``, so the most recently used
-        vector (the chain's current state among them) survives every call.
-        Returns the number of passes (counted in both :attr:`evaluations`
-        and :attr:`prefetch_evaluations`).
+        this a no-op.  Without an arena, a bounded cache of capacity ``C``
+        fills its free slots, else claims at most ``C // 2``, so the most
+        recently used vector (the chain's current state among them)
+        survives every call.  Returns the number of passes (counted in both
+        :attr:`evaluations` and :attr:`prefetch_evaluations`).
         """
-        store = self._rows
-        if store is None:
+        if not self.cache_enabled:
             return 0
         index_of = self._csr.index_of
         wanted = np.fromiter(dict.fromkeys(index_of(s) for s in sources), dtype=np.intp)
-        missing = wanted[store.slots[wanted] < 0]
-        if store.capacity < store.num_vertices:
-            cached = store.published()
-            missing = missing[: max(store.capacity - cached, store.capacity // 2 if cached else 0)]
-        if not len(missing):
-            return 0
-        blocks = source_blocks(self._csr, len(missing)) if self._shared else [(0, len(missing))]
+        if self._shared is not None:
+            private = self._rows
+            missing = wanted if private is None else wanted[private.slots[wanted] < 0]
+            blocks = source_blocks(self._csr, len(missing))
+        else:
+            store = self._private()
+            if store is None:
+                return 0
+            missing = wanted[store.slots[wanted] < 0]
+            capacity = store.capacity
+            if capacity < store.num_vertices:
+                cached = store.published()
+                missing = missing[: max(capacity - cached, capacity // 2 if cached else 0)]
+            blocks = [(0, len(missing))]
         computed = 0
         for begin, end in blocks:
-            pending = self._copy_shared(missing[begin:end])
+            pending = self._unpublished(missing[begin:end])
             if not len(pending):
                 continue
 
@@ -196,32 +221,35 @@ class DependencyOracle:
         self.prefetch_evaluations += computed
         return computed
 
-    def _copy_shared(self, indices: np.ndarray) -> np.ndarray:
-        """Cache the sources the shared store holds; return the rest."""
-        if self._shared is None:
+    def _unpublished(self, indices: np.ndarray) -> np.ndarray:
+        """Return the sources of *indices* the shared store lacks, counting the rest as hits."""
+        shared = self._shared
+        if shared is None:
             return indices
-        pending = []
-        for index in indices.tolist():
-            row = self._shared.get(index)
-            if row is not None:
-                self.shared_hits += 1
-                self._rows.put(index, row)
-            else:
-                pending.append(index)
-        return np.array(pending, dtype=np.intp)
+        with shared.lock:
+            pending = indices[shared.slots[indices] < 0]
+        self.shared_hits += len(indices) - len(pending)
+        return pending
 
     def _keep(self, indices, rows) -> None:
-        """Publish freshly computed rows to the shared store and cache them."""
-        if self._shared is not None:
-            self._shared.put_rows(indices, rows)
-        if self._rows is not None:
-            self._rows.put_rows(indices, rows)
+        """Publish freshly computed rows to the shared store; keep what it refuses privately."""
+        indices = np.asarray(indices, dtype=np.intp)
+        shared = self._shared
+        if shared is not None:
+            if shared.put_rows(indices, rows) == len(indices):
+                return
+            with shared.lock:
+                refused = shared.slots[indices] < 0
+            indices, rows = indices[refused], rows[refused]
+        store = self._private()
+        if store is not None:
+            store.put_rows(indices, rows)
 
     def _vector(self, index: int):
         """Return the dependency array of CSR source *index*: one lookup.
 
-        Private cache first (lock-free), then the shared store (a locked
-        copy, counted in :attr:`shared_hits` and cached privately), then a
+        Private store first (lock-free), then the shared store (a locked
+        one-row copy, counted in :attr:`shared_hits` and not kept), then a
         kernel pass, whose vector is published to the shared store.
         """
         self.lookups += 1
@@ -235,8 +263,6 @@ class DependencyOracle:
             row = self._shared.get(index)
             if row is not None:
                 self.shared_hits += 1
-                if store is not None:
-                    store.put(index, row)
                 return row
         self.evaluations += 1
         # A one-row set, so a recomputed vector is bit-identical to its
@@ -298,11 +324,11 @@ class DependencyOracle:
         to it reads 0.0 without a lookup.
 
         Cached rows are read in runs of hits, one slot gather and one fancy
-        index each; a miss takes the full lookup.  With *prefetch* the
-        misses are computed first by :meth:`prefetch`: unbounded, the whole
-        deduplicated miss set in one call; bounded, in runs the cache holds
-        whole (:meth:`_prefetch_run`), so no prefetched row is evicted
-        before its run reads it.
+        index each (:meth:`_read_hits`); a miss takes the full lookup.  With
+        *prefetch* the misses are computed first by :meth:`prefetch`:
+        unbounded, the whole deduplicated miss set in one call; bounded, in
+        runs the cache holds whole (:meth:`_prefetch_run`), so no
+        prefetched row is evicted before its run reads it.
         """
         if skip_self_lookups and len(targets) != 1:
             raise ConfigurationError("skip_self_lookups needs exactly one target")
@@ -327,47 +353,58 @@ class DependencyOracle:
         values = np.empty((len(src), len(cols)))
         begin = 0
         while begin < len(src):
-            end = len(src)
-            if prefetch and self._rows is not None:
-                end = self._prefetch_run(src, begin)
+            end = self._prefetch_run(src, begin) if prefetch and self.cache_enabled else len(src)
             while begin < end:
-                begin = self._read_hits(src, begin, end, cols, values)
-                if begin < end:
+                stop = self._read_hits(src, begin, end, cols, values)
+                if stop == begin:
                     values[begin] = self._vector(int(src[begin]))[cols]
-                    begin += 1
+                    stop += 1
+                begin = stop
         return values
 
     def _read_hits(self, src, begin: int, end: int, cols, values) -> int:
-        """Read ``src[begin:end]`` up to its first miss; return where the reads stopped."""
-        store = self._rows
-        if store is None:
-            return begin
-        slots = store.slots[src[begin:end]]
-        misses = np.flatnonzero(slots < 0)
-        if len(misses):
-            slots = slots[: misses[0]]
-        stop = begin + len(slots)
-        values[begin:stop] = store.rows[slots[:, None], cols]
-        store.touch(slots)
-        self.lookups += len(slots)
-        return stop
+        """Read ``src[begin:end]`` up to its first miss; return where the reads stopped.
+
+        The shared store first, then the private one: a run of hits in
+        either is one slot gather plus one fancy index, in place.  The
+        shared store's lock is held for that gather only, so a concurrent
+        compaction never moves a row under it.
+        """
+        for store in (self._shared, self._rows):
+            if store is None:
+                continue
+            with store.lock:
+                slots = store.slots[src[begin:end]]
+                misses = np.flatnonzero(slots < 0)
+                if len(misses):
+                    slots = slots[: misses[0]]
+                values[begin : begin + len(slots)] = store.rows[slots[:, None], cols]
+            if len(slots):
+                store.touch(slots)
+                self.lookups += len(slots)
+                if store is self._shared:
+                    self.shared_hits += len(slots)
+                return begin + len(slots)
+        return begin
 
     def _prefetch_run(self, src: np.ndarray, begin: int) -> int:
         """Prefetch the run of *src* from *begin* and return where it ends.
 
-        Unbounded, the run is every remaining source.  Bounded, it ends
-        before its distinct sources outnumber the capacity or its misses the
-        allowance (free slots, else half the capacity, at least one), and
-        its cached sources are touched first, so storing its misses evicts
-        only vectors it does not read.
+        With a shared store, or an unbounded private one, the run is every
+        remaining source.  Bounded, it ends before its distinct sources
+        outnumber the capacity or its misses the allowance (free slots,
+        else half the capacity, at least one), and its cached sources are
+        touched first, so storing its misses evicts only vectors it does
+        not read.
         """
-        store = self._rows
+        store = self._shared if self._shared is not None else self._private()
         slots = store.slots
         vertices = self._csr.vertices
         capacity = store.capacity
-        if capacity == store.num_vertices:
+        if store is self._shared or capacity == store.num_vertices:
             rest = src[begin:]
-            missing = rest[slots[rest] < 0]
+            with store.lock:
+                missing = rest[slots[rest] < 0]
             if len(missing):
                 self.prefetch([vertices[i] for i in missing.tolist()])
             return len(src)
@@ -402,7 +439,10 @@ class DependencyOracle:
         affected ones are tombstoned and the store compacted at once.  The
         caller guarantees the vertex set is unchanged (vertex ops take the
         full path upstream); should it change anyway, every vector is
-        dropped.  Returns ``(evicted, retained)``; counters survive.
+        dropped.  Returns the private store's ``(evicted, retained)``; the
+        shared store's rows are its owner's to evict
+        (:meth:`repro.execution.runtime.ExecutionContext.refresh` does it
+        under the store's lock).  Counters survive.
         """
         new_csr = self._graph.csr()
         if self._shared is not None and self._shared.num_vertices != new_csr.number_of_vertices():
@@ -417,7 +457,7 @@ class DependencyOracle:
             return 0, 0
         if tuple(new_csr.vertices) != tuple(old_vertices):
             evicted = store.published()
-            self._rows = self._new_store()
+            self._rows = None
             return evicted, 0
         evicted = store.invalidate_sources(np.flatnonzero(affected_mask))
         store.compact()

@@ -23,6 +23,7 @@ from repro.errors import ConfigurationError, GraphStructureError
 from repro.execution import ExecutionPlan
 from repro.execution.shared_cache import shared_memory_available
 from repro.graphs import barabasi_albert_graph, barbell_graph
+from repro.mcmc import JointSpaceMHSampler, SingleSpaceMHSampler
 
 JOBS_GRID = (1, 2, 4)
 
@@ -222,6 +223,69 @@ class TestGraphMutation:
             graph.remove_edge(4, 5)
             with pytest.raises(GraphStructureError):
                 session.estimate(4, method="mh", samples=20, seed=1)
+
+
+@pytest.mark.skipif(
+    not shared_memory_available(),
+    reason="arena assertions need working shared memory",
+)
+class TestEachWarmRowHeldOnce:
+    """A warm oracle reads the session arena in place: it keeps a row
+    privately only when the arena refuses it."""
+
+    def test_oracles_keep_no_private_rows_beside_the_arena(self, graph):
+        hub, other = graph.vertices()[0], graph.vertices()[7]
+        # The sources a cold run touches: each cold call's private oracle.
+        single, joint = SingleSpaceMHSampler(), JointSpaceMHSampler()
+        cold_single, cold_joint = single.build_oracle(graph), joint.build_oracle(graph)
+        single.estimate(graph, hub, 60, seed=11, oracle=cold_single)
+        joint.estimate_relative(graph, [hub, other, 3], 80, seed=5, oracle=cold_joint)
+        unique = set(cold_single.cached_sources()) | set(cold_joint.cached_sources())
+        with BetweennessSession(graph) as session:
+            session.estimate(hub, method="mh", samples=60, seed=11)
+            session.relative([hub, other, 3], samples=80, seed=5)
+            oracles = list(session._oracles.values())
+            arena = session.context.dependency_arena(graph)
+            assert len(oracles) == 2
+            assert [oracle.cached_count() for oracle in oracles] == [0, 0]
+            assert session.stats()["oracle_private_rows"] == 0
+            assert arena.published() == len(unique)
+            csr = graph.csr()
+            assert {csr.vertices[i] for i in arena.sources().tolist()} == unique
+
+    def test_full_arena_overflows_into_the_private_store(self, graph):
+        cold = _cold_workload(graph)
+        with BetweennessSession(graph, arena_capacity=3) as session:
+            warm = _warm_workload(session)
+            arena = session.stats()["context"]["arena"]
+            private_rows = session.stats()["oracle_private_rows"]
+            published = set(session.context.dependency_arena(graph).sources().tolist())
+            csr = graph.csr()
+            for oracle in session._oracles.values():
+                private = {csr.index_of(v) for v in oracle.cached_sources()}
+                assert private and private.isdisjoint(published)
+        _assert_workloads_identical(warm, cold)
+        assert arena["published"] == 3 and arena["full"]
+        assert private_rows > 0
+
+    def test_mutate_then_query_after_compaction_matches_cold(self, graph):
+        hub = graph.vertices()[0]
+        leaf = graph.vertices()[-1]
+        with BetweennessSession(graph, arena_capacity=8) as session:
+            session.estimate(hub, method="mh", samples=60, seed=11)
+            assert session.stats()["context"]["arena"]["full"]
+            graph.add_edge(hub, leaf)
+            receipt = session.refresh_warm_state()
+            assert receipt.mode == "delta", receipt.reason
+            assert receipt.arena_rows_compacted > 0
+            warm = session.estimate(hub, method="mh", samples=60, seed=11)
+            warm_rel = session.relative([hub, leaf, 3], samples=80, seed=5)
+        cold_graph = barabasi_albert_graph(40, 2, seed=3)
+        cold_graph.add_edge(hub, leaf)
+        cold = betweenness_single(cold_graph, hub, method="mh", samples=60, seed=11)
+        cold_rel = relative_betweenness(cold_graph, [hub, leaf, 3], samples=80, seed=5)
+        assert warm.estimate == cold.estimate
+        assert warm_rel.ratios == cold_rel.ratios
 
 
 class TestSessionSurface:
