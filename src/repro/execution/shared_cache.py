@@ -57,6 +57,7 @@ caches.
 from __future__ import annotations
 
 import contextlib
+import functools
 import multiprocessing
 import os
 import warnings
@@ -154,11 +155,18 @@ def _attach(name: str):
 def row_budget(num_vertices: int) -> int:
     """Return how many rows of *num_vertices* floats fit in half the memory.
 
-    The memory is the physical memory, or the cgroup's limit where lower.
+    The memory is the physical memory, or the cgroup's limit where lower,
+    read once per process (:func:`_memory_bytes`): every store construction
+    asks, and the answer does not change while the process runs.
     This is the most rows a private store reserves: an unbounded cache
     holding more would exhaust the machine long before it filled, so past
     this budget it evicts its least recently used rows instead.
     """
+    return max(1, _memory_bytes() // 2 // (8 * num_vertices))
+
+
+@functools.lru_cache(maxsize=None)
+def _memory_bytes() -> int:
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # pragma: no cover - no sysconf
@@ -167,7 +175,7 @@ def row_budget(num_vertices: int) -> int:
     for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
         with contextlib.suppress(OSError, ValueError), open(path) as handle:
             memory = min(memory, int(handle.read()))
-    return max(1, memory // 2 // (8 * num_vertices))
+    return memory
 
 
 class DependencyStore:

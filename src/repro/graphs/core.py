@@ -155,8 +155,9 @@ class Graph:
         self._num_edges = 0
         self._csr: Optional["CSRGraph"] = None
         # Last built CSR snapshot retained across a mutation, with the
-        # version it was built at, so a weight-only delta can patch it in
-        # place instead of paying a full O(m) rebuild (see :meth:`csr`).
+        # version it was built at, so the next snapshot can splice the
+        # journal window into it instead of paying a full O(m) Python
+        # rebuild (see :meth:`csr`).
         self._stale_csr: Optional[Tuple["CSRGraph", int]] = None
         self._version = 0
         # Bounded change journal: (version_after, GraphDelta) records, the
@@ -227,7 +228,11 @@ class Graph:
         per batch, full per-edge detail for delta-scoped consumers.
         """
         if self._csr is not None:
-            self._stale_csr = (self._csr, self._version)
+            # A snapshot read inside a batch that has already bumped sits
+            # mid-version: its stamp cannot say which of the batch's records
+            # it has seen, so it is no base for a journal replay.
+            mid_batch = self._batch_depth > 0 and self._batch_bumped
+            self._stale_csr = None if mid_batch else (self._csr, self._version)
             self._csr = None
         if self._batch_depth > 0:
             if not self._batch_bumped:
@@ -618,7 +623,10 @@ class Graph:
         The snapshot is built lazily on first call and re-used until the next
         mutating operation (``add_vertex`` / ``add_edge`` / ``remove_edge`` /
         ``remove_vertex``), which drops the cache; see
-        :mod:`repro.graphs.csr` for the immutability contract.
+        :mod:`repro.graphs.csr` for the immutability contract.  After edge
+        mutations the next snapshot splices the journal window into the
+        dropped one (:meth:`CSRGraph.patched`); vertex deltas and journal
+        overflow rebuild it from the adjacency.
         """
         if self._csr is None:
             from repro.graphs.csr import CSRGraph
@@ -627,14 +635,8 @@ class Graph:
             if self._stale_csr is not None:
                 base, base_version = self._stale_csr
                 deltas = self.journal_since(base_version)
-                if deltas and all(d.kind == "weight-changed" for d in deltas):
-                    # Weight-only drift: the structure (and therefore the
-                    # indptr/indices arrays) is unchanged since the retained
-                    # snapshot, so patch the weights in place of a full
-                    # O(m) rebuild.  Equivalent bit-for-bit to from_graph:
-                    # updating an existing dict key preserves adjacency
-                    # order, so a rebuild would produce the same arrays.
-                    snapshot = base.patched((d.u, d.v, d.weight) for d in deltas)
+                if deltas and not any(d.touches_vertices for d in deltas):
+                    snapshot = base.patched(deltas)
             self._stale_csr = None
             if snapshot is None:
                 snapshot = CSRGraph.from_graph(self)

@@ -167,60 +167,106 @@ class CSRGraph:
             weighted=graph.weighted,
         )
 
-    def patched(self, updates) -> "CSRGraph":
-        """Return a new snapshot with the given weight-only *updates* applied.
+    def patched(self, deltas) -> "CSRGraph":
+        """Return a new snapshot with a journal window's edge *deltas* applied.
 
-        *updates* yields ``(u, v, weight)`` triples over existing edges
-        (vertex labels, not indices).  The structure is untouched, so the
-        returned snapshot **shares** this snapshot's ``indptr`` / ``indices``
-        arrays and vertex mapping and only copies the O(m) weights array —
-        the delta-scoped alternative to the full :meth:`from_graph` rebuild
-        when a mutation journal shows nothing but weight changes.  Both
-        directions of an undirected edge are patched.  The result is
-        byte-identical to a fresh ``from_graph`` on the mutated graph
-        (updating an existing adjacency key preserves dict order).
+        *deltas* are the :class:`~repro.graphs.core.GraphDelta` records of
+        one journal window, oldest first, with no vertex record among them
+        (a vertex delta changes the index space: rebuild with
+        :meth:`from_graph`).  They are replayed in order on the touched rows
+        only, each starting from its slice of this snapshot, exactly as the
+        dict adjacency applied them: an added edge appends at the row's
+        end, a removal deletes in place and a weight change rewrites in
+        place, in both rows of an undirected edge.  So the result is
+        byte-identical to ``from_graph`` on the mutated graph — the
+        delta-scoped alternative to that O(m) Python rebuild.
+
+        A weight-only window **shares** this snapshot's ``indptr`` /
+        ``indices`` arrays and only copies the weights.  An edge delta
+        rebuilds the three arrays in one O(n + m) numpy pass.  Either way
+        the vertex mapping is shared.
 
         Raises
         ------
         EdgeNotFoundError
-            If an update names an edge absent from the snapshot.
+            If a removal or weight change names an edge absent from the
+            snapshot.
+        ValueError
+            On a vertex delta.
         """
         from repro.errors import EdgeNotFoundError
 
-        weights = self.weights.copy()
-        for u, v, weight in updates:
-            patched_any = False
-            ui = self._index_of.get(u)
-            vi = self._index_of.get(v)
-            if ui is not None and vi is not None:
-                start, stop = int(self.indptr[ui]), int(self.indptr[ui + 1])
-                hits = np.nonzero(self.indices[start:stop] == vi)[0]
-                if hits.size:
-                    weights[start + hits] = float(weight)
-                    patched_any = True
-                if not self.directed:
-                    start, stop = int(self.indptr[vi]), int(self.indptr[vi + 1])
-                    back = np.nonzero(self.indices[start:stop] == ui)[0]
-                    if back.size:
-                        weights[start + back] = float(weight)
-            if not patched_any:
-                raise EdgeNotFoundError(u, v)
+        rows: Dict[int, Tuple[list, list]] = {}
+        structural = False
+        for delta in deltas:
+            if delta.touches_vertices:
+                raise ValueError("a vertex delta changes the index space; use from_graph")
+            structural = structural or delta.structural
+            ui = self._index_of.get(delta.u)
+            vi = self._index_of.get(delta.v)
+            if ui is None or vi is None:
+                raise EdgeNotFoundError(delta.u, delta.v)
+            for a, b in ((ui, vi),) if self.directed else ((ui, vi), (vi, ui)):
+                row = rows.get(a)
+                if row is None:
+                    start, stop = self.indptr[a], self.indptr[a + 1]
+                    row = rows[a] = (
+                        self.indices[start:stop].tolist(),
+                        self.weights[start:stop].tolist(),
+                    )
+                nbrs, weights = row
+                if delta.kind == "edge-added":
+                    nbrs.append(b)
+                    weights.append(float(delta.weight))
+                    continue
+                try:
+                    at = nbrs.index(b)
+                except ValueError:
+                    raise EdgeNotFoundError(delta.u, delta.v) from None
+                if delta.kind == "edge-removed":
+                    del nbrs[at], weights[at]
+                else:
+                    weights[at] = float(delta.weight)
         clone = CSRGraph.__new__(CSRGraph)
-        clone.indptr = self.indptr
-        clone.indices = self.indices
-        clone.weights = weights
         clone.directed = self.directed
         clone.weighted = self.weighted
         clone._vertices = self._vertices
         clone._index_of = self._index_of
         clone._scipy_forward = None
         clone._scipy_backward = None
-        clone._spmm_ok = self._spmm_ok
-        # The pair view caches weights, which this clone just changed.
+        # The pair view caches weights, which this clone may have changed.
         clone._dijkstra_adj = None
-        # Same structure, so the observed hop rounds stay a fair estimate
-        # for the depth gate (a speed choice only).
-        clone._sweep_rounds = self._sweep_rounds
+        touched = sorted(rows)
+        if not structural:
+            clone.indptr = self.indptr
+            clone.indices = self.indices
+            clone.weights = self.weights.copy()
+            for a in touched:
+                clone.weights[self.indptr[a] : self.indptr[a + 1]] = rows[a][1]
+            # Same structure, so the depth verdict holds and the observed
+            # hop rounds stay a fair estimate for the depth gate.
+            clone._spmm_ok = self._spmm_ok
+            clone._sweep_rounds = self._sweep_rounds
+            return clone
+        degrees = self.indptr[1:] - self.indptr[:-1]
+        degrees[touched] = [len(rows[a][0]) for a in touched]
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(degrees, out=indptr[1:])
+        # Untouched runs of rows move as whole slices between the new rows.
+        index_parts, weight_parts = [], []
+        begin = 0
+        for a in touched:
+            old, stop = self.indptr[begin], self.indptr[a]
+            index_parts += [self.indices[old:stop], np.array(rows[a][0], dtype=np.int64)]
+            weight_parts += [self.weights[old:stop], np.array(rows[a][1], dtype=np.float64)]
+            begin = a + 1
+        index_parts.append(self.indices[self.indptr[begin] :])
+        weight_parts.append(self.weights[self.indptr[begin] :])
+        clone.indptr = indptr
+        clone.indices = np.concatenate(index_parts)
+        clone.weights = np.concatenate(weight_parts)
+        clone._spmm_ok = None
+        clone._sweep_rounds = None
         return clone
 
     # ------------------------------------------------------------------

@@ -291,7 +291,10 @@ def bfs_spd_batch_csr(
     sigma = root_sigma
     levels: List[BatchLevel] = []
     level = 0.0
-    while frontier_keys.size:
+    # Keys reached so far: once all k * n are, the next level can find
+    # nothing, so it is not expanded.
+    reached = k
+    while frontier_keys.size and reached < k * n:
         if cutoff is not None and level + 1.0 > cutoff:
             break
         counts = indptr[frontier_verts + 1] - indptr[frontier_verts]
@@ -348,6 +351,7 @@ def bfs_spd_batch_csr(
             child_cid, weights=sigma[parent_cid], minlength=int(next_keys.shape[0])
         )
         visited[next_keys] = True
+        reached += int(next_keys.shape[0])
         levels.append(BatchLevel(parent_cid, child_cid, next_keys, next_sigma))
         frontier_keys = next_keys
         frontier_verts = next_keys % n
@@ -387,25 +391,27 @@ def accumulate_dependencies_batch_csr(batch: BatchedSPD, out=None):
     k = len(batch)
     n = batch.csr.number_of_vertices()
     levels = batch.levels
-    # deltas[L] is the compact dependency array of level L's frontier
-    # (deltas[0] belongs to the roots, the deepest level has no children).
-    sigmas = [batch.root_sigma] + [record.sigma for record in levels]
-    deltas = [None] * len(levels) + [np.zeros(sigmas[-1].shape[0])]
-    for depth in range(len(levels) - 1, -1, -1):
-        record = levels[depth]
-        coeff = (deltas[depth + 1] + 1.0) * (1.0 / record.sigma)
-        deltas[depth] = (
-            np.bincount(
-                record.parent_cid,
-                weights=coeff[record.child_cid],
-                minlength=sigmas[depth].shape[0],
-            )
-            * sigmas[depth]
-        )
     delta = np.zeros(k * n)
-    # Roots carry delta 0 by definition, so only the deeper levels scatter.
-    for depth, record in enumerate(levels, start=1):
-        delta[record.frontier_keys] = deltas[depth]
+    if levels:
+        # level_delta is the compact dependency array of levels[depth]'s
+        # frontier; the deepest level has no children.  Roots carry delta 0
+        # by definition, so the edges into levels[0], which would only
+        # credit the roots, are never summed.
+        level_delta = np.zeros(levels[-1].sigma.shape[0])
+        for depth in range(len(levels) - 1, 0, -1):
+            record = levels[depth]
+            delta[record.frontier_keys] = level_delta
+            parent_sigma = levels[depth - 1].sigma
+            coeff = (level_delta + 1.0) * (1.0 / record.sigma)
+            level_delta = (
+                np.bincount(
+                    record.parent_cid,
+                    weights=coeff[record.child_cid],
+                    minlength=parent_sigma.shape[0],
+                )
+                * parent_sigma
+            )
+        delta[levels[0].frontier_keys] = level_delta
     delta = delta.reshape(k, n)
     if out is not None:
         for row in delta:
@@ -448,12 +454,17 @@ def _batch_dependencies_spmm(csr: "CSRGraph", src, out):
     # One dense bool mask per level; bounded by the _SPMM_MAX_DEPTH gate, so
     # the footprint never exceeds a few dense buffers.
     level_masks = []
-    while True:
+    # (vertex, column) pairs reached so far: once all n * k are, the next
+    # product can find nothing, so it is not run.
+    reached = k
+    while reached < n * k:
         contrib = forward @ frontier
         np.greater(contrib, 0.0, out=fresh)
         fresh &= ~visited
-        if not fresh.any():
+        found = int(np.count_nonzero(fresh))
+        if not found:
             break
+        reached += found
         visited |= fresh
         np.copyto(sig, contrib, where=fresh)
         # Zero everything but the new level in place: `contrib` becomes the
@@ -464,20 +475,20 @@ def _batch_dependencies_spmm(csr: "CSRGraph", src, out):
     delta = np.zeros((n, k))
     inverse_sigma = np.zeros((n, k))
     np.divide(1.0, sig, out=inverse_sigma, where=sig > 0.0)
-    roots = np.zeros((n, k), dtype=bool)
-    roots[src, cols] = True
     coeff = np.empty((n, k))
-    for depth in range(len(level_masks) - 1, -1, -1):
+    # Level 0's products would only credit the roots, whose dependency is
+    # 0 by definition, so the sweep stops at level 1 and the roots keep
+    # the 0.0 they start with.
+    for depth in range(len(level_masks) - 1, 0, -1):
         # coeff = (1 + delta) / sigma, masked to the level's children.
         np.add(delta, 1.0, out=coeff)
         coeff *= inverse_sigma
         np.multiply(coeff, level_masks[depth], out=coeff)
         spread = backward @ coeff
-        # Credit the DAG parents (one level up; the roots for level 0).
+        # Credit the DAG parents, one level up.
         spread *= sig
-        np.multiply(spread, level_masks[depth - 1] if depth > 0 else roots, out=spread)
+        np.multiply(spread, level_masks[depth - 1], out=spread)
         delta += spread
-    delta[src, cols] = 0.0
     if out is not None:
         for column in range(k):
             out += delta[:, column]

@@ -4,7 +4,8 @@ Covers the mutation path end to end:
 
 * the typed change journal of :class:`repro.graphs.core.Graph` (records,
   batching, overflow, pickling);
-* :meth:`repro.graphs.csr.CSRGraph.patched` (weight-only snapshot patching);
+* :meth:`repro.graphs.csr.CSRGraph.patched` (journal windows spliced into
+  the previous snapshot, checked against a rebuild over random edit scripts);
 * :mod:`repro.incremental` — the affected-source rule, its fallbacks, and
   the biconnected helpers;
 * the hypothesis property that the affected region is a **superset** of
@@ -143,7 +144,7 @@ class TestChangeJournal:
 
 
 # ----------------------------------------------------------------------
-# Weight-only snapshot patching
+# Snapshot patching: weight-only windows and edge splices
 # ----------------------------------------------------------------------
 class TestPatchedSnapshot:
     def _weighted_path(self):
@@ -163,7 +164,7 @@ class TestPatchedSnapshot:
         rebuilt = CSRGraph.from_graph(g)
         assert np.array_equal(after.weights, rebuilt.weights)
 
-    def test_structural_mutation_rebuilds(self):
+    def test_edge_mutation_splices_new_structure(self):
         g = self._weighted_path()
         before = g.csr()
         g.add_edge(0, 8, weight=5.0)
@@ -174,7 +175,145 @@ class TestPatchedSnapshot:
     def test_patched_rejects_absent_edge(self):
         csr = self._weighted_path().csr()
         with pytest.raises(EdgeNotFoundError):
-            csr.patched([(0, 7, 1.0)])
+            csr.patched([GraphDelta("weight-changed", u=0, v=7, weight=1.0)])
+
+    def test_removing_an_absent_edge_raises(self):
+        csr = self._weighted_path().csr()
+        with pytest.raises(EdgeNotFoundError):
+            csr.patched([GraphDelta("edge-removed", u=0, v=7, old_weight=1.0)])
+
+    def test_patched_refuses_vertex_deltas(self):
+        csr = self._weighted_path().csr()
+        with pytest.raises(ValueError):
+            csr.patched([GraphDelta("vertex-added", u=99)])
+
+    def test_edge_window_splices_without_a_rebuild(self, monkeypatch):
+        g = self._weighted_path()
+        before = g.csr()
+        rebuild = CSRGraph.from_graph
+        monkeypatch.setattr(CSRGraph, "from_graph", _refuse_rebuild)
+        with g.batch_mutations():
+            g.remove_edge(2, 3)
+            g.add_edge(0, 5, weight=2.5)
+        after = g.csr()
+        assert after.vertices is before.vertices
+        _assert_same_snapshot(after, rebuild(g))
+
+    def test_readded_edge_comes_back_at_the_row_end(self):
+        g = path_graph(5)
+        g.csr()
+        g.remove_edge(1, 2)
+        g.add_edge(1, 2)
+        csr = g.csr()
+        assert csr.neighbors_of(csr.index_of(1)).tolist()[-1] == csr.index_of(2)
+        assert csr.neighbors_of(csr.index_of(2)).tolist()[-1] == csr.index_of(1)
+        _assert_same_snapshot(csr, CSRGraph.from_graph(g))
+
+    def test_vertex_delta_rebuilds(self):
+        g = self._weighted_path()
+        g.csr()
+        builds = _count_rebuilds(g, lambda: g.add_edge(0, 99, weight=1.0))
+        assert builds == 1
+
+    def test_journal_overflow_rebuilds(self):
+        g = self._weighted_path()
+        g.csr()
+
+        def churn():
+            for _ in range(JOURNAL_LIMIT // 2 + 1):
+                g.remove_edge(0, 1)
+                g.add_edge(0, 1, weight=1.0)
+
+        assert _count_rebuilds(g, churn) == 1
+
+    def test_snapshot_read_inside_a_batch_is_no_splice_base(self):
+        # The mid-batch snapshot has seen the first record of the batch's
+        # version but not the second, so a later window must not be
+        # replayed onto it.
+        g = self._weighted_path()
+        g.csr()
+        with g.batch_mutations():
+            g.add_edge(0, 1, weight=7.0)
+            g.csr()
+            g.remove_edge(1, 2)
+        g.add_edge(2, 3, weight=11.0)
+        _assert_same_snapshot(g.csr(), CSRGraph.from_graph(g))
+
+
+def _refuse_rebuild(graph):
+    raise AssertionError("the snapshot was rebuilt instead of spliced")
+
+
+def _count_rebuilds(g, mutate) -> int:
+    """Run *mutate* then ``g.csr()``, counting the ``from_graph`` rebuilds."""
+    calls = []
+    rebuild = CSRGraph.from_graph
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CSRGraph, "from_graph", lambda graph: calls.append(1) or rebuild(graph))
+        mutate()
+        spliced = g.csr()
+    _assert_same_snapshot(spliced, rebuild(g))
+    return len(calls)
+
+
+def _assert_same_snapshot(csr, expected):
+    assert csr.vertices == expected.vertices
+    for name in ("indptr", "indices", "weights"):
+        assert np.array_equal(getattr(csr, name), getattr(expected, name)), name
+
+
+#: One edit of a splice script: an op code, two endpoints over 8 vertices
+#: and a weight.  Op 0 toggles the edge, op 1 re-weights it (adding it when
+#: absent), op 2 removes and re-adds it (adding it when absent).
+_edits = st.tuples(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from([0.5, 1.0, 2.0, 3.5]),
+).filter(lambda e: e[1] != e[2])
+
+
+class TestSpliceProperty:
+    @given(
+        directed=st.booleans(),
+        weighted=st.booleans(),
+        base=st.lists(_edits, max_size=20),
+        windows=st.lists(
+            st.tuples(st.lists(_edits, min_size=1, max_size=6), st.booleans()),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_spliced_snapshot_equals_a_rebuild(self, directed, weighted, base, windows):
+        # Each window runs in one batch_mutations() block; windows whose
+        # flag is False are not read, so the next read splices several
+        # windows at once.  Every read must equal a from-scratch build,
+        # and none may rebuild: no window adds or removes a vertex.
+        g = Graph(directed=directed, weighted=weighted)
+        g.add_vertices_from(range(8))
+        for _, u, v, w in base:
+            g.add_edge(u, v, w)
+        g.csr()
+        rebuild = CSRGraph.from_graph
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CSRGraph, "from_graph", _refuse_rebuild)
+            for edits, read in windows:
+                with g.batch_mutations():
+                    for op, u, v, w in edits:
+                        present = g.has_edge(u, v)
+                        if op == 0 and present:
+                            g.remove_edge(u, v)
+                        elif op == 2 and present:
+                            g.remove_edge(u, v)
+                            g.add_edge(u, v, w)
+                        else:
+                            g.add_edge(u, v, w)
+                if read:
+                    _assert_same_snapshot(g.csr(), rebuild(g))
+            _assert_same_snapshot(g.csr(), rebuild(g))
 
 
 # ----------------------------------------------------------------------
