@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro import betweenness_exact, load_dataset, relative_betweenness
 from repro.graphs import Graph
 from repro.graphs.utils import random_vertex
-from repro.shortest_paths import bfs_distances
+from repro.shortest_paths import bfs_distances_csr
 
 SEED = 23
 SAMPLES = 3000
@@ -31,8 +31,9 @@ HOP_BUDGET = 2
 
 def reachable_within(graph: Graph, start, hops: int) -> int:
     """Number of vertices reachable from *start* in at most *hops* hops."""
-    distances = bfs_distances(graph, start)
-    return sum(1 for d in distances.values() if 0 < d <= hops)
+    csr = graph.csr()
+    dist, _ = bfs_distances_csr(csr, csr.index_of(start))
+    return int(((dist > 0) & (dist <= hops)).sum())
 
 
 def main() -> None:

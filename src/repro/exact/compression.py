@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.graphs.core import Graph, Vertex
-from repro.shortest_paths.dependencies import spd_builder
+from repro.graphs.csr import np
+from repro.shortest_paths.dependencies import csr_spd_builder
 
 __all__ = ["CompressedGraph", "compress_degree_one", "betweenness_with_compression"]
 
@@ -122,26 +123,28 @@ def _weighted_core_betweenness(compressed: CompressedGraph) -> Dict[Vertex, floa
     between* source and target representatives receive credit here; the
     endpoints' own credit comes from the tree corrections.
     """
-    core = compressed.graph
-    mult = compressed.multiplicity
-    build = spd_builder(core)
-    raw: Dict[Vertex, float] = {v: 0.0 for v in core.vertices()}
-    for s in core.vertices():
-        spd = build(core, s)
-        delta: Dict[Vertex, float] = {v: 0.0 for v in spd.order}
-        for w in reversed(spd.order):
-            coefficient = (mult[w] + delta[w]) / spd.sigma[w]
-            for v in spd.predecessors.get(w, []):
-                delta[v] += spd.sigma[v] * coefficient
-        for v in spd.order:
-            if v != s:
-                raw[v] += mult[s] * delta[v]
+    csr = compressed.graph.csr()
+    mult = [compressed.multiplicity[v] for v in csr.vertices]
+    build = csr_spd_builder(csr)
+    raw = np.zeros(csr.number_of_vertices())
+    for s in range(csr.number_of_vertices()):
+        spd = build(csr, s)
+        sig = spd.sig.tolist()
+        ptr = spd.pred_indptr.tolist()
+        parents = spd.pred_indices.tolist()
+        delta = [0.0] * len(sig)
+        for w in reversed(spd.order_indices.tolist()):
+            coefficient = (mult[w] + delta[w]) / sig[w]
+            for v in parents[ptr[w] : ptr[w + 1]]:
+                delta[v] += sig[v] * coefficient
         # ``delta[v]`` for v != s now counts, with weight mult[w], the pair
         # dependencies of all targets w != s on v — including w's folded
         # vertices.  Multiplying by mult[s] extends it to all folded sources.
         # The source representative s itself must not be credited here (it is
-        # an endpoint for these pairs), hence the ``v != s`` guard.
-    return raw
+        # an endpoint for these pairs), hence the zeroed source entry.
+        delta[s] = 0.0
+        raw += mult[s] * np.asarray(delta)
+    return dict(zip(csr.vertices, raw.tolist()))
 
 
 def _pendant_corrections(compressed: CompressedGraph) -> Dict[Vertex, float]:

@@ -187,22 +187,41 @@ def group_betweenness_centrality(
     return total
 
 
+def _dag_paths_from(start: int, order, ptr, parents) -> List[float]:
+    """Per vertex index, the number of DAG paths that start at index *start*.
+
+    The DAG is given as lists: *order* its traversal order, *ptr* /
+    *parents* its predecessor lists in CSR layout.  One forward pass in
+    traversal order: a vertex's count is the sum of its parents' counts.
+    The counts are exact integers.
+    """
+    counts = [0.0] * (len(ptr) - 1)
+    counts[start] = 1.0
+    for t in order:
+        lo, hi = ptr[t], ptr[t + 1]
+        if lo != hi and t != start:
+            total = 0.0
+            for p in parents[lo:hi]:
+                total += counts[p]
+            counts[t] = total
+    return counts
+
+
 def co_betweenness_centrality(
     graph: Graph, group: Iterable[Vertex], *, normalized: bool = True
 ) -> float:
     """Return the co-betweenness centrality of *group*.
 
     Counts, over ordered pairs (s, t) outside the group, the fraction of
-    shortest s-t paths whose interior contains **every** group member.  The
-    implementation enumerates interior membership exactly via per-member
-    path counts on small groups (|group| <= 2 uses the closed form; larger
-    groups fall back to explicit path enumeration, which is exponential and
-    intended for the small graphs used in examples and tests).
+    shortest s-t paths whose interior contains **every** group member.
+    A path through every member meets them in order of distance from *s*,
+    so on the SPD rooted at *s* the count is ``sigma_s(m_1) * prod N(m_i ->
+    m_{i+1}) * N(m_k -> t)`` with the members sorted by distance and ``N``
+    the DAG path counts; two members at equal distance give 0.  The counts
+    are exact integers, so each pair's fraction is exact path counting.
     """
     members = _validate_group(graph, group)
-    member_set = set(members)
     n = graph.number_of_vertices()
-    total = 0.0
     if len(members) == 1:
         # Degenerates to ordinary betweenness of the single member.
         from repro.exact.single_vertex import betweenness_of_vertex
@@ -210,18 +229,32 @@ def co_betweenness_centrality(
         score = betweenness_of_vertex(graph, members[0], normalization="paper")
         return score if normalized else score * n * (n - 1)
 
-    from repro.shortest_paths.bidirectional import all_shortest_paths
-
-    vertices = [v for v in graph.vertices() if v not in member_set]
-    for s in vertices:
-        for t in vertices:
-            if s == t:
-                continue
-            paths = all_shortest_paths(graph, s, t)
-            if not paths:
-                continue
-            passing = sum(1 for path in paths if member_set.issubset(path[1:-1]))
-            total += passing / len(paths)
+    csr = graph.csr()
+    member_index = [csr.index_of(m) for m in members]
+    outside = np.ones(csr.number_of_vertices(), dtype=bool)
+    outside[member_index] = False
+    build = csr_spd_builder(csr)
+    total = 0.0
+    for s in np.flatnonzero(outside).tolist():
+        spd = build(csr, s)
+        sig = spd.sig
+        chain = sorted(member_index, key=lambda m: spd.dist[m])
+        count = float(sig[chain[0]])
+        if count == 0.0:
+            continue
+        order = spd.order_indices.tolist()
+        ptr = spd.pred_indptr.tolist()
+        parents = spd.pred_indices.tolist()
+        for a, b in zip(chain, chain[1:]):
+            count *= _dag_paths_from(a, order, ptr, parents)[b]
+        if count == 0.0:
+            continue
+        through = count * np.asarray(_dag_paths_from(chain[-1], order, ptr, parents))
+        through[~outside] = 0.0
+        hits = np.flatnonzero(through)
+        # One addition per pair, in pair order.
+        for fraction in (through[hits] / sig[hits]).tolist():
+            total += fraction
     if normalized and n > 1:
         total /= n * (n - 1)
     return total

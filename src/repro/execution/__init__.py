@@ -21,8 +21,8 @@ passes and accumulate".  This package owns *how* those passes are executed:
 * :mod:`~repro.execution.autotune` calibrates ``n_jobs`` from a short
   timed probe (what ``n_jobs="auto"`` resolves to); safe because the
   shard scheduler is n_jobs-invariant — timing can never change an
-  estimate.  A shard-size probe ships as a diagnostic only (the shard size
-  is part of the determinism contract, never a knob).
+  estimate.  The shard size is part of the determinism contract, never a
+  knob, and is not probed.
 * :mod:`~repro.execution.shared_cache` provides the row store of
   per-source dependency vectors,
   :class:`~repro.execution.shared_cache.DependencyStore`: the MCMC oracle's
@@ -43,7 +43,6 @@ from repro.execution.autotune import (
     calibrate_n_jobs,
     default_jobs_candidates,
     probe_n_jobs,
-    probe_shard_sizes,
 )
 from repro.execution.plan import DEFAULT_SHARD_SIZE, ExecutionPlan, resolve_plan
 from repro.execution.runtime import (
@@ -87,7 +86,6 @@ __all__ = [
     "default_jobs_candidates",
     "calibrate_n_jobs",
     "probe_n_jobs",
-    "probe_shard_sizes",
     "split_shards",
     "shard_rngs",
     "sample_shards",

@@ -15,12 +15,11 @@ leak into results: the batch kernels are bit-identical per source row for
 in shard order with shard boundaries fixed by
 :data:`~repro.execution.plan.DEFAULT_SHARD_SIZE` (the execution engine's
 determinism contract) — so a calibrated worker count changes
-wall-clock only, never an estimate.  :func:`probe_shard_sizes` exists for
-the remaining dimension, but *only* as a diagnostic: the shard size is part
-of the determinism contract itself (it fixes both the reduction association
-and the per-shard rng streams), so it is a constant, never a knob, and no
-``calibrate_shard_size`` is offered.  Each probe costs real Brandes passes —
-size it against the workload it is meant to speed up.
+wall-clock only, never an estimate.  The shard size is not probed: it is
+part of the determinism contract itself (it fixes both the reduction
+association and the per-shard rng streams), so it is a constant, never a
+knob.  Each probe costs real Brandes passes — size it against the workload
+it is meant to speed up.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "default_jobs_candidates",
     "probe_n_jobs",
     "calibrate_n_jobs",
-    "probe_shard_sizes",
 ]
 
 def _csr_of(graph):
@@ -151,57 +149,3 @@ def calibrate_n_jobs(
             best_jobs, best_seconds = jobs, seconds
     return best_jobs
 
-
-def probe_shard_sizes(
-    graph,
-    *,
-    candidates: Sequence[int] = (64, 128, 256, 512),
-    n_jobs: int = 1,
-    probe_sources: int = 64,
-    repeats: int = 1,
-) -> List[Tuple[int, float]]:
-    """Time a sharded sweep per shard size — **diagnostic only, never a knob**.
-
-    Unlike the worker count, the shard size is *part of* the
-    determinism contract (:data:`~repro.execution.plan.DEFAULT_SHARD_SIZE`):
-    it fixes where per-shard buffers begin and end, hence the association
-    order of the final merge and the per-shard rng streams of the stochastic
-    samplers.  Changing it changes results in the last float ulp, so there
-    is deliberately no ``calibrate_shard_size`` and no ``shard_size="auto"``
-    — this probe exists so maintainers can check, on a given machine, how
-    far the constant sits from the optimum before proposing a (contract-
-    breaking, major-version) change.
-    """
-    if probe_sources < 1:
-        raise ConfigurationError("probe_sources must be a positive integer")
-    if repeats < 1:
-        raise ConfigurationError("repeats must be a positive integer")
-    if not candidates:
-        raise ConfigurationError("candidates must be a non-empty sequence")
-    for candidate in candidates:
-        if not isinstance(candidate, int) or isinstance(candidate, bool) or candidate < 1:
-            raise ConfigurationError(
-                f"shard-size candidates must be positive integers, got {candidate!r}"
-            )
-    from repro.execution.scheduler import run_sharded, split_shards
-    from repro.shortest_paths.dependencies import dependency_sum_shard_csr
-
-    csr = _csr_of(graph)
-    sources = list(range(min(probe_sources, csr.number_of_vertices())))
-    if not sources:
-        return [(min(candidates), 0.0)]
-
-    def sweep(shard_size: int) -> None:
-        shards = split_shards(sources, shard_size=shard_size)
-        run_sharded(dependency_sum_shard_csr, shards, n_jobs=n_jobs, shared=csr)
-
-    sweep(candidates[0])  # warm-up, untimed
-    timings: List[Tuple[int, float]] = []
-    for shard_size in candidates:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            sweep(shard_size)
-            best = min(best, time.perf_counter() - start)
-        timings.append((shard_size, best))
-    return timings

@@ -30,6 +30,7 @@ from repro.execution import (
     run_sharded,
     sample_shards,
 )
+from repro.graphs.components import connected_components
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import np
 from repro.samplers.base import (
@@ -41,7 +42,7 @@ from repro.samplers.base import (
     timed,
     vertex_keyed,
 )
-from repro.shortest_paths.bfs import bfs_distances
+from repro.shortest_paths.bfs import bfs_distances_csr
 from repro.shortest_paths.bidirectional import sample_path_interior_csr
 from repro.shortest_paths.dependencies import csr_spd_builder
 
@@ -53,21 +54,41 @@ RK_CONSTANT = 0.5
 
 
 def vertex_diameter_estimate(graph: Graph, seed: RandomState = None) -> int:
-    """Return an upper estimate of the vertex diameter ``VD(G)``.
+    """Return an upper bound on the vertex diameter ``VD(G)``.
 
-    For unweighted graphs the classic 2-approximation is used: run a BFS from
-    an arbitrary vertex and return ``2 * ecc + 1`` vertices in the worst
-    case.  This over-estimates (never under-estimates) the diameter, which
-    keeps the (ε, δ) guarantee valid at the price of a few extra samples.
+    For unweighted undirected graphs the classic 2-approximation runs per
+    connected component: a BFS from one vertex of the component reaches
+    all of it within ``ecc`` hops, so no shortest path there has more than
+    ``2 * ecc + 1`` vertices.  The first BFS starts at a random vertex,
+    each later one at the lowest-indexed vertex not yet reached, and the
+    bound is the largest over the components.  BFS hops bound neither
+    directed reach nor the hops of a weighted shortest path, so directed or
+    weighted graphs get the size of their largest (weakly) connected
+    component (Riondato & Kornaropoulos, WSDM 2014).  The bound never
+    under-estimates, which keeps the (ε, δ) guarantee valid at the price
+    of a few extra samples.
     """
-    if graph.number_of_vertices() < 2:
-        return max(graph.number_of_vertices(), 1)
+    n = graph.number_of_vertices()
+    if n < 2:
+        return max(n, 1)
+    if graph.directed or graph.weighted:
+        return max(len(component) for component in connected_components(graph))
     rng = ensure_rng(seed)
-    vertices = graph.vertices()
-    start = vertices[rng.randrange(len(vertices))]
-    distances = bfs_distances(graph, start)
-    eccentricity = max(distances.values())
-    return int(2 * eccentricity + 1)
+    csr = graph.csr()
+    start = rng.randrange(n)
+    # Isolated vertices bound nothing beyond the 1 every component gives.
+    reached = csr.degrees() == 0
+    eccentricity = 0.0
+    lowest = 0
+    while True:
+        dist, order = bfs_distances_csr(csr, start)
+        reached[order] = True
+        eccentricity = max(eccentricity, float(dist[order[-1]]))
+        while lowest < n and reached[lowest]:
+            lowest += 1
+        if lowest == n:
+            return int(2 * eccentricity + 1)
+        start = lowest
 
 
 def rk_sample_size(

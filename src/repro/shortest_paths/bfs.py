@@ -3,18 +3,14 @@
 Building the SPD rooted at a source costs ``O(|E(G)|)`` time (Section 2.1),
 which is also the per-sample cost quoted for every sampler in the paper.
 
-The module holds two implementations and one fused pass:
+The module holds the level-synchronous, numpy-vectorised traversals over a
+:class:`~repro.graphs.csr.CSRGraph` snapshot and one fused pass:
 
-* :func:`bfs_spd` / :func:`bfs_distances` — the reference dict-backed
-  traversal over :class:`~repro.graphs.core.Graph`;
-* :func:`bfs_spd_csr` / :func:`bfs_distances_csr` — level-synchronous,
-  numpy-vectorised traversals over a :class:`~repro.graphs.csr.CSRGraph`
-  snapshot.  Each BFS level is expanded with one gather over the CSR arrays
-  instead of one dict lookup per edge, which is where the CSR kernels'
-  speedup comes from.  Frontier and predecessor ordering deliberately mirror
-  the dict implementation (queue order / adjacency order), so both flavours
-  produce identical DAGs and — for samplers that backtrack through them —
-  identical rng-driven paths.
+* :func:`bfs_spd_csr` / :func:`bfs_distances_csr` — each BFS level is
+  expanded with one gather over the CSR arrays.  Levels are visited in
+  queue order and each vertex's predecessors in adjacency order, so the
+  path samplers that backtrack through a DAG draw the same paths for a
+  fixed seed whatever builds it.
 * :func:`bfs_source_dependencies_csr` — the fused per-source pass (wave +
   Brandes back-propagation, no DAG object) behind
   :func:`~repro.shortest_paths.dependencies.csr_source_dependencies`.
@@ -29,7 +25,7 @@ dedup of the newly reached vertices.  The dedup is a mark array: with
 = pos[::-1]`` leaves each vertex's slot holding the position of its
 *first* occurrence (the last write wins, and in reverse the last write is
 the first occurrence), so ``children[slot[children] == pos]`` keeps
-exactly one entry per vertex in first-touch order — the dict BFS queue
+exactly one entry per vertex in first-touch order — the BFS queue
 order — in ``O(len(children))``, without the sort behind ``np.unique``.
 The scratch ``slot`` array belongs to one traversal call and is never
 shared, so concurrent threads cannot interfere.
@@ -48,118 +44,28 @@ Cutoff semantics
 ----------------
 ``cutoff`` is **inclusive**: exactly the vertices with ``d(source, v) <=
 cutoff`` are discovered and returned; no vertex beyond the cutoff is ever
-enqueued or recorded.  (An earlier revision compared ``distance >= cutoff``
-at dequeue time, which silently *included* vertices one level beyond a
-fractional cutoff — e.g. ``cutoff=1.5`` returned vertices at distance 2.
-The check is now equivalent to testing ``d_u + 1 > cutoff`` before
-discovering neighbours, in both flavours.)
+enqueued or recorded.  A level at distance ``d`` is expanded only when
+``d + 1 <= cutoff``, so a fractional cutoff such as ``1.5`` stops at
+distance 1.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import np
-from repro.shortest_paths.spd import CSRShortestPathDAG, ShortestPathDAG
+from repro.shortest_paths.spd import CSRShortestPathDAG
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.csr import CSRGraph
 
 __all__ = [
-    "bfs_spd",
-    "bfs_distances",
-    "single_pair_distance",
     "bfs_spd_csr",
     "bfs_source_dependencies_csr",
     "bfs_distances_csr",
 ]
 
 
-def bfs_spd(graph: Graph, source: Vertex, *, cutoff: Optional[float] = None) -> ShortestPathDAG:
-    """Return the shortest-path DAG rooted at *source* for an unweighted graph.
-
-    Parameters
-    ----------
-    graph:
-        The input graph.  Edge weights are ignored; every edge counts as
-        length 1.
-    source:
-        The root vertex.
-    cutoff:
-        Optional maximum distance (inclusive): exactly the vertices with
-        ``d(source, v) <= cutoff`` are explored and returned.  Used by
-        truncated traversals in the examples.
-    """
-    graph.validate_vertex(source)
-    distance: Dict[Vertex, float] = {source: 0.0}
-    sigma: Dict[Vertex, float] = {source: 1.0}
-    predecessors: Dict[Vertex, List[Vertex]] = {source: []}
-    order: List[Vertex] = []
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        d_u = distance[u]
-        if cutoff is not None and d_u + 1.0 > cutoff:
-            continue
-        for v in graph.neighbors(u):
-            if v not in distance:
-                distance[v] = d_u + 1.0
-                sigma[v] = 0.0
-                predecessors[v] = []
-                queue.append(v)
-            if distance[v] == d_u + 1.0:
-                sigma[v] += sigma[u]
-                predecessors[v].append(u)
-    return ShortestPathDAG(
-        source=source,
-        distance=distance,
-        sigma=sigma,
-        predecessors=predecessors,
-        order=order,
-    )
-
-
-def bfs_distances(graph: Graph, source: Vertex) -> Dict[Vertex, float]:
-    """Return only the distance map from *source* (cheaper than a full SPD)."""
-    graph.validate_vertex(source)
-    distance: Dict[Vertex, float] = {source: 0.0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d_u = distance[u]
-        for v in graph.neighbors(u):
-            if v not in distance:
-                distance[v] = d_u + 1.0
-                queue.append(v)
-    return distance
-
-
-def single_pair_distance(graph: Graph, source: Vertex, target: Vertex) -> float:
-    """Return d(source, target), or ``inf`` if *target* is unreachable."""
-    graph.validate_vertex(source)
-    graph.validate_vertex(target)
-    if source == target:
-        return 0.0
-    distance: Dict[Vertex, float] = {source: 0.0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d_u = distance[u]
-        for v in graph.neighbors(u):
-            if v not in distance:
-                if v == target:
-                    return d_u + 1.0
-                distance[v] = d_u + 1.0
-                queue.append(v)
-    return float("inf")
-
-
-# ----------------------------------------------------------------------
-# CSR kernels
-# ----------------------------------------------------------------------
 def _first_touch(values, slot):
     """Return the distinct entries of *values* in first-occurrence order.
 
@@ -178,7 +84,7 @@ def _expand_level(csr: "CSRGraph", degree, frontier, dist, slot, *, parents: boo
     Returns ``(nbrs, children, edge_parents, next_frontier)``:
 
     * ``nbrs`` — every out-edge target of the frontier, in frontier order
-      and, within one parent, in adjacency order (the dict BFS visit order);
+      and, within one parent, in adjacency order (the BFS visit order);
     * ``children`` — the entries of ``nbrs`` not yet assigned a distance,
       i.e. the DAG edges into the next level;
     * ``edge_parents`` — the frontier vertex of each ``children`` entry
@@ -274,9 +180,9 @@ def bfs_spd_csr(
     """Return the array-backed SPD rooted at vertex index *source*.
 
     Level-synchronous vectorised BFS: each iteration gathers the whole next
-    level with numpy primitives.  Distances, path counts, traversal order and
-    predecessor ordering are identical to :func:`bfs_spd` on the same graph
-    (``cutoff`` is inclusive, as documented in the module docstring).
+    level with numpy primitives: the traversal order is the BFS queue order
+    and each vertex's predecessors are in adjacency order (``cutoff`` is
+    inclusive, as documented in the module docstring).
     """
     dist, sig, frontiers, level_edges = _bfs_wave(csr, source, cutoff)
     order = np.concatenate(frontiers)
@@ -303,9 +209,8 @@ def bfs_distances_csr(csr: "CSRGraph", source: int):
 
     ``dist`` is the full ``float64`` distance array (``inf`` when
     unreachable) and ``order`` lists the reachable indices in discovery
-    order — the same iteration order :func:`bfs_distances` yields, which
-    callers rely on when they rebuild insertion-ordered dicts at the result
-    boundary.
+    order, which callers rely on when they rebuild insertion-ordered dicts
+    at the result boundary.
     """
     dist, _, frontiers, _ = _bfs_wave(csr, source, None, paths=False)
     return dist, np.concatenate(frontiers)

@@ -26,27 +26,20 @@ from repro.execution.scheduler import merge_ordered, run_sharded, split_shards
 from repro.shortest_paths.bfs import (
     _accumulate_levels,
     bfs_source_dependencies_csr,
-    bfs_spd,
     bfs_spd_csr,
 )
 from repro.shortest_paths.dijkstra import (
     _source_sweep,
     dijkstra_source_dependencies_csr,
-    dijkstra_spd,
     dijkstra_spd_csr,
 )
-from repro.shortest_paths.spd import CSRShortestPathDAG, ShortestPathDAG
+from repro.shortest_paths.spd import CSRShortestPathDAG
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.csr import CSRGraph
 
 __all__ = [
-    "accumulate_dependencies",
-    "accumulate_edge_dependencies",
-    "source_dependencies",
-    "dependency_on_target",
     "all_dependencies_on_target",
-    "spd_builder",
     "csr_spd_builder",
     "accumulate_dependencies_csr",
     "csr_source_dependencies",
@@ -58,82 +51,9 @@ __all__ = [
 ]
 
 
-def spd_builder(graph: Graph) -> Callable[[Graph, Vertex], ShortestPathDAG]:
-    """Return the SPD construction function appropriate for *graph*.
-
-    Unweighted graphs use BFS, weighted graphs use Dijkstra — matching the
-    per-sample complexities quoted in the paper.
-    """
-    return dijkstra_spd if graph.weighted else bfs_spd
-
-
 def csr_spd_builder(csr: "CSRGraph") -> Callable[["CSRGraph", int], CSRShortestPathDAG]:
     """Return the CSR SPD construction kernel appropriate for *csr*."""
     return dijkstra_spd_csr if csr.weighted else bfs_spd_csr
-
-
-def accumulate_dependencies(spd: ShortestPathDAG) -> Dict[Vertex, float]:
-    """Return ``{v: delta_{s.}(v)}`` for the source *s* of *spd*.
-
-    Implements the Brandes recursion (Equation 4): walking the DAG in
-    non-increasing distance order,
-
-    ``delta[v] = sum over children w of v of sigma[v]/sigma[w] * (1 + delta[w])``.
-
-    The source itself always has dependency 0 on every vertex it is an
-    endpoint of, and is therefore reported as 0.
-    """
-    delta: Dict[Vertex, float] = {v: 0.0 for v in spd.order}
-    for w in reversed(spd.order):
-        coefficient = (1.0 + delta[w]) / spd.sigma[w]
-        for v in spd.predecessors.get(w, []):
-            delta[v] += spd.sigma[v] * coefficient
-    delta[spd.source] = 0.0
-    return delta
-
-
-def accumulate_edge_dependencies(spd: ShortestPathDAG) -> Dict[tuple, float]:
-    """Return ``{(v, w): delta_{s.}(v, w)}`` — dependency of the source on each DAG edge.
-
-    Used by the exact edge-betweenness algorithm (the Girvan–Newman use case
-    from the paper's introduction).  Edge keys are oriented from the vertex
-    closer to the source to the vertex farther from it.
-    """
-    delta: Dict[Vertex, float] = {v: 0.0 for v in spd.order}
-    edge_delta: Dict[tuple, float] = {}
-    for w in reversed(spd.order):
-        coefficient = (1.0 + delta[w]) / spd.sigma[w]
-        for v in spd.predecessors.get(w, []):
-            contribution = spd.sigma[v] * coefficient
-            edge_delta[(v, w)] = contribution
-            delta[v] += contribution
-    return edge_delta
-
-
-def source_dependencies(graph: Graph, source: Vertex) -> Dict[Vertex, float]:
-    """Return the dependency scores of *source* on every vertex of *graph*.
-
-    Convenience wrapper that builds the SPD (BFS or Dijkstra as appropriate)
-    and runs :func:`accumulate_dependencies`.
-    """
-    build = spd_builder(graph)
-    return accumulate_dependencies(build(graph, source))
-
-
-def dependency_on_target(graph: Graph, source: Vertex, target: Vertex) -> float:
-    """Return :math:`\\delta_{source\\bullet}(target)`.
-
-    This single number is what one Metropolis-Hastings acceptance test needs
-    (Equation 6): the dependency of the proposed source vertex on the target
-    vertex *r*.  Its cost is one SPD construction plus one accumulation,
-    i.e. ``O(|E|)`` for unweighted graphs — exactly the per-sample cost the
-    paper quotes.
-    """
-    graph.validate_vertex(target)
-    if source == target:
-        return 0.0
-    deltas = source_dependencies(graph, source)
-    return deltas.get(target, 0.0)
 
 
 def all_dependencies_on_target(
@@ -271,7 +191,7 @@ def accumulate_dependencies_csr(spd: CSRShortestPathDAG):
     """Return the dependency array ``delta`` for the source of *spd*.
 
     ``delta[i]`` is :math:`\\delta_{s\\bullet}(v_i)` with ``delta[source] =
-    0`` — the array twin of :func:`accumulate_dependencies`.  BFS-built DAGs
+    0``, by the Brandes recursion (Equation 4).  BFS-built DAGs
     carry their edges grouped by level, so the Brandes recursion runs one
     vectorised pass per level (every child of level ``L + 1`` has its final
     delta before the level-``L`` edges are processed).  Dijkstra-built DAGs
@@ -303,8 +223,7 @@ def csr_source_dependencies(csr: "CSRGraph", source: int):
 def csr_edge_dependency(spd: CSRShortestPathDAG, a: int, b: int) -> float:
     """Return the dependency of the source of *spd* on the undirected edge ``{a, b}``.
 
-    Sums the contributions of both possible DAG orientations, mirroring
-    :func:`accumulate_edge_dependencies` read at a single edge: an
+    Sums the contributions of both possible DAG orientations: an
     orientation ``(v, w)`` contributes ``sigma[v] / sigma[w] * (1 +
     delta[w])`` when ``v`` is a DAG predecessor of ``w``.
     """

@@ -3,17 +3,17 @@
 The paper's algorithms apply unchanged to weighted graphs with strictly
 positive weights; the per-sample cost becomes
 ``O(|E(G)| + |V(G)| log |V(G)|)``.  This module provides the weighted
-counterpart of :func:`repro.shortest_paths.bfs.bfs_spd`.
+counterpart of :func:`repro.shortest_paths.bfs.bfs_spd_csr`.
 
-Array-native rung
+Per-source passes
 -----------------
 The CSR kernels here are the per-source weighted passes (the batched
 numpy sweep lives in :mod:`repro.shortest_paths.batch`).  The
 adjacency is walked through a cached per-snapshot list-of-``(neighbour,
 weight)`` view (:func:`csr_adjacency_pairs`) instead of per-edge numpy
 scalar reads, and the priority queue is CPython's C-accelerated
-``heapq`` over ``(distance, counter, vertex)`` entries — the dict rung's
-keys, so both settle vertices in the same order.
+``heapq`` over ``(distance, counter, vertex)`` entries, so ties in
+distance settle in discovery order.
 
 One weighted rule
 -----------------
@@ -38,20 +38,16 @@ one runs is a speed choice only:
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.errors import NegativeWeightError
-from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import np
-from repro.shortest_paths.spd import CSRShortestPathDAG, ShortestPathDAG
+from repro.shortest_paths.spd import CSRShortestPathDAG
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.csr import CSRGraph
 
 __all__ = [
-    "dijkstra_spd",
-    "dijkstra_distances",
     "dijkstra_spd_csr",
     "dijkstra_distances_csr",
     "dijkstra_source_dependencies_csr",
@@ -65,63 +61,6 @@ __all__ = [
 _EPSILON = 1e-12
 
 _INF = float("inf")
-
-
-def dijkstra_spd(graph: Graph, source: Vertex) -> ShortestPathDAG:
-    """Return the shortest-path DAG rooted at *source* for a weighted graph.
-
-    Raises
-    ------
-    NegativeWeightError
-        If an edge with non-positive weight is encountered.
-    """
-    graph.validate_vertex(source)
-    distance: Dict[Vertex, float] = {}
-    sigma: Dict[Vertex, float] = {source: 1.0}
-    predecessors: Dict[Vertex, List[Vertex]] = {source: []}
-    order: List[Vertex] = []
-    seen: Dict[Vertex, float] = {source: 0.0}
-    counter = itertools.count()
-    heap: List = [(0.0, next(counter), source)]
-    while heap:
-        dist_u, _, u = heapq.heappop(heap)
-        if u in distance:
-            continue  # already settled via a shorter path
-        distance[u] = dist_u
-        order.append(u)
-        for v, weight in graph.adjacency(u).items():
-            if weight <= 0.0:
-                raise NegativeWeightError(u, v, weight)
-            candidate = dist_u + weight
-            if v in distance:
-                # Already settled: only register an extra predecessor when
-                # the candidate matches the settled distance exactly.
-                if abs(candidate - distance[v]) <= _EPSILON * max(1.0, abs(candidate)):
-                    sigma[v] += sigma[u]
-                    predecessors[v].append(u)
-                continue
-            previous = seen.get(v)
-            if previous is None or candidate < previous - _EPSILON * max(1.0, abs(candidate)):
-                seen[v] = candidate
-                sigma[v] = sigma[u]
-                predecessors[v] = [u]
-                heapq.heappush(heap, (candidate, next(counter), v))
-            elif abs(candidate - previous) <= _EPSILON * max(1.0, abs(candidate)):
-                sigma[v] += sigma[u]
-                predecessors[v].append(u)
-    return ShortestPathDAG(
-        source=source,
-        distance=distance,
-        sigma=sigma,
-        predecessors=predecessors,
-        order=order,
-    )
-
-
-def dijkstra_distances(graph: Graph, source: Vertex) -> Dict[Vertex, float]:
-    """Return only the distance map from *source* in a weighted graph."""
-    spd = dijkstra_spd(graph, source)
-    return dict(spd.distance)
 
 
 def csr_adjacency_pairs(csr: "CSRGraph") -> List[List[Tuple[int, float]]]:
@@ -178,8 +117,6 @@ def _check_source_index(csr: "CSRGraph", source: int) -> int:
     return n
 
 
-
-
 def _dag_arc_mask(tail_dist, head_dist, weights):
     """Return which arcs belong to the shortest-path DAG (the one DAG rule).
 
@@ -208,9 +145,8 @@ def _exact_heap(csr: "CSRGraph", source: int) -> Tuple[List[float], List[int]]:
     applies while relaxing: a vertex is pushed only on a strict
     improvement, so ``dist`` doubles as the tentative distance and a popped
     entry is stale exactly when its key exceeds it.  Heap entries are
-    ``(distance, counter, vertex)`` like the dict rung's, so the settle
-    order is the dict rung's whenever no two candidates fall inside the
-    band without being equal.
+    ``(distance, counter, vertex)``, so equal distances settle in push
+    order.
     """
     adjacency = csr_adjacency_pairs(csr)
     dist: List[float] = [_INF] * csr.number_of_vertices()
@@ -296,12 +232,11 @@ def _source_sweep(csr: "CSRGraph", dist, order: List[int]):
 def dijkstra_spd_csr(csr: "CSRGraph", source: int) -> CSRShortestPathDAG:
     """Return the array-backed SPD rooted at vertex index *source* (weighted).
 
-    Index-space mirror of :func:`dijkstra_spd`: the exact heap settles
-    vertices in the dict rung's ``(distance, counter, vertex)`` order, the
-    DAG is :func:`_dag_arc_mask` over the exact distances, and each
-    vertex's predecessors are listed in settle order — the dict rung's
-    discovery order.  The result carries no ``level_edges`` (a weighted DAG
-    has no BFS levels) but ships ready-made CSR predecessor arrays.
+    The exact heap settles vertices in ``(distance, counter, vertex)``
+    order, the DAG is :func:`_dag_arc_mask` over the exact distances, and
+    each vertex's predecessors are listed in settle order.  The result
+    carries no ``level_edges`` (a weighted DAG has no BFS levels) but ships
+    ready-made CSR predecessor arrays.
     """
     n = _check_source_index(csr, source)
     dist_list, order_list = _exact_heap(csr, source)

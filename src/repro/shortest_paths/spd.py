@@ -5,151 +5,23 @@ is the DAG containing all shortest paths starting from *s*.  It is the
 work-horse of every algorithm in the library — exact Brandes, all baseline
 samplers, and the Metropolis-Hastings acceptance ratio all consume SPDs.
 
-An SPD stores, for each vertex *v* reachable from the source:
-
-* ``distance[v]`` — the shortest-path distance d(s, v);
-* ``sigma[v]`` — the number of distinct shortest paths from *s* to *v*
-  (:math:`\\sigma_{sv}`);
-* ``predecessors[v]`` — the parent set :math:`P_s(v)` of *v* in the DAG;
-* ``order`` — the vertices in non-decreasing distance order, which is the
-  order needed for forward accumulation and, reversed, for the Brandes
-  dependency recursion.
+An SPD stores, for each vertex *v* reachable from the source, the
+shortest-path distance d(s, v), the number of shortest paths
+:math:`\\sigma_{sv}`, the parent set :math:`P_s(v)` of *v* in the DAG, and
+the traversal order — non-decreasing distance, the order forward
+accumulation needs and, reversed, the Brandes dependency recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING
 
-from repro.graphs.core import Vertex
 from repro.graphs.csr import np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.csr import CSRGraph
 
-__all__ = ["ShortestPathDAG", "CSRShortestPathDAG"]
-
-
-@dataclass
-class ShortestPathDAG:
-    """All shortest paths from a single source vertex.
-
-    Instances are produced by :func:`repro.shortest_paths.bfs.bfs_spd` for
-    unweighted graphs and :func:`repro.shortest_paths.dijkstra.dijkstra_spd`
-    for weighted graphs with positive weights.
-    """
-
-    #: The source (root) vertex of the DAG.
-    source: Vertex
-    #: Shortest-path distance from the source to each reachable vertex.
-    distance: Dict[Vertex, float]
-    #: Number of shortest paths from the source to each reachable vertex.
-    sigma: Dict[Vertex, float]
-    #: Predecessor (parent) lists: ``predecessors[v]`` is P_s(v).
-    predecessors: Dict[Vertex, List[Vertex]]
-    #: Reachable vertices in non-decreasing distance order (source first).
-    order: List[Vertex] = field(default_factory=list)
-
-    # ------------------------------------------------------------------
-    def reachable(self) -> List[Vertex]:
-        """Return the vertices reachable from the source (including it)."""
-        return list(self.order)
-
-    def number_of_reachable(self) -> int:
-        """Return how many vertices are reachable from the source."""
-        return len(self.order)
-
-    def is_reachable(self, vertex: Vertex) -> bool:
-        """Return ``True`` if *vertex* is reachable from the source."""
-        return vertex in self.distance
-
-    def path_count(self, vertex: Vertex) -> float:
-        """Return :math:`\\sigma_{s,vertex}` (0 when unreachable)."""
-        return self.sigma.get(vertex, 0.0)
-
-    def distance_to(self, vertex: Vertex) -> float:
-        """Return d(source, vertex), or ``inf`` when unreachable."""
-        return self.distance.get(vertex, float("inf"))
-
-    def parents(self, vertex: Vertex) -> List[Vertex]:
-        """Return the predecessor list :math:`P_s(vertex)` (empty if none)."""
-        return self.predecessors.get(vertex, [])
-
-    # ------------------------------------------------------------------
-    def successors(self) -> Dict[Vertex, List[Vertex]]:
-        """Return the child lists of the DAG (inverse of the predecessor map).
-
-        Computed on demand; used by forward traversals such as the
-        per-target path counting in :meth:`paths_through`.
-        """
-        children: Dict[Vertex, List[Vertex]] = {v: [] for v in self.order}
-        for child, parents in self.predecessors.items():
-            for parent in parents:
-                children[parent].append(child)
-        return children
-
-    def paths_through(self, vertex: Vertex) -> Dict[Vertex, float]:
-        """Return :math:`\\sigma_{s t}(vertex)` for every target *t*.
-
-        ``result[t]`` is the number of shortest paths from the source to *t*
-        that pass through *vertex* (with the convention that paths "through"
-        an endpoint are not counted, matching the betweenness definition).
-
-        The count is ``sigma[vertex] * (number of shortest paths from vertex
-        to t inside the DAG)``; the latter is accumulated with a forward
-        sweep over the DAG in distance order.
-        """
-        if vertex not in self.distance:
-            return {}
-        # paths_from[t] = number of shortest paths from `vertex` to t that
-        # stay inside the DAG (i.e. are suffixes of shortest s->t paths).
-        paths_from: Dict[Vertex, float] = {vertex: 1.0}
-        start_distance = self.distance[vertex]
-        for t in self.order:
-            if self.distance[t] <= start_distance or t == vertex:
-                continue
-            total = 0.0
-            for parent in self.predecessors.get(t, []):
-                total += paths_from.get(parent, 0.0)
-            if total:
-                paths_from[t] = total
-        sigma_v = self.sigma[vertex]
-        result: Dict[Vertex, float] = {}
-        for t, count in paths_from.items():
-            if t == vertex or t == self.source:
-                continue
-            result[t] = sigma_v * count
-        return result
-
-    def pair_dependencies(self, vertex: Vertex) -> Dict[Vertex, float]:
-        """Return :math:`\\delta_{s t}(vertex) = \\sigma_{st}(vertex)/\\sigma_{st}` for all targets *t*."""
-        through = self.paths_through(vertex)
-        return {
-            t: through[t] / self.sigma[t]
-            for t in through
-            if self.sigma.get(t, 0.0) > 0.0
-        }
-
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check internal consistency; raises :class:`AssertionError` on violation.
-
-        Used by the property-based test-suite: sigma of a vertex must equal
-        the sum of the sigmas of its predecessors, predecessors must be
-        exactly one step closer to the source, and the source itself must
-        have distance 0 and sigma 1.
-        """
-        assert self.distance.get(self.source) == 0.0, "source must have distance 0"
-        assert self.sigma.get(self.source) == 1.0, "source must have sigma 1"
-        assert not self.predecessors.get(self.source), "source must have no predecessors"
-        for v in self.order:
-            if v == self.source:
-                continue
-            parents = self.predecessors.get(v, [])
-            assert parents, f"non-source vertex {v!r} must have at least one predecessor"
-            assert self.sigma[v] == sum(self.sigma[p] for p in parents), (
-                f"sigma[{v!r}] must equal the sum of predecessor sigmas"
-            )
+__all__ = ["CSRShortestPathDAG"]
 
 
 class CSRShortestPathDAG:
@@ -162,29 +34,19 @@ class CSRShortestPathDAG:
     * ``dist`` — ``float64`` distances (``inf`` for unreachable vertices);
     * ``sig`` — ``float64`` shortest-path counts (0 for unreachable);
     * ``order_indices`` — reachable vertex indices in non-decreasing distance
-      order (exactly the dequeue/settle order of the dict builders);
+      order (the BFS dequeue order or the Dijkstra settle order);
     * predecessor lists in CSR layout, built lazily from the recorded DAG
       edges: the parents of index ``i`` are
-      ``pred_indices[pred_indptr[i]:pred_indptr[i + 1]]``, in the same order
-      the dict builder would have appended them.
+      ``pred_indices[pred_indptr[i]:pred_indptr[i + 1]]``, in discovery
+      order (BFS: frontier order, then adjacency order; Dijkstra: settle
+      order).
 
     For unweighted (BFS-built) DAGs, ``level_edges`` additionally groups the
     DAG edges by the level of the child vertex, which is what lets the
     dependency accumulation in :mod:`repro.shortest_paths.dependencies` run
-    one vectorised pass per level instead of one dict operation per edge.
-    Dijkstra-built DAGs set it to ``None`` and fall back to the per-vertex
-    ordered sweep.
-
-    Compatibility mapping API
-    -------------------------
-    The class quacks like :class:`ShortestPathDAG` where it matters: the
-    ``distance`` / ``sigma`` / ``predecessors`` / ``order`` properties
-    materialise the vertex-keyed dictionaries (and label list) lazily, cached
-    after the first access; the reader methods (:meth:`distance_to`,
-    :meth:`path_count`, :meth:`parents`, :meth:`is_reachable`,
-    :meth:`reachable`) answer straight from the arrays, and :meth:`to_dag`
-    produces a full dict-backed :class:`ShortestPathDAG` for consumers that
-    need one.  Hot paths should use the arrays directly.
+    one vectorised pass per level.  Dijkstra-built DAGs set it to ``None``
+    and fall back to the per-vertex ordered sweep.  Vertex labels stay at
+    the caller's boundary (``csr.vertex_at`` / ``csr.index_of``).
     """
 
     __slots__ = (
@@ -196,10 +58,6 @@ class CSRShortestPathDAG:
         "level_edges",
         "_pred_indptr",
         "_pred_indices",
-        "_distance_dict",
-        "_sigma_dict",
-        "_pred_dict",
-        "_order_list",
     )
 
     def __init__(
@@ -222,14 +80,7 @@ class CSRShortestPathDAG:
         self.level_edges = level_edges
         self._pred_indptr = pred_indptr
         self._pred_indices = pred_indices
-        self._distance_dict: Optional[Dict[Vertex, float]] = None
-        self._sigma_dict: Optional[Dict[Vertex, float]] = None
-        self._pred_dict: Optional[Dict[Vertex, List[Vertex]]] = None
-        self._order_list: Optional[List[Vertex]] = None
 
-    # ------------------------------------------------------------------
-    # Array-native API (index space)
-    # ------------------------------------------------------------------
     @property
     def pred_indptr(self):
         """CSR-layout offsets of the predecessor lists (built lazily)."""
@@ -254,9 +105,9 @@ class CSRShortestPathDAG:
         if self.level_edges:
             parents = np.concatenate([p for p, _ in self.level_edges])
             children = np.concatenate([c for _, c in self.level_edges])
-            # Stable sort by child keeps, within each child, the order the
-            # dict builder appends parents (frontier order, then adjacency
-            # order) — required for rng-identical path backtracking.
+            # Stable sort by child keeps, within each child, the discovery
+            # order of the parents (frontier order, then adjacency order) —
+            # required for rng-identical path backtracking.
             perm = np.argsort(children, kind="stable")
             self._pred_indices = parents[perm]
             counts = np.bincount(children, minlength=n)
@@ -275,97 +126,3 @@ class CSRShortestPathDAG:
     def number_of_reachable(self) -> int:
         """Return how many vertices are reachable from the source."""
         return int(self.order_indices.shape[0])
-
-    # ------------------------------------------------------------------
-    # Compatibility mapping API (vertex space)
-    # ------------------------------------------------------------------
-    @property
-    def source(self) -> Vertex:
-        """The source vertex *label* (mirrors ``ShortestPathDAG.source``)."""
-        return self.csr.vertex_at(self.source_index)
-
-    @property
-    def distance(self) -> Dict[Vertex, float]:
-        """Vertex-keyed distance dict (lazy; reachable vertices only)."""
-        if self._distance_dict is None:
-            vertex_at = self.csr.vertex_at
-            dist = self.dist
-            self._distance_dict = {
-                vertex_at(i): float(dist[i]) for i in self.order_indices.tolist()
-            }
-        return self._distance_dict
-
-    @property
-    def sigma(self) -> Dict[Vertex, float]:
-        """Vertex-keyed path-count dict (lazy; reachable vertices only)."""
-        if self._sigma_dict is None:
-            vertex_at = self.csr.vertex_at
-            sig = self.sig
-            self._sigma_dict = {
-                vertex_at(i): float(sig[i]) for i in self.order_indices.tolist()
-            }
-        return self._sigma_dict
-
-    @property
-    def predecessors(self) -> Dict[Vertex, List[Vertex]]:
-        """Vertex-keyed predecessor lists (lazy; reachable vertices only)."""
-        if self._pred_dict is None:
-            vertex_at = self.csr.vertex_at
-            indptr = self.pred_indptr
-            indices = self.pred_indices
-            result: Dict[Vertex, List[Vertex]] = {}
-            for i in self.order_indices.tolist():
-                result[vertex_at(i)] = [
-                    vertex_at(p) for p in indices[indptr[i] : indptr[i + 1]].tolist()
-                ]
-            self._pred_dict = result
-        return self._pred_dict
-
-    @property
-    def order(self) -> List[Vertex]:
-        """Reachable vertex labels in traversal order (lazy compat view)."""
-        if self._order_list is None:
-            vertex_at = self.csr.vertex_at
-            self._order_list = [vertex_at(i) for i in self.order_indices.tolist()]
-        return self._order_list
-
-    def reachable(self) -> List[Vertex]:
-        """Return the reachable vertex labels in traversal order."""
-        return list(self.order)
-
-    def is_reachable(self, vertex: Vertex) -> bool:
-        """Return ``True`` if *vertex* is reachable from the source.
-
-        Like every reader below, mirrors the dict DAG's lenient contract: a
-        label absent from the snapshot reads as unreachable, not an error.
-        """
-        index = self.csr.find_index(vertex)
-        return False if index is None else bool(np.isfinite(self.dist[index]))
-
-    def distance_to(self, vertex: Vertex) -> float:
-        """Return d(source, vertex), or ``inf`` when unreachable."""
-        index = self.csr.find_index(vertex)
-        return float("inf") if index is None else float(self.dist[index])
-
-    def path_count(self, vertex: Vertex) -> float:
-        """Return :math:`\\sigma_{s,vertex}` (0 when unreachable)."""
-        index = self.csr.find_index(vertex)
-        return 0.0 if index is None else float(self.sig[index])
-
-    def parents(self, vertex: Vertex) -> List[Vertex]:
-        """Return the predecessor labels of *vertex* (empty if none)."""
-        index = self.csr.find_index(vertex)
-        if index is None:
-            return []
-        vertex_at = self.csr.vertex_at
-        return [vertex_at(p) for p in self.parents_of(index).tolist()]
-
-    def to_dag(self) -> ShortestPathDAG:
-        """Materialise a fully dict-backed :class:`ShortestPathDAG` copy."""
-        return ShortestPathDAG(
-            source=self.source,
-            distance=dict(self.distance),
-            sigma=dict(self.sigma),
-            predecessors={v: list(ps) for v, ps in self.predecessors.items()},
-            order=self.reachable(),
-        )

@@ -1,9 +1,12 @@
 """Dict-kernel reference estimators for the CSR-vs-reference test-suite.
 
-Every estimator in the library runs on CSR snapshots.  This module keeps one
-plain, sequential loop per estimator written against the dict-backed kernels
-of :mod:`repro.shortest_paths` (``bfs_spd`` / ``dijkstra_spd`` plus the
-Brandes accumulation over vertex-keyed dicts).  The loops draw from the rng
+Every estimator in the library runs on CSR snapshots.  This module holds
+the dict-backed shortest-path kernels (:class:`ShortestPathDAG`,
+``bfs_spd`` / ``dijkstra_spd``, the Brandes accumulation over vertex-keyed
+dicts, the bidirectional pair query and explicit path enumeration) and one
+plain, sequential loop per estimator written against them;
+:func:`dag_from_csr` turns a library SPD into a dict DAG for tests that
+compare the two field by field.  The loops draw from the rng
 exactly as the library's estimators do — sources, pairs and proposal
 candidates are picked by position in ``graph.vertices()``, the same dense
 order the CSR snapshot uses, and the path samplers (RK, KADABRA) draw
@@ -29,27 +32,23 @@ evict the same victims and count the same lookups and passes.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import heapq
+import itertools
+from collections import OrderedDict, deque
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro._rng import RandomState, ensure_rng, spawn_rng
 from repro.centrality.api import MCMC_SINGLE_METHODS, SINGLE_VERTEX_METHODS
 from repro.exact.brandes import normalization_factor
+from repro.errors import NegativeWeightError
 from repro.execution import sample_shards
 from repro.graphs.core import Graph, Vertex
 from repro.mcmc.joint import JointChainState
 from repro.mcmc.single import ChainState, SingleSpaceMHSampler
-from repro.shortest_paths import (
-    accumulate_dependencies,
-    accumulate_edge_dependencies,
-    bfs_distances,
-    dependency_on_target,
-    dijkstra_distances,
-    spd_builder,
-)
-from repro.shortest_paths.spd import ShortestPathDAG
+from repro.shortest_paths.dijkstra import _EPSILON
 
 __all__ = [
     "DictDependencyOracle",
@@ -67,7 +66,336 @@ __all__ = [
     "reference_betweenness",
     "reference_edge_dependencies",
     "reference_group_betweenness",
+    "reference_co_betweenness",
+    "reference_core_betweenness",
+    "reference_edge_betweenness",
+    "ShortestPathDAG",
+    "dag_from_csr",
+    "bfs_spd",
+    "bfs_distances",
+    "dijkstra_spd",
+    "dijkstra_distances",
+    "spd_builder",
+    "accumulate_dependencies",
+    "accumulate_edge_dependencies",
+    "dependency_on_target",
+    "bidirectional_shortest_path_info",
+    "all_shortest_paths",
 ]
+
+
+# ----------------------------------------------------------------------
+# Dict kernels: the shortest-path DAG over vertex-keyed dicts
+# ----------------------------------------------------------------------
+@dataclass
+class ShortestPathDAG:
+    """All shortest paths from a single source vertex, as vertex-keyed dicts.
+
+    Built by :func:`bfs_spd` (unweighted) and :func:`dijkstra_spd`
+    (positive weights), or from a library SPD by :func:`dag_from_csr`.
+    """
+
+    #: The source (root) vertex of the DAG.
+    source: Vertex
+    #: Shortest-path distance from the source to each reachable vertex.
+    distance: Dict[Vertex, float]
+    #: Number of shortest paths from the source to each reachable vertex.
+    sigma: Dict[Vertex, float]
+    #: Predecessor (parent) lists: ``predecessors[v]`` is P_s(v).
+    predecessors: Dict[Vertex, List[Vertex]]
+    #: Reachable vertices in non-decreasing distance order (source first).
+    order: List[Vertex] = field(default_factory=list)
+
+    def reachable(self) -> List[Vertex]:
+        """Return the vertices reachable from the source (including it)."""
+        return list(self.order)
+
+    def number_of_reachable(self) -> int:
+        """Return how many vertices are reachable from the source."""
+        return len(self.order)
+
+    def is_reachable(self, vertex: Vertex) -> bool:
+        """Return ``True`` if *vertex* is reachable from the source."""
+        return vertex in self.distance
+
+    def path_count(self, vertex: Vertex) -> float:
+        """Return sigma_{s,vertex} (0 when unreachable)."""
+        return self.sigma.get(vertex, 0.0)
+
+    def distance_to(self, vertex: Vertex) -> float:
+        """Return d(source, vertex), or ``inf`` when unreachable."""
+        return self.distance.get(vertex, float("inf"))
+
+    def parents(self, vertex: Vertex) -> List[Vertex]:
+        """Return the predecessor list P_s(vertex) (empty if none)."""
+        return self.predecessors.get(vertex, [])
+
+    def successors(self) -> Dict[Vertex, List[Vertex]]:
+        """Return the child lists of the DAG (inverse of the predecessor map)."""
+        children: Dict[Vertex, List[Vertex]] = {v: [] for v in self.order}
+        for child, parents in self.predecessors.items():
+            for parent in parents:
+                children[parent].append(child)
+        return children
+
+    def paths_through(self, vertex: Vertex) -> Dict[Vertex, float]:
+        """Return sigma_{st}(vertex) for every target *t* (endpoints excluded).
+
+        ``sigma[vertex]`` times the number of DAG paths from *vertex* to
+        *t*, the latter counted by a forward sweep in distance order.
+        """
+        if vertex not in self.distance:
+            return {}
+        paths_from: Dict[Vertex, float] = {vertex: 1.0}
+        start_distance = self.distance[vertex]
+        for t in self.order:
+            if self.distance[t] <= start_distance or t == vertex:
+                continue
+            total = 0.0
+            for parent in self.predecessors.get(t, []):
+                total += paths_from.get(parent, 0.0)
+            if total:
+                paths_from[t] = total
+        sigma_v = self.sigma[vertex]
+        return {
+            t: sigma_v * count
+            for t, count in paths_from.items()
+            if t != vertex and t != self.source
+        }
+
+    def pair_dependencies(self, vertex: Vertex) -> Dict[Vertex, float]:
+        """Return delta_{st}(vertex) = sigma_{st}(vertex) / sigma_{st} for all targets *t*."""
+        through = self.paths_through(vertex)
+        return {
+            t: through[t] / self.sigma[t]
+            for t in through
+            if self.sigma.get(t, 0.0) > 0.0
+        }
+
+    def validate(self) -> None:
+        """Check the DAG invariants; raises :class:`AssertionError` on violation.
+
+        The source has distance 0, sigma 1 and no parents; every other
+        reachable vertex has parents whose sigmas sum to its own.
+        """
+        assert self.distance.get(self.source) == 0.0, "source must have distance 0"
+        assert self.sigma.get(self.source) == 1.0, "source must have sigma 1"
+        assert not self.predecessors.get(self.source), "source must have no predecessors"
+        for v in self.order:
+            if v == self.source:
+                continue
+            parents = self.predecessors.get(v, [])
+            assert parents, f"non-source vertex {v!r} must have at least one predecessor"
+            assert self.sigma[v] == sum(self.sigma[p] for p in parents), (
+                f"sigma[{v!r}] must equal the sum of predecessor sigmas"
+            )
+
+
+def dag_from_csr(spd) -> ShortestPathDAG:
+    """Return the dict DAG of a library (array-backed) SPD, keyed by vertex label."""
+    label = spd.csr.vertex_at
+    order = spd.order_indices.tolist()
+    return ShortestPathDAG(
+        source=label(spd.source_index),
+        distance={label(i): float(spd.dist[i]) for i in order},
+        sigma={label(i): float(spd.sig[i]) for i in order},
+        predecessors={label(i): [label(p) for p in spd.parents_of(i).tolist()] for i in order},
+        order=[label(i) for i in order],
+    )
+
+
+def bfs_spd(graph: Graph, source: Vertex, *, cutoff: Optional[float] = None) -> ShortestPathDAG:
+    """The SPD rooted at *source*, edges of length 1; ``cutoff`` is inclusive."""
+    graph.validate_vertex(source)
+    distance: Dict[Vertex, float] = {source: 0.0}
+    sigma: Dict[Vertex, float] = {source: 1.0}
+    predecessors: Dict[Vertex, List[Vertex]] = {source: []}
+    order: List[Vertex] = []
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        d_u = distance[u]
+        if cutoff is not None and d_u + 1.0 > cutoff:
+            continue
+        for v in graph.neighbors(u):
+            if v not in distance:
+                distance[v] = d_u + 1.0
+                sigma[v] = 0.0
+                predecessors[v] = []
+                queue.append(v)
+            if distance[v] == d_u + 1.0:
+                sigma[v] += sigma[u]
+                predecessors[v].append(u)
+    return ShortestPathDAG(source, distance, sigma, predecessors, order)
+
+
+def bfs_distances(graph: Graph, source: Vertex) -> Dict[Vertex, float]:
+    """The BFS distance map from *source*, in discovery order."""
+    graph.validate_vertex(source)
+    distance: Dict[Vertex, float] = {source: 0.0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        d_u = distance[u]
+        for v in graph.neighbors(u):
+            if v not in distance:
+                distance[v] = d_u + 1.0
+                queue.append(v)
+    return distance
+
+
+def dijkstra_spd(graph: Graph, source: Vertex) -> ShortestPathDAG:
+    """The SPD rooted at *source* over positive weights (a tie band while relaxing)."""
+    graph.validate_vertex(source)
+    distance: Dict[Vertex, float] = {}
+    sigma: Dict[Vertex, float] = {source: 1.0}
+    predecessors: Dict[Vertex, List[Vertex]] = {source: []}
+    order: List[Vertex] = []
+    seen: Dict[Vertex, float] = {source: 0.0}
+    counter = itertools.count()
+    heap: List = [(0.0, next(counter), source)]
+    while heap:
+        dist_u, _, u = heapq.heappop(heap)
+        if u in distance:
+            continue  # already settled via a shorter path
+        distance[u] = dist_u
+        order.append(u)
+        for v, weight in graph.adjacency(u).items():
+            if weight <= 0.0:
+                raise NegativeWeightError(u, v, weight)
+            candidate = dist_u + weight
+            band = _EPSILON * max(1.0, abs(candidate))
+            if v in distance:
+                if abs(candidate - distance[v]) <= band:
+                    sigma[v] += sigma[u]
+                    predecessors[v].append(u)
+                continue
+            previous = seen.get(v)
+            if previous is None or candidate < previous - band:
+                seen[v] = candidate
+                sigma[v] = sigma[u]
+                predecessors[v] = [u]
+                heapq.heappush(heap, (candidate, next(counter), v))
+            elif abs(candidate - previous) <= band:
+                sigma[v] += sigma[u]
+                predecessors[v].append(u)
+    return ShortestPathDAG(source, distance, sigma, predecessors, order)
+
+
+def dijkstra_distances(graph: Graph, source: Vertex) -> Dict[Vertex, float]:
+    """The weighted distance map from *source*, in settle order."""
+    return dict(dijkstra_spd(graph, source).distance)
+
+
+def spd_builder(graph: Graph) -> Callable[[Graph, Vertex], ShortestPathDAG]:
+    """BFS for unweighted graphs, Dijkstra for weighted ones."""
+    return dijkstra_spd if graph.weighted else bfs_spd
+
+
+def accumulate_dependencies(spd: ShortestPathDAG) -> Dict[Vertex, float]:
+    """``{v: delta_{s.}(v)}`` by the Brandes recursion (Equation 4); the source reads 0."""
+    delta: Dict[Vertex, float] = {v: 0.0 for v in spd.order}
+    for w in reversed(spd.order):
+        coefficient = (1.0 + delta[w]) / spd.sigma[w]
+        for v in spd.predecessors.get(w, []):
+            delta[v] += spd.sigma[v] * coefficient
+    delta[spd.source] = 0.0
+    return delta
+
+
+def accumulate_edge_dependencies(spd: ShortestPathDAG) -> Dict[tuple, float]:
+    """``{(v, w): delta_{s.}(v, w)}`` per DAG edge, oriented away from the source."""
+    delta: Dict[Vertex, float] = {v: 0.0 for v in spd.order}
+    edge_delta: Dict[tuple, float] = {}
+    for w in reversed(spd.order):
+        coefficient = (1.0 + delta[w]) / spd.sigma[w]
+        for v in spd.predecessors.get(w, []):
+            contribution = spd.sigma[v] * coefficient
+            edge_delta[(v, w)] = contribution
+            delta[v] += contribution
+    return edge_delta
+
+
+def dependency_on_target(graph: Graph, source: Vertex, target: Vertex) -> float:
+    """``delta_{source.}(target)``: one SPD and one accumulation."""
+    graph.validate_vertex(target)
+    if source == target:
+        return 0.0
+    deltas = accumulate_dependencies(spd_builder(graph)(graph, source))
+    return deltas.get(target, 0.0)
+
+
+def bidirectional_shortest_path_info(graph: Graph, s: Vertex, t: Vertex) -> Tuple[float, float]:
+    """``(d(s, t), sigma_st)`` by a balanced bidirectional BFS; ``(inf, 0.0)`` if apart."""
+    graph.validate_vertex(s)
+    graph.validate_vertex(t)
+    if s == t:
+        return 0.0, 1.0
+    dist_s: Dict[Vertex, float] = {s: 0.0}
+    dist_t: Dict[Vertex, float] = {t: 0.0}
+    sigma_s: Dict[Vertex, float] = {s: 1.0}
+    sigma_t: Dict[Vertex, float] = {t: 1.0}
+    frontier_s: List[Vertex] = [s]
+    frontier_t: List[Vertex] = [t]
+    while frontier_s and frontier_t:
+        # Expand the side whose frontier has the smaller total degree.
+        work_s = sum(graph.degree(v) for v in frontier_s)
+        work_t = sum(graph.degree(v) for v in frontier_t)
+        if work_s <= work_t:
+            frontier_s, met = _expand_counting(graph, frontier_s, dist_s, sigma_s, dist_t)
+        else:
+            frontier_t, met = _expand_counting(graph, frontier_t, dist_t, sigma_t, dist_s)
+        if met:
+            break
+    else:
+        return float("inf"), 0.0
+    best = min(dist_s[v] + dist_t[v] for v in dist_s if v in dist_t)
+    sigma = 0.0
+    for v in dist_s:
+        if v in dist_t and dist_s[v] + dist_t[v] == best:
+            sigma += sigma_s[v] * sigma_t[v]
+    return best, sigma
+
+
+def _expand_counting(graph: Graph, frontier, dist, sigma, other_dist):
+    """Expand one level with path counts; return the new frontier and whether the searches met."""
+    next_frontier: List[Vertex] = []
+    met = False
+    level = dist[frontier[0]]
+    for u in frontier:
+        for v in graph.neighbors(u):
+            if v not in dist:
+                dist[v] = level + 1.0
+                sigma[v] = 0.0
+                next_frontier.append(v)
+            if dist[v] == level + 1.0:
+                sigma[v] += sigma[u]
+                if v in other_dist:
+                    met = True
+    return next_frontier, met
+
+
+def all_shortest_paths(graph: Graph, s: Vertex, t: Vertex) -> List[List[Vertex]]:
+    """Every shortest s→t path as an explicit vertex list (exponential; small graphs)."""
+    graph.validate_vertex(s)
+    graph.validate_vertex(t)
+    if s == t:
+        return [[s]]
+    spd = spd_builder(graph)(graph, s)
+    if not spd.is_reachable(t):
+        return []
+    paths: List[List[Vertex]] = []
+
+    def _backtrack(vertex: Vertex, suffix: List[Vertex]) -> None:
+        if vertex == s:
+            paths.append([s] + suffix)
+            return
+        for parent in spd.parents(vertex):
+            _backtrack(parent, [vertex] + suffix)
+
+    _backtrack(t, [])
+    return paths
 
 
 class DictDependencyOracle:
@@ -690,3 +1018,66 @@ def reference_group_betweenness(graph: Graph, group, normalized: bool = True) ->
     if normalized and n > 1:
         total /= n * (n - 1)
     return total
+
+
+def reference_co_betweenness(graph: Graph, group, normalized: bool = True) -> float:
+    """Co-betweenness by explicit path enumeration (|group| >= 2 only).
+
+    Over ordered pairs outside the group, the fraction of shortest paths
+    whose interior contains every member.
+    """
+    member_set = set(group)
+    vertices = [v for v in graph.vertices() if v not in member_set]
+    total = 0.0
+    for s in vertices:
+        for t in vertices:
+            if s == t:
+                continue
+            paths = all_shortest_paths(graph, s, t)
+            if not paths:
+                continue
+            passing = sum(1 for path in paths if member_set.issubset(path[1:-1]))
+            total += passing / len(paths)
+    n = graph.number_of_vertices()
+    if normalized and n > 1:
+        total /= n * (n - 1)
+    return total
+
+
+def reference_core_betweenness(compressed) -> Dict[Vertex, float]:
+    """The multiplicity-weighted Brandes loop over a compressed graph's core.
+
+    A source *s* stands for ``multiplicity[s]`` original sources and a
+    target *w* for ``multiplicity[w]`` targets; only survivors strictly
+    between them are credited.
+    """
+    core = compressed.graph
+    mult = compressed.multiplicity
+    build = spd_builder(core)
+    raw: Dict[Vertex, float] = {v: 0.0 for v in core.vertices()}
+    for s in core.vertices():
+        spd = build(core, s)
+        delta: Dict[Vertex, float] = {v: 0.0 for v in spd.order}
+        for w in reversed(spd.order):
+            coefficient = (mult[w] + delta[w]) / spd.sigma[w]
+            for v in spd.predecessors.get(w, []):
+                delta[v] += spd.sigma[v] * coefficient
+        for v in spd.order:
+            if v != s:
+                raw[v] += mult[s] * delta[v]
+    return raw
+
+
+def reference_edge_betweenness(graph: Graph) -> Dict[tuple, float]:
+    """Unnormalised edge betweenness over the dict kernels.
+
+    Undirected edges key by the frozenset of their endpoints, directed
+    ones by the arc ``(u, v)``.
+    """
+    scores: Dict[tuple, float] = {}
+    build = spd_builder(graph)
+    for s in graph.vertices():
+        for (u, v), delta in accumulate_edge_dependencies(build(graph, s)).items():
+            key = (u, v) if graph.directed else frozenset((u, v))
+            scores[key] = scores.get(key, 0.0) + delta
+    return scores

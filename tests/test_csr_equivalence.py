@@ -1,7 +1,7 @@
 """Property-based equivalence suite: the CSR kernels must match the dict reference.
 
 The flat-array kernels every estimator runs on are drop-in twins of the
-dict-backed reference implementations: same distances, same path counts,
+dict-backed reference kernels of ``tests/reference.py``: same distances, same path counts,
 same traversal order, same predecessor lists (and ordering, which the
 rng-driven path samplers rely on), same dependency scores, and — for every
 registered estimator — the same estimate for a fixed seed as the
@@ -23,6 +23,14 @@ from hypothesis import strategies as st
 
 from reference import (
     DictDependencyOracle,
+    accumulate_dependencies,
+    bfs_distances,
+    bfs_spd,
+    bidirectional_shortest_path_info,
+    dag_from_csr,
+    dependency_on_target,
+    dijkstra_distances,
+    dijkstra_spd,
     reference_betweenness,
     reference_edge_dependencies,
     reference_estimate,
@@ -40,18 +48,13 @@ from repro.graphs import (
 )
 from repro.graphs.components import largest_connected_component
 from repro.shortest_paths import (
-    accumulate_dependencies,
     accumulate_dependencies_batch_csr,
     accumulate_dependencies_csr,
-    bfs_distances,
     bfs_distances_csr,
-    bfs_spd,
     bfs_spd_batch_csr,
     bfs_spd_csr,
-    bidirectional_shortest_path_info,
     bidirectional_shortest_path_info_csr,
     csr_source_dependencies,
-    dijkstra_spd,
     dijkstra_spd_csr,
 )
 
@@ -106,13 +109,14 @@ def test_spd_construction_matches_dict_backend(graph, source_seed):
     else:
         dict_spd = bfs_spd(graph, source)
         csr_spd = bfs_spd_csr(csr, csr.index_of(source))
-    assert csr_spd.source == source
-    assert csr_spd.distance == dict_spd.distance
-    assert csr_spd.sigma == dict_spd.sigma
-    assert csr_spd.order == dict_spd.order
-    assert csr_spd.predecessors == dict_spd.predecessors
-    # The compat view must satisfy the same structural invariants.
-    csr_spd.to_dag().validate()
+    csr_dag = dag_from_csr(csr_spd)
+    assert csr_dag.source == source
+    assert csr_dag.distance == dict_spd.distance
+    assert csr_dag.sigma == dict_spd.sigma
+    assert csr_dag.order == dict_spd.order
+    assert csr_dag.predecessors == dict_spd.predecessors
+    # The CSR DAG must satisfy the same structural invariants.
+    csr_dag.validate()
 
 
 @given(graph_cases, st.integers(min_value=0, max_value=10_000))
@@ -201,7 +205,7 @@ def test_brandes_normalizations_match_the_dict_reference(normalization, directed
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_all_dependencies_on_target_matches_the_dict_reference(weighted):
-    from repro.shortest_paths import all_dependencies_on_target, dependency_on_target
+    from repro.shortest_paths import all_dependencies_on_target
 
     graph = _random_weighted_graph(5) if weighted else barabasi_albert_graph(25, 2, seed=6)
     target = graph.vertices()[2]
@@ -355,9 +359,9 @@ def test_weight_mutation_invalidates_snapshot_and_matches_the_reference():
 
 
 def test_spd_compat_readers_are_lenient_for_unknown_labels():
-    """Absent labels read as unreachable on both DAG flavours, never raise."""
+    """Absent labels read as unreachable on the dict DAG, built or converted, never raise."""
     graph = barbell_graph(3, 1)
-    for spd in (bfs_spd(graph, 0), bfs_spd_csr(graph.csr(), 0)):
+    for spd in (bfs_spd(graph, 0), dag_from_csr(bfs_spd_csr(graph.csr(), 0))):
         assert spd.is_reachable("ghost") is False
         assert spd.distance_to("ghost") == float("inf")
         assert spd.path_count("ghost") == 0.0
@@ -716,10 +720,7 @@ def test_even_blocks_split_without_a_tail_remainder(count, width, gate):
 def test_weighted_distances_csr_matches_spd_and_dict_backend():
     """dijkstra_distances_csr: dist bit-equals the SPD's dist field, and the
     settle-order dict rebuild equals the dict route's settle-order dict."""
-    from repro.shortest_paths.dijkstra import (
-        dijkstra_distances,
-        dijkstra_distances_csr,
-    )
+    from repro.shortest_paths.dijkstra import dijkstra_distances_csr
 
     graph = _random_weighted_graph(23)
     csr = graph.csr()

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from reference import reference_core_betweenness
 from repro.exact import (
     betweenness_centrality,
     betweenness_with_compression,
@@ -19,6 +22,21 @@ from repro.graphs import (
     random_tree,
     star_graph,
 )
+from repro.exact.compression import _weighted_core_betweenness
+
+
+def decorated_graph(seed: int, weighted: bool) -> Graph:
+    """A seeded random core with pendant chains and trees hung off it."""
+    rng = random.Random(seed)
+    graph = Graph(weighted=weighted)
+    n = rng.randint(5, 12)
+    for _ in range(2 * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            graph.add_edge(u, v, rng.choice([0.5, 1.0, 1.5, 2.0]) if weighted else 1.0)
+    for leaf in range(n, n + rng.randint(1, 8)):
+        graph.add_edge(rng.randrange(leaf), leaf, rng.choice([1.0, 3.0]) if weighted else 1.0)
+    return graph
 
 
 class TestCompressDegreeOne:
@@ -106,3 +124,11 @@ class TestBetweennessWithCompression:
     def test_count_normalization(self, star6):
         compressed = betweenness_with_compression(star6, normalization="count")
         assert compressed[0] == pytest.approx(15.0)
+
+
+@pytest.mark.parametrize("seed,weighted", [(seed, seed % 3 == 0) for seed in range(30)])
+def test_core_pass_equals_the_dict_loop_bit_for_bit(seed, weighted):
+    """The index-space multiplicity-weighted Brandes loop over the core
+    returns the dict loop's values exactly (same order of operations)."""
+    compressed = compress_degree_one(decorated_graph(seed, weighted))
+    assert _weighted_core_betweenness(compressed) == reference_core_betweenness(compressed)

@@ -914,23 +914,6 @@ def test_n_jobs_explicit_values_skip_the_probe():
     assert _resolve_n_jobs(graph, None) is None
 
 
-def test_probe_shard_sizes_is_a_diagnostic_only():
-    """Times every candidate; the library deliberately exposes no
-    calibrate_shard_size (the constant is part of the determinism contract)."""
-    import repro.execution as execution
-    from repro.execution import probe_shard_sizes
-
-    graph = barabasi_albert_graph(30, 2, seed=2)
-    timings = probe_shard_sizes(graph, candidates=(8, 16), probe_sources=8)
-    assert [size for size, _ in timings] == [8, 16]
-    assert all(seconds >= 0.0 for _, seconds in timings)
-    assert not hasattr(execution, "calibrate_shard_size")
-    with pytest.raises(ConfigurationError):
-        probe_shard_sizes(graph, candidates=())
-    with pytest.raises(ConfigurationError):
-        probe_shard_sizes(graph, candidates=(0,))
-
-
 # ----------------------------------------------------------------------
 # Whole-set prefetch: streamed blocks, one call per chain, bounded runs
 # ----------------------------------------------------------------------

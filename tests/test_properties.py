@@ -18,11 +18,12 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import dag_from_csr
 from repro.exact import betweenness_centrality, betweenness_of_vertex
 from repro.graphs import Graph, gnm_random_graph
 from repro.graphs.components import connected_components, largest_connected_component
 from repro.mcmc import SingleSpaceMHSampler, mcmc_error_probability, required_samples
-from repro.shortest_paths import accumulate_dependencies, bfs_spd
+from repro.shortest_paths import accumulate_dependencies_csr, bfs_spd_csr
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -108,6 +109,19 @@ class TestGraphProperties:
 # ----------------------------------------------------------------------
 # SPD invariants
 # ----------------------------------------------------------------------
+def bfs_spd(graph, source):
+    """The library's BFS DAG rooted at the label *source*, keyed by label."""
+    csr = graph.csr()
+    return dag_from_csr(bfs_spd_csr(csr, csr.index_of(source)))
+
+
+def source_dependencies(graph, source):
+    """The library's dependency vector of *source*, keyed by label."""
+    csr = graph.csr()
+    delta = accumulate_dependencies_csr(bfs_spd_csr(csr, csr.index_of(source)))
+    return dict(zip(csr.vertices, delta.tolist()))
+
+
 class TestSpdProperties:
     @given(connected_graphs)
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -129,8 +143,7 @@ class TestSpdProperties:
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     def test_dependencies_are_nonnegative_and_bounded(self, graph):
         source = graph.vertices()[0]
-        spd = bfs_spd(graph, source)
-        deltas = accumulate_dependencies(spd)
+        deltas = source_dependencies(graph, source)
         n = graph.number_of_vertices()
         for v, delta in deltas.items():
             assert delta >= 0.0
@@ -141,7 +154,7 @@ class TestSpdProperties:
     def test_dependency_equals_sum_of_pair_dependencies(self, graph):
         source = graph.vertices()[0]
         spd = bfs_spd(graph, source)
-        deltas = accumulate_dependencies(spd)
+        deltas = source_dependencies(graph, source)
         for v in list(graph.vertices())[:4]:
             if v == source:
                 continue

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SamplingError
 from repro.exact import betweenness_centrality, betweenness_of_vertex
-from repro.graphs import barbell_graph, complete_graph, path_graph, star_graph
+from repro.graphs import Graph, complete_graph
 from repro.samplers import (
     DistanceBasedSampler,
     ExhaustiveSourceEstimator,
@@ -142,6 +142,27 @@ class TestRiondatoKornaropoulos:
     def test_vertex_diameter_estimate_upper_bounds_truth(self, path5):
         # true vertex diameter of the 5-path is 5; the 2-approximation must not under-estimate
         assert vertex_diameter_estimate(path5, seed=1) >= 5
+
+    def test_vertex_diameter_estimate_covers_every_component(self):
+        # A triangle plus a disjoint 10-vertex path: VD = 10 wherever the
+        # random start lands.
+        graph = Graph.from_edges([(0, 1), (1, 2), (2, 0)] + [(i, i + 1) for i in range(3, 12)])
+        assert all(vertex_diameter_estimate(graph, seed=seed) >= 10 for seed in range(40))
+
+    def test_vertex_diameter_estimate_directed_path(self):
+        # BFS reach from a late vertex of a directed path sees almost nothing.
+        graph = Graph.from_edges([(i, i + 1) for i in range(9)], directed=True)
+        assert all(vertex_diameter_estimate(graph, seed=seed) >= 10 for seed in range(40))
+
+    def test_vertex_diameter_estimate_weighted_hub(self):
+        # Weight-100 spokes from a hub over a weight-1 path of 10 leaves: the
+        # shortest leaf-to-leaf route walks the whole leaf path (VD = 10)
+        # while every vertex is within 2 hops of every other.
+        leaves = range(1, 11)
+        edges = [(0, leaf, 100.0) for leaf in leaves]
+        edges += [(leaf, leaf + 1, 1.0) for leaf in leaves if leaf < 10]
+        graph = Graph.from_edges(edges, weighted=True)
+        assert all(vertex_diameter_estimate(graph, seed=seed) >= 10 for seed in range(40))
 
     def test_samples_for_accuracy(self, barbell):
         sampler = RiondatoKornaropoulosSampler()

@@ -1,4 +1,8 @@
-"""Tests for BFS shortest-path DAG construction."""
+"""Tests for BFS shortest-path DAG construction.
+
+The DAGs are built by the CSR kernels and read through the reference's
+vertex-keyed view (:func:`reference.dag_from_csr`).
+"""
 
 from __future__ import annotations
 
@@ -7,10 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import dag_from_csr
 from repro.errors import VertexNotFoundError
-from repro.graphs import Graph, cycle_graph, grid_graph, path_graph, star_graph
-from repro.shortest_paths import bfs_distances, bfs_spd, single_pair_distance
+from repro.graphs import Graph, cycle_graph, grid_graph
+from repro.shortest_paths import bfs_distances_csr, bfs_spd_csr
 from repro.shortest_paths.bfs import _first_touch
+
+
+def bfs_spd(graph, source, **kwargs):
+    """The library's BFS DAG rooted at the label *source*, keyed by label."""
+    csr = graph.csr()
+    return dag_from_csr(bfs_spd_csr(csr, csr.index_of(source), **kwargs))
+
+
+def pair_distance(graph, source, target) -> float:
+    """d(source, target) read off the library's distance-only BFS."""
+    csr = graph.csr()
+    dist, _ = bfs_distances_csr(csr, csr.index_of(source))
+    return float(dist[csr.index_of(target)])
 
 
 class TestBfsSpd:
@@ -64,11 +82,18 @@ class TestBfsSpd:
     def test_missing_source_raises(self, path5):
         with pytest.raises(VertexNotFoundError):
             bfs_spd(path5, 42)
+        # Index space: an out-of-range index raises instead of wrapping.
+        for index in (5, -1):
+            with pytest.raises(IndexError):
+                bfs_spd_csr(path5.csr(), index)
 
     def test_cutoff_limits_exploration(self, path5):
         spd = bfs_spd(path5, 0, cutoff=2)
         assert spd.is_reachable(2)
+        assert not spd.is_reachable(3)
         assert not spd.is_reachable(4)
+        # Inclusive: a fractional cutoff never admits the next level.
+        assert bfs_spd(path5, 0, cutoff=1.5).order == [0, 1]
 
     def test_validate_passes_on_real_spd(self, small_ba):
         spd = bfs_spd(small_ba, 0)
@@ -115,22 +140,25 @@ class TestSpdDerived:
 
 class TestBfsHelpers:
     def test_bfs_distances_matches_spd(self, grid4x4):
-        spd = bfs_spd(grid4x4, 0)
-        assert bfs_distances(grid4x4, 0) == spd.distance
+        csr = grid4x4.csr()
+        spd = bfs_spd_csr(csr, 0)
+        dist, order = bfs_distances_csr(csr, 0)
+        assert np.array_equal(dist, spd.dist)
+        assert np.array_equal(order, spd.order_indices)
 
     def test_single_pair_distance(self, path5):
-        assert single_pair_distance(path5, 0, 4) == 4.0
-        assert single_pair_distance(path5, 2, 2) == 0.0
+        assert pair_distance(path5, 0, 4) == 4.0
+        assert pair_distance(path5, 2, 2) == 0.0
 
     def test_single_pair_distance_unreachable(self):
         g = Graph()
         g.add_edge(0, 1)
         g.add_vertex(5)
-        assert single_pair_distance(g, 0, 5) == float("inf")
+        assert pair_distance(g, 0, 5) == float("inf")
 
     def test_single_pair_missing_vertex(self, path5):
         with pytest.raises(VertexNotFoundError):
-            single_pair_distance(path5, 0, 42)
+            pair_distance(path5, 0, 42)
 
 
 def _sorted_unique(values):

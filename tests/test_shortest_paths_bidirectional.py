@@ -1,18 +1,36 @@
-"""Tests for bidirectional BFS and uniform shortest-path sampling."""
+"""Tests for bidirectional BFS, uniform shortest-path sampling and path enumeration.
+
+The pair query and the path sampler are the library's CSR kernels; the
+explicit enumeration is the reference the co-betweenness tests compare
+against.
+"""
 
 from __future__ import annotations
 
 import collections
+import random
 
-import pytest
+import numpy as np
 
-from repro.graphs import Graph, cycle_graph, grid_graph, path_graph
-from repro.shortest_paths import (
-    all_shortest_paths,
-    bfs_spd,
-    bidirectional_shortest_path_info,
-    sample_shortest_path,
-)
+from reference import all_shortest_paths, bfs_spd
+from repro.graphs import Graph, cycle_graph, grid_graph
+from repro.shortest_paths import bidirectional_shortest_path_info_csr, csr_spd_builder
+from repro.shortest_paths.bidirectional import sample_path_interior_csr
+
+
+def bidirectional_shortest_path_info(graph, s, t):
+    csr = graph.csr()
+    return bidirectional_shortest_path_info_csr(csr, csr.index_of(s), csr.index_of(t))
+
+
+def sample_interior(graph, s, t, seed):
+    """The interior of one sampled shortest s→t path, as labels from *t* backwards."""
+    csr = graph.csr()
+    source = csr.index_of(s)
+    spd = csr_spd_builder(csr)(csr, source)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    interior = sample_path_interior_csr(spd, source, csr.index_of(t), rng)
+    return [csr.vertex_at(i) for i in interior]
 
 
 class TestBidirectionalInfo:
@@ -80,37 +98,36 @@ class TestAllShortestPaths:
 class TestSampleShortestPath:
     def test_sampled_path_is_shortest(self, grid4x4):
         spd = bfs_spd(grid4x4, 0)
-        path = sample_shortest_path(grid4x4, 0, 15, seed=1)
-        assert path[0] == 0 and path[-1] == 15
+        path = [0] + sample_interior(grid4x4, 0, 15, seed=1)[::-1] + [15]
         assert len(path) - 1 == spd.distance[15]
         for a, b in zip(path, path[1:]):
             assert grid4x4.has_edge(a, b)
 
     def test_disconnected_returns_none(self):
+        # An unreachable target has no DAG parents: nothing is sampled.
         g = Graph()
         g.add_edge(0, 1)
         g.add_vertex(2)
-        assert sample_shortest_path(g, 0, 2, seed=1) is None
+        csr = g.csr()
+        assert np.isinf(csr_spd_builder(csr)(csr, 0).dist[2])
+        assert sample_interior(g, 0, 2, seed=1) == []
 
     def test_same_endpoints(self, path5):
-        assert sample_shortest_path(path5, 3, 3, seed=1) == [3]
+        assert sample_interior(path5, 3, 3, seed=1) == []
+        assert sample_interior(path5, 3, 4, seed=1) == []
 
     def test_sampling_is_close_to_uniform(self):
         # Cycle of 6: exactly two shortest 0->3 paths; each should appear
         # roughly half the time.
         g = cycle_graph(6)
         counts = collections.Counter()
-        import random
-
         rng = random.Random(0)
         for _ in range(400):
-            path = tuple(sample_shortest_path(g, 0, 3, seed=rng))
-            counts[path] += 1
+            counts[tuple(sample_interior(g, 0, 3, seed=rng))] += 1
         assert len(counts) == 2
         ratio = min(counts.values()) / max(counts.values())
         assert ratio > 0.7
 
     def test_weighted_graph_sampling(self, weighted_diamond):
-        path = sample_shortest_path(weighted_diamond, 0, 3, seed=5)
-        assert path[0] == 0 and path[-1] == 3
-        assert len(path) == 3  # the two-hop routes, never the 0-4-3 route
+        # the two-hop routes, never the 0-4-3 route
+        assert sample_interior(weighted_diamond, 0, 3, seed=5) in ([1], [2])

@@ -1,4 +1,10 @@
-"""Tests for Brandes dependency accumulation — the shared substrate of every estimator."""
+"""Tests for Brandes dependency accumulation — the shared substrate of every estimator.
+
+The library's CSR passes are checked against closed forms, networkx and the
+dict reference (``tests/reference.py``); the edge-dependency tests pin the
+reference's edge accumulation, which the edge-betweenness tests compare
+against.
+"""
 
 from __future__ import annotations
 
@@ -14,20 +20,27 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
-from repro.shortest_paths import (
+from reference import (
     accumulate_dependencies,
-    accumulate_dependencies_csr,
     accumulate_edge_dependencies,
-    all_dependencies_on_target,
     bfs_spd,
+    dependency_on_target,
+)
+from repro.shortest_paths import (
+    accumulate_dependencies_csr,
+    all_dependencies_on_target,
     bfs_spd_csr,
     csr_source_dependencies,
-    dependency_on_target,
-    source_dependencies,
-    spd_builder,
+    csr_spd_builder,
+    dijkstra_spd_csr,
 )
 from repro.shortest_paths.bfs import bfs_source_dependencies_csr
-from repro.shortest_paths.dijkstra import dijkstra_spd
+
+
+def source_dependencies(graph: Graph, source):
+    """The library's dependency vector of *source*, keyed by vertex label."""
+    csr = graph.csr()
+    return dict(zip(csr.vertices, csr_source_dependencies(csr, csr.index_of(source)).tolist()))
 
 
 def naive_dependency(graph: Graph, source, vertex) -> float:
@@ -129,10 +142,10 @@ class TestTargetHelpers:
         assert total / (n * (n - 1)) == pytest.approx(betweenness_of_vertex(barbell, r))
 
     def test_spd_builder_picks_bfs_for_unweighted(self, path5):
-        assert spd_builder(path5) is bfs_spd
+        assert csr_spd_builder(path5.csr()) is bfs_spd_csr
 
     def test_spd_builder_picks_dijkstra_for_weighted(self, weighted_diamond):
-        assert spd_builder(weighted_diamond) is dijkstra_spd
+        assert csr_spd_builder(weighted_diamond.csr()) is dijkstra_spd_csr
 
     def test_weighted_dependencies(self, weighted_diamond):
         deltas = source_dependencies(weighted_diamond, 0)

@@ -1,12 +1,36 @@
-"""Tests for Dijkstra shortest-path DAG construction on weighted graphs."""
+"""Tests for Dijkstra shortest-path DAG construction on weighted graphs.
+
+The DAGs are built by the CSR kernels and read through the reference's
+vertex-keyed view (:func:`reference.dag_from_csr`).
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from reference import dag_from_csr
 from repro.errors import NegativeWeightError, VertexNotFoundError
 from repro.graphs import Graph
-from repro.shortest_paths import bfs_spd, dijkstra_distances, dijkstra_spd
+from repro.shortest_paths import bfs_spd_csr, dijkstra_spd_csr
+from repro.shortest_paths.dijkstra import dijkstra_distances_csr
+
+
+def dijkstra_spd(graph, source):
+    """The library's weighted DAG rooted at the label *source*, keyed by label."""
+    csr = graph.csr()
+    return dag_from_csr(dijkstra_spd_csr(csr, csr.index_of(source)))
+
+
+def bfs_spd(graph, source):
+    csr = graph.csr()
+    return dag_from_csr(bfs_spd_csr(csr, csr.index_of(source)))
+
+
+def dijkstra_distances(graph, source):
+    """The library's weighted distances from *source*, keyed by label in settle order."""
+    csr = graph.csr()
+    dist, order = dijkstra_distances_csr(csr, csr.index_of(source))
+    return {csr.vertex_at(i): float(dist[i]) for i in order.tolist()}
 
 
 def weighted_triangle() -> Graph:
@@ -59,10 +83,12 @@ class TestDijkstraSpd:
     def test_missing_source(self, weighted_diamond):
         with pytest.raises(VertexNotFoundError):
             dijkstra_spd(weighted_diamond, 99)
+        with pytest.raises(IndexError):
+            dijkstra_spd_csr(weighted_diamond.csr(), 99)
 
     def test_negative_weight_rejected_at_traversal(self):
-        # Build an unweighted-flag graph, then force a bad weight through the
-        # weighted code path to check the guard inside Dijkstra itself.
+        # Force a bad weight past add_edge's validation to check the guard
+        # of the weighted kernels themselves.
         g = Graph(weighted=True)
         g.add_edge(0, 1, 1.0)
         g._adj[0][1] = -1.0  # bypass add_edge validation deliberately
