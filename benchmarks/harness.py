@@ -23,12 +23,6 @@ Environment knobs
     the value is stamped as a ``jobs:`` line in every emitted table, so
     trajectories across commits attribute speedups to the knob rather than
     to dataset or seed drift.
-``REPRO_BENCH_SHARED_GRAPH``
-    Whether CSR snapshots ship to workers as zero-copy shared-memory
-    handles (default ``0``, pickled shipping).  Exported as
-    ``REPRO_SHARED_GRAPH`` so every estimator in the ``bench_e*``
-    modules honours it, and stamped as a ``shared_graph:`` line in every
-    emitted table.
 ``REPRO_BENCH_INVALIDATION``
     Mutation invalidation scoping the benchmarks run under: ``delta``
     (default; journal-proved affected-region retention) or ``full``
@@ -86,30 +80,12 @@ def bench_invalidation() -> str:
     return os.environ.get("REPRO_BENCH_INVALIDATION", "delta")
 
 
-def bench_shared_graph() -> bool:
-    """Return whether ``REPRO_BENCH_SHARED_GRAPH`` asks for shared snapshots."""
-    raw = os.environ.get("REPRO_BENCH_SHARED_GRAPH", "0").strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off", ""):
-        return False
-    raise ValueError(
-        f"REPRO_BENCH_SHARED_GRAPH must be a boolean flag (0/1), got {raw!r}"
-    )
-
-
 # Export the parallelism knob as the library-wide override: REPRO_JOBS
 # sets n_jobs at every call site that resolves an ExecutionPlan.
 if bench_jobs() != 1:
     if bench_jobs() < 1:
         raise ValueError(f"REPRO_BENCH_JOBS must be a positive integer, got {bench_jobs()!r}")
     os.environ["REPRO_JOBS"] = str(bench_jobs())
-
-# And for the snapshot-shipping knob: REPRO_SHARED_GRAPH fills the
-# shared_graph field of every resolved plan (see
-# repro.execution.plan.resolve_plan).
-if bench_shared_graph():
-    os.environ["REPRO_SHARED_GRAPH"] = "1"
 
 # And for the invalidation mode: REPRO_INVALIDATION steers how every
 # session scopes mutation invalidation (repro.incremental
@@ -154,11 +130,10 @@ def emit_table(
     """Print the experiment table and persist it under :func:`results_dir`.
 
     The execution stamp (:func:`repro.execution.stamp.execution_stamp`:
-    ``jobs``, ``batch_size``, ``kernel``, ``kernel_threads``) plus
-    ``shared_graph: <bool>`` and ``invalidation: <delta|full>`` lines are
-    stamped under the title so every stored result records which degree of
-    parallelism, snapshot-shipping mode and invalidation scoping produced
-    it.
+    ``jobs``, ``batch_size``, ``kernel``, ``kernel_threads``) plus an
+    ``invalidation: <delta|full>`` line are stamped under the title so
+    every stored result records which degree of parallelism and
+    invalidation scoping produced it.
     """
     from repro.execution.stamp import execution_stamp, format_stamp_lines
 
@@ -167,7 +142,6 @@ def emit_table(
     stamp = format_stamp_lines(
         {
             **{key: value for key, value in execution.items() if value is not None},
-            "shared_graph": bench_shared_graph(),
             "invalidation": bench_invalidation(),
         }
     )

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError
-from repro.execution import ExecutionPlan, plan_snapshot, resolve_plan
+from repro.execution import ExecutionPlan, resolve_plan
 from repro.graphs.core import Graph, Vertex
 from repro.shortest_paths.dependencies import dependency_sum
 
@@ -103,7 +103,7 @@ def betweenness_centrality(
         graph.number_of_vertices(), normalization, directed=graph.directed
     )
     plan = resolve_plan(plan, n_jobs=n_jobs)
-    csr = plan_snapshot(graph, plan)
+    csr = graph.csr()
     if sources is None:
         source_indices = range(csr.number_of_vertices())
     else:

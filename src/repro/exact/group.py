@@ -21,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.execution import (
     ExecutionPlan,
     merge_ordered,
-    plan_snapshot,
     resolve_plan,
     run_sharded,
     split_shards,
@@ -166,7 +165,7 @@ def group_betweenness_centrality(
     members = set(_validate_group(graph, group))
     n = graph.number_of_vertices()
     plan = resolve_plan(plan, n_jobs=n_jobs)
-    csr = plan_snapshot(graph, plan)
+    csr = graph.csr()
     member_mask = np.zeros(csr.number_of_vertices(), dtype=bool)
     for m in members:
         member_mask[csr.index_of(m)] = True

@@ -5,7 +5,7 @@ samplers, the Metropolis-Hastings oracles) reduces to "run many per-source
 passes and accumulate".  This package owns *how* those passes are executed:
 
 * :class:`~repro.execution.plan.ExecutionPlan` bundles the execution
-  knobs — multiprocessing ``n_jobs``, the shared arena and graph, the
+  knobs — multiprocessing ``n_jobs``, the shared dependency arena, the
   start method and the persistent runtime — and
   :func:`~repro.execution.plan.resolve_plan` resolves them (explicit
   arguments win over the ``REPRO_JOBS`` environment override; with nothing
@@ -48,9 +48,7 @@ from repro.execution.plan import DEFAULT_SHARD_SIZE, ExecutionPlan, resolve_plan
 from repro.execution.runtime import (
     ExecutionContext,
     PersistentWorkerPool,
-    graph_snapshot,
     interned_payload,
-    plan_snapshot,
 )
 from repro.execution.scheduler import (
     merge_ordered,
@@ -80,8 +78,6 @@ __all__ = [
     "ExecutionContext",
     "PersistentWorkerPool",
     "interned_payload",
-    "graph_snapshot",
-    "plan_snapshot",
     "DEFAULT_SHARD_SIZE",
     "default_jobs_candidates",
     "calibrate_n_jobs",

@@ -17,10 +17,10 @@ still constructs, for callers written against the retired knob, and the
 value is ignored.
 
 Resolution: explicit arguments always win, and the ``REPRO_JOBS`` /
-``REPRO_SHARED_CACHE`` / ``REPRO_SHARED_GRAPH`` / ``REPRO_MP_CONTEXT``
-environment variables fill in anything left
-unspecified (one env knob steers every call site, which is how the
-benchmark harness runs a whole suite under a given parallelism setting).
+``REPRO_SHARED_CACHE`` / ``REPRO_MP_CONTEXT`` environment variables fill
+in anything left unspecified (one env knob steers every call site, which
+is how the benchmark harness runs a whole suite under a given parallelism
+setting).
 Whatever is still unset takes the :class:`ExecutionPlan` defaults —
 ``n_jobs=1`` (inline) — so :func:`resolve_plan` always returns a plan and
 every estimator runs one execution discipline.
@@ -75,12 +75,6 @@ class ExecutionPlan:
         dependency-vector arena across their workers (ignored by every
         other workload).  Never changes a result — only which process
         pays each Brandes pass.
-    shared_graph:
-        Whether CSR snapshots travel to workers as zero-copy shared-memory
-        handles (:class:`~repro.graphs.shared.SharedCSRGraph`) instead of
-        being pickled — O(1) per-worker ship cost and memory instead of
-        O(m).  Warn-and-fallback where shared memory is unsupported.  Never changes
-        a result: the attached arrays are byte-equal to the pickled ones.
     mp_context:
         Multiprocessing start method for the scheduler's pools (``"fork"`` /
         ``"spawn"`` / ``"forkserver"``; ``None`` keeps the interpreter
@@ -103,22 +97,21 @@ class ExecutionPlan:
     batch_size: Optional[int] = None
     n_jobs: int = 1
     shared_cache: bool = False
-    shared_graph: bool = False
     mp_context: Optional[str] = None
     runtime: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_jobs, int) or self.n_jobs < 1:
+        if (
+            not isinstance(self.n_jobs, int)
+            or isinstance(self.n_jobs, bool)
+            or self.n_jobs < 1
+        ):
             raise ConfigurationError(
                 f"n_jobs must be a positive integer, got {self.n_jobs!r}"
             )
         if not isinstance(self.shared_cache, bool):
             raise ConfigurationError(
                 f"shared_cache must be a boolean, got {self.shared_cache!r}"
-            )
-        if not isinstance(self.shared_graph, bool):
-            raise ConfigurationError(
-                f"shared_graph must be a boolean, got {self.shared_graph!r}"
             )
         if self.mp_context is not None:
             _validate_mp_context(self.mp_context)
@@ -164,7 +157,6 @@ def resolve_plan(
     *,
     n_jobs: Optional[int] = None,
     shared_cache: Optional[bool] = None,
-    shared_graph: Optional[bool] = None,
     mp_context: Optional[str] = None,
     runtime: Optional[object] = None,
 ) -> ExecutionPlan:
@@ -175,11 +167,11 @@ def resolve_plan(
     plan:
         A ready-made :class:`ExecutionPlan`; returned as-is when provided
         (it always wins over the individual knobs).
-    n_jobs, shared_cache, shared_graph, mp_context:
+    n_jobs, shared_cache, mp_context:
         The individual knobs.  ``None`` means "not requested": the
-        ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE`` /
-        ``REPRO_SHARED_GRAPH`` / ``REPRO_MP_CONTEXT`` environment variables
-        are consulted, then the :class:`ExecutionPlan` defaults apply.
+        ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE`` / ``REPRO_MP_CONTEXT``
+        environment variables are consulted, then the
+        :class:`ExecutionPlan` defaults apply.
     runtime:
         Optional persistent :class:`~repro.execution.runtime.ExecutionContext`.
 
@@ -193,14 +185,11 @@ def resolve_plan(
         n_jobs = _env_int("REPRO_JOBS") or ExecutionPlan.n_jobs
     if shared_cache is None:
         shared_cache = bool(_env_flag("REPRO_SHARED_CACHE"))
-    if shared_graph is None:
-        shared_graph = bool(_env_flag("REPRO_SHARED_GRAPH"))
     if mp_context is None:
         mp_context = os.environ.get("REPRO_MP_CONTEXT") or None
     return ExecutionPlan(
         n_jobs=n_jobs,
         shared_cache=shared_cache,
-        shared_graph=shared_graph,
         mp_context=mp_context,
         runtime=runtime,
     )

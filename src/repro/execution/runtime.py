@@ -75,19 +75,11 @@ from repro.execution.shared_cache import (
     shared_memory_available,
 )
 from repro.graphs.core import Graph
-from repro.graphs.shared import (
-    SharedCSRGraph,
-    create_shared_graph,
-    ensure_shared_graph,
-    shared_graph_available,
-)
 
 __all__ = [
     "ExecutionContext",
     "PersistentWorkerPool",
     "interned_payload",
-    "graph_snapshot",
-    "plan_snapshot",
     "DEFAULT_ARENA_BYTES",
     "default_arena_rows",
     "keep_kernel_pages",
@@ -475,8 +467,6 @@ class ExecutionContext:
         self._pool_failed = False
         self._arena: Optional[SharedDependencyStore] = None
         self._arena_attempted = False
-        self._shared_graph: Optional[SharedCSRGraph] = None
-        self._shared_graph_attempted = False
         # The graph the warm state was built against, held by reference:
         # identity comparison (not id()) because a recycled id after GC
         # could otherwise validate a stale arena against a different graph.
@@ -598,8 +588,7 @@ class ExecutionContext:
           proved an affected-source region: only the affected arena rows
           are tombstoned (:meth:`SharedDependencyStore.invalidate_sources`)
           while the rest keep serving; the payload memo and worker installs
-          are still cleared (payloads embed whole-graph snapshots) and the
-          shared-graph segment is rebuilt lazily.
+          are still cleared (payloads embed whole-graph snapshots).
         * ``full`` — a different graph object, journal overflow, a fallback
           case of :func:`~repro.incremental.affected_sources`, or
           ``invalidation="full"``: the legacy path, destroying the arena
@@ -695,16 +684,10 @@ class ExecutionContext:
             ):
                 receipt.arena_rows_compacted = self._arena.compact()
         # Payloads embed whole-graph snapshots (and worker-side installs
-        # mirror them), so they are always rebuilt; the shared-graph
-        # segment likewise packs the old CSR arrays and is re-created
-        # lazily from the patched/rebuilt snapshot.
+        # mirror them), so they are always rebuilt.
         self._payloads.clear()
         if self._pool is not None:
             self._pool.invalidate_payloads()
-        if self._shared_graph is not None:
-            self._shared_graph.destroy()
-        self._shared_graph = None
-        self._shared_graph_attempted = False
         self._last_affected = region.mask
         return receipt
 
@@ -731,10 +714,6 @@ class ExecutionContext:
             self._arena.destroy()
         self._arena = None
         self._arena_attempted = False
-        if self._shared_graph is not None:
-            self._shared_graph.destroy()
-        self._shared_graph = None
-        self._shared_graph_attempted = False
         self._payloads.clear()
         if self._pool is not None:
             # Payloads handed to the pool *by identity* (a mutable graph
@@ -769,26 +748,6 @@ class ExecutionContext:
             n, min(rows, n), context=self._mp, lock=self._shared_lock()
         )
         return self._arena
-
-    def shared_graph(self, graph: Graph) -> Optional[SharedCSRGraph]:
-        """Return the persistent shared-memory CSR snapshot of *graph* (or ``None``).
-
-        The graph-payload twin of :meth:`dependency_arena`: created once per
-        ``(id(graph), graph.version)`` stamp, reused by every later request,
-        destroyed on mutation (via :meth:`refresh`) and on :meth:`close` —
-        exactly alongside the dependency arena.  ``None`` on platforms
-        without working shared memory or after a creation failure; callers
-        degrade to shipping the plain pickled snapshot.
-        """
-        self._require_open()
-        self.refresh(graph)
-        if self._shared_graph_attempted:
-            return self._shared_graph
-        self._shared_graph_attempted = True
-        if not shared_graph_available():
-            return None
-        self._shared_graph = create_shared_graph(graph.csr(), version=graph.version)
-        return self._shared_graph
 
     # ------------------------------------------------------------------
     # Lifecycle + diagnostics
@@ -825,9 +784,6 @@ class ExecutionContext:
             ),
             "arena": arena,
             "arena_occupancy": occupancy,
-            "shared_graph": (
-                self._shared_graph.segment_name if self._shared_graph is not None else None
-            ),
         }
 
     def _require_open(self) -> None:
@@ -845,9 +801,6 @@ class ExecutionContext:
         if self._arena is not None:
             self._arena.destroy()
             self._arena = None
-        if self._shared_graph is not None:
-            self._shared_graph.destroy()
-            self._shared_graph = None
         self._payloads.clear()
         self._stamped_graph = None
 
@@ -864,40 +817,6 @@ class ExecutionContext:
         # boundary.  Reducing to None is semantically right: inside a
         # worker, "no runtime" is the correct execution mode.
         return (_reduce_to_none, ())
-
-
-def graph_snapshot(graph: Graph, *, shared_graph: bool = False, runtime=None):
-    """Return the CSR snapshot of *graph* a parallel workload should ship.
-
-    With ``shared_graph=False`` this is exactly ``graph.csr()`` — the plain
-    snapshot, pickled array-by-array into each worker.  With the knob on,
-    the snapshot is wrapped in a zero-copy shared-memory segment
-    (:class:`~repro.graphs.shared.SharedCSRGraph`): the *runtime*'s
-    persistent per-``(graph, version)`` segment when a runtime is attached,
-    the process-wide registry of
-    :func:`~repro.graphs.shared.ensure_shared_graph` otherwise — both
-    stable objects per graph version, so payloads interned by snapshot
-    identity keep deduplicating.  Falls back to the plain snapshot (with a
-    warning) where shared memory is unsupported.  Either way the arrays are
-    byte-equal, so results never depend on the knob.
-    """
-    if not shared_graph:
-        return graph.csr()
-    if runtime is not None:
-        shared = runtime.shared_graph(graph)
-    else:
-        shared = ensure_shared_graph(graph)
-    return shared if shared is not None else graph.csr()
-
-
-def plan_snapshot(graph: Graph, plan):
-    """Return the CSR snapshot a planned call site should put in its payload.
-
-    The :class:`~repro.execution.plan.ExecutionPlan` flavour of
-    :func:`graph_snapshot`: reads the plan's ``shared_graph`` knob and
-    ``runtime`` field.
-    """
-    return graph_snapshot(graph, shared_graph=plan.shared_graph, runtime=plan.runtime)
 
 
 def interned_payload(plan, key, factory: Callable[[], Any]):

@@ -126,9 +126,6 @@ class Graph:
     (3, 2)
     """
 
-    # __weakref__ lets the shared-snapshot registry of
-    # :mod:`repro.graphs.shared` key segments by a weak reference, so a
-    # garbage-collected graph tears its segment down instead of leaking it.
     __slots__ = (
         "_adj",
         "_pred",
@@ -143,7 +140,6 @@ class Graph:
         "_batch_depth",
         "_batch_bumped",
         "_connectivity",
-        "__weakref__",
     )
 
     def __init__(self, *, directed: bool = False, weighted: bool = False) -> None:
@@ -311,14 +307,13 @@ class Graph:
         Default ``__slots__`` pickling would ship ``_csr`` (three O(m)
         arrays) alongside the dict adjacency, doubling every worker
         payload that carries a graph.  Payloads that need the snapshot in
-        the worker ship it explicitly — as a plain array bundle or a
-        zero-copy :class:`~repro.graphs.shared.SharedCSRGraph` handle —
-        and prime the unpickled graph via :meth:`adopt_csr`.
+        the worker ship it explicitly, as its own array bundle, and prime
+        the unpickled graph via :meth:`adopt_csr`.
         """
         return {
             slot: getattr(self, slot)
             for slot in Graph.__slots__
-            if slot not in ("_csr", "_stale_csr", "_connectivity", "__weakref__")
+            if slot not in ("_csr", "_stale_csr", "_connectivity")
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -332,9 +327,8 @@ class Graph:
         """Adopt *snapshot* as the cached CSR view when none is cached yet.
 
         Worker-side priming: a payload that ships ``(graph, snapshot)``
-        separately (the snapshot possibly attached zero-copy from shared
-        memory) reunites them so a subsequent :meth:`csr` call returns the
-        shipped view instead of rebuilding O(m) arrays.  The caller asserts
+        separately reunites them so a subsequent :meth:`csr` call returns
+        the shipped view instead of rebuilding O(m) arrays.  The caller asserts
         the snapshot describes this graph at its current version; a no-op
         when a cached view already exists.
         """

@@ -69,7 +69,6 @@ from repro.execution import (
     ExecutionPlan,
     create_shared_store,
     interned_payload,
-    plan_snapshot,
     resolve_plan,
     run_sharded,
 )
@@ -153,13 +152,12 @@ class _ChainPayload:
     broadcast substitutes the context's lock by persistent id (see
     :mod:`repro.execution.runtime`).
 
-    *snapshot* optionally carries the graph's CSR snapshot explicitly —
-    either the plain cached arrays or a
-    :class:`~repro.graphs.shared.SharedCSRGraph` handle that re-attaches
-    zero-copy in the worker.  :class:`~repro.graphs.core.Graph` itself
-    pickles *without* its cached snapshot, so :meth:`oracle` primes the
-    worker-side graph via :meth:`~repro.graphs.core.Graph.adopt_csr` before
-    building the oracle; inline (same process) the adoption is a no-op.
+    *snapshot* optionally carries the graph's CSR snapshot (the cached
+    ``graph.csr()`` arrays) explicitly.
+    :class:`~repro.graphs.core.Graph` itself pickles *without* its cached
+    snapshot, so :meth:`oracle` primes the worker-side graph via
+    :meth:`~repro.graphs.core.Graph.adopt_csr` before building the
+    oracle; inline (same process) the adoption is a no-op.
     """
 
     def __init__(
@@ -259,7 +257,6 @@ class _MultiChainBase:
         shared_cache_capacity: Optional[int] = None,
         mp_context: Optional[str] = None,
         runtime: Optional[object] = None,
-        shared_graph: Optional[bool] = None,
     ) -> None:
         if not isinstance(n_chains, int) or isinstance(n_chains, bool) or n_chains < 1:
             raise ConfigurationError(
@@ -268,10 +265,6 @@ class _MultiChainBase:
         if shared_cache is not None and not isinstance(shared_cache, bool):
             raise ConfigurationError(
                 f"shared_cache must be a boolean or None, got {shared_cache!r}"
-            )
-        if shared_graph is not None and not isinstance(shared_graph, bool):
-            raise ConfigurationError(
-                f"shared_graph must be a boolean or None, got {shared_graph!r}"
             )
         if shared_cache_capacity is not None and (
             not isinstance(shared_cache_capacity, int)
@@ -301,11 +294,6 @@ class _MultiChainBase:
         #: requests are cache hits here.  Results are bit-identical either
         #: way — the runtime only moves where work is paid.
         self.runtime = runtime
-        #: Whether the graph's CSR snapshot ships to workers as a
-        #: shared-memory handle (:mod:`repro.graphs.shared`) instead of
-        #: pickled arrays (``None`` consults ``REPRO_SHARED_GRAPH``).
-        #: Never changes an estimate — only how the snapshot travels.
-        self.shared_graph = shared_graph
         #: ``SharedDependencyStore.stats()`` of the last run (``None`` when
         #: the run used private caches) — the drivers' estimate methods stamp
         #: it into their diagnostics.
@@ -338,7 +326,6 @@ class _MultiChainBase:
             self.plan,
             n_jobs=self.n_jobs,
             shared_cache=self.shared_cache,
-            shared_graph=self.shared_graph,
             mp_context=self.mp_context,
             runtime=self.runtime,
         )
@@ -538,12 +525,6 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
         Arena rows of the shared store (``None`` sizes it so overflow is
         impossible for the run's budget).  A smaller arena stays correct
         and simply stops absorbing vectors once full.
-    shared_graph:
-        ``None`` (default) consults the ``REPRO_SHARED_GRAPH`` environment
-        override; ``True`` ships the graph's CSR snapshot to workers as one
-        shared-memory segment (:mod:`repro.graphs.shared`) that every
-        worker attaches zero-copy, instead of each unpickling its own copy
-        of the arrays.  CSR-only; never changes the pooled estimate.
     """
 
     name = "mh-multichain"
@@ -560,7 +541,6 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
         shared_cache_capacity: Optional[int] = None,
         mp_context: Optional[str] = None,
         runtime: Optional[object] = None,
-        shared_graph: Optional[bool] = None,
         **base_kwargs,
     ) -> None:
         super().__init__(
@@ -570,7 +550,6 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
             shared_cache_capacity=shared_cache_capacity,
             mp_context=mp_context,
             runtime=runtime,
-            shared_graph=shared_graph,
         )
         base = self._resolve_base(base, SingleSpaceMHSampler, base_kwargs)
         if not base.record_states:
@@ -633,8 +612,8 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
     ) -> MultiChainResult:
         """The scheduling body of :meth:`run_chains` (store lifecycle handled there)."""
         # A Graph pickles without its CSR snapshot, so the payload carries
-        # it: the cached arrays, or a shared-memory handle (shared_graph).
-        snapshot = plan_snapshot(graph, plan)
+        # the cached arrays.
+        snapshot = graph.csr()
         payload = self._chain_payload(
             "single", graph, self.base, store, snapshot, plan
         )
@@ -815,7 +794,6 @@ class MultiChainJointSampler(_MultiChainBase):
         shared_cache_capacity: Optional[int] = None,
         mp_context: Optional[str] = None,
         runtime: Optional[object] = None,
-        shared_graph: Optional[bool] = None,
         **base_kwargs,
     ) -> None:
         super().__init__(
@@ -825,7 +803,6 @@ class MultiChainJointSampler(_MultiChainBase):
             shared_cache_capacity=shared_cache_capacity,
             mp_context=mp_context,
             runtime=runtime,
-            shared_graph=shared_graph,
         )
         self.base = self._resolve_base(base, JointSpaceMHSampler, base_kwargs)
 
@@ -847,7 +824,7 @@ class MultiChainJointSampler(_MultiChainBase):
         self._shared_cache_stats = None
         try:
             payload = self._chain_payload(
-                "joint", graph, self.base, store, plan_snapshot(graph, plan), plan
+                "joint", graph, self.base, store, graph.csr(), plan
             )
             tasks = [(i, rngs[i], budgets[i], members) for i in range(self.n_chains)]
             chains, _, evaluations = self._run_round(
@@ -929,7 +906,6 @@ class MultiChainEdgeSampler(_MultiChainBase):
         n_jobs: Optional[int] = None,
         mp_context: Optional[str] = None,
         runtime: Optional[object] = None,
-        shared_graph: Optional[bool] = None,
         **base_kwargs,
     ) -> None:
         super().__init__(
@@ -937,7 +913,6 @@ class MultiChainEdgeSampler(_MultiChainBase):
             n_jobs=n_jobs,
             mp_context=mp_context,
             runtime=runtime,
-            shared_graph=shared_graph,
         )
         self.base = self._resolve_base(base, EdgeMHSampler, base_kwargs)
 
@@ -960,7 +935,7 @@ class MultiChainEdgeSampler(_MultiChainBase):
         # payload here (one payload per edge; still memoized under a
         # runtime so repeated queries about one edge reuse it).
         plan = self._driver_plan()
-        snapshot = plan_snapshot(graph, plan)
+        snapshot = graph.csr()
         payload = interned_payload(
             plan,
             (

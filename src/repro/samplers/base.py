@@ -40,12 +40,11 @@ class ExecutionPlanMixin:
     wins over the individual knobs: a session attaches its own resolved
     plan (persistent runtime included) that way.
 
-    ``mp_context``, ``runtime`` and ``shared_graph`` are class-level
-    defaults rather than constructor parameters: they configure *how* pools
-    run (start method; per-call ephemeral vs a session's persistent
-    :class:`~repro.execution.runtime.ExecutionContext`; whether the CSR
-    snapshot ships as a shared-memory handle), never what is computed, so
-    callers attach them to an existing sampler
+    ``mp_context`` and ``runtime`` are class-level defaults rather than
+    constructor parameters: they configure *how* pools run (start method;
+    per-call ephemeral vs a session's persistent
+    :class:`~repro.execution.runtime.ExecutionContext`), never what is
+    computed, so callers attach them to an existing sampler
     (``sampler.mp_context = "spawn"``) instead of every constructor growing
     pass-through arguments.  Samplers that
     ship themselves inside worker payloads stay safe: a runtime context
@@ -56,7 +55,6 @@ class ExecutionPlanMixin:
     n_jobs: Optional[int] = None
     mp_context: Optional[str] = None
     runtime: Optional[object] = None
-    shared_graph: Optional[bool] = None
 
     def _plan(self) -> ExecutionPlan:
         return resolve_plan(
@@ -64,7 +62,6 @@ class ExecutionPlanMixin:
             n_jobs=self.n_jobs,
             mp_context=self.mp_context,
             runtime=self.runtime,
-            shared_graph=self.shared_graph,
         )
 
 

@@ -24,7 +24,6 @@ from typing import Callable, Dict, Optional
 
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError, SamplingError
-from repro.execution import plan_snapshot
 from repro.graphs.core import Graph, Vertex
 from repro.samplers.base import ExecutionPlanMixin, SingleEstimate, SingleVertexEstimator, timed
 from repro.shortest_paths.bfs import bfs_distances_csr
@@ -81,7 +80,7 @@ class ImportanceSamplingEstimator(ExecutionPlanMixin, SingleVertexEstimator):
         n = graph.number_of_vertices()
         plan = self._plan()
         with timed() as clock:
-            csr = plan_snapshot(graph, plan)
+            csr = graph.csr()
             masses = self._mass_function(graph, r)
             masses = {v: m for v, m in masses.items() if m > 0.0 and v != r}
             total_mass = sum(masses.values())

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError
-from repro.execution import interned_payload, plan_snapshot, run_sharded, sample_shards
+from repro.execution import interned_payload, run_sharded, sample_shards
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import np
 from repro.samplers.base import (
@@ -151,7 +151,7 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         plan = self._plan()
         with timed() as clock:
             shards = sample_shards(num_samples, rng)
-            csr = plan_snapshot(graph, plan)
+            csr = graph.csr()
             results = run_sharded(
                 _kadabra_all_shard_csr,
                 shards,
@@ -201,7 +201,7 @@ class KadabraSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVerticesEstim
         if not self.adaptive:
             with timed() as clock:
                 shards = sample_shards(num_samples, rng)
-                csr = plan_snapshot(graph, plan)
+                csr = graph.csr()
                 results = run_sharded(
                     _kadabra_hits_shard_csr,
                     shards,

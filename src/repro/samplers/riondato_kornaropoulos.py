@@ -26,7 +26,6 @@ from repro.errors import ConfigurationError
 from repro.execution import (
     interned_payload,
     merge_ordered,
-    plan_snapshot,
     run_sharded,
     sample_shards,
 )
@@ -160,7 +159,7 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         plan = self._plan()
         with timed() as clock:
             shards = sample_shards(num_samples, rng)
-            csr = plan_snapshot(graph, plan)
+            csr = graph.csr()
             buffer = merge_ordered(
                 run_sharded(
                     _rk_all_shard_csr, shards, n_jobs=plan.n_jobs, plan=plan, shared=csr
@@ -195,7 +194,7 @@ class RiondatoKornaropoulosSampler(ExecutionPlanMixin, SingleVertexEstimator, Al
         plan = self._plan()
         with timed() as clock:
             shards = sample_shards(num_samples, rng)
-            csr = plan_snapshot(graph, plan)
+            csr = graph.csr()
             hits = merge_ordered(
                 run_sharded(
                     _rk_hits_shard_csr,

@@ -14,7 +14,6 @@ from typing import Optional
 
 from repro._rng import RandomState, ensure_rng
 from repro.errors import ConfigurationError
-from repro.execution import plan_snapshot
 from repro.graphs.core import Graph, Vertex
 from repro.samplers.base import (
     AllVerticesEstimator,
@@ -93,7 +92,7 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         plan = self._plan()
         with timed() as clock:
             sources = self._sample_sources(graph, num_samples, rng)
-            csr = plan_snapshot(graph, plan)
+            csr = graph.csr()
             buffer = dependency_sum(csr, [csr.index_of(s) for s in sources], plan)
         diagnostics = {
             "with_replacement": self.with_replacement,
@@ -131,7 +130,7 @@ class UniformSourceSampler(ExecutionPlanMixin, SingleVertexEstimator, AllVertice
         plan = self._plan()
         with timed() as clock:
             sources = self._sample_sources(graph, num_samples, rng)
-            csr = plan_snapshot(graph, plan)
+            csr = graph.csr()
             for value in dependencies_at_target(
                 csr, [csr.index_of(s) for s in sources], csr.index_of(r), plan
             ):

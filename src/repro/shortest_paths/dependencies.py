@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.csr import np
 from repro.execution.plan import ExecutionPlan, resolve_plan
-from repro.execution.runtime import interned_payload, plan_snapshot
+from repro.execution.runtime import interned_payload
 from repro.execution.scheduler import merge_ordered, run_sharded, split_shards
 from repro.shortest_paths.bfs import (
     _accumulate_levels,
@@ -79,7 +79,7 @@ def all_dependencies_on_target(
     """
     graph.validate_vertex(target)
     plan = resolve_plan(plan, n_jobs=n_jobs)
-    csr = plan_snapshot(graph, plan)
+    csr = graph.csr()
     values = dependencies_at_target(
         csr, range(csr.number_of_vertices()), csr.index_of(target), plan
     )

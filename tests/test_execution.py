@@ -261,10 +261,14 @@ def test_execution_plan_validates_fields():
         ExecutionPlan(n_jobs=0)
     with pytest.raises(ConfigurationError):
         ExecutionPlan(n_jobs=-1)
+    # bool is an int subclass; True must not pass for one worker.
+    with pytest.raises(ConfigurationError):
+        ExecutionPlan(n_jobs=True)
 
 
 #: Every public entry point that took ``kernel`` / ``kernel_threads``
-#: while the compiled rung existed, as ``(module, name)``.
+#: while the compiled rung existed, or ``shared_graph`` while snapshots
+#: could ship as shared-memory handles, as ``(module, name)``.
 _RETIRED_KERNEL_KNOB_OWNERS = (
     ("repro.centrality.api", "betweenness_single"),
     ("repro.centrality.api", "relative_betweenness"),
@@ -279,6 +283,9 @@ _RETIRED_KERNEL_KNOB_OWNERS = (
     ("repro.shortest_paths", "accumulate_dependencies_csr"),
     ("repro.serving.queries", "execute_query"),
     ("repro.execution", "resolve_plan"),
+    ("repro.mcmc", "MultiChainMHSampler"),
+    ("repro.mcmc", "MultiChainJointSampler"),
+    ("repro.mcmc", "MultiChainEdgeSampler"),
 )
 
 
@@ -289,7 +296,7 @@ def test_the_numpy_kernels_are_the_only_rung():
     from repro.serving import ServingConfig
 
     assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
-        "batch_size", "n_jobs", "shared_cache", "shared_graph", "mp_context", "runtime",
+        "batch_size", "n_jobs", "shared_cache", "mp_context", "runtime",
     ]
     assert not {"kernel", "kernel_threads"} & {
         f.name for f in dataclasses.fields(ServingConfig)
@@ -304,7 +311,9 @@ def test_no_entry_point_takes_a_kernel_knob(module, name):
     import inspect
 
     fn = getattr(importlib.import_module(module), name)
-    assert not {"kernel", "kernel_threads"} & set(inspect.signature(fn).parameters)
+    assert not {"kernel", "kernel_threads", "shared_graph"} & set(
+        inspect.signature(fn).parameters
+    )
 
 
 @pytest.mark.parametrize("variable,value", [
@@ -312,6 +321,8 @@ def test_no_entry_point_takes_a_kernel_knob(module, name):
     ("REPRO_KERNEL", "fpga"),
     ("REPRO_KERNEL_THREADS", "4"),
     ("REPRO_KERNEL_THREADS", "many"),
+    ("REPRO_SHARED_GRAPH", "1"),
+    ("REPRO_SHARED_GRAPH", "maybe"),
 ])
 def test_retired_kernel_variables_are_not_read(monkeypatch, variable, value):
     """Whatever the retired variables hold, plans and estimates are those
