@@ -171,6 +171,7 @@ def _overflow_row():
     )
     stats = tiny.diagnostics["shared_cache_stats"]
     return {
+        "n_jobs": 2,
         "arena_capacity": 8,
         "published": stats["published"],
         "full": stats["full"],
@@ -187,7 +188,7 @@ DEDUP_COLUMNS = [
 ]
 DETERMINISM_COLUMNS = ["check", "n_jobs", "bit_identical", "value"]
 OVERFLOW_COLUMNS = [
-    "arena_capacity", "published", "full", "bit_identical", "evaluations",
+    "n_jobs", "arena_capacity", "published", "full", "bit_identical", "evaluations",
     "estimate",
 ]
 

@@ -202,6 +202,7 @@ def _run_workloads():
         identity_rows.append(
             {
                 "op": kind,
+                "n_jobs": BENCH_JOBS,
                 "repeat": repeat,
                 "bit_identical": identical,
                 "cold_evaluations": cold[1],
@@ -211,6 +212,7 @@ def _run_workloads():
 
     throughput_row = {
         "queries": len(queries),
+        "n_jobs": BENCH_JOBS,
         "unique_templates": len(seen),
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
@@ -224,11 +226,11 @@ def _run_workloads():
 
 
 THROUGHPUT_COLUMNS = [
-    "queries", "unique_templates", "cold_seconds", "warm_seconds", "speedup",
+    "queries", "n_jobs", "unique_templates", "cold_seconds", "warm_seconds", "speedup",
     "repeat_queries", "redundant_passes", "arena_published", "arena_full",
 ]
 IDENTITY_COLUMNS = [
-    "op", "repeat", "bit_identical", "cold_evaluations", "warm_evaluations",
+    "op", "n_jobs", "repeat", "bit_identical", "cold_evaluations", "warm_evaluations",
 ]
 
 

@@ -20,16 +20,10 @@ Environment knobs
     Worker processes for the sharded execution engine (default ``1``,
     inline).  Exported as ``REPRO_JOBS`` so every estimator constructed
     inside the ``bench_e*`` modules runs under the requested parallelism;
-    the value is stamped as a ``jobs:`` line in every emitted table, so
-    trajectories across commits attribute speedups to the knob rather than
-    to dataset or seed drift.
-``REPRO_BENCH_INVALIDATION``
-    Mutation invalidation scoping the benchmarks run under: ``delta``
-    (default; journal-proved affected-region retention) or ``full``
-    (destroy-everything on every mutation).  Exported as
-    ``REPRO_INVALIDATION`` and stamped as an ``invalidation:`` line in
-    every emitted table — the modes are result-identical by contract, so
-    the stamp attributes warm-start wall-clock, never result drift.
+    the value is stamped as a ``jobs:`` line in every emitted table whose
+    rows do not set their own worker count (a table with an ``n_jobs``
+    column stamps the counts its rows ran), so trajectories across commits
+    attribute speedups to the knob rather than to dataset or seed drift.
 (``n_chains`` is deliberately *not* an env knob: it is an explicit API
 argument, and the multi-chain benchmark — ``bench_e12_multichain.py`` —
 sweeps chain counts itself, recording the count plus the cross-chain
@@ -75,29 +69,12 @@ def bench_jobs() -> int:
     return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
-def bench_invalidation() -> str:
-    """Return the requested invalidation mode (``REPRO_BENCH_INVALIDATION``)."""
-    return os.environ.get("REPRO_BENCH_INVALIDATION", "delta")
-
-
 # Export the parallelism knob as the library-wide override: REPRO_JOBS
 # sets n_jobs at every call site that resolves an ExecutionPlan.
 if bench_jobs() != 1:
     if bench_jobs() < 1:
         raise ValueError(f"REPRO_BENCH_JOBS must be a positive integer, got {bench_jobs()!r}")
     os.environ["REPRO_JOBS"] = str(bench_jobs())
-
-# And for the invalidation mode: REPRO_INVALIDATION steers how every
-# session scopes mutation invalidation (repro.incremental
-# .resolve_invalidation); both modes answer identically, only warm-start
-# cost differs.
-if bench_invalidation() != "delta":
-    if bench_invalidation() != "full":
-        raise ValueError(
-            f"REPRO_BENCH_INVALIDATION must be 'delta' or 'full', "
-            f"got {bench_invalidation()!r}"
-        )
-    os.environ["REPRO_INVALIDATION"] = bench_invalidation()
 
 
 def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> str:
@@ -121,6 +98,16 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _jobs_stamp(rows: Sequence[Dict[str, object]], columns: Sequence[str]):
+    """The ``jobs:`` stamp value: the rows' own worker counts, if they carry any."""
+    counts = sorted({row["n_jobs"] for row in rows if row.get("n_jobs") is not None})
+    if "n_jobs" not in columns or not counts:
+        return bench_jobs()
+    if len(counts) == 1:
+        return counts[0]
+    return "per row " + ", ".join(str(count) for count in counts)
+
+
 def emit_table(
     experiment: str,
     title: str,
@@ -130,20 +117,18 @@ def emit_table(
     """Print the experiment table and persist it under :func:`results_dir`.
 
     The execution stamp (:func:`repro.execution.stamp.execution_stamp`:
-    ``jobs``, ``batch_size``, ``kernel``, ``kernel_threads``) plus an
-    ``invalidation: <delta|full>`` line are stamped under the title so
-    every stored result records which degree of parallelism and
-    invalidation scoping produced it.
+    ``jobs``, ``batch_size``, ``kernel``, ``kernel_threads``) is stamped
+    under the title so every stored result records which degree of
+    parallelism produced it.  When the rows carry an ``n_jobs`` column
+    the ``jobs:`` line repeats what they ran (the one count, or every
+    distinct count ``per row``); otherwise it is ``REPRO_BENCH_JOBS``.
     """
     from repro.execution.stamp import execution_stamp, format_stamp_lines
 
     table = format_table(rows, columns)
-    execution = execution_stamp({"n_jobs": bench_jobs()})
+    execution = execution_stamp({"n_jobs": _jobs_stamp(rows, columns)})
     stamp = format_stamp_lines(
-        {
-            **{key: value for key, value in execution.items() if value is not None},
-            "invalidation": bench_invalidation(),
-        }
+        {key: value for key, value in execution.items() if value is not None}
     )
     text = (
         f"{experiment}: {title}\n"

@@ -18,7 +18,7 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro._rng import RandomState
 from repro.errors import ConfigurationError
@@ -27,7 +27,6 @@ from repro.exact.single_vertex import (
     betweenness_of_vertex,
     exact_relative_betweenness,
 )
-from repro.execution.autotune import calibrate_n_jobs
 from repro.graphs.core import Graph, Vertex
 from repro.graphs.utils import ensure_connected
 from repro.mcmc.bounds import epsilon_for_samples, mu_statistics, required_samples
@@ -66,25 +65,6 @@ def __getattr__(name):
 #: Chains the multi-chain driver runs when only ``rhat_target`` was given.
 DEFAULT_CHAINS = 4
 
-#: Worker-count specification: an int, ``None`` (the ``REPRO_JOBS`` default,
-#: inline) or ``"auto"`` (calibrated from a timed probe over real pool
-#: spin-ups).
-Jobs = Union[int, str, None]
-
-
-def _resolve_n_jobs(graph: Graph, n_jobs: Jobs, workload: Optional[int] = None):
-    """Resolve ``"auto"`` to a calibrated worker count at the point the graph is known.
-
-    The engine's sharded discipline is n_jobs-invariant, so the timed
-    choice can never change an estimate.  *workload* scales the probe down
-    for small jobs (a cruder, noisier probe is the right trade there).
-    """
-    if n_jobs == "auto":
-        probe_sources = 64 if workload is None else max(8, min(64, workload // 8))
-        return calibrate_n_jobs(graph, probe_sources=probe_sources)
-    return n_jobs
-
-
 #: Estimator registry for :func:`betweenness_single`.  Every factory accepts
 #: the execution-engine knob ``n_jobs`` (see :mod:`repro.execution`);
 #: calling one with no argument leaves it to the ``REPRO_JOBS`` env
@@ -119,7 +99,7 @@ def betweenness_single(
     samples: int = 200,
     seed: RandomState = None,
     check_connected: bool = True,
-    n_jobs: Jobs = None,
+    n_jobs: Optional[int] = None,
     n_chains: Optional[int] = None,
     rhat_target: Optional[float] = None,
     shared_cache: Optional[bool] = None,
@@ -147,12 +127,7 @@ def betweenness_single(
         for any ``n_jobs``, set or unset, at a fixed seed — per the
         estimator-specific notes on each sampler class.  How many sources
         one batched CSR traversal takes is the kernels' choice, not a knob
-        (:func:`repro.shortest_paths.batch.source_blocks`).  ``n_jobs``
-        also accepts ``"auto"``
-        (:func:`repro.execution.calibrate_n_jobs`): the worker count is
-        probed with real pool spin-ups; the sharded discipline is
-        n_jobs-invariant, so the timing-chosen count can never change the
-        estimate either.
+        (:func:`repro.shortest_paths.batch.source_blocks`).
     n_chains, rhat_target:
         Engage the multi-chain MCMC driver
         (:class:`repro.mcmc.multichain.MultiChainMHSampler`) for the MH
@@ -193,22 +168,16 @@ def betweenness_single(
         ensure_connected(graph)
     if multichain:
         # The driver owns n_jobs (chains are the unit of parallel work); the
-        # base sampler keeps batch-prefetching its own proposals.  An "auto"
-        # worker count is capped at the chain count — extra workers would
-        # idle, and the probe times per-source sharding, not chain fan-out.
-        chains = n_chains if n_chains is not None else DEFAULT_CHAINS
-        if n_jobs == "auto":
-            n_jobs = min(_resolve_n_jobs(graph, n_jobs, workload=samples), chains)
+        # base sampler keeps batch-prefetching its own proposals.
         base = SINGLE_VERTEX_METHODS[method]()
         driver = MultiChainMHSampler(
             base,
-            n_chains=chains,
+            n_chains=n_chains if n_chains is not None else DEFAULT_CHAINS,
             rhat_target=rhat_target,
             n_jobs=n_jobs,
             shared_cache=shared_cache,
         )
         return driver.estimate(graph, r, samples, seed=seed)
-    n_jobs = _resolve_n_jobs(graph, n_jobs, workload=samples)
     estimator = SINGLE_VERTEX_METHODS[method](n_jobs)
     return estimator.estimate(graph, r, samples, seed=seed)
 
@@ -218,17 +187,14 @@ def betweenness_exact(
     vertices: Optional[Iterable[Vertex]] = None,
     *,
     normalization: str = "paper",
-    n_jobs: Jobs = None,
+    n_jobs: Optional[int] = None,
 ) -> Dict[Vertex, float]:
     """Return exact betweenness scores (all vertices, or just the requested ones).
 
     ``n_jobs`` configures the sharded execution engine that runs the
-    per-source Brandes passes (see :mod:`repro.execution`); ``"auto"``
-    calibrates it from a timed probe (bit-identical results for any
-    resolved value).
+    per-source Brandes passes (see :mod:`repro.execution`); results are
+    bit-identical for any value.
     """
-    passes = graph.number_of_vertices() if vertices is None else None
-    n_jobs = _resolve_n_jobs(graph, n_jobs, workload=passes)
     if vertices is None:
         return betweenness_centrality(graph, normalization=normalization, n_jobs=n_jobs)
     return {
@@ -244,7 +210,7 @@ def relative_betweenness(
     samples: int = 1000,
     seed: RandomState = None,
     check_connected: bool = True,
-    n_jobs: Jobs = None,
+    n_jobs: Optional[int] = None,
     n_chains: Optional[int] = None,
     shared_cache: Optional[bool] = None,
 ) -> RelativeBetweennessEstimate:
@@ -268,8 +234,6 @@ def relative_betweenness(
     if check_connected:
         ensure_connected(graph)
     if n_chains is not None:
-        if n_jobs == "auto":
-            n_jobs = min(_resolve_n_jobs(graph, n_jobs, workload=samples), n_chains)
         driver = MultiChainJointSampler(
             JointSpaceMHSampler(),
             n_chains=n_chains,
@@ -277,7 +241,6 @@ def relative_betweenness(
             shared_cache=shared_cache,
         )
         return driver.estimate_relative(graph, reference_set, samples, seed=seed)
-    n_jobs = _resolve_n_jobs(graph, n_jobs, workload=samples)
     sampler = JointSpaceMHSampler(n_jobs=n_jobs)
     return sampler.estimate_relative(graph, reference_set, samples, seed=seed)
 

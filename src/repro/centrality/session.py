@@ -90,10 +90,6 @@ class BetweennessSession:
     arena_capacity:
         Rows of the persistent dependency arena (``None`` = byte-budget
         heuristic, see :func:`repro.execution.runtime.default_arena_rows`).
-    invalidation:
-        ``"delta"`` (default; overridable via ``REPRO_INVALIDATION``)
-        scopes mutation invalidation to the journal-proved affected
-        region; ``"full"`` forces the legacy destroy-everything path.
     check_connected:
         Verify connectivity at session start and again after any mutation.
 
@@ -107,7 +103,6 @@ class BetweennessSession:
         plan: Optional[ExecutionPlan] = None,
         *,
         arena_capacity: Optional[int] = None,
-        invalidation: Optional[str] = None,
         check_connected: bool = True,
     ) -> None:
         self.graph = graph
@@ -117,7 +112,6 @@ class BetweennessSession:
             n_jobs=self.plan.n_jobs,
             mp_context=self.plan.mp_context,
             arena_capacity=arena_capacity,
-            invalidation=invalidation,
         )
         self._estimators: Dict[object, object] = {}
         self._oracles: Dict[object, object] = {}

@@ -41,7 +41,6 @@ from typing import List, Optional, Sequence
 
 from repro.centrality.api import (
     SINGLE_VERTEX_METHODS,
-    _resolve_n_jobs,
     betweenness_exact,
     betweenness_single,
     relative_betweenness,
@@ -175,14 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows of each session's persistent dependency arena",
     )
     serve.add_argument(
-        "--invalidation",
-        choices=("delta", "full"),
-        default=None,
-        help="mutation invalidation scoping: 'delta' retains warm state "
-        "outside the journal-proved affected region, 'full' destroys "
-        "everything (default: REPRO_INVALIDATION, else delta)",
-    )
-    serve.add_argument(
         "--max-sessions",
         type=_positive_int,
         default=8,
@@ -240,10 +231,10 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """The execution-engine knobs shared by every estimating sub-command."""
     parser.add_argument(
         "--jobs",
-        type=_jobs,
+        type=_positive_int,
         default=None,
-        help="worker processes for the sharded source loop, or 'auto' to "
-        "calibrate the count from a short timed probe (default: REPRO_JOBS, else 1)",
+        help="worker processes for the sharded source loop "
+        "(default: REPRO_JOBS, else 1)",
     )
 
 
@@ -264,13 +255,6 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
     return value
-
-
-
-def _jobs(raw: str):
-    if raw == "auto":
-        return "auto"
-    return _positive_int(raw)
 
 
 def _rhat_threshold(raw: str) -> float:
@@ -355,7 +339,7 @@ def _run_batch(args: argparse.Namespace, graph: Graph, out) -> int:
     oracles — stays warm across the whole stream, which is the point: the
     per-query marginal cost is the estimator work alone.
     """
-    plan = resolve_plan(None, n_jobs=_resolve_n_jobs(graph, args.jobs))
+    plan = resolve_plan(None, n_jobs=args.jobs)
     if args.queries == "-":
         lines = sys.stdin
         close_lines = False
@@ -398,17 +382,11 @@ def _run_serve(args: argparse.Namespace, graph: Optional[Graph], out) -> int:
 
     With ``--graph``/``--dataset`` the named graph is preloaded (warm before
     the first request); without one the daemon starts empty and graphs
-    arrive over ``PUT /graphs/<name>``.  An auto-calibrated ``--jobs``
-    probe runs against the preloaded graph; with no graph to probe it falls
-    back to the plan default.
+    arrive over ``PUT /graphs/<name>``.
     """
     from repro.serving import ServingApp, ServingConfig, create_server
 
-    if graph is not None:
-        n_jobs = _resolve_n_jobs(graph, args.jobs)
-    else:
-        n_jobs = None if args.jobs == "auto" else args.jobs
-    plan = resolve_plan(None, n_jobs=n_jobs)
+    plan = resolve_plan(None, n_jobs=args.jobs)
     config = ServingConfig(
         max_inflight=args.max_inflight,
         request_timeout=args.timeout,
@@ -416,7 +394,6 @@ def _run_serve(args: argparse.Namespace, graph: Optional[Graph], out) -> int:
         default_chains=args.chains,
         max_sessions=args.max_sessions,
         arena_capacity=args.arena_capacity,
-        invalidation=args.invalidation,
     )
     app = ServingApp(plan=plan, config=config)
     server = create_server(args.host, args.port, app=app)

@@ -18,11 +18,6 @@ passes and accumulate".  This package owns *how* those passes are executed:
   shards inline or on a multiprocessing pool, and merges per-shard buffers
   in deterministic shard order — so results are identical for any
   ``n_jobs`` given a fixed seed.
-* :mod:`~repro.execution.autotune` calibrates ``n_jobs`` from a short
-  timed probe (what ``n_jobs="auto"`` resolves to); safe because the
-  shard scheduler is n_jobs-invariant — timing can never change an
-  estimate.  The shard size is part of the determinism contract, never a
-  knob, and is not probed.
 * :mod:`~repro.execution.shared_cache` provides the row store of
   per-source dependency vectors,
   :class:`~repro.execution.shared_cache.DependencyStore`: the MCMC oracle's
@@ -39,11 +34,6 @@ passes and accumulate".  This package owns *how* those passes are executed:
   :class:`~repro.centrality.session.BetweennessSession` serving API.
 """
 
-from repro.execution.autotune import (
-    calibrate_n_jobs,
-    default_jobs_candidates,
-    probe_n_jobs,
-)
 from repro.execution.plan import DEFAULT_SHARD_SIZE, ExecutionPlan, resolve_plan
 from repro.execution.runtime import (
     ExecutionContext,
@@ -79,9 +69,6 @@ __all__ = [
     "PersistentWorkerPool",
     "interned_payload",
     "DEFAULT_SHARD_SIZE",
-    "default_jobs_candidates",
-    "calibrate_n_jobs",
-    "probe_n_jobs",
     "split_shards",
     "shard_rngs",
     "sample_shards",

@@ -439,18 +439,10 @@ class ExecutionContext:
         n_jobs: Optional[int] = None,
         mp_context: Optional[str] = None,
         arena_capacity: Optional[int] = None,
-        invalidation: Optional[str] = None,
     ) -> None:
-        from repro.incremental import resolve_invalidation
-
         plan = resolve_plan(None, n_jobs=n_jobs, mp_context=mp_context)
         self.n_jobs = plan.n_jobs
         self.mp_context = plan.mp_context
-        #: How graph mutations are consumed: ``"delta"`` reads the change
-        #: journal and retains unaffected arena rows, ``"full"`` keeps the
-        #: legacy destroy-everything protocol (``None`` consults
-        #: ``REPRO_INVALIDATION``; result-identical either way).
-        self.invalidation = resolve_invalidation(invalidation)
         if arena_capacity is not None and (
             not isinstance(arena_capacity, int)
             or isinstance(arena_capacity, bool)
@@ -589,11 +581,11 @@ class ExecutionContext:
           are tombstoned (:meth:`SharedDependencyStore.invalidate_sources`)
           while the rest keep serving; the payload memo and worker installs
           are still cleared (payloads embed whole-graph snapshots).
-        * ``full`` — a different graph object, journal overflow, a fallback
-          case of :func:`~repro.incremental.affected_sources`, or
-          ``invalidation="full"``: the legacy path, destroying the arena
-          (its rows count as ``arena_rows_evicted``) and every interned
-          payload (``receipt.reason`` says why).
+        * ``full`` — a different graph object, journal overflow or a
+          fallback case of :func:`~repro.incremental.affected_sources`: the
+          destroy-everything path, dropping the arena (its rows count as
+          ``arena_rows_evicted``) and every interned payload
+          (``receipt.reason`` says why).
 
         The worker pool survives in every mode: its processes hold no graph
         state beyond the payloads, which the memo clearing guarantees are
@@ -641,19 +633,15 @@ class ExecutionContext:
             mode="full", version_from=old_version, version_to=graph.version
         )
         region = None
-        new_csr = None
-        if self.invalidation != "delta":
-            receipt.reason = "disabled"
+        deltas = graph.journal_since(old_version)
+        if deltas is None:
+            receipt.reason = "journal-overflow"
         else:
-            deltas = graph.journal_since(old_version)
-            if deltas is None:
-                receipt.reason = "journal-overflow"
-            else:
-                new_csr = graph.csr()
-                region = affected_sources(new_csr, deltas)
-                if region.everything:
-                    receipt.reason = region.reason
-                    region = None
+            new_csr = graph.csr()
+            region = affected_sources(new_csr, deltas)
+            if region.everything:
+                receipt.reason = region.reason
+                region = None
         if region is None:
             receipt.arena_rows_evicted = self._invalidate_graph_state()
             self._last_affected = None
@@ -778,7 +766,6 @@ class ExecutionContext:
             "payload_installs": self._pool.installs if self._pool is not None else 0,
             "cached_payloads": len(self._payloads),
             "brandes_passes": self._brandes_passes,
-            "invalidation": self.invalidation,
             "last_invalidation": (
                 self._last_receipt.as_dict() if self._last_receipt is not None else None
             ),

@@ -29,10 +29,8 @@ a result.  Detection may only over-approximate, never under-approximate.
 
 from repro.incremental.affected import (
     DEFAULT_MAX_BFS,
-    INVALIDATION_MODES,
     AffectedRegion,
     affected_sources,
-    resolve_invalidation,
 )
 from repro.incremental.biconnected import articulation_points, bridges
 from repro.incremental.receipts import InvalidationReceipt
@@ -43,7 +41,5 @@ __all__ = [
     "affected_sources",
     "articulation_points",
     "bridges",
-    "resolve_invalidation",
     "DEFAULT_MAX_BFS",
-    "INVALIDATION_MODES",
 ]

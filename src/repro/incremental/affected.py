@@ -65,13 +65,10 @@ either weight, journal overflow and over-budget endpoint sets.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 import numpy as np
-
-from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graphs.core import GraphDelta
@@ -80,9 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "AffectedRegion",
     "affected_sources",
-    "resolve_invalidation",
     "DEFAULT_MAX_BFS",
-    "INVALIDATION_MODES",
 ]
 
 #: Default cap on the number of traversal passes (BFS unweighted,
@@ -92,28 +87,6 @@ __all__ = [
 #: recompute of a single retained row already costs a few passes, so a
 #: large touched set quickly stops being worth scoping).
 DEFAULT_MAX_BFS = 32
-
-#: Accepted values of the invalidation-mode knob: ``"delta"`` consumes the
-#: change journal and retains unaffected warm state, ``"full"`` keeps the
-#: legacy destroy-everything protocol (the benchmark baseline).
-INVALIDATION_MODES = ("delta", "full")
-
-
-def resolve_invalidation(mode: Optional[str] = None) -> str:
-    """Resolve the invalidation-mode knob to ``"delta"`` or ``"full"``.
-
-    Explicit arguments win; otherwise the ``REPRO_INVALIDATION``
-    environment variable decides, defaulting to ``"delta"``.  The two
-    modes are result-identical by the over-approximation contract, so
-    the knob can only change wall-clock and eviction accounting.
-    """
-    if mode is None:
-        mode = os.environ.get("REPRO_INVALIDATION") or "delta"
-    if mode not in INVALIDATION_MODES:
-        raise ConfigurationError(
-            f"unknown invalidation mode {mode!r}; expected one of {INVALIDATION_MODES}"
-        )
-    return mode
 
 
 @dataclass

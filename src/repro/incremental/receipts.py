@@ -22,7 +22,7 @@ class InvalidationReceipt:
 
     ``mode`` is ``"noop"`` (nothing changed — the idempotent-mutate case),
     ``"delta"`` (journal consumed, affected region evicted, the rest
-    retained) or ``"full"`` (the legacy destroy-everything path;
+    retained) or ``"full"`` (the destroy-everything fallback;
     ``reason`` names why delta scoping was not possible).
     """
 

@@ -64,7 +64,6 @@ class ManagedSession:
         *,
         plan: Optional[ExecutionPlan] = None,
         arena_capacity: Optional[int] = None,
-        invalidation: Optional[str] = None,
         check_connected: bool = True,
     ) -> None:
         self.name = name
@@ -74,7 +73,6 @@ class ManagedSession:
                 graph,
                 plan,
                 arena_capacity=arena_capacity,
-                invalidation=invalidation,
                 check_connected=check_connected,
             )
         )
@@ -202,7 +200,7 @@ class SessionRegistry:
     plan:
         Default :class:`~repro.execution.ExecutionPlan` every loaded
         session runs under (per-load overrides may replace it later).
-    arena_capacity / invalidation / check_connected:
+    arena_capacity / check_connected:
         Forwarded to each :class:`BetweennessSession`.
     max_sessions:
         Hard bound on simultaneously loaded graphs — each session owns
@@ -216,7 +214,6 @@ class SessionRegistry:
         *,
         plan: Optional[ExecutionPlan] = None,
         arena_capacity: Optional[int] = None,
-        invalidation: Optional[str] = None,
         check_connected: bool = True,
         max_sessions: int = 8,
     ) -> None:
@@ -226,7 +223,6 @@ class SessionRegistry:
             )
         self._plan = plan
         self._arena_capacity = arena_capacity
-        self._invalidation = invalidation
         self._check_connected = check_connected
         self.max_sessions = max_sessions
         self._lock = threading.Lock()
@@ -272,7 +268,6 @@ class SessionRegistry:
             graph,
             plan=self._plan,
             arena_capacity=self._arena_capacity,
-            invalidation=self._invalidation,
             check_connected=self._check_connected,
         )
         with self._lock:

@@ -92,10 +92,6 @@ class ServingConfig:
     max_sessions: int = 8
     #: Rows of each session's persistent dependency arena.
     arena_capacity: Optional[int] = None
-    #: Mutation invalidation scoping: ``None`` resolves from
-    #: ``REPRO_INVALIDATION`` (default ``"delta"``); ``"full"`` forces the
-    #: legacy destroy-everything path.
-    invalidation: Optional[str] = None
     #: Verify connectivity on load and after mutation.
     check_connected: bool = True
 
@@ -145,7 +141,6 @@ class ServingApp:
             else SessionRegistry(
                 plan=self.plan,
                 arena_capacity=self.config.arena_capacity,
-                invalidation=self.config.invalidation,
                 check_connected=self.config.check_connected,
                 max_sessions=self.config.max_sessions,
             )

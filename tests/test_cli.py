@@ -411,7 +411,7 @@ class TestBatchCommand:
 
 
 class TestKernelAndAutoJobs:
-    """The one kernel rung in the stamp and n_jobs='auto' calibration at the CLI."""
+    """The one kernel rung in the stamp, and --jobs as a plain worker count."""
 
     def test_estimate_stamps_the_resolved_kernel(self, barbell_file):
         code, output = run_cli(
@@ -479,34 +479,27 @@ class TestKernelAndAutoJobs:
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--graph", barbell_file] + flag)
 
-    def test_jobs_auto_calibrates_without_changing_the_estimate(self, barbell_file):
-        code_auto, out_auto = run_cli(
-            ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
-             "uniform-source", "--samples", "40", "--seed", "7",
-             "--jobs", "auto"]
-        )
-        code_one, out_one = run_cli(
-            ["estimate", "--graph", barbell_file, "--vertex", "5", "--method",
-             "uniform-source", "--samples", "40", "--seed", "7",
-             "--jobs", "1"]
-        )
-        assert code_auto == code_one == 0
-        auto, one = json.loads(out_auto), json.loads(out_one)
-        assert auto["estimate"] == one["estimate"]
-        # 'auto' must resolve to a concrete engaged worker count.
-        assert auto["jobs"] >= 1
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--vertex", "5"],
+        ["relative", "--vertices", "1,5"],
+        ["exact"],
+        ["batch", "--queries", "-"],
+        ["serve"],
+    ], ids=lambda command: command[0])
+    def test_jobs_auto_exits_2(self, barbell_file, command, capsys):
+        """The retired 'auto' probe: --jobs takes a positive count only."""
+        build_parser().parse_args(command + ["--graph", barbell_file, "--jobs", "2"])
+        with pytest.raises(SystemExit) as exc:
+            main_with_args(command + ["--graph", barbell_file, "--jobs", "auto"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
-    def test_batch_jobs_auto(self, barbell_file, tmp_path):
-        path = tmp_path / "queries.jsonl"
-        path.write_text('{"op": "estimate", "vertex": 5, "samples": 40, "seed": 7}\n')
-        code, output = run_cli(
-            ["batch", "--graph", barbell_file, "--queries", str(path),
-             "--jobs", "auto"]
-        )
-        assert code == 0
-        payload = json.loads(output.splitlines()[0])
-        assert payload["kernel"] == "csr"
-        assert "error" not in payload
+    def test_serve_rejects_the_retired_invalidation_flag(self, barbell_file):
+        build_parser().parse_args(["serve", "--graph", barbell_file])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--graph", barbell_file, "--invalidation", "full"]
+            )
 
     def test_rejects_bad_jobs_string(self, barbell_file):
         with pytest.raises(SystemExit):

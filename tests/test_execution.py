@@ -31,6 +31,7 @@ from repro.exact.brandes import betweenness_centrality
 from repro.exact.group import group_betweenness_centrality
 from repro.execution import (
     DEFAULT_SHARD_SIZE,
+    ExecutionContext,
     ExecutionPlan,
     merge_ordered,
     resolve_plan,
@@ -267,8 +268,9 @@ def test_execution_plan_validates_fields():
 
 
 #: Every public entry point that took ``kernel`` / ``kernel_threads``
-#: while the compiled rung existed, or ``shared_graph`` while snapshots
-#: could ship as shared-memory handles, as ``(module, name)``.
+#: while the compiled rung existed, ``shared_graph`` while snapshots could
+#: ship as shared-memory handles, or ``invalidation`` while the
+#: destroy-everything path could be forced, as ``(module, name)``.
 _RETIRED_KERNEL_KNOB_OWNERS = (
     ("repro.centrality.api", "betweenness_single"),
     ("repro.centrality.api", "relative_betweenness"),
@@ -286,6 +288,10 @@ _RETIRED_KERNEL_KNOB_OWNERS = (
     ("repro.mcmc", "MultiChainMHSampler"),
     ("repro.mcmc", "MultiChainJointSampler"),
     ("repro.mcmc", "MultiChainEdgeSampler"),
+    ("repro.execution", "ExecutionContext"),
+    ("repro.centrality", "BetweennessSession"),
+    ("repro.serving", "SessionRegistry"),
+    ("repro.serving", "ServingConfig"),
 )
 
 
@@ -311,9 +317,22 @@ def test_no_entry_point_takes_a_kernel_knob(module, name):
     import inspect
 
     fn = getattr(importlib.import_module(module), name)
-    assert not {"kernel", "kernel_threads", "shared_graph"} & set(
+    assert not {"kernel", "kernel_threads", "shared_graph", "invalidation"} & set(
         inspect.signature(fn).parameters
     )
+
+
+def _mutation_receipt(graph: Graph) -> dict:
+    """The receipt a warm context emits for one edge insertion into *graph*."""
+    graph = graph.copy()
+    vertices = graph.vertices()
+    u, v = next(
+        (a, b) for a in vertices for b in vertices if a != b and not graph.has_edge(a, b)
+    )
+    with ExecutionContext() as context:
+        context.refresh(graph)
+        graph.add_edge(u, v)
+        return context.refresh(graph).as_dict()
 
 
 @pytest.mark.parametrize("variable,value", [
@@ -323,20 +342,42 @@ def test_no_entry_point_takes_a_kernel_knob(module, name):
     ("REPRO_KERNEL_THREADS", "many"),
     ("REPRO_SHARED_GRAPH", "1"),
     ("REPRO_SHARED_GRAPH", "maybe"),
+    ("REPRO_INVALIDATION", "full"),
+    ("REPRO_INVALIDATION", "maybe"),
 ])
 def test_retired_kernel_variables_are_not_read(monkeypatch, variable, value):
-    """Whatever the retired variables hold, plans and estimates are those
-    of an unset environment."""
+    """Whatever the retired variables hold, plans, estimates and mutation
+    receipts are those of an unset environment."""
     graph = _random_unweighted(21)
     r = graph.vertices()[3]
     reference = betweenness_single(
         graph, r, method="uniform-source", samples=40, seed=13, n_jobs=2
     ).estimate
+    receipt = _mutation_receipt(graph)
+    assert receipt["mode"] == "delta"
     monkeypatch.setenv(variable, value)
     assert resolve_plan(None) == ExecutionPlan()
     assert betweenness_single(
         graph, r, method="uniform-source", samples=40, seed=13, n_jobs=2
     ).estimate == reference
+    assert _mutation_receipt(graph) == receipt
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: betweenness_single(g, g.vertices()[3], samples=20, seed=1, n_jobs="auto"),
+    lambda g: betweenness_single(
+        g, g.vertices()[3], samples=20, seed=1, n_jobs="auto", n_chains=2
+    ),
+    lambda g: relative_betweenness(g, g.vertices()[:2], samples=20, seed=1, n_jobs="auto"),
+    lambda g: relative_betweenness(
+        g, g.vertices()[:2], samples=20, seed=1, n_jobs="auto", n_chains=2
+    ),
+    lambda g: betweenness_centrality(g, n_jobs="auto"),
+], ids=["single", "single-chains", "relative", "relative-chains", "exact"])
+def test_n_jobs_auto_is_rejected(call):
+    """``n_jobs`` is a positive count; the retired ``"auto"`` probe is gone."""
+    with pytest.raises(ConfigurationError):
+        call(_random_unweighted(21))
 
 
 def test_the_compiled_kernel_module_is_gone():
@@ -831,63 +872,13 @@ def test_mh_prefetch_passes_do_not_depend_on_the_block_width():
 
 
 # ----------------------------------------------------------------------
-# Worker-count autotuning
+# Worker counts
 # ----------------------------------------------------------------------
 
 
-def test_default_jobs_candidates_shape():
-    from repro.execution import default_jobs_candidates
-
-    candidates = default_jobs_candidates()
-    assert candidates[0] == 1
-    assert all(a < b for a, b in zip(candidates, candidates[1:]))
-    assert all(isinstance(c, int) and c >= 1 for c in candidates)
-
-
-def test_probe_n_jobs_times_every_candidate():
-    from repro.execution import probe_n_jobs
-
-    graph = barabasi_albert_graph(30, 2, seed=2)
-    timings = probe_n_jobs(graph, candidates=(1, 2), probe_sources=8)
-    assert [jobs for jobs, _ in timings] == [1, 2]
-    assert all(seconds >= 0.0 for _, seconds in timings)
-
-
-def test_probe_n_jobs_fast_paths():
-    from repro.execution import probe_n_jobs
-
-    graph = barabasi_albert_graph(30, 2, seed=2)
-    # nothing beyond one worker to sweep: no pools spun up.
-    assert probe_n_jobs(graph, candidates=(1,)) == [(1, 0.0)]
-
-
-def test_probe_n_jobs_validates_its_knobs():
-    from repro.execution import probe_n_jobs
-
-    graph = barabasi_albert_graph(20, 2, seed=1)
-    with pytest.raises(ConfigurationError):
-        probe_n_jobs(graph, candidates=(0,))
-    with pytest.raises(ConfigurationError):
-        probe_n_jobs(graph, probe_sources=0)
-    with pytest.raises(ConfigurationError):
-        probe_n_jobs(graph, repeats=0)
-
-
-def test_calibrate_n_jobs_returns_a_candidate_and_breaks_ties_down(monkeypatch):
-    from repro.execution import autotune, calibrate_n_jobs
-
-    graph = barabasi_albert_graph(30, 2, seed=2)
-    assert calibrate_n_jobs(graph, candidates=(1, 2), probe_sources=8) in (1, 2)
-    # Deterministic tie: the smaller worker count must win.
-    monkeypatch.setattr(
-        autotune, "probe_n_jobs", lambda *a, **k: [(4, 1.0), (2, 1.0), (1, 2.0)]
-    )
-    assert calibrate_n_jobs(graph) == 2
-
-
 def test_calibrated_jobs_never_change_the_estimate():
-    """The n_jobs twin of the block-width contract: whatever count the noisy
-    probe picks, the sharded engine's merge order is n_jobs-invariant."""
+    """The n_jobs twin of the block-width contract: whatever worker count
+    runs, the sharded engine's merge order is n_jobs-invariant."""
     graph = barabasi_albert_graph(30, 2, seed=5)
     r = graph.vertices()[6]
     estimates = {
@@ -898,31 +889,6 @@ def test_calibrated_jobs_never_change_the_estimate():
         for jobs in JOBS_GRID
     }
     assert len(set(estimates.values())) == 1
-
-
-def test_n_jobs_auto_resolves_and_engages_the_engine():
-    """n_jobs='auto' at the API resolves to a concrete count (never None —
-    the engine must engage so results stay n_jobs-invariant) and returns
-    the same estimate as the explicit counts."""
-    graph = barabasi_albert_graph(30, 2, seed=5)
-    r = graph.vertices()[6]
-    auto = betweenness_single(
-        graph, r, method="uniform-source", samples=40, seed=99,
-        n_jobs="auto",
-    )
-    explicit = betweenness_single(
-        graph, r, method="uniform-source", samples=40, seed=99,
-        n_jobs=1,
-    )
-    assert auto.estimate == explicit.estimate
-
-
-def test_n_jobs_explicit_values_skip_the_probe():
-    from repro.centrality.api import _resolve_n_jobs
-
-    graph = barabasi_albert_graph(20, 2, seed=3)
-    assert _resolve_n_jobs(graph, 3) == 3  # explicit ints pass through
-    assert _resolve_n_jobs(graph, None) is None
 
 
 # ----------------------------------------------------------------------

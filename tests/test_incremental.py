@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.centrality import BetweennessSession, betweenness_single
-from repro.errors import ConfigurationError, EdgeNotFoundError
+from repro.errors import EdgeNotFoundError
 from repro.execution import ExecutionContext, ExecutionPlan
 from repro.execution.shared_cache import shared_memory_available
 from repro.graphs import Graph, cycle_graph, path_graph, star_graph
@@ -37,7 +37,6 @@ from repro.incremental import (
     affected_sources,
     articulation_points,
     bridges,
-    resolve_invalidation,
 )
 from repro.shortest_paths.batch import batch_source_dependencies
 
@@ -425,14 +424,6 @@ class TestAffectedSources:
         affected = {int(i) for i in region.indices()}
         assert affected == {csr.find_index(u), csr.find_index(v)}
 
-    def test_resolve_invalidation(self, monkeypatch):
-        assert resolve_invalidation(None) == "delta"
-        assert resolve_invalidation("full") == "full"
-        monkeypatch.setenv("REPRO_INVALIDATION", "full")
-        assert resolve_invalidation(None) == "full"
-        with pytest.raises(ConfigurationError):
-            resolve_invalidation("sometimes")
-
 
 # ----------------------------------------------------------------------
 # Property: the affected region is a superset of the truly-changed rows
@@ -725,15 +716,22 @@ class TestRuntimeDeltaScoping:
                     assert np.array_equal(row, cold)
 
     def test_full_mode_disables_delta_scoping(self):
+        # A vertex insertion changes the CSR index space, so no journal
+        # window can scope it: the destroy-everything fallback runs.
         g = star_graph(6)
         g.csr()
-        with ExecutionContext(invalidation="full") as ctx:
+        with ExecutionContext() as ctx:
             ctx.refresh(g)
-            ctx.dependency_arena(g).put(0, np.zeros(g.number_of_vertices()))
-            g.add_edge(g.vertices()[1], g.vertices()[2])
+            arena = ctx.dependency_arena(g)
+            arena.put(0, np.zeros(g.number_of_vertices()))
+            g.add_vertex("new")
+            g.add_edge(g.vertices()[1], "new")
             receipt = ctx.refresh(g)
             assert receipt.mode == "full"
-            assert receipt.reason == "disabled"
+            assert receipt.reason == "vertex-change"
+            assert receipt.arena_rows_evicted == 1
+            assert receipt.arena_rows_retained == 0
+            assert ctx.dependency_arena(g) is not arena
 
     def test_refresh_inside_open_batch_keeps_the_window_pending(self):
         # Regression: a consumer that refreshed inside an open
@@ -845,12 +843,14 @@ class TestSessionRetention:
     def test_full_fallback_clears_oracles(self):
         g = star_graph(10)
         leaves = g.vertices()[1:]
-        with BetweennessSession(g, invalidation="full") as session:
+        with BetweennessSession(g) as session:
             session.estimate(g.vertices()[0], samples=40, seed=2)
-            g.add_edge(leaves[0], leaves[5])
+            assert session.stats()["warm_oracles"] > 0
+            g.add_vertex("new")
+            g.add_edge(leaves[0], "new")
             receipt = session.refresh_warm_state()
             assert receipt.mode == "full"
-            assert receipt.reason == "disabled"
+            assert receipt.reason == "vertex-change"
             assert receipt.oracle_vectors_retained == 0
             assert session.stats()["warm_oracles"] == 0
 
