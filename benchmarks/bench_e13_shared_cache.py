@@ -1,31 +1,30 @@
-"""E13 — cross-process shared dependency-vector cache receipt.
+"""E13 — cross-process shared dependency-vector arena receipt.
 
-The PR 3 receipt (E12) showed that on few-core machines the dominant
-residual cost of the multi-chain engine is *duplicated Brandes passes*:
-with ``n_jobs > 1`` every worker process keeps a private oracle cache, so a
-dependency vector computed for one chain is recomputed for every other
-chain that proposes the same source.  The shared arena
-(:mod:`repro.execution.shared_cache`) removes the duplication; this
-benchmark is its receipt, on the reference BA graph with K=4 chains over
-``n_jobs=4`` worker processes:
+The E12 receipt showed that on few-core machines the dominant residual
+cost of the multi-chain engine is *duplicated Brandes passes*: with
+private per-worker caches a dependency vector computed for one chain is
+recomputed for every other chain that proposes the same source.  Every
+multi-chain run whose chains go to a pool therefore shares one arena
+(:mod:`repro.execution.shared_cache`); this benchmark is its receipt, on
+the reference BA graph with K=4 chains over ``n_jobs=4`` worker processes:
 
-* **E13 (dedup + wall-clock)** — three runs of the same fixed-seed
-  workload: the inline single-process run (all chains share one in-process
-  oracle, so its ``evaluations`` count *is* the run's unique-source count
-  ``U``), the private-cache multi-process run (``~K×`` duplicated passes),
-  and the shared-arena multi-process run.  The acceptance property is
-  ``evaluations(shared) <= 1.2 x U`` — the arena collapses total passes to
-  the unique sources plus at most a few benign races — with the wall-clock
-  improvement over the private-cache run in the ``speedup`` column and
-  ``cpu_count`` stamped so parallelism and dedup contributions stay
-  attributable.
-* **E13-determinism** — the pooled estimate with ``shared_cache=True`` is
-  asserted bit-identical to the private-cache estimate for every
-  ``n_jobs`` ∈ {1, 2, 4} at a fixed seed (cache sharing moves work
-  counters, never results).
-* **E13-overflow** — a deliberately tiny arena (8 rows) overflows
-  immediately; the estimate is asserted unchanged (the store refuses new
-  rows, private caches absorb the rest).
+* **E13 (dedup + wall-clock)** — the inline single-process run (all
+  chains share one in-process oracle, so its ``evaluations`` count *is*
+  the run's unique-source count ``U``), the pass total of private
+  per-chain caches (each chain run on its own on the driver's streams and
+  budgets — deterministic, so counted rather than timed: no run can ask
+  for private caches any more), and the pooled run with its arena.  The
+  acceptance property is ``evaluations(pooled) <= 1.2 x U`` — the arena
+  collapses total passes to the unique sources plus at most a few benign
+  races — with ``cpu_count`` stamped so parallelism and dedup
+  contributions stay attributable.
+* **E13-determinism** — the pooled estimate is asserted bit-identical to
+  the inline estimate for every ``n_jobs`` ∈ {1, 2, 4} at a fixed seed
+  (cache sharing moves work counters, never results).
+* **E13-overflow** — the free space the arena sees is cut to 8 rows, so
+  ``create_shared_store`` clamps it and it overflows immediately; the
+  estimate is asserted unchanged (the store refuses new rows, private
+  caches absorb the rest).
 
 Run directly (``python benchmarks/bench_e13_shared_cache.py``) or through
 pytest with the other ``bench_e*`` modules.  ``REPRO_BENCH_SIZE=tiny`` (the
@@ -38,15 +37,18 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from unittest import mock
 
 import pytest
 
 from harness import bench_seed, bench_size, emit_table
 
+from repro._rng import ensure_rng, spawn_rng
+from repro.execution import shared_cache
 from repro.execution.shared_cache import shared_memory_available
 from repro.graphs import barabasi_albert_graph
 from repro.graphs.csr import np
-from repro.mcmc.multichain import MultiChainMHSampler
+from repro.mcmc.multichain import MultiChainMHSampler, split_budget
 
 #: Graph size per REPRO_BENCH_SIZE tier (attachment parameter fixed at 3;
 #: ``small`` is the BA(5000, 3) acceptance configuration).
@@ -60,6 +62,11 @@ BENCH_JOBS = 4
 JOBS = (1, 2, 4)
 #: The acceptance bound: total passes over unique sources with the arena.
 EVALS_OVER_UNIQUE_BOUND = 1.2
+#: Rows the overflow row's arena is clamped to.
+OVERFLOW_ROWS = 8
+#: Engine labels of the dedup rows main() and the pytest entry point read.
+PRIVATE_ENGINE = "private per-chain caches (counted)"
+SHARED_ENGINE = "shared arena"
 
 
 def _graph_size() -> int:
@@ -76,55 +83,70 @@ def _bench_graph():
     return graph, graph.vertices()[0]  # an early BA vertex: hub, positive BC
 
 
-def _run(n_jobs: int, shared_cache: bool, **kwargs):
+def _run(n_jobs: int):
     graph, r = _bench_graph()
-    sampler = MultiChainMHSampler(
-        n_chains=CHAINS,
-        n_jobs=n_jobs,
-        shared_cache=shared_cache,
-        **kwargs,
-    )
+    sampler = MultiChainMHSampler(n_chains=CHAINS, n_jobs=n_jobs)
     start = time.perf_counter()
     estimate = sampler.estimate(graph, r, _total_samples(), seed=bench_seed())
     return estimate, time.perf_counter() - start
 
 
+def _private_chain_evaluations() -> int:
+    """Brandes passes the K chains pay when each keeps a private oracle.
+
+    Every chain runs on its own, on the driver's per-chain streams and
+    budgets; the sum of their counters is what a pool whose workers share
+    nothing would pay with one chain per worker.
+    """
+    graph, r = _bench_graph()
+    base = MultiChainMHSampler(n_chains=CHAINS).base
+    streams = [spawn_rng(ensure_rng(bench_seed()), i) for i in range(CHAINS)]
+    budgets = split_budget(_total_samples(), CHAINS)
+    return sum(
+        base.run_chain(graph, r, budget, seed=stream).evaluations
+        for stream, budget in zip(streams, budgets)
+    )
+
+
 def _dedup_rows():
-    inline, inline_seconds = _run(n_jobs=1, shared_cache=False)
-    private, private_seconds = _run(n_jobs=BENCH_JOBS, shared_cache=False)
-    shared, shared_seconds = _run(n_jobs=BENCH_JOBS, shared_cache=True)
+    inline, inline_seconds = _run(n_jobs=1)
+    shared, shared_seconds = _run(n_jobs=BENCH_JOBS)
     # One in-process oracle serves every chain of the inline run, so its
     # pass count is the number of unique sources the workload touches.
     unique = inline.diagnostics["evaluations"]
-    assert inline.estimate == private.estimate == shared.estimate, (
-        "cache policy changed the pooled estimate: "
-        f"{inline.estimate} / {private.estimate} / {shared.estimate}"
+    assert inline.estimate == shared.estimate, (
+        f"the arena changed the pooled estimate: {inline.estimate} / {shared.estimate}"
     )
-    rows = []
-    for engine, estimate, seconds in (
-        ("inline, one oracle", inline, inline_seconds),
-        ("private worker caches", private, private_seconds),
-        ("shared arena", shared, shared_seconds),
-    ):
+
+    def row(engine, evaluations, **fields):
+        return {
+            "engine": engine,
+            "chains": CHAINS,
+            "total_samples": _total_samples(),
+            "evaluations": evaluations,
+            "unique_sources": unique,
+            "evals_over_unique": evaluations / unique,
+            **fields,
+        }
+
+    def timed(engine, estimate, seconds):
         diag = estimate.diagnostics
-        stats = diag.get("shared_cache_stats")
-        rows.append(
-            {
-                "engine": engine,
-                "chains": CHAINS,
-                "n_jobs": diag["n_jobs"],
-                "shared_cache": diag["shared_cache"],
-                "total_samples": _total_samples(),
-                "evaluations": diag["evaluations"],
-                "unique_sources": unique,
-                "evals_over_unique": diag["evaluations"] / unique,
-                "seconds": seconds,
-                "speedup_vs_private": private_seconds / seconds if seconds else float("inf"),
-                "estimate": estimate.estimate,
-                "published": stats["published"] if stats else None,
-            }
+        stats = diag["shared_cache_stats"]
+        return row(
+            engine,
+            diag["evaluations"],
+            n_jobs=diag["n_jobs"],
+            shared_cache=diag["shared_cache"],
+            seconds=seconds,
+            estimate=estimate.estimate,
+            published=stats["published"] if stats else None,
         )
-    return rows
+
+    return [
+        timed("inline, one oracle", inline, inline_seconds),
+        row(PRIVATE_ENGINE, _private_chain_evaluations(), shared_cache=False),
+        timed(SHARED_ENGINE, shared, shared_seconds),
+    ]
 
 
 def _determinism_rows():
@@ -133,22 +155,21 @@ def _determinism_rows():
     reference = MultiChainMHSampler(n_chains=CHAINS).estimate(graph, r, total, seed=bench_seed())
     rows = []
     for n_jobs in JOBS:
-        shared = MultiChainMHSampler(
-            n_chains=CHAINS,
-            n_jobs=n_jobs,
-            shared_cache=True,
-        ).estimate(graph, r, total, seed=bench_seed())
-        identical = shared.estimate == reference.estimate
+        pooled = MultiChainMHSampler(n_chains=CHAINS, n_jobs=n_jobs).estimate(
+            graph, r, total, seed=bench_seed()
+        )
+        identical = pooled.estimate == reference.estimate
         assert identical, (
-            f"shared-cache estimate diverged from the private-cache path at "
-            f"n_jobs={n_jobs}: {shared.estimate} != {reference.estimate}"
+            f"the pooled estimate diverged from the inline run at "
+            f"n_jobs={n_jobs}: {pooled.estimate} != {reference.estimate}"
         )
         rows.append(
             {
-                "check": "shared arena vs private caches, seed fixed",
+                "check": "pooled run vs inline run, seed fixed",
                 "n_jobs": n_jobs,
+                "shared_cache": pooled.diagnostics["shared_cache"],
                 "bit_identical": identical,
-                "value": shared.estimate,
+                "value": pooled.estimate,
             }
         )
     return rows
@@ -158,21 +179,22 @@ def _overflow_row():
     total = min(_total_samples(), 512)
     graph, r = _bench_graph()
     reference = MultiChainMHSampler(n_chains=CHAINS).estimate(graph, r, total, seed=bench_seed())
-    sampler = MultiChainMHSampler(
-        n_chains=CHAINS,
-        n_jobs=2,
-        shared_cache=True,
-        shared_cache_capacity=8,
-    )
-    tiny = sampler.estimate(graph, r, total, seed=bench_seed())
+    # Report room for OVERFLOW_ROWS rows only: create_shared_store clamps
+    # the arena to them.
+    free = shared_cache._segment_bytes(graph.number_of_vertices(), OVERFLOW_ROWS)
+    with mock.patch.object(shared_cache, "_shared_memory_free_bytes", return_value=free):
+        tiny = MultiChainMHSampler(n_chains=CHAINS, n_jobs=2).estimate(
+            graph, r, total, seed=bench_seed()
+        )
     identical = tiny.estimate == reference.estimate
     assert identical, (
         f"arena overflow changed the estimate: {tiny.estimate} != {reference.estimate}"
     )
     stats = tiny.diagnostics["shared_cache_stats"]
+    assert stats["capacity"] == OVERFLOW_ROWS
     return {
         "n_jobs": 2,
-        "arena_capacity": 8,
+        "arena_capacity": stats["capacity"],
         "published": stats["published"],
         "full": stats["full"],
         "bit_identical": identical,
@@ -184,9 +206,9 @@ def _overflow_row():
 DEDUP_COLUMNS = [
     "engine", "chains", "n_jobs", "shared_cache", "total_samples",
     "evaluations", "unique_sources", "evals_over_unique", "seconds",
-    "speedup_vs_private", "estimate", "published",
+    "estimate", "published",
 ]
-DETERMINISM_COLUMNS = ["check", "n_jobs", "bit_identical", "value"]
+DETERMINISM_COLUMNS = ["check", "n_jobs", "shared_cache", "bit_identical", "value"]
 OVERFLOW_COLUMNS = [
     "n_jobs", "arena_capacity", "published", "full", "bit_identical", "evaluations",
     "estimate",
@@ -198,7 +220,7 @@ def _emit_all():
     dedup_rows = _dedup_rows()
     emit_table(
         "E13",
-        f"shared dependency arena vs private worker caches on a BA({size}, 3) "
+        f"shared dependency arena vs private per-chain caches on a BA({size}, 3) "
         f"graph (K={CHAINS}, n_jobs={BENCH_JOBS}, "
         f"cpu_count={multiprocessing.cpu_count()})",
         dedup_rows,
@@ -206,43 +228,41 @@ def _emit_all():
     )
     emit_table(
         "E13-determinism",
-        "fixed-seed bit-identity of the pooled estimate, shared vs private cache",
+        "fixed-seed bit-identity of the pooled estimate, pooled vs inline run",
         _determinism_rows(),
         DETERMINISM_COLUMNS,
     )
     emit_table(
         "E13-overflow",
-        f"deliberately tiny arena on a BA({size}, 3) graph (result-neutral overflow)",
+        f"arena clamped to {OVERFLOW_ROWS} rows on a BA({size}, 3) graph "
+        "(result-neutral overflow)",
         [_overflow_row()],
         OVERFLOW_COLUMNS,
     )
     return dedup_rows
 
 
-def _shared_row(rows):
-    return next(row for row in rows if row["engine"] == "shared arena")
+def _row(rows, engine):
+    return next(row for row in rows if row["engine"] == engine)
 
 
 @pytest.mark.skipif(
     np is None or not shared_memory_available(),
-    reason="the shared-cache benchmark requires numpy and working shared memory",
+    reason="the shared-arena benchmark requires numpy and working shared memory",
 )
 @pytest.mark.benchmark(group="e13")
 def test_e13_shared_cache(benchmark):
-    """Regenerate the E13 tables and time one shared-cache pooled estimate."""
+    """Regenerate the E13 tables and time one pooled estimate with its arena."""
     rows = _emit_all()
 
     graph, r = _bench_graph()
-    sampler = MultiChainMHSampler(
-        n_chains=CHAINS, n_jobs=2,
-        shared_cache=True,
-    )
+    sampler = MultiChainMHSampler(n_chains=CHAINS, n_jobs=2)
     benchmark.pedantic(
         lambda: sampler.estimate(graph, r, 64, seed=bench_seed()),
         rounds=3,
         iterations=1,
     )
-    shared = _shared_row(rows)
+    shared = _row(rows, SHARED_ENGINE)
     benchmark.extra_info["evals_over_unique"] = shared["evals_over_unique"]
     # The bit-identity assertions inside _emit_all are the hard gate at
     # every size.  The dedup ratio is asserted at the receipt sizes only:
@@ -258,14 +278,15 @@ def test_e13_shared_cache(benchmark):
 def main() -> None:
     if np is None or not shared_memory_available():
         raise SystemExit(
-            "the shared-cache benchmark requires numpy and working shared memory"
+            "the shared-arena benchmark requires numpy and working shared memory"
         )
     rows = _emit_all()
-    shared = _shared_row(rows)
+    shared = _row(rows, SHARED_ENGINE)
+    private = _row(rows, PRIVATE_ENGINE)
     print(
         f"shared-arena passes / unique sources: {shared['evals_over_unique']:.3f} "
         f"(target: <= {EVALS_OVER_UNIQUE_BOUND} at REPRO_BENCH_SIZE=small), "
-        f"speedup vs private caches: {shared['speedup_vs_private']:.2f}x"
+        f"private per-chain caches: {private['evals_over_unique']:.3f}"
     )
 
 

@@ -120,7 +120,6 @@ def _cold_answer(graph, kind, spec):
             seed=spec["seed"],
             n_jobs=BENCH_JOBS,
             n_chains=CHAINS,
-            shared_cache=True,
         )
         return result.estimate, result.diagnostics.get("evaluations")
     estimate = relative_betweenness(
@@ -130,7 +129,6 @@ def _cold_answer(graph, kind, spec):
         seed=spec["seed"],
         n_jobs=BENCH_JOBS,
         n_chains=CHAINS,
-        shared_cache=True,
     )
     evaluations = estimate.diagnostics.get("evaluations")
     if kind == "ranking":

@@ -233,7 +233,7 @@ def _run_serving_benchmark():
             f"served answer diverged from the cold API for {op} {spec}: "
             f"{served_answer!r} != {cold_answer!r}"
         )
-        identity_rows.append({"op": op, "bit_identical": True})
+        identity_rows.append({"op": op, "n_jobs": BENCH_JOBS, "bit_identical": True})
 
     passes = _parse_metric(
         metrics_text, "repro_brandes_passes_total", f'{{graph="{GRAPH_NAME}"}}'
@@ -241,6 +241,7 @@ def _run_serving_benchmark():
     latency_count = _parse_metric(metrics_text, "repro_request_seconds_count")
     latency_sum = _parse_metric(metrics_text, "repro_request_seconds_sum")
     metrics_row = {
+        "n_jobs": BENCH_JOBS,
         "brandes_passes": passes,
         "latency_observations": latency_count,
         "latency_sum_seconds": latency_sum,
@@ -254,6 +255,7 @@ def _run_serving_benchmark():
 
     throughput_row = {
         "queries": len(queries),
+        "n_jobs": BENCH_JOBS,
         "cold_seconds": cold_seconds,
         "served_seconds": served_seconds,
         "speedup": cold_seconds / served_seconds if served_seconds else float("inf"),
@@ -263,12 +265,12 @@ def _run_serving_benchmark():
 
 
 THROUGHPUT_COLUMNS = [
-    "queries", "cold_seconds", "served_seconds", "speedup",
+    "queries", "n_jobs", "cold_seconds", "served_seconds", "speedup",
     "burst_requests", "computations", "coalesce_hits", "byte_identical_bodies",
 ]
-IDENTITY_COLUMNS = ["op", "bit_identical"]
+IDENTITY_COLUMNS = ["op", "n_jobs", "bit_identical"]
 METRICS_COLUMNS = [
-    "brandes_passes", "latency_observations", "latency_sum_seconds",
+    "n_jobs", "brandes_passes", "latency_observations", "latency_sum_seconds",
     "latency_p50_ms", "latency_p95_ms",
 ]
 

@@ -102,7 +102,6 @@ def betweenness_single(
     n_jobs: Optional[int] = None,
     n_chains: Optional[int] = None,
     rhat_target: Optional[float] = None,
-    shared_cache: Optional[bool] = None,
 ) -> SingleEstimate:
     """Estimate the betweenness of one vertex with the chosen *method*.
 
@@ -139,14 +138,6 @@ def betweenness_single(
         ``n_chains=DEFAULT_CHAINS``.  ``n_chains=1`` reproduces the
         single-chain sampler bit for bit.  Rejected for the non-MCMC
         baselines, which have no chain to multiply.
-    shared_cache:
-        Share one cross-process dependency-vector arena across the
-        multi-chain driver's worker processes
-        (:mod:`repro.execution.shared_cache`): a Brandes pass paid by any
-        worker becomes a cache hit for every chain, and the estimate is
-        bit-identical to the private-cache run.  Requires the multi-chain
-        driver (``n_chains`` / ``rhat_target``); ``None`` consults the
-        ``REPRO_SHARED_CACHE`` environment override.
     """
     if method not in SINGLE_VERTEX_METHODS:
         raise ConfigurationError(
@@ -157,12 +148,6 @@ def betweenness_single(
         raise ConfigurationError(
             f"n_chains / rhat_target apply to the MCMC methods "
             f"{sorted(MCMC_SINGLE_METHODS)} only; got {method!r}"
-        )
-    if shared_cache and not multichain:
-        raise ConfigurationError(
-            "shared_cache shares a dependency arena across the multi-chain "
-            "driver's worker processes; pass n_chains (or rhat_target) to "
-            "engage it"
         )
     if check_connected:
         ensure_connected(graph)
@@ -175,7 +160,6 @@ def betweenness_single(
             n_chains=n_chains if n_chains is not None else DEFAULT_CHAINS,
             rhat_target=rhat_target,
             n_jobs=n_jobs,
-            shared_cache=shared_cache,
         )
         return driver.estimate(graph, r, samples, seed=seed)
     estimator = SINGLE_VERTEX_METHODS[method](n_jobs)
@@ -212,7 +196,6 @@ def relative_betweenness(
     check_connected: bool = True,
     n_jobs: Optional[int] = None,
     n_chains: Optional[int] = None,
-    shared_cache: Optional[bool] = None,
 ) -> RelativeBetweennessEstimate:
     """Estimate all pairwise relative betweenness scores of *reference_set*.
 
@@ -222,15 +205,8 @@ def relative_betweenness(
     that many independent joint chains run across ``n_jobs`` worker
     processes and pools the per-chain multisets
     (:class:`~repro.mcmc.multichain.MultiChainJointSampler`); ``n_chains=1``
-    reproduces the single-chain sampler bit for bit.  ``shared_cache``
-    shares one cross-process dependency arena across the driver's worker
-    processes (multi-chain only; estimates are bit-identical either way).
+    reproduces the single-chain sampler bit for bit.
     """
-    if shared_cache and n_chains is None:
-        raise ConfigurationError(
-            "shared_cache shares a dependency arena across the multi-chain "
-            "driver's worker processes; pass n_chains to engage it"
-        )
     if check_connected:
         ensure_connected(graph)
     if n_chains is not None:
@@ -238,7 +214,6 @@ def relative_betweenness(
             JointSpaceMHSampler(),
             n_chains=n_chains,
             n_jobs=n_jobs,
-            shared_cache=shared_cache,
         )
         return driver.estimate_relative(graph, reference_set, samples, seed=seed)
     sampler = JointSpaceMHSampler(n_jobs=n_jobs)

@@ -83,7 +83,7 @@ class BetweennessSession:
         while ``check_connected`` is on (the paper's standing assumption).
     plan:
         Optional :class:`~repro.execution.ExecutionPlan` fixing the
-        execution knobs of every query: worker count, shared arena,
+        execution knobs of every query: worker count and
         multiprocessing start method.  ``None`` resolves from the
         ``REPRO_*`` environment overrides, then the plan defaults, like
         every estimator does.

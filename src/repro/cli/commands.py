@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="split-R-hat target for adaptive burn-in / early stop "
         "(> 1.0; implies --chains 4 when --chains is not given)",
     )
-    _add_shared_cache_argument(estimate)
 
     relative = subparsers.add_parser(
         "relative", help="estimate relative betweenness scores of a vertex set"
@@ -113,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="independent joint chains the sample budget is split over",
     )
-    _add_shared_cache_argument(relative)
 
     batch = subparsers.add_parser(
         "batch",
@@ -238,18 +236,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shared_cache_argument(parser: argparse.ArgumentParser) -> None:
-    """The cross-process oracle-cache knob of the multi-chain MCMC driver."""
-    parser.add_argument(
-        "--shared-cache",
-        action="store_true",
-        default=None,
-        help="share one cross-process dependency-vector cache across the "
-        "multi-chain driver's worker processes (requires --chains/--rhat; "
-        "estimates are bit-identical with or without it)",
-    )
-
-
 def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -309,7 +295,6 @@ def _run_estimate(args: argparse.Namespace, graph: Graph, out) -> int:
         n_jobs=args.jobs,
         n_chains=args.chains,
         rhat_target=args.rhat,
-        shared_cache=args.shared_cache,
     )
     print(json.dumps(estimate_payload(vertex, result), indent=2), file=out)
     return 0
@@ -324,7 +309,6 @@ def _run_relative(args: argparse.Namespace, graph: Graph, out) -> int:
         seed=args.seed,
         n_jobs=args.jobs,
         n_chains=args.chains,
-        shared_cache=args.shared_cache,
     )
     print(json.dumps(relative_payload(estimate), indent=2), file=out)
     return 0

@@ -5,8 +5,8 @@ samplers, the Metropolis-Hastings oracles) reduces to "run many per-source
 passes and accumulate".  This package owns *how* those passes are executed:
 
 * :class:`~repro.execution.plan.ExecutionPlan` bundles the execution
-  knobs — multiprocessing ``n_jobs``, the shared dependency arena, the
-  start method and the persistent runtime — and
+  knobs — multiprocessing ``n_jobs``, the start method and the persistent
+  runtime — and
   :func:`~repro.execution.plan.resolve_plan` resolves them (explicit
   arguments win over the ``REPRO_JOBS`` environment override; with nothing
   set the plan defaults apply — every estimator always runs through a
@@ -23,9 +23,9 @@ passes and accumulate".  This package owns *how* those passes are executed:
   :class:`~repro.execution.shared_cache.DependencyStore`: the MCMC oracle's
   private cache, and on a shared-memory backing the cross-process
   :class:`~repro.execution.shared_cache.SharedDependencyStore` arena the
-  multi-chain MCMC drivers publish into so a Brandes pass paid by one
-  worker process is a cache hit for every other (the ``shared_cache`` plan
-  knob / ``REPRO_SHARED_CACHE`` override).
+  multi-chain MCMC drivers publish into whenever their chains go to a
+  pool, so a Brandes pass paid by one worker process is a cache hit for
+  every other.
 * :mod:`~repro.execution.runtime` provides the *persistent* execution
   path: :class:`~repro.execution.runtime.ExecutionContext` owns a reusable
   worker pool (payloads installed once, referenced by token afterwards), a

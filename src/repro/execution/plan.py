@@ -1,14 +1,9 @@
 """The :class:`ExecutionPlan` — the library's execution knobs in one value.
 
-A plan answers independent questions for a per-source workload:
-
-* ``n_jobs`` — how many worker processes the shard scheduler spreads the
-  source shards over;
-* ``shared_cache`` — whether parallel multi-chain MCMC runs publish their
-  per-source dependency vectors into a cross-process shared-memory arena
-  (:mod:`repro.execution.shared_cache`) instead of each worker keeping a
-  private cache.  Consumed by the multi-chain drivers only; per-source
-  workloads have nothing to share across processes beyond their inputs.
+A plan's ``n_jobs`` says how many worker processes the shard scheduler
+spreads the source shards over.  Whether parallel multi-chain runs share
+a dependency arena is not a knob: they do whenever their chains go to a
+pool (:mod:`repro.mcmc.multichain`).
 
 How many sources one kernel call traverses is not a knob: callers hand
 the batched kernels whole sets and :mod:`repro.shortest_paths.batch`
@@ -17,10 +12,9 @@ still constructs, for callers written against the retired knob, and the
 value is ignored.
 
 Resolution: explicit arguments always win, and the ``REPRO_JOBS`` /
-``REPRO_SHARED_CACHE`` / ``REPRO_MP_CONTEXT`` environment variables fill
-in anything left unspecified (one env knob steers every call site, which
-is how the benchmark harness runs a whole suite under a given parallelism
-setting).
+``REPRO_MP_CONTEXT`` environment variables fill in anything left
+unspecified (one env knob steers every call site, which is how the
+benchmark harness runs a whole suite under a given parallelism setting).
 Whatever is still unset takes the :class:`ExecutionPlan` defaults —
 ``n_jobs=1`` (inline) — so :func:`resolve_plan` always returns a plan and
 every estimator runs one execution discipline.
@@ -70,11 +64,6 @@ class ExecutionPlan:
         constructing.
     n_jobs:
         Worker processes for the shard scheduler (>= 1; 1 means inline).
-    shared_cache:
-        Whether the multi-chain MCMC drivers share one cross-process
-        dependency-vector arena across their workers (ignored by every
-        other workload).  Never changes a result — only which process
-        pays each Brandes pass.
     mp_context:
         Multiprocessing start method for the scheduler's pools (``"fork"`` /
         ``"spawn"`` / ``"forkserver"``; ``None`` keeps the interpreter
@@ -87,16 +76,14 @@ class ExecutionPlan:
         Optional :class:`~repro.execution.runtime.ExecutionContext` the
         scheduler routes its pool work through — a *persistent* worker pool
         plus warm payload/arena state reused across calls instead of a
-        per-call pool.  Never changes a result; like ``shared_cache`` it
-        only moves where (and how often) work is paid for.  The context
-        deliberately pickles to ``None`` so a plan or sampler captured
-        inside a worker payload can never smuggle pool handles across
-        process boundaries.
+        per-call pool.  Never changes a result; it only moves where (and
+        how often) work is paid for.  The context deliberately pickles to
+        ``None`` so a plan or sampler captured inside a worker payload can
+        never smuggle pool handles across process boundaries.
     """
 
     batch_size: Optional[int] = None
     n_jobs: int = 1
-    shared_cache: bool = False
     mp_context: Optional[str] = None
     runtime: Optional[object] = None
 
@@ -108,10 +95,6 @@ class ExecutionPlan:
         ):
             raise ConfigurationError(
                 f"n_jobs must be a positive integer, got {self.n_jobs!r}"
-            )
-        if not isinstance(self.shared_cache, bool):
-            raise ConfigurationError(
-                f"shared_cache must be a boolean, got {self.shared_cache!r}"
             )
         if self.mp_context is not None:
             _validate_mp_context(self.mp_context)
@@ -130,18 +113,6 @@ def _env_int(name: str) -> Optional[int]:
     return value
 
 
-def _env_flag(name: str) -> Optional[bool]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"{name} must be a boolean flag (0/1), got {raw!r}")
-
-
 def _validate_mp_context(value: str) -> str:
     methods = multiprocessing.get_all_start_methods()
     if value not in methods:
@@ -156,7 +127,6 @@ def resolve_plan(
     plan: Optional[ExecutionPlan] = None,
     *,
     n_jobs: Optional[int] = None,
-    shared_cache: Optional[bool] = None,
     mp_context: Optional[str] = None,
     runtime: Optional[object] = None,
 ) -> ExecutionPlan:
@@ -167,11 +137,10 @@ def resolve_plan(
     plan:
         A ready-made :class:`ExecutionPlan`; returned as-is when provided
         (it always wins over the individual knobs).
-    n_jobs, shared_cache, mp_context:
+    n_jobs, mp_context:
         The individual knobs.  ``None`` means "not requested": the
-        ``REPRO_JOBS`` / ``REPRO_SHARED_CACHE`` / ``REPRO_MP_CONTEXT``
-        environment variables are consulted, then the
-        :class:`ExecutionPlan` defaults apply.
+        ``REPRO_JOBS`` / ``REPRO_MP_CONTEXT`` environment variables are
+        consulted, then the :class:`ExecutionPlan` defaults apply.
     runtime:
         Optional persistent :class:`~repro.execution.runtime.ExecutionContext`.
 
@@ -183,13 +152,10 @@ def resolve_plan(
     if n_jobs is None:
         # Still unset after the env: the ExecutionPlan default.
         n_jobs = _env_int("REPRO_JOBS") or ExecutionPlan.n_jobs
-    if shared_cache is None:
-        shared_cache = bool(_env_flag("REPRO_SHARED_CACHE"))
     if mp_context is None:
         mp_context = os.environ.get("REPRO_MP_CONTEXT") or None
     return ExecutionPlan(
         n_jobs=n_jobs,
-        shared_cache=shared_cache,
         mp_context=mp_context,
         runtime=runtime,
     )

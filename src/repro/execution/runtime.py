@@ -710,9 +710,7 @@ class ExecutionContext:
             self._pool.invalidate_payloads()
         return dropped
 
-    def dependency_arena(
-        self, graph: Graph, *, capacity: Optional[int] = None
-    ) -> Optional[SharedDependencyStore]:
+    def dependency_arena(self, graph: Graph) -> Optional[SharedDependencyStore]:
         """Return the persistent dependency arena for *graph* (or ``None``).
 
         Created on first use and reused by every later request against the
@@ -729,7 +727,7 @@ class ExecutionContext:
         n = graph.number_of_vertices()
         if n < 1 or not shared_memory_available():
             return None
-        rows = capacity if capacity is not None else self._arena_capacity
+        rows = self._arena_capacity
         if rows is None:
             rows = default_arena_rows(n)
         self._arena = create_shared_store(

@@ -146,7 +146,7 @@ def run_sharded(
     mp_context:
         Start-method name for the ephemeral pool (``None`` = interpreter
         default), from :attr:`ExecutionPlan.mp_context` — spawn deployments
-        configure the pool and the shared-cache arena consistently with it.
+        configure the pool and the shared arena consistently with it.
     runtime:
         Optional :class:`~repro.execution.runtime.ExecutionContext`.  When
         it has a usable persistent pool, the shards run there — same worker

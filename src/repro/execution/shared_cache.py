@@ -50,8 +50,9 @@ A shared store travels to pool workers through the **initializer** path of
 crosses only at worker setup: under ``fork`` it is inherited, under
 ``spawn`` it pickles to ``(segment name, shape, lock)`` and re-attaches.
 :func:`create_shared_store` returns ``None`` with a warning where the
-platform has no working shared memory, so callers fall back to private
-caches.
+platform has no working shared memory, or where not one row fits the
+free space of the shared-memory filesystem, so callers fall back to
+private caches.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ class DependencyStore:
         self._owner = True
         self._shm = None
         self._lock = contextlib.nullcontext()
-        size = 8 * (_HEADER_SLOTS + num_vertices + capacity * (num_vertices + 1))
+        size = _segment_bytes(num_vertices, capacity)
         if shared:
             if lock is None:
                 lock = (context if context is not None else multiprocessing).Lock()
@@ -453,13 +454,29 @@ class DependencyStore:
 class SharedDependencyStore(DependencyStore):
     """The cross-process arena: a :class:`DependencyStore` in shared memory.
 
-    Sizing *capacity* at ``min(n, total proposals + chains)`` makes overflow
-    impossible for a known budget; a smaller arena stays correct and stops
-    absorbing new vectors once full.
+    A full arena stays correct: it stops absorbing new vectors.
     """
 
     def __init__(self, num_vertices: int, capacity: int, *, context=None, lock=None) -> None:
         super().__init__(num_vertices, capacity, shared=True, context=context, lock=lock)
+
+
+def _segment_bytes(num_vertices: int, capacity: int) -> int:
+    """Return the bytes of a store's segment: header, slot table, owners, rows."""
+    return 8 * (_HEADER_SLOTS + num_vertices + capacity * (num_vertices + 1))
+
+
+def _shared_memory_free_bytes() -> Optional[int]:
+    """Return the free bytes of ``/dev/shm``, or ``None`` where it does not exist.
+
+    A tmpfs grants a segment larger than its free space and faults at the
+    first write past it, so the size has to be checked before creation.
+    """
+    try:
+        stats = os.statvfs("/dev/shm")
+    except (AttributeError, OSError):  # pragma: no cover - no statvfs or no /dev/shm
+        return None
+    return stats.f_bavail * stats.f_frsize
 
 
 def create_shared_store(
@@ -467,27 +484,33 @@ def create_shared_store(
 ) -> Optional[SharedDependencyStore]:
     """Build a :class:`SharedDependencyStore`, or ``None`` where unsupported.
 
-    The graceful-fallback factory the multi-chain drivers use: on platforms
-    without working shared memory it warns once and
-    returns ``None``, and the caller runs with private per-worker caches —
-    exactly the pre-shared-cache behaviour, just slower.  *context* / *lock*
-    are forwarded to the constructor (see there).
+    The graceful-fallback factory every arena comes from.  *capacity* is
+    clamped to the rows whose segment fits the free space of the
+    shared-memory filesystem (a full arena is result-neutral).  Where
+    shared memory does not work, or not one row fits, it warns and returns
+    ``None``, and the caller runs with private per-worker caches, just
+    slower.  *context* / *lock* are forwarded to the constructor (see
+    there).
     """
     if _shared_memory is None:
-        warnings.warn(
-            "shared dependency cache unavailable (multiprocessing.shared_memory "
-            "missing); falling back to private per-worker caches",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+        return _fall_back("multiprocessing.shared_memory missing")
+    free = _shared_memory_free_bytes()
+    if free is not None:
+        fits = (free - _segment_bytes(num_vertices, 0)) // (8 * (num_vertices + 1))
+        if fits < 1:
+            return _fall_back(f"not one row fits the {free} free bytes of /dev/shm")
+        capacity = min(capacity, fits)
     try:
         return SharedDependencyStore(num_vertices, capacity, context=context, lock=lock)
     except (OSError, PermissionError) as exc:  # pragma: no cover - platform dependent
-        warnings.warn(
-            f"could not allocate the shared dependency arena ({exc}); falling "
-            "back to private per-worker caches",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+        return _fall_back(str(exc))
+
+
+def _fall_back(reason: str) -> None:
+    """Warn that no arena could be made (at the caller of :func:`create_shared_store`)."""
+    warnings.warn(
+        f"could not allocate the shared dependency arena ({reason}); falling "
+        "back to private per-worker caches",
+        RuntimeWarning,
+        stacklevel=3,
+    )

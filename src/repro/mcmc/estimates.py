@@ -24,8 +24,8 @@ kernels in one call; they choose the block widths
 straight into the store.  A bounded cache takes the set in
 runs it can hold whole.
 
-With a cross-process arena attached (a warm session's, or a multi-chain
-run's with ``shared_cache=True``) the arena *is* the cache: the oracle
+With a cross-process arena attached (a warm session's, or a pooled
+multi-chain run's) the arena *is* the cache: the oracle
 reads its rows in place, under the arena's lock, and publishes every row
 it computes there, so each warm row is held once however many oracles
 read it.  Only rows a full arena refuses go to a private store, reserved

@@ -40,17 +40,18 @@ chain's trajectory cannot vary with the degree of parallelism.  Each
 chain batch-prefetches its own independence proposals, which is typically
 the dominant speedup on few-core machines.
 
-The remaining duplication on few-core machines is the *private* per-worker
-oracle caches: chains propose sources from the same distribution, so with
-``n_jobs > 1`` each worker re-runs Brandes passes another worker already
-paid for.  ``shared_cache=True`` removes it by publishing every computed
-dependency vector into one cross-process shared-memory arena
-(:mod:`repro.execution.shared_cache`), attached to each worker's oracle
-through the pool-initializer payload.  Because the dependency kernels are
-bit-identical per source, *which* process computed a vector — and therefore
-any cache timing at all — can never change a chain; the total
-``evaluations`` across workers drops toward the run's unique-source count
-while the pooled estimate stays bit-identical to the private-cache path.
+Chains propose sources from the same distribution, so chains in
+different processes keep re-proposing each other's sources.  Whenever the
+chains go to a pool (``n_jobs > 1`` and more than one chain) the driver
+therefore publishes every computed dependency vector into one
+cross-process shared-memory arena (:mod:`repro.execution.shared_cache`),
+attached to each worker's oracle through the pool-initializer payload;
+inline chains already share one oracle and get none.  Because the
+dependency kernels are bit-identical per source, *which* process computed
+a vector — and therefore any cache timing at all — can never change a
+chain; the total ``evaluations`` across workers drops toward the run's
+unique-source count while the pooled estimate stays bit-identical to the
+inline run.
 """
 
 from __future__ import annotations
@@ -253,8 +254,6 @@ class _MultiChainBase:
         *,
         n_chains: int,
         n_jobs: Optional[int],
-        shared_cache: Optional[bool] = None,
-        shared_cache_capacity: Optional[int] = None,
         mp_context: Optional[str] = None,
         runtime: Optional[object] = None,
     ) -> None:
@@ -262,25 +261,10 @@ class _MultiChainBase:
             raise ConfigurationError(
                 f"n_chains must be a positive integer, got {n_chains!r}"
             )
-        if shared_cache is not None and not isinstance(shared_cache, bool):
-            raise ConfigurationError(
-                f"shared_cache must be a boolean or None, got {shared_cache!r}"
-            )
-        if shared_cache_capacity is not None and (
-            not isinstance(shared_cache_capacity, int)
-            or isinstance(shared_cache_capacity, bool)
-            or shared_cache_capacity < 1
-        ):
-            raise ConfigurationError(
-                "shared_cache_capacity must be a positive integer or None, "
-                f"got {shared_cache_capacity!r}"
-            )
         if mp_context is not None:
             ExecutionPlan(mp_context=mp_context)  # validate eagerly
         self.n_chains = n_chains
         self.n_jobs = n_jobs
-        self.shared_cache = shared_cache
-        self.shared_cache_capacity = shared_cache_capacity
         #: Multiprocessing start method of the chain scheduler's pools and of
         #: the shared arena's lock (``None`` consults ``REPRO_MP_CONTEXT``,
         #: then the interpreter default) — the two must agree, which is why
@@ -289,13 +273,13 @@ class _MultiChainBase:
         #: Optional persistent :class:`~repro.execution.runtime.ExecutionContext`.
         #: With a runtime attached the driver runs its chains on the
         #: context's long-lived pool and reads/publishes dependency vectors
-        #: through the context's *persistent* arena (unless ``shared_cache``
-        #: is explicitly ``False``), so Brandes passes paid by earlier
-        #: requests are cache hits here.  Results are bit-identical either
-        #: way — the runtime only moves where work is paid.
+        #: through the context's *persistent* arena, so Brandes passes paid
+        #: by earlier requests are cache hits here.  Results are
+        #: bit-identical either way — the runtime only moves where work is
+        #: paid.
         self.runtime = runtime
         #: ``SharedDependencyStore.stats()`` of the last run (``None`` when
-        #: the run used private caches) — the drivers' estimate methods stamp
+        #: no arena was attached) — the drivers' estimate methods stamp
         #: it into their diagnostics.
         self._shared_cache_stats: Optional[Dict[str, object]] = None
         #: The plan of the last run (see :meth:`_driver_plan`).
@@ -325,59 +309,39 @@ class _MultiChainBase:
         self._run_plan = resolve_plan(
             self.plan,
             n_jobs=self.n_jobs,
-            shared_cache=self.shared_cache,
             mp_context=self.mp_context,
             runtime=self.runtime,
         )
         return self._run_plan
-
-    def _build_shared_store(self, graph: Graph, num_samples: int, plan: ExecutionPlan):
-        """Create the run's cross-process arena, or ``None`` when not applicable.
-
-        Falls back (with a warning) rather than failing: sandboxed platforms
-        may refuse shared-memory segments, and the run then proceeds on
-        private per-worker caches, merely slower.  The arena is sized at
-        ``min(|V|, total budget + K)``: a chain consumes at most one new
-        source per iteration plus its initial state, so that capacity can
-        never overflow (a caller-provided ``shared_cache_capacity`` may be
-        smaller; overflow is then handled by the store refusing new rows).
-        """
-        if not plan.shared_cache:
-            return None
-        n = graph.number_of_vertices()
-        capacity = self.shared_cache_capacity
-        if capacity is None:
-            capacity = max(min(n, num_samples + self.n_chains), 1)
-        mp_context = plan.mp_context
-        if mp_context is None:
-            return create_shared_store(n, capacity)
-        # A configured start method must govern the arena's lock too: a
-        # fork-context lock cannot enter a spawn-context worker.
-        return create_shared_store(
-            n, capacity, context=multiprocessing.get_context(mp_context)
-        )
 
     def _acquire_store(self, graph: Graph, num_samples: int, plan: ExecutionPlan):
         """Return ``(store, owned)`` — the run's dependency arena, if any.
 
         With a runtime attached the store is the context's *persistent*
         arena (created on first use, surviving this run, invalidated by
-        graph mutation) and the driver must not destroy it; ``shared_cache``
-        defaults to *on* there — the warm arena is the point of a runtime —
-        with explicit ``False`` opting out.  Without a runtime the legacy
-        per-run lifecycle applies: the knob (or ``REPRO_SHARED_CACHE``)
-        must ask for the store, and the driver owns and destroys it.
+        graph mutation) and the driver must not destroy it.  Otherwise the
+        driver creates an arena exactly when its chains go to a pool
+        (``n_jobs > 1`` and more than one chain — inline chains already
+        share one oracle) and owns it.  It is sized at
+        ``min(|V|, total budget + K)``: a chain consumes at most one new
+        source per iteration plus its initial state, so only the
+        free-space clamp of :func:`~repro.execution.create_shared_store`
+        can make it overflow.  Where no arena can be made the run proceeds
+        on private per-worker caches, merely slower.
         """
         if plan.runtime is not None:
-            if self.shared_cache is False:
-                return None, False
-            return (
-                plan.runtime.dependency_arena(
-                    graph, capacity=self.shared_cache_capacity
-                ),
-                False,
-            )
-        return self._build_shared_store(graph, num_samples, plan), True
+            return plan.runtime.dependency_arena(graph), False
+        n = graph.number_of_vertices()
+        if plan.n_jobs == 1 or self.n_chains == 1 or n < 1:
+            return None, False
+        # A configured start method must govern the arena's lock too: a
+        # fork-context lock cannot enter a spawn-context worker.
+        store = create_shared_store(
+            n,
+            min(n, num_samples + self.n_chains),
+            context=multiprocessing.get_context(plan.mp_context),
+        )
+        return store, True
 
     def _chain_payload(
         self, kind: str, graph: Graph, sampler, store, snapshot, plan: ExecutionPlan
@@ -512,19 +476,8 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
     n_jobs:
         Worker processes for the chain scheduler (``None`` consults
         ``REPRO_JOBS``; 1 runs inline).  Never changes the pooled estimate.
-    shared_cache:
-        ``None`` (default) consults the ``REPRO_SHARED_CACHE`` environment
-        override; ``True`` publishes every dependency vector the run
-        computes into one cross-process shared-memory arena
-        (:mod:`repro.execution.shared_cache`) so a Brandes pass paid by any
-        worker is a cache hit for every chain — the pooled estimate is
-        bit-identical either way (vectors are deterministic per source;
-        only the pass counters move).  CSR-only; falls back to private
-        caches with a warning where unsupported.
-    shared_cache_capacity:
-        Arena rows of the shared store (``None`` sizes it so overflow is
-        impossible for the run's budget).  A smaller arena stays correct
-        and simply stops absorbing vectors once full.
+        With more than one worker and chain the workers share one
+        dependency arena (see the module docstring).
     """
 
     name = "mh-multichain"
@@ -537,8 +490,6 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
         rhat_target: Optional[float] = None,
         check_interval: int = DEFAULT_CHECK_INTERVAL,
         n_jobs: Optional[int] = None,
-        shared_cache: Optional[bool] = None,
-        shared_cache_capacity: Optional[int] = None,
         mp_context: Optional[str] = None,
         runtime: Optional[object] = None,
         **base_kwargs,
@@ -546,8 +497,6 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
         super().__init__(
             n_chains=n_chains,
             n_jobs=n_jobs,
-            shared_cache=shared_cache,
-            shared_cache_capacity=shared_cache_capacity,
             mp_context=mp_context,
             runtime=runtime,
         )
@@ -773,13 +722,13 @@ class MultiChainJointSampler(_MultiChainBase):
     """K independent joint-space MH chains with pooled relative scores.
 
     Same spawning, scheduling and determinism contract as
-    :class:`MultiChainMHSampler` — including the ``shared_cache`` /
-    ``shared_cache_capacity`` knobs, which pay off doubly here because the
-    joint chain's reference-set reads revisit the same sources across every
-    chain; the chains run to their fixed budgets (no adaptive mode — the
-    joint chain's read-outs are per-reference-vertex multisets, not a single
-    trace) and cross-chain R̂ / ESS over the dependency traces are reported
-    in the estimate diagnostics.
+    :class:`MultiChainMHSampler` — including the shared arena of pooled
+    runs, which pays off doubly here because the joint chain's
+    reference-set reads revisit the same sources across every chain; the
+    chains run to their fixed budgets (no adaptive mode — the joint chain's
+    read-outs are per-reference-vertex multisets, not a single trace) and
+    cross-chain R̂ / ESS over the dependency traces are reported in the
+    estimate diagnostics.
     """
 
     name = "mh-joint-multichain"
@@ -790,8 +739,6 @@ class MultiChainJointSampler(_MultiChainBase):
         *,
         n_chains: int = 4,
         n_jobs: Optional[int] = None,
-        shared_cache: Optional[bool] = None,
-        shared_cache_capacity: Optional[int] = None,
         mp_context: Optional[str] = None,
         runtime: Optional[object] = None,
         **base_kwargs,
@@ -799,8 +746,6 @@ class MultiChainJointSampler(_MultiChainBase):
         super().__init__(
             n_chains=n_chains,
             n_jobs=n_jobs,
-            shared_cache=shared_cache,
-            shared_cache_capacity=shared_cache_capacity,
             mp_context=mp_context,
             runtime=runtime,
         )
@@ -889,11 +834,10 @@ class MultiChainEdgeSampler(_MultiChainBase):
     Mirrors :class:`MultiChainMHSampler` for the edge extension: fixed
     per-chain budgets, one shared :class:`EdgeDependencyOracle` per worker
     process, sample-weighted pooled estimate, split-R̂ / pooled ESS
-    diagnostics.  The cross-process ``shared_cache`` is deliberately not
-    offered here: the edge oracle caches one *scalar* per source (the
-    dependency on a fixed edge), so there is no expensive vector worth a
-    shared-memory arena — recomputing a scalar's pass is the whole cost
-    either way.
+    diagnostics.  Its pooled runs attach no cross-process arena: the edge
+    oracle caches one *scalar* per source (the dependency on a fixed edge),
+    so there is no expensive vector worth sharing — recomputing a scalar's
+    pass is the whole cost either way.
     """
 
     name = "mh-edge-multichain"

@@ -225,21 +225,23 @@ class TestMultiChainFlags:
         "fall back to private caches by design",
     )
     def test_estimate_with_shared_cache(self, barbell_file):
+        """Pooled chains attach the arena; inline chains do not; same bits."""
         base = ["estimate", "--graph", barbell_file, "--vertex", "5",
-                "--samples", "64", "--seed", "7", "--chains", "4", "--jobs", "2"]
+                "--samples", "64", "--seed", "7", "--chains", "4"]
         code_a, out_a = run_cli(base)
-        code_b, out_b = run_cli(base + ["--shared-cache"])
+        code_b, out_b = run_cli(base + ["--jobs", "2"])
         assert code_a == code_b == 0
-        private, shared = json.loads(out_a), json.loads(out_b)
-        assert shared["estimate"] == private["estimate"]
-        assert private["shared_cache"] is False and shared["shared_cache"] is True
+        inline, pooled = json.loads(out_a), json.loads(out_b)
+        assert pooled["estimate"] == inline["estimate"]
+        assert inline["shared_cache"] is False and pooled["shared_cache"] is True
 
-    def test_shared_cache_rejected_without_chains(self, barbell_file):
-        code, _ = run_cli(
-            ["estimate", "--graph", barbell_file, "--vertex", "5",
-             "--samples", "20", "--shared-cache"]
-        )
-        assert code == 2
+    def test_shared_cache_flag_is_gone(self, barbell_file):
+        with pytest.raises(SystemExit) as exit_info:
+            main_with_args(
+                ["estimate", "--graph", barbell_file, "--vertex", "5",
+                 "--samples", "20", "--chains", "2", "--shared-cache"]
+            )
+        assert exit_info.value.code == 2
 
     @pytest.mark.skipif(
         not shared_memory_available(),
@@ -250,11 +252,11 @@ class TestMultiChainFlags:
         base = ["relative", "--graph", barbell_file, "--vertices", "5,6,4",
                 "--samples", "120", "--seed", "3", "--chains", "2"]
         code_a, out_a = run_cli(base)
-        code_b, out_b = run_cli(base + ["--shared-cache"])
+        code_b, out_b = run_cli(base + ["--jobs", "2"])
         assert code_a == code_b == 0
-        private, shared = json.loads(out_a), json.loads(out_b)
-        assert shared["ratios"] == private["ratios"]
-        assert shared["shared_cache"] is True
+        inline, pooled = json.loads(out_a), json.loads(out_b)
+        assert pooled["ratios"] == inline["ratios"]
+        assert inline["shared_cache"] is False and pooled["shared_cache"] is True
 
     def test_relative_with_chains(self, barbell_file):
         code, output = run_cli(

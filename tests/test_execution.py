@@ -302,7 +302,7 @@ def test_the_numpy_kernels_are_the_only_rung():
     from repro.serving import ServingConfig
 
     assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
-        "batch_size", "n_jobs", "shared_cache", "mp_context", "runtime",
+        "batch_size", "n_jobs", "mp_context", "runtime",
     ]
     assert not {"kernel", "kernel_threads"} & {
         f.name for f in dataclasses.fields(ServingConfig)
@@ -317,9 +317,10 @@ def test_no_entry_point_takes_a_kernel_knob(module, name):
     import inspect
 
     fn = getattr(importlib.import_module(module), name)
-    assert not {"kernel", "kernel_threads", "shared_graph", "invalidation"} & set(
-        inspect.signature(fn).parameters
-    )
+    assert not {
+        "kernel", "kernel_threads", "shared_graph", "invalidation",
+        "shared_cache", "shared_cache_capacity",
+    } & set(inspect.signature(fn).parameters)
 
 
 def _mutation_receipt(graph: Graph) -> dict:
@@ -344,6 +345,8 @@ def _mutation_receipt(graph: Graph) -> dict:
     ("REPRO_SHARED_GRAPH", "maybe"),
     ("REPRO_INVALIDATION", "full"),
     ("REPRO_INVALIDATION", "maybe"),
+    ("REPRO_SHARED_CACHE", "1"),
+    ("REPRO_SHARED_CACHE", "maybe"),
 ])
 def test_retired_kernel_variables_are_not_read(monkeypatch, variable, value):
     """Whatever the retired variables hold, plans, estimates and mutation

@@ -14,7 +14,7 @@ Three layers of promises:
    worker payload.
 3. **Plan threading** — ``mp_context`` rides
    :class:`~repro.execution.ExecutionPlan` into the scheduler and the
-   shared-cache arena consistently, with the ``REPRO_MP_CONTEXT`` override.
+   shared arena consistently, with the ``REPRO_MP_CONTEXT`` override.
 """
 
 from __future__ import annotations

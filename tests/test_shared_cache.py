@@ -12,10 +12,12 @@ Three layers of promises:
    on prefetch-heavy and eviction-heavy access patterns, serves another
    oracle's published vectors without re-running Brandes passes, and falls
    back gracefully on unsupported platforms.
-3. **Driver determinism** — the multi-chain pooled estimates with
-   ``shared_cache=True`` are bit-identical to the private-cache runs over
-   the whole ``n_jobs`` × ``n_chains`` grid, survive arena-capacity
-   overflow unchanged, and actually eliminate duplicated passes.
+3. **Driver determinism** — a multi-chain run attaches an arena exactly
+   when its chains go to a pool (``n_jobs > 1`` and ``n_chains > 1``); its
+   pooled estimates are bit-identical to the inline runs over the whole
+   ``n_jobs`` × ``n_chains`` grid, survive arena overflow (forced through
+   the free-space clamp) unchanged, actually eliminate duplicated passes,
+   and leave no segment behind.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import warnings
 
 import pytest
 
+import repro.execution.shared_cache as shared_cache
+import repro.mcmc.multichain as multichain
 from repro._rng import ensure_rng, spawn_rng
 from repro.centrality.api import betweenness_single, relative_betweenness
 from repro.errors import ConfigurationError
-from repro.execution import resolve_plan
+from repro.execution import execution_stamp
 from repro.execution.shared_cache import (
     SharedDependencyStore,
     create_shared_store,
@@ -173,8 +177,6 @@ def test_shared_store_validates_its_arguments():
 
 
 def test_shared_store_create_warns_and_falls_back_without_support(monkeypatch):
-    import repro.execution.shared_cache as shared_cache
-
     monkeypatch.setattr(shared_cache, "_shared_memory", None)
     assert not shared_cache.shared_memory_available()
     with pytest.warns(RuntimeWarning, match="falling back to private"):
@@ -250,55 +252,141 @@ def test_shared_cache_rejects_a_store_sized_for_another_graph(graph):
 # ----------------------------------------------------------------------
 
 
+def _ratio_key(estimate):
+    """The joint estimate's defined ratios, comparable with ``==``."""
+    return sorted((str(k), v) for k, v in estimate.ratios.items() if v == v)
+
+
+def _rows_fit(monkeypatch, graph, rows):
+    """Make the free-space reader report room for exactly *rows* arena rows."""
+    free = shared_cache._segment_bytes(graph.number_of_vertices(), rows)
+    monkeypatch.setattr(shared_cache, "_shared_memory_free_bytes", lambda: free)
+
+
 def test_shared_cache_pooled_estimates_bit_identical_over_the_grid(graph):
-    """The acceptance grid: shared_cache=True never changes the pooled
-    estimate for any (n_jobs, n_chains) at a fixed seed."""
+    """The acceptance grid: the arena of a pooled run never changes the
+    pooled estimate for any (n_jobs, n_chains) at a fixed seed."""
     r = graph.vertices()[0]
     for n_chains in CHAINS_GRID:
         reference = MultiChainMHSampler(
             n_chains=n_chains
         ).estimate(graph, r, 48, seed=11)
-        assert reference.diagnostics["shared_cache"] is False
         for n_jobs in JOBS_GRID:
-            shared = MultiChainMHSampler(
-                n_chains=n_chains,
-                n_jobs=n_jobs,
-                shared_cache=True,
+            pooled = MultiChainMHSampler(
+                n_chains=n_chains, n_jobs=n_jobs
             ).estimate(graph, r, 48, seed=11)
-            assert shared.estimate == reference.estimate, (n_jobs, n_chains)
-            assert shared.diagnostics["shared_cache"] is True
+            assert pooled.estimate == reference.estimate, (n_jobs, n_chains)
+
+
+@pytest.mark.parametrize("n_jobs,n_chains", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_arena_attaches_exactly_when_chains_go_to_a_pool(graph, n_jobs, n_chains):
+    """The stamp's ``shared_cache`` reports whether an arena was attached:
+    true exactly for ``n_jobs > 1`` and ``n_chains > 1`` (the runs whose
+    chains leave the inline path), for both vector-caching drivers, with
+    the inline run's bits either way."""
+    r = graph.vertices()[0]
+    refs = graph.vertices()[:3]
+    pooled = n_jobs > 1 and n_chains > 1
+    single = MultiChainMHSampler(n_chains=n_chains, n_jobs=n_jobs).estimate(
+        graph, r, 48, seed=6
+    )
+    joint = MultiChainJointSampler(n_chains=n_chains, n_jobs=n_jobs).estimate_relative(
+        graph, refs, 48, seed=6
+    )
+    assert execution_stamp(single.diagnostics)["shared_cache"] is pooled
+    assert execution_stamp(joint.diagnostics)["shared_cache"] is pooled
+    assert (single.diagnostics["shared_cache_stats"] is not None) is pooled
+    inline_single = MultiChainMHSampler(n_chains=n_chains).estimate(graph, r, 48, seed=6)
+    inline_joint = MultiChainJointSampler(n_chains=n_chains).estimate_relative(
+        graph, refs, 48, seed=6
+    )
+    assert single.estimate == inline_single.estimate
+    assert _ratio_key(joint) == _ratio_key(inline_joint)
 
 
 def test_shared_cache_chain_states_match_private_runs(graph):
     """Stronger than the pooled read-out: the full per-chain trajectories
-    are unchanged by cache sharing."""
+    of a pooled run with an arena equal the inline run's, whose chains
+    share one private oracle."""
     r = graph.vertices()[0]
     private = MultiChainMHSampler(n_chains=4).run_chains(
         graph, r, 48, seed=5
     )
-    shared = MultiChainMHSampler(
-        n_chains=4, n_jobs=2, shared_cache=True
-    ).run_chains(graph, r, 48, seed=5)
+    shared = MultiChainMHSampler(n_chains=4, n_jobs=2).run_chains(graph, r, 48, seed=5)
     for a, b in zip(private.chains, shared.chains):
         assert a.states == b.states
 
 
-def test_shared_cache_arena_overflow_is_result_neutral(graph):
-    """A deliberately tiny arena overflows immediately; chains must not
+def test_shared_cache_arena_overflow_is_result_neutral(graph, monkeypatch):
+    """The free space reported fits two rows, so ``create_shared_store``
+    clamps the arena to them and it overflows immediately; chains must not
     notice (the store refuses rows, private caches absorb the rest)."""
     r = graph.vertices()[0]
     reference = MultiChainMHSampler(n_chains=4).estimate(
         graph, r, 48, seed=9
     )
-    tiny = MultiChainMHSampler(
-        n_chains=4,
-        n_jobs=2,
-        shared_cache=True,
-        shared_cache_capacity=2,
-    ).estimate(graph, r, 48, seed=9)
+    _rows_fit(monkeypatch, graph, 2)
+    tiny = MultiChainMHSampler(n_chains=4, n_jobs=2).estimate(graph, r, 48, seed=9)
     assert tiny.estimate == reference.estimate
     stats = tiny.diagnostics["shared_cache_stats"]
     assert stats["full"] and stats["capacity"] == 2
+
+
+def test_no_arena_when_not_one_row_fits(graph, monkeypatch):
+    """``create_shared_store`` clamps every arena to the rows whose segment
+    fits the free bytes of the shared-memory filesystem (the overflow test
+    above clamps it to two); with room for none the run gets no arena,
+    warns, and pools the same estimate on private caches."""
+    r = graph.vertices()[0]
+    inline = MultiChainMHSampler(n_chains=4).estimate(graph, r, 48, seed=17)
+    _rows_fit(monkeypatch, graph, 0)
+    with pytest.warns(RuntimeWarning, match="not one row fits"):
+        pooled = MultiChainMHSampler(n_chains=4, n_jobs=2).estimate(graph, r, 48, seed=17)
+    assert pooled.diagnostics["shared_cache"] is False
+    assert pooled.diagnostics["shared_cache_stats"] is None
+    assert pooled.estimate == inline.estimate
+
+
+def test_arena_capacity_is_unclamped_without_a_shared_memory_filesystem(monkeypatch):
+    monkeypatch.setattr(shared_cache, "_shared_memory_free_bytes", lambda: None)
+    store = create_shared_store(6, 5)
+    try:
+        assert store.capacity == 5
+    finally:
+        store.destroy()
+
+
+def _raising_chain(*args, **kwargs):
+    raise RuntimeError("chain failed mid-run")
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["completes", "chain-raises"])
+def test_pooled_run_leaves_no_segment_behind(graph, monkeypatch, fails):
+    """The driver owns its per-run arena: the segment is unlinked when the
+    run ends, also when a chain raises in a worker."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the raising chain reaches the workers by fork")
+    created = []
+
+    def recording_store(*args, **kwargs):
+        store = create_shared_store(*args, **kwargs)
+        created.append(store.name)
+        return store
+
+    monkeypatch.setattr(multichain, "create_shared_store", recording_store)
+    if fails:
+        monkeypatch.setattr(SingleSpaceMHSampler, "run_chain", _raising_chain)
+    driver = MultiChainMHSampler(n_chains=2, n_jobs=2, mp_context="fork")
+    if fails:
+        with pytest.raises(RuntimeError, match="chain failed mid-run"):
+            driver.estimate(graph, graph.vertices()[0], 32, seed=3)
+    else:
+        assert driver.estimate(graph, graph.vertices()[0], 32, seed=3).diagnostics[
+            "shared_cache"
+        ]
+    assert len(created) == 1
+    with pytest.raises(FileNotFoundError):
+        shared_cache._attach(created[0])
 
 
 def _private_chain_evaluations(sampler, graph, target, num_samples, seed, n_chains=4):
@@ -306,8 +394,7 @@ def _private_chain_evaluations(sampler, graph, target, num_samples, seed, n_chai
 
     Runs every chain on its own, on the driver's per-chain streams and
     budgets, and sums the per-chain counters — the deterministic baseline
-    a scheduled private-cache run only approaches when each pool worker
-    happens to run one chain (a worker running two shares its oracle).
+    of a pooled run whose workers could not share an arena.
     """
     rng = ensure_rng(seed)
     streams = [spawn_rng(rng, i) for i in range(n_chains)]
@@ -329,10 +416,7 @@ def test_shared_cache_deduplicates_passes_across_workers(graph):
     # block here) can then run before any worker publishes, so the shared
     # run dedups nothing.
     unique = MultiChainMHSampler(n_chains=4).estimate(graph, r, 64, seed=2)
-    private = MultiChainMHSampler(n_chains=4, n_jobs=4).estimate(graph, r, 64, seed=2)
-    shared = MultiChainMHSampler(
-        n_chains=4, n_jobs=4, shared_cache=True
-    ).estimate(graph, r, 64, seed=2)
+    shared = MultiChainMHSampler(n_chains=4, n_jobs=4).estimate(graph, r, 64, seed=2)
     unique_count = unique.diagnostics["evaluations"]
     private_baseline = _private_chain_evaluations(SingleSpaceMHSampler(), graph, r, 64, 2)
     assert private_baseline > unique_count, (
@@ -345,7 +429,7 @@ def test_shared_cache_deduplicates_passes_across_workers(graph):
     # scale in benchmarks/bench_e13_shared_cache.py.  Here the property is
     # strict deduplication over chains that each pay their own passes.
     assert unique_count <= shared.diagnostics["evaluations"] < private_baseline
-    assert shared.estimate == private.estimate == unique.estimate
+    assert shared.estimate == unique.estimate
 
 
 def test_shared_cache_joint_driver_identical_and_deduplicated(graph):
@@ -354,13 +438,9 @@ def test_shared_cache_joint_driver_identical_and_deduplicated(graph):
         n_chains=4
     ).estimate_relative(graph, refs, 64, seed=13)
     shared = MultiChainJointSampler(
-        n_chains=4, n_jobs=2, shared_cache=True
-    ).estimate_relative(graph, refs, 64, seed=13)
-    private = MultiChainJointSampler(
         n_chains=4, n_jobs=2
     ).estimate_relative(graph, refs, 64, seed=13)
-    key = lambda e: sorted((str(k), v) for k, v in e.ratios.items() if v == v)
-    assert key(shared) == key(reference) == key(private)
+    assert _ratio_key(shared) == _ratio_key(reference)
     assert shared.diagnostics["shared_cache"] is True
     # The same deterministic baseline as the single-space dedup test.
     private_baseline = _private_chain_evaluations(JointSpaceMHSampler(), graph, refs, 64, 13)
@@ -379,9 +459,7 @@ def test_shared_cache_adaptive_mode_shares_across_rounds(graph):
         n_chains=4, rhat_target=1.2, check_interval=8
     )
     reference = MultiChainMHSampler(**kwargs).estimate(graph, r, 96, seed=21)
-    shared = MultiChainMHSampler(**kwargs, n_jobs=2, shared_cache=True).estimate(
-        graph, r, 96, seed=21
-    )
+    shared = MultiChainMHSampler(**kwargs, n_jobs=2).estimate(graph, r, 96, seed=21)
     assert shared.estimate == reference.estimate
     assert shared.diagnostics["rounds"] == reference.diagnostics["rounds"]
     assert shared.diagnostics["shared_cache"] is True
@@ -390,9 +468,8 @@ def test_shared_cache_adaptive_mode_shares_across_rounds(graph):
 def test_shared_cache_driver_falls_back_when_store_unavailable(graph, monkeypatch):
     """No shared memory on the platform: the run completes on private
     caches with identical results and an honest diagnostics stamp."""
-    import repro.mcmc.multichain as multichain
 
-    def no_store(num_vertices, capacity):
+    def no_store(num_vertices, capacity, **kwargs):
         warnings.warn("simulated: no shared memory", RuntimeWarning)
         return None
 
@@ -402,22 +479,25 @@ def test_shared_cache_driver_falls_back_when_store_unavailable(graph, monkeypatc
         graph, r, 32, seed=1
     )
     with pytest.warns(RuntimeWarning, match="simulated"):
-        fallback = MultiChainMHSampler(
-            n_chains=2, n_jobs=2, shared_cache=True
-        ).estimate(graph, r, 32, seed=1)
+        fallback = MultiChainMHSampler(n_chains=2, n_jobs=2).estimate(
+            graph, r, 32, seed=1
+        )
     assert fallback.estimate == reference.estimate
     assert fallback.diagnostics["shared_cache"] is False
 
 
 def test_shared_cache_driver_validates_its_knobs():
     with pytest.raises(ConfigurationError):
-        MultiChainMHSampler(n_chains=2, shared_cache="yes")
-    with pytest.raises(ConfigurationError):
-        MultiChainMHSampler(n_chains=2, shared_cache_capacity=0)
+        MultiChainMHSampler(n_chains=0)
+    # The retired sharing knobs are not keywords of any driver.
+    with pytest.raises(TypeError):
+        MultiChainMHSampler(n_chains=2, shared_cache=True)
+    with pytest.raises(TypeError):
+        MultiChainJointSampler(n_chains=2, shared_cache_capacity=4)
 
 
 # ----------------------------------------------------------------------
-# API / plan / env threading
+# API / env threading
 # ----------------------------------------------------------------------
 
 
@@ -427,75 +507,41 @@ def test_shared_cache_api_threading(graph):
         graph, r, method="mh", samples=40, seed=9, n_chains=2
     )
     shared = betweenness_single(
-        graph,
-        r,
-        method="mh",
-        samples=40,
-        seed=9,
-        n_chains=2,
-        n_jobs=2,
-        shared_cache=True,
+        graph, r, method="mh", samples=40, seed=9, n_chains=2, n_jobs=2
     )
     assert shared.estimate == reference.estimate
+    assert reference.diagnostics["shared_cache"] is False
     assert shared.diagnostics["shared_cache"] is True
 
 
 def test_shared_cache_api_requires_the_multichain_driver(graph):
-    with pytest.raises(ConfigurationError, match="multi-chain"):
-        betweenness_single(
-            graph, graph.vertices()[0], method="mh", samples=20, shared_cache=True
-        )
-    with pytest.raises(ConfigurationError, match="multi-chain"):
-        relative_betweenness(
-            graph, graph.vertices()[:3], samples=20, shared_cache=True
-        )
-
-
-def test_shared_cache_env_override_reaches_the_driver(graph, monkeypatch):
-    monkeypatch.setenv("REPRO_SHARED_CACHE", "1")
-    assert resolve_plan(None).shared_cache is True
-    r = graph.vertices()[0]
-    est = MultiChainMHSampler(n_chains=2).estimate(graph, r, 32, seed=4)
-    assert est.diagnostics["shared_cache"] is True
-    # An explicit False wins over the env var, like every engine knob.
-    est = MultiChainMHSampler(n_chains=2, shared_cache=False).estimate(
-        graph, r, 32, seed=4
+    """Only the multi-chain driver attaches an arena: single-chain calls run
+    in one process whatever ``n_jobs`` is, and take no sharing keyword."""
+    single = betweenness_single(
+        graph, graph.vertices()[0], method="mh", samples=20, seed=1, n_jobs=2
     )
-    assert est.diagnostics["shared_cache"] is False
+    relative = relative_betweenness(graph, graph.vertices()[:3], samples=20, seed=1, n_jobs=2)
+    assert not single.diagnostics.get("shared_cache")
+    assert not relative.diagnostics.get("shared_cache")
+    with pytest.raises(TypeError):
+        betweenness_single(graph, graph.vertices()[0], samples=20, shared_cache=True)
+    with pytest.raises(TypeError):
+        relative_betweenness(graph, graph.vertices()[:3], samples=20, shared_cache=True)
 
 
 def test_shared_cache_env_never_changes_an_estimate(graph, monkeypatch):
-    """The cache flag selects a sharing policy, not an execution discipline:
-    with only REPRO_SHARED_CACHE set, resolve_plan fills the field and every
-    estimator still returns its unflagged fixed-seed estimate — an earlier
-    revision let the flag switch disciplines and silently moved fixed-seed
-    RK/MH results."""
+    """``REPRO_SHARED_CACHE`` is no longer read: whatever it holds, every
+    estimator returns its fixed-seed estimate and the arena follows the
+    run's shape.  An earlier revision let the flag switch execution
+    disciplines and silently moved fixed-seed RK/MH results."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     r = graph.vertices()[0]
-    unflagged = betweenness_single(graph, r, method="rk", samples=60, seed=7)
-    monkeypatch.setenv("REPRO_SHARED_CACHE", "1")
-    assert resolve_plan(None).shared_cache is True
-    flagged = betweenness_single(graph, r, method="rk", samples=60, seed=7)
-    assert flagged.estimate == unflagged.estimate
-
-
-def test_shared_cache_env_override_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARED_CACHE", "maybe")
-    with pytest.raises(ConfigurationError):
-        resolve_plan(None)
-
-
-def test_runtime_arena_honours_shared_cache_capacity(graph):
-    """A driver's explicit shared_cache_capacity must size the runtime's
-    persistent arena, not be silently dropped in favour of the default."""
-    from repro.execution import ExecutionContext
-
-    r = graph.vertices()[0]
-    with ExecutionContext() as ctx:
-        sampler = MultiChainMHSampler(
-            n_chains=2, shared_cache_capacity=7, runtime=ctx
-        )
-        estimate = sampler.estimate(graph, r, 32, seed=1)
-        stats = estimate.diagnostics["shared_cache_stats"]
-    assert stats is not None
-    assert stats["capacity"] == 7
+    unflagged_rk = betweenness_single(graph, r, method="rk", samples=60, seed=7)
+    unflagged_mh = MultiChainMHSampler(n_chains=2).estimate(graph, r, 32, seed=4)
+    for value in ("1", "0", "maybe"):
+        monkeypatch.setenv("REPRO_SHARED_CACHE", value)
+        flagged_rk = betweenness_single(graph, r, method="rk", samples=60, seed=7)
+        flagged_mh = MultiChainMHSampler(n_chains=2).estimate(graph, r, 32, seed=4)
+        assert flagged_rk.estimate == unflagged_rk.estimate
+        assert flagged_mh.estimate == unflagged_mh.estimate
+        assert flagged_mh.diagnostics["shared_cache"] is False
