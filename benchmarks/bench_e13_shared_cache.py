@@ -21,7 +21,8 @@ the reference BA graph with K=4 chains over ``n_jobs=4`` worker processes:
 * **E13-determinism** — the pooled estimate is asserted bit-identical to
   the inline estimate for every ``n_jobs`` ∈ {1, 2, 4} at a fixed seed
   (cache sharing moves work counters, never results).
-* **E13-overflow** — the free space the arena sees is cut to 8 rows, so
+* **E13-overflow** — the free space the arena sees is cut to twice the
+  segment of 8 rows (the clamp keeps half as headroom), so
   ``create_shared_store`` clamps it and it overflows immediately; the
   estimate is asserted unchanged (the store refuses new rows, private
   caches absorb the rest).
@@ -180,8 +181,8 @@ def _overflow_row():
     graph, r = _bench_graph()
     reference = MultiChainMHSampler(n_chains=CHAINS).estimate(graph, r, total, seed=bench_seed())
     # Report room for OVERFLOW_ROWS rows only: create_shared_store clamps
-    # the arena to them.
-    free = shared_cache._segment_bytes(graph.number_of_vertices(), OVERFLOW_ROWS)
+    # the arena to them (it sizes an arena to half the free bytes).
+    free = 2 * shared_cache._segment_bytes(graph.number_of_vertices(), OVERFLOW_ROWS)
     with mock.patch.object(shared_cache, "_shared_memory_free_bytes", return_value=free):
         tiny = MultiChainMHSampler(n_chains=CHAINS, n_jobs=2).estimate(
             graph, r, total, seed=bench_seed()

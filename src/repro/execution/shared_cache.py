@@ -50,7 +50,7 @@ A shared store travels to pool workers through the **initializer** path of
 crosses only at worker setup: under ``fork`` it is inherited, under
 ``spawn`` it pickles to ``(segment name, shape, lock)`` and re-attaches.
 :func:`create_shared_store` returns ``None`` with a warning where the
-platform has no working shared memory, or where not one row fits the
+platform has no working shared memory, or where not one row fits half the
 free space of the shared-memory filesystem, so callers fall back to
 private caches.
 """
@@ -466,6 +466,14 @@ def _segment_bytes(num_vertices: int, capacity: int) -> int:
     return 8 * (_HEADER_SLOTS + num_vertices + capacity * (num_vertices + 1))
 
 
+#: An arena's segment takes at most 1/this of the free bytes of the
+#: shared-memory filesystem.  The free space is read once, before the
+#: arena's lock, a pool's queue semaphores or a concurrent run's arena take
+#: pages of their own; a tmpfs faults (SIGBUS) on a write past its free
+#: space, so the clamp leaves the other half as headroom.
+_FREE_BYTES_PER_ARENA_BYTE = 2
+
+
 def _shared_memory_free_bytes() -> Optional[int]:
     """Return the free bytes of ``/dev/shm``, or ``None`` where it does not exist.
 
@@ -485,7 +493,7 @@ def create_shared_store(
     """Build a :class:`SharedDependencyStore`, or ``None`` where unsupported.
 
     The graceful-fallback factory every arena comes from.  *capacity* is
-    clamped to the rows whose segment fits the free space of the
+    clamped to the rows whose segment fits half the free space of the
     shared-memory filesystem (a full arena is result-neutral).  Where
     shared memory does not work, or not one row fits, it warns and returns
     ``None``, and the caller runs with private per-worker caches, just
@@ -496,7 +504,8 @@ def create_shared_store(
         return _fall_back("multiprocessing.shared_memory missing")
     free = _shared_memory_free_bytes()
     if free is not None:
-        fits = (free - _segment_bytes(num_vertices, 0)) // (8 * (num_vertices + 1))
+        room = free // _FREE_BYTES_PER_ARENA_BYTE
+        fits = (room - _segment_bytes(num_vertices, 0)) // (8 * (num_vertices + 1))
         if fits < 1:
             return _fall_back(f"not one row fits the {free} free bytes of /dev/shm")
         capacity = min(capacity, fits)

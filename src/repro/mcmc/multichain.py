@@ -72,6 +72,7 @@ from repro.execution import (
     interned_payload,
     resolve_plan,
     run_sharded,
+    shared_memory_available,
 )
 from repro.graphs.core import Graph, Vertex
 from repro.mcmc.diagnostics import (
@@ -326,13 +327,16 @@ class _MultiChainBase:
         ``min(|V|, total budget + K)``: a chain consumes at most one new
         source per iteration plus its initial state, so only the
         free-space clamp of :func:`~repro.execution.create_shared_store`
-        can make it overflow.  Where no arena can be made the run proceeds
-        on private per-worker caches, merely slower.
+        can make it overflow.  On a platform without working shared memory
+        the run silently proceeds on private per-worker caches, as the
+        runtime's arena does; where the arena cannot be made otherwise it
+        warns first.
         """
         if plan.runtime is not None:
             return plan.runtime.dependency_arena(graph), False
         n = graph.number_of_vertices()
-        if plan.n_jobs == 1 or self.n_chains == 1 or n < 1:
+        pooled = plan.n_jobs > 1 and self.n_chains > 1
+        if not pooled or n < 1 or not shared_memory_available():
             return None, False
         # A configured start method must govern the arena's lock too: a
         # fork-context lock cannot enter a spawn-context worker.

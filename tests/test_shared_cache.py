@@ -258,8 +258,9 @@ def _ratio_key(estimate):
 
 
 def _rows_fit(monkeypatch, graph, rows):
-    """Make the free-space reader report room for exactly *rows* arena rows."""
-    free = shared_cache._segment_bytes(graph.number_of_vertices(), rows)
+    """Make the free-space reader report room for exactly *rows* arena rows
+    (an arena is sized to half the free bytes)."""
+    free = 2 * shared_cache._segment_bytes(graph.number_of_vertices(), rows)
     monkeypatch.setattr(shared_cache, "_shared_memory_free_bytes", lambda: free)
 
 
@@ -334,7 +335,7 @@ def test_shared_cache_arena_overflow_is_result_neutral(graph, monkeypatch):
 
 def test_no_arena_when_not_one_row_fits(graph, monkeypatch):
     """``create_shared_store`` clamps every arena to the rows whose segment
-    fits the free bytes of the shared-memory filesystem (the overflow test
+    fits half the free bytes of the shared-memory filesystem (the overflow test
     above clamps it to two); with room for none the run gets no arena,
     warns, and pools the same estimate on private caches."""
     r = graph.vertices()[0]
@@ -345,6 +346,23 @@ def test_no_arena_when_not_one_row_fits(graph, monkeypatch):
     assert pooled.diagnostics["shared_cache"] is False
     assert pooled.diagnostics["shared_cache_stats"] is None
     assert pooled.estimate == inline.estimate
+
+
+@pytest.mark.parametrize("free", [4096, 10_000, 123_457, 1 << 20])
+def test_arena_segment_leaves_half_the_free_space_as_headroom(monkeypatch, free):
+    """The free space is read once, before the arena's lock, the pool's
+    queues or a concurrent run take pages of their own, and a tmpfs faults
+    on a write past its free space: the clamp sizes the segment to at most
+    half the free bytes, and to as many rows as fit there."""
+    num_vertices = 20
+    monkeypatch.setattr(shared_cache, "_shared_memory_free_bytes", lambda: free)
+    store = create_shared_store(num_vertices, 10_000)
+    try:
+        rows = store.capacity
+        assert shared_cache._segment_bytes(num_vertices, rows) <= free // 2
+        assert shared_cache._segment_bytes(num_vertices, rows + 1) > free // 2
+    finally:
+        store.destroy()
 
 
 def test_arena_capacity_is_unclamped_without_a_shared_memory_filesystem(monkeypatch):
@@ -482,6 +500,20 @@ def test_shared_cache_driver_falls_back_when_store_unavailable(graph, monkeypatc
         fallback = MultiChainMHSampler(n_chains=2, n_jobs=2).estimate(
             graph, r, 32, seed=1
         )
+    assert fallback.estimate == reference.estimate
+    assert fallback.diagnostics["shared_cache"] is False
+
+
+def test_shared_cache_driver_falls_back_silently_without_shared_memory(graph, monkeypatch):
+    """A platform whose ``shm_open`` is refused: like the runtime's arena,
+    a pooled run checks :func:`shared_memory_available` first and proceeds
+    on private caches without a warning."""
+    monkeypatch.setattr(shared_cache, "_PROBE_RESULT", False)
+    r = graph.vertices()[0]
+    reference = MultiChainMHSampler(n_chains=2).estimate(graph, r, 32, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fallback = MultiChainMHSampler(n_chains=2, n_jobs=2).estimate(graph, r, 32, seed=1)
     assert fallback.estimate == reference.estimate
     assert fallback.diagnostics["shared_cache"] is False
 
