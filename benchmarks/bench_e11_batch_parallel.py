@@ -128,7 +128,7 @@ def _determinism_row():
     assert identical, f"fixed-seed estimates differ across n_jobs: {estimates}"
     return {
         "check": "uniform-source estimate, seed fixed",
-        "n_jobs_grid": "/".join(str(j) for j in JOBS),
+        "n_jobs": "/".join(str(j) for j in JOBS),
         "bit_identical": identical,
         "estimate": estimates[0],
     }
@@ -136,7 +136,7 @@ def _determinism_row():
 
 BATCH_COLUMNS = ["engine", "calls", "vertices", "edges", "sources", "seconds", "speedup"]
 JOBS_COLUMNS = ["n_jobs", "cpu_count", "sources", "seconds"]
-DETERMINISM_COLUMNS = ["check", "n_jobs_grid", "bit_identical", "estimate"]
+DETERMINISM_COLUMNS = ["check", "n_jobs", "bit_identical", "estimate"]
 
 
 def _emit_all():

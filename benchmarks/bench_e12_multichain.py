@@ -137,12 +137,14 @@ def _determinism_rows():
         {
             "check": "pooled K=4 estimate, seed fixed",
             "grid": "n_jobs " + "/".join(str(j) for j in JOBS),
+            "n_jobs": "/".join(str(j) for j in JOBS),
             "bit_identical": identical,
             "value": estimates[0],
         },
         {
             "check": "K=1 driver vs single-chain sampler",
             "grid": "n_chains 1",
+            "n_jobs": 1,
             "bit_identical": single_identical,
             "value": single.estimate,
         },
@@ -163,6 +165,7 @@ def _adaptive_row():
     diag = estimate.diagnostics
     return {
         "rhat_target": 1.05,
+        "n_jobs": BENCH_JOBS,
         "budget": budget,
         "samples_spent": estimate.samples,
         "converged": diag["converged"],
@@ -177,9 +180,9 @@ CHAIN_COLUMNS = [
     "engine", "chains", "n_jobs", "total_samples", "seconds", "speedup",
     "estimate", "rhat", "ess", "acceptance",
 ]
-DETERMINISM_COLUMNS = ["check", "grid", "bit_identical", "value"]
+DETERMINISM_COLUMNS = ["check", "grid", "n_jobs", "bit_identical", "value"]
 ADAPTIVE_COLUMNS = [
-    "rhat_target", "budget", "samples_spent", "converged", "rounds",
+    "rhat_target", "n_jobs", "budget", "samples_spent", "converged", "rounds",
     "burn_in", "rhat", "seconds",
 ]
 

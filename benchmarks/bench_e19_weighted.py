@@ -124,14 +124,14 @@ def _grid_row():
     )
     return {
         "check": "uniform-source weighted estimate, seed fixed",
-        "n_jobs_grid": "/".join(str(j) for j in JOBS_GRID),
+        "n_jobs": "/".join(str(j) for j in JOBS_GRID),
         "bit_identical": identical,
         "estimate": estimates[0],
     }
 
 
 PER_SOURCE_COLUMNS = ["rung", "vertices", "edges", "sources", "seconds", "speedup"]
-GRID_COLUMNS = ["check", "n_jobs_grid", "bit_identical", "estimate"]
+GRID_COLUMNS = ["check", "n_jobs", "bit_identical", "estimate"]
 
 
 def _emit_all():

@@ -100,7 +100,8 @@ def _fmt(value: object) -> str:
 
 def _jobs_stamp(rows: Sequence[Dict[str, object]], columns: Sequence[str]):
     """The ``jobs:`` stamp value: the rows' own worker counts, if they carry any."""
-    counts = sorted({row["n_jobs"] for row in rows if row.get("n_jobs") is not None})
+    # A grid row may carry its counts as one string ("1/2/4"), so order by text.
+    counts = sorted({row["n_jobs"] for row in rows if row.get("n_jobs") is not None}, key=str)
     if "n_jobs" not in columns or not counts:
         return bench_jobs()
     if len(counts) == 1:

@@ -279,6 +279,9 @@ class MultiChainDiagnostics:
         Brandes passes actually performed across every chain (cache misses;
         with chains sharing a per-process oracle this is the true total
         work, which per-chain ``ChainResult.evaluations`` cannot report).
+    screened:
+        Missing sources the oracles' zero-dependency screen answered
+        without a pass, summed over the chains' own counters.
     burn_in:
         Leading states excluded from each chain (driver-adapted when the
         R̂-driven mode converged, else the base sampler's setting).
@@ -296,6 +299,7 @@ class MultiChainDiagnostics:
     acceptance_rates: List[float] = field(default_factory=list)
     chain_lengths: List[int] = field(default_factory=list)
     evaluations: int = 0
+    screened: int = 0
     burn_in: int = 0
     converged: Optional[bool] = None
     rounds: int = 1
@@ -337,6 +341,7 @@ def diagnose_chains(
         acceptance_rates=[chain.acceptance_rate() for chain in chains],
         chain_lengths=[chain.chain_length() for chain in chains],
         evaluations=evaluations,
+        screened=sum(chain.screened for chain in chains),
         burn_in=chains[0].burn_in,
         converged=converged,
         rounds=rounds,

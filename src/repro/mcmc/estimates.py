@@ -32,6 +32,20 @@ read it.  Only rows a full arena refuses go to a private store, reserved
 on the first refusal.  The miss set then goes one kernel block at a time,
 each after re-reading the arena.
 
+Before any pass runs, a bulk read screens its miss set on unweighted,
+undirected snapshots: δ_{s·}(c) = 0 exactly when *c* has no child in the
+shortest-path DAG rooted at *s*, which distance passes from each target
+column *c* and its neighbours decide for every *s* at once
+(:func:`repro.shortest_paths.screen.zero_dependency_sources`).  A source
+zero at every column reads 0.0 — the bits its row would hold — costs no
+pass and stores no row; :attr:`DependencyOracle.screened` counts it.  The
+screen runs only where it is cheap: its
+:func:`~repro.shortest_paths.screen.screen_sources` passes times
+:data:`_SCREEN_MISSES_PER_SOURCE` must not exceed the misses it could
+save, which keeps low-degree targets read by long chains and leaves hubs,
+short reads and warm caches alone.  Weighted and directed snapshots
+compute every row.
+
 Caching is an implementation choice, not part of the algorithm; benchmark E8
 ablates it.
 """
@@ -46,11 +60,19 @@ from repro.errors import ConfigurationError
 from repro.execution.shared_cache import DependencyStore, row_budget
 from repro.graphs.core import Graph, Vertex
 from repro.shortest_paths.batch import batch_source_dependencies, source_blocks
+from repro.shortest_paths.screen import screen_sources, zero_dependency_sources
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.execution.shared_cache import SharedDependencyStore
 
 __all__ = ["DependencyOracle"]
+
+#: Misses a bulk read must have per distance pass of the zero-dependency
+#: screen before the screen runs.  One screen pass costs about 1.3 batched
+#: Brandes rows (0.44 ms for the 5 passes of a degree-4 target against
+#: 0.065 ms per row on BA(800, 3), 2-vCPU VM), so a screen that finds
+#: nothing costs at most 1/24 of the passes it could have saved.
+_SCREEN_MISSES_PER_SOURCE = 32
 
 
 class DependencyOracle:
@@ -112,6 +134,10 @@ class DependencyOracle:
         #: Sources served from the cross-process shared store, prefetch
         #: skips included (0 without one).
         self.shared_hits = 0
+        #: Distinct missing sources the zero-dependency screen answered
+        #: (:meth:`dependency_rows`): no pass, no stored row.  Together
+        #: with the passes they account for every miss of a bulk read.
+        self.screened = 0
 
     def _private(self) -> Optional[DependencyStore]:
         """Return the private store, reserving it on first use (``None`` with caching off)."""
@@ -323,8 +349,10 @@ class DependencyOracle:
         gives a single target :meth:`dependency` semantics: a source equal
         to it reads 0.0 without a lookup.
 
-        Cached rows are read in runs of hits, one slot gather and one fancy
-        index each (:meth:`_read_hits`); a miss takes the full lookup.  With
+        Misses the zero-dependency screen answers (:meth:`_screen`) read
+        0.0 without a pass.  Cached rows are read in runs of hits, one slot
+        gather and one fancy index each (:meth:`_read_hits`); any other miss
+        takes the full lookup.  With
         *prefetch* the misses are computed first by :meth:`prefetch`:
         unbounded, the whole deduplicated miss set in one call; bounded, in
         runs the cache holds whole (:meth:`_prefetch_run`), so no
@@ -339,7 +367,16 @@ class DependencyOracle:
         # Every source is looked up (no index is -1) but the skipped target.
         looked = index != (cols[0] if skip_self_lookups and len(cols) else -1)
         src = index[looked]
-        values = self._lookup(src, cols, prefetch)
+        screened = self._screen(src, cols)
+        if screened is None:
+            values = self._lookup(src, cols, prefetch)
+        else:
+            # A screened entry is the +0.0 its row holds, so a lookup
+            # without a pass.
+            values = np.zeros((len(src), len(cols)))
+            rest = ~screened
+            values[rest] = self._lookup(src[rest], cols, prefetch)
+            self.lookups += len(src) - int(np.count_nonzero(rest))
         # A target equal to its source reads 0.0.
         values[src[:, None] == cols] = 0.0
         if len(src) == len(index) and len(cols) == len(targets):
@@ -347,6 +384,35 @@ class DependencyOracle:
         rows = np.zeros((len(index), len(targets)))
         rows[np.ix_(np.flatnonzero(looked), known)] = values
         return rows
+
+    def _screen(self, src: np.ndarray, cols: np.ndarray) -> Optional[np.ndarray]:
+        """Return the mask of *src* positions whose source the screen proves zero at *cols*.
+
+        Only missing sources are screened (a stored row is read as it is),
+        and only on an unweighted, undirected snapshot whose screen passes,
+        times :data:`_SCREEN_MISSES_PER_SOURCE`, do not outnumber the
+        distinct misses.  ``None`` where the screen does not run.
+        """
+        csr = self._csr
+        if csr.weighted or csr.directed or not len(cols) or not len(src):
+            return None
+        cost = _SCREEN_MISSES_PER_SOURCE * screen_sources(csr, cols)
+        misses = src
+        for store in (self._shared, self._rows):
+            if store is not None and cost <= len(misses):
+                with store.lock:
+                    misses = misses[store.slots[misses] < 0]
+        # Repeated sources count until this cheap test passes, so a warm
+        # read leaves before the distinct misses are marked.
+        if cost > len(misses):
+            return None
+        missing = np.zeros(csr.number_of_vertices(), dtype=bool)
+        missing[misses] = True
+        if cost > np.count_nonzero(missing):
+            return None
+        screened = zero_dependency_sources(csr, cols) & missing
+        self.screened += int(np.count_nonzero(screened))
+        return screened[src]
 
     def _lookup(self, src: np.ndarray, cols: np.ndarray, prefetch: bool) -> np.ndarray:
         """Look up every source of *src* in order; return their *cols* entries."""
@@ -471,4 +537,5 @@ class DependencyOracle:
         """
         if self._rows is not None:
             self._rows.clear()
-        self.evaluations = self.lookups = self.prefetch_evaluations = self.shared_hits = 0
+        self.evaluations = self.lookups = self.prefetch_evaluations = 0
+        self.shared_hits = self.screened = 0

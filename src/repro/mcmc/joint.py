@@ -105,6 +105,7 @@ class JointChainResult:
     num_vertices: int
     burn_in: int = 0
     evaluations: int = 0
+    screened: int = 0
     _pairwise_memo: Optional[Tuple[int, np.ndarray, List[int]]] = field(
         default=None, init=False, repr=False
     )
@@ -398,7 +399,7 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
                 raise ConfigurationError("the initial r-component must belong to the reference set")
             graph.validate_vertex(current_v)
 
-        evaluations_before = oracle.evaluations
+        evaluations_before, screened_before = oracle.evaluations, oracle.screened
         # The start state is the lead row of the one bulk read, so it joins
         # the candidates' prefetch.
         pool = np.array([graph.csr().index_of(current_v)] + candidate_v, dtype=np.intp)
@@ -427,6 +428,7 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
             num_vertices=graph.number_of_vertices(),
             burn_in=self.burn_in,
             evaluations=oracle.evaluations - evaluations_before,
+            screened=oracle.screened - screened_before,
         )
 
     # ------------------------------------------------------------------
@@ -446,7 +448,10 @@ class JointSpaceMHSampler(ExecutionPlanMixin):
             )
             relative = chain.relative_matrix()
             ratios = chain.ratios()
-        diagnostics: Dict[str, object] = {"n_jobs": self._plan().n_jobs}
+        diagnostics: Dict[str, object] = {
+            "n_jobs": self._plan().n_jobs,
+            "screened": chain.screened,
+        }
         return RelativeBetweennessEstimate(
             reference_set=chain.reference_set,
             relative=relative,

@@ -647,6 +647,7 @@ class MultiChainMHSampler(_MultiChainBase, SingleVertexEstimator):
             "rhat": diag.rhat,
             "ess": diag.ess,
             "evaluations": diag.evaluations,
+            "screened": diag.screened,
             "proposal": self.base.proposal,
             "estimator": self.base.estimator,
             "burn_in": diag.burn_in,
@@ -719,6 +720,7 @@ def merge_joint_chains(chains: Sequence[JointChainResult]) -> JointChainResult:
         num_vertices=chains[0].num_vertices,
         burn_in=0,
         evaluations=sum(chain.evaluations for chain in chains),
+        screened=sum(chain.screened for chain in chains),
     )
 
 
@@ -811,6 +813,7 @@ class MultiChainJointSampler(_MultiChainBase):
             "ess": multichain_ess(traces),
             "acceptance_rates": acceptance_rates,
             "evaluations": evaluations,
+            "screened": merged.screened,
             "shared_cache": self._shared_cache_stats is not None,
             "shared_cache_stats": self._shared_cache_stats,
         }

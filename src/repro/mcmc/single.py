@@ -142,6 +142,9 @@ class ChainResult:
         Number of leading states excluded from the estimate.
     evaluations:
         Number of Brandes passes actually performed (cache misses).
+    screened:
+        Number of missing sources the oracle's zero-dependency screen
+        answered without a pass (:attr:`DependencyOracle.screened`).
     """
 
     target: Vertex
@@ -152,6 +155,7 @@ class ChainResult:
     num_vertices: int
     burn_in: int = 0
     evaluations: int = 0
+    screened: int = 0
 
     # ------------------------------------------------------------------
     @property
@@ -439,7 +443,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         # read from the oracle in one bulk call.
         proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
 
-        evaluations_before = oracle.evaluations
+        evaluations_before, screened_before = oracle.evaluations, oracle.screened
         if initial_state is None:
             current = vertices[rng.randrange(len(vertices))]
         else:
@@ -466,6 +470,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             num_vertices=graph.number_of_vertices(),
             burn_in=self.burn_in,
             evaluations=oracle.evaluations - evaluations_before,
+            screened=oracle.screened - screened_before,
         )
 
     def _advance(
@@ -610,7 +615,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             oracle = self.build_oracle(graph)
         vertices = graph.vertices()
         proposals = self._draw_proposals(graph, vertices, rng, num_iterations)
-        evaluations_before = oracle.evaluations
+        evaluations_before, screened_before = oracle.evaluations, oracle.screened
         _, vertex, dependency, accepted, proposed = self._advance(
             graph,
             r,
@@ -634,6 +639,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
             num_vertices=chain.num_vertices,
             burn_in=chain.burn_in,
             evaluations=chain.evaluations + (oracle.evaluations - evaluations_before),
+            screened=chain.screened + (oracle.screened - screened_before),
         )
 
     # ------------------------------------------------------------------
@@ -663,6 +669,7 @@ class SingleSpaceMHSampler(ExecutionPlanMixin, SingleVertexEstimator):
         diagnostics = {
             "acceptance_rate": chain.acceptance_rate(),
             "evaluations": chain.evaluations,
+            "screened": chain.screened,
             "proposal": self.proposal,
             "estimator": self.estimator,
             "burn_in": self.burn_in,

@@ -39,7 +39,10 @@ class CSRShortestPathDAG:
       edges: the parents of index ``i`` are
       ``pred_indices[pred_indptr[i]:pred_indptr[i + 1]]``, in discovery
       order (BFS: frontier order, then adjacency order; Dijkstra: settle
-      order).
+      order).  :meth:`parents_of` on an undirected BFS-built DAG whose
+      arrays are not built derives one vertex's parents instead, in the
+      same order, so a path sampler that walks a few vertices never pays
+      for every arc.
 
     For unweighted (BFS-built) DAGs, ``level_edges`` additionally groups the
     DAG edges by the level of the child vertex, which is what lets the
@@ -58,6 +61,7 @@ class CSRShortestPathDAG:
         "level_edges",
         "_pred_indptr",
         "_pred_indices",
+        "_rank",
     )
 
     def __init__(
@@ -80,6 +84,8 @@ class CSRShortestPathDAG:
         self.level_edges = level_edges
         self._pred_indptr = pred_indptr
         self._pred_indices = pred_indices
+        #: Discovery rank of every reachable vertex (see :meth:`parents_of`).
+        self._rank = None
 
     @property
     def pred_indptr(self):
@@ -119,7 +125,28 @@ class CSRShortestPathDAG:
         self._pred_indptr = indptr
 
     def parents_of(self, index: int):
-        """Return the predecessor-index array of vertex *index* (a view)."""
+        """Return the predecessor-index array of vertex *index*.
+
+        A view of the predecessor arrays once they exist.  Until then, on an
+        undirected BFS-built DAG, the parents are derived on demand: the
+        CSR neighbours one level closer to the source, ordered by discovery
+        rank — the order :meth:`_build_predecessors`' stable sort gives, as
+        each parent enters a level in that rank and, in a simple graph,
+        meets a child once.
+        """
+        if self._pred_indices is None and self.level_edges is not None and not self.csr.directed:
+            depth = self.dist[index]
+            if not 0.0 < depth < np.inf:
+                return np.empty(0, dtype=np.int64)
+            csr = self.csr
+            nbrs = csr.indices[csr.indptr[index] : csr.indptr[index + 1]]
+            parents = nbrs[self.dist[nbrs] == depth - 1.0]
+            if parents.size > 1:
+                if self._rank is None:
+                    self._rank = np.empty(csr.number_of_vertices(), dtype=np.int64)
+                    self._rank[self.order_indices] = np.arange(self.order_indices.shape[0])
+                parents = parents[np.argsort(self._rank[parents], kind="stable")]
+            return parents
         indptr = self.pred_indptr
         return self.pred_indices[indptr[index] : indptr[index + 1]]
 

@@ -404,7 +404,8 @@ class DictDependencyOracle:
     Duck-types the parts of :class:`repro.mcmc.estimates.DependencyOracle`
     the MH samplers use (``dependency``, ``dependencies_for``, the bulk
     ``dependency_rows`` by position in its graph's vertex list and
-    ``source_indices``, ``prefetch`` and the ``evaluations`` counter).
+    ``source_indices``, ``prefetch`` and the ``evaluations`` and
+    ``screened`` counters; it never screens, computing every row).
     Unknown targets read as 0.0, like the library oracle.
     """
 
@@ -413,6 +414,7 @@ class DictDependencyOracle:
         self._build = spd_builder(graph)
         self.evaluations = 0
         self.lookups = 0
+        self.screened = 0
 
     def _vector(self, source: Vertex) -> Dict[Vertex, float]:
         self.lookups += 1

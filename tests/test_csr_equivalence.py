@@ -187,6 +187,17 @@ def test_every_estimator_matches_the_dict_reference(seed, method):
     assert math.isclose(reference, csr_result.estimate, rel_tol=1e-9, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("method", ["rk", "kadabra"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_path_samplers_equal_the_dict_reference_bit_for_bit(method, seed):
+    """RK and KADABRA count sampled path interiors, so with the parents read
+    on demand (no predecessor arrays) the estimate is the reference's exactly."""
+    graph = barabasi_albert_graph(40, 2, seed=seed)
+    target = graph.vertices()[seed % graph.number_of_vertices()]
+    reference = reference_estimate(graph, target, method, samples=60, seed=seed)
+    assert betweenness_single(graph, target, method=method, samples=60, seed=seed).estimate == reference
+
+
 @pytest.mark.parametrize("normalization", ["paper", "count", "pairs"])
 @pytest.mark.parametrize("directed", [False, True])
 def test_brandes_normalizations_match_the_dict_reference(normalization, directed):

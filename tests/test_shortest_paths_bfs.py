@@ -196,3 +196,43 @@ class TestFirstTouch:
         children = np.random.default_rng(seed).integers(0, universe, size=size)
         slot = np.empty(universe, dtype=np.int64)
         assert np.array_equal(_first_touch(children, slot), _sorted_unique(children))
+
+
+#: Random simple graphs over up to 14 vertices, isolated ones included.
+_edge_sets = st.tuples(
+    st.integers(1, 14),
+    st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=40),
+)
+
+
+class TestParentsOnDemand:
+    """``parents_of`` before the predecessor arrays exist derives one
+    vertex's parents; the path samplers rely on the order matching the
+    arrays' exactly (same rng draws, same paths)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_edge_sets, st.data())
+    def test_match_the_built_predecessor_arrays(self, case, data):
+        n, edges = case
+        graph = Graph()
+        for v in range(n):
+            graph.add_vertex(v)
+        for u, v in edges:
+            if u != v and max(u, v) < n:
+                graph.add_edge(u, v)
+        csr = graph.csr()
+        source = data.draw(st.integers(0, n - 1))
+        cutoff = data.draw(st.sampled_from([None, 1.0, 2.0]))
+        lazy = bfs_spd_csr(csr, source, cutoff=cutoff)
+        built = bfs_spd_csr(csr, source, cutoff=cutoff)
+        built.pred_indptr
+        for v in range(n):
+            assert lazy.parents_of(v).tolist() == built.parents_of(v).tolist()
+        assert lazy._pred_indices is None, "no call may build the arrays"
+
+    def test_directed_dags_read_the_arrays(self):
+        graph = Graph(directed=True)
+        graph.add_edges_from([(0, 1), (0, 2), (1, 3), (2, 3)])
+        spd = bfs_spd_csr(graph.csr(), 0)
+        assert spd.parents_of(3).tolist() == [1, 2]
+        assert spd._pred_indices is not None
