@@ -43,8 +43,10 @@ screen runs only where it is cheap: its
 :func:`~repro.shortest_paths.screen.screen_sources` passes times
 :data:`_SCREEN_MISSES_PER_SOURCE` must not exceed the misses it could
 save, which keeps low-degree targets read by long chains and leaves hubs,
-short reads and warm caches alone.  Weighted and directed snapshots
-compute every row.
+short reads and reads the cache answers alone.  A caching oracle keeps
+each column's zero mask until the snapshot changes, so a repeat read of a
+screened target answers its zero sources again without any pass, the
+screen's included.  Weighted and directed snapshots compute every row.
 
 Caching is an implementation choice, not part of the algorithm; benchmark E8
 ablates it.
@@ -138,6 +140,10 @@ class DependencyOracle:
         #: (:meth:`dependency_rows`): no pass, no stored row.  Together
         #: with the passes they account for every miss of a bulk read.
         self.screened = 0
+        #: The screen's zero mask of each target column it has run for
+        #: (one ``bool`` per vertex), kept with the cache so a repeat read
+        #: runs no screen pass; dropped when the snapshot changes.
+        self._zero: Dict[int, np.ndarray] = {}
 
     def _private(self) -> Optional[DependencyStore]:
         """Return the private store, reserving it on first use (``None`` with caching off)."""
@@ -389,14 +395,20 @@ class DependencyOracle:
         """Return the mask of *src* positions whose source the screen proves zero at *cols*.
 
         Only missing sources are screened (a stored row is read as it is),
-        and only on an unweighted, undirected snapshot whose screen passes,
-        times :data:`_SCREEN_MISSES_PER_SOURCE`, do not outnumber the
-        distinct misses.  ``None`` where the screen does not run.
+        and only on an unweighted, undirected snapshot.  A column's zero
+        mask is computed once and kept until the snapshot changes; the
+        passes of the columns not yet kept, times
+        :data:`_SCREEN_MISSES_PER_SOURCE`, must not outnumber the distinct
+        misses.  ``None`` where nothing is screened.
         """
         csr = self._csr
         if csr.weighted or csr.directed or not len(cols) or not len(src):
             return None
-        cost = _SCREEN_MISSES_PER_SOURCE * screen_sources(csr, cols)
+        fresh = [c for c in dict.fromkeys(cols.tolist()) if c not in self._zero]
+        # No read shorter than the gate can pay for a single pass.
+        if fresh and len(src) < _SCREEN_MISSES_PER_SOURCE:
+            return None
+        cost = _SCREEN_MISSES_PER_SOURCE * screen_sources(csr, fresh)
         misses = src
         for store in (self._shared, self._rows):
             if store is not None and cost <= len(misses):
@@ -404,15 +416,20 @@ class DependencyOracle:
                     misses = misses[store.slots[misses] < 0]
         # Repeated sources count until this cheap test passes, so a warm
         # read leaves before the distinct misses are marked.
-        if cost > len(misses):
+        if not len(misses) or cost > len(misses):
             return None
         missing = np.zeros(csr.number_of_vertices(), dtype=bool)
         missing[misses] = True
         if cost > np.count_nonzero(missing):
             return None
-        screened = zero_dependency_sources(csr, cols) & missing
-        self.screened += int(np.count_nonzero(screened))
-        return screened[src]
+        zero = {c: zero_dependency_sources(csr, [c]) for c in fresh}
+        if self.cache_enabled:
+            self._zero.update(zero)
+        for c in cols.tolist():
+            missing &= zero[c] if c in zero else self._zero[c]
+        screened = int(np.count_nonzero(missing))
+        self.screened += screened
+        return missing[src] if screened else None
 
     def _lookup(self, src: np.ndarray, cols: np.ndarray, prefetch: bool) -> np.ndarray:
         """Look up every source of *src* in order; return their *cols* entries."""
@@ -518,6 +535,7 @@ class DependencyOracle:
             )
         old_vertices = self._csr.vertices
         self._csr = new_csr
+        self._zero.clear()
         store = self._rows
         if store is None:
             return 0, 0
@@ -537,5 +555,6 @@ class DependencyOracle:
         """
         if self._rows is not None:
             self._rows.clear()
+        self._zero.clear()
         self.evaluations = self.lookups = self.prefetch_evaluations = 0
         self.shared_hits = self.screened = 0

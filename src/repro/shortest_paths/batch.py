@@ -373,35 +373,24 @@ def bfs_spd_batch_csr(
 
 
 def bfs_distances_batch_csr(csr: "CSRGraph", sources: Sequence[int]):
-    """Return the ``(K, n)`` hop distances of *sources* from one batched BFS wave.
+    """Return the ``(K, n)`` hop distances of *sources*, every row in one batched sweep.
 
-    The distance-only twin of :func:`bfs_spd_batch_csr`: no path counts,
-    no DAG records, ``inf`` where a row's source cannot reach.  The edge
-    orientation is the snapshot's (out-edges), so on an undirected snapshot
-    row *k* also holds every vertex's distance *to* ``sources[k]``.  Where
-    the sparse-matmul sweep suits the snapshot (:func:`_spmm_suitable`) one
-    product per level replaces the flat-key wave (3.5× faster for 5 rows on
-    BA(800, 3)); distances are small integers, so the two agree exactly.
+    The distance-only twin of :func:`bfs_spd_batch_csr` for an unweighted
+    snapshot (``ValueError`` otherwise): no path counts, no DAG records,
+    ``inf`` where a row's source cannot reach.  The edge orientation is the
+    snapshot's (out-edges), so on an undirected snapshot row *k* also holds
+    every vertex's distance *to* ``sources[k]``.  Where the sparse-matmul
+    sweep suits the snapshot (:func:`_spmm_suitable`) one product per level
+    runs (3.5× faster for 5 rows on BA(800, 3)); elsewhere the frontier
+    sweep :func:`_batch_distances` does, whose sums of unit weights are the
+    same small integers.
     """
+    if csr.weighted:
+        raise ValueError("hop distances need an unweighted snapshot")
     src = _validate_sources(csr, sources)
     if _scipy_sparse is not None and _spmm_suitable(csr):
         return _batch_distances_spmm(csr, src)
-    n = csr.number_of_vertices()
-    k = int(src.size)
-    degree = csr.degrees()
-    dist = np.full(k * n, np.inf)
-    slot = np.empty(k * n, dtype=np.int64)
-    frontier = np.arange(k, dtype=np.int64) * n + src
-    dist[frontier] = 0.0
-    depth = 0.0
-    while frontier.size:
-        verts = frontier % n
-        flat, item = _ranges(csr.indptr[verts], degree[verts])
-        keys = (frontier - verts)[item] + csr.indices[flat]
-        frontier = _first_touch(keys[np.isinf(dist[keys])], slot)
-        depth += 1.0
-        dist[frontier] = depth
-    return dist.reshape(k, n)
+    return _batch_distances(csr, src, csr.number_of_vertices())[0].reshape(len(src), -1)
 
 
 def _batch_distances_spmm(csr: "CSRGraph", src):

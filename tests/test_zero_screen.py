@@ -130,6 +130,8 @@ def test_screen_refuses_weighted_and_directed_snapshots():
     for graph in (weighted, directed):
         with pytest.raises(ValueError):
             zero_dependency_sources(graph.csr(), [0])
+    with pytest.raises(ValueError):
+        bfs_distances_batch_csr(weighted.csr(), [0])
 
 
 def test_screen_cost_counts_each_column_and_its_neighbours_once():
@@ -253,23 +255,84 @@ def test_multichain_estimates_are_identical_with_the_screen_on_and_off(ba):
     assert np.array_equal(np.array(pooled.estimate), np.array(off.estimate))
 
 
+def _counting_screens(patch):
+    """Count the oracle's calls into the screen's distance passes."""
+    calls = []
+
+    def counted(csr, columns):
+        calls.append(list(columns))
+        return zero_dependency_sources(csr, columns)
+
+    patch.setattr(estimates, "zero_dependency_sources", counted)
+    return calls
+
+
 def test_warm_session_answers_are_identical_with_the_screen_on_and_off(ba):
     r = _low(ba)[0]
     members = _low(ba, 3)
 
     def run():
-        with BetweennessSession(ba, ExecutionPlan(n_jobs=1)) as session:
-            first = session.estimate(r, samples=300, seed=3)
-            again = session.estimate(r, samples=300, seed=3)
-            relative = session.relative(members, samples=300, seed=5)
-            return first, again, relative
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _counting_screens(patch)
+            with BetweennessSession(ba, ExecutionPlan(n_jobs=1)) as session:
+                first = session.estimate(r, samples=300, seed=3)
+                screens = len(calls)
+                again = session.estimate(r, samples=300, seed=3)
+                repeat_screens = len(calls) - screens
+                relative = session.relative(members, samples=300, seed=5)
+        return first, again, relative, repeat_screens
 
     off, on = _screen_twins(run)
     assert on[0].diagnostics["screened"] > 0 and off[0].diagnostics["screened"] == 0
-    # The repeat query screens again (screened rows are never stored) and
-    # pays no pass.
+    # The repeat query reads the kept zero mask: it screens its misses
+    # again but pays no pass, neither Brandes nor distance.
+    assert on[1].diagnostics["screened"] == on[0].diagnostics["screened"]
     assert on[1].diagnostics["evaluations"] == 0
+    assert on[3] == 0
     for a, b in zip(on[:2], off[:2]):
         assert np.array_equal(np.array(a.estimate), np.array(b.estimate))
         assert np.array_equal(a.diagnostics["chain"].dependency, b.diagnostics["chain"].dependency)
     assert np.array_equal(on[2].chain.dependencies, off[2].chain.dependencies)
+
+
+def test_a_mutation_drops_the_kept_zero_masks(ba):
+    """After an edge mutation a warm session screens afresh: its answers
+    equal a cold call on the mutated graph, the screen on in both."""
+    graph = ba.copy()
+    r = _low(graph)[0]
+    far = max(v for v in graph.vertices() if v != r and not graph.has_edge(r, v))
+
+    def run():
+        with BetweennessSession(graph, ExecutionPlan(n_jobs=1)) as session:
+            session.estimate(r, samples=300, seed=3)
+            graph.add_edge(r, far)
+            warm = session.estimate(r, samples=300, seed=3)
+        graph.remove_edge(r, far)
+        return warm
+
+    warm = _gated(ON, run)
+    graph.add_edge(r, far)
+    cold = _gated(ON, lambda: betweenness_single(graph, r, samples=300, seed=3))
+    assert warm.diagnostics["screened"] > 0
+    assert np.array_equal(np.array(warm.estimate), np.array(cold.estimate))
+    assert np.array_equal(warm.diagnostics["chain"].dependency, cold.diagnostics["chain"].dependency)
+
+
+def test_oracle_keeps_zero_masks_only_with_its_cache(ba):
+    """A caching oracle screens a column once; ``clear`` and a disabled
+    cache screen every read."""
+    r = _low(ba)[0]
+    sources = np.array([s for s in range(300) if s != ba.csr().index_of(r)])
+    for cache_size, screens in ((None, [1, 1, 2]), (0, [1, 2, 3])):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _counting_screens(patch)
+            oracle = DependencyOracle(ba, cache_size=cache_size)
+            seen = []
+            for clear in (False, False, True):
+                if clear:
+                    oracle.clear()
+                rows = oracle.dependency_rows(sources, [r], prefetch=True)
+                seen.append(len(calls))
+                assert oracle.screened > 0
+        assert seen == screens
+        assert np.array_equal(rows, DependencyOracle(ba).dependency_rows(sources, [r]))
